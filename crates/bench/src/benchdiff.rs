@@ -9,8 +9,7 @@
 //!   committed value,
 //! - filterbench (`BENCH_8.json`): ns/match in the
 //!   (Cspf, Compiled, 4096) cell must not rise more than `tolerance`
-//!   above the committed value, and the compiled:interpreted speedup in
-//!   that cell must stay above an optional floor,
+//!   above the committed value,
 //! - table6 (`BENCH_9.json`): per configuration, ns/pkt in the
 //!   (eager, batch 64) cell must not rise more than `tolerance` above
 //!   the committed value.
@@ -123,34 +122,23 @@ pub fn metrics_of(artifact: &Json) -> Result<Vec<Metric>, String> {
     };
     match kind {
         "selfbench" => {
-            for series in ["baseline", "wheel"] {
-                let rows = artifact
-                    .get("engine")
-                    .and_then(|e| e.get(series))
-                    .and_then(Json::as_arr)
-                    .unwrap_or(&[]);
-                for row in rows {
-                    let Some(timers) = num(row, "timers") else {
-                        continue;
-                    };
-                    let id = format!("engine.{series}[timers={}]", fmt_count(timers));
-                    push(
-                        &mut out,
-                        format!("{id}.events_per_sec"),
-                        num(row, "events_per_sec"),
-                        true,
-                    );
-                }
+            let rows = artifact
+                .get("engine")
+                .and_then(|e| e.get("wheel"))
+                .and_then(Json::as_arr)
+                .unwrap_or(&[]);
+            for row in rows {
+                let Some(timers) = num(row, "timers") else {
+                    continue;
+                };
+                let id = format!("engine.wheel[timers={}]", fmt_count(timers));
+                push(
+                    &mut out,
+                    format!("{id}.events_per_sec"),
+                    num(row, "events_per_sec"),
+                    true,
+                );
             }
-            push(
-                &mut out,
-                "engine.speedup".to_string(),
-                artifact
-                    .get("engine")
-                    .and_then(|e| e.get("speedup"))
-                    .and_then(Json::as_f64),
-                true,
-            );
             for row in artifact.get("packet").and_then(Json::as_arr).unwrap_or(&[]) {
                 let (Some(placement), Some(sessions)) =
                     (text(row, "placement"), num(row, "sessions"))
@@ -321,15 +309,7 @@ pub fn report_json(deltas: &[Delta], labels: (&str, &str), tolerance: f64) -> Js
 /// per-binary `--check-baseline` verdicts cell for cell.
 ///
 /// Returns one human line per passed check, or the first failure.
-/// `min_speedup` applies only to filterbench artifacts (the
-/// compiled:interpreted floor at the CSPF/4096 cell) and is ignored
-/// elsewhere.
-pub fn check(
-    baseline: &Json,
-    measured: &Json,
-    tolerance: f64,
-    min_speedup: Option<f64>,
-) -> Result<Vec<String>, String> {
+pub fn check(baseline: &Json, measured: &Json, tolerance: f64) -> Result<Vec<String>, String> {
     let (bk, mk) = (kind_of(baseline)?, kind_of(measured)?);
     if bk != mk {
         return Err(format!("kind mismatch: baseline is {bk}, measured is {mk}"));
@@ -361,24 +341,6 @@ pub fn check(
                 ));
             }
             lines.push(format!("{name}: {new:.0} vs committed {base:.0} — ok"));
-            if let Some(floor) = min_speedup {
-                let interp = lookup(measured, "table[Cspf,Interpret,4096].ns_per_match")
-                    .ok_or("measured artifact has no (Cspf, Interpret, 4096) cell")?;
-                let compiled = lookup(measured, name)
-                    .ok_or("measured artifact has no (Cspf, Compiled, 4096) cell")?;
-                if compiled <= 0.0 {
-                    return Err("measured compiled ns/match is not positive".to_string());
-                }
-                let speedup = interp / compiled;
-                if speedup < floor {
-                    return Err(format!(
-                        "speedup floor: {speedup:.2}x < {floor:.2}x at CSPF/4096"
-                    ));
-                }
-                lines.push(format!(
-                    "compiled speedup at CSPF/4096: {speedup:.2}x >= {floor:.2}x — ok"
-                ));
-            }
         }
         "table6" => {
             for config in ["LibraryIpc", "LibraryShm", "LibraryShmIpf"] {
@@ -484,7 +446,7 @@ mod tests {
         let a = committed("BENCH_6.json");
         let b = committed("BENCH_8.json");
         assert!(diff(&a, &b).is_err());
-        assert!(check(&a, &b, 0.2, None).is_err());
+        assert!(check(&a, &b, 0.2).is_err());
     }
 
     // Verdict parity with the retired per-binary gates: identical and
@@ -495,40 +457,32 @@ mod tests {
     #[test]
     fn selfbench_gate_parity() {
         let base = committed("BENCH_6.json");
-        assert!(check(&base, &base, 0.2, None).is_ok());
+        assert!(check(&base, &base, 0.2).is_ok());
         // 10% slower (events/sec scaled down) passes at 20%.
-        assert!(check(&base, &scaled(&base, 0.9), 0.2, None).is_ok());
+        assert!(check(&base, &scaled(&base, 0.9), 0.2).is_ok());
         // 30% slower fails — same verdict as selfbench --check-baseline.
-        let err = check(&base, &scaled(&base, 0.7), 0.2, None).unwrap_err();
+        let err = check(&base, &scaled(&base, 0.7), 0.2).unwrap_err();
         assert!(err.contains("events/sec regression"), "{err}");
     }
 
     #[test]
     fn filterbench_gate_parity() {
         let base = committed("BENCH_8.json");
-        assert!(check(&base, &base, 0.2, Some(2.0)).is_ok());
+        assert!(check(&base, &base, 0.2).is_ok());
         // ns/match up 10% passes; up 30% fails.
-        assert!(check(&base, &scaled(&base, 1.1), 0.2, None).is_ok());
-        let err = check(&base, &scaled(&base, 1.3), 0.2, None).unwrap_err();
+        assert!(check(&base, &scaled(&base, 1.1), 0.2).is_ok());
+        let err = check(&base, &scaled(&base, 1.3), 0.2).unwrap_err();
         assert!(err.contains("ns/match regression"), "{err}");
-        // The committed artifact's own speedup clears the CI floor of
-        // 2.0 — the same invariant filterbench --min-speedup 2.0 gated.
-        let interp = lookup(&base, "table[Cspf,Interpret,4096].ns_per_match").unwrap();
-        let compiled = lookup(&base, "table[Cspf,Compiled,4096].ns_per_match").unwrap();
-        assert!(interp / compiled >= 2.0);
-        // An absurd floor fails through the same path.
-        let err = check(&base, &base, 0.2, Some(1000.0)).unwrap_err();
-        assert!(err.contains("speedup floor"), "{err}");
     }
 
     #[test]
     fn table6_gate_parity() {
         let base = committed("BENCH_9.json");
-        let lines = check(&base, &base, 0.2, None).unwrap();
+        let lines = check(&base, &base, 0.2).unwrap();
         // One line per configuration, as table6's gate checked.
         assert_eq!(lines.len(), 3);
-        assert!(check(&base, &scaled(&base, 1.1), 0.2, None).is_ok());
-        let err = check(&base, &scaled(&base, 1.3), 0.2, None).unwrap_err();
+        assert!(check(&base, &scaled(&base, 1.1), 0.2).is_ok());
+        let err = check(&base, &scaled(&base, 1.3), 0.2).unwrap_err();
         assert!(err.contains("ns/pkt regression"), "{err}");
     }
 

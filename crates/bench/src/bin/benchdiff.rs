@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! benchdiff FILE FILE... [--tolerance X] [--json PATH] [--report PATH]
-//! benchdiff --check BASELINE MEASURED [--tolerance X] [--min-speedup X]
+//! benchdiff --check BASELINE MEASURED [--tolerance X]
 //! benchdiff --validate FILE --schema FILE
 //! ```
 //!
@@ -29,7 +29,6 @@ fn read_artifact(path: &str) -> Result<Json, String> {
 fn main() -> ExitCode {
     let mut files: Vec<String> = Vec::new();
     let mut tolerance = 0.2;
-    let mut min_speedup: Option<f64> = None;
     let mut check = false;
     let mut validate_mode = false;
     let mut schema_path: Option<String> = None;
@@ -51,17 +50,10 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--min-speedup" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(s) => min_speedup = Some(s),
-                None => {
-                    eprintln!("benchdiff: --min-speedup needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--help" | "-h" => {
                 println!(
                     "usage: benchdiff FILE FILE... [--tolerance X] [--json PATH] [--report PATH]\n\
-                     \x20      benchdiff --check BASELINE MEASURED [--tolerance X] [--min-speedup X]\n\
+                     \x20      benchdiff --check BASELINE MEASURED [--tolerance X]\n\
                      \x20      benchdiff --validate FILE --schema FILE"
                 );
                 return ExitCode::SUCCESS;
@@ -122,7 +114,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        return match benchdiff::check(&baseline, &measured, tolerance, min_speedup) {
+        return match benchdiff::check(&baseline, &measured, tolerance) {
             Ok(lines) => {
                 for line in lines {
                     println!("benchdiff: gate ok — {line}");

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! filterbench [--quick] [--json PATH] [--digest PATH]
-//!             [--check-baseline PATH] [--schema PATH] [--min-speedup X]
+//!             [--check-baseline PATH] [--schema PATH]
 //! ```
 //!
 //! Prints the human table to stdout. `--json` writes the machine
@@ -13,9 +13,7 @@
 //! compares this run's ns/match in the (Cspf, Compiled, 4096) cell
 //! against a committed artifact and exits nonzero on a >20%
 //! regression. `--schema` validates the artifact against a schema file
-//! before writing it. `--min-speedup` exits nonzero when the
-//! compiled:interpreted ns/match ratio at CSPF/4096 falls below the
-//! given floor.
+//! before writing it.
 //!
 //! `--census-json <path>` / `--trace-out <path>` export the same
 //! observability surface as the table bins. The microbenchmark itself
@@ -44,7 +42,6 @@ fn main() -> ExitCode {
     let mut digest_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
     let mut schema_path: Option<String> = None;
-    let mut min_speedup: Option<f64> = None;
     let mut census_json: Option<String> = None;
     let mut trace_out: Option<String> = None;
 
@@ -58,17 +55,10 @@ fn main() -> ExitCode {
             "--schema" => schema_path = args.next(),
             "--census-json" => census_json = args.next(),
             "--trace-out" => trace_out = args.next(),
-            "--min-speedup" => {
-                min_speedup = args.next().and_then(|v| v.parse().ok());
-                if min_speedup.is_none() {
-                    eprintln!("filterbench: --min-speedup needs a number");
-                    return ExitCode::FAILURE;
-                }
-            }
             "--help" | "-h" => {
                 println!(
                     "usage: filterbench [--quick] [--json PATH] [--digest PATH] \
-                     [--check-baseline PATH] [--schema PATH] [--min-speedup X] \
+                     [--check-baseline PATH] [--schema PATH] \
                      [--census-json PATH] [--trace-out PATH]"
                 );
                 return ExitCode::SUCCESS;
@@ -191,22 +181,6 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("filterbench: GATE FAILED — {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    if let Some(floor) = min_speedup {
-        match bench.speedup_at(DemuxStrategy::Cspf, 4096) {
-            Some(s) if s >= floor => {
-                eprintln!("filterbench: speedup ok — {s:.2}x >= {floor:.2}x at CSPF/4096");
-            }
-            Some(s) => {
-                eprintln!("filterbench: SPEEDUP FAILED — {s:.2}x < {floor:.2}x at CSPF/4096");
-                return ExitCode::FAILURE;
-            }
-            None => {
-                eprintln!("filterbench: SPEEDUP FAILED — no CSPF/4096 cell in this run");
                 return ExitCode::FAILURE;
             }
         }

@@ -34,7 +34,6 @@
 use psd_bench::observe;
 use psd_bench::tables::{fmt_pair, table2_for, TCP_SIZES, UDP_SIZES};
 use psd_bench::{protolat, ttcp, ApiStyle};
-use psd_filter::FilterEngine;
 use psd_server::Proto;
 use psd_sim::Platform;
 use psd_systems::TestBed;
@@ -56,17 +55,6 @@ fn main() {
     let profile_out = flag_value(&args, "--profile-out");
     let metrics_out = flag_value(&args, "--metrics-out");
     let profiling = args.iter().any(|a| a == "--profile") || profile_out.is_some();
-    // Like `--faults`, the engine choice must never show in the output:
-    // the compiled filter tier is observationally identical to the
-    // interpreter, and CI byte-diffs a run under each engine.
-    let engine = match flag_value(&args, "--filter-engine").as_deref() {
-        Some("compiled") => FilterEngine::Compiled,
-        Some("interpret") | None => FilterEngine::Interpret,
-        Some(other) => {
-            eprintln!("table2: unknown --filter-engine '{other}'");
-            std::process::exit(2);
-        }
-    };
     let tracing = trace_out.is_some() || want_stages;
     let mut trace_events = String::new();
     let mut census_docs: Vec<String> = Vec::new();
@@ -101,7 +89,6 @@ fn main() {
             let row_tracer = tracing.then(psd_sim::Tracer::shared);
             // Throughput.
             let mut bed = TestBed::new(config, platform, 42);
-            bed.set_filter_engine(engine);
             let censuses = (want_census || census_json.is_some()).then(|| bed.attach_census());
             if want_faults {
                 let _plane = bed.attach_fault_plane();
@@ -141,7 +128,6 @@ fn main() {
                     continue;
                 }
                 let mut bed = TestBed::new(config, platform, 43 + i as u64);
-                bed.set_filter_engine(engine);
                 if want_faults {
                     let _plane = bed.attach_fault_plane();
                 }
@@ -164,7 +150,6 @@ fn main() {
                     continue;
                 }
                 let mut bed = TestBed::new(config, platform, 53 + i as u64);
-                bed.set_filter_engine(engine);
                 if want_faults {
                     let _plane = bed.attach_fault_plane();
                 }
@@ -224,7 +209,6 @@ fn main() {
         let configs = table2_for(platform);
         let tput = |c: psd_systems::SystemConfig| {
             let mut bed = TestBed::new(c, platform, 42);
-            bed.set_filter_engine(engine);
             if want_faults {
                 let _plane = bed.attach_fault_plane();
             }

@@ -27,7 +27,7 @@
 
 use psd_bench::observe;
 use psd_bench::workload::{session_scaling_observed, ScaleReport, WorkloadSpec};
-use psd_filter::{DemuxStrategy, FilterEngine};
+use psd_filter::DemuxStrategy;
 use psd_sim::Platform;
 use psd_systems::SystemConfig;
 
@@ -54,17 +54,6 @@ fn main() {
     let census_json = flag_value("--census-json");
     let profile_out = flag_value("--profile-out");
     let profiling = std::env::args().any(|a| a == "--profile") || profile_out.is_some();
-    // The filter engine never appears in the output: the compiled tier
-    // is observationally identical to the interpreter, and CI diffs a
-    // run under each engine to prove it.
-    let engine = match flag_value("--filter-engine").as_deref() {
-        Some("compiled") => FilterEngine::Compiled,
-        Some("interpret") | None => FilterEngine::Interpret,
-        Some(other) => {
-            eprintln!("table5: unknown --filter-engine '{other}'");
-            std::process::exit(2);
-        }
-    };
     let mut trace_events = String::new();
     let mut census_docs: Vec<String> = Vec::new();
     let mut profile_runs: Vec<observe::ProfiledRun> = Vec::new();
@@ -100,7 +89,7 @@ fn main() {
             );
             let mut rows = Vec::new();
             for &n in scales {
-                let spec = WorkloadSpec::at_scale(n, packets, SEED).with_engine(engine);
+                let spec = WorkloadSpec::at_scale(n, packets, SEED);
                 let tracer = trace_out.is_some().then(psd_sim::Tracer::shared);
                 let r = session_scaling_observed(
                     config,

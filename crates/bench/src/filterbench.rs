@@ -14,27 +14,24 @@
 //!    program run — the raw per-run cost the demux path pays N times
 //!    per packet under CSPF.
 //! 2. **Table stage.** A populated `DemuxTable` classifying the same
-//!    batch under every (strategy × engine) pair at N ∈ {16, 256,
-//!    4096} filters. Reported as matches/sec and ns per classified
-//!    frame — the end-to-end demultiplexing cost Table 5 charges in
-//!    virtual time, here in wall-clock terms.
+//!    batch under each strategy at N ∈ {16, 256, 4096} filters.
+//!    Reported as matches/sec and ns per classified frame — the
+//!    end-to-end demultiplexing cost Table 5 charges in virtual time,
+//!    here in wall-clock terms.
 //!
 //! Every count in the artifact (runs, accepts, classifies, charged
 //! steps) is deterministic for the seed; only the `wall_ms` /
-//! `*_per_sec` / `ns_per_*` / `speedup` fields depend on the machine.
-//! Two same-seed runs therefore agree byte-for-byte after
+//! `*_per_sec` / `ns_per_*` fields depend on the machine. Two
+//! same-seed runs therefore agree byte-for-byte after
 //! [`normalized_text`] zeroes the volatile fields — CI runs the quick
 //! matrix twice and diffs exactly that. The regression gate compares
 //! ns/match for the (Cspf, Compiled, 4096) cell against the committed
-//! artifact; the headline `speedup` member is the interpreter:compiled
-//! ns/match ratio in the same cell, the number the compile tier is
-//! accountable for.
+//! artifact.
 
 use std::time::Instant;
 
 use psd_filter::{
-    compile_endpoint, CompiledFilter, DemuxStrategy, DemuxTable, EndpointSpec, FilterEngine,
-    Program,
+    compile_endpoint, CompiledFilter, DemuxStrategy, DemuxTable, EndpointSpec, Program,
 };
 use psd_sim::Rng;
 use psd_wire::{
@@ -57,15 +54,20 @@ pub const VOLATILE_FIELDS: &[&str] = &[
     "programs_per_sec",
     "ns_per_match",
     "matches_per_sec",
-    "speedup",
 ];
 
+/// The `engine` label of rows that run compiled artifacts — every table
+/// row, and half the program rows. Table rows carry it as a constant so
+/// the gated `table[Cspf,Compiled,4096]` key in `BENCH_8.json` survives.
+const COMPILED: &str = "Compiled";
+
 /// One program-stage measurement: N programs × frame batch × reps
-/// through a single engine.
+/// through the interpreter or the compiled artifacts.
 #[derive(Clone, Copy, Debug)]
 pub struct ProgramRow {
-    /// Engine under test.
-    pub engine: FilterEngine,
+    /// What ran: `"Interpret"` (`Program::run`) or `"Compiled"`
+    /// (`CompiledFilter::run`).
+    pub engine: &'static str,
     /// Programs in the set.
     pub filters: usize,
     /// Program executions performed (deterministic).
@@ -90,19 +92,16 @@ impl ProgramRow {
 }
 
 /// One table-stage measurement: a populated demux table classifying
-/// the frame batch under one (strategy, engine) pair.
+/// the frame batch under one strategy.
 #[derive(Clone, Copy, Debug)]
 pub struct TableRow {
     /// Demultiplexing strategy.
     pub strategy: DemuxStrategy,
-    /// Engine under test.
-    pub engine: FilterEngine,
     /// Installed filters.
     pub filters: usize,
     /// Classify calls performed (deterministic).
     pub classifies: u64,
-    /// Total charged steps across all classifies (deterministic, and
-    /// engine-independent by the equivalence contract).
+    /// Total charged steps across all classifies (deterministic).
     pub steps: u64,
     /// Frames that found an owner (deterministic).
     pub matched: u64,
@@ -127,17 +126,10 @@ impl TableRow {
 pub struct FilterBench {
     /// True when run with the reduced `--quick` matrix.
     pub quick: bool,
-    /// Program-stage rows, by (engine, N).
+    /// Program-stage rows, by (N, engine).
     pub program: Vec<ProgramRow>,
-    /// Table-stage rows, by (strategy, engine, N).
+    /// Table-stage rows, by (strategy, N).
     pub table: Vec<TableRow>,
-}
-
-fn engine_label(e: FilterEngine) -> &'static str {
-    match e {
-        FilterEngine::Interpret => "Interpret",
-        FilterEngine::Compiled => "Compiled",
-    }
 }
 
 fn strategy_label(s: DemuxStrategy) -> &'static str {
@@ -234,9 +226,39 @@ fn corpus(n: usize) -> (Vec<EndpointSpec>, Vec<Vec<u8>>) {
     (specs, frames)
 }
 
-/// Measures one program-stage row: every program against every frame,
-/// `reps` times, through the given engine.
-pub fn program_row(engine: FilterEngine, n: usize) -> ProgramRow {
+/// Runs every item of `set` against every frame, `reps` times.
+fn timed_runs<P>(
+    engine: &'static str,
+    set: &[P],
+    frames: &[Vec<u8>],
+    reps: usize,
+    accepts_frame: impl Fn(&P, &[u8]) -> bool,
+) -> ProgramRow {
+    let mut runs = 0u64;
+    let mut accepts = 0u64;
+    let t0 = Instant::now();
+    for _ in 0..reps {
+        for frame in frames {
+            for p in set {
+                runs += 1;
+                accepts += u64::from(accepts_frame(p, frame));
+            }
+        }
+    }
+    let wall_ns = t0.elapsed().as_nanos();
+    ProgramRow {
+        engine,
+        filters: set.len(),
+        runs,
+        accepts,
+        wall_ns,
+    }
+}
+
+/// Measures the two program-stage rows for one N: the same programs
+/// against the same frames, through `Program::run` and then through
+/// `CompiledFilter::run`.
+fn program_rows(n: usize) -> [ProgramRow; 2] {
     let (specs, frames) = corpus(n);
     let programs: Vec<Program> = specs.iter().map(compile_endpoint).collect();
     let artifacts: Vec<CompiledFilter> = programs.iter().map(CompiledFilter::compile).collect();
@@ -244,42 +266,21 @@ pub fn program_row(engine: FilterEngine, n: usize) -> ProgramRow {
     // regardless of N; derived from N alone, so counts stay
     // deterministic.
     let reps = (500_000 / (n * FRAMES)).max(1);
-    let mut runs = 0u64;
-    let mut accepts = 0u64;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        for frame in &frames {
-            match engine {
-                FilterEngine::Interpret => {
-                    for p in &programs {
-                        runs += 1;
-                        accepts += u64::from(p.run(frame).accepted);
-                    }
-                }
-                FilterEngine::Compiled => {
-                    for a in &artifacts {
-                        runs += 1;
-                        accepts += u64::from(a.run(frame).accepted);
-                    }
-                }
-            }
-        }
-    }
-    let wall_ns = t0.elapsed().as_nanos();
-    ProgramRow {
-        engine,
-        filters: n,
-        runs,
-        accepts,
-        wall_ns,
-    }
+    [
+        timed_runs("Interpret", &programs, &frames, reps, |p, f| {
+            p.run(f).accepted
+        }),
+        timed_runs(COMPILED, &artifacts, &frames, reps, |a, f| {
+            a.run(f).accepted
+        }),
+    ]
 }
 
 /// Measures one table-stage row: a table of N filters classifying the
-/// frame batch `reps` times under one (strategy, engine) pair.
-pub fn table_row(strategy: DemuxStrategy, engine: FilterEngine, n: usize) -> TableRow {
+/// frame batch `reps` times under one strategy.
+pub fn table_row(strategy: DemuxStrategy, n: usize) -> TableRow {
     let (specs, frames) = corpus(n);
-    let mut table: DemuxTable<usize> = DemuxTable::with_engine(strategy, engine);
+    let mut table: DemuxTable<usize> = DemuxTable::new(strategy);
     for (owner, spec) in specs.iter().enumerate() {
         table.install(*spec, owner);
     }
@@ -301,7 +302,6 @@ pub fn table_row(strategy: DemuxStrategy, engine: FilterEngine, n: usize) -> Tab
     let wall_ns = t0.elapsed().as_nanos();
     TableRow {
         strategy,
-        engine,
         filters: n,
         classifies,
         steps,
@@ -311,8 +311,7 @@ pub fn table_row(strategy: DemuxStrategy, engine: FilterEngine, n: usize) -> Tab
 }
 
 /// Table sizes for the full and `--quick` matrices. 4096 must appear
-/// in both: it is the cell the CI gate and the ≥2× acceptance
-/// criterion read.
+/// in both: it is the cell the CI gate reads.
 pub fn scales(quick: bool) -> &'static [usize] {
     if quick {
         &[16, 4096]
@@ -323,19 +322,14 @@ pub fn scales(quick: bool) -> &'static [usize] {
 
 /// Runs the full (or `--quick`) filter benchmark.
 pub fn run(quick: bool) -> FilterBench {
-    let engines = [FilterEngine::Interpret, FilterEngine::Compiled];
     let mut program = Vec::new();
     for &n in scales(quick) {
-        for engine in engines {
-            program.push(program_row(engine, n));
-        }
+        program.extend(program_rows(n));
     }
     let mut table = Vec::new();
     for strategy in [DemuxStrategy::Cspf, DemuxStrategy::Mpf] {
         for &n in scales(quick) {
-            for engine in engines {
-                table.push(table_row(strategy, engine, n));
-            }
+            table.push(table_row(strategy, n));
         }
     }
     FilterBench {
@@ -346,40 +340,21 @@ pub fn run(quick: bool) -> FilterBench {
 }
 
 impl FilterBench {
-    /// The interpreter:compiled ns/match ratio for a (strategy, N)
-    /// cell, if both rows exist. Above 1.0 means the compiled tier is
-    /// faster.
-    pub fn speedup_at(&self, strategy: DemuxStrategy, filters: usize) -> Option<f64> {
-        let find = |e: FilterEngine| {
-            self.table
-                .iter()
-                .find(|r| r.strategy == strategy && r.engine == e && r.filters == filters)
-        };
-        let interp = find(FilterEngine::Interpret)?;
-        let comp = find(FilterEngine::Compiled)?;
-        Some(interp.ns_per_match() / comp.ns_per_match())
-    }
-
     /// A deterministic signature of the run: every count that must be
     /// identical between two same-seed executions — including the
-    /// charged steps, which the equivalence contract makes
-    /// engine-independent.
+    /// charged steps.
     pub fn deterministic_signature(&self) -> String {
         let mut sig = String::new();
         for r in &self.program {
             sig.push_str(&format!(
                 "program:{}:{}:{}:{};",
-                engine_label(r.engine),
-                r.filters,
-                r.runs,
-                r.accepts
+                r.engine, r.filters, r.runs, r.accepts
             ));
         }
         for r in &self.table {
             sig.push_str(&format!(
-                "table:{}:{}:{}:{}:{}:{};",
+                "table:{}:{}:{}:{}:{};",
                 strategy_label(r.strategy),
-                engine_label(r.engine),
                 r.filters,
                 r.classifies,
                 r.steps,
@@ -396,7 +371,7 @@ impl FilterBench {
                 .iter()
                 .map(|r| {
                     Json::obj(vec![
-                        ("engine", Json::str(engine_label(r.engine))),
+                        ("engine", Json::str(r.engine)),
                         ("filters", Json::Num(r.filters as f64)),
                         ("runs", Json::Num(r.runs as f64)),
                         ("accepts", Json::Num(r.accepts as f64)),
@@ -413,7 +388,7 @@ impl FilterBench {
                 .map(|r| {
                     Json::obj(vec![
                         ("strategy", Json::str(strategy_label(r.strategy))),
-                        ("engine", Json::str(engine_label(r.engine))),
+                        ("engine", Json::str(COMPILED)),
                         ("filters", Json::Num(r.filters as f64)),
                         ("classifies", Json::Num(r.classifies as f64)),
                         ("steps", Json::Num(r.steps as f64)),
@@ -425,18 +400,14 @@ impl FilterBench {
                 })
                 .collect(),
         );
-        let mut doc = vec![
+        Json::obj(vec![
             ("version", Json::Num(1.0)),
             ("bench", Json::str("filterbench")),
             ("seed", Json::Num(SEED as f64)),
             ("quick", Json::Bool(self.quick)),
             ("program", program_rows),
             ("table", table_rows),
-        ];
-        if let Some(s) = self.speedup_at(DemuxStrategy::Cspf, 4096) {
-            doc.push(("speedup", Json::Num(s)));
-        }
-        Json::obj(doc)
+        ])
     }
 
     /// The human-readable table printed to stdout.
@@ -451,30 +422,22 @@ impl FilterBench {
         for r in &self.program {
             out.push_str(&format!(
                 "                 {:<9} {:>8} {:>11} {:>13.0} {:>8.1}\n",
-                engine_label(r.engine),
+                r.engine,
                 r.filters,
                 r.runs,
                 r.programs_per_sec(),
                 r.ns_per_run(),
             ));
         }
-        out.push_str(
-            "\ntable stage  strategy  engine     filters  classifies   matches/sec  ns/match\n",
-        );
+        out.push_str("\ntable stage  strategy  filters  classifies   matches/sec  ns/match\n");
         for r in &self.table {
             out.push_str(&format!(
-                "             {:<9} {:<9} {:>8} {:>11} {:>13.0} {:>9.0}\n",
+                "             {:<9} {:>7} {:>11} {:>13.0} {:>9.0}\n",
                 strategy_label(r.strategy),
-                engine_label(r.engine),
                 r.filters,
                 r.classifies,
                 r.matches_per_sec(),
                 r.ns_per_match(),
-            ));
-        }
-        if let Some(s) = self.speedup_at(DemuxStrategy::Cspf, 4096) {
-            out.push_str(&format!(
-                "\ncompiled-tier speedup at CSPF/4096: {s:.2}x ns/match\n"
             ));
         }
         out
@@ -506,11 +469,7 @@ pub fn check_against_baseline(
     let row = measured
         .table
         .iter()
-        .find(|r| {
-            r.strategy == DemuxStrategy::Cspf
-                && r.engine == FilterEngine::Compiled
-                && r.filters == 4096
-        })
+        .find(|r| r.strategy == DemuxStrategy::Cspf && r.filters == 4096)
         .ok_or("measured run has no (Cspf, Compiled, 4096) table row")?;
     let ns = row.ns_per_match();
     if ns > committed_ns * (1.0 + tolerance) {
@@ -554,8 +513,7 @@ mod tests {
 
     #[test]
     fn program_rows_agree_on_deterministic_counts() {
-        let interp = program_row(FilterEngine::Interpret, 32);
-        let comp = program_row(FilterEngine::Compiled, 32);
+        let [interp, comp] = program_rows(32);
         assert_eq!(interp.runs, comp.runs);
         assert_eq!(
             interp.accepts, comp.accepts,
@@ -569,28 +527,12 @@ mod tests {
     }
 
     #[test]
-    fn table_rows_agree_on_steps_across_engines() {
-        for strategy in [DemuxStrategy::Cspf, DemuxStrategy::Mpf] {
-            let interp = table_row(strategy, FilterEngine::Interpret, 64);
-            let comp = table_row(strategy, FilterEngine::Compiled, 64);
-            assert_eq!(interp.classifies, comp.classifies);
-            assert_eq!(
-                interp.steps, comp.steps,
-                "{strategy:?}: charged steps must be engine-independent"
-            );
-            assert_eq!(interp.matched, comp.matched);
-            assert!(interp.matched > 0);
-        }
-    }
-
-    #[test]
     fn regression_gate_trips_on_slowdown() {
         let fast = FilterBench {
             quick: true,
             program: Vec::new(),
             table: vec![TableRow {
                 strategy: DemuxStrategy::Cspf,
-                engine: FilterEngine::Compiled,
                 filters: 4096,
                 classifies: 1_000,
                 steps: 1,

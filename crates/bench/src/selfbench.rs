@@ -7,10 +7,8 @@
 //!
 //! 1. **Engine microbenchmark.** N resident keepalive timers with
 //!    cancel/reschedule churn — the queue access pattern a large
-//!    session count produces — run on both the timer-wheel engine
-//!    ([`psd_sim::Sim`]) and the retained pre-rework heap engine
-//!    ([`psd_sim::BaselineQueue`]), same schedule, same process. The
-//!    wheel:baseline events/sec ratio is the honest speedup number.
+//!    session count produces — run on the timer-wheel engine
+//!    ([`psd_sim::Sim`]).
 //! 2. **Packet stage.** The Table 5 session-scaling workload across the
 //!    five DECstation placements at N ∈ {4k, 64k, 256k} sessions.
 //!    Real sockets are bounded by the 16-bit port space, so counts
@@ -32,7 +30,7 @@ use std::rc::Rc;
 use std::time::Instant;
 
 use psd_filter::DemuxStrategy;
-use psd_sim::{BaselineHandle, BaselineQueue, Platform, Sim, SimHandle, SimTime};
+use psd_sim::{Platform, Sim, SimHandle, SimTime};
 use psd_systems::SystemConfig;
 
 use crate::json::{normalize_volatile, validate, Json};
@@ -52,7 +50,6 @@ pub const VOLATILE_FIELDS: &[&str] = &[
     "events_per_sec",
     "ns_per_event",
     "ns_per_sim_packet",
-    "speedup",
     "peak_rss_kb",
     "rss_kb",
 ];
@@ -124,8 +121,6 @@ impl PacketRow {
 pub struct SelfBench {
     /// True when run with the reduced `--quick` matrix.
     pub quick: bool,
-    /// Heap-engine rows, by timer count.
-    pub baseline: Vec<EngineRow>,
     /// Wheel-engine rows, by timer count.
     pub wheel: Vec<EngineRow>,
     /// Packet-stage rows in measurement order (increasing N).
@@ -194,45 +189,6 @@ pub fn engine_micro_wheel(n: usize, events: u64) -> EngineRow {
     }
 }
 
-/// The identical microbenchmark on the retained pre-rework heap engine.
-pub fn engine_micro_baseline(n: usize, events: u64) -> EngineRow {
-    let mut q = BaselineQueue::new();
-    let handles: Rc<RefCell<Vec<BaselineHandle>>> = Rc::new(RefCell::new(Vec::with_capacity(n)));
-
-    fn arm(
-        q: &mut BaselineQueue,
-        i: usize,
-        n: usize,
-        handles: &Rc<RefCell<Vec<BaselineHandle>>>,
-    ) -> BaselineHandle {
-        let handles = handles.clone();
-        q.after(SimTime::from_nanos(period_ns(i)), move |s| {
-            let fired = s.executed();
-            let h = arm(s, i, n, &handles);
-            handles.borrow_mut()[i] = h;
-            let j = (i.wrapping_mul(2_654_435_761) ^ fired as usize) % n;
-            let old = handles.borrow()[j];
-            s.cancel(old);
-            let h = arm(s, j, n, &handles);
-            handles.borrow_mut()[j] = h;
-        })
-    }
-
-    for i in 0..n {
-        let h = arm(&mut q, i, n, &handles);
-        handles.borrow_mut().push(h);
-    }
-    let t0 = Instant::now();
-    let ran = q.run(events);
-    let wall_ns = t0.elapsed().as_nanos();
-    assert_eq!(ran, events, "self-rearming timers cannot run dry");
-    EngineRow {
-        timers: n,
-        events: ran,
-        wall_ns,
-    }
-}
-
 /// Runs one packet-stage row.
 pub fn packet_row(config: SystemConfig, sessions: usize, packets: usize) -> PacketRow {
     let socket_sessions = sessions.min(MAX_SOCKET_SESSIONS);
@@ -260,8 +216,7 @@ pub fn packet_row(config: SystemConfig, sessions: usize, packets: usize) -> Pack
 
 /// Runs the full (or `--quick`) self-benchmark.
 pub fn run(quick: bool) -> SelfBench {
-    // 65_536 must appear in both modes: it is the row the CI gate and
-    // the ≥3× acceptance criterion read.
+    // 65_536 must appear in both modes: it is the row the CI gate reads.
     let timer_counts: &[usize] = if quick {
         &[65_536]
     } else {
@@ -275,13 +230,10 @@ pub fn run(quick: bool) -> SelfBench {
     let packets = if quick { 64 } else { 512 };
     let events_per_timer: u64 = if quick { 2 } else { 4 };
 
-    let mut baseline = Vec::new();
-    let mut wheel = Vec::new();
-    for &n in timer_counts {
-        let events = (n as u64) * events_per_timer;
-        baseline.push(engine_micro_baseline(n, events));
-        wheel.push(engine_micro_wheel(n, events));
-    }
+    let wheel = timer_counts
+        .iter()
+        .map(|&n| engine_micro_wheel(n, (n as u64) * events_per_timer))
+        .collect();
 
     let mut packet = Vec::new();
     let placements: &[SystemConfig] = if quick { &PLACEMENTS[..2] } else { &PLACEMENTS };
@@ -295,26 +247,17 @@ pub fn run(quick: bool) -> SelfBench {
 
     SelfBench {
         quick,
-        baseline,
         wheel,
         packet,
     }
 }
 
 impl SelfBench {
-    /// The wheel:baseline events/sec ratio at `timers`, if both rows
-    /// exist.
-    pub fn speedup_at(&self, timers: usize) -> Option<f64> {
-        let w = self.wheel.iter().find(|r| r.timers == timers)?;
-        let b = self.baseline.iter().find(|r| r.timers == timers)?;
-        Some(w.events_per_sec() / b.events_per_sec())
-    }
-
     /// A deterministic signature of the run: every count that must be
     /// identical between two same-seed executions.
     pub fn deterministic_signature(&self) -> String {
         let mut sig = String::new();
-        for r in self.baseline.iter().chain(self.wheel.iter()) {
+        for r in &self.wheel {
             sig.push_str(&format!("engine:{}:{};", r.timers, r.events));
         }
         for r in &self.packet {
@@ -366,19 +309,15 @@ impl SelfBench {
                 })
                 .collect(),
         );
-        let mut engine = vec![
-            ("baseline", engine_rows(&self.baseline)),
-            ("wheel", engine_rows(&self.wheel)),
-        ];
-        if let Some(s) = self.speedup_at(65_536) {
-            engine.push(("speedup", Json::Num(s)));
-        }
         Json::obj(vec![
             ("version", Json::Num(1.0)),
             ("bench", Json::str("selfbench")),
             ("seed", Json::Num(SEED as f64)),
             ("quick", Json::Bool(self.quick)),
-            ("engine", Json::obj(engine)),
+            (
+                "engine",
+                Json::obj(vec![("wheel", engine_rows(&self.wheel))]),
+            ),
             ("packet", packet_rows),
         ])
     }
@@ -392,19 +331,15 @@ impl SelfBench {
             if self.quick { " [quick]" } else { "" }
         ));
         out.push_str("engine         timers      events     events/sec   ns/event\n");
-        for (name, rows) in [("heap (old)", &self.baseline), ("wheel", &self.wheel)] {
-            for r in rows {
-                out.push_str(&format!(
-                    "{name:<12} {:>8} {:>11} {:>14.0} {:>10.1}\n",
-                    r.timers,
-                    r.events,
-                    r.events_per_sec(),
-                    r.wall_ns as f64 / r.events as f64,
-                ));
-            }
-        }
-        if let Some(s) = self.speedup_at(65_536) {
-            out.push_str(&format!("\nwheel speedup at 64k timers: {s:.2}x\n"));
+        for r in &self.wheel {
+            out.push_str(&format!(
+                "{:<12} {:>8} {:>11} {:>14.0} {:>10.1}\n",
+                "wheel",
+                r.timers,
+                r.events,
+                r.events_per_sec(),
+                r.wall_ns as f64 / r.events as f64,
+            ));
         }
         out.push_str(
             "\nplacement            sessions (sock+ballast)  events/sec  ns/sim-pkt  peakRSS MB\n",
@@ -484,38 +419,12 @@ mod tests {
         let a = engine_micro_wheel(512, 2048);
         let b = engine_micro_wheel(512, 2048);
         assert_eq!(a.events, b.events);
-        let base = engine_micro_baseline(512, 2048);
-        assert_eq!(base.events, a.events, "both engines run the same count");
-    }
-
-    #[test]
-    fn speedup_reads_the_64k_row() {
-        let bench = SelfBench {
-            quick: true,
-            baseline: vec![EngineRow {
-                timers: 65_536,
-                events: 100,
-                wall_ns: 3_000,
-            }],
-            wheel: vec![EngineRow {
-                timers: 65_536,
-                events: 100,
-                wall_ns: 1_000,
-            }],
-            packet: Vec::new(),
-        };
-        let s = bench.speedup_at(65_536).unwrap();
-        assert!((s - 3.0).abs() < 1e-9);
-        let json = bench.to_json();
-        let (eps, committed) = check_against_baseline(&bench, &json, 0.2).unwrap();
-        assert_eq!(eps, committed);
     }
 
     #[test]
     fn regression_gate_trips_on_slowdown() {
         let fast = SelfBench {
             quick: true,
-            baseline: Vec::new(),
             wheel: vec![EngineRow {
                 timers: 65_536,
                 events: 1_000,

@@ -22,7 +22,7 @@ use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use psd_core::{AppHandle, AppLib, Fd};
-use psd_filter::{DemuxStrategy, FilterEngine};
+use psd_filter::DemuxStrategy;
 use psd_netstack::{InetAddr, SockEvent, SocketError};
 use psd_server::Proto;
 use psd_sim::{OpKind, Platform, Rng, SimTime};
@@ -65,10 +65,6 @@ pub struct WorkloadSpec {
     /// live in the queue for the whole burst. Zero leaves the workload
     /// byte-identical to the pre-ballast engine.
     pub ballast_timers: usize,
-    /// Packet-filter execution engine on the receiving kernels. The
-    /// engines are observationally equivalent, so this never changes a
-    /// reported (virtual-time) number — only host wall-clock speed.
-    pub engine: FilterEngine,
     /// NEWAPI batching configuration applied to every host kernel. The
     /// default is inert (batch window 1, GRO/GSO off) and takes exactly
     /// the unbatched code paths, so archived tables never move.
@@ -90,7 +86,6 @@ impl WorkloadSpec {
             payload: 64,
             seed,
             ballast_timers: 0,
-            engine: FilterEngine::Interpret,
             batch: psd_kernel::BatchConfig::default(),
             placement: None,
         }
@@ -100,12 +95,6 @@ impl WorkloadSpec {
     /// [`ballast_timers`](WorkloadSpec::ballast_timers)).
     pub fn with_ballast(mut self, ballast: usize) -> WorkloadSpec {
         self.ballast_timers = ballast;
-        self
-    }
-
-    /// Selects the packet-filter execution engine.
-    pub fn with_engine(mut self, engine: FilterEngine) -> WorkloadSpec {
-        self.engine = engine;
         self
     }
 
@@ -228,7 +217,6 @@ pub fn session_scaling_observed(
     for h in &bed.hosts {
         h.kernel.borrow_mut().set_demux_strategy(strategy);
     }
-    bed.set_filter_engine(spec.engine);
     bed.set_batch_config(spec.batch);
     // The placement policy must exist before any session filter is
     // installed — flows are classified at install time.
@@ -482,40 +470,6 @@ mod tests {
         assert_eq!(a.bind_rpc, b.bind_rpc);
         assert_eq!(a.setup, b.setup);
         assert_eq!(a.ns_per_packet, b.ns_per_packet);
-    }
-
-    #[test]
-    fn filter_engines_yield_identical_reports() {
-        // The compiled tier must be invisible to every simulated
-        // quantity — Table 5 under either engine is byte-identical.
-        for strategy in [DemuxStrategy::Cspf, DemuxStrategy::Mpf] {
-            let spec = WorkloadSpec::at_scale(24, 64, 42);
-            let a = session_scaling(
-                SystemConfig::LibraryShm,
-                Platform::DecStation5000_200,
-                strategy,
-                &spec,
-                true,
-            );
-            let b = session_scaling(
-                SystemConfig::LibraryShm,
-                Platform::DecStation5000_200,
-                strategy,
-                &spec.with_engine(FilterEngine::Compiled),
-                true,
-            );
-            assert_eq!(a.packets_rx, b.packets_rx);
-            assert_eq!(a.steps_per_packet, b.steps_per_packet);
-            assert_eq!(a.ns_per_packet, b.ns_per_packet);
-            assert_eq!(a.bind_rpc, b.bind_rpc);
-            assert_eq!(a.setup, b.setup);
-            assert_eq!(a.filters, b.filters);
-            let (ca, cb) = (a.census.unwrap(), b.census.unwrap());
-            assert_eq!(ca.filter_runs, cb.filter_runs);
-            assert_eq!(ca.body_copies, cb.body_copies);
-            assert_eq!(ca.crossings, cb.crossings);
-            assert_eq!(ca.wakeups, cb.wakeups);
-        }
     }
 
     #[test]

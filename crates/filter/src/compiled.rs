@@ -2,8 +2,9 @@
 //! insert time.
 //!
 //! The interpreter in [`crate::vm`] is the *specification* of filter
-//! semantics; this module is the fast path. Every program is lowered
-//! once, when it is installed, to one of two artifacts:
+//! semantics; this module is what the demux table executes. Every
+//! program is lowered once, when it is installed, to one of two
+//! artifacts:
 //!
 //! - a **fast-path recognizer** for the canonical session-filter shape
 //!   emitted by [`crate::compile::compile_endpoint`] — a conjunction of
@@ -23,23 +24,6 @@
 //! bug in this module, never in the interpreter.
 
 use crate::vm::{Binop, FilterOutcome, Insn, Program, VmError, MAX_STEPS};
-
-/// Which execution tier a [`crate::demux::DemuxTable`] dispatches
-/// through.
-///
-/// The engines are observationally equivalent — identical verdicts,
-/// identical step counts, identical error causes — so switching engine
-/// never changes simulated output; it only changes how much host
-/// wall-clock time classification costs (`filterbench` measures the
-/// difference).
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum FilterEngine {
-    /// Run programs on the stack-machine interpreter (the spec).
-    #[default]
-    Interpret,
-    /// Run programs through their compiled artifacts.
-    Compiled,
-}
 
 /// One lowered field comparison of the fast-path recognizer:
 /// `word(off) & mask == value`, else the filter rejects.

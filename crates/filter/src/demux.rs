@@ -20,9 +20,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 use crate::compile::{compile_endpoint, session_prefix, EndpointSpec};
-use crate::compiled::{CompiledFilter, FilterEngine};
+use crate::compiled::CompiledFilter;
 use crate::placement::CopyPlacement;
-use crate::vm::Program;
 use psd_wire::{EthernetHeader, IpProto, Ipv4Header, ETHER_HDR_LEN};
 
 /// Identifier for an installed filter.
@@ -55,7 +54,6 @@ struct Installed<T> {
     /// bodies land. Defaults to eager; set at install time by whatever
     /// placement policy the kernel has in force.
     placement: CopyPlacement,
-    program: Program,
     /// The program lowered at install time. Every installed filter
     /// owns its own artifact — artifacts are keyed by filter id, never
     /// by program value, so two structurally equal programs installed
@@ -83,7 +81,6 @@ type MpfKey = (u8, Ipv4Addr, u16, Option<(Ipv4Addr, u16)>);
 /// (install/remove/spec/owner) and by the O(1) MPF dispatch.
 pub struct DemuxTable<T> {
     strategy: DemuxStrategy,
-    engine: FilterEngine,
     /// Slab of installed filters; `None` entries are free slots.
     slots: Vec<Option<Installed<T>>>,
     /// Free-list of vacated slot indices, reused LIFO.
@@ -108,18 +105,10 @@ fn mpf_key(spec: &EndpointSpec) -> MpfKey {
 }
 
 impl<T: Clone> DemuxTable<T> {
-    /// Creates an empty table with the given strategy and the
-    /// interpreter engine.
+    /// Creates an empty table with the given strategy.
     pub fn new(strategy: DemuxStrategy) -> DemuxTable<T> {
-        DemuxTable::with_engine(strategy, FilterEngine::Interpret)
-    }
-
-    /// Creates an empty table with the given strategy and execution
-    /// engine.
-    pub fn with_engine(strategy: DemuxStrategy, engine: FilterEngine) -> DemuxTable<T> {
         DemuxTable {
             strategy,
-            engine,
             slots: Vec::new(),
             free: Vec::new(),
             by_id: HashMap::new(),
@@ -133,27 +122,6 @@ impl<T: Clone> DemuxTable<T> {
     /// The configured strategy.
     pub fn strategy(&self) -> DemuxStrategy {
         self.strategy
-    }
-
-    /// The configured execution engine.
-    pub fn engine(&self) -> FilterEngine {
-        self.engine
-    }
-
-    /// Switches the execution engine. Compiled artifacts are maintained
-    /// for every installed filter regardless of the active engine, so
-    /// this is valid at any time and never changes classification
-    /// output — the engines are observationally equivalent.
-    pub fn set_engine(&mut self, engine: FilterEngine) {
-        self.engine = engine;
-    }
-
-    /// Number of live compiled artifacts. Always equals
-    /// [`len`](DemuxTable::len): each installed filter owns exactly one
-    /// artifact, created at install and dropped at remove (the
-    /// regression suite pins this across insert/remove churn).
-    pub fn compiled_artifacts(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
     }
 
     /// Number of installed filters whose artifact took the fast-path
@@ -180,15 +148,13 @@ impl<T: Clone> DemuxTable<T> {
     pub fn install(&mut self, spec: EndpointSpec, owner: T) -> FilterId {
         let id = FilterId(self.next_id);
         self.next_id += 1;
-        let program = compile_endpoint(&spec);
         // Lowered per install, never shared between ids: program
         // equality must not be load-bearing for artifact lifetime.
-        let compiled = CompiledFilter::compile(&program);
+        let compiled = CompiledFilter::compile(&compile_endpoint(&spec));
         let installed = Installed {
             id,
             spec,
             placement: CopyPlacement::Eager,
-            program,
             compiled,
             owner,
         };
@@ -280,10 +246,7 @@ impl<T: Clone> DemuxTable<T> {
             let f = self.slots[slot]
                 .as_ref()
                 .expect("order points at live slot");
-            let out = match self.engine {
-                FilterEngine::Interpret => f.program.run(frame),
-                FilterEngine::Compiled => f.compiled.run(frame),
-            };
+            let out = f.compiled.run(frame);
             steps += out.steps;
             if out.accepted {
                 return DemuxResult {
@@ -328,20 +291,16 @@ impl<T: Clone> DemuxTable<T> {
         DemuxResult { owner: None, steps }
     }
 
-    /// Under the compiled engine, the MPF dispatch runs the winning
-    /// filter's compiled program as the final match confirmation — the
-    /// per-session residual of the MPF design, and the sync check that
-    /// keeps the associative index honest against the program table.
-    /// Key extraction is strictly stricter than any session program
-    /// whose key it produced (it additionally validates the IP header
-    /// checksum and total length), so for an in-sync table the confirm
-    /// always accepts and both engines classify identically; the step
-    /// accounting is the MPF cost model's either way.
+    /// The MPF dispatch runs the winning filter's compiled program as
+    /// the final match confirmation — the per-session residual of the
+    /// MPF design, and the sync check that keeps the associative index
+    /// honest against the program table. Key extraction is strictly
+    /// stricter than any session program whose key it produced (it
+    /// additionally validates the IP header checksum and total length),
+    /// so for an in-sync table the confirm always accepts; the step
+    /// accounting is the MPF cost model's, not the confirm run's.
     fn mpf_confirm(&self, f: &Installed<T>, frame: &[u8]) -> bool {
-        match self.engine {
-            FilterEngine::Interpret => true,
-            FilterEngine::Compiled => f.compiled.run(frame).accepted,
-        }
+        f.compiled.run(frame).accepted
     }
 
     /// Resolves an MPF key to its winning filter. Filters sharing a key
@@ -528,74 +487,12 @@ mod tests {
         assert_eq!(t.spec(FilterId(999)), None);
     }
 
-    fn all_tables() -> Vec<DemuxTable<&'static str>> {
-        let mut v = Vec::new();
-        for s in [DemuxStrategy::Cspf, DemuxStrategy::Mpf] {
-            for e in [FilterEngine::Interpret, FilterEngine::Compiled] {
-                v.push(DemuxTable::with_engine(s, e));
-            }
-        }
-        v
-    }
-
-    #[test]
-    fn engines_agree_on_owner_and_steps() {
-        let frames = [
-            udp_frame((A, 5), (B, 7000)),
-            udp_frame((A, 6), (B, 7000)),
-            udp_frame((A, 5), (B, 7001)),
-            vec![0u8; 10],
-        ];
-        let mut results: Vec<Vec<(Option<&str>, usize)>> = Vec::new();
-        for mut t in [
-            DemuxTable::with_engine(DemuxStrategy::Cspf, FilterEngine::Interpret),
-            DemuxTable::with_engine(DemuxStrategy::Cspf, FilterEngine::Compiled),
-        ] {
-            t.install(EndpointSpec::unconnected(IpProto::Udp, B, 7000), "wild");
-            t.install(EndpointSpec::connected(IpProto::Udp, B, 7000, A, 5), "conn");
-            results.push(
-                frames
-                    .iter()
-                    .map(|f| {
-                        let r = t.classify(f);
-                        (r.owner.map(|o| o.1), r.steps)
-                    })
-                    .collect(),
-            );
-        }
-        assert_eq!(results[0], results[1], "CSPF engines diverge");
-    }
-
-    #[test]
-    fn engine_toggle_mid_life_changes_nothing() {
-        for mut t in all_tables() {
-            t.install(EndpointSpec::unconnected(IpProto::Udp, B, 7000), "app");
-            let frame = udp_frame((A, 5), (B, 7000));
-            let before = t.classify(&frame);
-            t.set_engine(FilterEngine::Compiled);
-            let compiled = t.classify(&frame);
-            t.set_engine(FilterEngine::Interpret);
-            let after = t.classify(&frame);
-            assert_eq!(before.owner.as_ref().map(|o| o.1), Some("app"));
-            assert_eq!(before.steps, compiled.steps);
-            assert_eq!(before.steps, after.steps);
-            assert_eq!(
-                before.owner.map(|o| o.0),
-                compiled.owner.map(|o| o.0),
-                "{:?}",
-                t.strategy()
-            );
-        }
-    }
-
     #[test]
     fn session_filter_artifacts_take_the_fast_path() {
-        let mut t: DemuxTable<u32> =
-            DemuxTable::with_engine(DemuxStrategy::Cspf, FilterEngine::Compiled);
+        let mut t: DemuxTable<u32> = DemuxTable::new(DemuxStrategy::Cspf);
         t.install(EndpointSpec::unconnected(IpProto::Udp, B, 7000), 0);
         t.install(EndpointSpec::connected(IpProto::Tcp, B, 80, A, 5000), 1);
         assert_eq!(t.fast_path_artifacts(), 2);
-        assert_eq!(t.compiled_artifacts(), 2);
     }
 
     #[test]
@@ -606,29 +503,27 @@ mod tests {
         // not tear down — or leak — the other's artifact, across
         // repeated remove/re-insert churn.
         let spec = EndpointSpec::unconnected(IpProto::Udp, B, 7000);
-        let mut t: DemuxTable<&str> =
-            DemuxTable::with_engine(DemuxStrategy::Cspf, FilterEngine::Compiled);
+        let mut t: DemuxTable<&str> = DemuxTable::new(DemuxStrategy::Cspf);
         let first = t.install(spec, "session-a");
         let mut second = t.install(spec, "session-b");
-        assert_eq!(t.compiled_artifacts(), 2);
+        assert_eq!(t.fast_path_artifacts(), 2);
         let frame = udp_frame((A, 5), (B, 7000));
         for _ in 0..16 {
             // Churn the *second* session; the first must keep winning
             // (earliest install) through every generation.
             assert!(t.remove(second));
-            assert_eq!(t.compiled_artifacts(), 1, "artifact leaked or lost");
+            assert_eq!(t.fast_path_artifacts(), 1, "artifact leaked or lost");
             let r = t.classify(&frame);
             assert_eq!(r.owner.as_ref().map(|o| o.1), Some("session-a"));
             second = t.install(spec, "session-b");
-            assert_eq!(t.compiled_artifacts(), 2);
+            assert_eq!(t.fast_path_artifacts(), 2);
         }
         // Now drop the first: the survivor's artifact must still match.
         assert!(t.remove(first));
-        assert_eq!(t.compiled_artifacts(), 1);
+        assert_eq!(t.fast_path_artifacts(), 1);
         let r = t.classify(&frame);
         assert_eq!(r.owner.map(|o| o.1), Some("session-b"));
         assert!(t.remove(second));
-        assert_eq!(t.compiled_artifacts(), 0);
         assert_eq!(t.fast_path_artifacts(), 0);
     }
 }

@@ -11,7 +11,9 @@
 //! - [`vm`]: the stack-machine filter language (after the CMU/Stanford
 //!   Packet Filter used by Mach) with bounds-checked execution and an
 //!   instruction budget, so untrusted programs cannot read outside the
-//!   packet or loop forever.
+//!   packet or loop forever. Its interpreter is the specification of
+//!   filter semantics and the oracle the differential tests compare
+//!   against; the receive path never runs it.
 //! - [`compile`]: builds the per-session programs the operating system
 //!   server installs (protocol / local endpoint / optional remote
 //!   endpoint), plus the server's catch-all.
@@ -20,7 +22,7 @@
 //!   recognizer for the canonical session-filter shape, or a
 //!   direct-threaded fallback for arbitrary programs — that reproduces
 //!   the interpreter's verdict, step count, and error cause exactly.
-//!   `FilterEngine::{Interpret,Compiled}` selects the tier per table.
+//!   The artifact is the only thing [`demux`] executes.
 //! - [`demux`]: the table of installed filters. Two strategies are
 //!   provided: `Cspf` runs each program in turn (the 1987 design), and
 //!   `Mpf` collapses the shared prefix and dispatches on the endpoint
@@ -36,7 +38,7 @@ pub mod placement;
 pub mod vm;
 
 pub use compile::{catch_all_ip, compile_endpoint, EndpointSpec};
-pub use compiled::{CompiledFilter, FilterEngine};
+pub use compiled::CompiledFilter;
 pub use demux::{DemuxResult, DemuxStrategy, DemuxTable, FilterId};
 pub use placement::{CopyPlacement, PlacementPolicy};
 pub use vm::{Binop, FilterOutcome, Insn, Program, VmError, MAX_STEPS};

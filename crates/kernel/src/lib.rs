@@ -33,7 +33,8 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use psd_filter::{
-    CopyPlacement, DemuxStrategy, DemuxTable, EndpointSpec, FilterEngine, FilterId, PlacementPolicy,
+    CompiledFilter, CopyPlacement, DemuxStrategy, DemuxTable, EndpointSpec, FilterId,
+    PlacementPolicy,
 };
 use psd_netdev::{Ethernet, EthernetHandle, Station};
 use psd_sim::{
@@ -399,7 +400,7 @@ pub struct Kernel {
     /// Optional outbound packet limiter (§3.4): "a packet limiting
     /// mechanism, if desired, could be implemented by checking each
     /// outgoing packet using a service similar to the packet filter."
-    tx_limiter: Option<psd_filter::Program>,
+    tx_limiter: Option<CompiledFilter>,
     /// Maximum number of installed session filters; `None` means
     /// unbounded (the seed behavior). A real filter table is a fixed
     /// kernel resource, and exhausting it must degrade, not abort.
@@ -462,20 +463,7 @@ impl Kernel {
             self.demux.is_empty(),
             "cannot change strategy with installed filters"
         );
-        self.demux = DemuxTable::with_engine(strategy, self.demux.engine());
-    }
-
-    /// Selects the filter execution engine (default: interpreter). The
-    /// engines are observationally equivalent — same verdicts, same
-    /// charged step counts — so this may be called at any time; the
-    /// demux table keeps compiled artifacts in sync either way.
-    pub fn set_filter_engine(&mut self, engine: FilterEngine) {
-        self.demux.set_engine(engine);
-    }
-
-    /// The active filter execution engine.
-    pub fn filter_engine(&self) -> FilterEngine {
-        self.demux.engine()
+        self.demux = DemuxTable::new(strategy);
     }
 
     /// Configures the batched NEWAPI data path. At the default
@@ -734,9 +722,9 @@ impl Kernel {
     /// Installs (or clears) the outbound packet limiter: a filter
     /// program that every user-originated frame must satisfy. The §3.4
     /// extension — not part of the measured system, priced like the
-    /// receive filter when enabled.
+    /// receive filter when enabled (and, like it, lowered at install).
     pub fn set_tx_limiter(&mut self, program: Option<psd_filter::Program>) {
-        self.tx_limiter = program;
+        self.tx_limiter = program.as_ref().map(CompiledFilter::compile);
     }
 
     /// Transmit for the in-kernel stack: the mbuf chain is already

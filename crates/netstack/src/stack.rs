@@ -1873,25 +1873,24 @@ impl NetStack {
         }
         // Port unreachable → error on the matching connected UDP socket.
         if let Some((dst_ip, dst_port, src_port)) = icmp::parse_unreachable_udp(&msg) {
+            let remote = Some(InetAddr::new(dst_ip, dst_port));
+            // The bucket is in bind order, so if several sockets
+            // qualify the earliest-bound one takes the error.
             let mut hit = None;
-            for (id, e) in &self.socks {
-                if let SockState::Udp(pcb) = &e.state {
-                    if pcb.local.port == src_port
-                        && pcb.remote == Some(InetAddr::new(dst_ip, dst_port))
-                    {
+            for id in self.by_port.get(&src_port).into_iter().flatten() {
+                if let Some(SockEntry {
+                    state: SockState::Udp(pcb),
+                    ..
+                }) = self.socks.get_mut(id)
+                {
+                    if pcb.remote == remote {
+                        pcb.error = Some(SocketError::ConnRefused);
                         hit = Some(*id);
                         break;
                     }
                 }
             }
             if let Some(sock) = hit {
-                if let Some(SockEntry {
-                    state: SockState::Udp(pcb),
-                    ..
-                }) = self.socks.get_mut(&sock)
-                {
-                    pcb.error = Some(SocketError::ConnRefused);
-                }
                 self.notify(
                     sim,
                     charge,

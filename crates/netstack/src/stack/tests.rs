@@ -195,6 +195,60 @@ fn udp_to_closed_port_gets_icmp_refusal() {
 }
 
 #[test]
+fn port_unreachable_picks_its_socket_among_a_thousand() {
+    let mut r = Rig::new(Placement::Server);
+    let a = r.a.clone();
+    let closed = InetAddr::new(HOST_B, 9);
+    let udp_on = |port: u16, remote: Option<InetAddr>| {
+        let mut s = a.borrow_mut();
+        let sock = s.socket_udp();
+        s.bind(sock, InetAddr::new(HOST_A, port)).unwrap();
+        if let Some(remote) = remote {
+            s.connect_udp(sock, remote).unwrap();
+        }
+        s.set_sink(sock, r.sink_for('a'));
+        sock
+    };
+    // Connected to the same closed port, but from other local ports.
+    let unrelated: Vec<SockId> = (0..1000)
+        .map(|i| udp_on(10_000 + i, Some(closed)))
+        .collect();
+    // Two sockets qualify for a quote from port 5000; the earliest
+    // bound must take the error, whatever order the socket map hashes to.
+    let first = udp_on(5000, Some(closed));
+    let second = udp_on(5000, Some(closed));
+    let unconnected = udp_on(6000, None);
+    let errors = |r: &Rig| -> Vec<SockId> {
+        let events = r.events.borrow();
+        let errs = events.iter().filter_map(|(_, sock, ev)| {
+            matches!(ev, SockEvent::Error(SocketError::ConnRefused)).then_some(*sock)
+        });
+        errs.collect()
+    };
+
+    // A quote from port 6000 matches no connected socket.
+    r.with_charge(&a, |s, sim, ch| {
+        s.udp_send(sim, ch, unconnected, b"anyone?", Some(closed))
+            .unwrap()
+    });
+    r.sim.run_to_idle();
+    assert_eq!(a.borrow().stats.icmp_in, 1, "the refusal arrived");
+    assert_eq!(errors(&r), []);
+
+    r.with_charge(&a, |s, sim, ch| {
+        s.udp_send(sim, ch, second, b"anyone?", None).unwrap()
+    });
+    r.sim.run_to_idle();
+    assert_eq!(errors(&r), [first]);
+    for sock in unrelated.into_iter().chain([second, unconnected]) {
+        let got = r.with_charge(&a, |s, sim, ch| s.udp_recv(sim, ch, sock, &mut [0u8; 8]));
+        assert_eq!(got.unwrap_err(), SocketError::WouldBlock);
+    }
+    let got = r.with_charge(&a, |s, sim, ch| s.udp_recv(sim, ch, first, &mut [0u8; 8]));
+    assert_eq!(got.unwrap_err(), SocketError::ConnRefused);
+}
+
+#[test]
 fn udp_fragmentation_reassembles_end_to_end() {
     let mut r = Rig::new(Placement::Server);
     let a = r.a.clone();

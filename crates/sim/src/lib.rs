@@ -30,10 +30,11 @@ pub mod fault;
 pub mod metrics;
 pub mod probe;
 pub mod profile;
+/// Test oracle for `tests/engine_equivalence.rs`.
+#[doc(hidden)]
 pub mod reference;
 pub mod rng;
 mod smallfn;
-pub mod stats;
 pub mod time;
 pub mod trace;
 mod wheel;
@@ -46,10 +47,8 @@ pub use fault::{FaultPlane, FaultPlaneHandle, FaultSite};
 pub use metrics::{Metrics, MetricsHandle};
 pub use probe::{LatencyProbe, Layer, LayerStats, PathKind, ProbeHandle};
 pub use profile::{HotSite, ProfileHandle, Profiler};
-pub use reference::{BaselineHandle, BaselineQueue};
 pub use rng::Rng;
 pub use smallfn::{SmallFn, INLINE_BYTES};
-pub use stats::Summary;
 pub use time::SimTime;
 pub use trace::{
     chrome_trace_document, DropCounters, DropReason, Stage, Terminal, TraceHandle, TraceId, Tracer,

@@ -4,16 +4,11 @@
 //! future events in a `BinaryHeap` of boxed closures and recorded
 //! cancellations in an unbounded `HashSet` (which leaked an entry for
 //! every cancel of an already-fired handle). This module preserves that
-//! implementation, unchanged in behavior, for two jobs:
-//!
-//! 1. **Reference model.** `tests/engine_equivalence.rs` drives this
-//!    queue and the wheel with identical seeded schedules and asserts
-//!    identical pop order and executed counts — the proof that the
-//!    rework cannot move a byte of any archived result.
-//! 2. **Measured baseline.** The `selfbench` harness times both queues
-//!    with the same workload; the committed `BENCH_*.json` speedup
-//!    ratios are wheel-vs-this, measured on the same machine in the
-//!    same process.
+//! implementation, unchanged in behavior, as the reference model:
+//! `tests/engine_equivalence.rs` drives this queue and the wheel with
+//! identical seeded schedules and asserts identical pop order and
+//! executed counts — the proof that the rework cannot move a byte of
+//! any archived result.
 //!
 //! Nothing in the simulator proper uses this type.
 

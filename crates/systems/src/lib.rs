@@ -253,16 +253,6 @@ impl TestBed {
         }
     }
 
-    /// Selects the packet-filter execution engine on every host kernel.
-    /// The engines are observationally equivalent (same verdicts, same
-    /// charged steps), so any table produced under `Compiled` is
-    /// byte-identical to the `Interpret` run — CI diffs them.
-    pub fn set_filter_engine(&self, engine: psd_filter::FilterEngine) {
-        for h in &self.hosts {
-            h.kernel.borrow_mut().set_filter_engine(engine);
-        }
-    }
-
     /// Sets the NEWAPI batching configuration (batch window size, GRO,
     /// GSO) on every host kernel. The default [`psd_kernel::BatchConfig`]
     /// is inert: batch size 1 takes exactly the unbatched code paths, so

@@ -18,7 +18,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use psd::sim::{BaselineHandle, BaselineQueue, Rng, Sim, SimHandle, SimTime};
+use psd::sim::reference::{BaselineHandle, BaselineQueue};
+use psd::sim::{Rng, Sim, SimHandle, SimTime};
 
 /// What an event does when it fires, beyond logging: optionally arm a
 /// later id, optionally cancel whatever handle an id currently maps to.

@@ -6,23 +6,24 @@
 //! verdict, step count, and abnormal-termination cause — bit for bit.
 //! Everything downstream (demux owner choice, census charging, virtual
 //! time, traces) follows from that triple, so proving the triple equal
-//! proves the engines indistinguishable.
+//! proves the artifacts indistinguishable from the specification.
 //!
 //! These tests attack the contract with seeded differential fuzzing:
 //! adversarial programs (mutated canonical filters, random instruction
 //! soup, budget bursters, underflow-prone combine chains) crossed with
 //! adversarial frames (runts, fragments, IP options, ARP, maximal, and
 //! raw random bytes), well past ten thousand program×frame cases; plus
-//! demux-table-level equivalence under both strategies, insert/remove
-//! interleavings pinning incremental artifact maintenance to a fresh
-//! rebuild, and a property test on the endpoint compiler's lowering.
+//! demux-table-level equivalence against an interpreter-driven CSPF
+//! oracle, insert/remove interleavings pinning incremental artifact
+//! maintenance to a fresh rebuild, and a property test on the endpoint
+//! compiler's lowering.
 //!
 //! Every generator is driven by the seeded `psd::sim::Rng`, so a
 //! failure reproduces exactly from the seed printed in the panic.
 
 use psd::filter::{
     catch_all_ip, compile_endpoint, Binop, CompiledFilter, DemuxStrategy, DemuxTable, EndpointSpec,
-    FilterEngine, FilterId, Insn, Program, VmError, MAX_STEPS,
+    FilterId, Insn, Program, VmError, MAX_STEPS,
 };
 use psd::sim::Rng;
 use psd::wire::{
@@ -110,7 +111,7 @@ fn rand_spec(rng: &mut Rng) -> EndpointSpec {
 /// Applies one structure-breaking mutation to a canonical program.
 /// Each mutation can knock the program off the recognizer fast path,
 /// change its verdict, or leave it semantically identical — all three
-/// outcomes must still agree between the engines.
+/// outcomes must still agree between interpreter and artifact.
 fn mutate(rng: &mut Rng, insns: &mut Vec<Insn>) {
     if insns.is_empty() {
         insns.push(rand_insn(rng));
@@ -271,7 +272,7 @@ fn matching_frame(spec: &EndpointSpec) -> Vec<u8> {
 
 /// Rewrites a frame to carry a 4-byte IP option: IHL bumped to 6 and a
 /// no-op option word spliced in after the fixed header. The session
-/// prefix's version/IHL check must reject it; the engines must agree.
+/// prefix's version/IHL check must reject it; both tiers must agree.
 fn with_ip_options(frame: &[u8]) -> Vec<u8> {
     let mut f = frame.to_vec();
     if f.len() < 34 {
@@ -384,7 +385,7 @@ fn compiled_tier_matches_interpreter_on_adversarial_corpus() {
             let observed = compiled.run(&frame);
             assert_eq!(
                 reference, observed,
-                "engines diverge on program {:?} frame {:02x?}",
+                "tiers diverge on program {:?} frame {:02x?}",
                 program.insns, frame
             );
             total += 1;
@@ -448,103 +449,78 @@ fn recognizer_step_accounting_matches_on_canonical_programs() {
 // Demux-table-level equivalence
 // ---------------------------------------------------------------------
 
-fn grow_engine_pair(
-    rng: &mut Rng,
-    strategy: DemuxStrategy,
-    n: usize,
-) -> (DemuxTable<usize>, DemuxTable<usize>) {
-    let mut interp: DemuxTable<usize> = DemuxTable::with_engine(strategy, FilterEngine::Interpret);
-    let mut comp: DemuxTable<usize> = DemuxTable::with_engine(strategy, FilterEngine::Compiled);
-    let mut seen = std::collections::HashSet::new();
-    let mut owner = 0usize;
-    while owner < n {
-        let spec = rand_spec(rng);
-        if !seen.insert(spec) {
-            continue;
-        }
-        interp.install(spec, owner);
-        comp.install(spec, owner);
-        owner += 1;
-    }
-    (interp, comp)
-}
-
-/// Under either strategy, a table running the compiled tier classifies
-/// every frame to the same owner with the same charged step count as a
-/// table running the interpreter.
+/// `DemuxTable::classify` against the interpreter: the oracle scans
+/// `compile_endpoint(spec)` programs with `Program::run` in
+/// specificity-then-install order, exactly as the 1987 CSPF design
+/// prescribes. The CSPF table must name the same owner and charge the
+/// same summed step count on every frame; the MPF table must name the
+/// same owner, except that its key extraction also validates the IP
+/// header, so it may decline a malformed frame CSPF claims — never
+/// claim one CSPF does not.
 #[test]
-fn demux_owners_and_steps_identical_under_either_engine() {
-    for strategy in [DemuxStrategy::Cspf, DemuxStrategy::Mpf] {
-        for n in [4usize, 16, 64] {
-            cases(0xf11e_0000 + n as u64, 12, |rng| {
-                let (interp, comp) = grow_engine_pair(rng, strategy, n);
-                assert_eq!(comp.compiled_artifacts(), comp.len());
-                for _ in 0..48 {
-                    let frame = rand_adversarial_frame(rng);
-                    let a = interp.classify(&frame);
-                    let b = comp.classify(&frame);
-                    assert_eq!(
-                        a.owner, b.owner,
-                        "{strategy:?} N={n}: owners diverge on {frame:02x?}"
-                    );
-                    assert_eq!(
-                        a.steps, b.steps,
-                        "{strategy:?} N={n}: charged steps diverge on {frame:02x?}"
-                    );
+fn demux_owners_and_steps_match_interpreter_oracle() {
+    let mut claimed = 0u64;
+    for n in [4usize, 16, 64] {
+        cases(0xf11e_0000 + n as u64, 12, |rng| {
+            let mut cspf: DemuxTable<usize> = DemuxTable::new(DemuxStrategy::Cspf);
+            let mut mpf: DemuxTable<usize> = DemuxTable::new(DemuxStrategy::Mpf);
+            let mut specs: Vec<EndpointSpec> = Vec::new();
+            while specs.len() < n {
+                let spec = rand_spec(rng);
+                if specs.contains(&spec) {
+                    continue;
                 }
-            });
-        }
-    }
-}
-
-/// Toggling the engine on a live, fully-populated table is free: the
-/// artifacts were built at install time, so classification is
-/// identical before and after the flip — in both directions.
-#[test]
-fn engine_toggle_on_live_table_is_invisible() {
-    for strategy in [DemuxStrategy::Cspf, DemuxStrategy::Mpf] {
-        cases(0xf11e_1062 + strategy as u64, 8, |rng| {
-            let (mut table, _) = grow_engine_pair(rng, strategy, 32);
-            let frames: Vec<Vec<u8>> = (0..32).map(|_| rand_adversarial_frame(rng)).collect();
-            let before: Vec<_> = frames
-                .iter()
-                .map(|f| {
-                    let r = table.classify(f);
-                    (r.owner, r.steps)
-                })
-                .collect();
-            table.set_engine(FilterEngine::Compiled);
-            for (f, want) in frames.iter().zip(&before) {
-                let r = table.classify(f);
-                assert_eq!(
-                    (r.owner, r.steps),
-                    *want,
-                    "{strategy:?}: flip changed result"
-                );
+                cspf.install(spec, specs.len());
+                mpf.install(spec, specs.len());
+                specs.push(spec);
             }
-            table.set_engine(FilterEngine::Interpret);
-            for (f, want) in frames.iter().zip(&before) {
-                let r = table.classify(f);
+            // Stable sort: install order survives within a specificity.
+            let mut oracle: Vec<(usize, Program)> =
+                specs.iter().map(compile_endpoint).enumerate().collect();
+            oracle.sort_by_key(|(i, _)| std::cmp::Reverse(specs[*i].specificity()));
+            for _ in 0..48 {
+                let frame = rand_adversarial_frame(rng);
+                let (mut want_owner, mut want_steps) = (None, 0);
+                for (owner, program) in &oracle {
+                    let out = program.run(&frame);
+                    want_steps += out.steps;
+                    if out.accepted {
+                        want_owner = Some(*owner);
+                        break;
+                    }
+                }
+                let c = cspf.classify(&frame);
                 assert_eq!(
-                    (r.owner, r.steps),
-                    *want,
-                    "{strategy:?}: flip back changed result"
+                    c.owner.map(|o| o.1),
+                    want_owner,
+                    "N={n}: owner diverges from the oracle on {frame:02x?}"
                 );
+                assert_eq!(
+                    c.steps, want_steps,
+                    "N={n}: charged steps diverge from the oracle on {frame:02x?}"
+                );
+                let m = mpf.classify(&frame).owner.map(|o| o.1);
+                let well_formed = frame
+                    .get(14..)
+                    .is_some_and(|ip| Ipv4Header::parse(ip).is_ok());
+                if m.is_some() || well_formed {
+                    assert_eq!(m, want_owner, "N={n}: MPF owner diverges on {frame:02x?}");
+                }
+                claimed += u64::from(want_owner.is_some());
             }
         });
     }
+    assert!(claimed > 0, "no frame was ever claimed");
 }
 
-/// Random install/remove interleavings under the compiled engine: the
-/// incrementally-maintained table classifies exactly like a fresh
-/// rebuild of the survivors, and its artifact table never leaks (one
-/// artifact per live filter, no more, after every step).
+/// Random install/remove interleavings: the incrementally-maintained
+/// table classifies exactly like a fresh rebuild of the survivors, and
+/// holds the same artifacts.
 #[test]
 fn incremental_compiled_artifacts_match_fresh_rebuild() {
     cases(0xf11e_2222, 12, |rng| {
         for strategy in [DemuxStrategy::Cspf, DemuxStrategy::Mpf] {
-            let mut live: DemuxTable<usize> =
-                DemuxTable::with_engine(strategy, FilterEngine::Compiled);
+            let mut live: DemuxTable<usize> = DemuxTable::new(strategy);
             let mut ids: Vec<(FilterId, EndpointSpec, usize)> = Vec::new();
             for step in 0..rng.range(50, 250) as usize {
                 if !ids.is_empty() && rng.chance(0.4) {
@@ -557,19 +533,14 @@ fn incremental_compiled_artifacts_match_fresh_rebuild() {
                     let id = live.install(spec, step);
                     ids.push((id, spec, step));
                 }
-                // The artifact table tracks the live set exactly: a
-                // leak (artifact outliving its filter) or a miss
-                // (filter without an artifact) both fail here.
-                assert_eq!(live.compiled_artifacts(), live.len());
             }
             ids.sort_by_key(|(id, _, _)| id.0);
-            let mut fresh: DemuxTable<usize> =
-                DemuxTable::with_engine(strategy, FilterEngine::Compiled);
+            let mut fresh: DemuxTable<usize> = DemuxTable::new(strategy);
             for (_, spec, owner) in &ids {
                 fresh.install(*spec, *owner);
             }
             assert_eq!(live.len(), fresh.len());
-            assert_eq!(live.compiled_artifacts(), fresh.compiled_artifacts());
+            assert_eq!(live.fast_path_artifacts(), fresh.fast_path_artifacts());
             for _ in 0..48 {
                 let frame = rand_adversarial_frame(rng);
                 let a = live.classify(&frame);
@@ -588,7 +559,7 @@ fn incremental_compiled_artifacts_match_fresh_rebuild() {
 /// Every compiled endpoint spec lowers to the recognizer fast path and
 /// accepts exactly its own frames: the matching frame passes, and the
 /// fragment / IP-options / wrong-protocol / wrong-port variants all
-/// fail — under both engines, with identical outcomes.
+/// fail — interpreted and compiled, with identical outcomes.
 #[test]
 fn endpoint_lowering_accepts_own_frames_and_rejects_variants() {
     cases(0xf11e_3333, 300, |rng| {

@@ -1,8 +1,7 @@
-//! The property suite of `tests/properties.rs`, ported to the
-//! simulator's own deterministic [`psd::sim::Rng`] so it runs in tier-1
-//! with no external crates (the proptest original stays behind the
-//! `proptest` feature). Same properties, fixed seeds, reproducible
-//! counterexamples: every failure message carries the case seed.
+//! The property suite, driven by the simulator's own deterministic
+//! [`psd::sim::Rng`] so it runs in tier-1 with no external crates.
+//! Fixed seeds, reproducible counterexamples: every failure message
+//! carries the case seed.
 
 use psd::filter::{Binop, DemuxStrategy, DemuxTable, EndpointSpec, Insn, Program};
 use psd::mbuf::MbufChain;
