@@ -1,18 +1,20 @@
 //! The filter microbenchmark: what did the compile tier buy?
 //!
-//! The compile tier (`psd_filter::compiled`) exists for one reason —
-//! CSPF-style demultiplexing runs *every* installed program against
-//! *every* received packet, so per-run interpreter overhead (the
-//! per-run stack allocation above all) multiplies by the table size.
-//! This module measures that overhead on two axes and emits the
-//! `BENCH_8.json` artifact the CI regression gate pins:
+//! The compile tier (`psd_filter::compiled`) exists because
+//! CSPF-style demultiplexing charges *every* installed program against
+//! *every* received packet, and until the demux table learned to sum
+//! that scan in closed form it also *ran* them all, so per-run
+//! interpreter overhead (the per-run stack allocation above all)
+//! multiplied by the table size. This module measures per-run and
+//! per-classify host cost and emits the `BENCH_8.json` artifact the CI
+//! regression gate pins:
 //!
 //! 1. **Program stage.** N canonical session programs run back-to-back
 //!    against a fixed probe-frame batch, once through the interpreter
 //!    (`Program::run`) and once through the compiled artifacts
 //!    (`CompiledFilter::run`). Reported as programs/sec and ns per
-//!    program run — the raw per-run cost the demux path pays N times
-//!    per packet under CSPF.
+//!    program run — the raw per-run cost the demux path pays once per
+//!    packet under MPF, and N times on CSPF's short-frame fall-back.
 //! 2. **Table stage.** A populated `DemuxTable` classifying the same
 //!    batch under each strategy at N ∈ {16, 256, 4096} filters.
 //!    Reported as matches/sec and ns per classified frame — the
@@ -284,9 +286,11 @@ pub fn table_row(strategy: DemuxStrategy, n: usize) -> TableRow {
     for (owner, spec) in specs.iter().enumerate() {
         table.install(*spec, owner);
     }
-    // CSPF classify cost grows with N; shrink reps as N grows so the
-    // row's wall time stays bounded. Derived from N alone.
-    let reps = (2_048 / n).max(1);
+    // Every row classifies the batch 128 times. Reps used to shrink
+    // with N because CSPF's host cost grew with it; since the scan is
+    // charged in closed form only the *charged* steps do, and one pass
+    // of 64 sub-microsecond classifies is too short a window to gate.
+    let reps = 128;
     let mut classifies = 0u64;
     let mut steps = 0u64;
     let mut matched = 0u64;

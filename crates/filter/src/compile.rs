@@ -13,17 +13,75 @@ use crate::vm::{Binop, Insn, Program};
 use psd_wire::IpProto;
 use std::net::Ipv4Addr;
 
-// Byte offsets within an Ethernet frame, assuming a 20-byte IP header
-// (the version/IHL check guarantees this before any later field is
-// consulted).
-const OFF_ETHERTYPE: u16 = 12;
-const OFF_VER_IHL: u16 = 14;
-const OFF_FRAG: u16 = 20;
-const OFF_TTL_PROTO: u16 = 22;
-const OFF_SRC_IP: u16 = 26;
-const OFF_DST_IP: u16 = 30;
-const OFF_SRC_PORT: u16 = 34;
-const OFF_DST_PORT: u16 = 36;
+/// One 16-bit field test of a session filter, `word(off) & mask ==
+/// value`. [`PREFIX_FIELDS`] and [`KEY_FIELDS`] are the only description
+/// of the layout: the compiler below emits its programs from them, and
+/// the CSPF closed form in [`crate::demux`] reads and prices frames by them.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct Field {
+    pub(crate) off: u16,
+    pub(crate) mask: u16,
+}
+
+impl Field {
+    /// Instructions in this field's compare group: 3 unmasked, 5 masked.
+    pub(crate) const fn steps(self) -> usize {
+        3 + 2 * (self.mask != 0xFFFF) as usize
+    }
+
+    /// The masked word of `frame`, or `None` if the read is out of bounds.
+    pub(crate) fn read(self, frame: &[u8]) -> Option<u16> {
+        let at = usize::from(self.off);
+        Some(u16::from_be_bytes([*frame.get(at)?, *frame.get(at + 1)?]) & self.mask)
+    }
+
+    fn emit(self, insns: &mut Vec<Insn>, value: u16) {
+        insns.push(Insn::PushWord(self.off));
+        if self.mask != 0xFFFF {
+            insns.extend([Insn::PushLit(self.mask), Insn::Op(Binop::And)]);
+        }
+        insns.extend([Insn::PushLit(value), Insn::CombineAnd(Binop::Eq)]);
+    }
+}
+
+const fn field(off: u16, mask: u16) -> Field {
+    Field { off, mask }
+}
+
+const ETHERTYPE: Field = field(12, 0xFFFF);
+
+/// The shared prefix and the value each field must hold. Offsets are
+/// bytes into the Ethernet frame; those past the IP header length byte
+/// assume the 20-byte header the second test guarantees.
+pub(crate) const PREFIX_FIELDS: [(Field, u16); 3] = [
+    (ETHERTYPE, 0x0800),         // IPv4
+    (field(14, 0xFF00), 0x4500), // version 4, IHL 5; TOS masked off
+    (field(20, 0x3FFF), 0x0000), // not a fragment: MF clear, offset 0
+];
+
+/// Instructions in the shared prefix.
+pub(crate) const PREFIX_STEPS: usize =
+    PREFIX_FIELDS[0].0.steps() + PREFIX_FIELDS[1].0.steps() + PREFIX_FIELDS[2].0.steps();
+
+/// The per-session fields in evaluation order. A wildcard's program
+/// ends after the first [`WILDCARD_FIELDS`].
+pub(crate) const KEY_FIELDS: [Field; 7] = [
+    field(22, 0x00FF), // TTL/protocol word: transport protocol
+    field(30, 0xFFFF), // local (destination) IP, high word
+    field(32, 0xFFFF), // local IP, low word
+    field(36, 0xFFFF), // local port
+    field(26, 0xFFFF), // remote (source) IP, high word
+    field(28, 0xFFFF), // remote IP, low word
+    field(34, 0xFFFF), // remote port
+];
+pub(crate) const WILDCARD_FIELDS: usize = 4;
+
+/// A spec's or frame's value for every key field (zero past a
+/// wildcard's last).
+pub(crate) type KeyWords = [u16; KEY_FIELDS.len()];
+
+/// The constant-accept tail of every session filter.
+const VERDICT: [Insn; 2] = [Insn::PushLit(1), Insn::Ret];
 
 /// A network-session endpoint, the unit of packet-filter installation.
 ///
@@ -77,61 +135,49 @@ impl EndpointSpec {
             1
         }
     }
-}
 
-fn check_word(insns: &mut Vec<Insn>, off: u16, value: u16) {
-    insns.push(Insn::PushWord(off));
-    insns.push(Insn::PushLit(value));
-    insns.push(Insn::CombineAnd(Binop::Eq));
-}
+    /// What this spec's program compares [`KEY_FIELDS`] against, and how
+    /// many of them it compares.
+    pub(crate) fn key(&self) -> (KeyWords, usize) {
+        let halves = |ip: Ipv4Addr| ((u32::from(ip) >> 16) as u16, u32::from(ip) as u16);
+        let ((lhi, llo), proto) = (halves(self.local_ip), u16::from(self.proto.to_u8()));
+        match self.remote {
+            None => ([proto, lhi, llo, self.local_port, 0, 0, 0], WILDCARD_FIELDS),
+            Some((ip, port)) => {
+                let (rhi, rlo) = halves(ip);
+                (
+                    [proto, lhi, llo, self.local_port, rhi, rlo, port],
+                    KEY_FIELDS.len(),
+                )
+            }
+        }
+    }
 
-fn check_word_masked(insns: &mut Vec<Insn>, off: u16, mask: u16, value: u16) {
-    insns.push(Insn::PushWord(off));
-    insns.push(Insn::PushLit(mask));
-    insns.push(Insn::Op(Binop::And));
-    insns.push(Insn::PushLit(value));
-    insns.push(Insn::CombineAnd(Binop::Eq));
-}
-
-fn check_ip(insns: &mut Vec<Insn>, off: u16, addr: Ipv4Addr) {
-    let v = u32::from(addr);
-    check_word(insns, off, (v >> 16) as u16);
-    check_word(insns, off + 2, (v & 0xFFFF) as u16);
+    /// Instructions an accepting run of this spec's program executes.
+    pub(crate) fn accept_steps(&self) -> usize {
+        let fields = &KEY_FIELDS[..self.key().1];
+        PREFIX_STEPS + fields.iter().map(|f| f.steps()).sum::<usize>() + VERDICT.len()
+    }
 }
 
 /// The shared prefix every session filter begins with: IPv4, no options,
 /// not a fragment. The MPF demux strategy runs this once per packet.
 pub fn session_prefix() -> Vec<Insn> {
     let mut insns = Vec::new();
-    // Ethertype is IPv4.
-    check_word(&mut insns, OFF_ETHERTYPE, 0x0800);
-    // Version 4, IHL 5 (no options); the TOS byte is masked off.
-    check_word_masked(&mut insns, OFF_VER_IHL, 0xFF00, 0x4500);
-    // Not a fragment: MF clear and offset zero.
-    check_word_masked(&mut insns, OFF_FRAG, 0x3FFF, 0x0000);
+    for (field, value) in PREFIX_FIELDS {
+        field.emit(&mut insns, value);
+    }
     insns
 }
 
 /// Compiles an endpoint specification into a filter program.
 pub fn compile_endpoint(spec: &EndpointSpec) -> Program {
     let mut insns = session_prefix();
-    // Transport protocol (low byte of the TTL/protocol word).
-    check_word_masked(
-        &mut insns,
-        OFF_TTL_PROTO,
-        0x00FF,
-        u16::from(spec.proto.to_u8()),
-    );
-    // Local (destination) endpoint.
-    check_ip(&mut insns, OFF_DST_IP, spec.local_ip);
-    check_word(&mut insns, OFF_DST_PORT, spec.local_port);
-    // Remote (source) endpoint for connected sessions.
-    if let Some((rip, rport)) = spec.remote {
-        check_ip(&mut insns, OFF_SRC_IP, rip);
-        check_word(&mut insns, OFF_SRC_PORT, rport);
+    let (words, len) = spec.key();
+    for (field, value) in KEY_FIELDS.iter().zip(&words[..len]) {
+        field.emit(&mut insns, *value);
     }
-    insns.push(Insn::PushLit(1));
-    insns.push(Insn::Ret);
+    insns.extend(VERDICT);
     Program::new(insns)
 }
 
@@ -140,10 +186,10 @@ pub fn compile_endpoint(spec: &EndpointSpec) -> Program {
 /// session not migrated to an application.
 pub fn catch_all_ip() -> Program {
     Program::new(vec![
-        Insn::PushWord(OFF_ETHERTYPE),
+        Insn::PushWord(ETHERTYPE.off),
         Insn::PushLit(0x0800),
         Insn::CombineOr(Binop::Eq),
-        Insn::PushWord(OFF_ETHERTYPE),
+        Insn::PushWord(ETHERTYPE.off),
         Insn::PushLit(0x0806),
         Insn::CombineOr(Binop::Eq),
         Insn::PushLit(0),
@@ -174,6 +220,44 @@ mod tests {
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
     const C: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 3);
+
+    /// The identity the CSPF closed form rests on, checked against the
+    /// interpreter: a shared-prefix group failing costs 3, 8 or 13; a
+    /// filter that agrees with the frame on its first `m` key fields
+    /// and not the next costs 18 + 3·m; accepting costs 29 (wildcard)
+    /// or 38 (connected).
+    #[test]
+    fn miss_after_m_shared_fields_costs_18_plus_3m() {
+        let conn = EndpointSpec::connected(IpProto::Udp, B, 7000, A, 1234);
+        let wild = EndpointSpec::unconnected(IpProto::Udp, B, 7000);
+        let frame = udp_frame((A, 1234), (B, 7000), b"x");
+        assert_eq!(PREFIX_STEPS, 13);
+        assert_eq!((wild.accept_steps(), conn.accept_steps()), (29, 38));
+        for spec in [wild, conn] {
+            let (program, len) = (compile_endpoint(&spec), spec.key().1);
+            let out = program.run(&frame);
+            assert_eq!((out.accepted, out.steps), (true, spec.accept_steps()));
+            for ((field, _), steps) in PREFIX_FIELDS.iter().zip([3, 8, 13]) {
+                let mut f = frame.clone();
+                f[usize::from(field.off)] ^= 0x10;
+                assert_eq!(
+                    (program.run(&f).steps, field.read(&f).is_some()),
+                    (steps, true)
+                );
+            }
+            for (m, field) in KEY_FIELDS[..len].iter().enumerate() {
+                let mut f = frame.clone();
+                f[usize::from(field.off) + 1] ^= 0x01;
+                let out = program.run(&f);
+                assert_eq!((out.accepted, out.steps), (false, 18 + 3 * m), "m = {m}");
+                let cost: usize = KEY_FIELDS[..=m].iter().map(|k| k.steps()).sum();
+                assert_eq!(PREFIX_STEPS + cost, 18 + 3 * m);
+            }
+        }
+        // Every field read is in bounds from 38 bytes on, and not before.
+        let reads = |f: &[u8]| KEY_FIELDS.iter().all(|k| k.read(f).is_some());
+        assert!(reads(&frame[..38]) && !reads(&frame[..37]));
+    }
 
     #[test]
     fn wildcard_matches_any_sender() {

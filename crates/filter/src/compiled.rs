@@ -24,22 +24,29 @@
 //! bug in this module, never in the interpreter.
 
 use crate::vm::{Binop, FilterOutcome, Insn, Program, VmError, MAX_STEPS};
+use std::cell::Cell;
+
+thread_local! {
+    /// Artifact executions on this thread; see [`CompiledFilter::runs`].
+    static RUNS: Cell<u64> = const { Cell::new(0) };
+}
 
 /// One lowered field comparison of the fast-path recognizer:
-/// `word(off) & mask == value`, else the filter rejects.
+/// `word(off) & mask == value`, else the filter rejects. Eight bytes: a
+/// table holds 7–10 per filter, a chain has ≤ [`MAX_STEPS`] = 256 steps.
 #[derive(Clone, Copy, Debug)]
 struct FieldCheck {
     /// Byte offset of the big-endian word in the packet.
-    off: usize,
+    off: u16,
     /// Mask applied before comparing (`0xFFFF` for unmasked checks).
     mask: u16,
     /// Required value after masking.
     value: u16,
     /// Instructions the interpreter executes before this check's group
     /// starts (for exact `steps` reporting).
-    steps_before: u32,
+    steps_before: u8,
     /// Instructions in this check's group: 3 unmasked, 5 masked.
-    steps_len: u32,
+    steps_len: u8,
 }
 
 /// A pre-decoded instruction for the direct-threaded fallback. Mirrors
@@ -106,9 +113,18 @@ impl CompiledFilter {
         matches!(self.tier, Tier::Recognizer { .. })
     }
 
+    /// Test hook: artifacts run on this thread so far. The table-level
+    /// oracles difference it around `classify` to prove the CSPF closed
+    /// form, not a silent fall-back to the scan, gave the answer.
+    #[doc(hidden)]
+    pub fn runs() -> u64 {
+        RUNS.with(Cell::get)
+    }
+
     /// Runs the compiled artifact against a packet. Returns exactly
     /// what [`Program::run`] returns on the same inputs.
     pub fn run(&self, packet: &[u8]) -> FilterOutcome {
+        RUNS.with(|runs| runs.set(runs.get() + 1));
         match &self.tier {
             Tier::Recognizer {
                 checks,
@@ -155,10 +171,10 @@ fn try_lower_recognizer(program: &Program) -> Option<Tier> {
         match insns[i..] {
             [Insn::PushWord(off), Insn::PushLit(v), Insn::CombineAnd(Binop::Eq), ..] => {
                 checks.push(FieldCheck {
-                    off: usize::from(off),
+                    off,
                     mask: 0xFFFF,
                     value: v,
-                    steps_before: i as u32,
+                    steps_before: u8::try_from(i).ok()?,
                     steps_len: 3,
                 });
                 i += 3;
@@ -166,10 +182,10 @@ fn try_lower_recognizer(program: &Program) -> Option<Tier> {
             [Insn::PushWord(off), Insn::PushLit(m), Insn::Op(Binop::And), Insn::PushLit(v), Insn::CombineAnd(Binop::Eq), ..] =>
             {
                 checks.push(FieldCheck {
-                    off: usize::from(off),
+                    off,
                     mask: m,
                     value: v,
-                    steps_before: i as u32,
+                    steps_before: u8::try_from(i).ok()?,
                     steps_len: 5,
                 });
                 i += 5;
@@ -199,15 +215,12 @@ fn run_recognizer(
     packet: &[u8],
 ) -> FilterOutcome {
     for c in checks {
-        let Some(hi) = packet.get(c.off) else {
-            return rejected(c.steps_before as usize + 1, Some(VmError::OutOfBounds));
+        let (off, before) = (usize::from(c.off), usize::from(c.steps_before));
+        let Some(word) = packet.get(off..off + 2) else {
+            return rejected(before + 1, Some(VmError::OutOfBounds));
         };
-        let Some(lo) = packet.get(c.off + 1) else {
-            return rejected(c.steps_before as usize + 1, Some(VmError::OutOfBounds));
-        };
-        let word = u16::from_be_bytes([*hi, *lo]);
-        if word & c.mask != c.value {
-            return rejected((c.steps_before + c.steps_len) as usize, None);
+        if u16::from_be_bytes([word[0], word[1]]) & c.mask != c.value {
+            return rejected(before + usize::from(c.steps_len), None);
         }
     }
     if tail_accept {
@@ -291,6 +304,7 @@ fn run_threaded(ops: &[ThreadedOp], packet: &[u8]) -> FilterOutcome {
 mod tests {
     use super::*;
     use crate::compile::{catch_all_ip, compile_endpoint, EndpointSpec};
+    use crate::compile::{KEY_FIELDS, PREFIX_FIELDS};
     use psd_wire::IpProto;
     use std::net::Ipv4Addr;
 
@@ -320,6 +334,58 @@ mod tests {
             80,
         ));
         assert!(CompiledFilter::compile(&wild).is_fast_path());
+    }
+
+    #[test]
+    fn field_check_stays_eight_bytes() {
+        // A 4128-filter table holds ~32 k of these; at the former 24
+        // bytes that is half a megabyte of psdbench's peak heap.
+        assert_eq!(std::mem::size_of::<FieldCheck>(), 8);
+    }
+
+    /// The CSPF closed form prices frames from `compile.rs`'s layout
+    /// table without running anything, so the table must *be* what the
+    /// lowering produces: same offsets, masks and values, in the same
+    /// order, at the same cumulative step counts, for both spec shapes.
+    /// A compiler change that is not mirrored fails here, loudly,
+    /// instead of mis-charging virtual time.
+    #[test]
+    fn lowering_both_spec_shapes_yields_exactly_the_layout_table() {
+        let (local, remote) = (Ipv4Addr::new(10, 1, 2, 3), Ipv4Addr::new(172, 16, 9, 8));
+        for spec in [
+            EndpointSpec::unconnected(IpProto::Tcp, local, 80),
+            EndpointSpec::connected(IpProto::Udp, local, 7000, remote, 1234),
+        ] {
+            let (words, len) = spec.key();
+            let fields = PREFIX_FIELDS
+                .into_iter()
+                .chain(KEY_FIELDS.into_iter().zip(words).take(len));
+            let mut before = 0;
+            let mut want = Vec::new();
+            for (field, value) in fields {
+                want.push((field.off, field.mask, value, before, field.steps()));
+                before += field.steps();
+            }
+            let compiled = CompiledFilter::compile(&compile_endpoint(&spec));
+            let Tier::Recognizer {
+                checks,
+                tail_accept,
+                total_steps,
+            } = compiled.tier
+            else {
+                panic!("{spec:?} did not lower to the recognizer");
+            };
+            let got: Vec<_> = checks
+                .iter()
+                .map(|c| {
+                    let (before, len) = (usize::from(c.steps_before), usize::from(c.steps_len));
+                    (c.off, c.mask, c.value, before, len)
+                })
+                .collect();
+            assert_eq!(got, want, "{spec:?}");
+            assert!(tail_accept);
+            assert_eq!(total_steps, spec.accept_steps(), "{spec:?}");
+        }
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //!
 //! - [`DemuxStrategy::Cspf`]: run every installed program in
 //!   specificity-then-install order until one accepts — the original
-//!   1987 packet filter design. Cost grows with the number of sessions.
+//!   1987 packet filter design. The *charged* cost grows with the
+//!   number of sessions; the host's is O(log n) (see [`DemuxTable`]).
 //! - [`DemuxStrategy::Mpf`]: run the shared session prefix once, then
 //!   dispatch on the endpoint key with an associative lookup — the
 //!   Yuhara et al. design used by the paper's system ("Masanobu Yuhara
@@ -15,11 +16,12 @@
 //! kernel can charge filter time to the `netisr/packet filter` row of
 //! Table 4.
 
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::net::Ipv4Addr;
 
-use crate::compile::{compile_endpoint, session_prefix, EndpointSpec};
+use crate::compile::{
+    compile_endpoint, EndpointSpec, KeyWords, KEY_FIELDS, PREFIX_FIELDS, PREFIX_STEPS,
+    WILDCARD_FIELDS,
+};
 use crate::compiled::CompiledFilter;
 use crate::placement::CopyPlacement;
 use psd_wire::{EthernetHeader, IpProto, Ipv4Header, ETHER_HDR_LEN};
@@ -63,22 +65,104 @@ struct Installed<T> {
     owner: T,
 }
 
-type MpfKey = (u8, Ipv4Addr, u16, Option<(Ipv4Addr, u16)>);
+/// The endpoint index's key: [`EndpointSpec::key`].
+type MpfKey = (KeyWords, usize);
+
+/// The filters of one scan class under one key-word prefix. A lone
+/// holder stays inline with its key words: the trie costs one map entry
+/// per filter, not one per depth.
+enum Shared {
+    One(u64, KeyWords),
+    Many(Box<ScanLevel>),
+}
+
+/// The filters agreeing on the key words above this level, in scan
+/// order (ids are monotone: install appends, and "scanned before the
+/// owner" is a `partition_point`), and their split on the next word.
+/// Only duplicate wildcards ever split on their zero remote words.
+#[derive(Default)]
+struct ScanLevel {
+    ids: Vec<u64>,
+    next: BTreeMap<u16, Shared>,
+}
+
+impl ScanLevel {
+    fn insert(&mut self, id: u64, words: &KeyWords, at: usize) {
+        self.ids.push(id);
+        let Some(&word) = words.get(at) else { return };
+        match self.next.get_mut(&word) {
+            None => drop(self.next.insert(word, Shared::One(id, *words))),
+            Some(node) => {
+                if let Shared::One(other, theirs) = *node {
+                    let mut level = Box::<ScanLevel>::default();
+                    level.insert(other, &theirs, at + 1);
+                    *node = Shared::Many(level);
+                }
+                if let Shared::Many(level) = node {
+                    level.insert(id, words, at + 1);
+                }
+            }
+        }
+    }
+
+    fn remove(&mut self, id: u64, words: &KeyWords, at: usize) {
+        if let Ok(nth) = self.ids.binary_search(&id) {
+            self.ids.remove(nth);
+        }
+        let Some(word) = words.get(at) else { return };
+        if let Some(Shared::Many(level)) = self.next.get_mut(word) {
+            level.remove(id, words, at + 1);
+            if !level.ids.is_empty() {
+                return;
+            }
+        }
+        self.next.remove(word);
+    }
+
+    /// Steps charged by this class's filters scanned before `stop`, all
+    /// of which miss a frame holding `words`: each pays the shared
+    /// prefix, then one compare group per key field through the first
+    /// it disagrees on.
+    fn miss_steps(&self, words: &[u16], stop: u64) -> usize {
+        let before = |level: &ScanLevel| level.ids.partition_point(|&id| id < stop);
+        let mut steps = PREFIX_STEPS * before(self);
+        let mut level = self;
+        for (at, field) in KEY_FIELDS[..words.len()].iter().enumerate() {
+            steps += field.steps() * before(level);
+            match level.next.get(&words[at]) {
+                Some(Shared::Many(deeper)) => level = deeper,
+                Some(Shared::One(id, theirs)) if *id < stop => {
+                    let rest = at + 1..words.len();
+                    let agree = rest.clone().take_while(|&i| theirs[i] == words[i]).count();
+                    let reached = KEY_FIELDS[rest].iter().take(agree + 1);
+                    return steps + reached.map(|f| f.steps()).sum::<usize>();
+                }
+                _ => break,
+            }
+        }
+        steps
+    }
+}
 
 /// The table of installed per-session filters.
 ///
-/// All maintenance is incremental: install and remove are O(log n),
-/// CSPF evaluation order is kept in a sorted map rather than
-/// re-sorting a vector, and the MPF endpoint index maps each key to
-/// the set of filter ids sharing it (the earliest install wins,
-/// exactly as a specificity-then-install-ordered scan would pick it).
+/// Maintenance is incremental — install and remove are O(log n), plus
+/// a shift of a few id lists on remove — and the endpoint index maps
+/// each key to the ids sharing it, earliest install first: the filter
+/// a specificity-then-install-ordered scan would reach.
 ///
-/// Filters live in a slab: the CSPF scan — the hot path that runs
-/// once per installed filter per received packet — resolves each
-/// order entry with a dense vector index instead of a hashed lookup,
-/// so per-filter scan overhead is a pointer chase, not a SipHash.
-/// The id→slot map is consulted only on the control path
-/// (install/remove/spec/owner) and by the O(1) MPF dispatch.
+/// **CSPF is charged, not executed.** `install` takes only an
+/// [`EndpointSpec`], so every program is the canonical recognizer: when
+/// every field read is in bounds, a filter that misses after agreeing
+/// with the frame on `m` leading key fields executes exactly 18 + 3·m
+/// instructions. The scan visits connected filters by id, then
+/// wildcards by id, and stops at the owner, so `classify` takes the
+/// owner from the endpoint index and sums the steps from per-class
+/// tries of id lists: O(log n) on the host for a charge that stays
+/// O(n) by design. Shorter frames, whose step counts depend on where
+/// each program runs out of bytes, walk the same lists through
+/// [`CompiledFilter::run`] — a charged number is never approximated.
+/// The tries exist only under CSPF, at roughly 100 bytes a filter.
 pub struct DemuxTable<T> {
     strategy: DemuxStrategy,
     /// Slab of installed filters; `None` entries are free slots.
@@ -87,21 +171,11 @@ pub struct DemuxTable<T> {
     free: Vec<usize>,
     /// Control-path index: filter id → slot.
     by_id: HashMap<u64, usize>,
-    /// CSPF evaluation order: (specificity descending, id ascending)
-    /// → slot.
-    order: BTreeMap<(Reverse<u8>, u64), usize>,
+    /// CSPF scan classes in evaluation order — connected, then
+    /// wildcard — each by ascending id. Empty under MPF.
+    scan: [ScanLevel; 2],
     mpf_index: HashMap<MpfKey, BTreeSet<u64>>,
-    prefix_len: usize,
     next_id: u64,
-}
-
-fn mpf_key(spec: &EndpointSpec) -> MpfKey {
-    (
-        spec.proto.to_u8(),
-        spec.local_ip,
-        spec.local_port,
-        spec.remote,
-    )
 }
 
 impl<T: Clone> DemuxTable<T> {
@@ -112,9 +186,8 @@ impl<T: Clone> DemuxTable<T> {
             slots: Vec::new(),
             free: Vec::new(),
             by_id: HashMap::new(),
-            order: BTreeMap::new(),
+            scan: Default::default(),
             mpf_index: HashMap::new(),
-            prefix_len: session_prefix().len(),
             next_id: 1,
         }
     }
@@ -169,11 +242,11 @@ impl<T: Clone> DemuxTable<T> {
             }
         };
         self.by_id.insert(id.0, slot);
-        self.order.insert((Reverse(spec.specificity()), id.0), slot);
-        self.mpf_index
-            .entry(mpf_key(&spec))
-            .or_default()
-            .insert(id.0);
+        let key = spec.key();
+        if self.strategy == DemuxStrategy::Cspf {
+            self.scan[usize::from(spec.remote.is_none())].insert(id.0, &key.0, 0);
+        }
+        self.mpf_index.entry(key).or_default().insert(id.0);
         id
     }
 
@@ -184,8 +257,10 @@ impl<T: Clone> DemuxTable<T> {
         };
         let f = self.slots[slot].take().expect("by_id points at live slot");
         self.free.push(slot);
-        self.order.remove(&(Reverse(f.spec.specificity()), id.0));
-        let key = mpf_key(&f.spec);
+        let key = f.spec.key();
+        if self.strategy == DemuxStrategy::Cspf {
+            self.scan[usize::from(f.spec.remote.is_none())].remove(id.0, &key.0, 0);
+        }
         if let Some(ids) = self.mpf_index.get_mut(&key) {
             ids.remove(&id.0);
             if ids.is_empty() {
@@ -240,55 +315,72 @@ impl<T: Clone> DemuxTable<T> {
         }
     }
 
+    fn result(owner: Option<&Installed<T>>, steps: usize) -> DemuxResult<T> {
+        let owner = owner.map(|f| (f.id, f.owner.clone()));
+        DemuxResult { owner, steps }
+    }
+
     fn classify_cspf(&self, frame: &[u8]) -> DemuxResult<T> {
-        let mut steps = 0;
-        for &slot in self.order.values() {
-            let f = self.slots[slot]
-                .as_ref()
-                .expect("order points at live slot");
-            let out = f.compiled.run(frame);
-            steps += out.steps;
-            if out.accepted {
-                return DemuxResult {
-                    owner: Some((f.id, f.owner.clone())),
-                    steps,
-                };
+        self.cspf_closed_form(frame).unwrap_or_else(|| {
+            let mut steps = 0;
+            let ids = self.scan.iter().flat_map(|class| &class.ids);
+            let mut scanned = ids.map(|&id| self.get(id).expect("scan list names a live filter"));
+            let owner = scanned.find(|f| {
+                let out = f.compiled.run(frame);
+                steps += out.steps;
+                out.accepted
+            });
+            Self::result(owner, steps)
+        })
+    }
+
+    /// The scan's outcome without running it; `None` when some field
+    /// read is out of bounds (see the type docs).
+    fn cspf_closed_form(&self, frame: &[u8]) -> Option<DemuxResult<T>> {
+        let mut words: KeyWords = Default::default();
+        for (word, field) in words.iter_mut().zip(KEY_FIELDS) {
+            *word = field.read(frame)?;
+        }
+        let mut prefix = 0;
+        for (field, value) in PREFIX_FIELDS {
+            prefix += field.steps();
+            if field.read(frame)? != value {
+                // Every filter stops at the same shared-prefix group.
+                return Some(Self::result(None, prefix * self.len()));
             }
         }
-        DemuxResult { owner: None, steps }
+        let stop = |owner: Option<&Installed<T>>| owner.map_or(u64::MAX, |f| f.id.0);
+        let mut owner = self.mpf_lookup(&(words, words.len()));
+        let mut steps = self.scan[0].miss_steps(&words, stop(owner));
+        if owner.is_none() {
+            words[WILDCARD_FIELDS..].fill(0);
+            owner = self.mpf_lookup(&(words, WILDCARD_FIELDS));
+            steps += self.scan[1].miss_steps(&words[..WILDCARD_FIELDS], stop(owner));
+        }
+        steps += owner.map_or(0, |f| f.spec.accept_steps());
+        Some(Self::result(owner, steps))
     }
 
     fn classify_mpf(&self, frame: &[u8]) -> DemuxResult<T> {
         // The shared prefix runs once; model its cost as its instruction
         // count, plus two associative probes (connected, then wildcard),
         // each priced as one instruction.
-        let mut steps = self.prefix_len;
-        let key = match mpf_extract_key(frame) {
-            Some(k) => k,
-            None => return DemuxResult { owner: None, steps },
+        let mut steps = PREFIX_STEPS;
+        let Some(exact) = mpf_extract_key(frame) else {
+            return Self::result(None, steps);
         };
-        let (proto, dst_ip, dst_port, src_ip, src_port) = key;
-        steps += 1;
-        let exact: MpfKey = (proto, dst_ip, dst_port, Some((src_ip, src_port)));
-        if let Some(f) = self.mpf_lookup(&exact) {
-            if self.mpf_confirm(f, frame) {
-                return DemuxResult {
-                    owner: Some((f.id, f.owner.clone())),
-                    steps,
-                };
+        let wildcard = EndpointSpec {
+            remote: None,
+            ..exact
+        };
+        for spec in [exact, wildcard] {
+            steps += 1;
+            let hit = self.mpf_lookup(&spec.key());
+            if let Some(f) = hit.filter(|f| self.mpf_confirm(f, frame)) {
+                return Self::result(Some(f), steps);
             }
         }
-        steps += 1;
-        let wild: MpfKey = (proto, dst_ip, dst_port, None);
-        if let Some(f) = self.mpf_lookup(&wild) {
-            if self.mpf_confirm(f, frame) {
-                return DemuxResult {
-                    owner: Some((f.id, f.owner.clone())),
-                    steps,
-                };
-            }
-        }
-        DemuxResult { owner: None, steps }
+        Self::result(None, steps)
     }
 
     /// The MPF dispatch runs the winning filter's compiled program as
@@ -312,35 +404,32 @@ impl<T: Clone> DemuxTable<T> {
     }
 }
 
-/// Extracts `(proto, dst_ip, dst_port, src_ip, src_port)` from an
-/// unfragmented, optionless IPv4 frame; `None` sends the packet to the
+/// The connected endpoint an unfragmented, optionless IPv4 TCP or UDP
+/// frame is addressed to and from; `None` sends the packet to the
 /// operating system.
-fn mpf_extract_key(frame: &[u8]) -> Option<(u8, Ipv4Addr, u16, Ipv4Addr, u16)> {
+fn mpf_extract_key(frame: &[u8]) -> Option<EndpointSpec> {
     let eth = EthernetHeader::parse(frame).ok()?;
     if eth.ethertype != psd_wire::EtherType::Ipv4 {
         return None;
     }
     let ip = Ipv4Header::parse(&frame[ETHER_HDR_LEN..]).ok()?;
-    if ip.header_len != 20 || ip.is_fragment() {
-        return None;
-    }
-    let proto = match ip.proto {
-        IpProto::Tcp | IpProto::Udp => ip.proto.to_u8(),
-        _ => return None,
-    };
     let tp = &frame[ETHER_HDR_LEN + 20..];
-    if tp.len() < 4 {
+    let session = matches!(ip.proto, IpProto::Tcp | IpProto::Udp);
+    if ip.header_len != 20 || ip.is_fragment() || !session || tp.len() < 4 {
         return None;
     }
     let src_port = u16::from_be_bytes([tp[0], tp[1]]);
     let dst_port = u16::from_be_bytes([tp[2], tp[3]]);
-    Some((proto, ip.dst, dst_port, ip.src, src_port))
+    Some(EndpointSpec::connected(
+        ip.proto, ip.dst, dst_port, ip.src, src_port,
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use psd_wire::{EtherAddr, EtherType, UdpHeader, UDP_HDR_LEN};
+    use std::net::Ipv4Addr;
 
     const A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -493,6 +582,47 @@ mod tests {
         t.install(EndpointSpec::unconnected(IpProto::Udp, B, 7000), 0);
         t.install(EndpointSpec::connected(IpProto::Tcp, B, 80, A, 5000), 1);
         assert_eq!(t.fast_path_artifacts(), 2);
+    }
+
+    #[test]
+    fn scan_index_exists_only_under_cspf_and_empties_with_the_table() {
+        // Shared prefixes at every depth, and exact duplicates of both
+        // shapes, so removal walks lone leaves, split levels and levels
+        // that empty out from under their parent.
+        let mut specs = vec![
+            EndpointSpec::unconnected(IpProto::Udp, B, 7000),
+            EndpointSpec::unconnected(IpProto::Tcp, B, 7000),
+            EndpointSpec::unconnected(IpProto::Udp, A, 7000),
+        ];
+        for port in 1..6 {
+            specs.push(EndpointSpec::connected(IpProto::Udp, B, 7000, A, port));
+            specs.push(EndpointSpec::connected(
+                IpProto::Udp,
+                B,
+                7000,
+                Ipv4Addr::new(10, 9, 0, 1),
+                port,
+            ));
+        }
+        specs.extend([specs[0], specs[5], specs[5]]);
+        for mut t in both_strategies() {
+            let ids: Vec<FilterId> = specs.iter().map(|s| t.install(*s, "app")).collect();
+            let indexed: usize = t.scan.iter().map(|class| class.ids.len()).sum();
+            match t.strategy() {
+                DemuxStrategy::Cspf => assert_eq!(indexed, specs.len()),
+                DemuxStrategy::Mpf => assert_eq!(indexed, 0),
+            }
+            // Odd positions first, then the rest in reverse.
+            let (odd, even): (Vec<_>, Vec<_>) =
+                ids.iter().enumerate().partition(|(i, _)| i % 2 == 1);
+            for (_, id) in odd.into_iter().chain(even.into_iter().rev()) {
+                assert!(t.remove(*id));
+            }
+            for class in &t.scan {
+                assert!(class.ids.is_empty() && class.next.is_empty());
+            }
+            assert!(t.mpf_index.is_empty());
+        }
     }
 
     #[test]

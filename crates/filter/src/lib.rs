@@ -24,7 +24,8 @@
 //!   the interpreter's verdict, step count, and error cause exactly.
 //!   The artifact is the only thing [`demux`] executes.
 //! - [`demux`]: the table of installed filters. Two strategies are
-//!   provided: `Cspf` runs each program in turn (the 1987 design), and
+//!   provided: `Cspf` charges each program in turn (the 1987 design;
+//!   the host sums that scan in closed form instead of running it), and
 //!   `Mpf` collapses the shared prefix and dispatches on the endpoint
 //!   with an associative lookup (the Yuhara et al. design the paper's
 //!   system used). The strategies are observationally equivalent — a

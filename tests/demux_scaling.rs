@@ -8,7 +8,7 @@
 //! table grown and shrunk incrementally classifies exactly like a
 //! table built from scratch with the surviving filters.
 
-use psd::filter::{DemuxStrategy, DemuxTable, EndpointSpec, FilterId};
+use psd::filter::{CompiledFilter, DemuxStrategy, DemuxTable, EndpointSpec, FilterId};
 use psd::sim::Rng;
 use psd::wire::{
     EtherAddr, EtherType, EthernetHeader, IpProto, Ipv4Header, TcpFlags, TcpHeader, UdpHeader,
@@ -226,6 +226,48 @@ fn mpf_steps_flat_cspf_steps_linear_at_4096() {
         c4096 >= c16 * 64,
         "CSPF cost must scale with the table ({c16} -> {c4096})"
     );
+}
+
+/// The host does not pay for CSPF's linear scan: at 4096 filters a
+/// well-formed frame (every field a session filter reads in bounds) is
+/// classified — owner and the full O(n) step charge — without running
+/// a single compiled artifact, while a runt still walks the table.
+/// Counted, not timed: a silent fall-back to the scan cannot pass as
+/// green, and no wall clock is consulted.
+#[test]
+fn cspf_classify_runs_no_artifact_on_well_formed_frames_at_4096() {
+    let ports = 4800u64;
+    cases(0x5ca1_e444, 2, |rng| {
+        let (cspf, _) = grow_pair(rng, 4096, ports);
+        let (mut probes, mut claimed, mut scanned_steps) = (0u32, 0u32, 0usize);
+        while probes < 256 {
+            let frame = rand_frame(rng, ports);
+            if frame.len() < 38 {
+                continue;
+            }
+            let runs = CompiledFilter::runs();
+            let r = cspf.classify(&frame);
+            assert_eq!(
+                CompiledFilter::runs(),
+                runs,
+                "CSPF ran an artifact on a {}-byte frame {frame:02x?}",
+                frame.len()
+            );
+            probes += 1;
+            claimed += u32::from(r.owner.is_some());
+            scanned_steps = scanned_steps.max(r.steps);
+        }
+        assert!(claimed > 0, "no probe was ever claimed");
+        assert!(
+            scanned_steps >= 4096 * 18,
+            "no probe was charged a full scan ({scanned_steps} steps at most)"
+        );
+        // The fall-back is alive: a runt is scanned, one run per filter.
+        let runs = CompiledFilter::runs();
+        let r = cspf.classify(&[0u8; 20]);
+        assert!(r.owner.is_none());
+        assert_eq!(CompiledFilter::runs() - runs, 4096);
+    });
 }
 
 /// Connected-beats-wildcard precedence survives the compile tier at

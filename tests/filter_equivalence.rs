@@ -257,17 +257,24 @@ fn build_frame(fs: &FrameSpec) -> Vec<u8> {
     f
 }
 
-/// The well-formed frame a given endpoint spec accepts.
-fn matching_frame(spec: &EndpointSpec) -> Vec<u8> {
-    let (rip, rport) = spec.remote.unwrap_or((Ipv4Addr::new(10, 0, 0, 3), 2004));
+/// A well-formed frame addressed to a spec's local endpoint from `src`.
+fn frame_to(spec: &EndpointSpec, src: (Ipv4Addr, u16)) -> Vec<u8> {
     build_frame(&FrameSpec {
         tcp: spec.proto == IpProto::Tcp,
-        src: (rip, rport),
+        src,
         dst: (spec.local_ip, spec.local_port),
         frag_offset: 0,
         more_fragments: false,
         truncate: None,
     })
+}
+
+/// The well-formed frame a given endpoint spec accepts.
+fn matching_frame(spec: &EndpointSpec) -> Vec<u8> {
+    frame_to(
+        spec,
+        spec.remote.unwrap_or((Ipv4Addr::new(10, 0, 0, 3), 2004)),
+    )
 }
 
 /// Rewrites a frame to carry a 4-byte IP option: IHL bumped to 6 and a
@@ -550,6 +557,325 @@ fn incremental_compiled_artifacts_match_fresh_rebuild() {
             }
         }
     });
+}
+
+// ---------------------------------------------------------------------
+// The CSPF closed form against the interpreter scan
+// ---------------------------------------------------------------------
+//
+// `DemuxTable::classify` under CSPF no longer runs the scan it charges
+// for: it takes the owner from the endpoint index and sums the steps
+// from per-class tries (DESIGN.md §5.5). The oracle below *does* run
+// it — `Program::run` over `compile_endpoint(spec)`, connected filters
+// in install order, then wildcards — and every case compares owner
+// **and** summed steps. `CompiledFilter::runs()` differenced around
+// `classify` tells which path produced the answer, so the suite can
+// prove the closed form (not a silent fall-back to the scan) was what
+// it checked.
+
+/// A live filter as the oracle sees it.
+struct Live {
+    id: FilterId,
+    tag: usize,
+    spec: EndpointSpec,
+    program: Program,
+}
+
+fn install(table: &mut DemuxTable<usize>, tag: usize, spec: EndpointSpec) -> Live {
+    Live {
+        id: table.install(spec, tag),
+        tag,
+        spec,
+        program: compile_endpoint(&spec),
+    }
+}
+
+/// Every field read of a canonical filter is in bounds from this
+/// frame length on.
+const ALL_FIELDS_READABLE: usize = 38;
+
+#[derive(Default)]
+struct Tally {
+    /// Cases on frames of at least [`ALL_FIELDS_READABLE`] bytes.
+    long: u64,
+    /// ... of which `classify` ran no artifact at all.
+    closed: u64,
+    connected_owner: u64,
+    wildcard_owner: u64,
+    unclaimed: u64,
+}
+
+/// `live` is in install order; the scan is connected first, then
+/// wildcard, each in that order.
+fn oracle_scan<'a>(live: &'a [Live], frame: &[u8]) -> (Option<&'a Live>, usize) {
+    let mut steps = 0;
+    for connected in [true, false] {
+        for l in live.iter().filter(|l| l.spec.remote.is_some() == connected) {
+            let out = l.program.run(frame);
+            steps += out.steps;
+            if out.accepted {
+                return (Some(l), steps);
+            }
+        }
+    }
+    (None, steps)
+}
+
+fn check(table: &DemuxTable<usize>, live: &[Live], frame: &[u8], tally: &mut Tally, what: &str) {
+    let (want, want_steps) = oracle_scan(live, frame);
+    let runs = CompiledFilter::runs();
+    let got = table.classify(frame);
+    let ran = CompiledFilter::runs() - runs;
+    assert_eq!(
+        got.owner.map(|o| o.1),
+        want.map(|l| l.tag),
+        "{what}: owner diverges from the oracle on {frame:02x?}"
+    );
+    assert_eq!(
+        got.steps, want_steps,
+        "{what}: charged steps diverge from the oracle on {frame:02x?}"
+    );
+    if frame.len() >= ALL_FIELDS_READABLE {
+        tally.long += 1;
+        tally.closed += u64::from(ran == 0);
+    } else {
+        assert!(ran > 0 || live.is_empty(), "{what}: a runt was not scanned");
+    }
+    match want {
+        Some(l) if l.spec.remote.is_some() => tally.connected_owner += 1,
+        Some(_) => tally.wildcard_owner += 1,
+        None => tally.unclaimed += 1,
+    }
+}
+
+/// The frames every scenario adds to its own: each of the three
+/// shared-prefix groups failing, and every truncation 0..=64 of a
+/// claimed frame (the scan fall-back).
+fn derived_frames(frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let mut out = Vec::new();
+    for f in frames.iter().take(6) {
+        let mut not_ip = f.clone();
+        not_ip[12] ^= 0x80;
+        let mut fragment = f.clone();
+        fragment[21] = 0x08;
+        out.extend([not_ip, with_ip_options(f), fragment]);
+    }
+    let mut padded = frames[0].clone();
+    padded.resize(padded.len().max(64), 0xA5);
+    out.extend((0..=64).map(|len| padded[..len].to_vec()));
+    out
+}
+
+/// Drives one scenario: the table as built, then again after removing
+/// and re-installing a random 40 % of it — against the oracle and
+/// against a fresh rebuild of the survivors in their new order.
+/// `frames[0]` must be a frame some filter claims.
+fn exercise(rng: &mut Rng, specs: &[EndpointSpec], frames: &[Vec<u8>], tally: &mut Tally) {
+    let mut table: DemuxTable<usize> = DemuxTable::new(DemuxStrategy::Cspf);
+    let mut live: Vec<Live> = specs
+        .iter()
+        .enumerate()
+        .map(|(tag, spec)| install(&mut table, tag, *spec))
+        .collect();
+    let mut all = frames.to_vec();
+    all.extend(derived_frames(frames));
+
+    // A shared-prefix group failing stops every filter at the same
+    // instruction: n × {3, 8, 13}, and nobody claims the frame.
+    for (byte, per_filter) in [(12usize, 3usize), (14, 8), (20, 13)] {
+        let mut f = frames[0].clone();
+        f[byte] ^= 0x20;
+        let r = table.classify(&f);
+        assert!(r.owner.is_none());
+        assert_eq!(r.steps, live.len() * per_filter, "group at byte {byte}");
+    }
+    for f in &all {
+        check(&table, &live, f, tally, "as built");
+    }
+
+    for _ in 0..live.len() * 2 / 5 {
+        let old = live.remove(rng.below(live.len() as u64) as usize);
+        assert!(table.remove(old.id));
+        assert!(!table.remove(old.id), "double remove must fail");
+        live.push(install(&mut table, old.tag, old.spec));
+    }
+    let mut fresh: DemuxTable<usize> = DemuxTable::new(DemuxStrategy::Cspf);
+    for l in &live {
+        fresh.install(l.spec, l.tag);
+    }
+    assert_eq!(table.len(), fresh.len());
+    for f in &all {
+        check(&table, &live, f, tally, "after churn");
+        check(&fresh, &live, f, tally, "fresh rebuild");
+    }
+}
+
+fn assert_closed_form_carried_the_suite(tally: &Tally) {
+    assert!(tally.long >= 200, "only {} full-length cases", tally.long);
+    assert!(
+        tally.closed * 10 >= tally.long * 9,
+        "closed form took {} of {} full-length cases",
+        tally.closed,
+        tally.long
+    );
+    assert!(tally.connected_owner > 0, "no connected filter ever won");
+    assert!(tally.wildcard_owner > 0, "no wildcard filter ever won");
+    assert!(tally.unclaimed > 0, "no frame ever went unclaimed");
+}
+
+/// The `fanin_cspf` shape at Table 5's largest scale: 4096 UDP
+/// sessions (every 4th connected to one of four senders) on their own
+/// local ports, 32 TCP connections sharing a listener's port, and the
+/// listener.
+#[test]
+fn closed_form_matches_oracle_on_a_4096_filter_fanin_table() {
+    let sender = Ipv4Addr::new(10, 0, 0, 1);
+    let mut specs = Vec::new();
+    for i in 0..4096u16 {
+        specs.push(if i % 4 == 3 {
+            EndpointSpec::connected(
+                IpProto::Udp,
+                HOST_IP,
+                30_000 + i,
+                sender,
+                9000 + (i / 4) % 4,
+            )
+        } else {
+            EndpointSpec::unconnected(IpProto::Udp, HOST_IP, 10_000 + i)
+        });
+    }
+    for j in 0..32u16 {
+        specs.push(EndpointSpec::connected(
+            IpProto::Tcp,
+            HOST_IP,
+            20_000,
+            sender,
+            40_000 + j,
+        ));
+    }
+    specs.push(EndpointSpec::unconnected(IpProto::Tcp, HOST_IP, 20_000));
+    let mut tally = Tally::default();
+    cases(0xf11e_4096, 1, |rng| {
+        let mut frames = Vec::new();
+        for _ in 0..40 {
+            let spec = specs[rng.below(specs.len() as u64) as usize];
+            frames.push(matching_frame(&spec));
+            // Right local endpoint, wrong remote port / remote address.
+            frames.push(frame_to(&spec, (sender, 9000 + rng.below(6) as u16)));
+            frames.push(frame_to(&spec, (Ipv4Addr::new(10, 0, 0, 7), 40_000)));
+        }
+        frames.push(arp_frame());
+        exercise(rng, &specs, &frames, &mut tally);
+    });
+    assert_closed_form_carried_the_suite(&tally);
+}
+
+/// One listener with 320 connected sessions on its local port, from
+/// remotes that differ only in the high address word, only in the low
+/// word, or only in port — every depth of the connected class's trie
+/// splits — plus duplicate specs, where the earliest install must win
+/// and, once removed, the next earliest.
+#[test]
+fn closed_form_matches_oracle_under_a_busy_listener_and_duplicates() {
+    let remotes = [
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(10, 0, 0, 9), // low word differs
+        Ipv4Addr::new(10, 0, 1, 1), // low word differs
+        Ipv4Addr::new(10, 1, 0, 1), // high word differs
+        Ipv4Addr::new(11, 0, 0, 1), // high word differs
+    ];
+    let mut specs = vec![EndpointSpec::unconnected(IpProto::Tcp, HOST_IP, 80)];
+    for i in 0..320u16 {
+        let remote = remotes[usize::from(i) % remotes.len()];
+        specs.push(EndpointSpec::connected(
+            IpProto::Tcp,
+            HOST_IP,
+            80,
+            remote,
+            5000 + i / 5,
+        ));
+    }
+    // Duplicates of a connected and of the wildcard spec, and a UDP
+    // twin of the listener.
+    specs.extend([specs[7], specs[7], specs[0], specs[200]]);
+    specs.push(EndpointSpec::unconnected(IpProto::Udp, HOST_IP, 80));
+    let mut tally = Tally::default();
+    cases(0xf11e_0080, 3, |rng| {
+        let mut frames = vec![matching_frame(&specs[7]), matching_frame(&specs[200])];
+        for _ in 0..60 {
+            let src = (
+                remotes[rng.below(remotes.len() as u64) as usize],
+                4990 + rng.below(90) as u16,
+            );
+            frames.push(frame_to(&specs[0], src));
+        }
+        frames.push(frame_to(&specs[0], (Ipv4Addr::new(10, 0, 0, 2), 5000)));
+        frames.push(frame_to(&specs[0], (Ipv4Addr::new(12, 0, 0, 1), 5000)));
+        frames.push(frame_to(specs.last().unwrap(), (remotes[0], 5000)));
+        exercise(rng, &specs, &frames, &mut tally);
+    });
+    assert_closed_form_carried_the_suite(&tally);
+
+    // Earliest install wins among equal specs, through removals.
+    let mut t: DemuxTable<usize> = DemuxTable::new(DemuxStrategy::Cspf);
+    let ids: Vec<FilterId> = (0..3).map(|tag| t.install(specs[7], tag)).collect();
+    let frame = matching_frame(&specs[7]);
+    for (tag, id) in ids.iter().enumerate() {
+        let r = t.classify(&frame);
+        assert_eq!(r.owner.map(|o| o.1), Some(tag));
+        assert_eq!(r.steps, compile_endpoint(&specs[7]).insns.len());
+        assert!(t.remove(*id));
+    }
+    assert!(t.classify(&frame).owner.is_none());
+}
+
+/// Random tables over a deliberately cramped space — TCP and UDP, two
+/// local addresses, a handful of ports and remotes, duplicates allowed
+/// — so filters share every possible key prefix with each other and
+/// with the probe frames.
+#[test]
+fn closed_form_matches_oracle_on_cramped_random_tables() {
+    let locals = [HOST_IP, Ipv4Addr::new(10, 0, 9, 2)];
+    let remotes = [
+        Ipv4Addr::new(10, 0, 0, 1),
+        Ipv4Addr::new(10, 0, 0, 3),
+        Ipv4Addr::new(10, 7, 0, 1),
+    ];
+    let pick = |rng: &mut Rng, from: &[Ipv4Addr]| from[rng.below(from.len() as u64) as usize];
+    let mut tally = Tally::default();
+    cases(0xf11e_c4a3, 24, |rng| {
+        let n = rng.range(1, 120) as usize;
+        let specs: Vec<EndpointSpec> = (0..n)
+            .map(|_| {
+                let proto = if rng.chance(0.4) {
+                    IpProto::Tcp
+                } else {
+                    IpProto::Udp
+                };
+                let (lip, lport) = (pick(rng, &locals), rng.range(1000, 1005) as u16);
+                if rng.chance(0.6) {
+                    let remote = (pick(rng, &remotes), rng.range(2000, 2003) as u16);
+                    EndpointSpec::connected(proto, lip, lport, remote.0, remote.1)
+                } else {
+                    EndpointSpec::unconnected(proto, lip, lport)
+                }
+            })
+            .collect();
+        let frames: Vec<Vec<u8>> = (0..80)
+            .map(|_| {
+                build_frame(&FrameSpec {
+                    tcp: rng.chance(0.4),
+                    src: (pick(rng, &remotes), rng.range(2000, 2004) as u16),
+                    dst: (pick(rng, &locals), rng.range(1000, 1006) as u16),
+                    frag_offset: 0,
+                    more_fragments: false,
+                    truncate: None,
+                })
+            })
+            .collect();
+        exercise(rng, &specs, &frames, &mut tally);
+    });
+    assert_closed_form_carried_the_suite(&tally);
 }
 
 // ---------------------------------------------------------------------
