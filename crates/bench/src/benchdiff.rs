@@ -139,20 +139,6 @@ pub fn metrics_of(artifact: &Json) -> Result<Vec<Metric>, String> {
                     true,
                 );
             }
-            for row in artifact.get("packet").and_then(Json::as_arr).unwrap_or(&[]) {
-                let (Some(placement), Some(sessions)) =
-                    (text(row, "placement"), num(row, "sessions"))
-                else {
-                    continue;
-                };
-                let id = format!("packet[{placement},{}]", fmt_count(sessions));
-                push(
-                    &mut out,
-                    format!("{id}.ns_per_sim_packet"),
-                    num(row, "ns_per_sim_packet"),
-                    false,
-                );
-            }
         }
         "filterbench" => {
             for row in artifact

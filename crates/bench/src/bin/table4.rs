@@ -92,10 +92,8 @@ fn run_column(
     // Each round trip contains one message each way: per-message layer
     // time = total / (2 × rounds). (TCP also carries ACK segments; the
     // paper notes its numbers "only approximate the critical path".)
-    let per_msg = |layer: Layer| -> f64 {
-        let total = result.probe.borrow().layer(layer).total;
-        total.as_micros_f64() / (2.0 * f64::from(rounds))
-    };
+    let per_msg =
+        |layer: Layer| -> f64 { result.layer(layer).as_micros_f64() / (2.0 * f64::from(rounds)) };
 
     println!(
         "--- {} {} {}B ---  (rtt {:.3} ms)",
@@ -104,46 +102,21 @@ fn run_column(
         col.size,
         result.rtt.as_millis_f64()
     );
-    let send_layers = [
-        Layer::EntryCopyin,
-        Layer::TcpUdpOutput,
-        Layer::IpOutput,
-        Layer::EtherOutput,
-    ];
-    let recv_layers = [
-        Layer::DeviceIntrRead,
-        Layer::NetisrPacketFilter,
-        Layer::KernelCopyout,
-        Layer::MbufQueue,
-        Layer::IpIntr,
-        Layer::TcpUdpInput,
-        Layer::WakeupUserThread,
-        Layer::CopyoutExit,
-    ];
-    let mut send_total = 0.0;
-    let mut send_paper = 0u32;
-    for (i, layer) in send_layers.iter().enumerate() {
-        let m = per_msg(*layer);
-        send_total += m;
-        send_paper += col.send[i];
-        println!("  {:<22} {:7.0}  ({:5})", layer.label(), m, col.send[i]);
+    // Table 4's rows: four send layers, eight receive layers, transit.
+    let (send_layers, rest) = Layer::TABLE4_ORDER.split_at(col.send.len());
+    for (title, layers, paper) in [
+        ("SEND TOTAL", send_layers, &col.send[..]),
+        ("RECV TOTAL", &rest[..col.recv.len()], &col.recv[..]),
+    ] {
+        let mut total = 0.0;
+        for (layer, paper) in layers.iter().zip(paper) {
+            let m = per_msg(*layer);
+            total += m;
+            println!("  {:<22} {:7.0}  ({:5})", layer.label(), m, paper);
+        }
+        let paper_total: u32 = paper.iter().sum();
+        println!("  {:<22} {:7.0}  ({:5})", title, total, paper_total);
     }
-    println!(
-        "  {:<22} {:7.0}  ({:5})",
-        "SEND TOTAL", send_total, send_paper
-    );
-    let mut recv_total = 0.0;
-    let mut recv_paper = 0u32;
-    for (i, layer) in recv_layers.iter().enumerate() {
-        let m = per_msg(*layer);
-        recv_total += m;
-        recv_paper += col.recv[i];
-        println!("  {:<22} {:7.0}  ({:5})", layer.label(), m, col.recv[i]);
-    }
-    println!(
-        "  {:<22} {:7.0}  ({:5})",
-        "RECV TOTAL", recv_total, recv_paper
-    );
     let transit = per_msg(Layer::NetworkTransit);
     println!(
         "  {:<22} {:7.0}  ({:5})\n",

@@ -216,10 +216,13 @@ mod tests {
 
     #[test]
     fn host_profile_asserts_conservation() {
-        use psd_sim::{Domain, Layer, Profiler};
+        use psd_sim::{Domain, Layer, Observable, Profiler};
         let cpu = Rc::new(RefCell::new(Cpu::new()));
         let prof = Profiler::shared();
-        cpu.borrow_mut().set_profiler(Some(prof.clone()));
+        cpu.borrow_mut().set_observers(psd_sim::Observers {
+            profile: Some(prof.clone()),
+            ..Default::default()
+        });
         let mut c = cpu.borrow_mut().begin(SimTime::ZERO);
         c.site_push(Domain::Kernel, "work");
         c.add_ns(Layer::Other, 1234);

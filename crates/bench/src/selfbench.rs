@@ -2,26 +2,16 @@
 //!
 //! The paper's scaling argument is asymptotic, so the reproduction's
 //! reach is capped by the *simulator's* wall-clock speed, not the
-//! modeled systems'. This module measures that speed on two axes and
-//! emits the `BENCH_*.json` artifact the CI regression gate pins:
-//!
-//! 1. **Engine microbenchmark.** N resident keepalive timers with
-//!    cancel/reschedule churn — the queue access pattern a large
-//!    session count produces — run on the timer-wheel engine
-//!    ([`psd_sim::Sim`]).
-//! 2. **Packet stage.** The Table 5 session-scaling workload across the
-//!    five DECstation placements at N ∈ {4k, 64k, 256k} sessions.
-//!    Real sockets are bounded by the 16-bit port space, so counts
-//!    beyond [`MAX_SOCKET_SESSIONS`] are carried by timer-only ballast
-//!    sessions (see [`WorkloadSpec::ballast_timers`]); the reported
-//!    events/sec and ns per simulated packet measure the whole
-//!    simulator under that load. Peak RSS comes from `VmHWM` in
-//!    `/proc/self/status` (a process-lifetime high-water mark, so rows
-//!    are measured in increasing-N order and later rows include earlier
-//!    peaks).
+//! modeled systems'. This module measures the event engine's share of
+//! that speed and emits the `BENCH_*.json` artifact the CI regression
+//! gate pins: the **engine microbenchmark** — N resident keepalive
+//! timers with cancel/reschedule churn, the queue access pattern a
+//! large session count produces — run on the timer-wheel engine
+//! ([`psd_sim::Sim`]). End-to-end packet-path speed is `psdbench`'s job
+//! (`benchmark/`), which measures it sustained and with dispersion.
 //!
 //! Every count in the artifact is deterministic for a given seed; only
-//! the `wall_ms` / `*_per_sec` / `ns_per_*` / RSS fields depend on the
+//! the `wall_ms` / `*_per_sec` / `ns_per_*` fields depend on the
 //! machine. `--quick` shrinks the matrix for CI while keeping the
 //! 64k-timer engine row the regression gate compares.
 
@@ -29,39 +19,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Instant;
 
-use psd_filter::DemuxStrategy;
-use psd_sim::{Platform, Sim, SimHandle, SimTime};
-use psd_systems::SystemConfig;
+use psd_sim::{Sim, SimHandle, SimTime};
 
 use crate::json::{normalize_volatile, validate, Json};
-use crate::workload::{session_scaling, WorkloadSpec};
 
-/// Sessions backed by real sockets; the rest of a row's session count
-/// is timer ballast. Bounded well inside the 16-bit receiver port space
-/// and the quadratic-setup regime.
-pub const MAX_SOCKET_SESSIONS: usize = 4096;
-
-/// Seed for every selfbench run (engine schedules and workloads).
+/// Seed for every selfbench run.
 pub const SEED: u64 = 42;
 
 /// JSON members that legitimately differ between same-seed runs.
-pub const VOLATILE_FIELDS: &[&str] = &[
-    "wall_ms",
-    "events_per_sec",
-    "ns_per_event",
-    "ns_per_sim_packet",
-    "peak_rss_kb",
-    "rss_kb",
-];
-
-/// The five DECstation placements of the paper's Table 5 matrix.
-pub const PLACEMENTS: [SystemConfig; 5] = [
-    SystemConfig::Mach25InKernel,
-    SystemConfig::UxServer,
-    SystemConfig::LibraryIpc,
-    SystemConfig::LibraryShm,
-    SystemConfig::LibraryShmIpf,
-];
+pub const VOLATILE_FIELDS: &[&str] = &["wall_ms", "events_per_sec", "ns_per_event"];
 
 /// One engine-microbenchmark measurement.
 #[derive(Clone, Copy, Debug)]
@@ -81,41 +47,6 @@ impl EngineRow {
     }
 }
 
-/// One packet-stage measurement.
-#[derive(Clone, Debug)]
-pub struct PacketRow {
-    /// The placement under test.
-    pub config: SystemConfig,
-    /// Total sessions modeled (sockets + ballast).
-    pub sessions: usize,
-    /// Sessions backed by real sockets.
-    pub socket_sessions: usize,
-    /// Timer-only ballast sessions.
-    pub ballast: usize,
-    /// Frames the receiving kernel demultiplexed (deterministic).
-    pub packets_rx: u64,
-    /// Simulator events executed in the burst phase (deterministic).
-    pub events: u64,
-    /// Wall-clock nanoseconds of the burst phase.
-    pub wall_ns: u128,
-    /// `VmHWM` after the run, in KB (0 if unreadable).
-    pub peak_rss_kb: u64,
-    /// `VmRSS` after the run, in KB (0 if unreadable).
-    pub rss_kb: u64,
-}
-
-impl PacketRow {
-    /// Burst events per wall-clock second.
-    pub fn events_per_sec(&self) -> f64 {
-        self.events as f64 / (self.wall_ns as f64 / 1e9)
-    }
-
-    /// Wall-clock nanoseconds per simulated (received) packet.
-    pub fn ns_per_sim_packet(&self) -> f64 {
-        self.wall_ns as f64 / self.packets_rx as f64
-    }
-}
-
 /// A complete self-benchmark result.
 #[derive(Clone, Debug)]
 pub struct SelfBench {
@@ -123,27 +54,9 @@ pub struct SelfBench {
     pub quick: bool,
     /// Wheel-engine rows, by timer count.
     pub wheel: Vec<EngineRow>,
-    /// Packet-stage rows in measurement order (increasing N).
-    pub packet: Vec<PacketRow>,
 }
 
-/// Reads a `VmHWM`/`VmRSS`-style field from `/proc/self/status` in KB.
-fn proc_status_kb(field: &str) -> u64 {
-    let Ok(text) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix(field) {
-            let rest = rest.trim_start_matches(':').trim();
-            if let Some(kb) = rest.strip_suffix(" kB") {
-                return kb.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    0
-}
-
-/// The timer period for ballast slot `i` of `n`: 1–250 ms, spread
+/// The timer period for slot `i`: 1–250 ms, spread
 /// deterministically so expiries land across wheel levels.
 fn period_ns(i: usize) -> u64 {
     1_000_000 + (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 249_000_000
@@ -189,31 +102,6 @@ pub fn engine_micro_wheel(n: usize, events: u64) -> EngineRow {
     }
 }
 
-/// Runs one packet-stage row.
-pub fn packet_row(config: SystemConfig, sessions: usize, packets: usize) -> PacketRow {
-    let socket_sessions = sessions.min(MAX_SOCKET_SESSIONS);
-    let ballast = sessions - socket_sessions;
-    let spec = WorkloadSpec::at_scale(socket_sessions, packets, SEED).with_ballast(ballast);
-    let report = session_scaling(
-        config,
-        Platform::DecStation5000_200,
-        DemuxStrategy::Mpf,
-        &spec,
-        false,
-    );
-    PacketRow {
-        config,
-        sessions,
-        socket_sessions,
-        ballast,
-        packets_rx: report.packets_rx,
-        events: report.events,
-        wall_ns: report.wall_burst.as_nanos(),
-        peak_rss_kb: proc_status_kb("VmHWM"),
-        rss_kb: proc_status_kb("VmRSS"),
-    }
-}
-
 /// Runs the full (or `--quick`) self-benchmark.
 pub fn run(quick: bool) -> SelfBench {
     // 65_536 must appear in both modes: it is the row the CI gate reads.
@@ -222,12 +110,6 @@ pub fn run(quick: bool) -> SelfBench {
     } else {
         &[4_096, 65_536, 262_144]
     };
-    let session_counts: &[usize] = if quick {
-        &[4_096]
-    } else {
-        &[4_096, 65_536, 262_144]
-    };
-    let packets = if quick { 64 } else { 512 };
     let events_per_timer: u64 = if quick { 2 } else { 4 };
 
     let wheel = timer_counts
@@ -235,21 +117,7 @@ pub fn run(quick: bool) -> SelfBench {
         .map(|&n| engine_micro_wheel(n, (n as u64) * events_per_timer))
         .collect();
 
-    let mut packet = Vec::new();
-    let placements: &[SystemConfig] = if quick { &PLACEMENTS[..2] } else { &PLACEMENTS };
-    // Increasing N so each row's VmHWM reflects its own high-water mark
-    // as closely as a monotonic counter allows.
-    for &sessions in session_counts {
-        for &config in placements {
-            packet.push(packet_row(config, sessions, packets));
-        }
-    }
-
-    SelfBench {
-        quick,
-        wheel,
-        packet,
-    }
+    SelfBench { quick, wheel }
 }
 
 impl SelfBench {
@@ -259,12 +127,6 @@ impl SelfBench {
         let mut sig = String::new();
         for r in &self.wheel {
             sig.push_str(&format!("engine:{}:{};", r.timers, r.events));
-        }
-        for r in &self.packet {
-            sig.push_str(&format!(
-                "packet:{:?}:{}:{}:{};",
-                r.config, r.sessions, r.packets_rx, r.events
-            ));
         }
         sig
     }
@@ -289,26 +151,6 @@ impl SelfBench {
                     .collect(),
             )
         };
-        let packet_rows = Json::Arr(
-            self.packet
-                .iter()
-                .map(|r| {
-                    Json::obj(vec![
-                        ("placement", Json::str(format!("{:?}", r.config))),
-                        ("sessions", Json::Num(r.sessions as f64)),
-                        ("socket_sessions", Json::Num(r.socket_sessions as f64)),
-                        ("ballast", Json::Num(r.ballast as f64)),
-                        ("packets_rx", Json::Num(r.packets_rx as f64)),
-                        ("events", Json::Num(r.events as f64)),
-                        ("wall_ms", Json::Num(r.wall_ns as f64 / 1e6)),
-                        ("events_per_sec", Json::Num(r.events_per_sec())),
-                        ("ns_per_sim_packet", Json::Num(r.ns_per_sim_packet())),
-                        ("peak_rss_kb", Json::Num(r.peak_rss_kb as f64)),
-                        ("rss_kb", Json::Num(r.rss_kb as f64)),
-                    ])
-                })
-                .collect(),
-        );
         Json::obj(vec![
             ("version", Json::Num(1.0)),
             ("bench", Json::str("selfbench")),
@@ -318,7 +160,6 @@ impl SelfBench {
                 "engine",
                 Json::obj(vec![("wheel", engine_rows(&self.wheel))]),
             ),
-            ("packet", packet_rows),
         ])
     }
 
@@ -339,21 +180,6 @@ impl SelfBench {
                 r.events,
                 r.events_per_sec(),
                 r.wall_ns as f64 / r.events as f64,
-            ));
-        }
-        out.push_str(
-            "\nplacement            sessions (sock+ballast)  events/sec  ns/sim-pkt  peakRSS MB\n",
-        );
-        for r in &self.packet {
-            out.push_str(&format!(
-                "{:<22?} {:>7} ({:>4}+{:>6}) {:>11.0} {:>11.0} {:>9.1}\n",
-                r.config,
-                r.sessions,
-                r.socket_sessions,
-                r.ballast,
-                r.events_per_sec(),
-                r.ns_per_sim_packet(),
-                r.peak_rss_kb as f64 / 1024.0,
             ));
         }
         out
@@ -430,7 +256,6 @@ mod tests {
                 events: 1_000,
                 wall_ns: 1_000_000,
             }],
-            packet: Vec::new(),
         };
         let mut slow = fast.clone();
         slow.wheel[0].wall_ns = 2_000_000; // half the events/sec

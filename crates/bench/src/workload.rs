@@ -56,15 +56,6 @@ pub struct WorkloadSpec {
     pub payload: usize,
     /// Seed for the testbed and the burst schedule.
     pub seed: u64,
-    /// Timer-only ballast sessions held during the burst. Real sockets
-    /// are bounded by the 16-bit port space (and each one costs setup
-    /// virtual time quadratic in N), so scaling past ~50k "users" is
-    /// modeled the way a real host would experience it at the event
-    /// engine: each ballast session keeps a per-session keepalive timer
-    /// (1–250 ms period, seeded independently of the burst schedule)
-    /// live in the queue for the whole burst. Zero leaves the workload
-    /// byte-identical to the pre-ballast engine.
-    pub ballast_timers: usize,
     /// NEWAPI batching configuration applied to every host kernel. The
     /// default is inert (batch window 1, GRO/GSO off) and takes exactly
     /// the unbatched code paths, so archived tables never move.
@@ -85,17 +76,9 @@ impl WorkloadSpec {
             packets,
             payload: 64,
             seed,
-            ballast_timers: 0,
             batch: psd_kernel::BatchConfig::default(),
             placement: None,
         }
-    }
-
-    /// Adds timer-only ballast sessions (see
-    /// [`ballast_timers`](WorkloadSpec::ballast_timers)).
-    pub fn with_ballast(mut self, ballast: usize) -> WorkloadSpec {
-        self.ballast_timers = ballast;
-        self
     }
 
     /// Sets the NEWAPI batching configuration.
@@ -151,12 +134,6 @@ pub struct ScaleReport {
     pub bind_rpc: SimTime,
     /// Virtual time to stand up all N sessions.
     pub setup: SimTime,
-    /// Timer-only ballast sessions held during the burst.
-    pub ballast_timers: usize,
-    /// Simulator events executed during the burst phase (including the
-    /// post-burst drain) — deterministic, the denominator for the
-    /// self-benchmark's events/sec.
-    pub events: u64,
     /// Receiving-host census totals, when a census was attached.
     pub census: Option<CensusCounts>,
     /// Per-host `(cpu, profiler)` pairs when charged-time profiling was
@@ -167,8 +144,6 @@ pub struct ScaleReport {
     /// Wall-clock duration of the whole run (never byte-stable; keep
     /// off reproducible output).
     pub wall: Duration,
-    /// Wall-clock duration of the burst phase alone (never byte-stable).
-    pub wall_burst: Duration,
 }
 
 /// Runs the session-scaling workload for one placement, strategy, and
@@ -338,21 +313,9 @@ pub fn session_scaling_observed(
 
     let filters = bed.hosts[1].kernel.borrow().filters_installed();
 
-    // --- Ballast: timer-only sessions resident in the event queue. ---
-    // Seeded independently of the burst schedule, and gated by a shared
-    // flag so the post-burst settle can terminate.
-    let ballast_active = Rc::new(std::cell::Cell::new(true));
-    let mut ballast_rng = Rng::new(spec.seed ^ 0xBA11_A57E_0000_0001);
-    for _ in 0..spec.ballast_timers {
-        let period = SimTime::from_nanos(ballast_rng.range(1_000_000, 250_000_000));
-        schedule_keepalive(&mut bed.sim, period, ballast_active.clone());
-    }
-
     // --- Burst phase: datagrams at random sessions, bursty arrivals. ---
     let k0 = bed.hosts[1].kernel.borrow().stats();
     let burst0 = bed.sim.now();
-    let events0 = bed.sim.executed();
-    let wall_burst0 = Instant::now();
     let payload = vec![0xB7u8; spec.payload];
     let mut sent = 0usize;
     while sent < spec.packets {
@@ -374,12 +337,7 @@ pub fn session_scaling_observed(
         let gap = rng.range(100_000, 500_000);
         bed.run_for(SimTime::from_nanos(gap));
     }
-    // Retire the ballast before draining: each pending keepalive fires
-    // once more without rescheduling, so the settle terminates.
-    ballast_active.set(false);
     bed.settle();
-    let wall_burst = wall_burst0.elapsed();
-    let events = bed.sim.executed() - events0;
     let burst = bed.sim.now() - burst0;
     let k1 = bed.hosts[1].kernel.borrow().stats();
     let packets_rx = k1.rx_frames - k0.rx_frames;
@@ -407,8 +365,6 @@ pub fn session_scaling_observed(
         ns_per_packet: burst.as_nanos() as f64 / packets_rx as f64,
         bind_rpc,
         setup,
-        ballast_timers: spec.ballast_timers,
-        events,
         census,
         profiles: profilers
             .map(|ps| {
@@ -420,19 +376,7 @@ pub fn session_scaling_observed(
             })
             .unwrap_or_default(),
         wall: wall0.elapsed(),
-        wall_burst,
     }
-}
-
-/// Schedules one ballast keepalive tick; it re-arms itself while
-/// `active` holds. The capture (period + flag) fits the engine's inline
-/// closure storage, so ballast exercises the allocation-free fast path.
-fn schedule_keepalive(sim: &mut psd_sim::Sim, period: SimTime, active: Rc<std::cell::Cell<bool>>) {
-    sim.after(period, move |s| {
-        if active.get() {
-            schedule_keepalive(s, period, active);
-        }
-    });
 }
 
 /// Convenience: the receiving app handle type used by the engine.
@@ -541,34 +485,5 @@ mod tests {
         let r = report(SystemConfig::UxServer, DemuxStrategy::Mpf, 16);
         assert_eq!(r.filters, 0);
         assert!(r.packets_rx >= 64);
-    }
-
-    #[test]
-    fn ballast_timers_add_events_without_touching_packets() {
-        let run = |ballast: usize| {
-            let spec = WorkloadSpec::at_scale(16, 64, 42).with_ballast(ballast);
-            session_scaling(
-                SystemConfig::LibraryShm,
-                Platform::DecStation5000_200,
-                DemuxStrategy::Mpf,
-                &spec,
-                false,
-            )
-        };
-        let base = run(0);
-        let loaded = run(512);
-        // Ballast is pure event-queue load: the packet path and filter
-        // accounting must be unperturbed.
-        assert_eq!(loaded.packets_rx, base.packets_rx);
-        assert_eq!(loaded.steps_per_packet, base.steps_per_packet);
-        assert_eq!(loaded.filters, base.filters);
-        assert!(
-            loaded.events > base.events + 512,
-            "keepalives must tick: {} vs {}",
-            loaded.events,
-            base.events
-        );
-        let again = run(512);
-        assert_eq!(loaded.events, again.events, "ballast is deterministic");
     }
 }

@@ -4,9 +4,10 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use psd_core::{AppHandle, AppLib, Fd};
+use psd_netdev::EthernetHandle;
 use psd_netstack::{InetAddr, SockEvent, SocketError};
 use psd_server::Proto;
-use psd_sim::{LatencyProbe, ProbeHandle, SimTime};
+use psd_sim::{Cpu, Layer, Observable, ProfileHandle, SimTime};
 use psd_systems::TestBed;
 
 /// Which socket interface the workload uses.
@@ -244,9 +245,84 @@ pub struct ProtolatResult {
     pub rounds: u32,
     /// Mean round-trip latency.
     pub rtt: SimTime,
-    /// The per-layer latency probe covering the measured rounds (both
-    /// directions; divide by `2 × rounds` for per-message figures).
-    pub probe: ProbeHandle,
+    /// Both hosts' CPU busy time over the measured rounds. The 14 CPU
+    /// layers of [`ProtolatResult::layer`] sum to it bit-exactly.
+    pub busy: SimTime,
+    /// Charged nanoseconds per layer over the measured rounds, in
+    /// [`Layer::ALL`] order.
+    layers: [u64; Layer::ALL.len()],
+}
+
+impl ProtolatResult {
+    /// Time charged to `layer` over the measured rounds, both hosts and
+    /// both directions (divide by `2 × rounds` for per-message
+    /// figures): Table 4's rows. CPU layers are the hosts' profilers'
+    /// per-layer sums; [`Layer::NetworkTransit`] is the wire's
+    /// [`EtherStats::wire_ns`](psd_netdev::EtherStats::wire_ns).
+    pub fn layer(&self, layer: Layer) -> SimTime {
+        let slot = Layer::ALL.iter().position(|l| *l == layer);
+        SimTime::from_nanos(self.layers[slot.expect("ALL lists every layer")])
+    }
+}
+
+/// The accumulators `protolat` differences over its measured window:
+/// one charged-time profiler per host, the hosts' busy clocks, and the
+/// wire's always-on transit counter.
+struct Meter {
+    profilers: Vec<ProfileHandle>,
+    cpus: Vec<Rc<RefCell<Cpu>>>,
+    ether: EthernetHandle,
+}
+
+/// One reading of a [`Meter`].
+#[derive(Clone, Copy)]
+struct Reading {
+    layers: [u64; Layer::ALL.len()],
+    busy_ns: u64,
+}
+
+impl Meter {
+    /// Meters `bed`, reusing a host's attached profiler or attaching
+    /// one (profiling is charged-time-neutral, so either way the run is
+    /// byte-identical to an unmetered one).
+    fn attach(bed: &TestBed) -> Meter {
+        let profilers = bed
+            .hosts
+            .iter()
+            .map(|h| {
+                let mut cpu = h.cpu.borrow_mut();
+                let mut obs = cpu.observers().clone();
+                let prof = obs
+                    .profile
+                    .get_or_insert_with(psd_sim::Profiler::shared)
+                    .clone();
+                cpu.set_observers(obs);
+                prof
+            })
+            .collect();
+        Meter {
+            profilers,
+            cpus: bed.hosts.iter().map(|h| h.cpu.clone()).collect(),
+            ether: bed.ether.clone(),
+        }
+    }
+
+    fn read(&self) -> Reading {
+        let layers = Layer::ALL.map(|layer| match layer {
+            Layer::NetworkTransit => self.ether.borrow().stats().wire_ns,
+            _ => self
+                .profilers
+                .iter()
+                .map(|p| p.borrow().layer_ns(layer))
+                .sum(),
+        });
+        let busy_ns = self
+            .cpus
+            .iter()
+            .map(|c| c.borrow().total_busy().as_nanos())
+            .sum();
+        Reading { layers, busy_ns }
+    }
 }
 
 const LAT_PORT: u16 = 6001;
@@ -262,7 +338,9 @@ struct PingState {
     end: Option<SimTime>,
     api: ApiStyle,
     proto: Proto,
-    probe: Option<ProbeHandle>,
+    meter: Meter,
+    /// The meter's reading at `start`.
+    baseline: Option<Reading>,
 }
 
 fn ping_send(app: &AppHandle, sim: &mut psd_sim::Sim, st: &Rc<RefCell<PingState>>) {
@@ -336,9 +414,7 @@ fn ping_recv(app: &AppHandle, sim: &mut psd_sim::Sim, st: &Rc<RefCell<PingState>
         s.collected += 1;
         if s.collected == s.warmup {
             s.start = Some(sim.now());
-            if let Some(p) = &s.probe {
-                p.borrow_mut().set_enabled(true);
-            }
+            s.baseline = Some(s.meter.read());
         }
         if s.rounds_left > 0 {
             s.rounds_left -= 1;
@@ -486,15 +562,6 @@ pub fn protolat(
         }
     }
 
-    // Probe covering the measured rounds only (enabled when warmup
-    // completes).
-    let probe = LatencyProbe::shared();
-    probe.borrow_mut().set_enabled(false);
-    for host in &bed.hosts {
-        host.cpu.borrow_mut().set_probe(Some(probe.clone()));
-    }
-    bed.ether.borrow_mut().set_probe(Some(probe.clone()));
-
     // Client.
     let cfd = AppLib::socket(&client_app, &mut bed.sim, proto);
     let ping = Rc::new(RefCell::new(PingState {
@@ -508,7 +575,10 @@ pub fn protolat(
         end: None,
         api,
         proto,
-        probe: Some(probe.clone()),
+        // Read when warmup completes and again when the run ends: the
+        // difference covers the measured rounds only.
+        meter: Meter::attach(bed),
+        baseline: None,
     }));
     {
         let app = client_app.clone();
@@ -523,9 +593,7 @@ pub fn protolat(
                             // No warmup: measurement starts with the
                             // first message.
                             s.start = Some(sim.now());
-                            if let Some(p) = &s.probe {
-                                p.borrow_mut().set_enabled(true);
-                            }
+                            s.baseline = Some(s.meter.read());
                         }
                     }
                     ping_send(&app, sim, &st);
@@ -551,17 +619,76 @@ pub fn protolat(
             ping.borrow().collected
         );
     }
-    let (start, end) = {
-        let p = ping.borrow();
-        (
-            p.start.expect("warmup completed"),
-            p.end.expect("loop exited"),
-        )
-    };
-    probe.borrow_mut().set_enabled(false);
+    // The window closes here, at the 20 ms step after the last round.
+    let p = ping.borrow();
+    let (start, end) = (
+        p.start.expect("warmup completed"),
+        p.end.expect("loop exited"),
+    );
+    let (from, to) = (p.baseline.expect("set with start"), p.meter.read());
     ProtolatResult {
         rounds,
         rtt: (end - start) / u64::from(rounds),
-        probe,
+        busy: SimTime::from_nanos(to.busy_ns - from.busy_ns),
+        layers: std::array::from_fn(|i| to.layers[i] - from.layers[i]),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use psd_sim::Platform;
+    use psd_systems::SystemConfig;
+
+    /// Table 4 conserves: over the measured window the 14 CPU layers
+    /// sum bit-exactly to the hosts' busy time (two independent
+    /// accumulators — profiler buckets and `Cpu::total_busy`), and
+    /// transit is exactly the wire time of the frames the rounds put on
+    /// the wire, for one library, one in-kernel and one server column.
+    #[test]
+    fn table4_layers_conserve_cpu_and_wire_time() {
+        const ROUNDS: u32 = 40;
+        for config in [
+            SystemConfig::LibraryShmIpf,
+            SystemConfig::Mach25InKernel,
+            SystemConfig::UxServer,
+        ] {
+            // Warm-up 0 opens the window in the connect handler, the
+            // other of the two places it can open.
+            for (proto, warmup) in [(Proto::Udp, 10), (Proto::Tcp, 0)] {
+                let mut bed = TestBed::new(config, Platform::DecStation5000_200, 7);
+                // Profilers from each CPU's first charge: `protolat`
+                // reuses them and must leave their whole-run
+                // conservation intact.
+                let profilers = bed.attach_profilers();
+                let wire_before = bed.ether.borrow().stats().wire_ns;
+                let r = protolat(&mut bed, proto, 1, warmup, ROUNDS, ApiStyle::Classic);
+
+                let cpu_layers: SimTime = Layer::ALL
+                    .iter()
+                    .filter(|l| **l != Layer::NetworkTransit)
+                    .map(|l| r.layer(*l))
+                    .sum();
+                assert!(r.busy > SimTime::ZERO);
+                assert_eq!(cpu_layers, r.busy, "{config:?} {proto:?}");
+                for (host, prof) in bed.hosts.iter().zip(&profilers) {
+                    assert_eq!(
+                        prof.borrow().attributed_ns(),
+                        host.cpu.borrow().total_busy().as_nanos(),
+                        "{config:?} {proto:?}: reused profiler no longer conserves"
+                    );
+                }
+
+                let transit = r.layer(Layer::NetworkTransit);
+                let wire_total = bed.ether.borrow().stats().wire_ns - wire_before;
+                assert!(transit.as_nanos() < wire_total, "set-up is excluded");
+                if proto == Proto::Udp {
+                    // One minimum-size frame each way per round and
+                    // nothing else on the wire.
+                    let per_frame = bed.ether.borrow().timing().frame_time(43);
+                    assert_eq!(transit, per_frame * u64::from(2 * ROUNDS), "{config:?}");
+                }
+            }
+        }
     }
 }

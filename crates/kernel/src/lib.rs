@@ -24,8 +24,8 @@
 //!   path the server-based configuration pays on every send and receive.
 //!
 //! Every boundary crossing and copy is charged to the host CPU through
-//! the calibrated [`CostModel`]; the crossings are recorded on the
-//! latency probe so Table 4's asterisks can be regenerated.
+//! the calibrated [`CostModel`]; the crossings are counted per layer in
+//! the operation census so Table 4's asterisks can be regenerated.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -38,8 +38,8 @@ use psd_filter::{
 };
 use psd_netdev::{Ethernet, EthernetHandle, Station};
 use psd_sim::{
-    Charge, CostModel, Cpu, Domain, DropCounters, DropReason, FaultSite, Layer, OpKind, Sim,
-    SimTime, Stage, TraceHandle, TraceId,
+    Charge, CostModel, Cpu, Domain, DropCounters, DropReason, FaultSite, Layer, Observable, OpKind,
+    Sim, SimTime, Stage, TraceHandle, TraceId,
 };
 use psd_wire::{
     EtherAddr, EtherType, EthernetHeader, IpProto, Ipv4Header, TcpFlags, TcpHeader, ETHER_HDR_LEN,
@@ -50,7 +50,7 @@ use psd_wire::{
 /// currently being processed — so an asynchronous continuation (a
 /// delivery closure, a deferred wakeup decision) can re-establish it.
 fn trace_ctx(charge: &Charge) -> (Option<TraceHandle>, Option<TraceId>) {
-    let tracer = charge.trace_handle();
+    let tracer = charge.observers().trace.clone();
     let id = tracer.as_ref().and_then(|t| t.borrow().current());
     (tracer, id)
 }
@@ -764,7 +764,7 @@ impl Kernel {
                     // other wire loss, and the protocols recover.
                     k.stats.tx_disconnected += 1;
                     k.stats.drops.note(DropReason::TxDisconnected);
-                    if let Some(c) = k.cpu.borrow().census() {
+                    if let Some(c) = &k.cpu.borrow().observers().census {
                         c.borrow_mut()
                             .note_drop(DropReason::TxDisconnected, Domain::Kernel);
                     }
@@ -1441,8 +1441,8 @@ pub fn note_thread_busy(kernel: &KernelHandle, id: EndpointId, until: SimTime) {
 /// RPC machinery.
 pub fn rpc_data_charge(costs: &CostModel, charge: &mut Charge, layer: Layer, data_len: usize) {
     // One RPC = two boundary crossings on the census (request into the
-    // server, reply back to the caller); the probe keeps its single
-    // Table 4 asterisk per charged crossing.
+    // server, reply back to the caller), one of them charged: the trap
+    // prices the round trip.
     charge.crossing_in(Domain::Server, layer, SimTime::from_nanos(costs.trap));
     charge.note(OpKind::BoundaryCrossing, Domain::Library, layer);
     charge.add_ns(layer, costs.rpc_base);
@@ -1496,6 +1496,39 @@ mod tests {
         sim: Sim,
         ether: EthernetHandle,
         kernel: KernelHandle,
+    }
+
+    /// What the layer-attribution tests read: charged time per layer
+    /// from a profiler, boundary crossings per layer from a census,
+    /// attached to a CPU as one observer set.
+    struct Watch {
+        prof: psd_sim::ProfileHandle,
+        census: psd_sim::CensusHandle,
+    }
+
+    impl Watch {
+        fn attach(cpu: &mut Cpu) -> Watch {
+            let w = Watch {
+                prof: psd_sim::Profiler::shared(),
+                census: psd_sim::Census::shared(),
+            };
+            cpu.set_observers(psd_sim::Observers {
+                profile: Some(w.prof.clone()),
+                census: Some(w.census.clone()),
+                ..Default::default()
+            });
+            w
+        }
+
+        fn total(&self, layer: Layer) -> SimTime {
+            SimTime::from_nanos(self.prof.borrow().layer_ns(layer))
+        }
+
+        fn crossings(&self, layer: Layer) -> u64 {
+            self.census
+                .borrow()
+                .layer_total(OpKind::BoundaryCrossing, layer)
+        }
     }
 
     fn rig() -> Rig {
@@ -1682,14 +1715,8 @@ mod tests {
         // With an IPF endpoint installed, DeviceIntrRead must be flat
         // (no per-byte device read at interrupt time); the body copy is
         // charged to KernelCopyout instead.
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
-        r.kernel
-            .borrow()
-            .cpu()
-            .borrow_mut()
-            .set_probe(Some(probe.clone()));
+        let watch = Watch::attach(&mut r.kernel.borrow().cpu().borrow_mut());
         let (sink, _log) = collect_sink();
         {
             let mut k = r.kernel.borrow_mut();
@@ -1700,9 +1727,8 @@ mod tests {
         let f = udp_frame(EtherAddr::local(2), (B_IP, 7), 1400);
         Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         r.sim.run_to_idle();
-        let p = probe.borrow();
-        let intr = p.layer(Layer::DeviceIntrRead).total;
-        let copyout = p.layer(Layer::KernelCopyout).total;
+        let intr = watch.total(Layer::DeviceIntrRead);
+        let copyout = watch.total(Layer::KernelCopyout);
         let costs = CostModel::decstation_5000_200();
         assert!(
             intr < SimTime::from_nanos(costs.intr_dispatch + 20_000),
@@ -1716,11 +1742,9 @@ mod tests {
 
     #[test]
     fn send_from_user_charges_trap_and_copies() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
         let cpu = r.kernel.borrow().cpu();
-        cpu.borrow_mut().set_probe(Some(probe.clone()));
+        let watch = Watch::attach(&mut cpu.borrow_mut());
         let frame = udp_frame(EtherAddr::local(9), (B_IP, 7), 100);
         let flen = frame.len();
         let mut charge = cpu.borrow_mut().begin(r.sim.now());
@@ -1729,23 +1753,17 @@ mod tests {
         r.sim.run_to_idle();
         let costs = CostModel::decstation_5000_200();
         let expect = costs.trap + (costs.kcopy_byte + costs.dev_write_byte) * flen as u64;
-        let p = probe.borrow();
-        assert_eq!(
-            p.layer(Layer::EtherOutput).total,
-            SimTime::from_nanos(expect)
-        );
-        assert_eq!(p.layer(Layer::EtherOutput).crossings, 1);
+        assert_eq!(watch.total(Layer::EtherOutput), SimTime::from_nanos(expect));
+        assert_eq!(watch.crossings(Layer::EtherOutput), 1);
         assert_eq!(r.kernel.borrow().stats().tx_user, 1);
         assert_eq!(r.ether.borrow().stats().tx_frames, 1);
     }
 
     #[test]
     fn send_from_kernel_skips_trap() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
         let cpu = r.kernel.borrow().cpu();
-        cpu.borrow_mut().set_probe(Some(probe.clone()));
+        let watch = Watch::attach(&mut cpu.borrow_mut());
         let frame = udp_frame(EtherAddr::local(9), (B_IP, 7), 100);
         let flen = frame.len();
         let mut charge = cpu.borrow_mut().begin(r.sim.now());
@@ -1753,12 +1771,11 @@ mod tests {
         cpu.borrow_mut().finish(charge);
         r.sim.run_to_idle();
         let costs = CostModel::decstation_5000_200();
-        let p = probe.borrow();
         assert_eq!(
-            p.layer(Layer::EtherOutput).total,
+            watch.total(Layer::EtherOutput),
             SimTime::from_nanos(costs.dev_write_byte * flen as u64)
         );
-        assert_eq!(p.layer(Layer::EtherOutput).crossings, 0);
+        assert_eq!(watch.crossings(Layer::EtherOutput), 0);
     }
 
     #[test]
@@ -1870,20 +1887,24 @@ mod tests {
 
     #[test]
     fn rpc_charges_four_copies() {
-        use psd_sim::LatencyProbe;
-        let probe = LatencyProbe::shared();
         let mut cpu = Cpu::new();
-        cpu.set_probe(Some(probe.clone()));
+        let watch = Watch::attach(&mut cpu);
         let costs = CostModel::decstation_5000_200();
         let mut charge = cpu.begin(SimTime::ZERO);
         rpc_data_charge(&costs, &mut charge, Layer::EntryCopyin, 1000);
         cpu.finish(charge);
         let expect = costs.trap + costs.rpc_base + 3 * costs.ipc_copy_byte * 1000;
-        assert_eq!(
-            probe.borrow().layer(Layer::EntryCopyin).total,
-            SimTime::from_nanos(expect)
-        );
-        assert_eq!(probe.borrow().layer(Layer::EntryCopyin).crossings, 1);
+        assert_eq!(watch.total(Layer::EntryCopyin), SimTime::from_nanos(expect));
+        // One charged crossing into the server, and its free-counted
+        // reply back into the caller.
+        let census = watch.census.borrow();
+        for domain in [Domain::Server, Domain::Library] {
+            assert_eq!(
+                census.count(OpKind::BoundaryCrossing, domain, Layer::EntryCopyin),
+                1
+            );
+        }
+        assert_eq!(watch.crossings(Layer::EntryCopyin), 2);
     }
 
     // --- Batched NEWAPI (ISSUE 9) ---
@@ -1923,14 +1944,8 @@ mod tests {
 
     #[test]
     fn batch_window_amortizes_ipc_crossings() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
-        r.kernel
-            .borrow()
-            .cpu()
-            .borrow_mut()
-            .set_probe(Some(probe.clone()));
+        let watch = Watch::attach(&mut r.kernel.borrow().cpu().borrow_mut());
         let (sink, log) = collect_sink();
         {
             let mut k = r.kernel.borrow_mut();
@@ -1951,7 +1966,7 @@ mod tests {
         // Every frame is delivered, but only the first of each window of
         // four pays the IPC crossing and wakeup.
         assert_eq!(log.borrow().len(), 8);
-        assert_eq!(probe.borrow().layer(Layer::KernelCopyout).crossings, 2);
+        assert_eq!(watch.crossings(Layer::KernelCopyout), 2);
         let stats = r.kernel.borrow().stats();
         assert_eq!(stats.rx_delivery_crossings, 2);
         assert_eq!(stats.rx_session_crossings, 2);
@@ -1959,14 +1974,8 @@ mod tests {
 
     #[test]
     fn unbatched_config_pays_every_crossing() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
-        r.kernel
-            .borrow()
-            .cpu()
-            .borrow_mut()
-            .set_probe(Some(probe.clone()));
+        let watch = Watch::attach(&mut r.kernel.borrow().cpu().borrow_mut());
         let (sink, log) = collect_sink();
         {
             let mut k = r.kernel.borrow_mut();
@@ -1980,7 +1989,7 @@ mod tests {
         }
         r.sim.run_to_idle();
         assert_eq!(log.borrow().len(), 5);
-        assert_eq!(probe.borrow().layer(Layer::KernelCopyout).crossings, 5);
+        assert_eq!(watch.crossings(Layer::KernelCopyout), 5);
         assert_eq!(r.kernel.borrow().stats().rx_delivery_crossings, 5);
     }
 
@@ -2091,14 +2100,8 @@ mod tests {
 
     #[test]
     fn header_only_delivery_copies_headers_not_bodies() {
-        use psd_sim::LatencyProbe;
         let mut r = rig();
-        let probe = LatencyProbe::shared();
-        r.kernel
-            .borrow()
-            .cpu()
-            .borrow_mut()
-            .set_probe(Some(probe.clone()));
+        let watch = Watch::attach(&mut r.kernel.borrow().cpu().borrow_mut());
         let (sink, log) = collect_sink();
         {
             let mut k = r.kernel.borrow_mut();
@@ -2118,7 +2121,7 @@ mod tests {
         let costs = CostModel::decstation_5000_200();
         // Only eth+ip+udp headers (42 bytes) crossed into the ring; a
         // full-body copy would be ~1400 bytes of kcopy.
-        let copyout = probe.borrow().layer(Layer::KernelCopyout).total;
+        let copyout = watch.total(Layer::KernelCopyout);
         assert!(
             copyout
                 < SimTime::from_nanos(

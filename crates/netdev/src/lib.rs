@@ -20,10 +20,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use psd_sim::probe::ProbeHandle;
 use psd_sim::{
-    DropCounters, DropReason, FaultPlaneHandle, FaultSite, Layer, Sim, SimTime, Stage, Terminal,
-    TraceHandle, TraceId,
+    DropCounters, DropReason, FaultSite, Observable, Observers, Sim, SimTime, Stage, Terminal,
+    TraceId,
 };
 use psd_wire::{EtherAddr, EthernetHeader};
 
@@ -96,6 +95,11 @@ pub struct EtherStats {
     pub reordered: u64,
     /// Frames delivered to stations (one per receiving station).
     pub delivered: u64,
+    /// Wire time of every frame handed to the medium, dropped ones
+    /// included: serialization plus propagation, in nanoseconds. Table
+    /// 4's "network transit" row is this counter's delta over the
+    /// measured rounds.
+    pub wire_ns: u64,
 }
 
 /// An optional capture of frames for tests and debugging.
@@ -119,9 +123,10 @@ pub struct Ethernet {
     /// Always-on per-reason drop counters: every frame the medium kills
     /// lands here with a typed reason, tracer attached or not.
     drops: DropCounters,
-    probe: Option<ProbeHandle>,
     trace: Option<Rc<RefCell<FrameTrace>>>,
-    /// Fault plane consulted per transmitted frame: [`FaultSite::LinkDown`]
+    /// The attached observers; the medium consults two of them.
+    ///
+    /// `fault` is visited per transmitted frame: [`FaultSite::LinkDown`]
     /// (flap / partition windows), [`FaultSite::WireBurstLoss`] (an
     /// injection drops the frame and the following `burst_len - 1`
     /// frames — correlated loss, the case that defeats fast retransmit
@@ -129,13 +134,13 @@ pub struct Ethernet {
     /// [`FaultSite::WireLoss`] / [`FaultSite::WireDuplicate`] /
     /// [`FaultSite::WireReorder`]. With no plane attached (or an empty
     /// one) the medium is a perfect wire and consumes no randomness.
-    fault: Option<FaultPlaneHandle>,
+    ///
+    /// `trace` gives every transmitted frame a provenance id, a wire
+    /// span, and a terminal state; each station delivery becomes a
+    /// traced child packet.
+    obs: Observers,
     /// Frames still to drop from an in-progress loss burst.
     burst_remaining: u32,
-    /// Packet-lifecycle tracer: every transmitted frame gets a
-    /// provenance id, a wire span, and a terminal state; each station
-    /// delivery becomes a traced child packet.
-    tracer: Option<TraceHandle>,
 }
 
 /// Shared handle to an [`Ethernet`].
@@ -154,11 +159,9 @@ impl Ethernet {
             busy_until: SimTime::ZERO,
             stats: EtherStats::default(),
             drops: DropCounters::default(),
-            probe: None,
             trace: None,
-            fault: None,
+            obs: Observers::default(),
             burst_remaining: 0,
-            tracer: None,
         }))
     }
 
@@ -170,11 +173,6 @@ impl Ethernet {
     /// Attaches a station.
     pub fn attach(&mut self, station: Rc<RefCell<dyn Station>>) {
         self.stations.push(station);
-    }
-
-    /// Attaches a latency probe recording network transit time.
-    pub fn set_probe(&mut self, probe: Option<ProbeHandle>) {
-        self.probe = probe;
     }
 
     /// Attaches a frame trace.
@@ -197,23 +195,6 @@ impl Ethernet {
     /// Sets the extra delay applied to reordered and duplicated frames.
     pub fn set_reorder_delay(&mut self, delay: SimTime) {
         self.reorder_delay = delay;
-    }
-
-    /// Attaches (or detaches) a fault plane. Each transmitted frame
-    /// visits [`FaultSite::LinkDown`], the burst machinery
-    /// ([`FaultSite::WireBurstLoss`]), then [`FaultSite::WireLoss`],
-    /// [`FaultSite::WireDuplicate`] and [`FaultSite::WireReorder`]; an
-    /// unarmed plane never consumes randomness, so attaching one is
-    /// provably inert.
-    pub fn set_fault_plane(&mut self, fault: Option<FaultPlaneHandle>) {
-        self.fault = fault;
-    }
-
-    /// Attaches (or detaches) a packet-lifecycle tracer. Tracing never
-    /// charges virtual time and never consumes randomness, so attaching
-    /// one does not perturb the medium.
-    pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.tracer = tracer;
     }
 
     /// Test hook: drop the next `n` frames unconditionally (a scripted
@@ -292,13 +273,10 @@ impl Ethernet {
         let duration = seg.timing.frame_time(frame.len());
         seg.busy_until = start + duration;
         let arrival = start + duration + seg.propagation;
-        if let Some(p) = &seg.probe {
-            p.borrow_mut()
-                .record(Layer::NetworkTransit, duration + seg.propagation);
-        }
+        seg.stats.wire_ns += (duration + seg.propagation).as_nanos();
         // Provenance: the wire frame gets its own trace id and a wire
         // span; every loss below is a typed terminal state.
-        let wire_tid = seg.tracer.as_ref().map(|t| {
+        let wire_tid = seg.obs.trace.as_ref().map(|t| {
             let mut tr = t.borrow_mut();
             let id = tr.begin_packet(start, None);
             tr.span_closed(id, Stage::Wire, start, arrival);
@@ -308,7 +286,7 @@ impl Ethernet {
         let drop_frame = |seg: &mut Ethernet, reason: DropReason, event: &'static str| {
             seg.stats.dropped += 1;
             seg.drops.note(reason);
-            if let (Some(t), Some(id)) = (&seg.tracer, wire_tid) {
+            if let (Some(t), Some(id)) = (&seg.obs.trace, wire_tid) {
                 let mut tr = t.borrow_mut();
                 tr.event(id, arrival, event);
                 tr.terminal(id, arrival, Terminal::Dropped(reason));
@@ -317,7 +295,7 @@ impl Ethernet {
 
         // Link down: a scripted visit range at this site models a flap
         // or one side of a partition — every frame in the window dies.
-        let link_down = match &seg.fault {
+        let link_down = match &seg.obs.fault {
             Some(f) => f.borrow_mut().should_inject(FaultSite::LinkDown),
             None => false,
         };
@@ -336,12 +314,13 @@ impl Ethernet {
             drop_frame(&mut seg, DropReason::FaultInjected, "fault:wire-burst");
             return arrival;
         }
-        let plane_hit = match &seg.fault {
+        let plane_hit = match &seg.obs.fault {
             Some(f) => f.borrow_mut().should_inject(FaultSite::WireBurstLoss),
             None => false,
         };
         if plane_hit {
             let burst = seg
+                .obs
                 .fault
                 .as_ref()
                 .map(|f| f.borrow().burst_len())
@@ -353,7 +332,7 @@ impl Ethernet {
 
         // Independent per-frame fault sites (the retired `FaultModel`'s
         // loss/duplicate/reorder, now first-class deterministic sites).
-        let (lost, duplicated, reordered) = match &seg.fault {
+        let (lost, duplicated, reordered) = match &seg.obs.fault {
             Some(f) => {
                 let mut f = f.borrow_mut();
                 let lost = f.should_inject(FaultSite::WireLoss);
@@ -375,7 +354,7 @@ impl Ethernet {
         if reordered {
             seg.stats.reordered += 1;
         }
-        if let (Some(t), Some(id)) = (&seg.tracer, wire_tid) {
+        if let (Some(t), Some(id)) = (&seg.obs.trace, wire_tid) {
             let mut tr = t.borrow_mut();
             if duplicated {
                 tr.event(id, arrival, "duplicate");
@@ -407,7 +386,7 @@ impl Ethernet {
     ) {
         let seg = this.clone();
         sim.at(at, move |sim| {
-            let tracer = seg.borrow().tracer.clone();
+            let tracer = seg.borrow().obs.trace.clone();
             let hdr = match EthernetHeader::parse(&frame) {
                 Ok(h) => h,
                 Err(_) => {
@@ -475,6 +454,23 @@ impl Ethernet {
                 }
             }
         });
+    }
+}
+
+/// The medium consults the fault plane (each transmitted frame visits
+/// [`FaultSite::LinkDown`], the burst machinery
+/// ([`FaultSite::WireBurstLoss`]), then [`FaultSite::WireLoss`],
+/// [`FaultSite::WireDuplicate`] and [`FaultSite::WireReorder`]) and the
+/// packet-lifecycle tracer. Neither charges virtual time, and an
+/// unarmed plane never consumes randomness, so attaching either is
+/// provably inert.
+impl Observable for Ethernet {
+    fn observers(&self) -> &Observers {
+        &self.obs
+    }
+
+    fn set_observers(&mut self, obs: Observers) {
+        self.obs = obs;
     }
 }
 
@@ -653,7 +649,10 @@ mod tests {
             let seg = Ethernet::new(EtherTiming::ten_megabit());
             let plane = wire_plane(seed);
             plane.borrow_mut().arm(FaultSite::WireLoss, 0.5);
-            seg.borrow_mut().set_fault_plane(Some(plane));
+            seg.borrow_mut().set_observers(Observers {
+                fault: Some(plane),
+                ..Observers::default()
+            });
             let b = TestStation::new(2);
             seg.borrow_mut().attach(b.clone());
             for _ in 0..100 {
@@ -682,7 +681,10 @@ mod tests {
         let seg = Ethernet::new(EtherTiming::ten_megabit());
         let plane = psd_sim::FaultPlane::shared();
         plane.borrow_mut().script(FaultSite::WireDuplicate, &[0]);
-        seg.borrow_mut().set_fault_plane(Some(plane));
+        seg.borrow_mut().set_observers(Observers {
+            fault: Some(plane),
+            ..Observers::default()
+        });
         seg.borrow_mut().set_reorder_delay(SimTime::from_micros(10));
         let b = TestStation::new(2);
         seg.borrow_mut().attach(b.clone());
@@ -703,7 +705,10 @@ mod tests {
         let seg = Ethernet::new(EtherTiming::ten_megabit());
         let plane = psd_sim::FaultPlane::shared();
         plane.borrow_mut().script(FaultSite::WireReorder, &[0]);
-        seg.borrow_mut().set_fault_plane(Some(plane));
+        seg.borrow_mut().set_observers(Observers {
+            fault: Some(plane),
+            ..Observers::default()
+        });
         seg.borrow_mut().set_reorder_delay(SimTime::from_millis(5));
         let b = TestStation::new(2);
         seg.borrow_mut().attach(b.clone());
@@ -728,7 +733,10 @@ mod tests {
         let plane = psd_sim::FaultPlane::shared();
         // Frames 1..3 hit a down link; frame 0 and frames ≥ 3 pass.
         plane.borrow_mut().script_range(FaultSite::LinkDown, 1, 3);
-        seg.borrow_mut().set_fault_plane(Some(plane));
+        seg.borrow_mut().set_observers(Observers {
+            fault: Some(plane),
+            ..Observers::default()
+        });
         let b = TestStation::new(2);
         seg.borrow_mut().attach(b.clone());
         for _ in 0..5 {
@@ -766,6 +774,42 @@ mod tests {
         assert_eq!(t2, SimTime::from_nanos(10_102_400));
         sim.run_to_idle();
         assert_eq!(b.borrow().received.len(), 2);
+    }
+
+    #[test]
+    fn wire_ns_counts_every_transmitted_frame_dropped_or_not() {
+        let mut sim = Sim::new(1);
+        let seg = Ethernet::new(EtherTiming::ten_megabit());
+        seg.borrow_mut().set_propagation(SimTime::from_micros(7));
+        let plane = psd_sim::FaultPlane::shared();
+        plane.borrow_mut().script(FaultSite::WireLoss, &[1]);
+        seg.borrow_mut().set_observers(Observers {
+            fault: Some(plane),
+            ..Observers::default()
+        });
+        let b = TestStation::new(2);
+        seg.borrow_mut().attach(b.clone());
+        let timing = seg.borrow().timing();
+        let mut expected = 0;
+        for payload in [10, 1000, 1500] {
+            let before = seg.borrow().stats().wire_ns;
+            let f = frame(1, EtherAddr::local(2), payload);
+            let per_frame = timing.frame_time(f.len()) + SimTime::from_micros(7);
+            let now = sim.now();
+            Ethernet::transmit(&seg, &mut sim, now, f);
+            sim.run_to_idle();
+            assert_eq!(
+                seg.borrow().stats().wire_ns - before,
+                per_frame.as_nanos(),
+                "one frame of {payload} payload bytes"
+            );
+            expected += per_frame.as_nanos();
+        }
+        // The second frame was lost on the wire and still occupied it.
+        let stats = seg.borrow().stats();
+        assert_eq!(stats.dropped, 1);
+        assert_eq!(b.borrow().received.len(), 2);
+        assert_eq!(stats.wire_ns, expected);
     }
 
     #[test]

@@ -29,7 +29,8 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use psd_sim::{
-    DropCounters, DropReason, FaultPlaneHandle, FaultSite, Rng, Sim, SimTime, Terminal, TraceHandle,
+    DropCounters, DropReason, FaultSite, Observable, Observers, Rng, Sim, SimTime, Terminal,
+    TraceHandle,
 };
 use psd_wire::{
     ArpOp, ArpPacket, EtherAddr, EtherType, EthernetHeader, IcmpMessage, IcmpType, IpProto,
@@ -217,8 +218,7 @@ pub struct Switch {
     /// Learned station location: MAC → port index.
     table: BTreeMap<[u8; 6], usize>,
     rng: Rng,
-    fault: Option<FaultPlaneHandle>,
-    tracer: Option<TraceHandle>,
+    obs: Observers,
     stats: SwitchStats,
     drops: DropCounters,
 }
@@ -235,8 +235,7 @@ impl Switch {
             ports: Vec::new(),
             table: BTreeMap::new(),
             rng: sim.rng().fork(),
-            fault: None,
-            tracer: None,
+            obs: Observers::default(),
             stats: SwitchStats::default(),
             drops: DropCounters::default(),
         }))
@@ -266,17 +265,6 @@ impl Switch {
         })));
     }
 
-    /// Attaches (or detaches) the fault plane ([`FaultSite::LinkQueueFull`]
-    /// is consulted per egress enqueue).
-    pub fn set_fault_plane(&mut self, fault: Option<FaultPlaneHandle>) {
-        self.fault = fault;
-    }
-
-    /// Attaches (or detaches) a packet-lifecycle tracer.
-    pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.tracer = tracer;
-    }
-
     /// Current counters.
     pub fn stats(&self) -> SwitchStats {
         self.stats
@@ -302,7 +290,7 @@ impl Switch {
     /// Sends one admitted-or-dropped frame out `port`, returning the
     /// drop reason if the queue refused it.
     fn egress(&mut self, sim: &mut Sim, port: usize, frame: Vec<u8>) -> Option<DropReason> {
-        let forced = match &self.fault {
+        let forced = match &self.obs.fault {
             Some(f) => f.borrow_mut().should_inject(FaultSite::LinkQueueFull),
             None => false,
         };
@@ -325,12 +313,24 @@ impl Switch {
     }
 }
 
+/// A switch consults the fault plane ([`FaultSite::LinkQueueFull`] per
+/// egress enqueue) and the packet-lifecycle tracer.
+impl Observable for Switch {
+    fn observers(&self) -> &Observers {
+        &self.obs
+    }
+
+    fn set_observers(&mut self, obs: Observers) {
+        self.obs = obs;
+    }
+}
+
 impl NetNode for Switch {
     fn frame_from_wire(dev: &Rc<RefCell<Switch>>, sim: &mut Sim, port: usize, frame: Vec<u8>) {
         let mut sw = dev.borrow_mut();
         sw.stats.rx_frames += 1;
         let now = sim.now();
-        let tracer = sw.tracer.clone();
+        let tracer = sw.obs.trace.clone();
         let hdr = match EthernetHeader::parse(&frame) {
             Ok(h) => h,
             Err(_) => {
@@ -445,8 +445,7 @@ pub struct Router {
     /// Last ARP request time per next hop (rate limiting).
     last_arp_req: BTreeMap<Ipv4Addr, SimTime>,
     rng: Rng,
-    fault: Option<FaultPlaneHandle>,
-    tracer: Option<TraceHandle>,
+    obs: Observers,
     stats: RouterStats,
     drops: DropCounters,
 }
@@ -465,8 +464,7 @@ impl Router {
             pending: BTreeMap::new(),
             last_arp_req: BTreeMap::new(),
             rng: sim.rng().fork(),
-            fault: None,
-            tracer: None,
+            obs: Observers::default(),
             stats: RouterStats::default(),
             drops: DropCounters::default(),
         }))
@@ -509,18 +507,6 @@ impl Router {
         self.routes.push(route);
     }
 
-    /// Attaches (or detaches) the fault plane
-    /// ([`FaultSite::LinkQueueFull`] per egress enqueue,
-    /// [`FaultSite::RouteFlip`] per packet with an alternate route).
-    pub fn set_fault_plane(&mut self, fault: Option<FaultPlaneHandle>) {
-        self.fault = fault;
-    }
-
-    /// Attaches (or detaches) a packet-lifecycle tracer.
-    pub fn set_tracer(&mut self, tracer: Option<TraceHandle>) {
-        self.tracer = tracer;
-    }
-
     /// Current counters.
     pub fn stats(&self) -> RouterStats {
         self.stats
@@ -552,7 +538,7 @@ impl Router {
     }
 
     fn egress(&mut self, sim: &mut Sim, port: usize, frame: Vec<u8>) -> Option<DropReason> {
-        let forced = match &self.fault {
+        let forced = match &self.obs.fault {
             Some(f) => f.borrow_mut().should_inject(FaultSite::LinkQueueFull),
             None => false,
         };
@@ -638,7 +624,7 @@ impl Router {
     fn ip_input(dev: &Rc<RefCell<Router>>, sim: &mut Sim, port: usize, frame: &[u8]) {
         let mut r = dev.borrow_mut();
         let now = sim.now();
-        let tracer = r.tracer.clone();
+        let tracer = r.obs.trace.clone();
         let ip_bytes = &frame[ETHER_HDR_LEN..];
         let ip = match Ipv4Header::parse(ip_bytes) {
             Ok(h) if h.header_len == IPV4_HDR_LEN => h,
@@ -687,7 +673,7 @@ impl Router {
         // site, so topologies without alternates never visit it.
         let (out_port, next_hop) = match route.alt {
             Some((alt_port, alt_hop)) => {
-                let flip = match &r.fault {
+                let flip = match &r.obs.fault {
                     Some(f) => f.borrow_mut().should_inject(FaultSite::RouteFlip),
                     None => false,
                 };
@@ -722,7 +708,7 @@ impl Router {
     fn arp_input(dev: &Rc<RefCell<Router>>, sim: &mut Sim, port: usize, frame: &[u8]) {
         let mut r = dev.borrow_mut();
         let now = sim.now();
-        let tracer = r.tracer.clone();
+        let tracer = r.obs.trace.clone();
         let Ok(arp) = ArpPacket::parse(&frame[ETHER_HDR_LEN..]) else {
             r.drops.note(DropReason::MalformedFrame);
             terminate_current(&tracer, now, Terminal::Dropped(DropReason::MalformedFrame));
@@ -751,6 +737,19 @@ impl Router {
     }
 }
 
+/// A router consults the fault plane ([`FaultSite::LinkQueueFull`] per
+/// egress enqueue, [`FaultSite::RouteFlip`] per packet with an
+/// alternate route) and the packet-lifecycle tracer.
+impl Observable for Router {
+    fn observers(&self) -> &Observers {
+        &self.obs
+    }
+
+    fn set_observers(&mut self, obs: Observers) {
+        self.obs = obs;
+    }
+}
+
 impl NetNode for Router {
     fn frame_from_wire(dev: &Rc<RefCell<Router>>, sim: &mut Sim, port: usize, frame: Vec<u8>) {
         {
@@ -761,7 +760,7 @@ impl NetNode for Router {
             Ok(h) => h,
             Err(_) => {
                 let mut r = dev.borrow_mut();
-                let tracer = r.tracer.clone();
+                let tracer = r.obs.trace.clone();
                 r.drops.note(DropReason::MalformedFrame);
                 terminate_current(
                     &tracer,
@@ -776,7 +775,7 @@ impl NetNode for Router {
             EtherType::Arp => Router::arp_input(dev, sim, port, &frame),
             EtherType::Other(_) => {
                 let mut r = dev.borrow_mut();
-                let tracer = r.tracer.clone();
+                let tracer = r.obs.trace.clone();
                 r.drops.note(DropReason::UnsupportedEtherType);
                 terminate_current(
                     &tracer,
@@ -1148,7 +1147,10 @@ mod tests {
         // Visit 1: the warm-up packet resolved ARP, so the data packet
         // is the second egress enqueue (visit numbering starts at 0 for
         // the ARP request itself).
-        r.borrow_mut().set_fault_plane(Some(plane.clone()));
+        r.borrow_mut().set_observers(Observers {
+            fault: Some(plane.clone()),
+            ..Observers::default()
+        });
         let rmac = EtherAddr::local(20);
         a.borrow()
             .send_ip(&mut sim, rmac, ipa(10, 0, 2, 1), 64, b"w");

@@ -13,8 +13,8 @@ use std::rc::{Rc, Weak};
 
 use psd_mbuf::MbufChain;
 use psd_sim::{
-    Charge, CostModel, Cpu, DropCounters, DropReason, Layer, OpKind, Sim, SimHandle, SimTime,
-    Stage, TraceId,
+    Charge, CostModel, Cpu, DropCounters, DropReason, Layer, Observable, OpKind, Sim, SimHandle,
+    SimTime, Stage, TraceId,
 };
 use psd_wire::{
     ArpOp, ArpPacket, EtherAddr, EtherType, EthernetHeader, IcmpMessage, IpProto, Ipv4Header,
@@ -963,7 +963,7 @@ impl NetStack {
         }
         let (from, chain) = pcb.dequeue().ok_or(SocketError::WouldBlock)?;
         if let Some((tid, enq_t)) = e.trace_q.pop_front() {
-            if let Some(tr) = charge.trace_handle() {
+            if let Some(tr) = &charge.observers().trace {
                 let now = charge.at();
                 let mut tr = tr.borrow_mut();
                 tr.span_closed(tid, Stage::SocketQueue, enq_t, now);
@@ -1003,7 +1003,7 @@ impl NetStack {
         }
         let (from, chain) = pcb.dequeue().ok_or(SocketError::WouldBlock)?;
         if let Some((tid, enq_t)) = e.trace_q.pop_front() {
-            if let Some(tr) = charge.trace_handle() {
+            if let Some(tr) = &charge.observers().trace {
                 let now = charge.at();
                 let mut tr = tr.borrow_mut();
                 tr.span_closed(tid, Stage::SocketQueue, enq_t, now);
@@ -1175,7 +1175,7 @@ impl NetStack {
 
     /// Counts a capsule export/import on this domain's census.
     fn note_migration(&self) {
-        if let Some(c) = self.cpu.borrow().census() {
+        if let Some(c) = &self.cpu.borrow().observers().census {
             c.borrow_mut().note(
                 OpKind::SessionMigration,
                 self.placement.domain(),
@@ -1553,7 +1553,7 @@ impl NetStack {
         };
         let was_empty = pcb.rcv.is_empty();
         if pcb.enqueue(src, MbufChain::from_slice(data)) {
-            if let Some(tr) = charge.trace_handle() {
+            if let Some(tr) = &charge.observers().trace {
                 if let Some(tid) = tr.borrow().current() {
                     e.trace_q.push_back((tid, charge.at()));
                 }

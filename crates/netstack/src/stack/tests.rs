@@ -3,7 +3,7 @@
 //! and TCP all run for real over it.
 
 use super::*;
-use psd_sim::LatencyProbe;
+use psd_sim::{Observers, Profiler};
 
 const HOST_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const HOST_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -634,17 +634,15 @@ fn library_placement_uses_arp_resolver_upcall() {
 }
 
 #[test]
-fn probe_attributes_layers_on_both_paths() {
+fn profiler_attributes_layers_on_both_paths() {
     let mut r = Rig::new(Placement::Server);
-    let probe = LatencyProbe::shared();
-    r.a.borrow()
-        .cpu()
-        .borrow_mut()
-        .set_probe(Some(probe.clone()));
-    r.b.borrow()
-        .cpu()
-        .borrow_mut()
-        .set_probe(Some(probe.clone()));
+    let prof = Profiler::shared();
+    for stack in [&r.a, &r.b] {
+        stack.borrow().cpu().borrow_mut().set_observers(Observers {
+            profile: Some(prof.clone()),
+            ..Observers::default()
+        });
+    }
     let a = r.a.clone();
     let b = r.b.clone();
     let sa = a.borrow_mut().socket_udp();
@@ -663,7 +661,7 @@ fn probe_attributes_layers_on_both_paths() {
         let mut buf = [0u8; 128];
         s.udp_recv(sim, ch, sb, &mut buf).map(|x| x.0).unwrap_or(0)
     });
-    let p = probe.borrow();
+    let p = prof.borrow();
     for layer in [
         Layer::EntryCopyin,
         Layer::TcpUdpOutput,
@@ -674,10 +672,7 @@ fn probe_attributes_layers_on_both_paths() {
         Layer::WakeupUserThread,
         Layer::CopyoutExit,
     ] {
-        assert!(
-            p.layer(layer).total > SimTime::ZERO,
-            "layer {layer} unattributed"
-        );
+        assert!(p.layer_ns(layer) > 0, "layer {layer} unattributed");
     }
 }
 

@@ -11,16 +11,19 @@
 //! independent of the cost model.
 //!
 //! Census counters never charge virtual time: attaching a census to a
-//! [`Cpu`](crate::cpu::Cpu) must not perturb any simulated timing, so the
-//! numeric output of the table harnesses is byte-identical with and
-//! without `--census`.
+//! [`Cpu`](crate::cpu::Cpu) — as the `census` plane of its
+//! [`Observers`](crate::cpu::Observers) — must not perturb any simulated
+//! timing, so the numeric output of the table harnesses is
+//! byte-identical with and without `--census`. Boundary crossings are
+//! counted per layer here (`layer_total(OpKind::BoundaryCrossing, _)`),
+//! which is where Table 4's asterisks come from.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::rc::Rc;
 
-use crate::probe::Layer;
+use crate::layer::Layer;
 use crate::trace::DropReason;
 
 /// The kinds of operations the census distinguishes.
@@ -149,21 +152,19 @@ impl Domain {
 /// optional per-scope counters (e.g. filter runs per endpoint).
 #[derive(Debug)]
 pub struct Census {
-    enabled: bool,
     counts: [[[u64; Domain::COUNT]; Layer::COUNT]; OpKind::COUNT],
     drops: [[u64; Domain::COUNT]; DropReason::COUNT],
     scoped: BTreeMap<(u8, u64), u64>,
 }
 
 /// Shared handle to a census, stored by every component that counts
-/// operations (mirrors [`ProbeHandle`](crate::probe::ProbeHandle)).
+/// operations.
 pub type CensusHandle = Rc<RefCell<Census>>;
 
 impl Census {
-    /// Creates an enabled census with all counters at zero.
+    /// Creates a census with all counters at zero.
     pub fn new() -> Census {
         Census {
-            enabled: true,
             counts: [[[0; Domain::COUNT]; Layer::COUNT]; OpKind::COUNT],
             drops: [[0; Domain::COUNT]; DropReason::COUNT],
             scoped: BTreeMap::new(),
@@ -175,16 +176,6 @@ impl Census {
         Rc::new(RefCell::new(Census::new()))
     }
 
-    /// Enables or disables counting (e.g. to skip warm-up traffic).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// True if the census is counting.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Counts one occurrence of `op` in `domain` within `layer`.
     pub fn note(&mut self, op: OpKind, domain: Domain, layer: Layer) {
         self.note_n(op, domain, layer, 1);
@@ -192,9 +183,7 @@ impl Census {
 
     /// Counts `n` occurrences of `op` in `domain` within `layer`.
     pub fn note_n(&mut self, op: OpKind, domain: Domain, layer: Layer, n: u64) {
-        if self.enabled {
-            self.counts[op.index()][layer.index()][domain.index()] += n;
-        }
+        self.counts[op.index()][layer.index()][domain.index()] += n;
     }
 
     /// Counts `n` occurrences of `op` against an opaque scope id (e.g. an
@@ -202,9 +191,7 @@ impl Census {
     /// are additional to — not part of — the `(kind, layer, domain)`
     /// counters.
     pub fn note_scoped(&mut self, op: OpKind, scope: u64, n: u64) {
-        if self.enabled {
-            *self.scoped.entry((op.index() as u8, scope)).or_insert(0) += n;
-        }
+        *self.scoped.entry((op.index() as u8, scope)).or_insert(0) += n;
     }
 
     /// Counts one packet dropped for `reason` in `domain`. Drops are a
@@ -213,9 +200,7 @@ impl Census {
     /// per-component [`DropCounters`](crate::trace::DropCounters) carry
     /// the same taxonomy when no census is attached.
     pub fn note_drop(&mut self, reason: DropReason, domain: Domain) {
-        if self.enabled {
-            self.drops[reason.index()][domain.index()] += 1;
-        }
+        self.drops[reason.index()][domain.index()] += 1;
     }
 
     /// The drop count for one `(reason, domain)` cell.
@@ -413,16 +398,6 @@ mod tests {
     }
 
     #[test]
-    fn disabled_census_counts_nothing() {
-        let mut c = Census::new();
-        c.set_enabled(false);
-        c.note(OpKind::Wakeup, Domain::Kernel, Layer::WakeupUserThread);
-        c.note_scoped(OpKind::FilterRun, 7, 3);
-        assert_eq!(c.total(OpKind::Wakeup), 0);
-        assert_eq!(c.scoped(OpKind::FilterRun, 7), 0);
-    }
-
-    #[test]
     fn scoped_counts_are_independent() {
         let mut c = Census::new();
         c.note_scoped(OpKind::FilterRun, 1, 2);
@@ -477,10 +452,6 @@ mod tests {
         let snap = c.snapshot();
         assert!(snap.contains("filter-miss"));
         assert!(snap.contains("port-unreachable"));
-        // Disabled census ignores drops like everything else.
-        c.set_enabled(false);
-        c.note_drop(DropReason::WireLoss, Domain::Kernel);
-        assert_eq!(c.drop_total(DropReason::WireLoss), 0);
     }
 
     #[test]

@@ -13,50 +13,59 @@
 //! effect that separates the server-based configuration from the others
 //! in Table 2.
 //!
-//! Five observability planes can attach to a CPU — latency probe,
-//! operation census, fault plane, packet tracer, and charged-time
-//! profiler. All are charged-time-neutral. Their dispatch is flattened
-//! into a single packed bitmask recomputed at attach time and copied
-//! into each [`Charge`]: the hot methods test one byte and fall through
-//! in the (default) all-detached case, instead of walking a chain of
+//! Four observability planes can attach to a CPU — operation census,
+//! fault plane, packet tracer, and charged-time profiler — as one
+//! [`Observers`] value through one call, [`Observable::set_observers`].
+//! All are charged-time-neutral. Their dispatch is flattened into a
+//! single packed bitmask recomputed in that setter and copied into
+//! each [`Charge`]: the hot methods test one byte and fall through in
+//! the (default) all-detached case, instead of walking a chain of
 //! `Option` checks.
 
 use crate::census::{CensusHandle, Domain, OpKind};
 use crate::fault::{FaultPlaneHandle, FaultSite};
-use crate::probe::{Layer, ProbeHandle};
+use crate::layer::Layer;
 use crate::profile::{ProfEntry, ProfileHandle, NO_PACKET, ROOT_SITE};
 use crate::time::SimTime;
-use crate::trace::{DropReason, Stage, Terminal, TraceHandle};
+use crate::trace::{DropReason, Stage, Terminal, TraceHandle, TraceId, Tracer};
 
-// The packed dispatch mask: one bit per attachable plane. `Cpu`
-// recomputes it on every attach/detach; `begin` copies it into the
+// The packed dispatch mask: one bit per attachable plane.
+// `Cpu`'s `set_observers` recomputes it; `begin` copies it into the
 // `Charge` so the hot methods test a single register.
-const M_PROBE: u8 = 1 << 0;
-const M_CENSUS: u8 = 1 << 1;
-const M_FAULT: u8 = 1 << 2;
-const M_TRACE: u8 = 1 << 3;
-const M_PROFILE: u8 = 1 << 4;
+const M_CENSUS: u8 = 1 << 0;
+const M_FAULT: u8 = 1 << 1;
+const M_TRACE: u8 = 1 << 2;
+const M_PROFILE: u8 = 1 << 3;
 
-/// A serializing processor resource.
-#[derive(Debug, Default)]
-pub struct Cpu {
-    busy_until: SimTime,
-    total_busy: SimTime,
-    probe: Option<ProbeHandle>,
-    census: Option<CensusHandle>,
-    fault: Option<FaultPlaneHandle>,
-    trace: Option<TraceHandle>,
-    profile: Option<ProfileHandle>,
-    mask: u8,
+/// The attachable observability planes, as one value: what every
+/// [`Observable`] takes. `None` detaches a plane; the default observes
+/// nothing.
+///
+/// The contract every plane keeps: observing never charges virtual
+/// time, never consumes randomness (an attached-but-empty fault plane
+/// included) and never schedules an event, so a run with any subset
+/// attached is byte-identical to a plain one; with nothing attached the
+/// hooks cost one mask test. Wire elements consult only `fault` and
+/// `trace` and ignore the rest.
+#[derive(Clone, Debug, Default)]
+pub struct Observers {
+    /// Operation census: counted operations and typed drops report to
+    /// it.
+    pub census: Option<CensusHandle>,
+    /// Fault plane: fault sites consult it.
+    pub fault: Option<FaultPlaneHandle>,
+    /// Packet-lifecycle tracer: spans, events and terminal states
+    /// report to it.
+    pub trace: Option<TraceHandle>,
+    /// Charged-time profiler: every nanosecond charged is attributed to
+    /// it at `finish` time. For the exact-conservation guarantee
+    /// (`attributed_ns == total_busy`) attach before the CPU's first
+    /// charge.
+    pub profile: Option<ProfileHandle>,
 }
 
-impl Cpu {
-    /// Creates an idle CPU.
-    pub fn new() -> Cpu {
-        Cpu::default()
-    }
-
-    fn recompute_mask(&mut self) {
+impl Observers {
+    fn mask(&self) -> u8 {
         fn bit(attached: bool, mask: u8) -> u8 {
             if attached {
                 mask
@@ -64,83 +73,40 @@ impl Cpu {
                 0
             }
         }
-        self.mask = bit(self.probe.is_some(), M_PROBE)
-            | bit(self.census.is_some(), M_CENSUS)
+        bit(self.census.is_some(), M_CENSUS)
             | bit(self.fault.is_some(), M_FAULT)
             | bit(self.trace.is_some(), M_TRACE)
-            | bit(self.profile.is_some(), M_PROFILE);
+            | bit(self.profile.is_some(), M_PROFILE)
     }
+}
 
-    /// Attaches (or detaches) a latency probe; charges are attributed to
-    /// it by layer.
-    pub fn set_probe(&mut self, probe: Option<ProbeHandle>) {
-        self.probe = probe;
-        self.recompute_mask();
-    }
+/// Something an [`Observers`] set attaches to: a [`Cpu`], and the wire
+/// elements (`Ethernet`, `Switch`, `Router`). One trait so that every
+/// element is attached the same way, and a testbed can visit them all
+/// with one function.
+pub trait Observable {
+    /// The attached observer set.
+    fn observers(&self) -> &Observers;
 
-    /// Returns the attached probe, if any.
-    pub fn probe(&self) -> Option<&ProbeHandle> {
-        self.probe.as_ref()
-    }
+    /// Replaces the attached observer set: the element reports to
+    /// exactly these planes from now on. To add one plane and keep the
+    /// rest, start from a clone of [`Observable::observers`].
+    fn set_observers(&mut self, obs: Observers);
+}
 
-    /// Attaches (or detaches) an operation census; counted operations on
-    /// every charge opened on this CPU report to it. Counting never
-    /// charges virtual time, so attaching a census does not perturb the
-    /// simulation.
-    pub fn set_census(&mut self, census: Option<CensusHandle>) {
-        self.census = census;
-        self.recompute_mask();
-    }
+/// A serializing processor resource.
+#[derive(Debug, Default)]
+pub struct Cpu {
+    busy_until: SimTime,
+    total_busy: SimTime,
+    obs: Observers,
+    mask: u8,
+}
 
-    /// Returns the attached census, if any.
-    pub fn census(&self) -> Option<&CensusHandle> {
-        self.census.as_ref()
-    }
-
-    /// Attaches (or detaches) a fault plane; fault sites on every charge
-    /// opened on this CPU consult it. Like the census, consulting the
-    /// plane never charges virtual time, and an empty plane never
-    /// consumes randomness, so attaching one does not perturb the
-    /// simulation.
-    pub fn set_fault_plane(&mut self, fault: Option<FaultPlaneHandle>) {
-        self.fault = fault;
-        self.recompute_mask();
-    }
-
-    /// Returns the attached fault plane, if any.
-    pub fn fault_plane(&self) -> Option<&FaultPlaneHandle> {
-        self.fault.as_ref()
-    }
-
-    /// Attaches (or detaches) a packet-lifecycle tracer; spans, events
-    /// and terminal states on every charge opened on this CPU report to
-    /// it. Like the census, tracing never charges virtual time and
-    /// never consumes randomness, so attaching a tracer does not
-    /// perturb the simulation.
-    pub fn set_tracer(&mut self, trace: Option<TraceHandle>) {
-        self.trace = trace;
-        self.recompute_mask();
-    }
-
-    /// Returns the attached tracer, if any.
-    pub fn tracer(&self) -> Option<&TraceHandle> {
-        self.trace.as_ref()
-    }
-
-    /// Attaches (or detaches) a charged-time profiler; every nanosecond
-    /// charged through charges opened on this CPU is attributed to it at
-    /// `finish` time. Profiling never charges virtual time and never
-    /// consumes randomness. For the exact-conservation guarantee
-    /// (`attributed_ns == total_busy`) attach before the CPU's first
-    /// charge.
-    pub fn set_profiler(&mut self, profile: Option<ProfileHandle>) {
-        self.profile = profile;
-        self.recompute_mask();
-    }
-
-    /// Returns the attached profiler, if any.
-    pub fn profiler(&self) -> Option<&ProfileHandle> {
-        self.profile.as_ref()
+impl Cpu {
+    /// Creates an idle CPU.
+    pub fn new() -> Cpu {
+        Cpu::default()
     }
 
     /// The instant the CPU becomes free.
@@ -160,11 +126,7 @@ impl Cpu {
             start: now.max(self.busy_until),
             cursor: now.max(self.busy_until),
             mask: self.mask,
-            probe: self.probe.clone(),
-            census: self.census.clone(),
-            fault: self.fault.clone(),
-            trace: self.trace.clone(),
-            profile: self.profile.clone(),
+            obs: self.obs.clone(),
             site: ROOT_SITE,
             prof_buf: Vec::new(),
         }
@@ -180,13 +142,24 @@ impl Cpu {
     /// costs, and abandoned (never-finished) charges reach neither
     /// accumulator.
     pub fn finish(&mut self, charge: Charge) -> SimTime {
-        debug_assert!(charge.cursor >= self.busy_until || charge.cursor >= charge.start);
         self.total_busy += charge.elapsed();
         self.busy_until = self.busy_until.max(charge.cursor);
-        if let Some(p) = &charge.profile {
+        if let Some(p) = &charge.obs.profile {
             p.borrow_mut().flush(&charge.prof_buf);
         }
         charge.cursor
+    }
+}
+
+impl Observable for Cpu {
+    fn observers(&self) -> &Observers {
+        &self.obs
+    }
+
+    /// Every charge opened on this CPU from now on reports to `obs`.
+    fn set_observers(&mut self, obs: Observers) {
+        self.mask = obs.mask();
+        self.obs = obs;
     }
 }
 
@@ -199,11 +172,7 @@ pub struct Charge {
     start: SimTime,
     cursor: SimTime,
     mask: u8,
-    probe: Option<ProbeHandle>,
-    census: Option<CensusHandle>,
-    fault: Option<FaultPlaneHandle>,
-    trace: Option<TraceHandle>,
-    profile: Option<ProfileHandle>,
+    obs: Observers,
     /// Current site-trie node for hierarchical attribution.
     site: u32,
     /// Buffered attribution entries, flushed by [`Cpu::finish`].
@@ -211,21 +180,11 @@ pub struct Charge {
 }
 
 impl Charge {
-    /// Creates a detached cursor (not bound to a CPU) starting at `now`.
-    /// Used for wire-time accounting.
-    pub fn detached(now: SimTime, probe: Option<ProbeHandle>) -> Charge {
-        Charge {
-            start: now,
-            cursor: now,
-            mask: (probe.is_some() as u8) * M_PROBE,
-            probe,
-            census: None,
-            fault: None,
-            trace: None,
-            profile: None,
-            site: ROOT_SITE,
-            prof_buf: Vec::new(),
-        }
+    /// The observer set this cursor reports to, for handing a plane to
+    /// asynchronous continuations (delivery closures, deferred wakeups
+    /// take the tracer together with [`Tracer::current`]).
+    pub fn observers(&self) -> &Observers {
+        &self.obs
     }
 
     /// The instant this path started executing.
@@ -247,40 +206,35 @@ impl Charge {
     #[inline]
     pub fn add(&mut self, layer: Layer, cost: SimTime) {
         self.cursor += cost;
-        if self.mask & (M_PROBE | M_PROFILE) != 0 {
-            self.add_observed(layer, cost);
+        if self.mask & M_PROFILE != 0 {
+            self.add_profiled(layer, cost);
         }
     }
 
-    /// The observed-run half of [`Charge::add`], kept out of the
+    /// The profiled half of [`Charge::add`], kept out of the
     /// all-planes-detached fast path.
     #[cold]
-    fn add_observed(&mut self, layer: Layer, cost: SimTime) {
-        if let Some(p) = &self.probe {
-            p.borrow_mut().record(layer, cost);
-        }
-        if self.mask & M_PROFILE != 0 {
-            let tid = match &self.trace {
-                Some(t) => t.borrow().current().map(|id| id.0).unwrap_or(NO_PACKET),
-                None => NO_PACKET,
-            };
-            let layer = layer.index() as u8;
-            // Coalesce runs of adds at the same (site, layer, packet):
-            // typical paths charge the same bucket several times in a
-            // row, and one merged entry keeps the buffer tiny.
-            if let Some(last) = self.prof_buf.last_mut() {
-                if last.node == self.site && last.layer == layer && last.tid == tid {
-                    last.ns += cost.as_nanos();
-                    return;
-                }
+    fn add_profiled(&mut self, layer: Layer, cost: SimTime) {
+        let tid = match &self.obs.trace {
+            Some(t) => t.borrow().current().map(|id| id.0).unwrap_or(NO_PACKET),
+            None => NO_PACKET,
+        };
+        let layer = layer.index() as u8;
+        // Coalesce runs of adds at the same (site, layer, packet):
+        // typical paths charge the same bucket several times in a
+        // row, and one merged entry keeps the buffer tiny.
+        if let Some(last) = self.prof_buf.last_mut() {
+            if last.node == self.site && last.layer == layer && last.tid == tid {
+                last.ns += cost.as_nanos();
+                return;
             }
-            self.prof_buf.push(ProfEntry {
-                node: self.site,
-                layer,
-                ns: cost.as_nanos(),
-                tid,
-            });
         }
+        self.prof_buf.push(ProfEntry {
+            node: self.site,
+            layer,
+            ns: cost.as_nanos(),
+            tid,
+        });
     }
 
     /// Charges `cost` nanoseconds against `layer`.
@@ -293,23 +247,11 @@ impl Charge {
         self.add(layer, SimTime::from_nanos(ns_per_byte * len as u64));
     }
 
-    /// Records a protection-boundary crossing in `layer` and charges its
-    /// cost.
-    pub fn crossing(&mut self, layer: Layer, cost: SimTime) {
-        self.add(layer, cost);
-        if self.mask & M_PROBE != 0 {
-            if let Some(p) = &self.probe {
-                p.borrow_mut().record_crossing(layer);
-            }
-        }
-    }
-
-    /// Records a protection-boundary crossing in `layer`, charges its
-    /// cost, and counts it in the census under `domain` (the domain being
-    /// *entered*). Use in place of [`Charge::crossing`] at sites on the
-    /// operation census.
+    /// Charges the cost of a protection-boundary crossing to `layer`
+    /// and counts it in the census under `domain` (the domain being
+    /// *entered*).
     pub fn crossing_in(&mut self, domain: Domain, layer: Layer, cost: SimTime) {
-        self.crossing(layer, cost);
+        self.add(layer, cost);
         self.note(OpKind::BoundaryCrossing, domain, layer);
     }
 
@@ -322,7 +264,7 @@ impl Charge {
     #[inline]
     pub fn site_push(&mut self, domain: Domain, label: &'static str) {
         if self.mask & M_PROFILE != 0 {
-            let p = self.profile.as_ref().expect("mask implies profiler");
+            let p = self.obs.profile.as_ref().expect("mask implies profiler");
             self.site = p.borrow_mut().intern(self.site, domain, label);
         }
     }
@@ -331,15 +273,10 @@ impl Charge {
     #[inline]
     pub fn site_pop(&mut self) {
         if self.mask & M_PROFILE != 0 {
-            let p = self.profile.as_ref().expect("mask implies profiler");
+            let p = self.obs.profile.as_ref().expect("mask implies profiler");
             let parent = p.borrow().parent_of(self.site);
             self.site = parent;
         }
-    }
-
-    /// Returns the profiler this cursor attributes to.
-    pub fn profile_handle(&self) -> Option<ProfileHandle> {
-        self.profile.clone()
     }
 
     /// Counts one occurrence of `op` in the census and the tracer (if
@@ -364,10 +301,10 @@ impl Charge {
 
     #[cold]
     fn note_observed(&mut self, op: OpKind, domain: Domain, layer: Layer, n: u64) {
-        if let Some(c) = &self.census {
+        if let Some(c) = &self.obs.census {
             c.borrow_mut().note_n(op, domain, layer, n);
         }
-        if let Some(t) = &self.trace {
+        if let Some(t) = &self.obs.trace {
             t.borrow_mut().note_op_n(op, self.cursor, n);
         }
     }
@@ -377,21 +314,10 @@ impl Charge {
     #[inline]
     pub fn note_scoped(&mut self, op: OpKind, scope: u64, n: u64) {
         if self.mask & M_CENSUS != 0 {
-            if let Some(c) = &self.census {
+            if let Some(c) = &self.obs.census {
                 c.borrow_mut().note_scoped(op, scope, n);
             }
         }
-    }
-
-    /// Returns the probe this cursor reports to, for handing to detached
-    /// accounting (e.g. wire transit).
-    pub fn probe_handle(&self) -> Option<ProbeHandle> {
-        self.probe.clone()
-    }
-
-    /// Returns the census this cursor reports to.
-    pub fn census_handle(&self) -> Option<CensusHandle> {
-        self.census.clone()
     }
 
     /// Consults the fault plane at `site` (if one is attached): counts
@@ -403,15 +329,10 @@ impl Charge {
         if self.mask & M_FAULT == 0 {
             return false;
         }
-        match &self.fault {
+        match &self.obs.fault {
             Some(f) => f.borrow_mut().should_inject(site),
             None => false,
         }
-    }
-
-    /// Returns the fault plane this cursor consults.
-    pub fn fault_handle(&self) -> Option<FaultPlaneHandle> {
-        self.fault.clone()
     }
 
     // --- Packet-lifecycle tracing hooks ---
@@ -420,56 +341,38 @@ impl Charge {
     // no tracer is attached or no packet is current, so instrumented
     // paths cost nothing in a plain run.
 
-    /// Returns the tracer this cursor reports to, for handing to
-    /// asynchronous continuations (delivery closures, deferred wakeups)
-    /// together with [`Tracer::current`].
-    ///
-    /// [`Tracer::current`]: crate::trace::Tracer::current
-    pub fn trace_handle(&self) -> Option<TraceHandle> {
-        self.trace.clone()
+    /// Runs `f` on the tracer with the current packet and the cursor —
+    /// the one body every tracing hook below shares.
+    #[inline]
+    fn trace_current(&mut self, f: impl FnOnce(&mut Tracer, TraceId, SimTime)) {
+        if self.mask & M_TRACE == 0 {
+            return;
+        }
+        if let Some(t) = &self.obs.trace {
+            let mut t = t.borrow_mut();
+            if let Some(id) = t.current() {
+                f(&mut t, id, self.cursor);
+            }
+        }
     }
 
     /// Opens a `stage` span on the current packet at the cursor.
     #[inline]
     pub fn trace_span_start(&mut self, stage: Stage) {
-        if self.mask & M_TRACE == 0 {
-            return;
-        }
-        if let Some(t) = &self.trace {
-            let mut t = t.borrow_mut();
-            if let Some(id) = t.current() {
-                t.span_start(id, stage, self.cursor);
-            }
-        }
+        self.trace_current(|t, id, at| t.span_start(id, stage, at));
     }
 
     /// Closes the innermost open span (which must be `stage`) on the
     /// current packet at the cursor.
     #[inline]
     pub fn trace_span_end(&mut self, stage: Stage) {
-        if self.mask & M_TRACE == 0 {
-            return;
-        }
-        if let Some(t) = &self.trace {
-            let mut t = t.borrow_mut();
-            if let Some(id) = t.current() {
-                t.span_end(id, stage, self.cursor);
-            }
-        }
+        self.trace_current(|t, id, at| t.span_end(id, stage, at));
     }
 
     /// Records a named instant event on the current packet.
     #[inline]
     pub fn trace_event(&mut self, name: &'static str) {
-        if self.mask & M_TRACE == 0 {
-            return;
-        }
-        if let Some(t) = &self.trace {
-            let mut t = t.borrow_mut();
-            if let Some(id) = t.current() {
-                t.event(id, self.cursor, name);
-            }
-        }
+        self.trace_current(|t, id, at| t.event(id, at, name));
     }
 
     /// Records that the current packet was dropped for `reason` in
@@ -478,15 +381,7 @@ impl Charge {
     /// current packet is the one dying.
     pub fn trace_drop(&mut self, reason: DropReason, domain: Domain) {
         self.count_drop(reason, domain);
-        if self.mask & M_TRACE == 0 {
-            return;
-        }
-        if let Some(t) = &self.trace {
-            let mut t = t.borrow_mut();
-            if let Some(id) = t.current() {
-                t.terminal(id, self.cursor, Terminal::Dropped(reason));
-            }
-        }
+        self.trace_terminal(Terminal::Dropped(reason));
     }
 
     /// Counts a drop for `reason` in the census *without* terminating
@@ -497,7 +392,7 @@ impl Charge {
     #[inline]
     pub fn count_drop(&mut self, reason: DropReason, domain: Domain) {
         if self.mask & M_CENSUS != 0 {
-            if let Some(c) = &self.census {
+            if let Some(c) = &self.obs.census {
                 c.borrow_mut().note_drop(reason, domain);
             }
         }
@@ -515,32 +410,16 @@ impl Charge {
     }
 
     fn trace_terminal(&mut self, term: Terminal) {
-        if self.mask & M_TRACE == 0 {
-            return;
-        }
-        if let Some(t) = &self.trace {
-            let mut t = t.borrow_mut();
-            if let Some(id) = t.current() {
-                t.terminal(id, self.cursor, term);
-            }
-        }
+        self.trace_current(|t, id, at| t.terminal(id, at, term));
     }
 }
-
-/// Convenience: record transit time on a probe without a CPU.
-pub fn record_transit(probe: &Option<ProbeHandle>, cost: SimTime) {
-    if let Some(p) = probe {
-        p.borrow_mut().record(Layer::NetworkTransit, cost);
-    }
-}
-
-#[allow(unused_imports)]
-pub use crate::probe::LayerStats;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::LatencyProbe;
+    use crate::census::Census;
+    use crate::profile::Profiler;
+    use crate::trace::Tracer;
 
     #[test]
     fn charge_advances_cursor() {
@@ -584,18 +463,32 @@ mod tests {
     }
 
     #[test]
-    fn charges_reach_probe() {
-        let probe = LatencyProbe::shared();
+    fn charges_reach_profiler_and_census() {
+        let prof = Profiler::shared();
+        let census = Census::shared();
         let mut cpu = Cpu::new();
-        cpu.set_probe(Some(probe.clone()));
+        cpu.set_observers(Observers {
+            profile: Some(prof.clone()),
+            census: Some(census.clone()),
+            ..Observers::default()
+        });
         let mut c = cpu.begin(SimTime::ZERO);
         c.add(Layer::TcpUdpInput, SimTime::from_micros(3));
-        c.crossing(Layer::KernelCopyout, SimTime::from_micros(2));
+        c.crossing_in(
+            Domain::Kernel,
+            Layer::KernelCopyout,
+            SimTime::from_micros(2),
+        );
         cpu.finish(c);
-        let p = probe.borrow();
-        assert_eq!(p.layer(Layer::TcpUdpInput).total, SimTime::from_micros(3));
-        assert_eq!(p.layer(Layer::KernelCopyout).total, SimTime::from_micros(2));
-        assert_eq!(p.layer(Layer::KernelCopyout).crossings, 1);
+        let p = prof.borrow();
+        assert_eq!(p.layer_ns(Layer::TcpUdpInput), 3_000);
+        assert_eq!(p.layer_ns(Layer::KernelCopyout), 2_000);
+        assert_eq!(
+            census
+                .borrow()
+                .layer_total(OpKind::BoundaryCrossing, Layer::KernelCopyout),
+            1
+        );
     }
 
     #[test]
@@ -607,31 +500,15 @@ mod tests {
     }
 
     #[test]
-    fn detached_masks_match_attachments() {
-        // The packed dispatch mask must agree with the handles: a
-        // detached charge with a probe still records, and site hooks on
-        // an unprofiled charge are free no-ops.
-        let probe = LatencyProbe::shared();
-        let mut c = Charge::detached(SimTime::ZERO, Some(probe.clone()));
-        c.site_push(Domain::Kernel, "nowhere");
-        c.add_ns(Layer::NetworkTransit, 11);
-        c.site_pop();
-        assert_eq!(
-            probe.borrow().layer(Layer::NetworkTransit).total,
-            SimTime::from_nanos(11)
-        );
-        assert!(!c.fault(FaultSite::WireLoss));
-    }
-
-    #[test]
     fn note_fans_out_to_census_and_tracer() {
-        use crate::census::Census;
-        use crate::trace::Tracer;
         let census = Census::shared();
         let tracer = Tracer::shared();
         let mut cpu = Cpu::new();
-        cpu.set_census(Some(census.clone()));
-        cpu.set_tracer(Some(tracer.clone()));
+        cpu.set_observers(Observers {
+            census: Some(census.clone()),
+            trace: Some(tracer.clone()),
+            ..Observers::default()
+        });
         let id = tracer.borrow_mut().begin_packet(SimTime::ZERO, None);
         tracer.borrow_mut().push_current(id);
         let mut c = cpu.begin(SimTime::ZERO);
@@ -659,13 +536,14 @@ mod tests {
 
     #[test]
     fn trace_drop_terminates_and_counts_count_drop_only_counts() {
-        use crate::census::Census;
-        use crate::trace::Tracer;
         let census = Census::shared();
         let tracer = Tracer::shared();
         let mut cpu = Cpu::new();
-        cpu.set_census(Some(census.clone()));
-        cpu.set_tracer(Some(tracer.clone()));
+        cpu.set_observers(Observers {
+            census: Some(census.clone()),
+            trace: Some(tracer.clone()),
+            ..Observers::default()
+        });
         let id = tracer.borrow_mut().begin_packet(SimTime::ZERO, None);
         tracer.borrow_mut().push_current(id);
         let mut c = cpu.begin(SimTime::ZERO);
@@ -685,26 +563,22 @@ mod tests {
     }
 
     #[test]
-    fn detached_charge_records_transit() {
-        let probe = LatencyProbe::shared();
-        record_transit(&Some(probe.clone()), SimTime::from_micros(51));
-        assert_eq!(
-            probe.borrow().layer(Layer::NetworkTransit).total,
-            SimTime::from_micros(51)
-        );
-    }
-
-    #[test]
     fn mask_tracks_detach() {
         // Attach, then detach: the mask must drop back so hot methods
-        // take the fast path again and observers stop receiving.
-        use crate::census::Census;
+        // take the fast path again and observers stop receiving; site
+        // and fault hooks on an unobserved charge are free no-ops.
         let census = Census::shared();
         let mut cpu = Cpu::new();
-        cpu.set_census(Some(census.clone()));
-        cpu.set_census(None);
+        cpu.set_observers(Observers {
+            census: Some(census.clone()),
+            ..Observers::default()
+        });
+        cpu.set_observers(Observers::default());
         let mut c = cpu.begin(SimTime::ZERO);
         c.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::KernelCopyout);
+        c.site_push(Domain::Kernel, "nowhere");
+        c.site_pop();
+        assert!(!c.fault(FaultSite::WireLoss));
         cpu.finish(c);
         assert_eq!(census.borrow().total(OpKind::PacketBodyCopy), 0);
     }

@@ -7,9 +7,9 @@
 //! single virtual clock and a single totally-ordered event queue, which
 //! makes every run exactly reproducible for a given seed.
 //!
-//! The queue is a hierarchical timer wheel ([`wheel`](crate::wheel)) over
-//! slab-allocated entries with inline closure storage
-//! ([`smallfn`](crate::smallfn)): steady-state scheduling does no
+//! The queue is a hierarchical timer wheel (the private `wheel` module;
+//! its counters are [`WheelStats`]) over slab-allocated entries with
+//! inline closure storage ([`SmallFn`]): steady-state scheduling does no
 //! per-event heap traffic, and cancellation is O(1) against
 //! generation-tagged handles. It pops in exactly the same total
 //! `(time, seq)` order as the original `BinaryHeap` engine (retained as

@@ -149,7 +149,6 @@ struct SiteState {
 /// [`CensusHandle`](crate::census::CensusHandle)).
 #[derive(Debug)]
 pub struct FaultPlane {
-    enabled: bool,
     sites: [SiteState; FaultSite::COUNT],
     /// The plane's private randomness stream; forked from the simulation
     /// seed by the caller so armed sites never disturb component RNGs.
@@ -166,11 +165,10 @@ pub struct FaultPlane {
 pub type FaultPlaneHandle = Rc<RefCell<FaultPlane>>;
 
 impl FaultPlane {
-    /// Creates an enabled, empty plane: every site unarmed, nothing
+    /// Creates an empty plane: every site unarmed, nothing
     /// scripted. Consulting an empty plane is a pure counter increment.
     pub fn new() -> FaultPlane {
         FaultPlane {
-            enabled: true,
             sites: Default::default(),
             rng: None,
             burst_len: 3,
@@ -181,17 +179,6 @@ impl FaultPlane {
     /// Creates a shared handle to a fresh, empty plane.
     pub fn shared() -> FaultPlaneHandle {
         Rc::new(RefCell::new(FaultPlane::new()))
-    }
-
-    /// Enables or disables injection (visits are not counted while
-    /// disabled, mirroring a disabled census).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// True if the plane is live.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// True if no site is scripted or armed: such a plane can never
@@ -234,12 +221,9 @@ impl FaultPlane {
     }
 
     /// Consults the plane at `site`: counts the visit and reports
-    /// whether this visit fails. An empty or disabled plane always
-    /// answers `false` without consuming randomness.
+    /// whether this visit fails. An empty plane always answers `false`
+    /// without consuming randomness.
     pub fn should_inject(&mut self, site: FaultSite) -> bool {
-        if !self.enabled {
-            return false;
-        }
         let s = &mut self.sites[site.index()];
         let visit = s.visits;
         s.visits += 1;
@@ -376,17 +360,6 @@ mod tests {
         }
         assert!(p.injected(FaultSite::NicRx) > 0);
         assert!(p.injected(FaultSite::NicRx) < 64);
-    }
-
-    #[test]
-    fn disabled_plane_counts_and_injects_nothing() {
-        let mut p = FaultPlane::new();
-        p.script(FaultSite::ServerCrash, &[0]);
-        p.set_enabled(false);
-        assert!(!p.should_inject(FaultSite::ServerCrash));
-        assert_eq!(p.visits(FaultSite::ServerCrash), 0);
-        p.set_enabled(true);
-        assert!(p.should_inject(FaultSite::ServerCrash));
     }
 
     #[test]

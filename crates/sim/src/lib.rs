@@ -18,8 +18,12 @@
 //!   accumulate charges through a [`Charge`] cursor.
 //! - [`CostModel`]: per-operation unit costs, calibrated against the
 //!   paper's Table 4 layer breakdown.
-//! - [`LatencyProbe`]: per-layer attribution of charged time, used to
-//!   regenerate Table 4.
+//! - [`Observers`]: the one set of attachable observability planes
+//!   (census, fault plane, packet tracer, charged-time profiler) that
+//!   every [`Observable`] — CPUs and wire elements — takes through
+//!   `set_observers`.
+//! - [`Profiler`]: site- and [`Layer`]-keyed attribution of charged
+//!   time; Table 4 is its per-layer projection.
 //! - [`Rng`]: a deterministic PRNG for loss/reorder schedules.
 
 pub mod census;
@@ -27,8 +31,8 @@ pub mod cost;
 pub mod cpu;
 pub mod engine;
 pub mod fault;
+mod layer;
 pub mod metrics;
-pub mod probe;
 pub mod profile;
 /// Test oracle for `tests/engine_equivalence.rs`.
 #[doc(hidden)]
@@ -41,11 +45,11 @@ mod wheel;
 
 pub use census::{Census, CensusHandle, Domain, OpKind};
 pub use cost::{CostModel, Platform};
-pub use cpu::{Charge, Cpu};
+pub use cpu::{Charge, Cpu, Observable, Observers};
 pub use engine::{Sim, SimHandle};
 pub use fault::{FaultPlane, FaultPlaneHandle, FaultSite};
+pub use layer::Layer;
 pub use metrics::{Metrics, MetricsHandle};
-pub use probe::{LatencyProbe, Layer, LayerStats, PathKind, ProbeHandle};
 pub use profile::{HotSite, ProfileHandle, Profiler};
 pub use rng::Rng;
 pub use smallfn::{SmallFn, INLINE_BYTES};

@@ -1,16 +1,16 @@
 //! Charged-time profiling: who burned each nanosecond?
 //!
-//! The [`LatencyProbe`](crate::probe::LatencyProbe) answers "how much
-//! time went to each [`Layer`]"; the census answers "how many times did
-//! each operation run". Neither answers the question ROADMAP item 2
-//! asks of the packet path: *which charge site* is burning the
-//! ns/sim-packet. The [`Profiler`] does: every nanosecond charged
+//! The census answers "how many times did each operation run"; the
+//! [`Profiler`] answers where the time went. Every nanosecond charged
 //! through a [`Charge`](crate::cpu::Charge) opened on a CPU with a
 //! profiler attached is attributed to a `(site path × domain × layer)`
 //! bucket, where the site path is a small push/pop stack of static
 //! labels maintained by the instrumented code
 //! ([`Charge::site_push`](crate::cpu::Charge::site_push) /
-//! [`Charge::site_pop`](crate::cpu::Charge::site_pop)).
+//! [`Charge::site_pop`](crate::cpu::Charge::site_pop)). Summed over
+//! sites, the buckets are the paper's Table 4: "how much time went to
+//! each [`Layer`]" is the projection [`Profiler::layer_ns`], which
+//! `protolat` differences over its measured rounds.
 //!
 //! Two contracts, both enforced by tests and CI:
 //!
@@ -34,7 +34,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::census::Domain;
-use crate::probe::Layer;
+use crate::layer::Layer;
 
 /// Shared handle to a profiler (one per CPU for per-CPU conservation).
 pub type ProfileHandle = Rc<RefCell<Profiler>>;
@@ -86,7 +86,7 @@ pub struct HotSite {
     pub ns: u64,
 }
 
-const LAYERS: usize = 15;
+const LAYERS: usize = Layer::COUNT;
 
 /// The charged-time profiler: a site trie with per-`(node, layer)`
 /// nanosecond buckets and an optional per-packet join.
@@ -177,6 +177,13 @@ impl Profiler {
     /// CPU's first charge this equals `Cpu::total_busy`, bit-exactly.
     pub fn attributed_ns(&self) -> u64 {
         self.attributed
+    }
+
+    /// Nanoseconds attributed to `layer`, summed over every site: the
+    /// Table 4 projection. Over all layers these sum to
+    /// [`Profiler::attributed_ns`].
+    pub fn layer_ns(&self, layer: Layer) -> u64 {
+        self.buckets.iter().map(|b| b[layer.index()]).sum()
     }
 
     /// Number of interned sites (the root included).
@@ -300,19 +307,22 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cpu::Cpu;
+    use crate::cpu::{Cpu, Observable, Observers};
     use crate::time::SimTime;
 
-    #[test]
-    fn layer_count_matches_probe() {
-        assert_eq!(Layer::ALL.len(), LAYERS);
+    fn profiled_cpu() -> (ProfileHandle, Cpu) {
+        let prof = Profiler::shared();
+        let mut cpu = Cpu::new();
+        cpu.set_observers(Observers {
+            profile: Some(prof.clone()),
+            ..Observers::default()
+        });
+        (prof, cpu)
     }
 
     #[test]
     fn conservation_is_bit_exact() {
-        let prof = Profiler::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_profiler(Some(prof.clone()));
+        let (prof, mut cpu) = profiled_cpu();
         for i in 0..100u64 {
             let mut c = cpu.begin(SimTime::ZERO);
             c.site_push(Domain::Kernel, "rx");
@@ -329,13 +339,18 @@ mod tests {
             cpu.total_busy().as_nanos(),
             "attributed must equal total_busy bit-exactly"
         );
+        // The per-layer projection partitions the same total.
+        let p = prof.borrow();
+        assert_eq!(p.layer_ns(Layer::Other), 100);
+        assert_eq!(
+            Layer::ALL.iter().map(|l| p.layer_ns(*l)).sum::<u64>(),
+            p.attributed_ns()
+        );
     }
 
     #[test]
     fn site_trie_nests_and_pops() {
-        let prof = Profiler::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_profiler(Some(prof.clone()));
+        let (prof, mut cpu) = profiled_cpu();
         let mut c = cpu.begin(SimTime::ZERO);
         c.site_push(Domain::Kernel, "rx");
         c.site_push(Domain::Library, "udp_input");
@@ -354,9 +369,7 @@ mod tests {
 
     #[test]
     fn repeated_sites_are_interned_once() {
-        let prof = Profiler::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_profiler(Some(prof.clone()));
+        let (prof, mut cpu) = profiled_cpu();
         for _ in 0..10 {
             let mut c = cpu.begin(SimTime::ZERO);
             c.site_push(Domain::Server, "rpc");
@@ -373,9 +386,7 @@ mod tests {
 
     #[test]
     fn unattributed_time_lands_at_the_root() {
-        let prof = Profiler::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_profiler(Some(prof.clone()));
+        let (prof, mut cpu) = profiled_cpu();
         let mut c = cpu.begin(SimTime::ZERO);
         c.add_ns(Layer::Other, 9);
         cpu.finish(c);
@@ -386,9 +397,7 @@ mod tests {
 
     #[test]
     fn hot_sites_sort_hottest_first_deterministically() {
-        let prof = Profiler::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_profiler(Some(prof.clone()));
+        let (prof, mut cpu) = profiled_cpu();
         let mut c = cpu.begin(SimTime::ZERO);
         c.site_push(Domain::Kernel, "a");
         c.add_ns(Layer::Other, 10);
@@ -412,9 +421,7 @@ mod tests {
         // A charge that is never finished (e.g. a path that bails before
         // `Cpu::finish`) must not reach the buckets — that is what keeps
         // conservation exact.
-        let prof = Profiler::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_profiler(Some(prof.clone()));
+        let (prof, mut cpu) = profiled_cpu();
         let mut c = cpu.begin(SimTime::ZERO);
         c.add_ns(Layer::Other, 100);
         drop(c);
@@ -428,8 +435,11 @@ mod tests {
         let prof = Profiler::shared();
         let tracer = Tracer::shared();
         let mut cpu = Cpu::new();
-        cpu.set_profiler(Some(prof.clone()));
-        cpu.set_tracer(Some(tracer.clone()));
+        cpu.set_observers(Observers {
+            profile: Some(prof.clone()),
+            trace: Some(tracer.clone()),
+            ..Observers::default()
+        });
         let id = tracer.borrow_mut().begin_packet(SimTime::ZERO, None);
         tracer.borrow_mut().push_current(id);
         let mut c = cpu.begin(SimTime::ZERO);
@@ -447,9 +457,7 @@ mod tests {
 
     #[test]
     fn reset_clears_buckets_but_keeps_trie() {
-        let prof = Profiler::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_profiler(Some(prof.clone()));
+        let (prof, mut cpu) = profiled_cpu();
         let mut c = cpu.begin(SimTime::ZERO);
         c.site_push(Domain::Kernel, "x");
         c.add_ns(Layer::Other, 4);

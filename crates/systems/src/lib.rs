@@ -29,7 +29,7 @@ use psd_netdev::{EtherTiming, Ethernet, EthernetHandle};
 use psd_netstack::stack::StackHandle;
 use psd_netstack::{NetStack, Placement, RouteTable};
 use psd_server::{KernelNetIf, OsServer, PortNamespace, ServerHandle};
-use psd_sim::{CostModel, Cpu, FaultSite, Platform, Sim, SimTime};
+use psd_sim::{CostModel, Cpu, FaultSite, Observable, Observers, Platform, Sim, SimTime};
 use psd_wire::EtherAddr;
 
 pub use psd_sim::Platform as HostPlatform;
@@ -205,6 +205,98 @@ impl Host {
     }
 }
 
+/// Every [`Observable`] in a bed: the host CPUs and the wire elements.
+/// Both beds attach their planes through this one visitor, so a plane
+/// reaches a CPU, a segment, a switch and a router the same way — one
+/// read-modify-write of the element's set.
+#[derive(Default)]
+struct Observed<'a> {
+    hosts: &'a [Host],
+    segments: &'a [EthernetHandle],
+    switches: &'a [SwitchHandle],
+    routers: &'a [RouterHandle],
+}
+
+impl<'a> Observed<'a> {
+    /// One segment alone (wire-only fault planes).
+    fn wire(seg: &'a EthernetHandle) -> Observed<'a> {
+        Observed {
+            segments: std::slice::from_ref(seg),
+            ..Observed::default()
+        }
+    }
+
+    /// Applies `edit` to the observer set of every element, host CPUs
+    /// first (in `hosts` order).
+    fn edit(&self, mut edit: impl FnMut(&mut Observers)) {
+        fn apply<T: Observable>(element: &RefCell<T>, edit: &mut impl FnMut(&mut Observers)) {
+            let mut element = element.borrow_mut();
+            let mut obs = element.observers().clone();
+            edit(&mut obs);
+            element.set_observers(obs);
+        }
+        for h in self.hosts {
+            apply(&h.cpu, &mut edit);
+        }
+        for seg in self.segments {
+            apply(seg, &mut edit);
+        }
+        for sw in self.switches {
+            apply(sw, &mut edit);
+        }
+        for r in self.routers {
+            apply(r, &mut edit);
+        }
+    }
+
+    /// A fresh plane per host CPU (censuses and profilers are per-host
+    /// so per-CPU conservation and per-host counts stay exact),
+    /// returned in `hosts` order.
+    fn attach_per_host<T: Clone>(
+        &self,
+        fresh: impl Fn() -> T,
+        slot: impl Fn(&mut Observers) -> &mut Option<T>,
+    ) -> Vec<T> {
+        let cpus = Observed {
+            hosts: self.hosts,
+            ..Observed::default()
+        };
+        let mut handles = Vec::new();
+        cpus.edit(|obs| {
+            let handle = fresh();
+            *slot(obs) = Some(handle.clone());
+            handles.push(handle);
+        });
+        handles
+    }
+
+    fn attach_census(&self) -> Vec<psd_sim::CensusHandle> {
+        self.attach_per_host(psd_sim::Census::shared, |obs| &mut obs.census)
+    }
+
+    fn attach_profilers(&self) -> Vec<psd_sim::ProfileHandle> {
+        self.attach_per_host(psd_sim::Profiler::shared, |obs| &mut obs.profile)
+    }
+
+    fn attach_fault_plane(&self, plane: &psd_sim::FaultPlaneHandle) {
+        self.edit(|obs| obs.fault = Some(plane.clone()));
+    }
+
+    fn attach_tracer(&self, tracer: &psd_sim::TraceHandle) {
+        self.edit(|obs| obs.trace = Some(tracer.clone()));
+    }
+}
+
+/// An empty fault plane with a private fixed-seed RNG: nothing scripted,
+/// nothing armed, nothing drawn from the simulation's RNG.
+fn fresh_fault_plane() -> psd_sim::FaultPlaneHandle {
+    let plane = psd_sim::FaultPlane::shared();
+    plane
+        .borrow_mut()
+        .set_rng(psd_sim::Rng::new(0x9E37_79B9_7F4A_7C15));
+    plane
+}
+
 /// Two hosts on a private Ethernet, in one configuration.
 pub struct TestBed {
     /// The simulation.
@@ -302,8 +394,16 @@ impl TestBed {
                 p.arm(FaultSite::WireReorder, reorder);
             }
         }
-        self.ether.borrow_mut().set_fault_plane(Some(plane.clone()));
+        Observed::wire(&self.ether).attach_fault_plane(&plane);
         plane
+    }
+
+    /// Every place this bed's observers attach: both CPUs and the wire.
+    fn observed(&self) -> Observed<'_> {
+        Observed {
+            hosts: &self.hosts,
+            ..Observed::wire(&self.ether)
+        }
     }
 
     /// Attaches a fresh operation census to every host CPU, returning
@@ -311,14 +411,7 @@ impl TestBed {
     /// virtual time, so attaching a census leaves every timing result
     /// bit-identical.
     pub fn attach_census(&mut self) -> Vec<psd_sim::CensusHandle> {
-        self.hosts
-            .iter()
-            .map(|h| {
-                let census = psd_sim::Census::shared();
-                h.cpu.borrow_mut().set_census(Some(census.clone()));
-                census
-            })
-            .collect()
+        self.observed().attach_census()
     }
 
     /// Attaches one shared fault plane to every host CPU and to the
@@ -331,14 +424,8 @@ impl TestBed {
     /// Deliberately draws nothing from the simulation's RNG — forking
     /// it here would perturb later draws.
     pub fn attach_fault_plane(&mut self) -> psd_sim::FaultPlaneHandle {
-        let plane = psd_sim::FaultPlane::shared();
-        plane
-            .borrow_mut()
-            .set_rng(psd_sim::Rng::new(0x9E37_79B9_7F4A_7C15));
-        for h in &self.hosts {
-            h.cpu.borrow_mut().set_fault_plane(Some(plane.clone()));
-        }
-        self.ether.borrow_mut().set_fault_plane(Some(plane.clone()));
+        let plane = fresh_fault_plane();
+        self.observed().attach_fault_plane(&plane);
         plane
     }
 
@@ -355,10 +442,7 @@ impl TestBed {
     /// Attaches an existing tracer (shared across beds when a benchmark
     /// merges several runs into one trace file).
     pub fn attach_tracer_handle(&mut self, tracer: &psd_sim::TraceHandle) {
-        for h in &self.hosts {
-            h.cpu.borrow_mut().set_tracer(Some(tracer.clone()));
-        }
-        self.ether.borrow_mut().set_tracer(Some(tracer.clone()));
+        self.observed().attach_tracer(tracer);
     }
 
     /// Attaches a fresh charged-time profiler to every host CPU,
@@ -368,14 +452,7 @@ impl TestBed {
     /// guarantees exact conservation — attributed nanoseconds equal
     /// `Cpu::total_busy` on each host, bit-exact.
     pub fn attach_profilers(&mut self) -> Vec<psd_sim::ProfileHandle> {
-        self.hosts
-            .iter()
-            .map(|h| {
-                let prof = psd_sim::Profiler::shared();
-                h.cpu.borrow_mut().set_profiler(Some(prof.clone()));
-                prof
-            })
-            .collect()
+        self.observed().attach_profilers()
     }
 
     /// Builds a gauge registry over both hosts (kernel interface and
@@ -568,40 +645,32 @@ impl MultiHopBed {
         }
     }
 
+    /// Every place this bed's observers attach: both CPUs, every
+    /// segment, the switch, and both routers.
+    fn observed(&self) -> Observed<'_> {
+        Observed {
+            hosts: &self.hosts,
+            segments: &self.segments,
+            switches: std::slice::from_ref(&self.switch),
+            routers: &self.routers,
+        }
+    }
+
     /// Attaches one shared fault plane to every host CPU, every
     /// segment, the switch, and both routers, returning its handle.
     /// Same contract as [`TestBed::attach_fault_plane`]: the empty
     /// plane is inert and consumes no randomness.
     pub fn attach_fault_plane(&mut self) -> psd_sim::FaultPlaneHandle {
-        let plane = psd_sim::FaultPlane::shared();
-        plane
-            .borrow_mut()
-            .set_rng(psd_sim::Rng::new(0x9E37_79B9_7F4A_7C15));
-        for h in &self.hosts {
-            h.cpu.borrow_mut().set_fault_plane(Some(plane.clone()));
-        }
-        for seg in &self.segments {
-            seg.borrow_mut().set_fault_plane(Some(plane.clone()));
-        }
-        self.switch
-            .borrow_mut()
-            .set_fault_plane(Some(plane.clone()));
-        for r in &self.routers {
-            r.borrow_mut().set_fault_plane(Some(plane.clone()));
-        }
+        let plane = fresh_fault_plane();
+        self.observed().attach_fault_plane(&plane);
         plane
     }
 
     /// Attaches a separate fault plane to one segment only (targeted
     /// partitions: down `segM1` without touching the rest).
     pub fn attach_segment_fault_plane(&mut self, seg: usize) -> psd_sim::FaultPlaneHandle {
-        let plane = psd_sim::FaultPlane::shared();
-        plane
-            .borrow_mut()
-            .set_rng(psd_sim::Rng::new(0x9E37_79B9_7F4A_7C15));
-        self.segments[seg]
-            .borrow_mut()
-            .set_fault_plane(Some(plane.clone()));
+        let plane = fresh_fault_plane();
+        Observed::wire(&self.segments[seg]).attach_fault_plane(&plane);
         plane
     }
 
@@ -609,30 +678,14 @@ impl MultiHopBed {
     /// its handle.
     pub fn attach_tracer(&mut self) -> psd_sim::TraceHandle {
         let tracer = psd_sim::Tracer::shared();
-        for h in &self.hosts {
-            h.cpu.borrow_mut().set_tracer(Some(tracer.clone()));
-        }
-        for seg in &self.segments {
-            seg.borrow_mut().set_tracer(Some(tracer.clone()));
-        }
-        self.switch.borrow_mut().set_tracer(Some(tracer.clone()));
-        for r in &self.routers {
-            r.borrow_mut().set_tracer(Some(tracer.clone()));
-        }
+        self.observed().attach_tracer(&tracer);
         tracer
     }
 
     /// Attaches a fresh operation census to every host CPU (one handle
     /// per host, in `hosts` order).
     pub fn attach_census(&mut self) -> Vec<psd_sim::CensusHandle> {
-        self.hosts
-            .iter()
-            .map(|h| {
-                let census = psd_sim::Census::shared();
-                h.cpu.borrow_mut().set_census(Some(census.clone()));
-                census
-            })
-            .collect()
+        self.observed().attach_census()
     }
 
     /// Attaches a fresh charged-time profiler to every host CPU (one
@@ -640,14 +693,7 @@ impl MultiHopBed {
     /// [`TestBed::attach_profilers`]: bit-identical timing, exact
     /// conservation per host CPU.
     pub fn attach_profilers(&mut self) -> Vec<psd_sim::ProfileHandle> {
-        self.hosts
-            .iter()
-            .map(|h| {
-                let prof = psd_sim::Profiler::shared();
-                h.cpu.borrow_mut().set_profiler(Some(prof.clone()));
-                prof
-            })
-            .collect()
+        self.observed().attach_profilers()
     }
 
     /// Builds a gauge registry over the whole diamond — both hosts'

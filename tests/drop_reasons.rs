@@ -12,7 +12,10 @@ mod common;
 
 use psd::kernel::{Kernel, RxMode};
 use psd::netdev::Ethernet;
-use psd::sim::{CostModel, Cpu, DropReason, Platform, Rng, Sim, SimTime, TraceHandle, Tracer};
+use psd::sim::{
+    CostModel, Cpu, DropReason, Observable, Observers, Platform, Rng, Sim, SimTime, TraceHandle,
+    Tracer,
+};
 use psd::systems::{SystemConfig, TestBed};
 use psd::wire::{
     EtherAddr, EtherType, EthernetHeader, IpProto, Ipv4Header, TcpFlags, TcpHeader, UdpHeader,
@@ -155,7 +158,10 @@ fn datagram_for_another_host_is_counted() {
     let mut sim = Sim::new(1);
     let cpu = Rc::new(RefCell::new(Cpu::new()));
     let tracer = Tracer::shared();
-    cpu.borrow_mut().set_tracer(Some(tracer.clone()));
+    cpu.borrow_mut().set_observers(Observers {
+        trace: Some(tracer.clone()),
+        ..Observers::default()
+    });
     let stack = psd::netstack::NetStack::new(
         psd::netstack::Placement::Library,
         CostModel::decstation_5000_200(),
@@ -250,8 +256,12 @@ fn filter_miss_without_default_endpoint_is_counted() {
     let ether = Ethernet::ten_megabit(&mut sim);
     let cpu = Rc::new(RefCell::new(Cpu::new()));
     let tracer = Tracer::shared();
-    cpu.borrow_mut().set_tracer(Some(tracer.clone()));
-    ether.borrow_mut().set_tracer(Some(tracer.clone()));
+    let traced = Observers {
+        trace: Some(tracer.clone()),
+        ..Observers::default()
+    };
+    cpu.borrow_mut().set_observers(traced.clone());
+    ether.borrow_mut().set_observers(traced);
     let kernel = Kernel::new(CostModel::decstation_5000_200(), cpu, EtherAddr::local(2));
     Kernel::connect(&kernel, &ether);
 
@@ -272,8 +282,12 @@ fn destroyed_endpoint_is_counted_dead() {
     let ether = Ethernet::ten_megabit(&mut sim);
     let cpu = Rc::new(RefCell::new(Cpu::new()));
     let tracer = Tracer::shared();
-    cpu.borrow_mut().set_tracer(Some(tracer.clone()));
-    ether.borrow_mut().set_tracer(Some(tracer.clone()));
+    let traced = Observers {
+        trace: Some(tracer.clone()),
+        ..Observers::default()
+    };
+    cpu.borrow_mut().set_observers(traced.clone());
+    ether.borrow_mut().set_observers(traced);
     let kernel = Kernel::new(CostModel::decstation_5000_200(), cpu, EtherAddr::local(2));
     Kernel::connect(&kernel, &ether);
 

@@ -541,7 +541,7 @@ fn endpoint_death_mid_batch_represents_unconsumed_frames() {
     use psd::filter::EndpointSpec;
     use psd::kernel::{BatchConfig, Kernel, PacketSink, RxMode};
     use psd::netdev::Ethernet;
-    use psd::sim::{CostModel, Cpu, Sim, Tracer};
+    use psd::sim::{CostModel, Cpu, Observable, Observers, Sim, Tracer};
     use psd::wire::{
         EtherAddr, EtherType, EthernetHeader, IpProto, Ipv4Header, UdpHeader, UDP_HDR_LEN,
     };
@@ -556,10 +556,14 @@ fn endpoint_death_mid_batch_represents_unconsumed_frames() {
     let ether = Ethernet::ten_megabit(&mut sim);
     let cpu = Rc::new(RefCell::new(Cpu::new()));
     let tracer = Tracer::shared();
-    cpu.borrow_mut().set_tracer(Some(tracer.clone()));
+    let traced = Observers {
+        trace: Some(tracer.clone()),
+        ..Observers::default()
+    };
+    cpu.borrow_mut().set_observers(traced.clone());
+    ether.borrow_mut().set_observers(traced);
     let kernel = Kernel::new(CostModel::decstation_5000_200(), cpu, EtherAddr::local(2));
     Kernel::connect(&kernel, &ether);
-    ether.borrow_mut().set_tracer(Some(tracer.clone()));
 
     type Log = Rc<RefCell<Vec<Vec<u8>>>>;
     fn sink(log: &Log) -> PacketSink {

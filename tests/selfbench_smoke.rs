@@ -1,10 +1,9 @@
 //! Tier-1 smoke test for the simulator self-benchmark: two same-seed
 //! `--quick` runs must be deterministic in every simulated quantity
-//! (event counts, packet counts, placements), and their JSON artifacts
-//! must be byte-identical once the wall-clock-derived fields are
-//! normalized away. The artifact must also validate against the
-//! checked-in `BENCH.schema.json`, which is what CI uploads and gates
-//! on.
+//! (the engine's event counts), and their JSON artifacts must be
+//! byte-identical once the wall-clock-derived fields are normalized
+//! away. The artifact must also validate against the checked-in
+//! `BENCH.schema.json`, which is what CI uploads and gates on.
 
 use psd::bench::selfbench;
 
@@ -34,8 +33,7 @@ fn quick_selfbench_is_deterministic_and_schema_valid() {
     selfbench::validate_artifact(&ja, schema)
         .expect("artifact validates against BENCH.schema.json");
 
-    // Sanity: quick mode still measures the engine and real packets.
-    assert!(a.packet.iter().all(|r| r.packets_rx > 0));
+    // Sanity: quick mode still measures the engine row CI gates on.
     assert!(
         a.wheel.iter().any(|r| r.timers == 65_536),
         "64k row present for the CI gate"
