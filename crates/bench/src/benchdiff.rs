@@ -1,27 +1,21 @@
 //! Perf-trajectory tooling over committed `BENCH_*.json` artifacts.
 //!
 //! `benchdiff` turns two or more benchmark artifacts of the same kind
-//! into a per-metric delta report, and subsumes the three hand-rolled
-//! per-artifact CI regression gates behind one entry point:
+//! into a per-metric delta report, and is the one CI regression gate
+//! ([`check`]): per kind, a table of gated metrics (`GATES`) that must
+//! not move more than `tolerance` in their worse direction
+//! ([`Delta::regressed`]) from the committed artifact —
 //!
 //! - selfbench (`BENCH_6.json`): the wheel engine's events/sec at
-//!   65 536 timers must not fall more than `tolerance` below the
-//!   committed value,
+//!   65 536 timers,
 //! - filterbench (`BENCH_8.json`): ns/match in the
-//!   (Cspf, Compiled, 4096) cell must not rise more than `tolerance`
-//!   above the committed value,
+//!   (Cspf, Compiled, 4096) cell,
 //! - table6 (`BENCH_9.json`): per configuration, ns/pkt in the
-//!   (eager, batch 64) cell must not rise more than `tolerance` above
-//!   the committed value.
+//!   (eager, batch 64) cell.
 //!
-//! The thresholds and cells are exactly the ones the retired
-//! `--check-baseline` flags of `selfbench`, `filterbench`, and `table6`
-//! enforced (see `selfbench::check_against_baseline` and friends, which
-//! remain the in-process versions); unit tests below hold the two
-//! formulations to identical verdicts. The difference is operational:
-//! those gates compare a *fresh in-process run* against the committed
-//! artifact, while `benchdiff` compares *artifact against artifact*, so
-//! one binary can gate any number of benchmarks after the fact.
+//! The gate compares *artifact against artifact*, so one binary gates
+//! any number of benchmarks after the fact; the benches themselves only
+//! measure and write.
 //!
 //! Metric extraction is deterministic: metrics appear in artifact
 //! order, named by the identifying members of their row (e.g.
@@ -88,20 +82,58 @@ pub fn kind_of(artifact: &Json) -> Result<&str, String> {
         .ok_or_else(|| "artifact has no \"bench\" member".to_string())
 }
 
-fn num(row: &Json, key: &str) -> Option<f64> {
-    row.get(key).and_then(Json::as_f64)
+/// Where one bench kind keeps comparable rows.
+struct Shape {
+    kind: &'static str,
+    /// Member path to the row array.
+    path: &'static [&'static str],
+    /// The members that identify a row; a trailing `=` keeps the
+    /// member's name in the metric name.
+    ids: &'static [&'static str],
+    /// The row's metrics, with whether higher is better.
+    metrics: &'static [(&'static str, bool)],
 }
 
-fn text<'j>(row: &'j Json, key: &str) -> Option<&'j str> {
-    row.get(key).and_then(Json::as_str)
-}
+const SHAPES: &[Shape] = &[
+    Shape {
+        kind: "selfbench",
+        path: &["engine", "wheel"],
+        ids: &["timers="],
+        metrics: &[("events_per_sec", true)],
+    },
+    Shape {
+        kind: "filterbench",
+        path: &["program"],
+        ids: &["engine", "filters"],
+        metrics: &[("ns_per_run", false)],
+    },
+    Shape {
+        kind: "filterbench",
+        path: &["table"],
+        ids: &["strategy", "engine", "filters"],
+        metrics: &[("ns_per_match", false)],
+    },
+    Shape {
+        kind: "table6",
+        path: &["table"],
+        ids: &["config", "mode", "batch"],
+        metrics: &[("ns_per_pkt", false), ("crossings_per_pkt", false)],
+    },
+];
 
-fn fmt_count(v: f64) -> String {
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
+/// One identifying member as it appears in a metric name.
+fn id_text(row: &Json, id: &str) -> Option<String> {
+    let shown = match row.get(id.trim_end_matches('='))? {
+        Json::Str(s) => s.clone(),
+        Json::Num(v) if *v == v.trunc() && v.abs() < 1e15 => format!("{}", *v as i64),
+        Json::Num(v) => format!("{v}"),
+        _ => return None,
+    };
+    Some(if id.ends_with('=') {
+        format!("{id}{shown}")
     } else {
-        format!("{v}")
-    }
+        shown
+    })
 }
 
 /// Extracts the comparable metrics of an artifact, in artifact order.
@@ -110,94 +142,28 @@ fn fmt_count(v: f64) -> String {
 /// extra rows should still cover the common subset.
 pub fn metrics_of(artifact: &Json) -> Result<Vec<Metric>, String> {
     let kind = kind_of(artifact)?;
+    let mut shapes = SHAPES.iter().filter(|s| s.kind == kind).peekable();
+    if shapes.peek().is_none() {
+        return Err(format!("unknown bench kind \"{kind}\""));
+    }
     let mut out = Vec::new();
-    let push = |out: &mut Vec<Metric>, name: String, value: Option<f64>, hib: bool| {
-        if let Some(value) = value {
-            out.push(Metric {
-                name,
-                value,
-                higher_is_better: hib,
-            });
-        }
-    };
-    match kind {
-        "selfbench" => {
-            let rows = artifact
-                .get("engine")
-                .and_then(|e| e.get("wheel"))
-                .and_then(Json::as_arr)
-                .unwrap_or(&[]);
-            for row in rows {
-                let Some(timers) = num(row, "timers") else {
-                    continue;
-                };
-                let id = format!("engine.wheel[timers={}]", fmt_count(timers));
-                push(
-                    &mut out,
-                    format!("{id}.events_per_sec"),
-                    num(row, "events_per_sec"),
-                    true,
-                );
+    for shape in shapes {
+        let rows = shape.path.iter().try_fold(artifact, |v, m| v.get(m));
+        for row in rows.and_then(Json::as_arr).unwrap_or(&[]) {
+            let ids: Option<Vec<String>> = shape.ids.iter().map(|id| id_text(row, id)).collect();
+            let Some(ids) = ids else {
+                continue;
+            };
+            for (metric, higher_is_better) in shape.metrics {
+                if let Some(value) = row.get(metric).and_then(Json::as_f64) {
+                    out.push(Metric {
+                        name: format!("{}[{}].{metric}", shape.path.join("."), ids.join(",")),
+                        value,
+                        higher_is_better: *higher_is_better,
+                    });
+                }
             }
         }
-        "filterbench" => {
-            for row in artifact
-                .get("program")
-                .and_then(Json::as_arr)
-                .unwrap_or(&[])
-            {
-                let (Some(engine), Some(filters)) = (text(row, "engine"), num(row, "filters"))
-                else {
-                    continue;
-                };
-                let id = format!("program[{engine},{}]", fmt_count(filters));
-                push(
-                    &mut out,
-                    format!("{id}.ns_per_run"),
-                    num(row, "ns_per_run"),
-                    false,
-                );
-            }
-            for row in artifact.get("table").and_then(Json::as_arr).unwrap_or(&[]) {
-                let (Some(strategy), Some(engine), Some(filters)) = (
-                    text(row, "strategy"),
-                    text(row, "engine"),
-                    num(row, "filters"),
-                ) else {
-                    continue;
-                };
-                let id = format!("table[{strategy},{engine},{}]", fmt_count(filters));
-                push(
-                    &mut out,
-                    format!("{id}.ns_per_match"),
-                    num(row, "ns_per_match"),
-                    false,
-                );
-            }
-        }
-        "table6" => {
-            for row in artifact.get("table").and_then(Json::as_arr).unwrap_or(&[]) {
-                let (Some(config), Some(mode), Some(batch)) =
-                    (text(row, "config"), text(row, "mode"), num(row, "batch"))
-                else {
-                    continue;
-                };
-                let id = format!("table[{config},{mode},{}]", fmt_count(batch));
-                push(
-                    &mut out,
-                    format!("{id}.ns_per_pkt"),
-                    num(row, "ns_per_pkt"),
-                    false,
-                );
-                push(
-                    &mut out,
-                    format!("{id}.crossings_per_pkt"),
-                    num(row, "crossings_per_pkt"),
-                    false,
-                );
-            }
-        }
-        other => return Err(format!("unknown bench kind \"{other}\"")),
     }
     if out.is_empty() {
         return Err(format!("artifact of kind \"{kind}\" yields no metrics"));
@@ -290,68 +256,52 @@ pub fn report_json(deltas: &[Delta], labels: (&str, &str), tolerance: f64) -> Js
     ])
 }
 
-/// The CI regression gate: checks a measured artifact against a
-/// committed baseline of the same kind, reproducing the retired
-/// per-binary `--check-baseline` verdicts cell for cell.
+/// The gated metrics of each bench kind, by [`metrics_of`] name.
+const GATES: &[(&str, &[&str])] = &[
+    ("selfbench", &["engine.wheel[timers=65536].events_per_sec"]),
+    ("filterbench", &["table[Cspf,Compiled,4096].ns_per_match"]),
+    (
+        "table6",
+        &[
+            "table[LibraryIpc,eager,64].ns_per_pkt",
+            "table[LibraryShm,eager,64].ns_per_pkt",
+            "table[LibraryShmIpf,eager,64].ns_per_pkt",
+        ],
+    ),
+];
+
+/// The CI regression gate: checks a measured artifact's gated metrics
+/// against a committed baseline of the same kind.
 ///
 /// Returns one human line per passed check, or the first failure.
 pub fn check(baseline: &Json, measured: &Json, tolerance: f64) -> Result<Vec<String>, String> {
-    let (bk, mk) = (kind_of(baseline)?, kind_of(measured)?);
-    if bk != mk {
-        return Err(format!("kind mismatch: baseline is {bk}, measured is {mk}"));
-    }
+    let deltas = diff(baseline, measured)?;
+    let kind = kind_of(baseline)?;
+    let (_, gated) = GATES
+        .iter()
+        .find(|(k, _)| *k == kind)
+        .ok_or_else(|| format!("no gate defined for bench kind \"{kind}\""))?;
     let mut lines = Vec::new();
-    match bk {
-        "selfbench" => {
-            let name = "engine.wheel[timers=65536].events_per_sec";
-            let (base, new) = gate_values(baseline, measured, name)?;
-            if new < base * (1.0 - tolerance) {
-                return Err(format!(
-                    "events/sec regression: measured {new:.0} < {:.0} \
-                     ({}% below committed {base:.0})",
-                    base * (1.0 - tolerance),
-                    (tolerance * 100.0) as u32,
-                ));
-            }
-            lines.push(format!("{name}: {new:.0} vs committed {base:.0} — ok"));
+    for name in *gated {
+        let Some(d) = deltas.iter().find(|d| d.name == *name) else {
+            let side = match lookup(baseline, name) {
+                Some(_) => "measured run",
+                None => "committed artifact",
+            };
+            return Err(format!("{side} has no {name}"));
+        };
+        let (base, new) = (d.base, d.new);
+        if d.regressed(tolerance) {
+            return Err(format!(
+                "{name} regression: measured {new:.0} vs committed {base:.0} \
+                 ({:+.1}%, tolerance {:.0}%)",
+                d.pct(),
+                tolerance * 100.0
+            ));
         }
-        "filterbench" => {
-            let name = "table[Cspf,Compiled,4096].ns_per_match";
-            let (base, new) = gate_values(baseline, measured, name)?;
-            if new > base * (1.0 + tolerance) {
-                return Err(format!(
-                    "ns/match regression: measured {new:.0} > {:.0} \
-                     ({}% above committed {base:.0})",
-                    base * (1.0 + tolerance),
-                    (tolerance * 100.0) as u32,
-                ));
-            }
-            lines.push(format!("{name}: {new:.0} vs committed {base:.0} — ok"));
-        }
-        "table6" => {
-            for config in ["LibraryIpc", "LibraryShm", "LibraryShmIpf"] {
-                let name = format!("table[{config},eager,64].ns_per_pkt");
-                let (base, new) = gate_values(baseline, measured, &name)?;
-                if new > base * (1.0 + tolerance) {
-                    return Err(format!(
-                        "{config}: ns/pkt regression at B=64: measured {new:.0} > {:.0} \
-                         ({}% above committed {base:.0})",
-                        base * (1.0 + tolerance),
-                        (tolerance * 100.0) as u32,
-                    ));
-                }
-                lines.push(format!("{name}: {new:.0} vs committed {base:.0} — ok"));
-            }
-        }
-        other => return Err(format!("no gate defined for bench kind \"{other}\"")),
+        lines.push(format!("{name}: {new:.0} vs committed {base:.0} — ok"));
     }
     Ok(lines)
-}
-
-fn gate_values(baseline: &Json, measured: &Json, name: &str) -> Result<(f64, f64), String> {
-    let base = lookup(baseline, name).ok_or_else(|| format!("committed artifact has no {name}"))?;
-    let new = lookup(measured, name).ok_or_else(|| format!("measured run has no {name}"))?;
-    Ok((base, new))
 }
 
 /// Resolves a metric name produced by [`metrics_of`] against an
@@ -367,6 +317,7 @@ pub fn lookup(artifact: &Json, name: &str) -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::validate;
 
     fn committed(file: &str) -> Json {
         let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
@@ -401,18 +352,30 @@ mod tests {
 
     #[test]
     fn extracts_metrics_from_all_committed_artifacts() {
-        for (file, kind) in [
+        let schema = committed("BENCH.schema.json");
+        let kinds = [
             ("BENCH_6.json", "selfbench"),
             ("BENCH_8.json", "filterbench"),
             ("BENCH_9.json", "table6"),
-        ] {
-            let artifact = committed(file);
-            assert_eq!(kind_of(&artifact).unwrap(), kind);
+        ];
+        for (i, (file, kind)) in kinds.iter().enumerate() {
+            let mut artifact = committed(file);
+            assert_eq!(kind_of(&artifact).unwrap(), *kind);
             let metrics = metrics_of(&artifact).unwrap();
             assert!(!metrics.is_empty(), "{file} yields metrics");
             for m in &metrics {
                 assert!(m.value.is_finite(), "{file}: {} is finite", m.name);
             }
+            // One schema, three row shapes: each artifact validates as
+            // its own kind and as no other.
+            validate(&artifact, &schema).unwrap_or_else(|e| panic!("{file}: {e}"));
+            let Json::Obj(members) = &mut artifact else {
+                panic!("{file} is an object");
+            };
+            let bench = members.iter_mut().find(|(k, _)| k == "bench").unwrap();
+            bench.1 = Json::str(kinds[(i + 1) % kinds.len()].1);
+            let err = validate(&artifact, &schema).unwrap_err();
+            assert!(err.contains("missing required member"), "{file}: {err}");
         }
     }
 
@@ -435,41 +398,58 @@ mod tests {
         assert!(check(&a, &b, 0.2).is_err());
     }
 
-    // Verdict parity with the retired per-binary gates: identical and
-    // mildly-perturbed artifacts pass at the 20% tolerance the CI jobs
-    // used; perturbations past the threshold fail, in the same
-    // direction each binary's check_against_baseline enforced.
+    // The gates' verdicts: identical and mildly-perturbed artifacts
+    // pass at the 20% tolerance the CI jobs use; perturbations past the
+    // threshold fail, each in its metric's worse direction.
 
     #[test]
-    fn selfbench_gate_parity() {
+    fn selfbench_gate() {
         let base = committed("BENCH_6.json");
         assert!(check(&base, &base, 0.2).is_ok());
         // 10% slower (events/sec scaled down) passes at 20%.
         assert!(check(&base, &scaled(&base, 0.9), 0.2).is_ok());
-        // 30% slower fails — same verdict as selfbench --check-baseline.
+        // 30% slower fails; faster never does.
         let err = check(&base, &scaled(&base, 0.7), 0.2).unwrap_err();
-        assert!(err.contains("events/sec regression"), "{err}");
+        assert!(err.contains("events_per_sec regression"), "{err}");
+        assert!(check(&base, &scaled(&base, 1.3), 0.2).is_ok());
     }
 
     #[test]
-    fn filterbench_gate_parity() {
+    fn filterbench_gate() {
         let base = committed("BENCH_8.json");
         assert!(check(&base, &base, 0.2).is_ok());
         // ns/match up 10% passes; up 30% fails.
         assert!(check(&base, &scaled(&base, 1.1), 0.2).is_ok());
         let err = check(&base, &scaled(&base, 1.3), 0.2).unwrap_err();
-        assert!(err.contains("ns/match regression"), "{err}");
+        assert!(err.contains("ns_per_match regression"), "{err}");
+        assert!(check(&base, &scaled(&base, 0.7), 0.2).is_ok());
     }
 
     #[test]
-    fn table6_gate_parity() {
+    fn table6_gate() {
         let base = committed("BENCH_9.json");
         let lines = check(&base, &base, 0.2).unwrap();
-        // One line per configuration, as table6's gate checked.
+        // One line per configuration.
         assert_eq!(lines.len(), 3);
         assert!(check(&base, &scaled(&base, 1.1), 0.2).is_ok());
         let err = check(&base, &scaled(&base, 1.3), 0.2).unwrap_err();
-        assert!(err.contains("ns/pkt regression"), "{err}");
+        assert!(err.contains("ns_per_pkt regression"), "{err}");
+        assert!(check(&base, &scaled(&base, 0.7), 0.2).is_ok());
+        // A measured run missing a gated cell cannot pass.
+        let mut gutted = base.clone();
+        let Json::Obj(members) = &mut gutted else {
+            panic!("artifact is an object");
+        };
+        let table = members.iter_mut().find(|(k, _)| k == "table").unwrap();
+        let Json::Arr(rows) = &mut table.1 else {
+            panic!("table is an array");
+        };
+        rows.retain(|r| r.get("batch").and_then(Json::as_f64) != Some(64.0));
+        let err = check(&base, &gutted, 0.2).unwrap_err();
+        assert!(
+            err.contains("measured run has no table[LibraryIpc"),
+            "{err}"
+        );
     }
 
     #[test]

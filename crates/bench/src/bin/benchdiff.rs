@@ -2,24 +2,23 @@
 //! artifacts.
 //!
 //! ```text
-//! benchdiff FILE FILE... [--tolerance X] [--json PATH] [--report PATH]
-//! benchdiff --check BASELINE MEASURED [--tolerance X]
-//! benchdiff --validate FILE --schema FILE
+//! usage: benchdiff [--check] [--validate] [--schema FILE] [--json PATH] [--report PATH] [--tolerance X] FILE...
 //! ```
 //!
-//! The first form prints a per-metric delta table between consecutive
-//! artifacts (a trajectory when given the same benchmark's artifacts
-//! over time); `--json`/`--report` write the machine/text reports for
-//! the final pair. The second form is the CI regression gate: it
-//! reproduces the cell-for-cell verdicts of the retired
-//! `selfbench/filterbench/table6 --check-baseline` flags — one binary,
-//! one exit code, any benchmark kind. The third form schema-validates
-//! a single artifact and exits.
+//! Three forms. `benchdiff FILE FILE...` prints a per-metric delta
+//! table between consecutive artifacts (a trajectory when given the
+//! same benchmark's artifacts over time); `--json`/`--report` write the
+//! machine/text reports for the final pair. `benchdiff --check BASELINE
+//! MEASURED` is the CI regression gate — one binary, one exit code, any
+//! benchmark kind. `benchdiff --validate FILE --schema FILE`
+//! schema-validates a single artifact and exits.
 
 use std::process::ExitCode;
 
 use psd_bench::benchdiff;
+use psd_bench::cli::Args;
 use psd_bench::json::{validate, Json};
+use psd_bench::observe::write_artifact;
 
 fn read_artifact(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -27,155 +26,95 @@ fn read_artifact(path: &str) -> Result<Json, String> {
 }
 
 fn main() -> ExitCode {
-    let mut files: Vec<String> = Vec::new();
-    let mut tolerance = 0.2;
-    let mut check = false;
-    let mut validate_mode = false;
-    let mut schema_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
-    let mut report_path: Option<String> = None;
+    let mut args = Args::from_env("benchdiff");
+    let check = args.flag("--check");
+    let validate_mode = args.flag("--validate");
+    let schema_path = args.value("--schema", "FILE");
+    let json_path = args.value("--json", "PATH");
+    let report_path = args.value("--report", "PATH");
+    let tolerance: f64 = args.parsed("--tolerance", "X").unwrap_or(0.2);
+    let files = args.positionals("FILE...");
+    args.finish();
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--check" => check = true,
-            "--validate" => validate_mode = true,
-            "--schema" => schema_path = args.next(),
-            "--json" => json_path = args.next(),
-            "--report" => report_path = args.next(),
-            "--tolerance" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(t) => tolerance = t,
-                None => {
-                    eprintln!("benchdiff: --tolerance needs a number");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                println!(
-                    "usage: benchdiff FILE FILE... [--tolerance X] [--json PATH] [--report PATH]\n\
-                     \x20      benchdiff --check BASELINE MEASURED [--tolerance X]\n\
-                     \x20      benchdiff --validate FILE --schema FILE"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other if other.starts_with("--") => {
-                eprintln!("benchdiff: unknown argument '{other}'");
-                return ExitCode::FAILURE;
-            }
-            file => files.push(file.to_string()),
+    let done = if validate_mode {
+        validate_file(&files, schema_path.as_deref())
+    } else if check {
+        gate(&files, tolerance)
+    } else {
+        trajectory(
+            &files,
+            tolerance,
+            report_path.as_deref(),
+            json_path.as_deref(),
+        )
+    };
+    match done {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("benchdiff: {e}");
+            ExitCode::FAILURE
         }
     }
+}
 
-    if validate_mode {
-        let (Some(file), Some(schema_file)) = (files.first(), &schema_path) else {
-            eprintln!("benchdiff: --validate needs FILE and --schema FILE");
-            return ExitCode::FAILURE;
-        };
-        let artifact = match read_artifact(file) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let schema = match read_artifact(schema_file) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate(&artifact, &schema) {
-            Ok(()) => {
-                println!("benchdiff: {file} validates against {schema_file}");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("benchdiff: {file} violates {schema_file}: {e}");
-                ExitCode::FAILURE
-            }
-        };
+fn validate_file(files: &[String], schema_file: Option<&str>) -> Result<(), String> {
+    let (Some(file), Some(schema_file)) = (files.first(), schema_file) else {
+        return Err("--validate needs FILE and --schema FILE".into());
+    };
+    validate(&read_artifact(file)?, &read_artifact(schema_file)?)
+        .map_err(|e| format!("{file} violates {schema_file}: {e}"))?;
+    println!("benchdiff: {file} validates against {schema_file}");
+    Ok(())
+}
+
+fn gate(files: &[String], tolerance: f64) -> Result<(), String> {
+    let [baseline, measured] = files else {
+        return Err("--check takes exactly BASELINE and MEASURED".into());
+    };
+    let lines = benchdiff::check(
+        &read_artifact(baseline)?,
+        &read_artifact(measured)?,
+        tolerance,
+    )
+    .map_err(|e| format!("GATE FAILED — {e}"))?;
+    for line in lines {
+        println!("benchdiff: gate ok — {line}");
     }
+    Ok(())
+}
 
+/// Consecutive pairwise deltas; the reports cover the final pair
+/// (typically "previous committed" vs "this run").
+fn trajectory(
+    files: &[String],
+    tolerance: f64,
+    report_path: Option<&str>,
+    json_path: Option<&str>,
+) -> Result<(), String> {
     if files.len() < 2 {
-        eprintln!("benchdiff: need at least two artifacts (see --help)");
-        return ExitCode::FAILURE;
+        return Err("need at least two artifacts (see --help)".into());
     }
-
-    if check {
-        if files.len() != 2 {
-            eprintln!("benchdiff: --check takes exactly BASELINE and MEASURED");
-            return ExitCode::FAILURE;
-        }
-        let (baseline, measured) = match (read_artifact(&files[0]), read_artifact(&files[1])) {
-            (Ok(b), Ok(m)) => (b, m),
-            (Err(e), _) | (_, Err(e)) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match benchdiff::check(&baseline, &measured, tolerance) {
-            Ok(lines) => {
-                for line in lines {
-                    println!("benchdiff: gate ok — {line}");
-                }
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("benchdiff: GATE FAILED — {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    // Trajectory: consecutive pairwise deltas; reports cover the final
-    // pair (typically "previous committed" vs "this run").
-    let mut artifacts = Vec::new();
-    for file in &files {
-        match read_artifact(file) {
-            Ok(v) => artifacts.push(v),
-            Err(e) => {
-                eprintln!("benchdiff: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+    let artifacts = files
+        .iter()
+        .map(|f| read_artifact(f))
+        .collect::<Result<Vec<Json>, String>>()?;
     let mut regressed = false;
-    let mut last_reports: Option<(String, Json)> = None;
-    for pair in artifacts.windows(2).zip(files.windows(2)) {
-        let ((base, new), (base_file, new_file)) = (
-            (&pair.0[0], &pair.0[1]),
-            (pair.1[0].as_str(), pair.1[1].as_str()),
-        );
-        let deltas = match benchdiff::diff(base, new) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("benchdiff: {base_file} -> {new_file}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
+    let mut last_reports = None;
+    for (pair, names) in artifacts.windows(2).zip(files.windows(2)) {
+        let labels = (names[0].as_str(), names[1].as_str());
+        let deltas = benchdiff::diff(&pair[0], &pair[1])
+            .map_err(|e| format!("{} -> {}: {e}", labels.0, labels.1))?;
         regressed |= deltas.iter().any(|d| d.regressed(tolerance));
-        let text = benchdiff::report_text(&deltas, (base_file, new_file), tolerance);
+        let text = benchdiff::report_text(&deltas, labels, tolerance);
         print!("{text}");
-        last_reports = Some((
-            text,
-            benchdiff::report_json(&deltas, (base_file, new_file), tolerance),
-        ));
+        last_reports = Some((text, benchdiff::report_json(&deltas, labels, tolerance)));
     }
     if let Some((text, doc)) = last_reports {
-        if let Some(path) = &report_path {
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("benchdiff: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("benchdiff: wrote report to {path}");
+        if let Some(path) = report_path {
+            write_artifact("benchdiff", "report", path, &text);
         }
-        if let Some(path) = &json_path {
-            if let Err(e) = std::fs::write(path, doc.write()) {
-                eprintln!("benchdiff: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("benchdiff: wrote JSON report to {path}");
+        if let Some(path) = json_path {
+            write_artifact("benchdiff", "JSON report", path, &doc.write());
         }
     }
     if regressed {
@@ -185,5 +124,5 @@ fn main() -> ExitCode {
             tolerance * 100.0
         );
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

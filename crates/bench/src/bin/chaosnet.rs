@@ -7,8 +7,9 @@
 //! byte counts, per-segment Ethernet stats and drop taxonomies,
 //! switch/router stats, and both fault-plane logs.
 //!
-//! Usage: `cargo run --release -p psd-bench --bin chaosnet [--seed N]
-//! [--config LABEL] [--metrics-out PATH]`
+//! ```text
+//! usage: chaosnet [--seed N] [--config NAME] [--metrics-out PATH]
+//! ```
 //!
 //! Everything on stdout is deterministic: two runs with the same
 //! arguments must be byte-identical. CI runs the bin twice and
@@ -20,6 +21,8 @@
 //! charges time or
 //! consumes randomness, so stdout stays byte-identical either way.
 
+use psd_bench::cli::Args;
+use psd_bench::observe::{Attached, Flag, Session};
 use psd_core::{AppLib, Fd, FdEventFn};
 use psd_netstack::{InetAddr, SockEvent, SocketError};
 use psd_server::Proto;
@@ -31,33 +34,23 @@ use std::rc::Rc;
 const PATTERN_LEN: usize = 20 * 1024;
 const CHUNK: usize = 256;
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let seed: u64 = flag_value("--seed")
-        .map(|s| s.parse().expect("--seed takes an integer"))
-        .unwrap_or(7);
-    let config = match flag_value("--config").as_deref() {
-        None => SystemConfig::LibraryShm,
-        Some(label) => SystemConfig::for_platform(Platform::DecStation5000_200)
-            .into_iter()
-            .find(|c| c.label() == label)
-            .expect("unknown --config label"),
-    };
-
-    let metrics_out = flag_value("--metrics-out");
+    let mut args = Args::from_env("chaosnet");
+    let seed: u64 = args.parsed("--seed", "N").unwrap_or(7);
+    let config = args.config().unwrap_or(SystemConfig::LibraryShm);
+    let mut obs = Session::parse(&mut args, &[Flag::MetricsOut]);
+    args.finish();
 
     let mut bed = MultiHopBed::new(config, Platform::DecStation5000_200, seed);
     // The chaos run covers ~2 virtual minutes; 100 ms sampling keeps
     // the timeseries artifact at ~1.3k rows instead of ~130k.
-    let metrics = metrics_out
-        .is_some()
-        .then(|| bed.attach_metrics(SimTime::from_millis(100)));
+    let seen = Attached {
+        metrics: obs
+            .planes()
+            .metrics
+            .then(|| bed.attach_metrics(SimTime::from_millis(100))),
+        ..Attached::default()
+    };
     let plane = bed.attach_fault_plane();
     {
         let mut p = plane.borrow_mut();
@@ -226,9 +219,7 @@ fn main() {
     println!("plane:\n{}", plane.borrow().snapshot());
     println!("partition:\n{}", partition.borrow().snapshot());
 
-    if let (Some(path), Some(metrics)) = (&metrics_out, &metrics) {
-        let doc = psd_bench::observe::metrics_json("chaosnet", seed, metrics);
-        std::fs::write(path, doc.write()).expect("write metrics json");
-        eprintln!("wrote metrics timeseries to {path}");
-    }
+    // One unlabelled row: the run is the whole bench.
+    obs.record("", &seen);
+    obs.finish("chaosnet", seed);
 }

@@ -1,46 +1,34 @@
 //! The `protolat` microbenchmark as a CLI: "a program that measures
 //! protocol round trip latency for UDP and TCP."
 //!
-//! Usage:
-//!   cargo run --release -p psd-bench --bin protolat -- \
-//!       [--config library-shm-ipf] [--platform decstation] \
-//!       [--proto udp] [--size 1] [--rounds 200] [--newapi]
+//! ```text
+//! usage: protolat [--config NAME] [--platform NAME] [--proto NAME] [--size N] [--rounds N] [--newapi]
+//! ```
+//!
+//! `--config` and `--platform` take the names `ttcp` takes (defaults
+//! `library-shm-ipf` on `decstation`); `--proto` is `udp` (the default)
+//! or `tcp`. Anything unrecognised is an error, never a default.
 
+use psd_bench::cli::Args;
 use psd_bench::{protolat, ApiStyle};
 use psd_server::Proto;
 use psd_sim::Platform;
 use psd_systems::{SystemConfig, TestBed};
 
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
 fn main() {
-    let config = match arg("--config").as_deref() {
-        Some("mach25") | Some("in-kernel") => SystemConfig::Mach25InKernel,
-        Some("ultrix") => SystemConfig::Ultrix42InKernel,
-        Some("386bsd") => SystemConfig::Bsd386InKernel,
-        Some("ux") | Some("server") => SystemConfig::UxServer,
-        Some("bnr2ss") => SystemConfig::Bnr2ssServer,
-        Some("library-ipc") => SystemConfig::LibraryIpc,
-        Some("library-shm") => SystemConfig::LibraryShm,
-        _ => SystemConfig::LibraryShmIpf,
-    };
-    let platform = match arg("--platform").as_deref() {
-        Some("gateway") | Some("i486") => Platform::Gateway486,
-        _ => Platform::DecStation5000_200,
-    };
-    let proto = match arg("--proto").as_deref() {
-        Some("tcp") => Proto::Tcp,
-        _ => Proto::Udp,
-    };
-    let size: usize = arg("--size").and_then(|v| v.parse().ok()).unwrap_or(1);
-    let rounds: u32 = arg("--rounds").and_then(|v| v.parse().ok()).unwrap_or(200);
-    let api = if std::env::args().any(|a| a == "--newapi") {
+    let mut args = Args::from_env("protolat");
+    let config = args.config().unwrap_or(SystemConfig::LibraryShmIpf);
+    let platform = args.platform().unwrap_or(Platform::DecStation5000_200);
+    let protos = [("udp", Proto::Udp), ("tcp", Proto::Tcp)];
+    let proto = args.choice("--proto", &protos).unwrap_or(Proto::Udp);
+    let size: usize = args.parsed("--size", "N").unwrap_or(1);
+    let rounds: u32 = args.parsed("--rounds", "N").unwrap_or(200);
+    let api = if args.flag("--newapi") {
         ApiStyle::Newapi
     } else {
         ApiStyle::Classic
     };
+    args.finish();
 
     let mut bed = TestBed::new(config, platform, 7);
     let r = protolat(&mut bed, proto, size, 25, rounds, api);

@@ -1,98 +1,27 @@
 //! Simulator self-benchmark CLI.
 //!
 //! ```text
-//! selfbench [--quick] [--json PATH] [--check-baseline PATH] [--schema PATH]
+//! usage: selfbench [--quick] [--json PATH]
 //! ```
 //!
 //! Prints the human table to stdout. `--json` writes the machine
-//! artifact (the committed `BENCH_6.json` is a full run's output).
-//! `--check-baseline` compares this run's wheel events/sec at 64k
-//! timers against a committed artifact and exits nonzero on a >20%
-//! regression. `--schema` validates the artifact against a schema file
-//! before writing it.
+//! artifact (the committed `BENCH_6.json` is a full run's output). CI
+//! gates the wheel's events/sec at 64k timers with `benchdiff --check
+//! BENCH_6.json` and validates the artifact with `benchdiff --validate`.
 
-use std::process::ExitCode;
-
-use psd_bench::json::Json;
+use psd_bench::cli::Args;
+use psd_bench::observe::write_artifact;
 use psd_bench::selfbench;
 
-fn main() -> ExitCode {
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut schema_path: Option<String> = None;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json_path = args.next(),
-            "--check-baseline" => baseline_path = args.next(),
-            "--schema" => schema_path = args.next(),
-            "--help" | "-h" => {
-                println!(
-                    "usage: selfbench [--quick] [--json PATH] [--check-baseline PATH] [--schema PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("selfbench: unknown argument '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
+fn main() {
+    let mut args = Args::from_env("selfbench");
+    let quick = args.flag("--quick");
+    let json_path = args.value("--json", "PATH");
+    args.finish();
 
     let bench = selfbench::run(quick);
     print!("{}", bench.table());
-    let artifact = bench.to_json();
-
-    if let Some(path) = &schema_path {
-        let schema_text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("selfbench: cannot read schema {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = selfbench::validate_artifact(&artifact, &schema_text) {
-            eprintln!("selfbench: artifact violates schema: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("selfbench: artifact validates against {path}");
-    }
-
     if let Some(path) = &json_path {
-        if let Err(e) = std::fs::write(path, artifact.write()) {
-            eprintln!("selfbench: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("selfbench: wrote {path}");
+        write_artifact("selfbench", "artifact", path, &bench.to_json().write());
     }
-
-    if let Some(path) = &baseline_path {
-        let committed = match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("selfbench: cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("selfbench: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match selfbench::check_against_baseline(&bench, &committed, 0.2) {
-            Ok((eps, committed_eps)) => eprintln!(
-                "selfbench: gate ok — {eps:.0} events/sec vs committed {committed_eps:.0}"
-            ),
-            Err(e) => {
-                eprintln!("selfbench: GATE FAILED — {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
-    ExitCode::SUCCESS
 }

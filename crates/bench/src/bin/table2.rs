@@ -2,7 +2,9 @@
 //! latency (protolat) for every system configuration on both
 //! platforms.
 //!
-//! Usage: `cargo run --release -p psd-bench --bin table2 [--quick] [--gateway|--decstation] [--census]`
+//! ```text
+//! usage: table2 [--quick] [--gateway] [--decstation] [--census] [--census-json PATH] [--faults] [--trace-out PATH] [--stages] [--profile] [--profile-out PATH] [--metrics-out PATH]
+//! ```
 //!
 //! `--quick` transfers 2 MB instead of the paper's 16 MB and runs 50
 //! latency rounds instead of 200. `--census` appends an operation
@@ -31,49 +33,42 @@
 //! gauge plane over each ttcp run (10 ms virtual period) and writes
 //! the timeseries artifact. All three are charged-time-neutral.
 
-use psd_bench::observe;
+use psd_bench::cli::Args;
+use psd_bench::observe::{Flag, Planes, Session};
 use psd_bench::tables::{fmt_pair, table2_for, TCP_SIZES, UDP_SIZES};
 use psd_bench::{protolat, ttcp, ApiStyle};
 use psd_server::Proto;
 use psd_sim::Platform;
 use psd_systems::TestBed;
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
+/// Seed of every ttcp bed (latency beds count up from it).
+const SEED: u64 = 42;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let want_census = args.iter().any(|a| a == "--census");
-    let want_faults = args.iter().any(|a| a == "--faults");
-    let want_stages = args.iter().any(|a| a == "--stages");
-    let trace_out = flag_value(&args, "--trace-out");
-    let census_json = flag_value(&args, "--census-json");
-    let profile_out = flag_value(&args, "--profile-out");
-    let metrics_out = flag_value(&args, "--metrics-out");
-    let profiling = args.iter().any(|a| a == "--profile") || profile_out.is_some();
-    let tracing = trace_out.is_some() || want_stages;
-    let mut trace_events = String::new();
-    let mut census_docs: Vec<String> = Vec::new();
-    let mut profile_runs: Vec<observe::ProfiledRun> = Vec::new();
-    let mut metrics_rows: Vec<(String, psd_sim::MetricsHandle)> = Vec::new();
-    let mut row_idx: u64 = 0;
+    let mut args = Args::from_env("table2");
+    let quick = args.flag("--quick");
+    let gateway = args.flag("--gateway");
+    let decstation = args.flag("--decstation");
+    let mut obs = Session::parse(&mut args, &Flag::ALL);
+    args.finish();
     let (bytes, rounds) = if quick {
         (2 << 20, 50)
     } else {
         (16 << 20, 200)
     };
-    let platforms: Vec<Platform> = if args.iter().any(|a| a == "--gateway") {
+    let platforms: Vec<Platform> = if gateway {
         vec![Platform::Gateway486]
-    } else if args.iter().any(|a| a == "--decstation") {
+    } else if decstation {
         vec![Platform::DecStation5000_200]
     } else {
         vec![Platform::DecStation5000_200, Platform::Gateway486]
     };
 
+    // What the latency and shape-check beds attach besides a tracer.
+    let faults_only = Planes {
+        faults: obs.planes().faults,
+        ..Planes::default()
+    };
     for platform in platforms {
         println!("==== {} ====", platform.label());
         println!(
@@ -83,135 +78,66 @@ fn main() {
         );
         for row in table2_for(platform) {
             let config = row.config;
-            // One tracer per table row, attached to the latency beds
-            // only (the ttcp run would dominate the trace with bulk
-            // data packets).
-            let row_tracer = tracing.then(psd_sim::Tracer::shared);
+            // The row's tracer is attached to the latency beds only
+            // (the ttcp run would dominate the trace with bulk data
+            // packets); every other plane observes the ttcp bed.
+            let planes = obs.planes();
+            let latency = Planes {
+                trace: planes.trace.clone(),
+                ..faults_only.clone()
+            };
             // Throughput.
-            let mut bed = TestBed::new(config, platform, 42);
-            let censuses = (want_census || census_json.is_some()).then(|| bed.attach_census());
-            if want_faults {
-                let _plane = bed.attach_fault_plane();
+            let mut bed = TestBed::new(config, platform, SEED);
+            let mut seen = Planes {
+                trace: None,
+                ..planes
             }
-            let profilers = profiling.then(|| bed.attach_profilers());
-            // 10 ms sampling: a full ttcp run covers tens of virtual
-            // seconds per row, so 1 ms would balloon the artifact.
-            let metrics = metrics_out
-                .is_some()
-                .then(|| bed.attach_metrics(psd_sim::SimTime::from_millis(10)));
+            .attach(&mut bed);
+            seen.trace = latency.trace.clone();
             let t = ttcp(&mut bed, bytes, ApiStyle::Classic);
-            let row_label = format!("{} | {}", platform.label(), config.label());
-            if let Some(profilers) = &profilers {
-                profile_runs.push(observe::ProfiledRun {
-                    label: row_label.clone(),
-                    hosts: profilers
-                        .iter()
-                        .enumerate()
-                        .map(|(i, p)| observe::host_profile(i, &bed.hosts[i].cpu, p))
-                        .collect(),
-                });
-            }
-            if let Some(metrics) = metrics {
-                metrics_rows.push((row_label, metrics));
-            }
             println!("{}", config.label());
             println!(
                 "  throughput KB/s : {}   [buf {} KB]",
                 fmt_pair(t.kb_per_sec, row.throughput),
                 row.bufsize
             );
-            // TCP latency.
-            print!("  TCP rtt ms      :");
-            for (i, &size) in TCP_SIZES.iter().enumerate() {
-                if row.tcp_ms[i].is_none() {
-                    print!("  {:>5}({:>5})", "NA", "NA");
-                    continue;
+            for (proto, name, sizes, paper, seed) in [
+                (Proto::Tcp, "TCP", TCP_SIZES, row.tcp_ms, 43),
+                (Proto::Udp, "UDP", UDP_SIZES, row.udp_ms, 53),
+            ] {
+                print!("  {name} rtt ms      :");
+                for (i, &size) in sizes.iter().enumerate() {
+                    let Some(paper) = paper[i] else {
+                        print!("  {:>5}({:>5})", "NA", "NA");
+                        continue;
+                    };
+                    let mut bed = TestBed::new(config, platform, seed + i as u64);
+                    latency.attach(&mut bed);
+                    let lat = protolat(&mut bed, proto, size, 20, rounds, ApiStyle::Classic);
+                    print!("  {:5.2}({paper:5.2})", lat.rtt.as_millis_f64());
                 }
-                let mut bed = TestBed::new(config, platform, 43 + i as u64);
-                if want_faults {
-                    let _plane = bed.attach_fault_plane();
-                }
-                if let Some(t) = &row_tracer {
-                    bed.attach_tracer_handle(t);
-                }
-                let lat = protolat(&mut bed, Proto::Tcp, size, 20, rounds, ApiStyle::Classic);
-                print!(
-                    "  {:5.2}({:5.2})",
-                    lat.rtt.as_millis_f64(),
-                    row.tcp_ms[i].unwrap_or(0.0)
-                );
+                println!();
             }
             println!();
-            // UDP latency.
-            print!("  UDP rtt ms      :");
-            for (i, &size) in UDP_SIZES.iter().enumerate() {
-                if row.udp_ms[i].is_none() {
-                    print!("  {:>5}({:>5})", "NA", "NA");
-                    continue;
+            if let (true, Some(t)) = (obs.print_stages, &seen.trace) {
+                println!("  stage latencies (latency runs, all sizes pooled):");
+                for line in t.borrow().stage_report().lines() {
+                    println!("  {line}");
                 }
-                let mut bed = TestBed::new(config, platform, 53 + i as u64);
-                if want_faults {
-                    let _plane = bed.attach_fault_plane();
-                }
-                if let Some(t) = &row_tracer {
-                    bed.attach_tracer_handle(t);
-                }
-                let lat = protolat(&mut bed, Proto::Udp, size, 20, rounds, ApiStyle::Classic);
-                print!(
-                    "  {:5.2}({:5.2})",
-                    lat.rtt.as_millis_f64(),
-                    row.udp_ms[i].unwrap_or(0.0)
-                );
+                println!();
             }
-            println!("\n");
-            if let Some(t) = &row_tracer {
-                let violations = t.borrow().check_invariants();
-                assert!(violations.is_empty(), "trace invariants: {violations:?}");
-                if want_stages {
-                    println!("  stage latencies (latency runs, all sizes pooled):");
-                    for line in t.borrow().stage_report().lines() {
-                        println!("  {line}");
-                    }
-                    println!();
-                }
-                if trace_out.is_some() {
-                    let label = format!("{} | {}", platform.label(), config.label());
-                    t.borrow().chrome_events(row_idx, &label, &mut trace_events);
-                }
+            if obs.print_census {
+                seen.print_census(" (ttcp run)");
             }
-            if let Some(censuses) = &censuses {
-                if want_census {
-                    for (i, census) in censuses.iter().enumerate() {
-                        println!("  census host{i} (ttcp run):");
-                        for line in census.borrow().snapshot().lines() {
-                            println!("    {line}");
-                        }
-                    }
-                    println!();
-                }
-                if census_json.is_some() {
-                    let hosts: Vec<String> = censuses
-                        .iter()
-                        .map(|c| c.borrow().snapshot_json())
-                        .collect();
-                    census_docs.push(format!(
-                        "{{\"platform\":\"{}\",\"config\":\"{}\",\"hosts\":[{}]}}",
-                        platform.label(),
-                        config.label(),
-                        hosts.join(",")
-                    ));
-                }
-            }
-            row_idx += 1;
+            let label = format!("{} | {}", platform.label(), config.label());
+            obs.census_row(&label, seen.census_hosts());
+            obs.record(&label, &seen);
         }
         // The §4.1 derived claims.
         println!("-- derived shape checks ({}) --", platform.label());
-        let configs = table2_for(platform);
         let tput = |c: psd_systems::SystemConfig| {
-            let mut bed = TestBed::new(c, platform, 42);
-            if want_faults {
-                let _plane = bed.attach_fault_plane();
-            }
+            let mut bed = TestBed::new(c, platform, SEED);
+            faults_only.attach(&mut bed);
             ttcp(&mut bed, bytes, ApiStyle::Classic).kb_per_sec
         };
         use psd_systems::SystemConfig::*;
@@ -238,31 +164,8 @@ fn main() {
                 server / kernel
             );
         }
-        let _ = configs;
         println!();
     }
 
-    if let Some(path) = &trace_out {
-        let doc = psd_sim::chrome_trace_document(&trace_events);
-        std::fs::write(path, doc).expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = &census_json {
-        let doc = format!("{{\"rows\":[{}]}}\n", census_docs.join(","));
-        std::fs::write(path, doc).expect("write census json");
-        eprintln!("wrote census snapshot to {path}");
-    }
-    if profiling {
-        observe::print_hot_tables(&profile_runs);
-    }
-    if let Some(path) = &profile_out {
-        let doc = observe::profile_json("table2", &profile_runs);
-        std::fs::write(path, doc.write()).expect("write profile json");
-        eprintln!("wrote charged-time profile to {path}");
-    }
-    if let Some(path) = &metrics_out {
-        let doc = observe::metrics_rows_json("table2", 42, &metrics_rows);
-        std::fs::write(path, doc.write()).expect("write metrics json");
-        eprintln!("wrote metrics timeseries to {path}");
-    }
+    obs.finish("table2", SEED);
 }

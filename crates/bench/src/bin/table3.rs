@@ -2,8 +2,11 @@
 //! interface, which shares buffers between the application and the
 //! protocol stack, eliminating the copy at the socket boundary (§4.2).
 //!
-//! Usage: `cargo run --release -p psd-bench --bin table3 [--quick]`
+//! ```text
+//! usage: table3 [--quick]
+//! ```
 
+use psd_bench::cli::Args;
 use psd_bench::tables::{fmt_pair, table3_decstation, TCP_SIZES, UDP_SIZES};
 use psd_bench::{protolat, ttcp, ApiStyle};
 use psd_server::Proto;
@@ -11,7 +14,9 @@ use psd_sim::Platform;
 use psd_systems::{SystemConfig, TestBed};
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+    let mut args = Args::from_env("table3");
+    let quick = args.flag("--quick");
+    args.finish();
     let (bytes, rounds) = if quick {
         (2 << 20, 50)
     } else {

@@ -3,8 +3,9 @@
 //! (UX) protocol stacks, TCP and UDP, at the minimum and maximum
 //! unfragmented message sizes.
 //!
-//! Usage: `cargo run -p psd-bench --bin table4 [--rounds N] [--census]
-//! [--trace-out <path>] [--census-json <path>]`
+//! ```text
+//! usage: table4 [--rounds N] [--census] [--census-json PATH] [--trace-out PATH]
+//! ```
 //!
 //! `--census` appends an operation census (crossings, copies, locks,
 //! wakeups per host) after each column; counting never charges virtual
@@ -13,11 +14,15 @@
 //! column's run (one trace process per column); `--census-json` writes
 //! the census snapshots as JSON. Neither flag changes the table.
 
+use psd_bench::cli::Args;
+use psd_bench::observe::{Flag, Session};
 use psd_bench::tables::{table4, Table4Column};
 use psd_bench::{protolat, ApiStyle};
 use psd_server::Proto;
 use psd_sim::{Layer, Platform};
 use psd_systems::{SystemConfig, TestBed};
+
+const SEED: u64 = 7;
 
 fn config_for(system: &str) -> SystemConfig {
     match system {
@@ -28,65 +33,29 @@ fn config_for(system: &str) -> SystemConfig {
     }
 }
 
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let rounds: u32 = std::env::args()
-        .skip_while(|a| a != "--rounds")
-        .nth(1)
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
-    let want_census = std::env::args().any(|a| a == "--census");
-    let trace_out = flag_value("--trace-out");
-    let census_json = flag_value("--census-json");
+    let mut args = Args::from_env("table4");
+    let rounds: u32 = args.parsed("--rounds", "N").unwrap_or(200);
+    let mut obs = Session::parse(&mut args, &[Flag::Census, Flag::CensusJson, Flag::TraceOut]);
+    args.finish();
 
     println!("Table 4: average latency by layer (microseconds, one-way)");
     println!("measured / (paper)  —  {} round trips per column\n", rounds);
 
-    let mut trace_events = String::new();
-    let mut census_docs: Vec<String> = Vec::new();
-    let published = table4();
-    for (i, col) in published.iter().enumerate() {
-        run_column(
-            col,
-            rounds,
-            want_census,
-            trace_out.is_some().then_some((i as u64, &mut trace_events)),
-            census_json.is_some().then_some(&mut census_docs),
-        );
+    for col in &table4() {
+        run_column(col, rounds, &mut obs);
     }
-    if let Some(path) = &trace_out {
-        std::fs::write(path, psd_sim::chrome_trace_document(&trace_events))
-            .expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = &census_json {
-        let doc = format!("{{\"columns\":[{}]}}\n", census_docs.join(","));
-        std::fs::write(path, doc).expect("write census json");
-        eprintln!("wrote census snapshot to {path}");
-    }
+    obs.finish("table4", SEED);
 }
 
-fn run_column(
-    col: &Table4Column,
-    rounds: u32,
-    want_census: bool,
-    trace_sink: Option<(u64, &mut String)>,
-    census_sink: Option<&mut Vec<String>>,
-) {
+fn run_column(col: &Table4Column, rounds: u32, obs: &mut Session) {
     let config = config_for(col.system);
     let proto = match col.proto {
         "TCP" => Proto::Tcp,
         _ => Proto::Udp,
     };
-    let mut bed = TestBed::new(config, Platform::DecStation5000_200, 7);
-    let censuses = (want_census || census_sink.is_some()).then(|| bed.attach_census());
-    let tracer = trace_sink.is_some().then(|| bed.attach_tracer());
+    let mut bed = TestBed::new(config, Platform::DecStation5000_200, SEED);
+    let seen = obs.planes().attach(&mut bed);
     let result = protolat(&mut bed, proto, col.size, 25, rounds, ApiStyle::Classic);
 
     // Each round trip contains one message each way: per-message layer
@@ -122,34 +91,10 @@ fn run_column(
         "  {:<22} {:7.0}  ({:5})\n",
         "network transit", transit, col.transit
     );
-    if let (Some(tracer), Some((pid, out))) = (&tracer, trace_sink) {
-        let violations = tracer.borrow().check_invariants();
-        assert!(violations.is_empty(), "trace invariants: {violations:?}");
-        let label = format!("{} {} {}B", col.system, col.proto, col.size);
-        tracer.borrow().chrome_events(pid, &label, out);
+    if obs.print_census {
+        seen.print_census("");
     }
-    if let Some(censuses) = censuses {
-        if want_census {
-            for (i, census) in censuses.iter().enumerate() {
-                println!("  census host{i}:");
-                for line in census.borrow().snapshot().lines() {
-                    println!("    {line}");
-                }
-            }
-            println!();
-        }
-        if let Some(docs) = census_sink {
-            let hosts: Vec<String> = censuses
-                .iter()
-                .map(|c| c.borrow().snapshot_json())
-                .collect();
-            docs.push(format!(
-                "{{\"system\":\"{}\",\"proto\":\"{}\",\"size\":{},\"hosts\":[{}]}}",
-                col.system,
-                col.proto,
-                col.size,
-                hosts.join(",")
-            ));
-        }
-    }
+    let label = format!("{} {} {}B", col.system, col.proto, col.size);
+    obs.census_row(&label, seen.census_hosts());
+    obs.record(&label, &seen);
 }

@@ -9,8 +9,9 @@
 //! per-packet filter cost, the control-RPC latency at full load, and
 //! the virtual-time cost per delivered packet.
 //!
-//! Usage: `cargo run --release -p psd-bench --bin table5 [--quick] [--census]
-//! [--trace-out <path>] [--census-json <path>]`
+//! ```text
+//! usage: table5 [--quick] [--census] [--census-json PATH] [--trace-out PATH] [--profile] [--profile-out PATH]
+//! ```
 //!
 //! Everything on stdout is deterministic: two runs with the same
 //! arguments are byte-identical (census included). Wall-clock progress
@@ -25,39 +26,29 @@
 //! `--profile-out <path>` writes the collapsed-stack artifact. Both
 //! are charged-time-neutral: stdout is byte-identical either way.
 
-use psd_bench::observe;
-use psd_bench::workload::{session_scaling_observed, ScaleReport, WorkloadSpec};
+use psd_bench::cli::Args;
+use psd_bench::observe::{Flag, Session};
+use psd_bench::workload::{session_scaling, strategy_label, ScaleReport, WorkloadSpec};
 use psd_filter::DemuxStrategy;
 use psd_sim::Platform;
 use psd_systems::SystemConfig;
 
 const SEED: u64 = 42;
 
-fn strategy_label(s: DemuxStrategy) -> &'static str {
-    match s {
-        DemuxStrategy::Cspf => "CSPF",
-        DemuxStrategy::Mpf => "MPF",
-    }
-}
-
-fn flag_value(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1).cloned())
-}
-
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let want_census = std::env::args().any(|a| a == "--census");
-    let trace_out = flag_value("--trace-out");
-    let census_json = flag_value("--census-json");
-    let profile_out = flag_value("--profile-out");
-    let profiling = std::env::args().any(|a| a == "--profile") || profile_out.is_some();
-    let mut trace_events = String::new();
-    let mut census_docs: Vec<String> = Vec::new();
-    let mut profile_runs: Vec<observe::ProfiledRun> = Vec::new();
-    let mut cell_idx: u64 = 0;
+    let mut args = Args::from_env("table5");
+    let quick = args.flag("--quick");
+    let mut obs = Session::parse(
+        &mut args,
+        &[
+            Flag::Census,
+            Flag::CensusJson,
+            Flag::TraceOut,
+            Flag::Profile,
+            Flag::ProfileOut,
+        ],
+    );
+    args.finish();
     let (scales, packets): (&[usize], usize) = if quick {
         (&[16, 128], 256)
     } else {
@@ -90,27 +81,7 @@ fn main() {
             let mut rows = Vec::new();
             for &n in scales {
                 let spec = WorkloadSpec::at_scale(n, packets, SEED);
-                let tracer = trace_out.is_some().then(psd_sim::Tracer::shared);
-                let r = session_scaling_observed(
-                    config,
-                    platform,
-                    strategy,
-                    &spec,
-                    want_census || census_json.is_some(),
-                    tracer.as_ref(),
-                    profiling,
-                );
-                if profiling {
-                    profile_runs.push(observe::ProfiledRun {
-                        label: format!("{} [{}] N={}", config.label(), strategy_label(strategy), n),
-                        hosts: r
-                            .profiles
-                            .iter()
-                            .enumerate()
-                            .map(|(i, (cpu, prof))| observe::host_profile(i, cpu, prof))
-                            .collect(),
-                    });
-                }
+                let mut r = session_scaling(config, platform, strategy, &spec, &obs.planes());
                 println!(
                     "  {:>6}  {:>7}  {:>9.1}  {:>9.0}  {:>11.1}  {:>12.2}",
                     r.sessions,
@@ -120,44 +91,22 @@ fn main() {
                     r.bind_rpc.as_nanos() as f64 / 1000.0,
                     r.setup.as_nanos() as f64 / 1e6,
                 );
-                if want_census {
-                    if let Some(c) = r.census {
+                let label = format!("{} [{}] N={}", config.label(), strategy_label(strategy), n);
+                if let Some(c) = r.census {
+                    if obs.print_census {
                         println!(
                             "          census(rx): filter-runs={} body-copies={} \
                              crossings={} wakeups={}",
                             c.filter_runs, c.body_copies, c.crossings, c.wakeups
                         );
                     }
+                    obs.census_row(&label, c.json_members());
                 }
-                if let Some(t) = &tracer {
-                    let violations = t.borrow().check_invariants();
-                    assert!(violations.is_empty(), "trace invariants: {violations:?}");
-                    let label =
-                        format!("{} [{}] N={}", config.label(), strategy_label(strategy), n);
-                    t.borrow()
-                        .chrome_events(cell_idx, &label, &mut trace_events);
-                }
-                if census_json.is_some() {
-                    let c = r.census.expect("census attached for --census-json");
-                    census_docs.push(format!(
-                        "{{\"config\":\"{}\",\"strategy\":\"{}\",\"sessions\":{},\
-                         \"filter_runs\":{},\"body_copies\":{},\"crossings\":{},\
-                         \"wakeups\":{}}}",
-                        config.label(),
-                        strategy_label(strategy),
-                        n,
-                        c.filter_runs,
-                        c.body_copies,
-                        c.crossings,
-                        c.wakeups
-                    ));
-                }
-                cell_idx += 1;
+                // Taken, not borrowed: the kept report must not pin a
+                // whole cell's trace and profile in memory.
+                obs.record(&label, &std::mem::take(&mut r.observed));
                 eprintln!(
-                    "[wall] {} [{}] N={}: {:.0} ms ({:.0} sim-pkts/s)",
-                    config.label(),
-                    strategy_label(strategy),
-                    n,
+                    "[wall] {label}: {:.0} ms ({:.0} sim-pkts/s)",
                     r.wall.as_secs_f64() * 1000.0,
                     r.packets_rx as f64 / r.wall.as_secs_f64().max(1e-9),
                 );
@@ -237,22 +186,5 @@ fn main() {
         );
     }
 
-    if let Some(path) = &trace_out {
-        std::fs::write(path, psd_sim::chrome_trace_document(&trace_events))
-            .expect("write trace file");
-        eprintln!("wrote Chrome trace to {path}");
-    }
-    if let Some(path) = &census_json {
-        let doc = format!("{{\"cells\":[{}]}}\n", census_docs.join(","));
-        std::fs::write(path, doc).expect("write census json");
-        eprintln!("wrote census snapshot to {path}");
-    }
-    if profiling {
-        observe::print_hot_tables(&profile_runs);
-    }
-    if let Some(path) = &profile_out {
-        let doc = observe::profile_json("table5", &profile_runs);
-        std::fs::write(path, doc.write()).expect("write profile json");
-        eprintln!("wrote charged-time profile to {path}");
-    }
+    obs.finish("table5", SEED);
 }

@@ -1,192 +1,58 @@
 //! Table 6 CLI: the batched-NEWAPI sweep.
 //!
 //! ```text
-//! table6 [--quick] [--json PATH] [--check-baseline PATH] [--schema PATH]
-//!        [--census-json PATH] [--trace-out PATH]
-//!        [--profile] [--profile-out PATH]
+//! usage: table6 [--quick] [--json PATH] [--census-json PATH] [--trace-out PATH] [--profile] [--profile-out PATH]
 //! ```
 //!
 //! Prints the human table to stdout. `--json` writes the machine
 //! artifact (the committed `BENCH_9.json` is a full run's output).
 //! Every field in the artifact is virtual-time or a deterministic
 //! counter, so two same-seed runs are byte-identical with no
-//! normalization — CI runs twice and diffs the files directly.
-//! `--check-baseline` compares this run's ns/pkt in every
-//! (config, eager, B=64) cell against a committed artifact and exits
-//! nonzero on a >20% regression. `--schema` validates the artifact
-//! against a schema file before writing it. The run itself asserts the
-//! hard invariants (lossless burst, crossings exactly packets/B) and
-//! the monotone-decrease acceptance trend.
+//! normalization — CI runs twice and diffs the files directly, gates
+//! ns/pkt in every (config, eager, B=64) cell with `benchdiff --check
+//! BENCH_9.json`, and validates the artifact with `benchdiff
+//! --validate`. The run itself asserts the hard invariants (lossless
+//! burst, crossings exactly packets/B) and the monotone-decrease
+//! acceptance trend.
 //!
 //! The observability flags match the other table bins: `--census-json`
 //! writes per-cell census snapshots, `--trace-out` writes a Chrome
 //! trace (one trace process per cell), `--profile` attaches the
-//! charged-time profiler (conservation asserted, hot-site tables to
+//! charged-time profiler (conservation checked, hot-site tables to
 //! stderr), and `--profile-out` writes the collapsed-stack artifact.
 //! None of them changes the table or the `--json` artifact.
 
 use std::process::ExitCode;
 
-use psd_bench::json::Json;
-use psd_bench::{observe, table6};
+use psd_bench::cli::Args;
+use psd_bench::observe::{write_artifact, Flag, Session};
+use psd_bench::table6;
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut json_path: Option<String> = None;
-    let mut baseline_path: Option<String> = None;
-    let mut schema_path: Option<String> = None;
-    let mut census_json: Option<String> = None;
-    let mut trace_out: Option<String> = None;
-    let mut profile = false;
-    let mut profile_out: Option<String> = None;
+    let mut args = Args::from_env("table6");
+    let quick = args.flag("--quick");
+    let json_path = args.value("--json", "PATH");
+    let mut obs = Session::parse(
+        &mut args,
+        &[
+            Flag::CensusJson,
+            Flag::TraceOut,
+            Flag::Profile,
+            Flag::ProfileOut,
+        ],
+    );
+    args.finish();
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--json" => json_path = args.next(),
-            "--check-baseline" => baseline_path = args.next(),
-            "--schema" => schema_path = args.next(),
-            "--census-json" => census_json = args.next(),
-            "--trace-out" => trace_out = args.next(),
-            "--profile" => profile = true,
-            "--profile-out" => profile_out = args.next(),
-            "--help" | "-h" => {
-                println!(
-                    "usage: table6 [--quick] [--json PATH] \
-                     [--check-baseline PATH] [--schema PATH] \
-                     [--census-json PATH] [--trace-out PATH] \
-                     [--profile] [--profile-out PATH]"
-                );
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("table6: unknown argument '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let profiling = profile || profile_out.is_some();
-
-    let (bench, obs) = table6::run_observed(quick, trace_out.is_some(), profiling);
+    let bench = table6::run(quick, &mut obs);
     print!("{}", bench.table());
     if let Err(e) = bench.check_monotone() {
         eprintln!("table6: MONOTONICITY FAILED — {e}");
         return ExitCode::FAILURE;
     }
     eprintln!("table6: crossings/pkt and ns/pkt decrease monotonically in B");
-
-    if let Some(path) = &census_json {
-        let rows: Vec<String> = obs
-            .iter()
-            .map(|o| {
-                format!(
-                    "{{\"label\":\"{}\",\"hosts\":[{}]}}",
-                    o.label,
-                    o.census_hosts.join(",")
-                )
-            })
-            .collect();
-        let doc = format!("{{\"rows\":[{}]}}\n", rows.join(","));
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("table6: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("table6: wrote census snapshot to {path}");
-    }
-    if let Some(path) = &trace_out {
-        let mut trace_events = String::new();
-        for (idx, o) in obs.iter().enumerate() {
-            let t = o.tracer.as_ref().expect("tracer attached for --trace-out");
-            let violations = t.borrow().check_invariants();
-            assert!(violations.is_empty(), "trace invariants: {violations:?}");
-            t.borrow()
-                .chrome_events(idx as u64, &o.label, &mut trace_events);
-        }
-        let doc = psd_sim::chrome_trace_document(&trace_events);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("table6: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("table6: wrote Chrome trace to {path}");
-    }
-    if profiling {
-        let runs: Vec<observe::ProfiledRun> = obs
-            .iter()
-            .map(|o| observe::ProfiledRun {
-                label: o.label.clone(),
-                hosts: o
-                    .profiles
-                    .iter()
-                    .enumerate()
-                    .map(|(i, (cpu, prof))| observe::host_profile(i, cpu, prof))
-                    .collect(),
-            })
-            .collect();
-        observe::print_hot_tables(&runs);
-        if let Some(path) = &profile_out {
-            let doc = observe::profile_json("table6", &runs);
-            if let Err(e) = std::fs::write(path, doc.write()) {
-                eprintln!("table6: cannot write {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-            eprintln!("table6: wrote charged-time profile to {path}");
-        }
-    }
-
-    let artifact = bench.to_json();
-
-    if let Some(path) = &schema_path {
-        let schema_text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("table6: cannot read schema {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if let Err(e) = table6::validate_artifact(&artifact, &schema_text) {
-            eprintln!("table6: artifact violates schema: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("table6: artifact validates against {path}");
-    }
-
+    obs.finish("table6", table6::SEED);
     if let Some(path) = &json_path {
-        if let Err(e) = std::fs::write(path, artifact.write()) {
-            eprintln!("table6: cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        eprintln!("table6: wrote {path}");
+        write_artifact("table6", "artifact", path, &bench.to_json().write());
     }
-
-    if let Some(path) = &baseline_path {
-        let committed = match std::fs::read_to_string(path).map_err(|e| e.to_string()) {
-            Ok(text) => match Json::parse(&text) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("table6: cannot parse {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            Err(e) => {
-                eprintln!("table6: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        match table6::check_against_baseline(&bench, &committed, 0.2) {
-            Ok(cells) => {
-                for (key, ns, committed_ns) in cells {
-                    eprintln!(
-                        "table6: gate ok — {key} {ns:.0} ns/pkt vs committed {committed_ns:.0}"
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("table6: GATE FAILED — {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-
     ExitCode::SUCCESS
 }

@@ -2,47 +2,34 @@
 //! benchmark for TCP that transfers 16 MB of data from one host to
 //! another."
 //!
-//! Usage:
-//!   cargo run --release -p psd-bench --bin ttcp -- \
-//!       [--config library-shm-ipf] [--platform decstation] \
-//!       [--mb 16] [--newapi] [--loss 0.01] [--seed 42]
+//! ```text
+//! usage: ttcp [--config NAME] [--platform NAME] [--mb N] [--newapi] [--loss P] [--seed N]
+//! ```
+//!
+//! `--config` takes a short name (`library-shm-ipf`, the default;
+//! `library-shm`, `library-ipc`, `ux`, `bnr2ss`, `mach25`, `ultrix`,
+//! `386bsd`) or a table row label; `--platform` takes `decstation` (the
+//! default) or `gateway`. Anything unrecognised is an error, never a
+//! default.
 
+use psd_bench::cli::Args;
 use psd_bench::{ttcp, ApiStyle};
 use psd_sim::Platform;
 use psd_systems::{SystemConfig, TestBed};
 
-fn arg(name: &str) -> Option<String> {
-    std::env::args().skip_while(|a| a != name).nth(1)
-}
-
-fn parse_config(s: &str) -> SystemConfig {
-    match s {
-        "mach25" | "in-kernel" => SystemConfig::Mach25InKernel,
-        "ultrix" => SystemConfig::Ultrix42InKernel,
-        "386bsd" => SystemConfig::Bsd386InKernel,
-        "ux" | "server" => SystemConfig::UxServer,
-        "bnr2ss" => SystemConfig::Bnr2ssServer,
-        "library-ipc" => SystemConfig::LibraryIpc,
-        "library-shm" => SystemConfig::LibraryShm,
-        "library-shm-ipf" | "library" => SystemConfig::LibraryShmIpf,
-        other => panic!("unknown config {other}"),
-    }
-}
-
 fn main() {
-    let config = parse_config(&arg("--config").unwrap_or_else(|| "library-shm-ipf".into()));
-    let platform = match arg("--platform").as_deref() {
-        Some("gateway") | Some("i486") => Platform::Gateway486,
-        _ => Platform::DecStation5000_200,
-    };
-    let mb: usize = arg("--mb").and_then(|v| v.parse().ok()).unwrap_or(16);
-    let seed: u64 = arg("--seed").and_then(|v| v.parse().ok()).unwrap_or(42);
-    let loss: f64 = arg("--loss").and_then(|v| v.parse().ok()).unwrap_or(0.0);
-    let api = if std::env::args().any(|a| a == "--newapi") {
+    let mut args = Args::from_env("ttcp");
+    let config = args.config().unwrap_or(SystemConfig::LibraryShmIpf);
+    let platform = args.platform().unwrap_or(Platform::DecStation5000_200);
+    let mb: usize = args.parsed("--mb", "N").unwrap_or(16);
+    let api = if args.flag("--newapi") {
         ApiStyle::Newapi
     } else {
         ApiStyle::Classic
     };
+    let loss: f64 = args.parsed("--loss", "P").unwrap_or(0.0);
+    let seed: u64 = args.parsed("--seed", "N").unwrap_or(42);
+    args.finish();
 
     let mut bed = TestBed::new(config, platform, seed);
     if loss > 0.0 {

@@ -7,10 +7,12 @@
 //!   insertion order, so emitted artifacts are byte-stable),
 //! - [`Json::parse`] / [`Json::write`]: a recursive-descent parser and
 //!   a pretty writer that round-trip each other,
-//! - [`validate`]: a JSON-Schema *subset* checker (`type`, `required`,
-//!   `properties`, `items`) — enough to pin the artifact's shape in CI,
-//! - [`normalize_volatile`]: zeroes the named wall-clock-derived fields
-//!   so two same-seed runs can be compared for byte identity.
+//! - [`validate`]: a JSON-Schema *subset* checker (`type`, `const`,
+//!   `required`, `properties`, `items`, `oneOf`) — enough to pin the
+//!   artifacts' shapes in CI,
+//! - [`normalized_text`]: an artifact's text with the named
+//!   wall-clock-derived fields zeroed, so two same-seed runs can be
+//!   compared for byte identity.
 //!
 //! Numbers are `f64`, written in shortest round-trip form (integers
 //! without a decimal point), which keeps deterministic counters exact.
@@ -356,8 +358,9 @@ impl<'a> Parser<'a> {
 }
 
 /// Validates `value` against a JSON-Schema subset: `type` (string),
-/// `required`, `properties`, `items`. Returns the first violation as
-/// `Err(path: what)`.
+/// `const`, `required`, `properties`, `items`, `oneOf`. Returns the
+/// first violation as `Err(path: what)`; under `oneOf`, the violation of
+/// the branch whose `const` members matched (the artifact's own kind).
 pub fn validate(value: &Json, schema: &Json) -> Result<(), String> {
     validate_at(value, schema, "$")
 }
@@ -390,6 +393,11 @@ fn validate_at(value: &Json, schema: &Json, path: &str) -> Result<(), String> {
             return Err(format!("{path}: expected {t}, found {actual}"));
         }
     }
+    if let Some(expected) = schema.get("const") {
+        if value != expected {
+            return Err(format!("{path}: expected const {expected:?}"));
+        }
+    }
     if let Some(required) = schema.get("required").and_then(Json::as_arr) {
         for name in required {
             let name = name.as_str().ok_or(format!("{path}: bad schema"))?;
@@ -412,13 +420,47 @@ fn validate_at(value: &Json, schema: &Json, path: &str) -> Result<(), String> {
             }
         }
     }
+    if let Some(branches) = schema.get("oneOf").and_then(Json::as_arr) {
+        let mut passed = 0;
+        let mut violation = None;
+        for branch in branches {
+            match validate_at(value, branch, path) {
+                Ok(()) => passed += 1,
+                Err(e) if consts_match(value, branch) => violation = Some(e),
+                Err(_) => {}
+            }
+        }
+        if passed != 1 {
+            return Err(violation
+                .unwrap_or_else(|| format!("{path}: matches {passed} oneOf branches, not one")));
+        }
+    }
     Ok(())
+}
+
+/// True when no `const` among `branch`'s properties contradicts `value`.
+fn consts_match(value: &Json, branch: &Json) -> bool {
+    let Some(Json::Obj(props)) = branch.get("properties") else {
+        return true;
+    };
+    props.iter().all(|(name, sub)| {
+        sub.get("const")
+            .is_none_or(|c| value.get(name).is_none_or(|v| v == c))
+    })
+}
+
+/// An artifact's text with every member named in `volatile` zeroed, for
+/// same-seed comparison.
+pub fn normalized_text(artifact: &Json, volatile: &[&str]) -> String {
+    let mut copy = artifact.clone();
+    normalize_volatile(&mut copy, volatile);
+    copy.write()
 }
 
 /// Recursively zeroes every member whose name is in `volatile` —
 /// the wall-clock-derived fields that legitimately differ between two
 /// same-seed runs. Everything else must then match byte-for-byte.
-pub fn normalize_volatile(value: &mut Json, volatile: &[&str]) {
+fn normalize_volatile(value: &mut Json, volatile: &[&str]) {
     match value {
         Json::Obj(members) => {
             for (k, v) in members.iter_mut() {
@@ -495,17 +537,38 @@ mod tests {
         assert!(validate(&missing, &schema).unwrap_err().contains("rows[0]"));
         let wrong_type = Json::parse(r#"{"rows": [{"n": "x"}]}"#).unwrap();
         assert!(validate(&wrong_type, &schema).is_err());
+
+        // `const` pins a value; `oneOf` wants exactly one branch and
+        // reports the violation of the branch the `const` selected.
+        let kinds = Json::parse(
+            r#"{"oneOf": [
+                {"required": ["a"], "properties": {"kind": {"const": "A"}}},
+                {"required": ["b"], "properties": {"kind": {"const": "B"}}}
+            ]}"#,
+        )
+        .unwrap();
+        let check = |doc: &str| validate(&Json::parse(doc).unwrap(), &kinds);
+        assert!(check(r#"{"kind": "A", "a": 1}"#).is_ok());
+        assert!(check(r#"{"kind": "B", "b": 1, "a": 1}"#).is_ok());
+        assert!(check(r#"{"kind": "B", "a": 1}"#)
+            .unwrap_err()
+            .contains("missing required member 'b'"));
+        assert!(check(r#"{"kind": "C", "a": 1, "b": 1}"#)
+            .unwrap_err()
+            .contains("matches 0 oneOf branches"));
+        assert!(check(r#"{"a": 1, "b": 1}"#)
+            .unwrap_err()
+            .contains("matches 2 oneOf branches"));
     }
 
     #[test]
     fn normalize_zeroes_only_volatile_fields() {
-        let mut a =
-            Json::parse(r#"{"events": 100, "wall_ms": 17, "sub": [{"wall_ms": 3}]}"#).unwrap();
-        let mut b =
-            Json::parse(r#"{"events": 100, "wall_ms": 99, "sub": [{"wall_ms": 8}]}"#).unwrap();
-        normalize_volatile(&mut a, &["wall_ms"]);
-        normalize_volatile(&mut b, &["wall_ms"]);
-        assert_eq!(a.write(), b.write());
-        assert_eq!(a.get("events").unwrap().as_f64(), Some(100.0));
+        let a = Json::parse(r#"{"events": 100, "wall_ms": 17, "sub": [{"wall_ms": 3}]}"#).unwrap();
+        let b = Json::parse(r#"{"events": 100, "wall_ms": 99, "sub": [{"wall_ms": 8}]}"#).unwrap();
+        let text = normalized_text(&a, &["wall_ms"]);
+        assert_eq!(text, normalized_text(&b, &["wall_ms"]));
+        let back = Json::parse(&text).unwrap();
+        assert_eq!(back.get("events").unwrap().as_f64(), Some(100.0));
+        assert_eq!(back.get("wall_ms").unwrap().as_f64(), Some(0.0));
     }
 }

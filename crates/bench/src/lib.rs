@@ -11,6 +11,7 @@
 //! so a single workload implementation measures all eight systems.
 
 pub mod benchdiff;
+pub mod cli;
 pub mod filterbench;
 pub mod json;
 pub mod observe;
@@ -20,7 +21,5 @@ pub mod tables;
 pub mod workload;
 pub mod workloads;
 
-pub use workload::{
-    session_scaling, session_scaling_observed, session_scaling_with, ScaleReport, WorkloadSpec,
-};
+pub use workload::{session_scaling, ScaleReport, WorkloadSpec};
 pub use workloads::{protolat, ttcp, ApiStyle, ProtolatResult, TtcpResult};

@@ -21,7 +21,7 @@ use std::time::Instant;
 
 use psd_sim::{Sim, SimHandle, SimTime};
 
-use crate::json::{normalize_volatile, validate, Json};
+use crate::json::Json;
 
 /// Seed for every selfbench run.
 pub const SEED: u64 = 42;
@@ -186,56 +186,6 @@ impl SelfBench {
     }
 }
 
-/// Checks measured wheel events/sec at 64k timers against a committed
-/// artifact: fails (Err) when it drops below `1 - tolerance` of the
-/// committed value. Returns (measured, committed) on success.
-pub fn check_against_baseline(
-    measured: &SelfBench,
-    committed: &Json,
-    tolerance: f64,
-) -> Result<(f64, f64), String> {
-    let committed_eps = committed
-        .get("engine")
-        .and_then(|e| e.get("wheel"))
-        .and_then(Json::as_arr)
-        .and_then(|rows| {
-            rows.iter()
-                .find(|r| r.get("timers").and_then(Json::as_f64) == Some(65_536.0))
-        })
-        .and_then(|r| r.get("events_per_sec"))
-        .and_then(Json::as_f64)
-        .ok_or("committed artifact has no wheel row at 65536 timers")?;
-    let row = measured
-        .wheel
-        .iter()
-        .find(|r| r.timers == 65_536)
-        .ok_or("measured run has no wheel row at 65536 timers")?;
-    let eps = row.events_per_sec();
-    if eps < committed_eps * (1.0 - tolerance) {
-        return Err(format!(
-            "events/sec regression: measured {eps:.0} < {:.0} ({}% below committed {committed_eps:.0})",
-            committed_eps * (1.0 - tolerance),
-            (tolerance * 100.0) as u32,
-        ));
-    }
-    Ok((eps, committed_eps))
-}
-
-/// Validates an artifact against the checked-in `BENCH.schema.json`
-/// text.
-pub fn validate_artifact(artifact: &Json, schema_text: &str) -> Result<(), String> {
-    let schema = Json::parse(schema_text).map_err(|e| format!("schema unparseable: {e}"))?;
-    validate(artifact, &schema)
-}
-
-/// Normalizes an artifact for same-seed comparison (zeroes the
-/// wall-clock-derived fields).
-pub fn normalized_text(artifact: &Json) -> String {
-    let mut copy = artifact.clone();
-    normalize_volatile(&mut copy, VOLATILE_FIELDS);
-    copy.write()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -245,22 +195,5 @@ mod tests {
         let a = engine_micro_wheel(512, 2048);
         let b = engine_micro_wheel(512, 2048);
         assert_eq!(a.events, b.events);
-    }
-
-    #[test]
-    fn regression_gate_trips_on_slowdown() {
-        let fast = SelfBench {
-            quick: true,
-            wheel: vec![EngineRow {
-                timers: 65_536,
-                events: 1_000,
-                wall_ns: 1_000_000,
-            }],
-        };
-        let mut slow = fast.clone();
-        slow.wheel[0].wall_ns = 2_000_000; // half the events/sec
-        let committed = fast.to_json();
-        assert!(check_against_baseline(&fast, &committed, 0.2).is_ok());
-        assert!(check_against_baseline(&slow, &committed, 0.2).is_err());
     }
 }

@@ -21,12 +21,15 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use psd_core::{AppHandle, AppLib, Fd};
+use psd_core::{AppLib, Fd};
 use psd_filter::DemuxStrategy;
 use psd_netstack::{InetAddr, SockEvent, SocketError};
 use psd_server::Proto;
 use psd_sim::{OpKind, Platform, Rng, SimTime};
 use psd_systems::{SystemConfig, TestBed};
+
+use crate::json::Json;
+use crate::observe::{Attached, Planes};
 
 /// Number of sender-side source sockets. Connected receiver sessions
 /// are pinned to one of these source ports, giving the filter table a
@@ -94,6 +97,14 @@ impl WorkloadSpec {
     }
 }
 
+/// The strategy's name in table headers and row labels.
+pub fn strategy_label(s: DemuxStrategy) -> &'static str {
+    match s {
+        DemuxStrategy::Cspf => "CSPF",
+        DemuxStrategy::Mpf => "MPF",
+    }
+}
+
 /// Census op totals on the receiving host (present when the caller
 /// asked for a census).
 #[derive(Clone, Copy, Debug)]
@@ -106,6 +117,18 @@ pub struct CensusCounts {
     pub crossings: u64,
     /// Thread wakeups.
     pub wakeups: u64,
+}
+
+impl CensusCounts {
+    /// The four counters as a `--census-json` row body.
+    pub fn json_members(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("filter_runs", Json::Num(self.filter_runs as f64)),
+            ("body_copies", Json::Num(self.body_copies as f64)),
+            ("crossings", Json::Num(self.crossings as f64)),
+            ("wakeups", Json::Num(self.wakeups as f64)),
+        ]
+    }
 }
 
 /// What one `(config, strategy, N)` run produced.
@@ -136,55 +159,24 @@ pub struct ScaleReport {
     pub setup: SimTime,
     /// Receiving-host census totals, when a census was attached.
     pub census: Option<CensusCounts>,
-    /// Per-host `(cpu, profiler)` pairs when charged-time profiling was
-    /// requested (the handles outlive the testbed), empty otherwise.
-    /// Profiling charges no virtual time, so every other field is
-    /// byte-identical with or without it.
-    pub profiles: Vec<(Rc<RefCell<psd_sim::Cpu>>, psd_sim::ProfileHandle)>,
+    /// The handles of the planes the caller asked for.
+    pub observed: Attached,
     /// Wall-clock duration of the whole run (never byte-stable; keep
     /// off reproducible output).
     pub wall: Duration,
 }
 
 /// Runs the session-scaling workload for one placement, strategy, and
-/// session count. Deterministic given `spec.seed` in everything except
-/// [`ScaleReport::wall`].
+/// session count with `planes` attached to its testbed. Deterministic
+/// given `spec.seed` in everything except [`ScaleReport::wall`], and —
+/// every plane being charged-time-neutral — identical whatever is
+/// attached.
 pub fn session_scaling(
     config: SystemConfig,
     platform: Platform,
     strategy: DemuxStrategy,
     spec: &WorkloadSpec,
-    want_census: bool,
-) -> ScaleReport {
-    session_scaling_with(config, platform, strategy, spec, want_census, None)
-}
-
-/// [`session_scaling`] with an optional packet-lifecycle tracer
-/// attached to the testbed for the whole run. Tracing never charges
-/// virtual time, so the report is identical with or without it.
-pub fn session_scaling_with(
-    config: SystemConfig,
-    platform: Platform,
-    strategy: DemuxStrategy,
-    spec: &WorkloadSpec,
-    want_census: bool,
-    tracer: Option<&psd_sim::TraceHandle>,
-) -> ScaleReport {
-    session_scaling_observed(config, platform, strategy, spec, want_census, tracer, false)
-}
-
-/// [`session_scaling_with`] plus an optional charged-time profiler on
-/// every host CPU; the handles come back in [`ScaleReport::profiles`].
-/// Like tracing, profiling is charged-time-neutral.
-#[allow(clippy::too_many_arguments)]
-pub fn session_scaling_observed(
-    config: SystemConfig,
-    platform: Platform,
-    strategy: DemuxStrategy,
-    spec: &WorkloadSpec,
-    want_census: bool,
-    tracer: Option<&psd_sim::TraceHandle>,
-    profile: bool,
+    planes: &Planes,
 ) -> ScaleReport {
     let wall0 = Instant::now();
     let mut bed = TestBed::new(config, platform, spec.seed);
@@ -196,11 +188,7 @@ pub fn session_scaling_observed(
     // The placement policy must exist before any session filter is
     // installed — flows are classified at install time.
     bed.set_placement_policy(spec.placement.clone());
-    let censuses = want_census.then(|| bed.attach_census());
-    if let Some(t) = tracer {
-        bed.attach_tracer_handle(t);
-    }
-    let profilers = profile.then(|| bed.attach_profilers());
+    let observed = planes.attach(&mut bed);
     let mut rng = Rng::new(spec.seed ^ 0x5EED_5CA1_E000_0001);
 
     // --- Sender: a few fixed source sockets. ---
@@ -344,8 +332,8 @@ pub fn session_scaling_observed(
     let steps = k1.filter_steps - k0.filter_steps;
     assert!(packets_rx > 0, "burst delivered no frames");
 
-    let census = censuses.map(|cs| {
-        let c = cs[1].borrow();
+    let census = observed.census.get(1).map(|c| {
+        let c = c.borrow();
         CensusCounts {
             filter_runs: c.total(OpKind::FilterRun),
             body_copies: c.total(OpKind::PacketBodyCopy),
@@ -366,29 +354,32 @@ pub fn session_scaling_observed(
         bind_rpc,
         setup,
         census,
-        profiles: profilers
-            .map(|ps| {
-                bed.hosts
-                    .iter()
-                    .zip(ps)
-                    .map(|(h, p)| (h.cpu.clone(), p))
-                    .collect()
-            })
-            .unwrap_or_default(),
+        observed,
         wall: wall0.elapsed(),
     }
 }
-
-/// Convenience: the receiving app handle type used by the engine.
-pub type App = AppHandle;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn census_only() -> Planes {
+        Planes {
+            census: true,
+            ..Planes::default()
+        }
+    }
+
     fn report(config: SystemConfig, strategy: DemuxStrategy, n: usize) -> ScaleReport {
         let spec = WorkloadSpec::at_scale(n, 64, 42);
-        session_scaling(config, Platform::DecStation5000_200, strategy, &spec, false)
+        let planes = Planes::default();
+        session_scaling(
+            config,
+            Platform::DecStation5000_200,
+            strategy,
+            &spec,
+            &planes,
+        )
     }
 
     #[test]
@@ -422,19 +413,20 @@ mod tests {
         // from never touching the batching API at all — this is the
         // property that keeps archived tables 2–5 byte-identical.
         let spec = WorkloadSpec::at_scale(24, 64, 42);
+        let census = census_only();
         let a = session_scaling(
             SystemConfig::LibraryIpc,
             Platform::DecStation5000_200,
             DemuxStrategy::Mpf,
             &spec.clone(),
-            true,
+            &census,
         );
         let b = session_scaling(
             SystemConfig::LibraryIpc,
             Platform::DecStation5000_200,
             DemuxStrategy::Mpf,
             &spec.with_batch(psd_kernel::BatchConfig::unbatched()),
-            true,
+            &census,
         );
         assert_eq!(a.packets_rx, b.packets_rx);
         assert_eq!(a.steps_per_packet, b.steps_per_packet);
@@ -449,12 +441,13 @@ mod tests {
     #[test]
     fn batching_reduces_crossings_without_changing_delivery() {
         let spec = WorkloadSpec::at_scale(16, 96, 42);
+        let census = census_only();
         let base = session_scaling(
             SystemConfig::LibraryShm,
             Platform::DecStation5000_200,
             DemuxStrategy::Mpf,
             &spec.clone(),
-            true,
+            &census,
         );
         let batched = session_scaling(
             SystemConfig::LibraryShm,
@@ -465,7 +458,7 @@ mod tests {
                 gro: false,
                 gso: false,
             }),
-            true,
+            &census,
         );
         // Same frames delivered, same filter work — only the crossing
         // count shrinks.

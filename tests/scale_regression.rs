@@ -13,6 +13,7 @@
 mod common;
 
 use common::run_until;
+use psd::bench::observe::Planes;
 use psd::bench::{session_scaling, WorkloadSpec};
 use psd::core::{AppHandle, AppLib, Fd, FdEventFn};
 use psd::filter::DemuxStrategy;
@@ -36,7 +37,7 @@ fn kernel_filter_cost_flat_for_mpf_linear_for_cspf() {
             Platform::DecStation5000_200,
             strategy,
             &WorkloadSpec::at_scale(n, 128, 42),
-            false,
+            &Planes::default(),
         )
     };
     let m16 = run(DemuxStrategy::Mpf, 16);

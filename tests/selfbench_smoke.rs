@@ -5,6 +5,7 @@
 //! away. The artifact must also validate against the checked-in
 //! `BENCH.schema.json`, which is what CI uploads and gates on.
 
+use psd::bench::json::{normalized_text, validate, Json};
 use psd::bench::selfbench;
 
 #[test]
@@ -23,15 +24,14 @@ fn quick_selfbench_is_deterministic_and_schema_valid() {
     let ja = a.to_json();
     let jb = b.to_json();
     assert_eq!(
-        selfbench::normalized_text(&ja),
-        selfbench::normalized_text(&jb),
+        normalized_text(&ja, selfbench::VOLATILE_FIELDS),
+        normalized_text(&jb, selfbench::VOLATILE_FIELDS),
         "normalized artifacts differ between same-seed runs"
     );
 
     // The artifact CI archives must match the committed schema.
-    let schema = include_str!("../BENCH.schema.json");
-    selfbench::validate_artifact(&ja, schema)
-        .expect("artifact validates against BENCH.schema.json");
+    let schema = Json::parse(include_str!("../BENCH.schema.json")).expect("schema parses");
+    validate(&ja, &schema).expect("artifact validates against BENCH.schema.json");
 
     // Sanity: quick mode still measures the engine row CI gates on.
     assert!(
@@ -45,17 +45,17 @@ fn committed_artifact_matches_schema_and_gate_shape() {
     // The committed full-run artifact must stay parseable, schema-valid,
     // and must contain the 64k wheel row the CI regression gate reads.
     let text = include_str!("../BENCH_6.json");
-    let artifact = psd::bench::json::Json::parse(text).expect("BENCH_6.json parses");
-    let schema = include_str!("../BENCH.schema.json");
-    selfbench::validate_artifact(&artifact, schema).expect("BENCH_6.json validates");
+    let artifact = Json::parse(text).expect("BENCH_6.json parses");
+    let schema = Json::parse(include_str!("../BENCH.schema.json")).expect("schema parses");
+    validate(&artifact, &schema).expect("BENCH_6.json validates");
 
     let wheel_64k = artifact
         .get("engine")
         .and_then(|e| e.get("wheel"))
-        .and_then(psd::bench::json::Json::as_arr)
+        .and_then(Json::as_arr)
         .map(|rows| {
             rows.iter()
-                .any(|r| r.get("timers").and_then(psd::bench::json::Json::as_f64) == Some(65_536.0))
+                .any(|r| r.get("timers").and_then(Json::as_f64) == Some(65_536.0))
         })
         .unwrap_or(false);
     assert!(

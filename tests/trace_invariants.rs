@@ -16,7 +16,8 @@
 mod common;
 
 use common::run_until;
-use psd::bench::workload::{session_scaling_with, WorkloadSpec};
+use psd::bench::observe::Planes;
+use psd::bench::workload::{session_scaling, WorkloadSpec};
 use psd::core::{AppHandle, AppLib, Fd, FdEventFn};
 use psd::filter::DemuxStrategy;
 use psd::netstack::{InetAddr, SockEvent};
@@ -227,13 +228,15 @@ fn chaos_style_run_satisfies_invariants() {
 fn scale_workload_satisfies_invariants() {
     let tracer = Tracer::shared();
     let spec = WorkloadSpec::at_scale(24, 64, 42);
-    let r = session_scaling_with(
+    let r = session_scaling(
         SystemConfig::LibraryShmIpf,
         Platform::DecStation5000_200,
         DemuxStrategy::Mpf,
         &spec,
-        false,
-        Some(&tracer),
+        &Planes {
+            trace: Some(tracer.clone()),
+            ..Planes::default()
+        },
     );
     assert!(r.packets_rx >= 64);
     assert_invariants(&tracer, "scale workload");
