@@ -190,7 +190,9 @@ fn frame_for(tcp: bool, src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Vec<u8> {
             urgent: 0,
             mss: None,
         };
-        f.extend_from_slice(&h.encode());
+        let at = f.len();
+        f.resize(at + h.header_len(), 0);
+        h.encode(&mut f[at..]);
     } else {
         f.extend_from_slice(&UdpHeader::new(src.1, dst.1, 0).encode());
     }

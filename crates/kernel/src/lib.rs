@@ -194,14 +194,16 @@ impl GroSlot {
     fn synthesize(&self) -> Vec<u8> {
         let mut ip = self.ip;
         ip.total_len = (IPV4_HDR_LEN + self.tcp.header_len() + self.payload.len()) as u16;
-        let tcp_bytes = self.tcp.encode_with_checksum(
+        let mut f = self.eth.encode().to_vec();
+        f.extend_from_slice(&ip.encode());
+        let tcp_at = f.len();
+        f.resize(tcp_at + self.tcp.header_len(), 0);
+        self.tcp.encode_with_checksum(
             &ip,
+            &mut f[tcp_at..],
             self.payload.len(),
             std::iter::once(self.payload.as_slice()),
         );
-        let mut f = self.eth.encode().to_vec();
-        f.extend_from_slice(&ip.encode());
-        f.extend_from_slice(&tcp_bytes);
         f.extend_from_slice(&self.payload);
         f
     }
@@ -1136,8 +1138,10 @@ impl Kernel {
                 let ready = charge.at();
                 let me = self.me.clone();
                 let (tracer, tid) = trace_ctx(charge);
-                let ring = self.ring_occupancy.clone();
-                ring.set(ring.get() + 1);
+                self.ring_occupancy.set(self.ring_occupancy.get() + 1);
+                // Both hops' captures fit `SmallFn`'s inline storage (this
+                // one reaches the occupancy cell through `me`): a frame
+                // costs no boxed closure on its way to the sink.
                 sim.at(ready, move |sim| {
                     let Some(kernel) = me.upgrade() else { return };
                     let now = sim.now();
@@ -1194,6 +1198,7 @@ impl Kernel {
                             }
                         }
                     };
+                    let ring = kernel.borrow().ring_occupancy.clone();
                     match deliver {
                         Some((sink, at)) => {
                             let tracer = tracer.clone();
@@ -1929,7 +1934,8 @@ mod tests {
             mss: None,
         };
         let ip = Ipv4Header::new(A_IP, dst.0, IpProto::Tcp, tcp.header_len() + payload.len());
-        let tcp_bytes = tcp.encode_with_checksum(&ip, payload.len(), std::iter::once(payload));
+        let mut tcp_bytes = [0u8; psd_wire::TCP_HDR_LEN];
+        tcp.encode_with_checksum(&ip, &mut tcp_bytes, payload.len(), std::iter::once(payload));
         let eth = EthernetHeader {
             dst: dst_mac,
             src: EtherAddr::local(1),

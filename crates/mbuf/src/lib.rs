@@ -31,7 +31,7 @@ use std::rc::Rc;
 
 mod pool;
 
-pub use pool::{drain_pools, pool_stats, reset_pool_stats, PoolStats};
+pub use pool::{drain_pools, give_frame, pool_stats, reset_pool_stats, take_frame, PoolStats};
 
 thread_local! {
     static COPIED_BYTES: Cell<u64> = const { Cell::new(0) };

@@ -2,12 +2,18 @@
 //!
 //! BSD keeps mbufs and clusters on free lists precisely so the packet
 //! path never calls the general allocator; this module restores that
-//! discipline for the simulation. Three classes are pooled:
+//! discipline for the simulation. Four classes are pooled:
 //!
 //! - small mbuf data areas (`Box<[u8; MLEN]>`),
 //! - cluster buffers (`Rc<Vec<u8>>`, reclaimed when uniquely owned at
 //!   drop, so shared views keep the data alive exactly as before),
-//! - chain nodes (`Box<Mbuf>`, stored vacant and refilled in place).
+//! - chain nodes (`Box<Mbuf>`, stored vacant and refilled in place),
+//! - wire-frame buffers (`Vec<u8>`): the output routines
+//!   [`take_frame`], the receiving sink [`give_frame`]s the buffer back
+//!   once `input_frame` has consumed it. A frame has exactly one
+//!   consumer (the tracer's exactly-one-terminal invariant), so a given
+//!   buffer is returned at most once and never while still referenced —
+//!   ownership of the `Vec` is the proof.
 //!
 //! Pools are thread-local (`Rc` data is already thread-bound) and
 //! capped, so steady-state packet flow — build chain, prepend headers,
@@ -35,6 +41,13 @@ const CLUSTER_CAP: usize = 1024;
 const CLUSTER_BYTES_CAP: usize = 16 * 1024;
 /// Max pooled chain nodes.
 const NODE_CAP: usize = 4096;
+/// Max pooled frame buffers: a TCP window's worth of frames in each
+/// direction with room to spare. A deeper backlog (an overloaded open
+/// loop) overflows to the allocator instead of pinning memory.
+const FRAME_CAP: usize = 256;
+/// Frame buffers larger than this (nothing the Ethernet carries) are
+/// released rather than pooled.
+const FRAME_BYTES_CAP: usize = 2048;
 
 /// Hit/miss and occupancy counters for the thread's mbuf pools.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -93,6 +106,7 @@ struct Pools {
     small: Vec<Box<[u8; MLEN]>>,
     clusters: Vec<Rc<Vec<u8>>>,
     nodes: Vec<Box<Mbuf>>,
+    frames: Vec<Vec<u8>>,
 }
 
 thread_local! {
@@ -101,6 +115,7 @@ thread_local! {
             small: Vec::new(),
             clusters: Vec::new(),
             nodes: Vec::new(),
+            frames: Vec::new(),
         })
     };
     static STATS: Cell<PoolStats> = const { Cell::new(PoolStats::new()) };
@@ -139,6 +154,37 @@ pub fn drain_pools() {
         p.small.clear();
         p.clusters.clear();
         p.nodes.clear();
+        p.frames.clear();
+    });
+}
+
+/// An empty wire-frame buffer with capacity for at least `want` bytes,
+/// recycled when available. Pair with [`give_frame`].
+pub fn take_frame(want: usize) -> Vec<u8> {
+    let pooled = POOLS
+        .try_with(|p| p.borrow_mut().frames.pop())
+        .unwrap_or(None);
+    match pooled {
+        Some(mut buf) => {
+            buf.reserve(want);
+            buf
+        }
+        None => Vec::with_capacity(want),
+    }
+}
+
+/// Returns a consumed wire-frame buffer to the free list (or to the
+/// allocator when the list is full or the buffer oversized).
+pub fn give_frame(mut frame: Vec<u8>) {
+    if frame.capacity() > FRAME_BYTES_CAP {
+        return;
+    }
+    frame.clear();
+    let _ = POOLS.try_with(|p| {
+        let mut p = p.borrow_mut();
+        if p.frames.len() < FRAME_CAP {
+            p.frames.push(frame);
+        }
     });
 }
 

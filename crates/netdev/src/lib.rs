@@ -141,6 +141,9 @@ pub struct Ethernet {
     obs: Observers,
     /// Frames still to drop from an in-progress loss burst.
     burst_remaining: u32,
+    /// Scratch list of one delivery's receiving stations, kept so its
+    /// storage is reused from frame to frame.
+    receivers: Vec<Rc<RefCell<dyn Station>>>,
 }
 
 /// Shared handle to an [`Ethernet`].
@@ -162,6 +165,7 @@ impl Ethernet {
             trace: None,
             obs: Observers::default(),
             burst_remaining: 0,
+            receivers: Vec::new(),
         }))
     }
 
@@ -367,10 +371,11 @@ impl Ethernet {
         drop(seg);
 
         let deliver_at = if reordered { arrival + extra } else { arrival };
-        Ethernet::schedule_delivery(this, sim, deliver_at, frame.clone(), wire_tid, exclude);
-        if duplicated {
-            // The duplicate's deliveries are traced as parentless
-            // children: the wire frame must terminate exactly once.
+        // The duplicate's deliveries are traced as parentless children:
+        // the wire frame must terminate exactly once.
+        let duplicate = duplicated.then(|| frame.clone());
+        Ethernet::schedule_delivery(this, sim, deliver_at, frame, wire_tid, exclude);
+        if let Some(frame) = duplicate {
             Ethernet::schedule_delivery(this, sim, arrival + extra, frame, None, exclude);
         }
         arrival
@@ -403,28 +408,29 @@ impl Ethernet {
             };
             // Snapshot receivers first so station callbacks can transmit
             // (re-borrowing the segment) without a double borrow.
-            let receivers: Vec<Rc<RefCell<dyn Station>>> = {
-                let seg_ref = seg.borrow();
-                seg_ref
-                    .stations
-                    .iter()
-                    .filter(|s| {
-                        let st = s.borrow();
-                        let mac = st.mac();
-                        mac != hdr.src
-                            && Some(mac) != exclude
-                            && (hdr.dst.is_broadcast() || hdr.dst == mac || st.promiscuous())
-                    })
-                    .cloned()
-                    .collect()
-            };
-            {
+            let mut receivers = {
                 let mut seg_mut = seg.borrow_mut();
+                let seg_mut = &mut *seg_mut;
+                let mut receivers = std::mem::take(&mut seg_mut.receivers);
+                receivers.extend(
+                    seg_mut
+                        .stations
+                        .iter()
+                        .filter(|s| {
+                            let st = s.borrow();
+                            let mac = st.mac();
+                            mac != hdr.src
+                                && Some(mac) != exclude
+                                && (hdr.dst.is_broadcast() || hdr.dst == mac || st.promiscuous())
+                        })
+                        .cloned(),
+                );
                 seg_mut.stats.delivered += receivers.len() as u64;
                 if receivers.is_empty() {
                     seg_mut.drops.note(DropReason::NoReceiver);
                 }
-            }
+                receivers
+            };
             // The wire frame's terminal: handed to at least one station,
             // or addressed to nobody listening.
             if let (Some(t), Some(id)) = (&tracer, wire_tid) {
@@ -435,7 +441,7 @@ impl Ethernet {
                     tr.terminal(id, sim.now(), Terminal::Delivered);
                 }
             }
-            for station in receivers {
+            let mut deliver = |station: &Rc<RefCell<dyn Station>>, frame: Vec<u8>| {
                 // Each station's copy is a traced child of the wire
                 // frame, current for the duration of the synchronous
                 // receive path (asynchronous continuations re-establish
@@ -446,13 +452,23 @@ impl Ethernet {
                     tr.push_current(c);
                     c
                 });
-                station.borrow_mut().frame_arrived(sim, frame.clone());
+                station.borrow_mut().frame_arrived(sim, frame);
                 if child.is_some() {
                     if let Some(t) = &tracer {
                         t.borrow_mut().pop_current();
                     }
                 }
+            };
+            // The last receiver gets the frame itself; only the others
+            // of a multi-receiver delivery get copies.
+            if let Some((last, others)) = receivers.split_last() {
+                for station in others {
+                    deliver(station, frame.clone());
+                }
+                deliver(last, frame);
             }
+            receivers.clear();
+            seg.borrow_mut().receivers = receivers;
         });
     }
 }
@@ -697,6 +713,122 @@ mod tests {
         sim.run_to_idle();
         assert_eq!(b.borrow().received.len(), 2);
         assert_eq!(seg.borrow().stats().duplicated, 1);
+    }
+
+    #[test]
+    fn duplicate_is_byte_equal_and_the_wire_frame_terminates_once() {
+        let mut sim = Sim::new(3);
+        let seg = Ethernet::new(EtherTiming::ten_megabit());
+        let plane = psd_sim::FaultPlane::shared();
+        plane.borrow_mut().script(FaultSite::WireDuplicate, &[0]);
+        let tracer = psd_sim::Tracer::shared();
+        seg.borrow_mut().set_observers(Observers {
+            fault: Some(plane),
+            trace: Some(tracer.clone()),
+            ..Observers::default()
+        });
+        let b = TestStation::new(2);
+        seg.borrow_mut().attach(b.clone());
+        let sent = frame(1, EtherAddr::local(2), 300);
+        Ethernet::transmit(&seg, &mut sim, SimTime::ZERO, sent.clone());
+        sim.run_to_idle();
+        let rx = &b.borrow().received;
+        assert_eq!(rx.len(), 2);
+        assert!(rx.iter().all(|(_, f)| *f == sent), "both copies intact");
+        assert_eq!(seg.borrow().stats().delivered, 2);
+        // The wire frame and one child per delivery; only the wire frame
+        // terminates here (the test station consumes nothing), once.
+        let tr = tracer.borrow();
+        assert_eq!(tr.packet_count(), 3);
+        assert_eq!(tr.terminal_counts(), (1, 0, 0));
+        let violations = tr.check_invariants();
+        assert!(
+            !violations
+                .iter()
+                .any(|v| v.contains("after earlier terminal")),
+            "{violations:?}"
+        );
+    }
+
+    /// A station that answers every frame it hears from inside
+    /// `frame_arrived` — the re-entrant transmit a protocol stack at
+    /// interrupt level performs.
+    struct Replier {
+        mac: EtherAddr,
+        seg: EthernetHandle,
+        received: Vec<Vec<u8>>,
+    }
+
+    impl Station for Replier {
+        fn mac(&self) -> EtherAddr {
+            self.mac
+        }
+
+        fn frame_arrived(&mut self, sim: &mut Sim, frame: Vec<u8>) {
+            let src = EthernetHeader::parse(&frame).unwrap().src;
+            let mut reply = EthernetHeader {
+                dst: src,
+                src: self.mac,
+                ethertype: EtherType::Ipv4,
+            }
+            .encode()
+            .to_vec();
+            reply.resize(64, 0xCD);
+            let now = sim.now();
+            Ethernet::transmit(&self.seg, sim, now, reply);
+            self.received.push(frame);
+        }
+    }
+
+    #[test]
+    fn broadcast_survives_a_reentrant_transmit_from_the_first_receiver() {
+        let mut sim = Sim::new(1);
+        let seg = Ethernet::ten_megabit(&mut sim);
+        let a = TestStation::new(1);
+        let b = Rc::new(RefCell::new(Replier {
+            mac: EtherAddr::local(2),
+            seg: seg.clone(),
+            received: Vec::new(),
+        }));
+        let c = TestStation::new(3);
+        let d = TestStation::new(4);
+        seg.borrow_mut().attach(a.clone());
+        seg.borrow_mut().attach(b.clone());
+        seg.borrow_mut().attach(c.clone());
+        seg.borrow_mut().attach(d.clone());
+        let sent = frame(1, EtherAddr::BROADCAST, 200);
+        Ethernet::transmit(&seg, &mut sim, SimTime::ZERO, sent.clone());
+        sim.run_until(SimTime::from_micros(200));
+        // All three heard the same bytes; the sender did not.
+        assert_eq!(seg.borrow().stats().delivered, 3);
+        assert_eq!(b.borrow().received[0], sent);
+        assert_eq!(c.borrow().received[0].1, sent);
+        assert_eq!(d.borrow().received[0].1, sent);
+        assert!(a.borrow().received.is_empty());
+        // The reply b transmitted from inside its callback arrives too.
+        sim.run_to_idle();
+        assert_eq!(a.borrow().received.len(), 1);
+        assert_eq!(seg.borrow().stats().delivered, 4);
+        assert_eq!(seg.borrow().stats().tx_frames, 2);
+    }
+
+    #[test]
+    fn unicast_to_nobody_counts_no_receiver_once() {
+        let mut sim = Sim::new(1);
+        let seg = Ethernet::ten_megabit(&mut sim);
+        let b = TestStation::new(2);
+        seg.borrow_mut().attach(b.clone());
+        Ethernet::transmit(
+            &seg,
+            &mut sim,
+            SimTime::ZERO,
+            frame(1, EtherAddr::local(77), 40),
+        );
+        sim.run_to_idle();
+        assert!(b.borrow().received.is_empty());
+        assert_eq!(seg.borrow().drops().get(DropReason::NoReceiver), 1);
+        assert_eq!(seg.borrow().drops().total(), 1);
+        assert_eq!(seg.borrow().stats().delivered, 0);
     }
 
     #[test]

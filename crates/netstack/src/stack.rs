@@ -11,14 +11,14 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::rc::{Rc, Weak};
 
-use psd_mbuf::MbufChain;
+use psd_mbuf::{give_frame, take_frame, MbufChain};
 use psd_sim::{
     Charge, CostModel, Cpu, DropCounters, DropReason, Layer, Observable, OpKind, Sim, SimHandle,
     SimTime, Stage, TraceId,
 };
 use psd_wire::{
     ArpOp, ArpPacket, EtherAddr, EtherType, EthernetHeader, IcmpMessage, IpProto, Ipv4Header,
-    TcpHeader, UdpHeader, ETHER_HDR_LEN,
+    TcpHeader, UdpHeader, ETHER_HDR_LEN, IPV4_HDR_LEN, UDP_HDR_LEN,
 };
 
 use crate::arp::ArpCache;
@@ -29,6 +29,23 @@ use crate::socket::{SockEvent, SockId, SocketError};
 use crate::tcp::{SegmentSpec, Tcb, TcbSnapshot, TcpAction, TcpState, TcpTimer};
 use crate::udp::{UdpPcb, UdpSnapshot, UDP_MAXDGRAM};
 use crate::{InetAddr, Placement};
+
+/// Leading room a transport output routine leaves in a fresh frame
+/// buffer for the IP and Ethernet headers (BSD's `M_PREPEND` into
+/// leading space): `ip_output` and `ether_output` fill their headers in
+/// place instead of re-copying the packet behind a new one.
+const IP_ROOM: usize = ETHER_HDR_LEN + IPV4_HDR_LEN;
+
+/// A frame buffer holding `ip` and `payload` behind Ethernet-header
+/// room, for the IP originators that do not come through a transport
+/// output routine (fragments, ICMP).
+fn link_frame(ip: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
+    let mut frame = take_frame(IP_ROOM + payload.len());
+    frame.resize(ETHER_HDR_LEN, 0);
+    frame.extend_from_slice(&ip.encode());
+    frame.extend_from_slice(payload);
+    frame
+}
 
 /// How a stack instance reaches the wire. Implementations charge their
 /// placement's transmit costs (trap + user→kernel copy for user-space
@@ -204,6 +221,10 @@ pub struct NetStack {
     iss_clock: u32,
     tcp_bufs: (usize, usize),
     mss_cap: u16,
+    /// The one TCP action list: every `Tcb` call pushes onto it and
+    /// `run_tcp_actions` drains it, so its storage is reused from
+    /// segment to segment. Empty between calls.
+    tcp_actions: Vec<TcpAction>,
     /// Counters.
     pub stats: StackStats,
 }
@@ -238,6 +259,7 @@ impl NetStack {
             iss_clock: 1,
             tcp_bufs: (8 * 1024, 24 * 1024),
             mss_cap: crate::tcp::DEFAULT_MSS,
+            tcp_actions: Vec::new(),
             stats: StackStats::default(),
         }));
         handle.borrow_mut().me = Rc::downgrade(&handle);
@@ -545,9 +567,9 @@ impl NetStack {
         };
         let mut tcb = Tcb::new(local, remote, snd, rcv);
         tcb.mss = tcb.mss.min(self.mss_cap);
-        let actions = tcb.connect(iss);
+        tcb.connect(iss, &mut self.tcp_actions);
         e.state = SockState::Tcp(Box::new(tcb));
-        self.run_tcp_actions(sim, charge, sock, actions);
+        self.run_tcp_actions(sim, charge, sock);
         Ok(())
     }
 
@@ -593,7 +615,7 @@ impl NetStack {
             return Err(SocketError::NotConnected);
         };
         let now = charge.at();
-        let (n, actions) = tcb.send(data, now)?;
+        let n = tcb.send(data, now, &mut self.tcp_actions)?;
         charge.add_ns(Layer::EntryCopyin, sosend + sync_unit);
         charge.add_per_byte(Layer::EntryCopyin, copy_rate, n);
         if n > 0 {
@@ -607,7 +629,7 @@ impl NetStack {
             Layer::EntryCopyin,
             self.costs.mbuf_alloc * (1 + n as u64 / psd_mbuf::MCLBYTES as u64),
         );
-        self.run_tcp_actions(sim, charge, sock, actions);
+        self.run_tcp_actions(sim, charge, sock);
         Ok(n)
     }
 
@@ -650,7 +672,7 @@ impl NetStack {
         }
         charge.add_ns(Layer::CopyoutExit, soreceive + 2 * sync_unit);
         let now = charge.at();
-        let (n, actions) = tcb.recv(buf, now);
+        let n = tcb.recv(buf, now, &mut self.tcp_actions);
         charge.add_per_byte(Layer::CopyoutExit, copy_rate, n);
         if n > 0 {
             charge.note(
@@ -659,7 +681,7 @@ impl NetStack {
                 Layer::CopyoutExit,
             );
         }
-        self.run_tcp_actions(sim, charge, sock, actions);
+        self.run_tcp_actions(sim, charge, sock);
         Ok(n)
     }
 
@@ -681,12 +703,20 @@ impl NetStack {
 
         // Socket entry. The library runs the specialized datagram fast
         // path (§4.3: "the user data can be referenced instead of
-        // copied"); the kernel and server run the stock BSD sosend,
-        // which copies into mbufs.
-        let chain = match self.placement {
+        // copied") — udp_output checksums and gathers straight from the
+        // caller's buffer; the kernel and server run the stock BSD
+        // sosend, which copies into mbufs.
+        match self.placement {
             Placement::Library => {
                 charge.add_ns(Layer::EntryCopyin, self.costs.sosend_dgram_base);
-                MbufChain::from_shared(Rc::new(data.to_vec()))
+                self.udp_emit(
+                    sim,
+                    charge,
+                    local,
+                    remote,
+                    std::iter::once(data),
+                    data.len(),
+                )?;
             }
             _ => {
                 charge.add_ns(
@@ -700,10 +730,17 @@ impl NetStack {
                     Layer::EntryCopyin,
                 );
                 charge.add_ns(Layer::EntryCopyin, self.costs.mbuf_alloc);
-                MbufChain::from_slice(data)
+                let chain = MbufChain::from_slice(data);
+                self.udp_emit(
+                    sim,
+                    charge,
+                    local,
+                    remote,
+                    chain.iter_segments(),
+                    data.len(),
+                )?;
             }
-        };
-        self.udp_emit(sim, charge, local, remote, chain, data.len())?;
+        }
         Ok(data.len())
     }
 
@@ -748,14 +785,17 @@ impl NetStack {
         let mut segments = 0u64;
         while off < data.len() || (data.is_empty() && segments == 0) {
             let len = seg.min(data.len() - off);
-            let chain = match self.placement {
-                Placement::Library => MbufChain::from_shared_range(data.clone(), off, len),
+            let body = &data[off..off + len];
+            match self.placement {
+                Placement::Library => {
+                    self.udp_emit(sim, charge, local, remote, std::iter::once(body), len)?;
+                }
                 _ => {
                     charge.add_ns(Layer::EntryCopyin, self.costs.mbuf_alloc);
-                    MbufChain::from_slice(&data[off..off + len])
+                    let chain = MbufChain::from_slice(body);
+                    self.udp_emit(sim, charge, local, remote, chain.iter_segments(), len)?;
                 }
-            };
-            self.udp_emit(sim, charge, local, remote, chain, len)?;
+            }
             off += len;
             segments += 1;
         }
@@ -796,14 +836,16 @@ impl NetStack {
 
     /// The shared tail of [`udp_send`](Self::udp_send) and
     /// [`udp_send_gso`](Self::udp_send_gso): udp_output for one datagram
-    /// whose socket-layer entry has already been charged.
-    fn udp_emit(
+    /// whose socket-layer entry has already been charged. `body` yields
+    /// the datagram's `len` payload bytes; they are written once, into
+    /// the frame buffer that goes to the wire.
+    fn udp_emit<'a>(
         &mut self,
         sim: &mut Sim,
         charge: &mut Charge,
         local: InetAddr,
         remote: InetAddr,
-        chain: MbufChain,
+        body: impl Iterator<Item = &'a [u8]>,
         len: usize,
     ) -> Result<(), SocketError> {
         // udp_output: header + checksum over the data. The stock BSD
@@ -827,23 +869,28 @@ impl NetStack {
         charge.add_per_byte(
             Layer::TcpUdpOutput,
             self.costs.checksum_byte,
-            psd_wire::UDP_HDR_LEN + len,
+            UDP_HDR_LEN + len,
         );
         charge.note(
             OpKind::Checksum,
             self.placement.domain(),
             Layer::TcpUdpOutput,
         );
-        udp.checksum = udp.checksum_for(&ip, chain.iter_segments());
         charge.note(
             OpKind::HeaderCopy,
             self.placement.domain(),
             Layer::TcpUdpOutput,
         );
-        let mut payload = udp.encode().to_vec();
-        payload.extend_from_slice(&chain.to_vec());
+        let mut frame = take_frame(IP_ROOM + UDP_HDR_LEN + len);
+        frame.resize(IP_ROOM + UDP_HDR_LEN, 0);
+        for seg in body {
+            frame.extend_from_slice(seg);
+        }
+        let (head, data) = frame[IP_ROOM..].split_at_mut(UDP_HDR_LEN);
+        udp.checksum = udp.checksum_for(&ip, std::iter::once(&*data));
+        head.copy_from_slice(&udp.encode());
         self.stats.udp_out += 1;
-        let out = self.ip_output(sim, charge, remote.ip, IpProto::Udp, payload);
+        let out = self.ip_output(sim, charge, remote.ip, IpProto::Udp, frame);
         charge.site_pop();
         out
     }
@@ -894,8 +941,8 @@ impl NetStack {
         tcb.snd_buf
             .append(MbufChain::from_shared_range(data, 0, take));
         let now = charge.at();
-        let actions = tcb.output(now, false);
-        self.run_tcp_actions(sim, charge, sock, actions);
+        tcb.output(now, false, &mut self.tcp_actions);
+        self.run_tcp_actions(sim, charge, sock);
         Ok(take)
     }
 
@@ -939,8 +986,8 @@ impl NetStack {
         }
         tcb.rcv_buf.drop_front(n);
         let now = charge.at();
-        let actions = tcb.after_user_read(now);
-        self.run_tcp_actions(sim, charge, sock, actions);
+        tcb.after_user_read(now, &mut self.tcp_actions);
+        self.run_tcp_actions(sim, charge, sock);
         Ok(chain)
     }
 
@@ -1104,8 +1151,8 @@ impl NetStack {
         match &mut e.state {
             SockState::Tcp(tcb) => {
                 let now = charge.at();
-                let actions = tcb.close(now);
-                self.run_tcp_actions(sim, charge, sock, actions);
+                tcb.close(now, &mut self.tcp_actions);
+                self.run_tcp_actions(sim, charge, sock);
             }
             SockState::TcpListen { listen, .. } => {
                 // Abort queued, un-accepted connections.
@@ -1127,8 +1174,8 @@ impl NetStack {
             return;
         };
         if let SockState::Tcp(tcb) = &mut e.state {
-            let actions = tcb.abort();
-            self.run_tcp_actions(sim, charge, sock, actions);
+            tcb.abort(&mut self.tcp_actions);
+            self.run_tcp_actions(sim, charge, sock);
         } else {
             self.remove_sock(sim, sock);
         }
@@ -1210,16 +1257,18 @@ impl NetStack {
 
     // --- Output path ---
 
+    /// `frame` is a transport segment behind [`IP_ROOM`] bytes of
+    /// leading room.
     fn ip_output(
         &mut self,
         sim: &mut Sim,
         charge: &mut Charge,
         dst: Ipv4Addr,
         proto: IpProto,
-        payload: Vec<u8>,
+        frame: Vec<u8>,
     ) -> Result<(), SocketError> {
         charge.site_push(self.placement.domain(), "ip_output");
-        let out = self.ip_output_inner(sim, charge, dst, proto, payload);
+        let out = self.ip_output_inner(sim, charge, dst, proto, frame);
         charge.site_pop();
         out
     }
@@ -1230,33 +1279,34 @@ impl NetStack {
         charge: &mut Charge,
         dst: Ipv4Addr,
         proto: IpProto,
-        payload: Vec<u8>,
+        mut frame: Vec<u8>,
     ) -> Result<(), SocketError> {
         charge.add_ns(Layer::IpOutput, self.costs.ip_output_base);
         charge.note(OpKind::HeaderCopy, self.placement.domain(), Layer::IpOutput);
         let mtu = self.ifnet.as_ref().map_or(1500, |i| i.mtu());
-        let mut hdr = Ipv4Header::new(self.ip_addr, dst, proto, payload.len());
+        let payload_len = frame.len() - IP_ROOM;
+        let mut hdr = Ipv4Header::new(self.ip_addr, dst, proto, payload_len);
         hdr.ident = self.ident.next();
-        if payload.len() + psd_wire::IPV4_HDR_LEN > mtu {
-            for (fh, fdata) in fragment(&hdr, &payload, mtu) {
-                let mut pkt = fh.encode().to_vec();
-                pkt.extend_from_slice(&fdata);
-                self.ether_output(sim, charge, dst, pkt)?;
+        if payload_len + IPV4_HDR_LEN > mtu {
+            for (fh, fdata) in fragment(&hdr, &frame[IP_ROOM..], mtu) {
+                self.ether_output(sim, charge, dst, link_frame(&fh, &fdata))?;
             }
+            give_frame(frame);
             Ok(())
         } else {
-            let mut pkt = hdr.encode().to_vec();
-            pkt.extend_from_slice(&payload);
-            self.ether_output(sim, charge, dst, pkt)
+            frame[ETHER_HDR_LEN..IP_ROOM].copy_from_slice(&hdr.encode());
+            self.ether_output(sim, charge, dst, frame)
         }
     }
 
+    /// `frame` is an IP packet behind [`ETHER_HDR_LEN`] bytes of leading
+    /// room (which is also how it waits in the ARP pending queue).
     fn ether_output(
         &mut self,
         sim: &mut Sim,
         charge: &mut Charge,
         dst: Ipv4Addr,
-        ip_packet: Vec<u8>,
+        frame: Vec<u8>,
     ) -> Result<(), SocketError> {
         charge.add_ns(Layer::EtherOutput, self.costs.ether_output_base);
         self.sync(charge, Layer::EtherOutput, 3);
@@ -1266,12 +1316,12 @@ impl NetStack {
         charge.add_ns(Layer::EtherOutput, self.costs.arp_lookup);
         let now = charge.at();
         if let Some(mac) = self.arp.lookup(next_hop, now) {
-            self.transmit_ip_frame(sim, charge, mac, ip_packet);
+            self.transmit_ip_frame(sim, charge, mac, frame);
             return Ok(());
         }
         // ARP miss.
         if self.arp_authoritative {
-            self.arp.enqueue_pending(next_hop, ip_packet);
+            self.arp.enqueue_pending(next_hop, frame);
             // Request whenever one is due — lost requests are retried
             // the next time queued traffic (e.g. a TCP SYN
             // retransmission) prompts resolution.
@@ -1298,7 +1348,7 @@ impl NetStack {
                     let now = charge.at();
                     let drained = self.arp.insert(next_hop, mac, now);
                     debug_assert!(drained.is_empty());
-                    self.transmit_ip_frame(sim, charge, mac, ip_packet);
+                    self.transmit_ip_frame(sim, charge, mac, frame);
                     Ok(())
                 }
                 None => {
@@ -1323,7 +1373,7 @@ impl NetStack {
         sim: &mut Sim,
         charge: &mut Charge,
         dst_mac: EtherAddr,
-        ip_packet: Vec<u8>,
+        mut frame: Vec<u8>,
     ) {
         let ifnet = self.ifnet.clone().expect("no ifnet");
         let eth = EthernetHeader {
@@ -1336,8 +1386,7 @@ impl NetStack {
             self.placement.domain(),
             Layer::EtherOutput,
         );
-        let mut frame = eth.encode().to_vec();
-        frame.extend_from_slice(&ip_packet);
+        frame[..ETHER_HDR_LEN].copy_from_slice(&eth.encode());
         ifnet.transmit(sim, charge, frame);
     }
 
@@ -1539,9 +1588,7 @@ impl NetStack {
                 let mut quoted = ip.encode().to_vec();
                 quoted.extend_from_slice(&pkt[..pkt.len().min(8)]);
                 let (ih, ipayload) = icmp::port_unreachable(self.ip_addr, ip.src, &quoted);
-                let mut ippkt = ih.encode().to_vec();
-                ippkt.extend_from_slice(&ipayload);
-                let _ = self.ether_output(sim, charge, ip.src, ippkt);
+                let _ = self.ether_output(sim, charge, ip.src, link_frame(&ih, &ipayload));
             }
             return;
         };
@@ -1653,26 +1700,22 @@ impl NetStack {
             self.stats.no_socket += 1;
             self.stats.drops.note(DropReason::ConnectionRefused);
             charge.trace_drop(DropReason::ConnectionRefused, self.placement.domain());
+            // A closed TCB answers with at most a RST and has no
+            // timers, events or socket: run it under the null id.
             let mut closed = Tcb::new(local, remote, 0, 0);
             let now = charge.at();
-            let actions = closed.input(&hdr, payload, now);
-            for a in actions {
-                if let TcpAction::Send(spec) = a {
-                    self.emit_segment(sim, charge, &spec);
-                }
-            }
+            closed.input(&hdr, payload, now, &mut self.tcp_actions);
+            self.run_tcp_actions(sim, charge, SockId(0));
             return;
         }
         let sock = target.expect("checked above");
         let now = charge.at();
-        let actions = {
-            let e = self.socks.get_mut(&sock).expect("matched above");
-            let SockState::Tcp(tcb) = &mut e.state else {
-                unreachable!("matched as TCP");
-            };
-            tcb.input(&hdr, payload, now)
+        let e = self.socks.get_mut(&sock).expect("matched above");
+        let SockState::Tcp(tcb) = &mut e.state else {
+            unreachable!("matched as TCP");
         };
-        self.run_tcp_actions(sim, charge, sock, actions);
+        tcb.input(&hdr, payload, now, &mut self.tcp_actions);
+        self.run_tcp_actions(sim, charge, sock);
         // The segment's bytes merged into the connection's stream (or
         // were dropped by sequence-space checks inside the TCB); either
         // way TCP has consumed the packet.
@@ -1711,8 +1754,16 @@ impl NetStack {
         let iss = self.next_iss();
         let (snd, rcv) = self.tcp_bufs;
         let capped_mss = syn.mss.map(|m| m.min(self.mss_cap)).or(Some(self.mss_cap));
-        let (tcb, actions) = Tcb::accept_syn(
-            local, remote, iss, syn.seq, capped_mss, syn.window, snd, rcv,
+        let tcb = Tcb::accept_syn(
+            local,
+            remote,
+            iss,
+            syn.seq,
+            capped_mss,
+            syn.window,
+            snd,
+            rcv,
+            &mut self.tcp_actions,
         );
         let child = self.alloc_sock(SockState::Tcp(Box::new(tcb)));
         // The child inherits the listener's sink so Connected is seen.
@@ -1722,22 +1773,21 @@ impl NetStack {
         }
         // Remember which listener owns this embryonic connection.
         self.pending_children.push((listener, child));
-        self.run_tcp_actions(sim, charge, child, actions);
+        self.run_tcp_actions(sim, charge, child);
         charge.trace_absorbed();
     }
 
     // --- TCP action execution ---
 
-    fn run_tcp_actions(
-        &mut self,
-        sim: &mut Sim,
-        charge: &mut Charge,
-        sock: SockId,
-        actions: Vec<TcpAction>,
-    ) {
+    /// Executes (and clears) the action list the preceding `Tcb` call
+    /// filled for `sock`.
+    fn run_tcp_actions(&mut self, sim: &mut Sim, charge: &mut Charge, sock: SockId) {
+        // Nothing below calls back into a `Tcb`, so the list is not
+        // refilled while it is out on loan.
+        let mut actions = std::mem::take(&mut self.tcp_actions);
         let mut notified_readable = false;
         let mut notified_writable = false;
-        for action in actions {
+        for action in actions.drain(..) {
             match action {
                 TcpAction::Send(spec) => self.emit_segment(sim, charge, &spec),
                 TcpAction::SetTimer(kind, delay) => self.arm_timer(sim, sock, kind, delay),
@@ -1798,6 +1848,11 @@ impl NetStack {
                 }
             }
         }
+        debug_assert!(
+            self.tcp_actions.is_empty(),
+            "action list refilled while draining"
+        );
+        self.tcp_actions = actions;
     }
 
     fn emit_segment(&mut self, sim: &mut Sim, charge: &mut Charge, spec: &SegmentSpec) {
@@ -1833,15 +1888,22 @@ impl NetStack {
             self.placement.domain(),
             Layer::TcpUdpOutput,
         );
-        let tcp_bytes = hdr.encode_with_checksum(&ip, spec.data.len(), spec.data.iter_segments());
         charge.note(
             OpKind::HeaderCopy,
             self.placement.domain(),
             Layer::TcpUdpOutput,
         );
-        let mut payload = tcp_bytes;
-        payload.extend_from_slice(&spec.data.to_vec());
-        let _ = self.ip_output(sim, charge, spec.remote.ip, IpProto::Tcp, payload);
+        // The one write of this segment's bytes: header and gathered
+        // body go behind the leading room the lower layers fill in.
+        let hdr_len = hdr.header_len();
+        let mut frame = take_frame(IP_ROOM + hdr_len + spec.data.len());
+        frame.resize(IP_ROOM + hdr_len, 0);
+        for seg in spec.data.iter_segments() {
+            frame.extend_from_slice(seg);
+        }
+        let (head, body) = frame[IP_ROOM..].split_at_mut(hdr_len);
+        hdr.encode_with_checksum(&ip, head, body.len(), std::iter::once(&*body));
+        let _ = self.ip_output(sim, charge, spec.remote.ip, IpProto::Tcp, frame);
         charge.site_pop();
     }
 
@@ -1865,9 +1927,7 @@ impl NetStack {
         // Echo: answered by the authoritative (OS) stack.
         if self.arp_authoritative {
             if let Some((rip, rpayload)) = icmp::echo_reply(ip, &msg) {
-                let mut ippkt = rip.encode().to_vec();
-                ippkt.extend_from_slice(&rpayload);
-                let _ = self.ether_output(sim, charge, rip.dst, ippkt);
+                let _ = self.ether_output(sim, charge, rip.dst, link_frame(&rip, &rpayload));
                 return;
             }
         }
@@ -1910,6 +1970,7 @@ impl NetStack {
         let handle = sim.after(delay, move |sim| {
             let Some(stack) = me.upgrade() else { return };
             let mut s = stack.borrow_mut();
+            let s = &mut *s;
             let Some(e) = s.socks.get_mut(&sock) else {
                 return;
             };
@@ -1921,18 +1982,16 @@ impl NetStack {
             let mut charge = cpu.borrow_mut().begin(sim.now());
             charge.add_ns(Layer::Other, s.costs.timer_op);
             let now = charge.at();
-            let actions = {
-                let Some(SockEntry {
-                    state: SockState::Tcp(tcb),
-                    ..
-                }) = s.socks.get_mut(&sock)
-                else {
-                    cpu.borrow_mut().finish(charge);
-                    return;
-                };
-                tcb.timer(kind, now)
+            let Some(SockEntry {
+                state: SockState::Tcp(tcb),
+                ..
+            }) = s.socks.get_mut(&sock)
+            else {
+                cpu.borrow_mut().finish(charge);
+                return;
             };
-            s.run_tcp_actions(sim, &mut charge, sock, actions);
+            tcb.timer(kind, now, &mut s.tcp_actions);
+            s.run_tcp_actions(sim, &mut charge, sock);
             cpu.borrow_mut().finish(charge);
         });
         if let Some(e) = self.socks.get_mut(&sock) {

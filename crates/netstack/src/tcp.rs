@@ -2,11 +2,13 @@
 //!
 //! [`Tcb`] is a *pure* transmission control block: it holds the
 //! connection state, sequence spaces, socket buffers, reassembly queue,
-//! RTT estimator and congestion window, and its methods return
+//! RTT estimator and congestion window, and its methods push
 //! [`TcpAction`]s — segments to emit, timers to arm or cancel, events
-//! to deliver — rather than performing I/O. The surrounding
-//! [`NetStack`](crate::stack::NetStack) turns actions into real
-//! checksummed segments and simulator timers. Keeping the TCB pure
+//! to deliver — onto the caller's action list rather than performing
+//! I/O. The surrounding [`NetStack`](crate::stack::NetStack) keeps one
+//! such list, reuses it across calls (no per-segment allocation), and
+//! turns the actions into real checksummed segments and simulator
+//! timers. Keeping the TCB pure
 //! makes the whole state machine unit-testable (two TCBs can be wired
 //! back-to-back in a test without any simulator) and is what lets a
 //! session *migrate*: [`Tcb::export`]/[`Tcb::import`] capture and
@@ -402,14 +404,14 @@ impl Tcb {
     // --- Opens ---
 
     /// Active open: send SYN (stack supplies the ISS).
-    pub fn connect(&mut self, iss: u32) -> Vec<TcpAction> {
+    pub fn connect(&mut self, iss: u32, out: &mut Vec<TcpAction>) {
         assert_eq!(self.state, TcpState::Closed, "connect on non-closed TCB");
         self.iss = iss;
         self.snd_una = iss;
         self.snd_nxt = iss;
         self.snd_max = iss;
         self.state = TcpState::SynSent;
-        let mut actions = vec![TcpAction::Send(SegmentSpec {
+        out.push(TcpAction::Send(SegmentSpec {
             local: self.local,
             remote: self.remote,
             seq: iss,
@@ -420,12 +422,11 @@ impl Tcb {
             mss: Some(self.mss),
             data: MbufChain::new(),
             rexmit: false,
-        })];
+        }));
         self.snd_nxt = iss.wrapping_add(1);
         self.snd_max = self.snd_nxt;
-        actions.push(TcpAction::SetTimer(TcpTimer::Rexmt, self.rto()));
+        out.push(TcpAction::SetTimer(TcpTimer::Rexmt, self.rto()));
         self.rexmt_armed = true;
-        actions
     }
 
     /// Passive open: build a TCB in `SynReceived` answering `syn` (the
@@ -440,7 +441,8 @@ impl Tcb {
         syn_wnd: u16,
         snd_hiwat: usize,
         rcv_hiwat: usize,
-    ) -> (Tcb, Vec<TcpAction>) {
+        out: &mut Vec<TcpAction>,
+    ) -> Tcb {
         let mut tcb = Tcb::new(local, remote, snd_hiwat, rcv_hiwat);
         tcb.state = TcpState::SynReceived;
         tcb.irs = syn_seq;
@@ -457,23 +459,21 @@ impl Tcb {
             tcb.mss = tcb.mss.min(m);
         }
         tcb.cwnd = u32::from(tcb.mss);
-        let actions = vec![
-            TcpAction::Send(SegmentSpec {
-                local,
-                remote,
-                seq: iss,
-                ack: tcb.rcv_nxt,
-                flags: TcpFlags::SYN | TcpFlags::ACK,
-                wnd: tcb.rcv_wnd() as u16,
-                urp: 0,
-                mss: Some(tcb.mss),
-                data: MbufChain::new(),
-                rexmit: false,
-            }),
-            TcpAction::SetTimer(TcpTimer::Rexmt, tcb.rto()),
-        ];
+        out.push(TcpAction::Send(SegmentSpec {
+            local,
+            remote,
+            seq: iss,
+            ack: tcb.rcv_nxt,
+            flags: TcpFlags::SYN | TcpFlags::ACK,
+            wnd: tcb.rcv_wnd() as u16,
+            urp: 0,
+            mss: Some(tcb.mss),
+            data: MbufChain::new(),
+            rexmit: false,
+        }));
+        out.push(TcpAction::SetTimer(TcpTimer::Rexmt, tcb.rto()));
         tcb.rexmt_armed = true;
-        (tcb, actions)
+        tcb
     }
 
     // --- Application send/receive ---
@@ -485,7 +485,8 @@ impl Tcb {
         &mut self,
         data: &[u8],
         now: SimTime,
-    ) -> Result<(usize, Vec<TcpAction>), SocketError> {
+        out: &mut Vec<TcpAction>,
+    ) -> Result<usize, SocketError> {
         if let Some(e) = self.error {
             return Err(e);
         }
@@ -501,8 +502,8 @@ impl Tcb {
             return Err(SocketError::WouldBlock);
         }
         self.snd_buf.append(MbufChain::from_slice(&data[..take]));
-        let actions = self.output(now, false);
-        Ok((take, actions))
+        self.output(now, false, out);
+        Ok(take)
     }
 
     /// Queues data whose last byte is urgent, setting the urgent
@@ -511,7 +512,8 @@ impl Tcb {
         &mut self,
         data: &[u8],
         now: SimTime,
-    ) -> Result<(usize, Vec<TcpAction>), SocketError> {
+        out: &mut Vec<TcpAction>,
+    ) -> Result<usize, SocketError> {
         if let Some(e) = self.error {
             return Err(e);
         }
@@ -528,24 +530,21 @@ impl Tcb {
         }
         self.snd_buf.append(MbufChain::from_slice(&data[..take]));
         self.snd_up = self.snd_una.wrapping_add(self.snd_buf.len() as u32);
-        let actions = self.output(now, false);
-        Ok((take, actions))
+        self.output(now, false, out);
+        Ok(take)
     }
 
     /// Copies up to `buf.len()` bytes of in-order data to the caller,
-    /// consuming them. Returns bytes read and any window-update actions.
-    pub fn recv(&mut self, buf: &mut [u8], now: SimTime) -> (usize, Vec<TcpAction>) {
+    /// consuming them. Returns bytes read; any window-update actions
+    /// are pushed onto `out`.
+    pub fn recv(&mut self, buf: &mut [u8], now: SimTime, out: &mut Vec<TcpAction>) -> usize {
         let n = buf.len().min(self.rcv_buf.len());
         if n > 0 {
             self.rcv_buf.peek(&mut buf[..n]);
             self.rcv_buf.drop_front(n);
+            self.after_user_read(now, out);
         }
-        let actions = if n > 0 {
-            self.after_user_read(now)
-        } else {
-            Vec::new()
-        };
-        (n, actions)
+        n
     }
 
     /// Window-update check after the application consumed receive-queue
@@ -553,31 +552,28 @@ impl Tcb {
     /// consuming opened the window significantly (two segments or half
     /// the buffer), advertise it immediately — BSD's receiver
     /// silly-window avoidance.
-    pub fn after_user_read(&mut self, now: SimTime) -> Vec<TcpAction> {
-        let mut actions = Vec::new();
+    pub fn after_user_read(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
         if self.state.is_synchronized() {
             let new_wnd = self.rcv_wnd();
             let advertised = self.rcv_adv.wrapping_sub(self.rcv_nxt);
             let gain = new_wnd.saturating_sub(advertised);
             if gain >= 2 * u32::from(self.mss) || gain as usize * 2 >= self.rcv_buf.hiwat() {
-                actions.extend(self.emit_ack(now));
+                self.emit_ack(now, out);
             }
         }
-        actions
     }
 
     // --- Output engine (tcp_output) ---
 
     /// Produces whatever segments the connection state allows. `force`
     /// is used by the persist timer to send a one-byte window probe.
-    pub fn output(&mut self, now: SimTime, force: bool) -> Vec<TcpAction> {
-        let mut actions = Vec::new();
+    pub fn output(&mut self, now: SimTime, force: bool, out: &mut Vec<TcpAction>) {
         if matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
-            return actions;
+            return;
         }
         if !self.state.is_synchronized() {
             // SYN already sent and timed; data waits for ESTABLISHED.
-            return actions;
+            return;
         }
         loop {
             let off = self.snd_nxt.wrapping_sub(self.snd_una) as usize;
@@ -661,9 +657,9 @@ impl Tcb {
             self.rcv_adv = self.rcv_nxt.wrapping_add(wnd_adv);
             if self.delack_pending {
                 self.delack_pending = false;
-                actions.push(TcpAction::CancelTimer(TcpTimer::DelAck));
+                out.push(TcpAction::CancelTimer(TcpTimer::DelAck));
             }
-            actions.push(TcpAction::Send(SegmentSpec {
+            out.push(TcpAction::Send(SegmentSpec {
                 local: self.local,
                 remote: self.remote,
                 seq,
@@ -677,12 +673,12 @@ impl Tcb {
             }));
             if (len > 0 || fin_bit != 0) && !self.rexmt_armed && !is_probe {
                 self.rexmt_armed = true;
-                actions.push(TcpAction::SetTimer(TcpTimer::Rexmt, self.rto()));
+                out.push(TcpAction::SetTimer(TcpTimer::Rexmt, self.rto()));
             }
             if self.persist_armed {
                 self.persist_armed = false;
                 self.persist_shift = 0;
-                actions.push(TcpAction::CancelTimer(TcpTimer::Persist));
+                out.push(TcpAction::CancelTimer(TcpTimer::Persist));
             }
             if force {
                 break;
@@ -702,12 +698,11 @@ impl Tcb {
             && self.state.is_synchronized()
         {
             self.persist_armed = true;
-            actions.push(TcpAction::SetTimer(
+            out.push(TcpAction::SetTimer(
                 TcpTimer::Persist,
                 self.persist_backoff(),
             ));
         }
-        actions
     }
 
     fn fin_should_be_sent(&self) -> bool {
@@ -721,15 +716,14 @@ impl Tcb {
         (RTO_MIN * (1u64 << self.persist_shift.min(6))).min(RTO_MAX)
     }
 
-    fn emit_ack(&mut self, _now: SimTime) -> Vec<TcpAction> {
+    fn emit_ack(&mut self, _now: SimTime, out: &mut Vec<TcpAction>) {
         let wnd = self.rcv_wnd();
         self.rcv_adv = self.rcv_nxt.wrapping_add(wnd);
-        let mut actions = Vec::new();
         if self.delack_pending {
             self.delack_pending = false;
-            actions.push(TcpAction::CancelTimer(TcpTimer::DelAck));
+            out.push(TcpAction::CancelTimer(TcpTimer::DelAck));
         }
-        actions.push(TcpAction::Send(SegmentSpec {
+        out.push(TcpAction::Send(SegmentSpec {
             local: self.local,
             remote: self.remote,
             seq: self.snd_nxt,
@@ -741,7 +735,6 @@ impl Tcb {
             data: MbufChain::new(),
             rexmit: false,
         }));
-        actions
     }
 
     fn emit_rst(&self, seq: u32, ack: Option<u32>) -> TcpAction {
@@ -766,8 +759,13 @@ impl Tcb {
     // --- Input engine (tcp_input) ---
 
     /// Processes one arriving segment.
-    pub fn input(&mut self, hdr: &TcpHeader, payload: &[u8], now: SimTime) -> Vec<TcpAction> {
-        let mut actions = Vec::new();
+    pub fn input(
+        &mut self,
+        hdr: &TcpHeader,
+        payload: &[u8],
+        now: SimTime,
+        out: &mut Vec<TcpAction>,
+    ) {
         let flags = hdr.flags;
 
         match self.state {
@@ -778,7 +776,7 @@ impl Tcb {
                     let seg_len = payload.len() as u32
                         + u32::from(flags.contains(TcpFlags::SYN))
                         + u32::from(flags.contains(TcpFlags::FIN));
-                    actions.push(self.emit_rst(
+                    out.push(self.emit_rst(
                         if flags.contains(TcpFlags::ACK) {
                             hdr.ack
                         } else {
@@ -787,61 +785,58 @@ impl Tcb {
                         (!flags.contains(TcpFlags::ACK)).then(|| hdr.seq.wrapping_add(seg_len)),
                     ));
                 }
-                return actions;
+                return;
             }
-            TcpState::SynSent => return self.input_syn_sent(hdr, payload, now),
+            TcpState::SynSent => return self.input_syn_sent(hdr, payload, now, out),
             _ => {}
         }
 
         // RST processing.
         if flags.contains(TcpFlags::RST) {
             if self.seq_acceptable(hdr.seq, payload.len()) || self.state == TcpState::SynReceived {
-                return self.reset(SocketError::ConnReset);
+                self.reset(SocketError::ConnReset, out);
             }
-            return actions;
+            return;
         }
 
         // Sequence acceptability; trim to window.
-        let (seq, data) = match self.trim_to_window(hdr.seq, payload, flags) {
-            Some(t) => t,
-            None => {
-                // Unacceptable segment: ACK and drop (keeps the peer
-                // synchronized; also handles old duplicates).
-                actions.extend(self.emit_ack(now));
-                return actions;
-            }
+        let Some((seq, data)) = self.trim_to_window(hdr.seq, payload) else {
+            // Unacceptable segment: ACK and drop (keeps the peer
+            // synchronized; also handles old duplicates).
+            self.emit_ack(now, out);
+            return;
         };
 
         // A SYN inside the window of a synchronized connection is an
         // error.
         if flags.contains(TcpFlags::SYN) && self.state.is_synchronized() {
-            actions.extend(self.reset(SocketError::ConnReset));
-            return actions;
+            self.reset(SocketError::ConnReset, out);
+            return;
         }
 
         if !flags.contains(TcpFlags::ACK) {
-            return actions;
+            return;
         }
 
         // ACK processing.
         if self.state == TcpState::SynReceived {
             if seq_le(self.snd_una, hdr.ack) && seq_le(hdr.ack, self.snd_max) {
                 self.state = TcpState::Established;
-                actions.push(TcpAction::Connected);
+                out.push(TcpAction::Connected);
                 if self.rexmt_armed {
                     self.rexmt_armed = false;
-                    actions.push(TcpAction::CancelTimer(TcpTimer::Rexmt));
+                    out.push(TcpAction::CancelTimer(TcpTimer::Rexmt));
                 }
             } else {
-                actions.push(self.emit_rst(hdr.ack, None));
-                return actions;
+                out.push(self.emit_rst(hdr.ack, None));
+                return;
             }
         }
-        actions.extend(self.process_ack(hdr, now));
+        self.process_ack(hdr, now, out);
         if matches!(self.state, TcpState::Closed | TcpState::TimeWait)
             && !flags.contains(TcpFlags::FIN)
         {
-            return actions;
+            return;
         }
 
         // Window update (RFC 793 SND.WND handling).
@@ -852,7 +847,7 @@ impl Tcb {
             self.snd_wl2 = hdr.ack;
             if self.snd_wnd > old_wnd {
                 // Window opened: try to send.
-                actions.extend(self.output(now, false));
+                self.output(now, false, out);
             }
         }
 
@@ -866,7 +861,7 @@ impl Tcb {
 
         // Payload processing.
         if !data.is_empty() {
-            actions.extend(self.process_data(seq, &data, now));
+            self.process_data(seq, data, now, out);
         }
 
         // FIN processing.
@@ -876,7 +871,7 @@ impl Tcb {
                 self.rcv_nxt = self.rcv_nxt.wrapping_add(1);
                 if !self.fin_rcvd {
                     self.fin_rcvd = true;
-                    actions.push(TcpAction::PeerClosed);
+                    out.push(TcpAction::PeerClosed);
                 }
                 match self.state {
                     TcpState::Established => self.state = TcpState::CloseWait,
@@ -887,39 +882,40 @@ impl Tcb {
                     }
                     TcpState::FinWait2 => {
                         self.state = TcpState::TimeWait;
-                        actions.push(TcpAction::SetTimer(TcpTimer::TwoMsl, MSL_2));
+                        out.push(TcpAction::SetTimer(TcpTimer::TwoMsl, MSL_2));
                     }
                     _ => {}
                 }
-                actions.extend(self.emit_ack(now));
-            } else {
-                // Out-of-order FIN: ACK what we have.
-                actions.extend(self.emit_ack(now));
             }
+            // In order or not, ACK what we have.
+            self.emit_ack(now, out);
         }
-
-        actions
     }
 
-    fn input_syn_sent(&mut self, hdr: &TcpHeader, payload: &[u8], now: SimTime) -> Vec<TcpAction> {
-        let mut actions = Vec::new();
+    fn input_syn_sent(
+        &mut self,
+        hdr: &TcpHeader,
+        payload: &[u8],
+        now: SimTime,
+        out: &mut Vec<TcpAction>,
+    ) {
         let flags = hdr.flags;
         if flags.contains(TcpFlags::ACK)
             && (seq_le(hdr.ack, self.iss) || seq_gt(hdr.ack, self.snd_max))
         {
             if !flags.contains(TcpFlags::RST) {
-                actions.push(self.emit_rst(hdr.ack, None));
+                out.push(self.emit_rst(hdr.ack, None));
             }
-            return actions;
+            return;
         }
         if flags.contains(TcpFlags::RST) {
             if flags.contains(TcpFlags::ACK) {
-                actions.extend(self.reset(SocketError::ConnRefused));
+                self.reset(SocketError::ConnRefused, out);
             }
-            return actions;
+            return;
         }
         if !flags.contains(TcpFlags::SYN) {
-            return actions;
+            return;
         }
         self.irs = hdr.seq;
         self.rcv_nxt = hdr.seq.wrapping_add(1);
@@ -937,20 +933,20 @@ impl Tcb {
             self.state = TcpState::Established;
             if self.rexmt_armed {
                 self.rexmt_armed = false;
-                actions.push(TcpAction::CancelTimer(TcpTimer::Rexmt));
+                out.push(TcpAction::CancelTimer(TcpTimer::Rexmt));
             }
             self.rxtshift = 0;
-            actions.push(TcpAction::Connected);
-            actions.extend(self.emit_ack(now));
+            out.push(TcpAction::Connected);
+            self.emit_ack(now, out);
             // Data may already be queued behind the handshake.
-            actions.extend(self.output(now, false));
+            self.output(now, false, out);
             if !payload.is_empty() {
-                actions.extend(self.process_data(self.rcv_nxt, payload, now));
+                self.process_data(self.rcv_nxt, payload, now, out);
             }
         } else {
             // Simultaneous open.
             self.state = TcpState::SynReceived;
-            actions.push(TcpAction::Send(SegmentSpec {
+            out.push(TcpAction::Send(SegmentSpec {
                 local: self.local,
                 remote: self.remote,
                 seq: self.iss,
@@ -963,7 +959,6 @@ impl Tcb {
                 rexmit: true,
             }));
         }
-        actions
     }
 
     fn seq_acceptable(&self, seq: u32, len: usize) -> bool {
@@ -984,26 +979,21 @@ impl Tcb {
     }
 
     /// Trims an arriving segment to the receive window; returns the
-    /// usable `(seq, data)` or `None` if wholly unacceptable.
-    fn trim_to_window(&self, seq: u32, payload: &[u8], flags: TcpFlags) -> Option<(u32, Vec<u8>)> {
-        let _ = flags;
+    /// usable `(seq, data)` — a sub-slice of `payload` — or `None` if
+    /// wholly unacceptable.
+    fn trim_to_window<'a>(&self, seq: u32, payload: &'a [u8]) -> Option<(u32, &'a [u8])> {
         if !self.seq_acceptable(seq, payload.len()) {
             return None;
         }
         let mut seq = seq;
-        let mut data = payload.to_vec();
-        // Trim the front (old data already received).
+        let mut data = payload;
+        // Trim the front (old data already received). A pure old
+        // duplicate that still passed acceptability (e.g. seq at window
+        // edge) is kept as empty.
         if seq_lt(seq, self.rcv_nxt) {
             let drop = self.rcv_nxt.wrapping_sub(seq) as usize;
-            if drop >= data.len() {
-                // Pure old duplicate that still passed acceptability
-                // (e.g. seq at window edge); keep as empty.
-                data.clear();
-                seq = self.rcv_nxt;
-            } else {
-                data.drain(..drop);
-                seq = self.rcv_nxt;
-            }
+            data = &data[drop.min(data.len())..];
+            seq = self.rcv_nxt;
         }
         // Trim the back to the window.
         let wnd = self.rcv_wnd() as usize;
@@ -1011,14 +1001,13 @@ impl Tcb {
         let end = seq.wrapping_add(data.len() as u32);
         if seq_gt(end, max) {
             let excess = end.wrapping_sub(max) as usize;
-            data.truncate(data.len().saturating_sub(excess));
+            data = &data[..data.len().saturating_sub(excess)];
         }
         Some((seq, data))
     }
 
-    fn process_ack(&mut self, hdr: &TcpHeader, now: SimTime) -> Vec<TcpAction> {
+    fn process_ack(&mut self, hdr: &TcpHeader, now: SimTime, out: &mut Vec<TcpAction>) {
         let ack = hdr.ack;
-        let mut actions = Vec::new();
         if seq_le(ack, self.snd_una) {
             // Duplicate ACK. Counted only if it carries no data/window
             // news and data is outstanding.
@@ -1032,24 +1021,24 @@ impl Tcb {
                     self.snd_nxt = self.snd_una;
                     self.cwnd = u32::from(self.mss);
                     self.rtt_probe = None; // Karn: do not time retransmits.
-                    actions.extend(self.output(now, true));
+                    self.output(now, true, out);
                     self.cwnd = self.ssthresh + REXMT_THRESH * u32::from(self.mss);
                     if seq_gt(onxt, self.snd_nxt) {
                         self.snd_nxt = onxt;
                     }
                 } else if self.dupacks > REXMT_THRESH {
                     self.cwnd += u32::from(self.mss);
-                    actions.extend(self.output(now, false));
+                    self.output(now, false, out);
                 }
             } else {
                 self.dupacks = 0;
             }
-            return actions;
+            return;
         }
         if seq_gt(ack, self.snd_max) {
             // ACK for data never sent.
-            actions.extend(self.emit_ack(now));
-            return actions;
+            self.emit_ack(now, out);
+            return;
         }
 
         // A new ACK.
@@ -1078,7 +1067,7 @@ impl Tcb {
             .min(self.snd_buf.len());
         if data_acked > 0 {
             self.snd_buf.drop_front(data_acked);
-            actions.push(TcpAction::WakeWriters);
+            out.push(TcpAction::WakeWriters);
         }
         self.snd_una = ack;
         if seq_gt(self.snd_una, self.snd_nxt) {
@@ -1097,11 +1086,11 @@ impl Tcb {
         // Retransmission timer: restart if data remains outstanding.
         if self.rexmt_armed {
             self.rexmt_armed = false;
-            actions.push(TcpAction::CancelTimer(TcpTimer::Rexmt));
+            out.push(TcpAction::CancelTimer(TcpTimer::Rexmt));
         }
         if seq_lt(self.snd_una, self.snd_max) {
             self.rexmt_armed = true;
-            actions.push(TcpAction::SetTimer(TcpTimer::Rexmt, self.rto()));
+            out.push(TcpAction::SetTimer(TcpTimer::Rexmt, self.rto()));
         }
 
         // State transitions driven by our FIN being acknowledged.
@@ -1110,19 +1099,18 @@ impl Tcb {
                 TcpState::FinWait1 => self.state = TcpState::FinWait2,
                 TcpState::Closing => {
                     self.state = TcpState::TimeWait;
-                    actions.push(TcpAction::SetTimer(TcpTimer::TwoMsl, MSL_2));
+                    out.push(TcpAction::SetTimer(TcpTimer::TwoMsl, MSL_2));
                 }
                 TcpState::LastAck => {
                     self.state = TcpState::Closed;
-                    actions.push(TcpAction::Free);
+                    out.push(TcpAction::Free);
                 }
                 _ => {}
             }
         }
 
         // More data may now fit in the window.
-        actions.extend(self.output(now, false));
-        actions
+        self.output(now, false, out);
     }
 
     fn rtt_sample(&mut self, now: SimTime) {
@@ -1144,10 +1132,9 @@ impl Tcb {
         }
     }
 
-    fn process_data(&mut self, seq: u32, data: &[u8], now: SimTime) -> Vec<TcpAction> {
-        let mut actions = Vec::new();
+    fn process_data(&mut self, seq: u32, data: &[u8], now: SimTime, out: &mut Vec<TcpAction>) {
         if data.is_empty() {
-            return actions;
+            return;
         }
         if seq == self.rcv_nxt {
             // In-order: append, then drain any contiguous reassembly.
@@ -1156,13 +1143,13 @@ impl Tcb {
             self.rcv_buf.append(MbufChain::from_slice(&data[..take]));
             self.rcv_nxt = self.rcv_nxt.wrapping_add(take as u32);
             self.drain_reassembly();
-            actions.push(TcpAction::Deliver { wake: was_empty });
+            out.push(TcpAction::Deliver { wake: was_empty });
             // Delayed ACK: every second segment, or 200 ms.
             if self.delack_pending {
-                actions.extend(self.emit_ack(now));
+                self.emit_ack(now, out);
             } else {
                 self.delack_pending = true;
-                actions.push(TcpAction::SetTimer(TcpTimer::DelAck, DELACK));
+                out.push(TcpAction::SetTimer(TcpTimer::DelAck, DELACK));
             }
         } else {
             // Out of order: queue and send an immediate duplicate ACK
@@ -1177,9 +1164,8 @@ impl Tcb {
                     std::cmp::Ordering::Greater
                 }
             });
-            actions.extend(self.emit_ack(now));
+            self.emit_ack(now, out);
         }
-        actions
     }
 
     fn drain_reassembly(&mut self) {
@@ -1215,34 +1201,30 @@ impl Tcb {
     // --- Timers ---
 
     /// Drives a timer expiry.
-    pub fn timer(&mut self, which: TcpTimer, now: SimTime) -> Vec<TcpAction> {
+    pub fn timer(&mut self, which: TcpTimer, now: SimTime, out: &mut Vec<TcpAction>) {
         match which {
-            TcpTimer::Rexmt => self.timer_rexmt(now),
-            TcpTimer::Persist => self.timer_persist(now),
+            TcpTimer::Rexmt => self.timer_rexmt(now, out),
+            TcpTimer::Persist => self.timer_persist(now, out),
             TcpTimer::DelAck => {
                 if self.delack_pending {
                     self.delack_pending = false;
-                    self.emit_ack(now)
-                } else {
-                    Vec::new()
+                    self.emit_ack(now, out);
                 }
             }
             TcpTimer::TwoMsl => {
                 if self.state == TcpState::TimeWait {
                     self.state = TcpState::Closed;
-                    vec![TcpAction::Free]
-                } else {
-                    Vec::new()
+                    out.push(TcpAction::Free);
                 }
             }
         }
     }
 
-    fn timer_rexmt(&mut self, now: SimTime) -> Vec<TcpAction> {
+    fn timer_rexmt(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
         self.rexmt_armed = false;
         self.rxtshift += 1;
         if self.rxtshift > MAX_RXT {
-            return self.drop_connection(SocketError::TimedOut);
+            return self.reset(SocketError::TimedOut, out);
         }
         self.rexmt_segs += 1;
         // Karn: invalidate the outstanding RTT measurement.
@@ -1252,11 +1234,10 @@ impl Tcb {
         self.cwnd = u32::from(self.mss);
         self.dupacks = 0;
 
-        let mut actions = Vec::new();
         match self.state {
             TcpState::SynSent => {
                 // Retransmit the SYN.
-                actions.push(TcpAction::Send(SegmentSpec {
+                out.push(TcpAction::Send(SegmentSpec {
                     local: self.local,
                     remote: self.remote,
                     seq: self.iss,
@@ -1270,7 +1251,7 @@ impl Tcb {
                 }));
             }
             TcpState::SynReceived => {
-                actions.push(TcpAction::Send(SegmentSpec {
+                out.push(TcpAction::Send(SegmentSpec {
                     local: self.local,
                     remote: self.remote,
                     seq: self.iss,
@@ -1286,85 +1267,78 @@ impl Tcb {
             _ => {
                 // Go back to the first unacknowledged byte.
                 self.snd_nxt = self.snd_una;
-                actions.extend(self.output(now, true));
+                self.output(now, true, out);
             }
         }
         self.rexmt_armed = true;
-        actions.push(TcpAction::SetTimer(TcpTimer::Rexmt, self.rto()));
-        actions
+        out.push(TcpAction::SetTimer(TcpTimer::Rexmt, self.rto()));
     }
 
-    fn timer_persist(&mut self, now: SimTime) -> Vec<TcpAction> {
+    fn timer_persist(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
         self.persist_armed = false;
         if self.snd_wnd == 0 && !self.snd_buf.is_empty() {
             self.persist_shift += 1;
-            let mut actions = self.output(now, true);
+            self.output(now, true, out);
             if !self.persist_armed {
                 self.persist_armed = true;
-                actions.push(TcpAction::SetTimer(
+                out.push(TcpAction::SetTimer(
                     TcpTimer::Persist,
                     self.persist_backoff(),
                 ));
             }
-            actions
         } else {
             self.persist_shift = 0;
-            Vec::new()
         }
     }
 
     // --- Close paths ---
 
     /// Application close: send FIN after queued data.
-    pub fn close(&mut self, now: SimTime) -> Vec<TcpAction> {
+    pub fn close(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
         match self.state {
-            TcpState::Closed => vec![TcpAction::Free],
+            TcpState::Closed => out.push(TcpAction::Free),
             TcpState::SynSent => {
                 self.state = TcpState::Closed;
-                vec![TcpAction::Free]
+                out.push(TcpAction::Free);
             }
             TcpState::SynReceived | TcpState::Established => {
                 self.state = TcpState::FinWait1;
-                self.output(now, false)
+                self.output(now, false, out);
             }
             TcpState::CloseWait => {
                 self.state = TcpState::LastAck;
-                self.output(now, false)
+                self.output(now, false, out);
             }
             // Already closing.
-            _ => Vec::new(),
+            _ => {}
         }
     }
 
     /// Abortive close: RST to the peer, local teardown.
-    pub fn abort(&mut self) -> Vec<TcpAction> {
-        let mut actions = Vec::new();
+    pub fn abort(&mut self, out: &mut Vec<TcpAction>) {
         if self.state.is_synchronized() {
-            actions.push(self.emit_rst(self.snd_nxt, Some(self.rcv_nxt)));
+            out.push(self.emit_rst(self.snd_nxt, Some(self.rcv_nxt)));
         }
         self.state = TcpState::Closed;
         self.error = Some(SocketError::ConnReset);
-        actions.push(TcpAction::CancelTimer(TcpTimer::Rexmt));
-        actions.push(TcpAction::CancelTimer(TcpTimer::Persist));
-        actions.push(TcpAction::CancelTimer(TcpTimer::DelAck));
-        actions.push(TcpAction::Free);
-        actions
+        out.extend([
+            TcpAction::CancelTimer(TcpTimer::Rexmt),
+            TcpAction::CancelTimer(TcpTimer::Persist),
+            TcpAction::CancelTimer(TcpTimer::DelAck),
+            TcpAction::Free,
+        ]);
     }
 
-    fn reset(&mut self, err: SocketError) -> Vec<TcpAction> {
+    fn reset(&mut self, err: SocketError, out: &mut Vec<TcpAction>) {
         self.state = TcpState::Closed;
         self.error = Some(err);
-        vec![
+        out.extend([
             TcpAction::CancelTimer(TcpTimer::Rexmt),
             TcpAction::CancelTimer(TcpTimer::Persist),
             TcpAction::CancelTimer(TcpTimer::DelAck),
             TcpAction::Fail(err),
             TcpAction::Free,
-        ]
-    }
-
-    fn drop_connection(&mut self, err: SocketError) -> Vec<TcpAction> {
-        self.reset(err)
+        ]);
     }
 
     // --- Migration (§3.1) ---

@@ -80,6 +80,19 @@ impl Harness {
         }
     }
 
+    /// Calls one `Tcb` method on `side` with an empty action list and
+    /// applies what it pushed.
+    fn drive<R>(
+        &mut self,
+        side: usize,
+        call: impl FnOnce(&mut Tcb, SimTime, &mut Vec<TcpAction>) -> R,
+    ) -> R {
+        let mut actions = Vec::new();
+        let r = call(&mut self.tcb[side], self.now, &mut actions);
+        self.apply(side, actions);
+        r
+    }
+
     /// Delivers queued segments (both directions) until quiescent.
     fn pump(&mut self) {
         for _ in 0..10_000 {
@@ -87,8 +100,7 @@ impl Harness {
             for side in 0..2 {
                 if let Some((hdr, data)) = self.wire[side].pop_front() {
                     self.now += SimTime::from_micros(100);
-                    let actions = self.tcb[side].input(&hdr, &data, self.now);
-                    self.apply(side, actions);
+                    self.drive(side, |t, now, a| t.input(&hdr, &data, now, a));
                     progressed = true;
                 }
             }
@@ -103,8 +115,7 @@ impl Harness {
     fn fire_timer(&mut self, side: usize, kind: TcpTimer) -> bool {
         if let Some(at) = self.timers[side].remove(&kind) {
             self.now = self.now.max(at);
-            let actions = self.tcb[side].timer(kind, self.now);
-            self.apply(side, actions);
+            self.drive(side, |t, now, a| t.timer(kind, now, a));
             true
         } else {
             false
@@ -148,18 +159,17 @@ impl Harness {
             .map(|(k, at)| (*k, *at))?;
         self.timers[side].remove(&kind);
         self.now = self.now.max(at);
-        let actions = self.tcb[side].timer(kind, self.now);
-        self.apply(side, actions);
+        self.drive(side, |t, now, a| t.timer(kind, now, a));
         Some(kind)
     }
 
     fn connect(&mut self) {
-        let actions = self.tcb[0].connect(10_000);
-        self.apply(0, actions);
+        self.drive(0, |t, _, a| t.connect(10_000, a));
         // Side 1 does a passive open driven from the SYN.
         let (syn_hdr, _) = self.wire[1].pop_front().expect("SYN on the wire");
         assert!(syn_hdr.flags.contains(TcpFlags::SYN));
-        let (tcb, actions) = Tcb::accept_syn(
+        let mut actions = Vec::new();
+        self.tcb[1] = Tcb::accept_syn(
             B,
             A,
             20_000,
@@ -168,8 +178,8 @@ impl Harness {
             syn_hdr.window,
             BUF,
             BUF,
+            &mut actions,
         );
-        self.tcb[1] = tcb;
         self.apply(1, actions);
         self.pump();
         assert_eq!(self.tcb[0].state, TcpState::Established);
@@ -179,17 +189,18 @@ impl Harness {
     }
 
     fn send(&mut self, side: usize, data: &[u8]) -> usize {
-        let (n, actions) = self.tcb[side].send(data, self.now).expect("send failed");
-        self.apply(side, actions);
-        n
+        self.try_send(side, data).expect("send failed")
+    }
+
+    fn try_send(&mut self, side: usize, data: &[u8]) -> Result<usize, SocketError> {
+        self.drive(side, |t, now, a| t.send(data, now, a))
     }
 
     fn recv_all(&mut self, side: usize) -> Vec<u8> {
         let mut out = Vec::new();
         let mut buf = [0u8; 4096];
         loop {
-            let (n, actions) = self.tcb[side].recv(&mut buf, self.now);
-            self.apply(side, actions);
+            let n = self.drive(side, |t, now, a| t.recv(&mut buf, now, a));
             if n == 0 {
                 break;
             }
@@ -240,9 +251,8 @@ fn bulk_transfer_respects_mss_and_delivers_in_order() {
         rounds += 1;
         assert!(rounds < 5000, "transfer stalled at {}", received.len());
         if off < data.len() {
-            match h.tcb[0].send(&data[off..], h.now) {
-                Ok((n, actions)) => {
-                    h.apply(0, actions);
+            match h.try_send(0, &data[off..]) {
+                Ok(n) => {
                     off += n;
                 }
                 Err(SocketError::WouldBlock) => {}
@@ -269,9 +279,8 @@ fn sender_respects_receive_window() {
     let data = vec![7u8; BUF * 2];
     let mut sent = 0;
     for _ in 0..2000 {
-        match h.tcb[0].send(&data[sent..], h.now) {
-            Ok((n, actions)) => {
-                h.apply(0, actions);
+        match h.try_send(0, &data[sent..]) {
+            Ok(n) => {
                 sent += n;
             }
             Err(SocketError::WouldBlock) => break,
@@ -296,8 +305,7 @@ fn sender_respects_receive_window() {
         rounds += 1;
         assert!(rounds < 5000, "window never reopened: {}", received.len());
         if sent < data.len() {
-            if let Ok((n, actions)) = h.tcb[0].send(&data[sent..], h.now) {
-                h.apply(0, actions);
+            if let Ok(n) = h.try_send(0, &data[sent..]) {
                 sent += n;
             }
         }
@@ -404,7 +412,7 @@ fn fast_retransmit_on_triple_dupack() {
     // Open the congestion window so several segments fly at once.
     for _ in 0..20 {
         let big = vec![1u8; 1460];
-        let _ = h.tcb[0].send(&big, h.now).map(|(_, a)| h.apply(0, a));
+        let _ = h.try_send(0, &big);
         h.settle();
         h.recv_all(1);
     }
@@ -420,9 +428,8 @@ fn fast_retransmit_on_triple_dupack() {
     let burst = vec![2u8; 5 * 1460];
     let mut off = 0;
     while off < burst.len() {
-        match h.tcb[0].send(&burst[off..], h.now) {
-            Ok((n, a)) => {
-                h.apply(0, a);
+        match h.try_send(0, &burst[off..]) {
+            Ok(n) => {
                 off += n;
             }
             Err(_) => break,
@@ -448,9 +455,7 @@ fn out_of_order_segments_are_reassembled() {
     // Grow cwnd past three segments first (slow start would otherwise
     // serialize the sends).
     for _ in 0..6 {
-        let _ = h.tcb[0]
-            .send(&vec![9u8; 1460], h.now)
-            .map(|(_, a)| h.apply(0, a));
+        let _ = h.try_send(0, &vec![9u8; 1460]);
         h.settle();
         h.recv_all(1);
     }
@@ -461,8 +466,7 @@ fn out_of_order_segments_are_reassembled() {
     burst.extend_from_slice(&[3u8; 1460]);
     let mut off = 0;
     while off < burst.len() {
-        let (n, a) = h.tcb[0].send(&burst[off..], h.now).expect("send");
-        h.apply(0, a);
+        let n = h.try_send(0, &burst[off..]).expect("send");
         off += n;
     }
     h.pump();
@@ -489,15 +493,13 @@ fn delayed_ack_second_segment_acks_immediately() {
     let before = h.segments_sent[1];
     // Deliver just that segment.
     let (hdr, data) = h.wire[1].pop_front().unwrap();
-    let actions = h.tcb[1].input(&hdr, &data, h.now);
-    h.apply(1, actions);
+    h.drive(1, |t, now, a| t.input(&hdr, &data, now, a));
     assert_eq!(h.segments_sent[1], before, "first segment: delayed ACK");
     assert!(h.timers[1].contains_key(&TcpTimer::DelAck));
     // Second segment: ACK at once.
     h.send(0, b"two");
     let (hdr, data) = h.wire[1].pop_front().unwrap();
-    let actions = h.tcb[1].input(&hdr, &data, h.now);
-    h.apply(1, actions);
+    h.drive(1, |t, now, a| t.input(&hdr, &data, now, a));
     assert_eq!(h.segments_sent[1], before + 1, "second segment acks now");
     assert!(!h.timers[1].contains_key(&TcpTimer::DelAck));
 }
@@ -508,8 +510,7 @@ fn delack_timer_fires_ack() {
     h.connect();
     h.send(0, b"only one");
     let (hdr, data) = h.wire[1].pop_front().unwrap();
-    let actions = h.tcb[1].input(&hdr, &data, h.now);
-    h.apply(1, actions);
+    h.drive(1, |t, now, a| t.input(&hdr, &data, now, a));
     let before = h.segments_sent[1];
     let fired = h.fire_earliest_timer(1);
     assert_eq!(fired, Some(TcpTimer::DelAck));
@@ -553,9 +554,8 @@ fn zero_window_triggers_persist_probe() {
     let data = vec![9u8; BUF];
     let mut sent = 0;
     while sent < data.len() {
-        match h.tcb[0].send(&data[sent..], h.now) {
-            Ok((n, actions)) => {
-                h.apply(0, actions);
+        match h.try_send(0, &data[sent..]) {
+            Ok(n) => {
                 sent += n;
                 h.pump();
             }
@@ -565,7 +565,7 @@ fn zero_window_triggers_persist_probe() {
     }
     h.pump();
     // Push one more byte: window is zero, persist should arm.
-    let _ = h.tcb[0].send(b"x", h.now).map(|(_, a)| h.apply(0, a));
+    let _ = h.try_send(0, b"x");
     h.pump();
     if h.tcb[1].rcv_buf.space() == 0 {
         assert!(
@@ -580,7 +580,7 @@ fn zero_window_triggers_persist_probe() {
         // Reading at B reopens the window; the probe/update lets data flow.
         h.recv_all(1);
         h.pump();
-        let _ = h.tcb[0].output(h.now, false);
+        h.tcb[0].output(h.now, false, &mut Vec::new());
     }
 }
 
@@ -589,15 +589,13 @@ fn orderly_close_reaches_time_wait_and_frees() {
     let mut h = Harness::new();
     h.connect();
     // A closes first.
-    let actions = h.tcb[0].close(h.now);
-    h.apply(0, actions);
+    h.drive(0, |t, now, a| t.close(now, a));
     h.pump();
     assert!(h.events[1].peer_closed);
     assert_eq!(h.tcb[1].state, TcpState::CloseWait);
     assert_eq!(h.tcb[0].state, TcpState::FinWait2);
     // B closes too.
-    let actions = h.tcb[1].close(h.now);
-    h.apply(1, actions);
+    h.drive(1, |t, now, a| t.close(now, a));
     h.pump();
     assert_eq!(h.tcb[1].state, TcpState::Closed);
     assert!(h.events[1].freed);
@@ -614,8 +612,7 @@ fn close_flushes_pending_data_before_fin() {
     let mut h = Harness::new();
     h.connect();
     h.send(0, b"last words");
-    let actions = h.tcb[0].close(h.now);
-    h.apply(0, actions);
+    h.drive(0, |t, now, a| t.close(now, a));
     h.pump();
     assert_eq!(h.recv_all(1), b"last words");
     assert!(h.events[1].peer_closed);
@@ -626,8 +623,9 @@ fn close_flushes_pending_data_before_fin() {
 fn simultaneous_close_both_reach_closed() {
     let mut h = Harness::new();
     h.connect();
-    let a0 = h.tcb[0].close(h.now);
-    let a1 = h.tcb[1].close(h.now);
+    let (mut a0, mut a1) = (Vec::new(), Vec::new());
+    h.tcb[0].close(h.now, &mut a0);
+    h.tcb[1].close(h.now, &mut a1);
     h.apply(0, a0);
     h.apply(1, a1);
     h.pump();
@@ -646,8 +644,7 @@ fn simultaneous_close_both_reach_closed() {
 fn abort_sends_rst_and_peer_resets() {
     let mut h = Harness::new();
     h.connect();
-    let actions = h.tcb[0].abort();
-    h.apply(0, actions);
+    h.drive(0, |t, _, a| t.abort(a));
     h.pump();
     assert_eq!(h.events[1].failed, Some(SocketError::ConnReset));
     assert_eq!(h.tcb[1].state, TcpState::Closed);
@@ -658,11 +655,9 @@ fn abort_sends_rst_and_peer_resets() {
 fn syn_to_closed_port_is_refused() {
     // B is closed (no listener); A's SYN gets RST and connect fails.
     let mut h = Harness::new();
-    let actions = h.tcb[0].connect(10_000);
-    h.apply(0, actions);
+    h.drive(0, |t, _, a| t.connect(10_000, a));
     let (syn, data) = h.wire[1].pop_front().unwrap();
-    let actions = h.tcb[1].input(&syn, &data, h.now); // tcb[1] is Closed.
-    h.apply(1, actions);
+    h.drive(1, |t, now, a| t.input(&syn, &data, now, a)); // tcb[1] is Closed.
     h.pump();
     assert_eq!(h.events[0].failed, Some(SocketError::ConnRefused));
     assert_eq!(h.tcb[0].state, TcpState::Closed);
@@ -672,7 +667,7 @@ fn syn_to_closed_port_is_refused() {
 fn send_on_unconnected_socket_fails() {
     let mut tcb = Tcb::new(A, B, BUF, BUF);
     assert_eq!(
-        tcb.send(b"x", SimTime::ZERO).unwrap_err(),
+        tcb.send(b"x", SimTime::ZERO, &mut Vec::new()).unwrap_err(),
         SocketError::NotConnected
     );
 }
@@ -681,12 +676,8 @@ fn send_on_unconnected_socket_fails() {
 fn send_after_close_fails() {
     let mut h = Harness::new();
     h.connect();
-    let actions = h.tcb[0].close(h.now);
-    h.apply(0, actions);
-    assert_eq!(
-        h.tcb[0].send(b"x", h.now).unwrap_err(),
-        SocketError::Shutdown
-    );
+    h.drive(0, |t, now, a| t.close(now, a));
+    assert_eq!(h.try_send(0, b"x").unwrap_err(), SocketError::Shutdown);
 }
 
 #[test]
@@ -754,7 +745,8 @@ fn timeout_collapses_cwnd() {
 fn urgent_data_sets_urg_flag() {
     let mut h = Harness::new();
     h.connect();
-    let (_, actions) = h.tcb[0].send_urgent(b"!", h.now).unwrap();
+    let mut actions = Vec::new();
+    h.tcb[0].send_urgent(b"!", h.now, &mut actions).unwrap();
     // Find the data segment and check URG.
     let mut saw_urg = false;
     for a in &actions {
@@ -801,8 +793,7 @@ fn export_captures_unacked_send_data() {
     assert_eq!(snap.snd_data, b"lost but buffered");
     // Import on the "other placement" and retransmit from there.
     h.tcb[0] = Tcb::import(snap);
-    let actions = h.tcb[0].timer(TcpTimer::Rexmt, h.now);
-    h.apply(0, actions);
+    h.drive(0, |t, now, a| t.timer(TcpTimer::Rexmt, now, a));
     h.pump();
     assert_eq!(h.recv_all(1), b"lost but buffered");
 }
@@ -814,10 +805,8 @@ fn duplicate_segments_are_ignored() {
     h.send(0, b"dup test");
     // Capture and deliver the segment twice.
     let (hdr, data) = h.wire[1].pop_front().unwrap();
-    let a1 = h.tcb[1].input(&hdr, &data, h.now);
-    h.apply(1, a1);
-    let a2 = h.tcb[1].input(&hdr, &data, h.now);
-    h.apply(1, a2);
+    h.drive(1, |t, now, a| t.input(&hdr, &data, now, a));
+    h.drive(1, |t, now, a| t.input(&hdr, &data, now, a));
     h.pump();
     assert_eq!(h.recv_all(1), b"dup test");
 }
@@ -835,7 +824,8 @@ fn rst_to_closed_tcb_for_stray_segment() {
         urgent: 0,
         mss: None,
     };
-    let actions = closed.input(&stray, &[], SimTime::ZERO);
+    let mut actions = Vec::new();
+    closed.input(&stray, &[], SimTime::ZERO, &mut actions);
     assert!(actions.iter().any(|a| matches!(
         a,
         TcpAction::Send(s) if s.flags.contains(TcpFlags::RST)

@@ -136,7 +136,9 @@ impl NetIf for KernelNetIf {
 /// Builds a kernel [`PacketSink`] that feeds delivered frames into a
 /// stack: opens a CPU charge at delivery time, runs `input_frame`, and
 /// (for SHM endpoints) reports the network thread's busy window back to
-/// the kernel for wakeup amortization.
+/// the kernel for wakeup amortization. The sink is the frame's last
+/// owner: once `input_frame` has copied what it keeps, the buffer goes
+/// back to the frame free list the output routines draw from.
 pub fn stack_sink(stack: &StackHandle) -> PacketSink {
     let stack = stack.clone();
     Rc::new(RefCell::new(
@@ -144,6 +146,7 @@ pub fn stack_sink(stack: &StackHandle) -> PacketSink {
             let cpu = stack.borrow().cpu();
             let mut charge = cpu.borrow_mut().begin(t);
             stack.borrow_mut().input_frame(sim, &mut charge, &frame);
+            psd_mbuf::give_frame(frame);
             cpu.borrow_mut().finish(charge);
         },
     ))
@@ -163,6 +166,7 @@ pub fn stack_sink_with_busy_report(
             let cpu = stack.borrow().cpu();
             let mut charge = cpu.borrow_mut().begin(t);
             stack.borrow_mut().input_frame(sim, &mut charge, &frame);
+            psd_mbuf::give_frame(frame);
             let busy_until = charge.at();
             cpu.borrow_mut().finish(charge);
             if let Some(id) = endpoint.get() {

@@ -216,7 +216,7 @@ impl Charge {
     #[cold]
     fn add_profiled(&mut self, layer: Layer, cost: SimTime) {
         let tid = match &self.obs.trace {
-            Some(t) => t.borrow().current().map(|id| id.0).unwrap_or(NO_PACKET),
+            Some(t) => t.borrow().current().map_or(NO_PACKET, TraceId::index),
             None => NO_PACKET,
         };
         let layer = layer.index() as u8;

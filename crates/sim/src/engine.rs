@@ -60,6 +60,7 @@ pub struct Sim {
     wheel: TimerWheel,
     rng: Rng,
     executed: u64,
+    spilled: u64,
     sampler: Option<Sampler>,
 }
 
@@ -72,6 +73,7 @@ impl Sim {
             wheel: TimerWheel::new(),
             rng: Rng::new(seed),
             executed: 0,
+            spilled: 0,
             sampler: None,
         }
     }
@@ -123,6 +125,13 @@ impl Sim {
         self.wheel.live()
     }
 
+    /// Number of events scheduled so far whose closure was too large for
+    /// [`SmallFn`]'s inline storage and cost a heap allocation
+    /// (diagnostic; zero on the packet path).
+    pub fn spilled(&self) -> u64 {
+        self.spilled
+    }
+
     /// Queue-side memory accounting, for the leak regression tests and
     /// the self-benchmark.
     pub fn queue_stats(&self) -> WheelStats {
@@ -136,7 +145,9 @@ impl Sim {
     }
 
     /// Schedules `f` to run at absolute time `t` (clamped to now).
-    pub fn at(&mut self, t: SimTime, f: impl FnOnce(&mut Sim) + 'static) -> SimHandle {
+    pub fn at<F: FnOnce(&mut Sim) + 'static>(&mut self, t: SimTime, f: F) -> SimHandle {
+        // A constant per closure type: adds nothing when `F` is inline.
+        self.spilled += u64::from(!SmallFn::would_inline::<F>());
         let time = t.max(self.now);
         let seq = self.seq;
         self.seq += 1;

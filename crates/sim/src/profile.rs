@@ -451,7 +451,7 @@ mod tests {
         c.add_ns(Layer::Other, 7);
         cpu.finish(c);
         let p = prof.borrow();
-        assert_eq!(p.packet_costs(), vec![(id.0, 25)]);
+        assert_eq!(p.packet_costs(), vec![(id.index(), 25)]);
         assert_eq!(p.attributed_ns(), 32);
     }
 

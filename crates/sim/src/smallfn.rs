@@ -6,6 +6,9 @@
 //! closures up to [`INLINE_BYTES`] bytes (the overwhelmingly common case:
 //! an `Rc` or two plus a few words of context) directly inside the
 //! queue's slab entry, falling back to a box only for oversized captures.
+//! [`Sim::spilled`] counts the closures that took the fallback, so a
+//! data-path capture that outgrows the inline size is visible as a
+//! number (`tests/alloc_budget.rs` holds it at zero).
 //!
 //! The type is a miniature manual trait object: a data buffer plus two
 //! monomorphized function pointers (consume-and-call, drop-in-place).
@@ -17,8 +20,11 @@ use std::mem::{align_of, size_of, ManuallyDrop, MaybeUninit};
 
 use crate::engine::Sim;
 
-/// Number of pointer-sized words of inline closure storage.
-const INLINE_WORDS: usize = 6;
+/// Number of pointer-sized words of inline closure storage: what the
+/// largest per-packet capture needs — the kernel's SHM delivery hops
+/// carry the frame `Vec` (3), a sink or kernel handle (1–2), the
+/// tracer and packet id (2) and the endpoint, ring or flag words.
+const INLINE_WORDS: usize = 8;
 
 /// Closures up to this many bytes (and at most pointer-aligned) are
 /// stored inline; larger ones are boxed.
@@ -123,6 +129,10 @@ mod tests {
     use std::cell::Cell;
     use std::rc::Rc;
 
+    fn check<F: FnOnce(&mut Sim)>(_: &F) -> bool {
+        SmallFn::would_inline::<F>()
+    }
+
     #[test]
     fn small_closures_are_inline_large_are_not() {
         let small = [0u64; 2];
@@ -133,11 +143,29 @@ mod tests {
         let f_large = move |_: &mut Sim| {
             let _sum: u64 = large.iter().sum();
         };
-        fn check<F: FnOnce(&mut Sim)>(_: &F) -> bool {
-            SmallFn::would_inline::<F>()
-        }
         assert!(check(&f_small));
         assert!(!check(&f_large));
+    }
+
+    #[test]
+    fn inline_boundary_is_exactly_inline_bytes() {
+        let fits = [1usize; INLINE_WORDS];
+        let over = [1usize; INLINE_WORDS + 1];
+        let f_fits = move |_: &mut Sim| assert_eq!(fits.iter().sum::<usize>(), INLINE_WORDS);
+        let f_over = move |_: &mut Sim| assert_eq!(over.iter().sum::<usize>(), INLINE_WORDS + 1);
+        assert_eq!(size_of_val(&f_fits), INLINE_BYTES);
+        assert!(
+            check(&f_fits),
+            "a capture of exactly INLINE_BYTES is inline"
+        );
+        assert!(!check(&f_over), "one word over spills to a box");
+        // Both still run and count correctly through the queue.
+        let mut sim = Sim::new(1);
+        sim.after(crate::SimTime::ZERO, f_fits);
+        assert_eq!(sim.spilled(), 0);
+        sim.after(crate::SimTime::ZERO, f_over);
+        assert_eq!(sim.spilled(), 1);
+        assert_eq!(sim.run_to_idle(), 2);
     }
 
     #[test]

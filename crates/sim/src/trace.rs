@@ -31,6 +31,7 @@
 
 use std::cell::RefCell;
 use std::fmt::Write as _;
+use std::num::NonZeroU64;
 use std::rc::Rc;
 
 use crate::census::OpKind;
@@ -38,8 +39,29 @@ use crate::time::SimTime;
 
 /// Provenance id of one traced packet (a wire frame, or one station's
 /// delivered copy of it — deliveries are children of the wire frame).
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct TraceId(pub u64);
+///
+/// Stored off by one in a `NonZeroU64` so `Option<TraceId>` is one word:
+/// every deferred hop on the receive path captures one, and the capture
+/// has to fit [`SmallFn`](crate::SmallFn)'s inline storage.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct TraceId(NonZeroU64);
+
+impl std::fmt::Debug for TraceId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "TraceId({})", self.index())
+    }
+}
+
+impl TraceId {
+    fn from_index(index: u64) -> TraceId {
+        TraceId(NonZeroU64::new(index + 1).expect("index + 1 is nonzero"))
+    }
+
+    /// The packet's position in birth order (the id artifacts print).
+    pub(crate) fn index(self) -> u64 {
+        self.0.get() - 1
+    }
+}
 
 /// A lifecycle stage a packet passes through; each visit is a span.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -336,7 +358,7 @@ impl Tracer {
     /// Registers a new packet born at `t`. Deliveries to individual
     /// stations are children of the wire frame (`parent`).
     pub fn begin_packet(&mut self, t: SimTime, parent: Option<TraceId>) -> TraceId {
-        let id = TraceId(self.next_id);
+        let id = TraceId::from_index(self.next_id);
         self.next_id += 1;
         self.packets.push(PacketRec {
             born: t,
@@ -366,12 +388,12 @@ impl Tracer {
 
     /// Opens a `stage` span on packet `id` at `t`.
     pub fn span_start(&mut self, id: TraceId, stage: Stage, t: SimTime) {
-        let p = &mut self.packets[id.0 as usize];
+        let p = &mut self.packets[id.index() as usize];
         if p.terminal.is_some() {
             self.violations.push(format!(
                 "span_start {} on packet {} after its terminal state",
                 stage.label(),
-                id.0
+                id.index()
             ));
             return;
         }
@@ -381,14 +403,14 @@ impl Tracer {
     /// Closes the innermost open span on packet `id`, which must be
     /// `stage` (spans nest; a mismatch is recorded as a violation).
     pub fn span_end(&mut self, id: TraceId, stage: Stage, t: SimTime) {
-        let p = &mut self.packets[id.0 as usize];
+        let p = &mut self.packets[id.index() as usize];
         match p.open.pop() {
             Some((open_stage, start)) => {
                 if open_stage != stage {
                     self.violations.push(format!(
                         "span_end {} on packet {} but {} is open",
                         stage.label(),
-                        id.0,
+                        id.index(),
                         open_stage.label()
                     ));
                 }
@@ -402,7 +424,7 @@ impl Tracer {
             None => self.violations.push(format!(
                 "span_end {} on packet {} with no open span",
                 stage.label(),
-                id.0
+                id.index()
             )),
         }
     }
@@ -450,11 +472,13 @@ impl Tracer {
     /// Records packet `id`'s terminal state at `t`, closing any spans
     /// still open at that instant. A second terminal is a violation.
     pub fn terminal(&mut self, id: TraceId, t: SimTime, term: Terminal) {
-        let p = &mut self.packets[id.0 as usize];
+        let p = &mut self.packets[id.index() as usize];
         if let Some((_, prev)) = p.terminal {
             self.violations.push(format!(
                 "packet {} terminal {:?} after earlier terminal {:?}",
-                id.0, term, prev
+                id.index(),
+                term,
+                prev
             ));
             return;
         }
@@ -479,7 +503,7 @@ impl Tracer {
 
     /// The terminal state of packet `id`, if recorded.
     pub fn terminal_of(&self, id: TraceId) -> Option<Terminal> {
-        self.packets[id.0 as usize].terminal.map(|(_, t)| t)
+        self.packets[id.index() as usize].terminal.map(|(_, t)| t)
     }
 
     /// Total count of `op` seen by the charge-site hook.
@@ -538,7 +562,7 @@ impl Tracer {
                 v.push(format!(
                     "span {} on packet {} ends before it starts",
                     s.stage.label(),
-                    s.id.0
+                    s.id.index()
                 ));
             }
         }
@@ -571,7 +595,7 @@ impl Tracer {
                 if term != Terminal::Delivered {
                     return None;
                 }
-                let born = self.packets[parent.0 as usize].born;
+                let born = self.packets[parent.index() as usize].born;
                 Some((t - born).as_nanos())
             })
             .collect();
@@ -662,7 +686,7 @@ impl Tracer {
                 "{{\"name\":\"{}\",\"cat\":\"stage\",\"ph\":\"X\",\"pid\":{pid},\
                  \"tid\":{},\"ts\":{},\"dur\":{}}}",
                 s.stage.label(),
-                s.id.0,
+                s.id.index(),
                 ts(s.start),
                 ts(s.end - s.start),
             ));
@@ -672,7 +696,7 @@ impl Tracer {
                 "{{\"name\":\"{}\",\"cat\":\"op\",\"ph\":\"i\",\"s\":\"t\",\
                  \"pid\":{pid},\"tid\":{},\"ts\":{}}}",
                 e.name,
-                e.id.0,
+                e.id.index(),
                 ts(e.t),
             ));
         }

@@ -815,6 +815,7 @@ fn build_host(
         let sink: psd_kernel::InKernelSink = Rc::new(RefCell::new(
             move |sim: &mut Sim, charge: &mut psd_sim::Charge, frame: Vec<u8>| {
                 sink_stack.borrow_mut().input_frame(sim, charge, &frame);
+                psd_mbuf::give_frame(frame);
             },
         ));
         let ep = kernel.borrow_mut().create_inkernel_endpoint(sink);

@@ -90,44 +90,46 @@ impl TcpHeader {
         TCP_HDR_LEN + if self.mss.is_some() { 4 } else { 0 }
     }
 
-    /// Encodes the header (checksum field zero) into a buffer.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Encodes the header (checksum field zero) into the first
+    /// [`header_len`](TcpHeader::header_len) bytes of `out`.
+    pub fn encode(&self, out: &mut [u8]) {
         let len = self.header_len();
-        let mut b = vec![0u8; len];
-        put16(&mut b, 0, self.src_port);
-        put16(&mut b, 2, self.dst_port);
-        put32(&mut b, 4, self.seq);
-        put32(&mut b, 8, self.ack);
+        let b = &mut out[..len];
+        put16(b, 0, self.src_port);
+        put16(b, 2, self.dst_port);
+        put32(b, 4, self.seq);
+        put32(b, 8, self.ack);
         b[12] = ((len / 4) as u8) << 4;
         b[13] = self.flags.0;
-        put16(&mut b, 14, self.window);
-        // Checksum at 16 left zero; urgent pointer at 18.
-        put16(&mut b, 18, self.urgent);
+        put16(b, 14, self.window);
+        put16(b, 16, 0);
+        put16(b, 18, self.urgent);
         if let Some(mss) = self.mss {
             b[20] = 2; // Kind: MSS.
             b[21] = 4; // Length.
-            put16(&mut b, 22, mss);
+            put16(b, 22, mss);
         }
-        b
     }
 
-    /// Encodes with the TCP checksum computed over the pseudo-header and
-    /// payload segments.
+    /// Encodes into the first [`header_len`](TcpHeader::header_len)
+    /// bytes of `out` with the TCP checksum computed over the
+    /// pseudo-header, the header and the payload segments.
     pub fn encode_with_checksum<'a>(
         &self,
         ip: &Ipv4Header,
+        out: &mut [u8],
         payload_len: usize,
         payload: impl Iterator<Item = &'a [u8]>,
-    ) -> Vec<u8> {
-        let mut b = self.encode();
+    ) {
+        self.encode(out);
+        let b = &mut out[..self.header_len()];
         let mut c: Checksum = ip.pseudo_checksum(b.len() + payload_len);
-        c.add_bytes(&b);
+        c.add_bytes(b);
         for seg in payload {
             c.add_bytes(seg);
         }
         let ck = c.finish();
-        put16(&mut b, 16, ck);
-        b
+        put16(b, 16, ck);
     }
 
     /// Verifies the checksum of a received segment (header bytes must
@@ -215,6 +217,18 @@ mod tests {
         }
     }
 
+    fn encoded(h: &TcpHeader) -> Vec<u8> {
+        let mut b = vec![0xEE; h.header_len()];
+        h.encode(&mut b);
+        b
+    }
+
+    fn with_checksum(h: &TcpHeader, ip: &Ipv4Header, payload: &[u8]) -> Vec<u8> {
+        let mut b = vec![0xEE; h.header_len()];
+        h.encode_with_checksum(ip, &mut b, payload.len(), std::iter::once(payload));
+        b
+    }
+
     fn ip_for(transport_len: usize) -> Ipv4Header {
         Ipv4Header::new(
             Ipv4Addr::new(1, 2, 3, 4),
@@ -227,7 +241,7 @@ mod tests {
     #[test]
     fn roundtrip_no_options() {
         let h = base();
-        let bytes = h.encode();
+        let bytes = encoded(&h);
         let (parsed, len) = TcpHeader::parse(&bytes).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(len, TCP_HDR_LEN);
@@ -238,7 +252,7 @@ mod tests {
         let mut h = base();
         h.flags = TcpFlags::SYN;
         h.mss = Some(1460);
-        let bytes = h.encode();
+        let bytes = encoded(&h);
         let (parsed, len) = TcpHeader::parse(&bytes).unwrap();
         assert_eq!(parsed.mss, Some(1460));
         assert_eq!(len, 24);
@@ -249,7 +263,7 @@ mod tests {
         let payload = b"segment payload bytes";
         let h = base();
         let ip = ip_for(h.header_len() + payload.len());
-        let bytes = h.encode_with_checksum(&ip, payload.len(), std::iter::once(&payload[..]));
+        let bytes = with_checksum(&h, &ip, &payload[..]);
         assert!(TcpHeader::verify(
             &ip,
             &bytes,
@@ -263,7 +277,7 @@ mod tests {
         let payload = b"segment payload bytes".to_vec();
         let h = base();
         let ip = ip_for(h.header_len() + payload.len());
-        let bytes = h.encode_with_checksum(&ip, payload.len(), std::iter::once(&payload[..]));
+        let bytes = with_checksum(&h, &ip, &payload[..]);
         let mut bad = payload.clone();
         bad[3] ^= 0x40;
         assert!(!TcpHeader::verify(
@@ -287,7 +301,7 @@ mod tests {
     fn parse_skips_nop_options() {
         let mut h = base();
         h.mss = Some(536);
-        let mut bytes = h.encode();
+        let mut bytes = encoded(&h);
         // Replace the MSS option with NOP NOP MSS? Instead: append NOPs by
         // growing data offset. Build manually: 28-byte header.
         bytes[12] = (7u8) << 4; // 28 bytes.
@@ -302,7 +316,7 @@ mod tests {
     fn parse_rejects_malformed_options() {
         let mut h = base();
         h.mss = Some(536);
-        let mut bytes = h.encode();
+        let mut bytes = encoded(&h);
         bytes[21] = 1; // Option length 1 is invalid.
         assert_eq!(TcpHeader::parse(&bytes), Err(WireError::BadField));
     }
@@ -310,7 +324,7 @@ mod tests {
     #[test]
     fn parse_rejects_short_buffers() {
         assert_eq!(TcpHeader::parse(&[0u8; 19]), Err(WireError::Truncated));
-        let mut bytes = base().encode();
+        let mut bytes = encoded(&base());
         bytes[12] = 0x30; // Data offset 12 < 20.
         assert_eq!(TcpHeader::parse(&bytes), Err(WireError::BadLength));
     }

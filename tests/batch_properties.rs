@@ -112,7 +112,8 @@ fn tcp_frame(src_port: u16, seq: u32, flags: TcpFlags, payload: &[u8]) -> Vec<u8
         mss: None,
     };
     let ip = Ipv4Header::new(A_IP, B_IP, IpProto::Tcp, tcp.header_len() + payload.len());
-    let tcp_bytes = tcp.encode_with_checksum(&ip, payload.len(), std::iter::once(payload));
+    let mut tcp_bytes = [0u8; psd_wire::TCP_HDR_LEN];
+    tcp.encode_with_checksum(&ip, &mut tcp_bytes, payload.len(), std::iter::once(payload));
     let eth = EthernetHeader {
         dst: EtherAddr::local(2),
         src: EtherAddr::local(1),

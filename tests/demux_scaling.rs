@@ -88,7 +88,9 @@ fn build_frame(fs: &FrameSpec) -> Vec<u8> {
             urgent: 0,
             mss: None,
         };
-        f.extend_from_slice(&h.encode());
+        let at = f.len();
+        f.resize(at + h.header_len(), 0);
+        h.encode(&mut f[at..]);
     } else {
         f.extend_from_slice(&UdpHeader::new(fs.src.1, fs.dst.1, 0).encode());
     }

@@ -213,7 +213,9 @@ fn tcp_syn_to_closed_port_is_connection_refused() {
     };
     let mut f = eth(EtherType::Ipv4);
     f.extend_from_slice(&ip.encode());
-    f.extend_from_slice(&tcp.encode_with_checksum(&ip, 0, std::iter::empty()));
+    let at = f.len();
+    f.resize(at + tcp.header_len(), 0);
+    tcp.encode_with_checksum(&ip, &mut f[at..], 0, std::iter::empty());
     inject(&mut bed, f);
     assert_stack_drop(&bed, &tracer, DropReason::ConnectionRefused);
     assert_clean(&tracer);
@@ -369,7 +371,9 @@ fn fuzzed_frames_never_drop_silently() {
                 };
                 let mut f = eth(EtherType::Ipv4);
                 f.extend_from_slice(&ip.encode());
-                f.extend_from_slice(&hdr.encode());
+                let at = f.len();
+                f.resize(at + hdr.header_len(), 0);
+                hdr.encode(&mut f[at..]);
                 f
             } else {
                 let payload = vec![rng.next_u64() as u8; rng.below(64) as usize];

@@ -185,6 +185,14 @@ fn library_data_path_has_zero_rpc_crossings() {
         "one device-write trap per datagram"
     );
     assert_eq!(c0.domain_total(OpKind::BoundaryCrossing, Domain::Server), 0);
+    // §4.3: "the user data can be referenced instead of copied" — the
+    // library's datagram send models no copyin (and the host makes
+    // none: udp_output gathers straight from the caller's buffer).
+    assert_eq!(
+        c0.layer_total(OpKind::PacketBodyCopy, Layer::EntryCopyin),
+        0,
+        "library sendto must not note a copyin"
+    );
     drop(c0);
 
     // Server-based: each sendto is one RPC = two census crossings

@@ -104,8 +104,9 @@ fn tcp_header_roundtrips() {
             urgent: rng.next_u32() as u16,
             mss: rng.chance(0.5).then(|| rng.next_u32() as u16),
         };
-        let bytes = h.encode();
-        let (parsed, len) = TcpHeader::parse(&bytes).unwrap();
+        let mut bytes = [0u8; 24];
+        h.encode(&mut bytes);
+        let (parsed, len) = TcpHeader::parse(&bytes[..h.header_len()]).unwrap();
         assert_eq!(parsed, h);
         assert_eq!(len, h.header_len());
     });
@@ -454,7 +455,9 @@ fn udp_or_tcp_frame(tcp: bool, src: (Ipv4Addr, u16), dst: (Ipv4Addr, u16)) -> Ve
             urgent: 0,
             mss: None,
         };
-        f.extend_from_slice(&h.encode());
+        let at = f.len();
+        f.resize(at + h.header_len(), 0);
+        h.encode(&mut f[at..]);
     } else {
         f.extend_from_slice(&UdpHeader::new(src.1, dst.1, 0).encode());
     }
