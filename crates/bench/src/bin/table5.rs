@@ -28,12 +28,20 @@
 
 use psd_bench::cli::Args;
 use psd_bench::observe::{Flag, Session};
-use psd_bench::workload::{session_scaling, strategy_label, ScaleReport, WorkloadSpec};
+use psd_bench::workload::{session_scaling, ScaleReport, WorkloadSpec};
 use psd_filter::DemuxStrategy;
 use psd_sim::Platform;
 use psd_systems::SystemConfig;
 
 const SEED: u64 = 42;
+
+/// The strategy's name in table headers and row labels.
+fn strategy_label(s: DemuxStrategy) -> &'static str {
+    match s {
+        DemuxStrategy::Cspf => "CSPF",
+        DemuxStrategy::Mpf => "MPF",
+    }
+}
 
 fn main() {
     let mut args = Args::from_env("table5");

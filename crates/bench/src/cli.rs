@@ -151,16 +151,6 @@ impl Args {
         self.lookup("--platform", PLATFORMS, |p| Some(p.label()))
     }
 
-    /// Claims every remaining token that is not a flag.
-    pub fn positionals(&mut self, what: &str) -> Vec<String> {
-        self.declare(what);
-        let (taken, left) = std::mem::take(&mut self.tokens)
-            .into_iter()
-            .partition(|t| !t.starts_with('-'));
-        self.tokens = left;
-        taken
-    }
-
     /// Ends parsing. `--help`/`-h` prints the usage line and exits 0;
     /// any recorded problem or unclaimed token exits 2 with the usage
     /// line on stderr.
@@ -191,17 +181,16 @@ mod tests {
     #[test]
     fn getters_claim_tokens_build_the_usage_line_and_record_misuse() {
         let label = SystemConfig::LibraryShm.label();
-        let mut a = args(&["--quick", "--rounds", "5", "x.json", "--config", label]);
+        let mut a = args(&["--quick", "--rounds", "5", "--config", label]);
         assert!(a.flag("--quick"));
         assert!(!a.flag("--slow"));
         assert_eq!(a.parsed::<u32>("--rounds", "N"), Some(5));
         assert_eq!(a.config(), Some(SystemConfig::LibraryShm));
         assert_eq!(a.platform(), None);
-        assert_eq!(a.positionals("FILE..."), ["x.json"]);
         assert!(a.tokens.is_empty() && a.error.is_none());
         assert_eq!(
             a.usage,
-            " [--quick] [--slow] [--rounds N] [--config NAME] [--platform NAME] FILE..."
+            " [--quick] [--slow] [--rounds N] [--config NAME] [--platform NAME]"
         );
 
         for (tokens, problem) in [

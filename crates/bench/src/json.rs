@@ -1,18 +1,16 @@
-//! Minimal JSON support for the self-benchmark artifact.
+//! Minimal JSON support for the observer artifacts.
 //!
 //! The workspace is dependency-free by policy, so this module supplies
-//! the three pieces `selfbench` needs, and nothing more:
+//! the pieces the `--census-json`, `--profile-out` and `--metrics-out`
+//! exports and `benchdiff --validate` need, and nothing more:
 //!
 //! - [`Json`]: an order-preserving document model (objects keep
 //!   insertion order, so emitted artifacts are byte-stable),
 //! - [`Json::parse`] / [`Json::write`]: a recursive-descent parser and
 //!   a pretty writer that round-trip each other,
-//! - [`validate`]: a JSON-Schema *subset* checker (`type`, `const`,
-//!   `required`, `properties`, `items`, `oneOf`) — enough to pin the
-//!   artifacts' shapes in CI,
-//! - [`normalized_text`]: an artifact's text with the named
-//!   wall-clock-derived fields zeroed, so two same-seed runs can be
-//!   compared for byte identity.
+//! - [`validate`]: a JSON-Schema *subset* checker (`type`, `required`,
+//!   `properties`, `items`) — enough to pin the artifacts' shapes in
+//!   CI. Any other keyword in a schema is an error, never a silent pass.
 //!
 //! Numbers are `f64`, written in shortest round-trip form (integers
 //! without a decimal point), which keeps deterministic counters exact.
@@ -358,11 +356,37 @@ impl<'a> Parser<'a> {
 }
 
 /// Validates `value` against a JSON-Schema subset: `type` (string),
-/// `const`, `required`, `properties`, `items`, `oneOf`. Returns the
-/// first violation as `Err(path: what)`; under `oneOf`, the violation of
-/// the branch whose `const` members matched (the artifact's own kind).
+/// `required`, `properties`, `items`. Returns the first violation as
+/// `Err(path: what)`. A schema object with any other key is refused
+/// before `value` is looked at: an unimplemented keyword must not pass
+/// every document.
 pub fn validate(value: &Json, schema: &Json) -> Result<(), String> {
+    check_schema(schema, "$")?;
     validate_at(value, schema, "$")
+}
+
+/// Checks that every schema object reachable from `schema` uses only
+/// the four implemented keywords.
+fn check_schema(schema: &Json, path: &str) -> Result<(), String> {
+    let Json::Obj(members) = schema else {
+        return Err(format!("{path}: a schema must be an object"));
+    };
+    for (key, sub) in members {
+        match key.as_str() {
+            "properties" => {
+                let Json::Obj(props) = sub else {
+                    return Err(format!("{path}: 'properties' must be an object"));
+                };
+                for (name, prop) in props {
+                    check_schema(prop, &format!("{path}.{name}"))?;
+                }
+            }
+            "items" => check_schema(sub, &format!("{path}[]"))?,
+            "type" | "required" => {}
+            k => return Err(format!("{path}: unsupported schema keyword '{k}'")),
+        }
+    }
+    Ok(())
 }
 
 fn type_name(v: &Json) -> &'static str {
@@ -393,11 +417,6 @@ fn validate_at(value: &Json, schema: &Json, path: &str) -> Result<(), String> {
             return Err(format!("{path}: expected {t}, found {actual}"));
         }
     }
-    if let Some(expected) = schema.get("const") {
-        if value != expected {
-            return Err(format!("{path}: expected const {expected:?}"));
-        }
-    }
     if let Some(required) = schema.get("required").and_then(Json::as_arr) {
         for name in required {
             let name = name.as_str().ok_or(format!("{path}: bad schema"))?;
@@ -420,64 +439,7 @@ fn validate_at(value: &Json, schema: &Json, path: &str) -> Result<(), String> {
             }
         }
     }
-    if let Some(branches) = schema.get("oneOf").and_then(Json::as_arr) {
-        let mut passed = 0;
-        let mut violation = None;
-        for branch in branches {
-            match validate_at(value, branch, path) {
-                Ok(()) => passed += 1,
-                Err(e) if consts_match(value, branch) => violation = Some(e),
-                Err(_) => {}
-            }
-        }
-        if passed != 1 {
-            return Err(violation
-                .unwrap_or_else(|| format!("{path}: matches {passed} oneOf branches, not one")));
-        }
-    }
     Ok(())
-}
-
-/// True when no `const` among `branch`'s properties contradicts `value`.
-fn consts_match(value: &Json, branch: &Json) -> bool {
-    let Some(Json::Obj(props)) = branch.get("properties") else {
-        return true;
-    };
-    props.iter().all(|(name, sub)| {
-        sub.get("const")
-            .is_none_or(|c| value.get(name).is_none_or(|v| v == c))
-    })
-}
-
-/// An artifact's text with every member named in `volatile` zeroed, for
-/// same-seed comparison.
-pub fn normalized_text(artifact: &Json, volatile: &[&str]) -> String {
-    let mut copy = artifact.clone();
-    normalize_volatile(&mut copy, volatile);
-    copy.write()
-}
-
-/// Recursively zeroes every member whose name is in `volatile` —
-/// the wall-clock-derived fields that legitimately differ between two
-/// same-seed runs. Everything else must then match byte-for-byte.
-fn normalize_volatile(value: &mut Json, volatile: &[&str]) {
-    match value {
-        Json::Obj(members) => {
-            for (k, v) in members.iter_mut() {
-                if volatile.contains(&k.as_str()) {
-                    *v = Json::Num(0.0);
-                } else {
-                    normalize_volatile(v, volatile);
-                }
-            }
-        }
-        Json::Arr(items) => {
-            for item in items.iter_mut() {
-                normalize_volatile(item, volatile);
-            }
-        }
-        _ => {}
-    }
 }
 
 #[cfg(test)]
@@ -487,7 +449,7 @@ mod tests {
     #[test]
     fn roundtrips_a_document() {
         let doc = Json::obj(vec![
-            ("name", Json::str("self\"bench\n")),
+            ("name", Json::str("pro\"file\n")),
             ("count", Json::Num(12345.0)),
             ("rate", Json::Num(1.25e9)),
             ("neg", Json::Num(-0.5)),
@@ -537,38 +499,36 @@ mod tests {
         assert!(validate(&missing, &schema).unwrap_err().contains("rows[0]"));
         let wrong_type = Json::parse(r#"{"rows": [{"n": "x"}]}"#).unwrap();
         assert!(validate(&wrong_type, &schema).is_err());
-
-        // `const` pins a value; `oneOf` wants exactly one branch and
-        // reports the violation of the branch the `const` selected.
-        let kinds = Json::parse(
-            r#"{"oneOf": [
-                {"required": ["a"], "properties": {"kind": {"const": "A"}}},
-                {"required": ["b"], "properties": {"kind": {"const": "B"}}}
-            ]}"#,
-        )
-        .unwrap();
-        let check = |doc: &str| validate(&Json::parse(doc).unwrap(), &kinds);
-        assert!(check(r#"{"kind": "A", "a": 1}"#).is_ok());
-        assert!(check(r#"{"kind": "B", "b": 1, "a": 1}"#).is_ok());
-        assert!(check(r#"{"kind": "B", "a": 1}"#)
-            .unwrap_err()
-            .contains("missing required member 'b'"));
-        assert!(check(r#"{"kind": "C", "a": 1, "b": 1}"#)
-            .unwrap_err()
-            .contains("matches 0 oneOf branches"));
-        assert!(check(r#"{"a": 1, "b": 1}"#)
-            .unwrap_err()
-            .contains("matches 2 oneOf branches"));
     }
 
     #[test]
-    fn normalize_zeroes_only_volatile_fields() {
-        let a = Json::parse(r#"{"events": 100, "wall_ms": 17, "sub": [{"wall_ms": 3}]}"#).unwrap();
-        let b = Json::parse(r#"{"events": 100, "wall_ms": 99, "sub": [{"wall_ms": 8}]}"#).unwrap();
-        let text = normalized_text(&a, &["wall_ms"]);
-        assert_eq!(text, normalized_text(&b, &["wall_ms"]));
-        let back = Json::parse(&text).unwrap();
-        assert_eq!(back.get("events").unwrap().as_f64(), Some(100.0));
-        assert_eq!(back.get("wall_ms").unwrap().as_f64(), Some(0.0));
+    fn validator_refuses_unimplemented_keywords() {
+        // Each of these would pass `{"n": -1, "extra": true}` if the
+        // keyword were ignored; the schema itself is refused instead.
+        let doc = Json::parse(r#"{"n": -1, "extra": true}"#).unwrap();
+        for (schema, keyword) in [
+            (
+                r#"{"type": "object", "additionalProperties": false}"#,
+                "additionalProperties",
+            ),
+            (r#"{"properties": {"n": {"minimum": 0}}}"#, "minimum"),
+            (r#"{"items": {"enum": [1]}}"#, "enum"),
+            (r#"{"oneOf": [{"required": ["n"]}]}"#, "oneOf"),
+        ] {
+            let err = validate(&doc, &Json::parse(schema).unwrap()).unwrap_err();
+            assert!(
+                err.contains(&format!("unsupported schema keyword '{keyword}'")),
+                "{schema}: {err}"
+            );
+        }
+        // A property *named* like a keyword is a name, not a keyword.
+        let named = Json::parse(r#"{"properties": {"minimum": {"type": "number"}}}"#).unwrap();
+        assert!(validate(&Json::parse(r#"{"minimum": 3}"#).unwrap(), &named).is_ok());
+        // The committed schemas use the subset only.
+        for file in ["PROFILE.schema.json", "METRICS.schema.json"] {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let schema = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+            check_schema(&schema, "$").unwrap_or_else(|e| panic!("{file}: {e}"));
+        }
     }
 }

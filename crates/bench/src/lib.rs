@@ -10,12 +10,9 @@
 //! proxy interface — the same socket API every configuration exports —
 //! so a single workload implementation measures all eight systems.
 
-pub mod benchdiff;
 pub mod cli;
-pub mod filterbench;
 pub mod json;
 pub mod observe;
-pub mod selfbench;
 pub mod table6;
 pub mod tables;
 pub mod workload;

@@ -248,7 +248,7 @@ fn fail(bin: &str, problem: &str) -> ! {
 
 /// The one artifact writer: writes `text` to `path` and says so on
 /// stderr, or reports the failure and exits 1.
-pub fn write_artifact(bin: &str, what: &str, path: &str, text: &str) {
+fn write_artifact(bin: &str, what: &str, path: &str, text: &str) {
     if let Err(e) = std::fs::write(path, text) {
         fail(bin, &format!("cannot write {path}: {e}"));
     }

@@ -7,24 +7,25 @@
 //! doorbell over a window of K descriptors, and Libra-style selective
 //! placement leaves cold bodies kernel-resident, materializing headers
 //! only. This harness sweeps the batch window B ∈ {1, 4, 16, 64} over
-//! the three library placements and reports, per delivered packet:
+//! the three library placements and reports, per cell:
 //!
-//! * **crossings/pkt** — session ring crossings actually charged. The
-//!   kernel pays one doorbell per window, so this is exactly ⌈P/B⌉/P;
+//! * **crossings** — session ring crossings actually charged. The
+//!   kernel pays one doorbell per window, so this is exactly ⌈P/B⌉;
 //!   the harness asserts the exact count, not a trend.
-//! * **ns/pkt** — receiving-host CPU busy virtual time. Monotone
-//!   decreasing in B: every skipped crossing is a trap/wakeup saved.
-//! * **copies/pkt** — whole-body copies observed by the receive-side
+//! * **busy ns** (and **ns/pkt**) — receiving-host CPU busy virtual
+//!   time. Monotone decreasing in B: every skipped crossing is a
+//!   trap/wakeup saved.
+//! * **body copies** — whole-body copies observed by the receive-side
 //!   census. Eager placement pays one per packet; kernel-resident
-//!   placement materializes headers only (`HeaderCopy`), so body
-//!   copies/pkt drops to zero unless the application pulls.
+//!   placement materializes headers only (**hdr copies**, **hdr-only**
+//!   deliveries), so body copies drop to zero unless the application
+//!   pulls.
 //! * **steps/pkt** — filter instructions per frame, proving batching
 //!   never touches classification.
 //!
-//! Unlike the filter microbenchmark, every number here is virtual-time
-//! or a deterministic counter: the emitted `BENCH_9.json` is
-//! byte-identical between same-seed runs with no normalization step,
-//! and CI diffs the whole artifact.
+//! Every number here is virtual time or a deterministic counter, so the
+//! printed table is a function of the seed alone: `results_table6.txt`
+//! is a full run's stdout, and CI byte-diffs a fresh run against it.
 
 use psd_core::{AppLib, Fd};
 use psd_filter::PlacementPolicy;
@@ -35,18 +36,14 @@ use psd_sim::{OpKind, Platform, SimTime};
 use psd_systems::{SystemConfig, TestBed};
 use std::rc::Rc;
 
-use crate::json::Json;
 use crate::observe::{Attached, Planes, Session};
 
 /// Seed for every Table 6 run.
 pub const SEED: u64 = 93;
 
-/// Datagrams per cell (full matrix). Divisible by every batch size so
-/// the crossing count is exactly `packets / batch`.
-pub const PACKETS_FULL: usize = 256;
-
-/// Datagrams per cell under `--quick`.
-pub const PACKETS_QUICK: usize = 128;
+/// Datagrams per cell. Divisible by every batch size so the crossing
+/// count is exactly `packets / batch`.
+const PACKETS: usize = 256;
 
 /// Datagram payload bytes.
 pub const PAYLOAD: usize = 64;
@@ -55,15 +52,8 @@ pub const PAYLOAD: usize = 64;
 /// kernel-resident.
 pub const RX_PORT: u16 = 10_000;
 
-/// Batch windows for the full and `--quick` matrices. 64 appears in
-/// both: it is the cell the CI regression gate reads.
-pub fn batches(quick: bool) -> &'static [usize] {
-    if quick {
-        &[1, 64]
-    } else {
-        &[1, 4, 16, 64]
-    }
-}
+/// Batch windows, ascending.
+const BATCHES: [usize; 4] = [1, 4, 16, 64];
 
 /// The library placements under test (server/in-kernel placements have
 /// no per-packet ring crossing to amortize).
@@ -98,14 +88,8 @@ impl CopyMode {
     }
 }
 
-/// Modes for the full and `--quick` matrices.
-pub fn modes(quick: bool) -> &'static [CopyMode] {
-    if quick {
-        &[CopyMode::Eager, CopyMode::Resident]
-    } else {
-        &[CopyMode::Eager, CopyMode::Resident, CopyMode::ResidentPull]
-    }
-}
+/// Every copy mode.
+const MODES: [CopyMode; 3] = [CopyMode::Eager, CopyMode::Resident, CopyMode::ResidentPull];
 
 fn config_key(c: SystemConfig) -> &'static str {
     match c {
@@ -143,19 +127,9 @@ pub struct Table6Row {
 }
 
 impl Table6Row {
-    /// Ring crossings per delivered packet (exactly `1/B`).
-    pub fn crossings_per_pkt(&self) -> f64 {
-        self.crossings as f64 / self.packets as f64
-    }
-
     /// Receive-host busy virtual nanoseconds per packet.
     pub fn ns_per_pkt(&self) -> f64 {
         self.busy_ns as f64 / self.packets as f64
-    }
-
-    /// Whole-body copies per packet.
-    pub fn copies_per_pkt(&self) -> f64 {
-        self.body_copies as f64 / self.packets as f64
     }
 
     /// Filter instructions per packet.
@@ -167,10 +141,6 @@ impl Table6Row {
 /// A complete Table 6 result.
 #[derive(Clone, Debug)]
 pub struct Table6 {
-    /// True when run with the reduced `--quick` matrix.
-    pub quick: bool,
-    /// Datagrams per cell.
-    pub packets: usize,
     /// Rows by (config, mode, B).
     pub rows: Vec<Table6Row>,
 }
@@ -324,15 +294,13 @@ fn drain(bed: &mut TestBed, app: &psd_core::AppHandle, fd: Fd, pull: bool) -> us
     }
 }
 
-/// Runs the full (or `--quick`) Table 6 matrix, recording every cell
-/// with `session`.
-pub fn run(quick: bool, session: &mut Session) -> Table6 {
-    let packets = if quick { PACKETS_QUICK } else { PACKETS_FULL };
+/// Runs the Table 6 matrix, recording every cell with `session`.
+pub fn run(session: &mut Session) -> Table6 {
     let mut rows = Vec::new();
     for config in CONFIGS {
-        for &mode in modes(quick) {
-            for &b in batches(quick) {
-                let (row, seen) = run_cell(config, mode, b, packets, &session.planes());
+        for mode in MODES {
+            for b in BATCHES {
+                let (row, seen) = run_cell(config, mode, b, PACKETS, &session.planes());
                 let label = format!("{} | {} | B={b}", config.label(), mode.label());
                 session.census_row(&label, seen.census_hosts());
                 session.record(&label, &seen);
@@ -340,11 +308,7 @@ pub fn run(quick: bool, session: &mut Session) -> Table6 {
             }
         }
     }
-    Table6 {
-        quick,
-        packets,
-        rows,
-    }
+    Table6 { rows }
 }
 
 impl Table6 {
@@ -359,120 +323,65 @@ impl Table6 {
         v
     }
 
-    /// Checks the acceptance trend: crossings/pkt and ns/pkt strictly
+    /// Checks the acceptance trend: crossings and busy time strictly
     /// decrease as B grows, on every placement and mode.
     pub fn check_monotone(&self) -> Result<(), String> {
         for config in CONFIGS {
-            for &mode in modes(self.quick) {
+            for mode in MODES {
                 let series = self.series(config, mode);
                 for pair in series.windows(2) {
                     let (a, b) = (pair[0], pair[1]);
-                    if b.crossings_per_pkt() >= a.crossings_per_pkt() {
-                        return Err(format!(
-                            "{} {} crossings/pkt not decreasing: B={} {:.4} → B={} {:.4}",
-                            config.label(),
-                            mode.label(),
-                            a.batch,
-                            a.crossings_per_pkt(),
-                            b.batch,
-                            b.crossings_per_pkt()
-                        ));
-                    }
-                    if b.ns_per_pkt() >= a.ns_per_pkt() {
-                        return Err(format!(
-                            "{} {} ns/pkt not decreasing: B={} {:.1} → B={} {:.1}",
-                            config.label(),
-                            mode.label(),
-                            a.batch,
-                            a.ns_per_pkt(),
-                            b.batch,
-                            b.ns_per_pkt()
-                        ));
-                    }
+                    let what = if b.crossings >= a.crossings {
+                        "crossings"
+                    } else if b.busy_ns >= a.busy_ns {
+                        "busy ns"
+                    } else {
+                        continue;
+                    };
+                    return Err(format!(
+                        "{} {} {what} not decreasing: B={} {}/{} → B={} {}/{}",
+                        config.label(),
+                        mode.label(),
+                        a.batch,
+                        a.crossings,
+                        a.busy_ns,
+                        b.batch,
+                        b.crossings,
+                        b.busy_ns
+                    ));
                 }
             }
         }
         Ok(())
     }
 
-    /// A signature over every field; two same-seed runs must agree.
-    pub fn deterministic_signature(&self) -> String {
-        let mut sig = String::new();
-        for r in &self.rows {
-            sig.push_str(&format!(
-                "{}:{}:{}:{}:{}:{}:{}:{}:{}:{};",
-                config_key(r.config),
-                r.mode.label(),
-                r.batch,
-                r.packets,
-                r.crossings,
-                r.steps,
-                r.body_copies,
-                r.header_copies,
-                r.header_only,
-                r.busy_ns
-            ));
-        }
-        sig
-    }
-
-    /// Serializes the artifact (see `BENCH.schema.json`). Every
-    /// member is deterministic; CI byte-diffs whole files.
-    pub fn to_json(&self) -> Json {
-        let rows = Json::Arr(
-            self.rows
-                .iter()
-                .map(|r| {
-                    Json::obj(vec![
-                        ("config", Json::str(config_key(r.config))),
-                        ("mode", Json::str(r.mode.label())),
-                        ("batch", Json::Num(r.batch as f64)),
-                        ("packets", Json::Num(r.packets as f64)),
-                        ("crossings", Json::Num(r.crossings as f64)),
-                        ("crossings_per_pkt", Json::Num(r.crossings_per_pkt())),
-                        ("steps_per_pkt", Json::Num(r.steps_per_pkt())),
-                        ("body_copies", Json::Num(r.body_copies as f64)),
-                        ("copies_per_pkt", Json::Num(r.copies_per_pkt())),
-                        ("header_copies", Json::Num(r.header_copies as f64)),
-                        ("header_only", Json::Num(r.header_only as f64)),
-                        ("busy_ns", Json::Num(r.busy_ns as f64)),
-                        ("ns_per_pkt", Json::Num(r.ns_per_pkt())),
-                    ])
-                })
-                .collect(),
-        );
-        Json::obj(vec![
-            ("version", Json::Num(1.0)),
-            ("bench", Json::str("table6")),
-            ("seed", Json::Num(SEED as f64)),
-            ("quick", Json::Bool(self.quick)),
-            ("packets", Json::Num(self.packets as f64)),
-            ("table", rows),
-        ])
-    }
-
-    /// The human-readable table printed to stdout.
+    /// The human-readable table printed to stdout (and archived as
+    /// `results_table6.txt`). Counts and busy ns are exact integers, and
+    /// the per-packet columns print the shortest decimal that reads
+    /// back as the same `f64`.
     pub fn table(&self) -> String {
         let mut out = String::new();
         out.push_str("==== Table 6: batched NEWAPI (virtual time) ====\n");
         out.push_str(&format!(
-            "seed {SEED}; {} datagrams/cell, {PAYLOAD}-byte payloads{}\n\n",
-            self.packets,
-            if self.quick { " [quick]" } else { "" }
+            "seed {SEED}; {PACKETS} datagrams/cell, {PAYLOAD}-byte payloads\n\n"
         ));
         out.push_str(
-            "config          mode            B  crossings/pkt   ns/pkt  copies/pkt  hdr-only\n",
+            "config          mode             B  crossings  steps/pkt  body-copies  \
+             hdr-copies  hdr-only     busy ns        ns/pkt\n",
         );
         for r in &self.rows {
             out.push_str(&format!(
-                "{:<15} {:<13} {:>4} {:>14.4} {:>8.0} {:>11.2} {:>9}\n",
+                "{:<15} {:<13} {:>4} {:>10} {:>10} {:>12} {:>11} {:>9} {:>11} {:>13}\n",
                 config_key(r.config),
                 r.mode.label(),
                 r.batch,
-                r.crossings_per_pkt(),
-                r.ns_per_pkt(),
-                r.copies_per_pkt(),
+                r.crossings,
+                r.steps_per_pkt(),
+                r.body_copies,
+                r.header_copies,
                 r.header_only,
+                r.busy_ns,
+                r.ns_per_pkt(),
             ));
         }
         out
@@ -525,7 +434,7 @@ mod tests {
     #[test]
     fn batching_monotonically_reduces_crossings_and_busy_time() {
         let mut rows = Vec::new();
-        for &b in &[1usize, 4, 16, 64] {
+        for b in BATCHES {
             rows.push(cell(SystemConfig::LibraryShmIpf, CopyMode::Eager, b, 64));
         }
         for pair in rows.windows(2) {
@@ -542,18 +451,11 @@ mod tests {
     }
 
     #[test]
-    fn artifact_is_schema_valid_and_byte_stable() {
-        let a = run(true, &mut Session::default());
-        assert!(a.check_monotone().is_ok());
-        let schema = std::fs::read_to_string(concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH.schema.json"
-        ))
-        .expect("schema present");
-        let schema = Json::parse(&schema).expect("schema parses");
-        crate::json::validate(&a.to_json(), &schema).expect("schema-valid");
-        let b = run(true, &mut Session::default());
-        assert_eq!(a.deterministic_signature(), b.deterministic_signature());
-        assert_eq!(a.to_json().write(), b.to_json().write());
+    fn table_text_is_byte_stable_and_monotone() {
+        let a = run(&mut Session::default());
+        assert_eq!(a.rows.len(), CONFIGS.len() * MODES.len() * BATCHES.len());
+        a.check_monotone().expect("monotone in B");
+        let b = run(&mut Session::default());
+        assert_eq!(a.table(), b.table());
     }
 }

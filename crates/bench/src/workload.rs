@@ -97,14 +97,6 @@ impl WorkloadSpec {
     }
 }
 
-/// The strategy's name in table headers and row labels.
-pub fn strategy_label(s: DemuxStrategy) -> &'static str {
-    match s {
-        DemuxStrategy::Cspf => "CSPF",
-        DemuxStrategy::Mpf => "MPF",
-    }
-}
-
 /// Census op totals on the receiving host (present when the caller
 /// asked for a census).
 #[derive(Clone, Copy, Debug)]
