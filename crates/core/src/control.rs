@@ -8,13 +8,13 @@
 //! before the server duplicates the process, and `close` migrates the
 //! session back for the shutdown protocol.
 
-use crate::{select, ApiMode, AppHandle, AppLib, Fd, FdEntry, FdState, SockEvent};
-use psd_netstack::{InetAddr, SocketError};
+use crate::{select, ApiMode, AppHandle, AppLib, Fd, FdEntry, FdState, Path, SockEvent};
+use psd_netstack::{InetAddr, SockId, SocketError};
 use psd_server::{
     stack_sink_with_busy_report, MigratedSession, OsServer, Proto, RetryToken, RxSetup, SessionId,
     SessionReply,
 };
-use psd_sim::{Charge, Domain, FaultSite, Layer, Sim, SimTime};
+use psd_sim::{Charge, FaultSite, Layer, Sim, SimTime};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -36,88 +36,75 @@ impl AppLib {
         RetryToken((proc << 32) | c)
     }
 
-    /// Runs one retryable proxy RPC under a deadline: an attempt may be
-    /// lost to a server crash ([`FaultSite::ServerCrash`]), to the
-    /// server being down (the request is never answered), or to a lost
-    /// reply ([`FaultSite::ProxyRpc`]). Each loss charges the expired
-    /// deadline plus exponential backoff and retries with the same
-    /// idempotency token; after [`RPC_MAX_ATTEMPTS`] losses the call
-    /// fails with [`SocketError::TimedOut`]. With no fault plane
-    /// attached the first attempt always returns, so this wrapper adds
-    /// zero charged time to the fault-free path.
-    fn retry_rpc<T>(
+    /// Runs one retryable proxy RPC under a deadline, as one charged
+    /// control RPC: an attempt may be lost to a server crash
+    /// ([`FaultSite::ServerCrash`]), to the server being down (the
+    /// request is never answered), or to a lost reply
+    /// ([`FaultSite::ProxyRpc`]). Each loss charges the expired deadline
+    /// plus exponential backoff and retries with the same idempotency
+    /// token; after [`RPC_MAX_ATTEMPTS`] losses the call fails with
+    /// [`SocketError::TimedOut`]. With no fault plane attached the first
+    /// attempt always returns, so this wrapper adds zero charged time to
+    /// the fault-free path.
+    fn proxy_rpc<T>(
         this: &AppHandle,
         sim: &mut Sim,
-        charge: &mut Charge,
         mut call: impl FnMut(&mut Sim, &mut Charge) -> Result<T, SocketError>,
     ) -> Result<T, SocketError> {
         let server = this.borrow().server.clone().expect("server");
         let deadline_ns = this.borrow().costs.rpc_base.max(1) * 4;
-        for attempt in 0..RPC_MAX_ATTEMPTS {
-            if charge.fault(FaultSite::ServerCrash) {
-                // The server dies mid-request; the attempt is lost.
-                OsServer::crash(&server, sim);
-            } else if !server.borrow().is_down() {
-                let result = call(sim, charge);
-                if !charge.fault(FaultSite::ProxyRpc) {
-                    return result;
+        AppLib::charged(this, sim, |sim, charge| {
+            this.borrow_mut().stats.control_rpcs += 1;
+            for attempt in 0..RPC_MAX_ATTEMPTS {
+                if charge.fault(FaultSite::ServerCrash) {
+                    // The server dies mid-request; the attempt is lost.
+                    OsServer::crash(&server, sim);
+                } else if !server.borrow().is_down() {
+                    let result = call(sim, charge);
+                    if !charge.fault(FaultSite::ProxyRpc) {
+                        return result;
+                    }
+                    // The reply was lost after the server executed the
+                    // call — the case the idempotency tokens exist for.
                 }
-                // The reply was lost after the server executed the
-                // call — the case the idempotency tokens exist for.
+                // Deadline expiry plus bounded exponential backoff.
+                charge.add_ns(Layer::Control, deadline_ns << attempt);
+                this.borrow_mut().stats.rpc_retries += 1;
             }
-            // Deadline expiry plus bounded exponential backoff.
-            charge.add_ns(Layer::Control, deadline_ns << attempt);
-            this.borrow_mut().stats.rpc_retries += 1;
-        }
-        this.borrow_mut().stats.rpc_timeouts += 1;
-        Err(SocketError::TimedOut)
+            this.borrow_mut().stats.rpc_timeouts += 1;
+            Err(SocketError::TimedOut)
+        })
     }
+
     /// `socket(2)`: creates a descriptor backed by a session managed by
     /// the operating system (or an in-kernel socket in the monolithic
     /// baseline).
     pub fn socket(this: &AppHandle, sim: &mut Sim, proto: Proto) -> Fd {
         let mode = this.borrow().mode;
-        match mode {
-            ApiMode::InKernel => {
-                let stack = this.borrow().stack.clone().expect("kernel stack");
-                let mut charge = this.borrow().begin(sim);
-                charge.crossing_in(
-                    Domain::Kernel,
-                    Layer::Control,
-                    SimTime::from_nanos(this.borrow().costs.trap),
-                );
-                let sock = {
-                    let mut st = stack.borrow_mut();
-                    match proto {
-                        Proto::Udp => st.socket_udp(),
-                        Proto::Tcp => st.socket_tcp(),
-                    }
-                };
-                this.borrow().finish(charge);
-                let fd = this.borrow_mut().alloc_fd(proto, FdState::Kern(sock));
-                AppLib::register_sock(this, sock, fd);
-                fd
-            }
-            ApiMode::ServerBased | ApiMode::Library { .. } => {
-                let server = this.borrow().server.clone().expect("server");
-                let proc = this.borrow().proc.expect("registered process");
-                let token = AppLib::mint_token(this);
-                let mut charge = this.borrow().begin(sim);
-                let sid = AppLib::retry_rpc(this, sim, &mut charge, |_, ch| {
-                    Ok(server.borrow_mut().proxy_socket(ch, proc, proto, token))
-                });
-                this.borrow().finish(charge);
-                this.borrow_mut().stats.control_rpcs += 1;
-                // A timed-out socket() yields a dead descriptor, the
-                // closest analogue of an errno return given the Fd
-                // signature; every later call on it fails.
-                let state = match sid {
-                    Ok(sid) => FdState::Fresh(Some(sid)),
-                    Err(_) => FdState::Fresh(None),
-                };
-                this.borrow_mut().alloc_fd(proto, state)
-            }
+        if mode == ApiMode::InKernel {
+            let stack = this.borrow().stack.clone().expect("kernel stack");
+            let sock = AppLib::charged(this, sim, |_, charge| {
+                this.borrow().control_trap(charge);
+                let mut st = stack.borrow_mut();
+                match proto {
+                    Proto::Udp => st.socket_udp(),
+                    Proto::Tcp => st.socket_tcp(),
+                }
+            });
+            let fd = this.borrow_mut().alloc_fd(proto, FdState::Kern(sock));
+            AppLib::register_sock(this, sock, fd);
+            return fd;
         }
+        let server = this.borrow().server.clone().expect("server");
+        let proc = this.borrow().proc.expect("registered process");
+        let token = AppLib::mint_token(this);
+        let sid = AppLib::proxy_rpc(this, sim, |_, charge| {
+            Ok(server.borrow_mut().proxy_socket(charge, proc, proto, token))
+        });
+        // A timed-out socket() yields a dead descriptor, the closest
+        // analogue of an errno return given the Fd signature; every
+        // later call on it fails.
+        this.borrow_mut().alloc_fd(proto, FdState::Fresh(sid.ok()))
     }
 
     fn session_of(&self, fd: Fd) -> Option<SessionId> {
@@ -140,6 +127,19 @@ impl AppLib {
             mode: rx_mode,
             sink,
         }
+    }
+
+    /// Delivers `ev` to `fd`'s handler at `at`, the way the stack's and
+    /// the server's asynchronous events arrive.
+    fn notify_at(this: &AppHandle, sim: &mut Sim, at: SimTime, fd: Fd, ev: SockEvent) {
+        let weak = this.borrow().me.clone();
+        sim.at(at, move |sim| {
+            let Some(app) = weak.upgrade() else { return };
+            let handler = app.borrow().handlers.get(&fd).cloned();
+            if let Some(h) = handler {
+                h.borrow_mut()(sim, fd, ev);
+            }
+        });
     }
 
     /// Imports a migrated session into the library stack and rebinds
@@ -184,21 +184,22 @@ impl AppLib {
             (st.readable(sock) > 0, st.at_eof(sock))
         };
         if readable || eof {
-            let weak = this.borrow().me.clone();
-            let at = sim.now();
-            sim.at(at, move |sim| {
-                let Some(app) = weak.upgrade() else { return };
-                let handler = app.borrow().handlers.get(&fd).cloned();
-                if let Some(h) = handler {
-                    h.borrow_mut()(sim, fd, SockEvent::Readable);
-                }
-            });
+            let now = sim.now();
+            AppLib::notify_at(this, sim, now, fd, SockEvent::Readable);
         }
     }
 
-    pub(crate) fn attach_server_notify(this: &AppHandle, fd: Fd, sid: SessionId) {
+    /// Makes `fd` reach its session at the server: data moves by RPC,
+    /// and the server's notifications for the session route to `fd`.
+    pub(crate) fn server_resident(this: &AppHandle, fd: Fd, sid: SessionId) {
         let server = this.borrow().server.clone().expect("server");
-        this.borrow_mut().session_to_fd.insert(sid, fd);
+        {
+            let mut app = this.borrow_mut();
+            if let Some(entry) = app.fds.get_mut(&fd) {
+                entry.state = FdState::Session(sid);
+            }
+            app.session_to_fd.insert(sid, fd);
+        }
         let weak = this.borrow().me.clone();
         server.borrow_mut().set_notify(
             sid,
@@ -225,94 +226,46 @@ impl AppLib {
     /// session migrates into the application here.
     pub fn bind(this: &AppHandle, sim: &mut Sim, fd: Fd, port: u16) -> Result<(), SocketError> {
         let mode = this.borrow().mode;
-        match mode {
-            ApiMode::InKernel => {
-                let (stack, ports, host_ip, sock) = {
-                    let app = this.borrow();
-                    let FdState::Kern(sock) = app.fds.get(&fd).ok_or(SocketError::BadSocket)?.state
-                    else {
-                        return Err(SocketError::BadSocket);
-                    };
-                    (
-                        app.stack.clone().expect("kernel stack"),
-                        app.kern_ports.clone().expect("kernel ports"),
-                        app.host_ip,
-                        sock,
-                    )
-                };
-                let proto = this.borrow().fds.get(&fd).expect("exists").proto;
-                let mut charge = this.borrow().begin(sim);
-                charge.crossing_in(
-                    Domain::Kernel,
-                    Layer::Control,
-                    SimTime::from_nanos(this.borrow().costs.trap),
-                );
-                let port = ports.borrow_mut().claim(proto, port)?;
-                let res = stack.borrow_mut().bind(sock, InetAddr::new(host_ip, port));
-                this.borrow().finish(charge);
-                res
+        if mode == ApiMode::InKernel {
+            let (proto, Some(Path::Kern(stack, sock))) = AppLib::resolve(this, fd)? else {
+                return Err(SocketError::BadSocket);
+            };
+            return AppLib::charged(this, sim, |_, charge| {
+                let app = this.borrow();
+                app.control_trap(charge);
+                app.kern_bind(&stack, sock, proto, port)
+            });
+        }
+        let server = this.borrow().server.clone().expect("server");
+        let sid = this.borrow().session_of(fd).ok_or(SocketError::BadSocket)?;
+        let proto = this.borrow().fds[&fd].proto;
+        let is_library = matches!(mode, ApiMode::Library { .. });
+        let ep_cell = Rc::new(Cell::new(None));
+        let token = AppLib::mint_token(this);
+        let reply = AppLib::proxy_rpc(this, sim, |sim, charge| {
+            let migrates = is_library && proto == Proto::Udp;
+            let rx = migrates.then(|| AppLib::rx_setup(this, &ep_cell));
+            OsServer::proxy_bind(&server, sim, charge, sid, port, rx, token)
+        })?;
+        match reply {
+            // The UDP session migrated immediately.
+            Some(SessionReply::Migrated(m)) => AppLib::adopt_migrated(this, sim, fd, m, ep_cell),
+            // Server-based; or, in library mode, graceful degradation:
+            // the migration was denied (filter table full, SHM ring
+            // install failure) and the session fell back to the server
+            // data path — slower, but correct.
+            Some(SessionReply::ServerResident { session, .. }) => {
+                AppLib::server_resident(this, fd, session)
             }
-            ApiMode::ServerBased => {
-                let server = this.borrow().server.clone().expect("server");
-                let sid = this.borrow().session_of(fd).ok_or(SocketError::BadSocket)?;
-                let token = AppLib::mint_token(this);
-                let mut charge = this.borrow().begin(sim);
-                this.borrow_mut().stats.control_rpcs += 1;
-                let reply = AppLib::retry_rpc(this, sim, &mut charge, |sim, ch| {
-                    OsServer::proxy_bind(&server, sim, ch, sid, port, None, token)
-                })?;
-                this.borrow().finish(charge);
-                debug_assert!(matches!(
-                    reply,
-                    None | Some(SessionReply::ServerResident { .. })
-                ));
+            None if !is_library => AppLib::server_resident(this, fd, sid),
+            // Library TCP: only the port was claimed.
+            None => {
                 if let Some(entry) = this.borrow_mut().fds.get_mut(&fd) {
-                    entry.state = FdState::Session(sid);
+                    entry.state = FdState::Fresh(Some(sid));
                 }
-                AppLib::attach_server_notify(this, fd, sid);
-                Ok(())
-            }
-            ApiMode::Library { .. } => {
-                let server = this.borrow().server.clone().expect("server");
-                let sid = this.borrow().session_of(fd).ok_or(SocketError::BadSocket)?;
-                let proto = this.borrow().fds.get(&fd).expect("exists").proto;
-                let ep_cell = Rc::new(Cell::new(None));
-                let token = AppLib::mint_token(this);
-                let mut charge = this.borrow().begin(sim);
-                this.borrow_mut().stats.control_rpcs += 1;
-                let reply = AppLib::retry_rpc(this, sim, &mut charge, |sim, ch| {
-                    let rx = match proto {
-                        Proto::Udp => Some(AppLib::rx_setup(this, &ep_cell)),
-                        Proto::Tcp => None,
-                    };
-                    OsServer::proxy_bind(&server, sim, ch, sid, port, rx, token)
-                })?;
-                this.borrow().finish(charge);
-                match reply {
-                    Some(SessionReply::Migrated(m)) => {
-                        // The UDP session migrated immediately.
-                        AppLib::adopt_migrated(this, sim, fd, m, ep_cell);
-                    }
-                    Some(SessionReply::ServerResident { session, .. }) => {
-                        // Graceful degradation: the migration was
-                        // denied (filter table full, SHM ring install
-                        // failure) and the session fell back to the
-                        // server data path — slower, but correct.
-                        if let Some(entry) = this.borrow_mut().fds.get_mut(&fd) {
-                            entry.state = FdState::Session(session);
-                        }
-                        AppLib::attach_server_notify(this, fd, session);
-                    }
-                    None => {
-                        // TCP: only the port was claimed.
-                        if let Some(entry) = this.borrow_mut().fds.get_mut(&fd) {
-                            entry.state = FdState::Fresh(Some(sid));
-                        }
-                    }
-                }
-                Ok(())
             }
         }
+        Ok(())
     }
 
     /// `connect(2)`: sets the remote endpoint. Completion (and failure)
@@ -326,142 +279,73 @@ impl AppLib {
         remote: InetAddr,
     ) -> Result<(), SocketError> {
         let mode = this.borrow().mode;
-        let proto = this
-            .borrow()
-            .fds
-            .get(&fd)
-            .ok_or(SocketError::BadSocket)?
-            .proto;
-        match mode {
-            ApiMode::InKernel => {
-                let (stack, ports, host_ip, sock) = {
-                    let app = this.borrow();
-                    let FdState::Kern(sock) = app.fds.get(&fd).expect("checked").state else {
-                        return Err(SocketError::BadSocket);
-                    };
-                    (
-                        app.stack.clone().expect("kernel stack"),
-                        app.kern_ports.clone().expect("kernel ports"),
-                        app.host_ip,
-                        sock,
-                    )
-                };
-                let mut charge = this.borrow().begin(sim);
-                charge.crossing_in(
-                    Domain::Kernel,
-                    Layer::Control,
-                    SimTime::from_nanos(this.borrow().costs.trap),
-                );
-                // Implicit bind to an ephemeral port.
-                if stack.borrow().local_addr(sock).map(|a| a.port).unwrap_or(0) == 0 {
-                    let port = ports.borrow_mut().claim(proto, 0)?;
-                    stack
-                        .borrow_mut()
-                        .bind(sock, InetAddr::new(host_ip, port))?;
-                }
-                let res = match proto {
-                    Proto::Tcp => stack
-                        .borrow_mut()
-                        .connect_tcp(sim, &mut charge, sock, remote),
-                    Proto::Udp => stack.borrow_mut().connect_udp(sock, remote),
-                };
-                let at = charge.at();
-                this.borrow().finish(charge);
-                if res.is_ok() && proto == Proto::Udp {
+        match (mode, AppLib::resolve(this, fd)?) {
+            (ApiMode::InKernel, (proto, Some(Path::Kern(stack, sock)))) => {
+                let at = AppLib::charged(this, sim, |sim, charge| {
+                    this.borrow().control_trap(charge);
+                    this.borrow().kern_autobind(&stack, sock, proto)?;
+                    match proto {
+                        Proto::Tcp => stack.borrow_mut().connect_tcp(sim, charge, sock, remote),
+                        Proto::Udp => stack.borrow_mut().connect_udp(sock, remote),
+                    }?;
+                    Ok(charge.at())
+                })?;
+                if proto == Proto::Udp {
                     // Datagram connect completes synchronously; tell the
                     // caller the same way the asynchronous paths do.
-                    let weak = this.borrow().me.clone();
-                    sim.at(at, move |sim| {
-                        let Some(app) = weak.upgrade() else { return };
-                        let handler = app.borrow().handlers.get(&fd).cloned();
-                        if let Some(h) = handler {
-                            h.borrow_mut()(sim, fd, SockEvent::Connected);
-                        }
-                    });
+                    AppLib::notify_at(this, sim, at, fd, SockEvent::Connected);
                 }
-                res
+                Ok(())
             }
-            ApiMode::ServerBased | ApiMode::Library { .. } => {
-                // Library-mode UDP on an fd that is already Local:
-                // connect is handled in the application (set the
-                // default remote, prewarm the ARP cache).
-                let local_udp_sock = match this.borrow().fds.get(&fd) {
-                    Some(FdEntry {
-                        state: FdState::Local { sock, .. },
-                        proto: Proto::Udp,
-                    }) => Some(*sock),
-                    _ => None,
-                };
-                if let Some(sock) = local_udp_sock {
-                    let stack = this.borrow().stack.clone().expect("library stack");
-                    let mut charge = this.borrow().begin(sim);
+            (ApiMode::InKernel, _) => Err(SocketError::BadSocket),
+            // Library-mode UDP on an fd that is already Local: connect
+            // is handled in the application (set the default remote,
+            // prewarm the ARP cache).
+            (_, (Proto::Udp, Some(Path::Local(stack, sock)))) => {
+                let server = this.borrow().server.clone().expect("server");
+                let at = AppLib::charged(this, sim, |sim, charge| {
                     stack.borrow_mut().connect_udp(sock, remote)?;
                     // Prewarm: one metastate RPC so the first send does
                     // not drop on an ARP miss.
-                    let server = this.borrow().server.clone().expect("server");
                     this.borrow_mut().stats.control_rpcs += 1;
-                    if let Some(mac) =
-                        OsServer::proxy_arp_lookup(&server, sim, &mut charge, remote.ip)
-                    {
+                    if let Some(mac) = OsServer::proxy_arp_lookup(&server, sim, charge, remote.ip) {
                         let now = charge.at();
                         stack.borrow_mut().arp.insert(remote.ip, mac, now);
                     }
-                    let at = charge.at();
-                    this.borrow().finish(charge);
-                    let weak = this.borrow().me.clone();
-                    sim.at(at, move |sim| {
-                        let Some(app) = weak.upgrade() else { return };
-                        let handler = app.borrow().handlers.get(&fd).cloned();
-                        if let Some(h) = handler {
-                            h.borrow_mut()(sim, fd, SockEvent::Connected);
-                        }
-                    });
-                    return Ok(());
-                }
-
+                    Ok(charge.at())
+                })?;
+                AppLib::notify_at(this, sim, at, fd, SockEvent::Connected);
+                Ok(())
+            }
+            _ => {
                 let server = this.borrow().server.clone().expect("server");
                 let sid = this.borrow().session_of(fd).ok_or(SocketError::BadSocket)?;
                 let is_library = matches!(mode, ApiMode::Library { .. });
                 let ep_cell = Rc::new(Cell::new(None));
                 let rx = is_library.then(|| AppLib::rx_setup(this, &ep_cell));
                 let weak = this.borrow().me.clone();
-                let mut charge = this.borrow().begin(sim);
-                this.borrow_mut().stats.control_rpcs += 1;
-                OsServer::proxy_connect(
-                    &server,
-                    sim,
-                    &mut charge,
-                    sid,
-                    remote,
-                    rx,
-                    Box::new(move |sim, result| {
-                        let Some(app) = weak.upgrade() else { return };
-                        let handler = app.borrow().handlers.get(&fd).cloned();
-                        match result {
-                            Ok(SessionReply::Migrated(m)) => {
-                                AppLib::adopt_migrated(&app, sim, fd, m, ep_cell);
-                                if let Some(h) = handler {
-                                    h.borrow_mut()(sim, fd, SockEvent::Connected);
-                                }
-                            }
-                            Ok(SessionReply::ServerResident { session, .. }) => {
-                                if let Some(entry) = app.borrow_mut().fds.get_mut(&fd) {
-                                    entry.state = FdState::Session(session);
-                                }
-                                AppLib::attach_server_notify(&app, fd, session);
-                                if let Some(h) = handler {
-                                    h.borrow_mut()(sim, fd, SockEvent::Connected);
-                                }
-                            }
-                            Err(e) => {
-                                if let Some(h) = handler {
-                                    h.borrow_mut()(sim, fd, SockEvent::Error(e));
-                                }
-                            }
+                let done = Box::new(move |sim: &mut Sim, result| {
+                    let Some(app) = weak.upgrade() else { return };
+                    let handler = app.borrow().handlers.get(&fd).cloned();
+                    let ev = match result {
+                        Ok(SessionReply::Migrated(m)) => {
+                            AppLib::adopt_migrated(&app, sim, fd, m, ep_cell);
+                            SockEvent::Connected
                         }
-                    }),
-                );
-                this.borrow().finish(charge);
+                        Ok(SessionReply::ServerResident { session, .. }) => {
+                            AppLib::server_resident(&app, fd, session);
+                            SockEvent::Connected
+                        }
+                        Err(e) => SockEvent::Error(e),
+                    };
+                    if let Some(h) = handler {
+                        h.borrow_mut()(sim, fd, ev);
+                    }
+                });
+                AppLib::charged(this, sim, |sim, charge| {
+                    this.borrow_mut().stats.control_rpcs += 1;
+                    OsServer::proxy_connect(&server, sim, charge, sid, remote, rx, done);
+                });
                 Ok(())
             }
         }
@@ -475,46 +359,24 @@ impl AppLib {
         fd: Fd,
         backlog: usize,
     ) -> Result<(), SocketError> {
-        let mode = this.borrow().mode;
-        match mode {
-            ApiMode::InKernel => {
-                let app = this.borrow();
-                let FdState::Kern(sock) = app.fds.get(&fd).ok_or(SocketError::BadSocket)?.state
-                else {
-                    return Err(SocketError::BadSocket);
-                };
-                let stack = app.stack.clone().expect("kernel stack");
-                drop(app);
-                let mut charge = this.borrow().begin(sim);
-                charge.crossing_in(
-                    Domain::Kernel,
-                    Layer::Control,
-                    SimTime::from_nanos(this.borrow().costs.trap),
-                );
-                let res = stack.borrow_mut().listen(sock, backlog);
-                this.borrow().finish(charge);
-                res
-            }
-            ApiMode::ServerBased | ApiMode::Library { .. } => {
-                let server = this.borrow().server.clone().expect("server");
-                let sid = this.borrow().session_of(fd).ok_or(SocketError::BadSocket)?;
-                let mut charge = this.borrow().begin(sim);
-                this.borrow_mut().stats.control_rpcs += 1;
-                let res = AppLib::retry_rpc(this, sim, &mut charge, |sim, ch| {
-                    OsServer::proxy_listen(&server, sim, ch, sid, backlog)
-                });
-                this.borrow().finish(charge);
-                if res.is_ok() {
-                    if let Some(entry) = this.borrow_mut().fds.get_mut(&fd) {
-                        entry.state = FdState::Session(sid);
-                    }
-                    // The server notifies the listener's owner when a
-                    // connection request arrives.
-                    AppLib::attach_server_notify(this, fd, sid);
-                }
-                res
-            }
+        if this.borrow().mode == ApiMode::InKernel {
+            let (_, Some(Path::Kern(stack, sock))) = AppLib::resolve(this, fd)? else {
+                return Err(SocketError::BadSocket);
+            };
+            return AppLib::charged(this, sim, |_, charge| {
+                this.borrow().control_trap(charge);
+                stack.borrow_mut().listen(sock, backlog)
+            });
         }
+        let server = this.borrow().server.clone().expect("server");
+        let sid = this.borrow().session_of(fd).ok_or(SocketError::BadSocket)?;
+        AppLib::proxy_rpc(this, sim, |sim, charge| {
+            OsServer::proxy_listen(&server, sim, charge, sid, backlog)
+        })?;
+        // The server notifies the listener's owner when a connection
+        // request arrives.
+        AppLib::server_resident(this, fd, sid);
+        Ok(())
     }
 
     /// `accept(2)`: takes an established connection off the listener.
@@ -522,191 +384,144 @@ impl AppLib {
     /// on the listener signals a retry will succeed.
     pub fn accept(this: &AppHandle, sim: &mut Sim, fd: Fd) -> Result<Fd, SocketError> {
         let mode = this.borrow().mode;
-        match mode {
-            ApiMode::InKernel => {
-                let app = this.borrow();
-                let FdState::Kern(sock) = app.fds.get(&fd).ok_or(SocketError::BadSocket)?.state
-                else {
-                    return Err(SocketError::BadSocket);
-                };
-                let stack = app.stack.clone().expect("kernel stack");
-                drop(app);
-                let mut charge = this.borrow().begin(sim);
-                charge.crossing_in(
-                    Domain::Kernel,
-                    Layer::Control,
-                    SimTime::from_nanos(this.borrow().costs.trap),
-                );
-                let res = stack.borrow_mut().accept(sock);
-                this.borrow().finish(charge);
-                let child = res?;
-                let proto = Proto::Tcp;
-                let child_fd = this.borrow_mut().alloc_fd(proto, FdState::Kern(child));
-                AppLib::register_sock(this, child, child_fd);
-                Ok(child_fd)
-            }
-            ApiMode::ServerBased | ApiMode::Library { .. } => {
-                // Ready connection already delivered?
-                if let Some(ready) = this
-                    .borrow_mut()
-                    .accept_ready
-                    .get_mut(&fd)
-                    .and_then(|q| (!q.is_empty()).then(|| q.remove(0)))
-                {
-                    return Ok(ready);
-                }
-                // Issue (at most one) outstanding proxy_accept.
-                if this.borrow().accept_pending.contains(&fd) {
-                    return Err(SocketError::WouldBlock);
-                }
-                let server = this.borrow().server.clone().expect("server");
-                let sid = this.borrow().session_of(fd).ok_or(SocketError::BadSocket)?;
-                let is_library = matches!(mode, ApiMode::Library { .. });
-                let ep_cell = Rc::new(Cell::new(None));
-                let rx = is_library.then(|| AppLib::rx_setup(this, &ep_cell));
-                this.borrow_mut().accept_pending.insert(fd);
-                let weak = this.borrow().me.clone();
-                let mut charge = this.borrow().begin(sim);
-                this.borrow_mut().stats.control_rpcs += 1;
-                OsServer::proxy_accept(
-                    &server,
-                    sim,
-                    &mut charge,
-                    sid,
-                    rx,
-                    Box::new(move |sim, result| {
-                        let Some(app) = weak.upgrade() else { return };
-                        app.borrow_mut().accept_pending.remove(&fd);
-                        let handler = app.borrow().handlers.get(&fd).cloned();
-                        match result {
-                            Ok(reply) => {
-                                let proto = Proto::Tcp;
-                                let child_fd = match reply {
-                                    SessionReply::Migrated(m) => {
-                                        let child_fd =
-                                            app.borrow_mut().alloc_fd(proto, FdState::Fresh(None));
-                                        AppLib::adopt_migrated(
-                                            &app,
-                                            sim,
-                                            child_fd,
-                                            m,
-                                            ep_cell.clone(),
-                                        );
-                                        child_fd
-                                    }
-                                    SessionReply::ServerResident { session, .. } => {
-                                        let child_fd = app
-                                            .borrow_mut()
-                                            .alloc_fd(proto, FdState::Session(session));
-                                        AppLib::attach_server_notify(&app, child_fd, session);
-                                        // Surface data that arrived while
-                                        // the connection waited in the
-                                        // accept queue.
-                                        let weak2 = app.borrow().me.clone();
-                                        let at = sim.now();
-                                        sim.at(at, move |sim| {
-                                            let Some(app) = weak2.upgrade() else { return };
-                                            let ready = app.borrow().poll(child_fd).0;
-                                            let handler =
-                                                app.borrow().handlers.get(&child_fd).cloned();
-                                            if ready {
-                                                if let Some(h) = handler {
-                                                    h.borrow_mut()(
-                                                        sim,
-                                                        child_fd,
-                                                        SockEvent::Readable,
-                                                    );
-                                                }
-                                            }
-                                        });
-                                        child_fd
-                                    }
-                                };
-                                app.borrow_mut()
-                                    .accept_ready
-                                    .entry(fd)
-                                    .or_default()
-                                    .push(child_fd);
-                                select::rescan_local(&app, sim);
-                                if let Some(h) = handler {
-                                    h.borrow_mut()(sim, fd, SockEvent::Readable);
-                                }
-                            }
-                            Err(e) => {
-                                if let Some(h) = handler {
-                                    h.borrow_mut()(sim, fd, SockEvent::Error(e));
-                                }
-                            }
-                        }
-                    }),
-                );
-                this.borrow().finish(charge);
-                // Re-check: the callback may have completed synchronously
-                // via a zero-delay event only after we return, so report
-                // WouldBlock; the Readable event signals readiness.
-                Err(SocketError::WouldBlock)
-            }
+        if mode == ApiMode::InKernel {
+            let (_, Some(Path::Kern(stack, sock))) = AppLib::resolve(this, fd)? else {
+                return Err(SocketError::BadSocket);
+            };
+            let child = AppLib::charged(this, sim, |_, charge| {
+                this.borrow().control_trap(charge);
+                stack.borrow_mut().accept(sock)
+            })?;
+            let child_fd = this.borrow_mut().alloc_fd(Proto::Tcp, FdState::Kern(child));
+            AppLib::register_sock(this, child, child_fd);
+            return Ok(child_fd);
         }
+        // Ready connection already delivered?
+        if let Some(ready) = this
+            .borrow_mut()
+            .accept_ready
+            .get_mut(&fd)
+            .and_then(|q| (!q.is_empty()).then(|| q.remove(0)))
+        {
+            return Ok(ready);
+        }
+        // Issue (at most one) outstanding proxy_accept.
+        if this.borrow().accept_pending.contains(&fd) {
+            return Err(SocketError::WouldBlock);
+        }
+        let server = this.borrow().server.clone().expect("server");
+        let sid = this.borrow().session_of(fd).ok_or(SocketError::BadSocket)?;
+        let is_library = matches!(mode, ApiMode::Library { .. });
+        let ep_cell = Rc::new(Cell::new(None));
+        let rx = is_library.then(|| AppLib::rx_setup(this, &ep_cell));
+        this.borrow_mut().accept_pending.insert(fd);
+        let weak = this.borrow().me.clone();
+        let done = Box::new(move |sim: &mut Sim, result| {
+            let Some(app) = weak.upgrade() else { return };
+            app.borrow_mut().accept_pending.remove(&fd);
+            let handler = app.borrow().handlers.get(&fd).cloned();
+            let reply = match result {
+                Ok(reply) => reply,
+                Err(e) => {
+                    if let Some(h) = handler {
+                        h.borrow_mut()(sim, fd, SockEvent::Error(e));
+                    }
+                    return;
+                }
+            };
+            let child_fd = match reply {
+                SessionReply::Migrated(m) => {
+                    let child_fd = app.borrow_mut().alloc_fd(Proto::Tcp, FdState::Fresh(None));
+                    AppLib::adopt_migrated(&app, sim, child_fd, m, ep_cell.clone());
+                    child_fd
+                }
+                SessionReply::ServerResident { session, .. } => {
+                    let state = FdState::Session(session);
+                    let child_fd = app.borrow_mut().alloc_fd(Proto::Tcp, state);
+                    AppLib::server_resident(&app, child_fd, session);
+                    // Surface data that arrived while the connection
+                    // waited in the accept queue.
+                    let weak = app.borrow().me.clone();
+                    let at = sim.now();
+                    sim.at(at, move |sim| {
+                        let Some(app) = weak.upgrade() else { return };
+                        let ready = app.borrow().poll(child_fd).0;
+                        let handler = app.borrow().handlers.get(&child_fd).cloned();
+                        if let (true, Some(h)) = (ready, handler) {
+                            h.borrow_mut()(sim, child_fd, SockEvent::Readable);
+                        }
+                    });
+                    child_fd
+                }
+            };
+            app.borrow_mut()
+                .accept_ready
+                .entry(fd)
+                .or_default()
+                .push(child_fd);
+            select::rescan_local(&app, sim);
+            if let Some(h) = handler {
+                h.borrow_mut()(sim, fd, SockEvent::Readable);
+            }
+        });
+        AppLib::charged(this, sim, |sim, charge| {
+            this.borrow_mut().stats.control_rpcs += 1;
+            OsServer::proxy_accept(&server, sim, charge, sid, rx, done);
+        });
+        // Re-check: the callback may have completed synchronously via a
+        // zero-delay event only after we return, so report WouldBlock;
+        // the Readable event signals readiness.
+        Err(SocketError::WouldBlock)
     }
 
     /// `close(2)`: for migrated sessions, exports the state back to the
     /// operating system, which runs the shutdown protocol (§3.2
     /// "Terminating session state").
     pub fn close(this: &AppHandle, sim: &mut Sim, fd: Fd) {
-        let mode = this.borrow().mode;
         let Some(entry) = this.borrow_mut().fds.remove(&fd) else {
             return;
         };
-        this.borrow_mut().handlers.remove(&fd);
-        this.borrow_mut().accept_ready.remove(&fd);
-        this.borrow_mut().watched.remove(&fd);
-        match entry.state {
+        {
+            let mut app = this.borrow_mut();
+            app.handlers.remove(&fd);
+            app.accept_ready.remove(&fd);
+            app.watched.remove(&fd);
+        }
+        let (session, state) = match entry.state {
             FdState::Kern(sock) => {
                 let stack = this.borrow().stack.clone().expect("kernel stack");
                 let local = stack.borrow().local_addr(sock);
-                let mut charge = this.borrow().begin(sim);
-                charge.crossing_in(
-                    Domain::Kernel,
-                    Layer::Control,
-                    SimTime::from_nanos(this.borrow().costs.trap),
-                );
-                stack.borrow_mut().close(sim, &mut charge, sock);
-                this.borrow().finish(charge);
-                this.borrow_mut().sock_to_fd.remove(&sock);
-                let ports = this.borrow().kern_ports.clone();
-                if let (Some(addr), Some(ports)) = (local, ports) {
+                AppLib::charged(this, sim, |sim, charge| {
+                    this.borrow().control_trap(charge);
+                    stack.borrow_mut().close(sim, charge, sock);
+                });
+                let mut app = this.borrow_mut();
+                app.sock_to_fd.remove(&sock);
+                if let (Some(addr), Some(ports)) = (local, &app.kern_ports) {
                     ports.borrow_mut().release(entry.proto, addr.port);
                 }
+                return;
             }
             FdState::Local { session, sock, .. } => {
                 let stack = this.borrow().stack.clone().expect("library stack");
                 let state = stack.borrow_mut().export_session(sim, sock);
-                this.borrow_mut().sock_to_fd.remove(&sock);
-                this.borrow_mut().stats.migrations_out += 1;
-                let server = this.borrow().server.clone();
-                if let (Some(sid), Some(server)) = (session, server) {
-                    this.borrow_mut().session_to_fd.remove(&sid);
-                    let mut charge = this.borrow().begin(sim);
-                    this.borrow_mut().stats.control_rpcs += 1;
-                    OsServer::proxy_close(&server, sim, &mut charge, sid, state);
-                    this.borrow().finish(charge);
-                }
+                let mut app = this.borrow_mut();
+                app.sock_to_fd.remove(&sock);
+                app.stats.migrations_out += 1;
+                (session, state)
             }
-            FdState::Session(sid) | FdState::Fresh(Some(sid)) => {
-                let server = this.borrow().server.clone();
-                if let Some(server) = server {
-                    this.borrow_mut().session_to_fd.remove(&sid);
-                    let mut charge = this.borrow().begin(sim);
-                    this.borrow_mut().stats.control_rpcs += 1;
-                    OsServer::proxy_close(&server, sim, &mut charge, sid, None);
-                    this.borrow().finish(charge);
-                }
-            }
-            FdState::Fresh(None) => {}
+            FdState::Session(sid) | FdState::Fresh(Some(sid)) => (Some(sid), None),
+            FdState::Fresh(None) => (None, None),
+        };
+        let server = this.borrow().server.clone();
+        if let (Some(sid), Some(server)) = (session, server) {
+            this.borrow_mut().session_to_fd.remove(&sid);
+            AppLib::charged(this, sim, |sim, charge| {
+                this.borrow_mut().stats.control_rpcs += 1;
+                OsServer::proxy_close(&server, sim, charge, sid, state);
+            });
         }
-        if !matches!(mode, ApiMode::InKernel) {
-            select::rescan_local(this, sim);
-        }
+        select::rescan_local(this, sim);
     }
 
     /// `fork(2)`: every migrated session is first returned to the
@@ -716,69 +531,56 @@ impl AppLib {
     /// reach them through the server.
     pub fn fork(this: &AppHandle, sim: &mut Sim) -> Result<AppHandle, SocketError> {
         let mode = this.borrow().mode;
-        let (ApiMode::Library { .. } | ApiMode::ServerBased) = mode else {
+        if mode == ApiMode::InKernel {
             return Err(SocketError::OpNotSupp);
-        };
+        }
         let server = this.borrow().server.clone().expect("server");
         let parent_proc = this.borrow().proc.expect("registered");
 
         // Step 1: return all local sessions.
-        let local_fds: Vec<Fd> = this
+        let locals: Vec<(Fd, SockId, SessionId)> = this
             .borrow()
             .fds
             .iter()
-            .filter(|(_, e)| matches!(e.state, FdState::Local { .. }))
-            .map(|(fd, _)| *fd)
+            .filter_map(|(fd, e)| match e.state {
+                FdState::Local {
+                    session: Some(sid),
+                    sock,
+                    ..
+                } => Some((*fd, sock, sid)),
+                _ => None,
+            })
             .collect();
-        for fd in local_fds {
-            let (sock, sid) = {
-                let app = this.borrow();
-                let FdState::Local { session, sock, .. } =
-                    app.fds.get(&fd).expect("listed above").state.clone_parts()
-                else {
-                    continue;
-                };
-                (sock, session)
-            };
-            let Some(sid) = sid else { continue };
+        for (fd, sock, sid) in locals {
             let stack = this.borrow().stack.clone().expect("library stack");
             let Some(state) = stack.borrow_mut().export_session(sim, sock) else {
                 continue;
             };
-            this.borrow_mut().sock_to_fd.remove(&sock);
-            this.borrow_mut().stats.migrations_out += 1;
-            let mut charge = this.borrow().begin(sim);
-            this.borrow_mut().stats.control_rpcs += 1;
-            OsServer::proxy_return(&server, sim, &mut charge, sid, state)?;
-            this.borrow().finish(charge);
-            if let Some(entry) = this.borrow_mut().fds.get_mut(&fd) {
-                entry.state = FdState::Session(sid);
+            {
+                let mut app = this.borrow_mut();
+                app.sock_to_fd.remove(&sock);
+                app.stats.migrations_out += 1;
             }
-            AppLib::attach_server_notify(this, fd, sid);
+            AppLib::charged(this, sim, |sim, charge| {
+                this.borrow_mut().stats.control_rpcs += 1;
+                OsServer::proxy_return(&server, sim, charge, sid, state)
+            })?;
+            AppLib::server_resident(this, fd, sid);
         }
 
         // Step 2: duplicate the process at the server.
-        let mut charge = this.borrow().begin(sim);
-        this.borrow_mut().stats.control_rpcs += 1;
-        let child_proc = server.borrow_mut().fork(&mut charge, parent_proc)?;
-        this.borrow().finish(charge);
+        let child_proc = AppLib::charged(this, sim, |_, charge| {
+            this.borrow_mut().stats.control_rpcs += 1;
+            server.borrow_mut().fork(charge, parent_proc)
+        })?;
 
         // Step 3: build the child's library with shared descriptors.
+        let kernel = this.borrow().kernel.clone();
         let child = match mode {
-            ApiMode::Library { rx_mode } => {
-                let kernel = this.borrow().kernel.clone();
-                let child = AppLib::new_library(&kernel, &server, rx_mode);
-                child.borrow_mut().proc = Some(child_proc);
-                child
-            }
-            ApiMode::ServerBased => {
-                let kernel = this.borrow().kernel.clone();
-                let child = AppLib::new_server_based(&kernel, &server);
-                child.borrow_mut().proc = Some(child_proc);
-                child
-            }
-            ApiMode::InKernel => unreachable!("checked above"),
+            ApiMode::Library { rx_mode } => AppLib::new_library(&kernel, &server, rx_mode),
+            _ => AppLib::new_server_based(&kernel, &server),
         };
+        child.borrow_mut().proc = Some(child_proc);
         // Mirror the descriptor table: all entries are server-resident
         // now, so both processes refer to the same sessions.
         let mirrored: Vec<(Fd, Proto, Option<SessionId>)> = this
@@ -887,25 +689,5 @@ impl AppLib {
             app.session_to_fd.remove(&sid);
         }
         true
-    }
-}
-
-impl FdState {
-    /// Helper for matching out of a borrowed entry.
-    fn clone_parts(&self) -> FdState {
-        match self {
-            FdState::Fresh(s) => FdState::Fresh(*s),
-            FdState::Session(s) => FdState::Session(*s),
-            FdState::Local {
-                session,
-                sock,
-                endpoint,
-            } => FdState::Local {
-                session: *session,
-                sock: *sock,
-                endpoint: endpoint.clone(),
-            },
-            FdState::Kern(s) => FdState::Kern(*s),
-        }
     }
 }

@@ -4,22 +4,33 @@
 //! through a session (`recv`, `recvfrom`, `recvmsg`, `read`, `readv`,
 //! and `send`, `sendto`, `sendmsg`, `write`, `writev`). For sockets,
 //! these calls are implemented entirely within the application's
-//! protocol library." [`AppLib::send`]/[`AppLib::recv`] are the core
-//! pair; the BSD spellings are provided as aliases. In library mode no
-//! operating-system interaction occurs here at all; in the baselines
-//! the same calls cross into the kernel (trap) or the server (RPC).
+//! protocol library." BSD funnels the ten into `sosend`/`soreceive`;
+//! here they funnel into four entry points — [`AppLib::send`] and
+//! [`AppLib::recv`] for streams, [`AppLib::sendto`] and
+//! [`AppLib::recvfrom`] for datagrams, each forwarding a socket of the
+//! other kind to its twin — and the other six spellings are thin
+//! veneers over those.
+//!
+//! Each entry point resolves its descriptor once and runs the arm for
+//! its placement under one charge that is always completed. In library
+//! mode the call runs in the application and no operating-system
+//! interaction occurs at all; in the baselines the same call traps into
+//! the kernel or is an RPC to the server. Where each arm charges its
+//! trap or RPC (before or after the protocol call, on success only or
+//! always) is the model's contract, tabulated in DESIGN.md §5.3.
 //!
 //! The NEWAPI variants ([`AppLib::send_shared`],
-//! [`AppLib::recv_shared`]) implement §4.2: the application and the
-//! protocol share buffers, eliminating the copy at the socket
-//! interface.
+//! [`AppLib::recv_shared`] and their batched forms) implement §4.2: the
+//! application and the protocol share buffers, eliminating the copy at
+//! the socket interface. They exist on library-local sessions only.
 
-use crate::{ApiMode, AppHandle, AppLib, Fd, FdState};
+use crate::{AppHandle, AppLib, Fd, Path};
 use psd_kernel::rpc_data_charge;
 use psd_mbuf::MbufChain;
-use psd_netstack::{InetAddr, SocketError};
+use psd_netstack::stack::StackHandle;
+use psd_netstack::{InetAddr, NetStack, SockId, SocketError};
 use psd_server::Proto;
-use psd_sim::{Domain, Layer, Sim, SimTime};
+use psd_sim::{Charge, Domain, Layer, Sim};
 use std::rc::Rc;
 
 impl AppLib {
@@ -30,51 +41,32 @@ impl AppLib {
         fd: Fd,
         data: &[u8],
     ) -> Result<usize, SocketError> {
-        let (proto, state) = {
-            let app = this.borrow();
-            let entry = app.fds.get(&fd).ok_or(SocketError::BadSocket)?;
-            (entry.proto, entry.state.brief())
-        };
-        if proto != Proto::Tcp {
+        let (proto, path) = AppLib::resolve(this, fd)?;
+        if proto == Proto::Udp {
             return AppLib::sendto(this, sim, fd, data, None);
         }
-        match state {
-            Brief::Local(sock) => {
-                let stack = this.borrow().stack.clone().expect("local fd");
-                let mut charge = this.borrow().begin(sim);
-                let res = stack.borrow_mut().tcp_send(sim, &mut charge, sock, data);
-                this.borrow().finish(charge);
-                res
-            }
-            Brief::Kern(sock) => {
-                let stack = this.borrow().stack.clone().expect("kernel stack");
-                let mut charge = this.borrow().begin(sim);
-                let res = stack.borrow_mut().tcp_send(sim, &mut charge, sock, data);
+        match path.ok_or(SocketError::NotConnected)? {
+            Path::Local(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
+                stack.borrow_mut().tcp_send(sim, charge, sock, data)
+            }),
+            Path::Kern(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
+                let res = stack.borrow_mut().tcp_send(sim, charge, sock, data);
                 if res.is_ok() {
-                    charge.crossing_in(
-                        Domain::Kernel,
-                        Layer::EntryCopyin,
-                        SimTime::from_nanos(this.borrow().trap_entry()),
-                    );
-                    charge.add_ns(Layer::CopyoutExit, this.borrow().trap_exit());
+                    let app = this.borrow();
+                    app.trap_entry(charge);
+                    app.trap_exit(charge, false);
                 }
-                this.borrow().finish(charge);
                 res
-            }
-            Brief::Session(sid) => {
-                let server = this.borrow().server.clone().expect("session fd");
-                let mut charge = this.borrow().begin(sim);
-                let res = server
-                    .borrow_mut()
-                    .data_send_tcp(sim, &mut charge, sid, data);
+            }),
+            Path::Session(server, sid) => AppLib::charged(this, sim, |sim, charge| {
+                let res = server.borrow_mut().data_send_tcp(sim, charge, sid, data);
                 if let Ok(n) = res {
-                    this.borrow_mut().stats.data_rpcs += 1;
-                    rpc_data_charge(&this.borrow().costs, &mut charge, Layer::EntryCopyin, n);
+                    let mut app = this.borrow_mut();
+                    app.stats.data_rpcs += 1;
+                    rpc_data_charge(&app.costs, charge, Layer::EntryCopyin, n);
                 }
-                this.borrow().finish(charge);
                 res
-            }
-            Brief::Fresh => Err(SocketError::NotConnected),
+            }),
         }
     }
 
@@ -85,55 +77,35 @@ impl AppLib {
         fd: Fd,
         buf: &mut [u8],
     ) -> Result<usize, SocketError> {
-        let (proto, state) = {
-            let app = this.borrow();
-            let entry = app.fds.get(&fd).ok_or(SocketError::BadSocket)?;
-            (entry.proto, entry.state.brief())
-        };
-        if proto != Proto::Tcp {
+        let (proto, path) = AppLib::resolve(this, fd)?;
+        if proto == Proto::Udp {
             return AppLib::recvfrom(this, sim, fd, buf).map(|(n, _)| n);
         }
-        match state {
-            Brief::Local(sock) => {
-                let stack = this.borrow().stack.clone().expect("local fd");
-                let mut charge = this.borrow().begin(sim);
-                let res = stack.borrow_mut().tcp_recv(sim, &mut charge, sock, buf);
-                this.borrow().finish(charge);
-                res
-            }
-            Brief::Kern(sock) => {
-                let stack = this.borrow().stack.clone().expect("kernel stack");
-                let mut charge = this.borrow().begin(sim);
-                let res = stack.borrow_mut().tcp_recv(sim, &mut charge, sock, buf);
+        match path.ok_or(SocketError::NotConnected)? {
+            Path::Local(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
+                stack.borrow_mut().tcp_recv(sim, charge, sock, buf)
+            }),
+            Path::Kern(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
+                let res = stack.borrow_mut().tcp_recv(sim, charge, sock, buf);
                 if res.is_ok() {
-                    charge.crossing_in(
-                        Domain::Kernel,
-                        Layer::CopyoutExit,
-                        SimTime::from_nanos(this.borrow().trap_exit()),
-                    );
+                    this.borrow().trap_exit(charge, true);
                 }
-                this.borrow().finish(charge);
                 res
-            }
-            Brief::Session(sid) => {
-                let server = this.borrow().server.clone().expect("session fd");
-                let mut charge = this.borrow().begin(sim);
+            }),
+            Path::Session(server, sid) => AppLib::charged(this, sim, |sim, charge| {
                 this.borrow_mut().stats.data_rpcs += 1;
-                let res = server
-                    .borrow_mut()
-                    .data_recv_tcp(sim, &mut charge, sid, buf);
+                let res = server.borrow_mut().data_recv_tcp(sim, charge, sid, buf);
                 if let Ok(n) = res {
-                    rpc_data_charge(&this.borrow().costs, &mut charge, Layer::CopyoutExit, n);
+                    rpc_data_charge(&this.borrow().costs, charge, Layer::CopyoutExit, n);
                 }
-                this.borrow().finish(charge);
                 res
-            }
-            Brief::Fresh => Err(SocketError::NotConnected),
+            }),
         }
     }
 
     /// `sendto(2)` on a datagram socket (or `send` when connected, with
-    /// `dst == None`).
+    /// `dst == None`). On a stream socket it is `send`, and `dst` is
+    /// ignored.
     pub fn sendto(
         this: &AppHandle,
         sim: &mut Sim,
@@ -141,89 +113,40 @@ impl AppLib {
         data: &[u8],
         dst: Option<InetAddr>,
     ) -> Result<usize, SocketError> {
-        let mode = this.borrow().mode;
-        let state = {
-            let app = this.borrow();
-            app.fds
-                .get(&fd)
-                .ok_or(SocketError::BadSocket)?
-                .state
-                .brief()
-        };
-        // Library mode: an unbound UDP socket binds (and migrates)
-        // implicitly on first send, as BSD binds implicitly.
-        if matches!(mode, ApiMode::Library { .. }) {
-            if let Brief::Fresh = state {
-                AppLib::bind(this, sim, fd, 0)?;
-                return AppLib::sendto(this, sim, fd, data, dst);
-            }
+        let (proto, mut path) = AppLib::resolve(this, fd)?;
+        if proto == Proto::Tcp {
+            return AppLib::send(this, sim, fd, data);
         }
-        match state {
-            Brief::Local(sock) => {
-                let stack = this.borrow().stack.clone().expect("local fd");
-                let mut charge = this.borrow().begin(sim);
-                let res = stack
-                    .borrow_mut()
-                    .udp_send(sim, &mut charge, sock, data, dst);
-                this.borrow().finish(charge);
+        if path.is_none() {
+            // BSD binds an unbound datagram socket implicitly on first
+            // send; in library mode the session migrates in here.
+            AppLib::bind(this, sim, fd, 0)?;
+            path = AppLib::resolve(this, fd)?.1;
+        }
+        match path.ok_or(SocketError::NotConnected)? {
+            Path::Local(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
+                stack.borrow_mut().udp_send(sim, charge, sock, data, dst)
+            }),
+            Path::Kern(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
+                this.borrow().trap_entry(charge);
+                let bound = this.borrow().kern_autobind(&stack, sock, proto);
+                let res =
+                    bound.and_then(|()| stack.borrow_mut().udp_send(sim, charge, sock, data, dst));
+                this.borrow().trap_exit(charge, false);
                 res
-            }
-            Brief::Kern(sock) => {
-                let (stack, ports, host_ip) = {
-                    let app = this.borrow();
-                    (
-                        app.stack.clone().expect("kernel stack"),
-                        app.kern_ports.clone().expect("kernel ports"),
-                        app.host_ip,
-                    )
-                };
-                let mut charge = this.borrow().begin(sim);
-                charge.crossing_in(
-                    Domain::Kernel,
-                    Layer::EntryCopyin,
-                    SimTime::from_nanos(this.borrow().trap_entry()),
-                );
-                // Implicit bind.
-                if stack.borrow().local_addr(sock).map(|a| a.port).unwrap_or(0) == 0 {
-                    let port = ports.borrow_mut().claim(Proto::Udp, 0)?;
-                    stack
-                        .borrow_mut()
-                        .bind(sock, InetAddr::new(host_ip, port))?;
+            }),
+            // A datagram is accepted or refused whole, so the RPC is
+            // priced before the call and whatever it returns.
+            Path::Session(server, sid) => AppLib::charged(this, sim, |sim, charge| {
+                {
+                    let mut app = this.borrow_mut();
+                    app.stats.data_rpcs += 1;
+                    rpc_data_charge(&app.costs, charge, Layer::EntryCopyin, data.len());
                 }
-                let res = stack
+                server
                     .borrow_mut()
-                    .udp_send(sim, &mut charge, sock, data, dst);
-                charge.add_ns(Layer::CopyoutExit, this.borrow().trap_exit());
-                this.borrow().finish(charge);
-                res
-            }
-            Brief::Session(sid) => {
-                let server = this.borrow().server.clone().expect("session fd");
-                let mut charge = this.borrow().begin(sim);
-                this.borrow_mut().stats.data_rpcs += 1;
-                rpc_data_charge(
-                    &this.borrow().costs,
-                    &mut charge,
-                    Layer::EntryCopyin,
-                    data.len(),
-                );
-                let res = server
-                    .borrow_mut()
-                    .data_send_udp(sim, &mut charge, sid, data, dst);
-                this.borrow().finish(charge);
-                res
-            }
-            // (UDP datagrams are accepted or refused whole, so the RPC
-            // charge above is not conditional.)
-            Brief::Fresh => {
-                // Server-based: realize via bind(0) then retry.
-                if matches!(mode, ApiMode::ServerBased) {
-                    AppLib::bind(this, sim, fd, 0)?;
-                    AppLib::sendto(this, sim, fd, data, dst)
-                } else {
-                    Err(SocketError::NotConnected)
-                }
-            }
+                    .data_send_udp(sim, charge, sid, data, dst)
+            }),
         }
     }
 
@@ -234,54 +157,39 @@ impl AppLib {
         fd: Fd,
         buf: &mut [u8],
     ) -> Result<(usize, InetAddr), SocketError> {
-        let state = {
-            let app = this.borrow();
-            app.fds
-                .get(&fd)
-                .ok_or(SocketError::BadSocket)?
-                .state
-                .brief()
-        };
-        match state {
-            Brief::Local(sock) => {
-                let stack = this.borrow().stack.clone().expect("local fd");
-                let mut charge = this.borrow().begin(sim);
-                let res = stack.borrow_mut().udp_recv(sim, &mut charge, sock, buf);
-                this.borrow().finish(charge);
-                res
-            }
-            Brief::Kern(sock) => {
-                let stack = this.borrow().stack.clone().expect("kernel stack");
-                let mut charge = this.borrow().begin(sim);
-                let res = stack.borrow_mut().udp_recv(sim, &mut charge, sock, buf);
+        let path = AppLib::resolve(this, fd)?.1;
+        match path.ok_or(SocketError::NotConnected)? {
+            Path::Local(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
+                stack.borrow_mut().udp_recv(sim, charge, sock, buf)
+            }),
+            Path::Kern(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
+                let res = stack.borrow_mut().udp_recv(sim, charge, sock, buf);
                 if res.is_ok() {
-                    charge.crossing_in(
-                        Domain::Kernel,
-                        Layer::CopyoutExit,
-                        SimTime::from_nanos(this.borrow().trap_exit()),
-                    );
+                    this.borrow().trap_exit(charge, true);
                 }
-                this.borrow().finish(charge);
                 res
-            }
-            Brief::Session(sid) => {
-                let server = this.borrow().server.clone().expect("session fd");
-                let mut charge = this.borrow().begin(sim);
+            }),
+            Path::Session(server, sid) => AppLib::charged(this, sim, |sim, charge| {
                 this.borrow_mut().stats.data_rpcs += 1;
-                let res = server
-                    .borrow_mut()
-                    .data_recv_udp(sim, &mut charge, sid, buf);
+                let res = server.borrow_mut().data_recv_udp(sim, charge, sid, buf);
                 if let Ok((n, _)) = res {
-                    rpc_data_charge(&this.borrow().costs, &mut charge, Layer::CopyoutExit, n);
+                    rpc_data_charge(&this.borrow().costs, charge, Layer::CopyoutExit, n);
                 }
-                this.borrow().finish(charge);
                 res
-            }
-            Brief::Fresh => Err(SocketError::NotConnected),
+            }),
         }
     }
 
     // ----- NEWAPI (§4.2): shared application/protocol buffers -----
+
+    /// Resolves a NEWAPI descriptor: a library-local session, or
+    /// `OpNotSupp`.
+    fn shared_path(this: &AppHandle, fd: Fd) -> Result<(Proto, StackHandle, SockId), SocketError> {
+        match AppLib::resolve(this, fd)? {
+            (proto, Some(Path::Local(stack, sock))) => Ok((proto, stack, sock)),
+            _ => Err(SocketError::OpNotSupp),
+        }
+    }
 
     /// NEWAPI send: the protocol references the shared buffer instead
     /// of copying it into the socket queue. Library mode only — the
@@ -293,31 +201,10 @@ impl AppLib {
         fd: Fd,
         data: Rc<Vec<u8>>,
     ) -> Result<usize, SocketError> {
-        let state = {
-            let app = this.borrow();
-            app.fds
-                .get(&fd)
-                .ok_or(SocketError::BadSocket)?
-                .state
-                .brief()
-        };
-        let Brief::Local(sock) = state else {
-            return Err(SocketError::OpNotSupp);
-        };
-        let proto = this.borrow().fds.get(&fd).expect("exists").proto;
-        let stack = this.borrow().stack.clone().expect("local fd");
-        let mut charge = this.borrow().begin(sim);
-        let res = match proto {
-            Proto::Tcp => stack
-                .borrow_mut()
-                .tcp_send_shared(sim, &mut charge, sock, data),
-            // The library UDP send path already references user data.
-            Proto::Udp => stack
-                .borrow_mut()
-                .udp_send(sim, &mut charge, sock, &data, None),
-        };
-        this.borrow().finish(charge);
-        res
+        let (proto, stack, sock) = AppLib::shared_path(this, fd)?;
+        AppLib::charged(this, sim, |sim, charge| {
+            send_one(&mut stack.borrow_mut(), sim, charge, proto, sock, data)
+        })
     }
 
     /// NEWAPI receive: returns the buffered data as a chain sharing the
@@ -329,31 +216,10 @@ impl AppLib {
         fd: Fd,
         max: usize,
     ) -> Result<MbufChain, SocketError> {
-        let state = {
-            let app = this.borrow();
-            app.fds
-                .get(&fd)
-                .ok_or(SocketError::BadSocket)?
-                .state
-                .brief()
-        };
-        let Brief::Local(sock) = state else {
-            return Err(SocketError::OpNotSupp);
-        };
-        let proto = this.borrow().fds.get(&fd).expect("exists").proto;
-        let stack = this.borrow().stack.clone().expect("local fd");
-        let mut charge = this.borrow().begin(sim);
-        let res = match proto {
-            Proto::Tcp => stack
-                .borrow_mut()
-                .tcp_recv_chain(sim, &mut charge, sock, max),
-            Proto::Udp => stack
-                .borrow_mut()
-                .udp_recv_chain(sim, &mut charge, sock)
-                .map(|(chain, _)| chain),
-        };
-        this.borrow().finish(charge);
-        res
+        let (proto, stack, sock) = AppLib::shared_path(this, fd)?;
+        AppLib::charged(this, sim, |sim, charge| {
+            recv_one(&mut stack.borrow_mut(), sim, charge, proto, sock, max)
+        })
     }
 
     // ----- Batched NEWAPI (ISSUE 9): amortized crossings -----
@@ -371,53 +237,24 @@ impl AppLib {
         fd: Fd,
         bufs: &[Rc<Vec<u8>>],
     ) -> Result<usize, SocketError> {
-        let state = {
-            let app = this.borrow();
-            app.fds
-                .get(&fd)
-                .ok_or(SocketError::BadSocket)?
-                .state
-                .brief()
-        };
-        let Brief::Local(sock) = state else {
-            return Err(SocketError::OpNotSupp);
-        };
-        let proto = this.borrow().fds.get(&fd).expect("exists").proto;
-        let stack = this.borrow().stack.clone().expect("local fd");
-        let batch = this.borrow().kernel.borrow().batch_config();
-        if batch.batch > 1 {
-            stack.borrow().tx_batch_hint(batch.batch);
+        let (proto, stack, sock) = AppLib::shared_path(this, fd)?;
+        let batch = this.borrow().kernel.borrow().batch_config().batch;
+        if batch > 1 {
+            stack.borrow().tx_batch_hint(batch);
         }
-        let mut charge = this.borrow().begin(sim);
-        let mut sent = 0usize;
-        let mut first_err = None;
-        for data in bufs {
-            let res = match proto {
-                Proto::Tcp => {
-                    stack
-                        .borrow_mut()
-                        .tcp_send_shared(sim, &mut charge, sock, data.clone())
-                }
-                Proto::Udp => stack
-                    .borrow_mut()
-                    .udp_send(sim, &mut charge, sock, data, None),
-            };
-            match res {
-                Ok(_) => sent += 1,
-                Err(e) => {
-                    first_err = Some(e);
-                    break;
+        let res = AppLib::charged(this, sim, |sim, charge| {
+            for (sent, data) in bufs.iter().enumerate() {
+                let st = &mut stack.borrow_mut();
+                if let Err(e) = send_one(st, sim, charge, proto, sock, data.clone()) {
+                    return if sent == 0 { Err(e) } else { Ok(sent) };
                 }
             }
-        }
-        this.borrow().finish(charge);
-        if batch.batch > 1 {
+            Ok(bufs.len())
+        });
+        if batch > 1 {
             stack.borrow().tx_batch_end();
         }
-        match (sent, first_err) {
-            (0, Some(e)) => Err(e),
-            _ => Ok(sent),
-        }
+        res
     }
 
     /// GSO-style NEWAPI send: one super-descriptor the stack segments
@@ -433,56 +270,30 @@ impl AppLib {
         data: Rc<Vec<u8>>,
         seg: usize,
     ) -> Result<usize, SocketError> {
-        let state = {
-            let app = this.borrow();
-            app.fds
-                .get(&fd)
-                .ok_or(SocketError::BadSocket)?
-                .state
-                .brief()
-        };
-        let Brief::Local(sock) = state else {
-            return Err(SocketError::OpNotSupp);
-        };
+        let (proto, stack, sock) = AppLib::shared_path(this, fd)?;
         let seg = seg.max(1);
-        let proto = this.borrow().fds.get(&fd).expect("exists").proto;
-        let stack = this.borrow().stack.clone().expect("local fd");
         let gso = this.borrow().kernel.borrow().batch_config().gso;
-        let mut charge = this.borrow().begin(sim);
-        let res = match proto {
-            Proto::Tcp => stack
-                .borrow_mut()
-                .tcp_send_shared(sim, &mut charge, sock, data.clone()),
-            Proto::Udp if gso => {
-                stack
-                    .borrow_mut()
-                    .udp_send_gso(sim, &mut charge, sock, &data, seg, None)
-            }
-            Proto::Udp => {
-                // Fallback: the same wire datagrams, sent one at a time
-                // at full per-datagram cost.
-                let mut off = 0;
-                loop {
-                    let len = seg.min(data.len() - off);
-                    let r = stack.borrow_mut().udp_send(
-                        sim,
-                        &mut charge,
-                        sock,
-                        &data[off..off + len],
-                        None,
-                    );
-                    if let Err(e) = r {
-                        break Err(e);
-                    }
-                    off += len;
-                    if off >= data.len() {
-                        break Ok(data.len());
+        AppLib::charged(this, sim, |sim, charge| {
+            let mut st = stack.borrow_mut();
+            match proto {
+                Proto::Tcp => st.tcp_send_shared(sim, charge, sock, data.clone()),
+                Proto::Udp if gso => st.udp_send_gso(sim, charge, sock, &data, seg, None),
+                // Fallback: the same wire datagrams (an empty buffer is
+                // one empty datagram), sent one at a time at full
+                // per-datagram cost.
+                Proto::Udp => {
+                    let mut off = 0;
+                    loop {
+                        let len = seg.min(data.len() - off);
+                        st.udp_send(sim, charge, sock, &data[off..off + len], None)?;
+                        off += len;
+                        if off >= data.len() {
+                            break Ok(data.len());
+                        }
                     }
                 }
             }
-        };
-        this.borrow().finish(charge);
-        res
+        })
     }
 
     /// Batched NEWAPI receive: drains up to `max_descs` descriptors
@@ -501,19 +312,7 @@ impl AppLib {
         pull: bool,
     ) -> Result<Vec<psd_mbuf::RecvDesc>, SocketError> {
         use psd_filter::CopyPlacement;
-        let state = {
-            let app = this.borrow();
-            app.fds
-                .get(&fd)
-                .ok_or(SocketError::BadSocket)?
-                .state
-                .brief()
-        };
-        let Brief::Local(sock) = state else {
-            return Err(SocketError::OpNotSupp);
-        };
-        let proto = this.borrow().fds.get(&fd).expect("exists").proto;
-        let stack = this.borrow().stack.clone().expect("local fd");
+        let (proto, stack, sock) = AppLib::shared_path(this, fd)?;
         // The library agrees with the kernel about this flow's placement
         // by evaluating the same install-time policy on its own socket.
         let resident = {
@@ -529,72 +328,70 @@ impl AppLib {
             })
         };
         let kcopy_cached = this.borrow().costs.kcopy_cached_byte;
-        let mut charge = this.borrow().begin(sim);
-        let mut descs = Vec::new();
-        let mut err = None;
-        while descs.len() < max_descs {
-            let res = match proto {
-                Proto::Tcp => stack
-                    .borrow_mut()
-                    .tcp_recv_chain(sim, &mut charge, sock, max_bytes),
-                Proto::Udp => stack
-                    .borrow_mut()
-                    .udp_recv_chain(sim, &mut charge, sock)
-                    .map(|(chain, _)| chain),
-            };
-            match res {
-                Ok(chain) => {
-                    if chain.is_empty() {
-                        // TCP end of file (UDP never returns an empty
-                        // chain): stop; an empty result vector is EOF.
-                        break;
-                    }
-                    if resident && pull {
-                        // The deferred body copy: kernel memory → the
-                        // application's buffer, paid only on demand.
-                        charge.add_per_byte(Layer::CopyoutExit, kcopy_cached, chain.len());
-                        charge.note(
-                            psd_sim::OpKind::PacketBodyCopy,
-                            Domain::Library,
-                            Layer::CopyoutExit,
-                        );
-                    }
-                    descs.push(psd_mbuf::RecvDesc {
-                        chain,
-                        kernel_resident: resident,
-                    });
+        AppLib::charged(this, sim, |sim, charge| {
+            let mut descs = Vec::new();
+            while descs.len() < max_descs {
+                let res = recv_one(&mut stack.borrow_mut(), sim, charge, proto, sock, max_bytes);
+                let chain = match res {
+                    // TCP end of file (UDP never returns an empty chain):
+                    // stop; an empty result vector is EOF.
+                    Ok(chain) if chain.is_empty() => break,
+                    Ok(chain) => chain,
+                    Err(SocketError::WouldBlock) => break,
+                    Err(e) if descs.is_empty() => return Err(e),
+                    Err(_) => break,
+                };
+                if resident && pull {
+                    // The deferred body copy: kernel memory → the
+                    // application's buffer, paid only on demand.
+                    charge.add_per_byte(Layer::CopyoutExit, kcopy_cached, chain.len());
+                    charge.note(
+                        psd_sim::OpKind::PacketBodyCopy,
+                        Domain::Library,
+                        Layer::CopyoutExit,
+                    );
                 }
-                Err(SocketError::WouldBlock) => break,
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
+                descs.push(psd_mbuf::RecvDesc {
+                    chain,
+                    kernel_resident: resident,
+                });
             }
-        }
-        this.borrow().finish(charge);
-        match (descs.is_empty(), err) {
-            (true, Some(e)) => Err(e),
-            _ => Ok(descs),
-        }
+            Ok(descs)
+        })
     }
 }
 
-/// Collapsed descriptor state for dispatching data operations.
-enum Brief {
-    Local(psd_netstack::SockId),
-    Kern(psd_netstack::SockId),
-    Session(psd_server::SessionId),
-    Fresh,
+/// One NEWAPI send of a shared buffer on a library socket.
+fn send_one(
+    stack: &mut NetStack,
+    sim: &mut Sim,
+    charge: &mut Charge,
+    proto: Proto,
+    sock: SockId,
+    data: Rc<Vec<u8>>,
+) -> Result<usize, SocketError> {
+    match proto {
+        Proto::Tcp => stack.tcp_send_shared(sim, charge, sock, data),
+        // The library UDP send path already references user data.
+        Proto::Udp => stack.udp_send(sim, charge, sock, &data, None),
+    }
 }
 
-impl FdState {
-    fn brief(&self) -> Brief {
-        match self {
-            FdState::Local { sock, .. } => Brief::Local(*sock),
-            FdState::Kern(sock) => Brief::Kern(*sock),
-            FdState::Session(sid) => Brief::Session(*sid),
-            FdState::Fresh(_) => Brief::Fresh,
-        }
+/// One NEWAPI receive on a library socket: at most `max` bytes of a
+/// stream, or one datagram.
+fn recv_one(
+    stack: &mut NetStack,
+    sim: &mut Sim,
+    charge: &mut Charge,
+    proto: Proto,
+    sock: SockId,
+    max: usize,
+) -> Result<MbufChain, SocketError> {
+    match proto {
+        Proto::Tcp => stack.tcp_recv_chain(sim, charge, sock, max),
+        Proto::Udp => stack
+            .udp_recv_chain(sim, charge, sock)
+            .map(|(chain, _)| chain),
     }
 }
 

@@ -43,9 +43,9 @@ use std::rc::{Rc, Weak};
 
 use psd_kernel::{EndpointId, KernelHandle, RxMode};
 use psd_netstack::stack::StackHandle;
-use psd_netstack::{InetAddr, NetStack, Placement, SockEvent, SockId};
+use psd_netstack::{InetAddr, NetStack, Placement, SockEvent, SockId, SocketError};
 use psd_server::{PortNamespace, ProcId, Proto, ServerHandle, SessionId, UserNetIf};
-use psd_sim::{Charge, CostModel, Cpu, Domain, Sim, SimTime};
+use psd_sim::{Charge, CostModel, Cpu, Domain, Layer, Sim, SimTime};
 
 pub use select::SelectOutcome;
 
@@ -85,6 +85,9 @@ pub(crate) enum FdState {
     Local {
         session: Option<SessionId>,
         sock: SockId,
+        /// The kernel endpoint id cell shared with the session's receive
+        /// sink, which is its only reader.
+        #[allow(dead_code)]
         endpoint: Rc<Cell<Option<EndpointId>>>,
     },
     /// A socket in the in-kernel stack (monolithic baseline).
@@ -158,39 +161,59 @@ pub struct AppLib {
 pub type AppHandle = Rc<RefCell<AppLib>>;
 
 impl AppLib {
+    /// The one constructor behind the three architectures: the
+    /// application runs against `server` (server-based, library) or
+    /// `kern_ports` (in-kernel) and drives `stack` (its own in library
+    /// mode, the host's in-kernel one, none when every call is an RPC).
+    fn with_parts(
+        kernel: &KernelHandle,
+        mode: ApiMode,
+        server: Option<&ServerHandle>,
+        stack: Option<StackHandle>,
+        kern_ports: Option<Rc<RefCell<PortNamespace>>>,
+    ) -> AppHandle {
+        let host_ip = match (&stack, server) {
+            (Some(stack), _) => stack.borrow().ip_addr,
+            (None, Some(server)) => server.borrow().stack().borrow().ip_addr,
+            (None, None) => unreachable!("an application has a stack or a server"),
+        };
+        Rc::new_cyclic(|me| {
+            RefCell::new(AppLib {
+                me: me.clone(),
+                mode,
+                costs: kernel.borrow().costs().clone(),
+                cpu: kernel.borrow().cpu(),
+                kernel: kernel.clone(),
+                server: server.cloned(),
+                proc: server.map(|s| s.borrow_mut().register_process()),
+                stack,
+                kern_ports,
+                host_ip,
+                fds: HashMap::new(),
+                next_fd: 3,
+                sock_to_fd: HashMap::new(),
+                session_to_fd: HashMap::new(),
+                handlers: HashMap::new(),
+                accept_ready: HashMap::new(),
+                accept_pending: HashSet::new(),
+                watched: HashSet::new(),
+                local_selects: Vec::new(),
+                next_token: 1,
+                stats: AppStats::default(),
+            })
+        })
+    }
+
     /// Creates an application in the decomposed (library) architecture.
     pub fn new_library(kernel: &KernelHandle, server: &ServerHandle, rx_mode: RxMode) -> AppHandle {
         let costs = kernel.borrow().costs().clone();
         let cpu = kernel.borrow().cpu();
         let host_ip = server.borrow().stack().borrow().ip_addr;
         // The application links its own protocol stack.
-        let stack = NetStack::new(Placement::Library, costs.clone(), cpu.clone(), host_ip);
+        let stack = NetStack::new(Placement::Library, costs, cpu, host_ip);
         stack.borrow_mut().set_ifnet(UserNetIf::new(kernel.clone()));
-        let proc = server.borrow_mut().register_process();
-        let app = Rc::new(RefCell::new(AppLib {
-            me: Weak::new(),
-            mode: ApiMode::Library { rx_mode },
-            costs,
-            cpu,
-            kernel: kernel.clone(),
-            server: Some(server.clone()),
-            proc: Some(proc),
-            stack: Some(stack.clone()),
-            kern_ports: None,
-            host_ip,
-            fds: HashMap::new(),
-            next_fd: 3,
-            sock_to_fd: HashMap::new(),
-            session_to_fd: HashMap::new(),
-            handlers: HashMap::new(),
-            accept_ready: HashMap::new(),
-            accept_pending: HashSet::new(),
-            watched: HashSet::new(),
-            local_selects: Vec::new(),
-            next_token: 1,
-            stats: AppStats::default(),
-        }));
-        app.borrow_mut().me = Rc::downgrade(&app);
+        let mode = ApiMode::Library { rx_mode };
+        let app = AppLib::with_parts(kernel, mode, Some(server), Some(stack.clone()), None);
 
         // The ARP resolver upcall: a control RPC to the server.
         let weak_server = Rc::downgrade(server);
@@ -236,43 +259,12 @@ impl AppLib {
                     }
                 },
             )));
-
-        // Route local stack events to descriptors.
-        AppLib::install_stack_router(&app, &stack);
         app
     }
 
     /// Creates an application in the server-based baseline.
     pub fn new_server_based(kernel: &KernelHandle, server: &ServerHandle) -> AppHandle {
-        let costs = kernel.borrow().costs().clone();
-        let cpu = kernel.borrow().cpu();
-        let host_ip = server.borrow().stack().borrow().ip_addr;
-        let proc = server.borrow_mut().register_process();
-        let app = Rc::new(RefCell::new(AppLib {
-            me: Weak::new(),
-            mode: ApiMode::ServerBased,
-            costs,
-            cpu,
-            kernel: kernel.clone(),
-            server: Some(server.clone()),
-            proc: Some(proc),
-            stack: None,
-            kern_ports: None,
-            host_ip,
-            fds: HashMap::new(),
-            next_fd: 3,
-            sock_to_fd: HashMap::new(),
-            session_to_fd: HashMap::new(),
-            handlers: HashMap::new(),
-            accept_ready: HashMap::new(),
-            accept_pending: HashSet::new(),
-            watched: HashSet::new(),
-            local_selects: Vec::new(),
-            next_token: 1,
-            stats: AppStats::default(),
-        }));
-        app.borrow_mut().me = Rc::downgrade(&app);
-        app
+        AppLib::with_parts(kernel, ApiMode::ServerBased, Some(server), None, None)
     }
 
     /// Creates an application in the monolithic in-kernel baseline.
@@ -283,35 +275,8 @@ impl AppLib {
         kern_stack: &StackHandle,
         kern_ports: &Rc<RefCell<PortNamespace>>,
     ) -> AppHandle {
-        let costs = kernel.borrow().costs().clone();
-        let cpu = kernel.borrow().cpu();
-        let host_ip = kern_stack.borrow().ip_addr;
-        let app = Rc::new(RefCell::new(AppLib {
-            me: Weak::new(),
-            mode: ApiMode::InKernel,
-            costs,
-            cpu,
-            kernel: kernel.clone(),
-            server: None,
-            proc: None,
-            stack: Some(kern_stack.clone()),
-            kern_ports: Some(kern_ports.clone()),
-            host_ip,
-            fds: HashMap::new(),
-            next_fd: 3,
-            sock_to_fd: HashMap::new(),
-            session_to_fd: HashMap::new(),
-            handlers: HashMap::new(),
-            accept_ready: HashMap::new(),
-            accept_pending: HashSet::new(),
-            watched: HashSet::new(),
-            local_selects: Vec::new(),
-            next_token: 1,
-            stats: AppStats::default(),
-        }));
-        app.borrow_mut().me = Rc::downgrade(&app);
-        AppLib::install_stack_router(&app, kern_stack);
-        app
+        let (stack, ports) = (Some(kern_stack.clone()), Some(kern_ports.clone()));
+        AppLib::with_parts(kernel, ApiMode::InKernel, None, stack, ports)
     }
 
     /// The architecture this application runs against.
@@ -355,14 +320,6 @@ impl AppLib {
     /// Completes a charge cursor.
     pub fn finish(&self, charge: Charge) {
         self.cpu.borrow_mut().finish(charge);
-    }
-
-    /// Hooks the (library or kernel) stack's per-socket events into the
-    /// descriptor table. Sockets are registered lazily as fds bind to
-    /// them via [`AppLib::register_sock`].
-    fn install_stack_router(_app: &AppHandle, _stack: &StackHandle) {
-        // Routing is attached per-socket in `register_sock`; nothing
-        // global is needed.
     }
 
     /// Associates a stack socket with a descriptor, wiring event
@@ -438,10 +395,9 @@ impl AppLib {
             )
         };
         this.borrow_mut().stats.status_reports += 1;
-        let charge = this.borrow().begin(sim);
-        let mut charge = charge;
-        psd_server::OsServer::proxy_status(&server, sim, &mut charge, session, readable, writable);
-        this.borrow().finish(charge);
+        AppLib::charged(this, sim, |sim, charge| {
+            psd_server::OsServer::proxy_status(&server, sim, charge, session, readable, writable);
+        });
     }
 
     /// Polls a descriptor's readiness without blocking.
@@ -533,17 +489,113 @@ impl AppLib {
     pub fn open_fds(&self) -> usize {
         self.fds.len()
     }
+}
 
-    /// The entry side of a data-path syscall. Table 4 charges most of
-    /// the trap to `entry/copyin` (kernel TCP: 50 µs entry vs 32 µs
-    /// exit), so the split is 80/20.
-    pub(crate) fn trap_entry(&self) -> u64 {
-        self.costs.trap * 8 / 10
+/// Where a realized descriptor's session lives, holding the handle that
+/// reaches it: the proxy's three answers to a BSD call (§3.2, Table 1).
+enum Path {
+    /// Migrated into this library's stack: the call is handled locally.
+    Local(StackHandle, SockId),
+    /// A socket in the host's in-kernel stack: the call traps.
+    Kern(StackHandle, SockId),
+    /// Resident at the server: the call is an RPC.
+    Session(ServerHandle, SessionId),
+}
+
+/// The placement dispatch every data and control call goes through:
+/// one lookup, one charge, and the few priced steps the placements add
+/// around the protocol code they share.
+impl AppLib {
+    /// Resolves `fd` under one borrow to its protocol and its [`Path`],
+    /// `None` while the descriptor is `Fresh` (nothing realized yet).
+    /// Always inlined, with the caller matching the path before it opens
+    /// the charge: returned or captured whole, the handle-carrying enum
+    /// cost a library `recv` about 20 ns more per call (x86-64, 2 vCPUs).
+    #[inline(always)]
+    fn resolve(this: &AppHandle, fd: Fd) -> Result<(Proto, Option<Path>), SocketError> {
+        let app = this.borrow();
+        let entry = app.fds.get(&fd).ok_or(SocketError::BadSocket)?;
+        let stack = || app.stack.clone().expect("a socket fd has a stack");
+        let path = match entry.state {
+            FdState::Local { sock, .. } => Some(Path::Local(stack(), sock)),
+            FdState::Kern(sock) => Some(Path::Kern(stack(), sock)),
+            FdState::Session(sid) => {
+                let server = app.server.clone().expect("a session fd has a server");
+                Some(Path::Session(server, sid))
+            }
+            FdState::Fresh(_) => None,
+        };
+        Ok((entry.proto, path))
     }
 
-    /// The exit side of a data-path syscall.
-    pub(crate) fn trap_exit(&self) -> u64 {
-        self.costs.trap * 2 / 10
+    /// Runs `body` under one CPU charge cursor and completes the cursor
+    /// on every return path, so a refused call is priced like any other.
+    fn charged<T>(
+        this: &AppHandle,
+        sim: &mut Sim,
+        body: impl FnOnce(&mut Sim, &mut Charge) -> T,
+    ) -> T {
+        let mut charge = this.borrow().begin(sim);
+        let out = body(sim, &mut charge);
+        this.borrow().finish(charge);
+        out
+    }
+
+    /// The in-kernel control trap (`socket`, `bind`, `connect`,
+    /// `listen`, `accept`, `close`).
+    fn control_trap(&self, charge: &mut Charge) {
+        let trap = SimTime::from_nanos(self.costs.trap);
+        charge.crossing_in(Domain::Kernel, Layer::Control, trap);
+    }
+
+    /// The entry side of an in-kernel data call, counted as its
+    /// crossing. Table 4 charges most of the trap to `entry/copyin`
+    /// (kernel TCP: 50 µs entry vs 32 µs exit), so the split is 80/20.
+    fn trap_entry(&self, charge: &mut Charge) {
+        let entry = SimTime::from_nanos(self.costs.trap * 8 / 10);
+        charge.crossing_in(Domain::Kernel, Layer::EntryCopyin, entry);
+    }
+
+    /// The exit side of an in-kernel data call. A receive prices no
+    /// entry side, so its exit is the crossing `counted`; a send's was
+    /// counted on entry.
+    fn trap_exit(&self, charge: &mut Charge, counted: bool) {
+        let exit = SimTime::from_nanos(self.costs.trap * 2 / 10);
+        if counted {
+            charge.crossing_in(Domain::Kernel, Layer::CopyoutExit, exit);
+        } else {
+            charge.add(Layer::CopyoutExit, exit);
+        }
+    }
+
+    /// Binds an in-kernel socket to `port` (0: an ephemeral one) from
+    /// the host's shared port namespace.
+    fn kern_bind(
+        &self,
+        stack: &StackHandle,
+        sock: SockId,
+        proto: Proto,
+        port: u16,
+    ) -> Result<(), SocketError> {
+        let ports = self.kern_ports.as_ref().expect("kernel ports");
+        let port = ports.borrow_mut().claim(proto, port)?;
+        stack
+            .borrow_mut()
+            .bind(sock, InetAddr::new(self.host_ip, port))
+    }
+
+    /// The implicit bind before an in-kernel socket's first `connect`
+    /// or `sendto`: an ephemeral port, unless one is bound already.
+    fn kern_autobind(
+        &self,
+        stack: &StackHandle,
+        sock: SockId,
+        proto: Proto,
+    ) -> Result<(), SocketError> {
+        if stack.borrow().local_addr(sock).map_or(0, |a| a.port) == 0 {
+            self.kern_bind(stack, sock, proto, 0)?;
+        }
+        Ok(())
     }
 }
 

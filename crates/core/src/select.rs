@@ -150,28 +150,22 @@ impl AppLib {
         let weak = this.borrow().me.clone();
         let read2 = read.clone();
         let write2 = write.clone();
-        let mut charge = this.borrow().begin(sim);
-        this.borrow_mut().stats.control_rpcs += 1;
-        OsServer::select(
-            &server,
-            sim,
-            &mut charge,
-            watch,
-            timeout,
-            Box::new(move |sim, _ready_sessions| {
-                let Some(app) = weak.upgrade() else { return };
-                for fd in &read2 {
-                    app.borrow_mut().watched.remove(fd);
-                }
-                for fd in &write2 {
-                    app.borrow_mut().watched.remove(fd);
-                }
-                let mut outcome = poll_sets(&app, &read2, &write2);
-                outcome.timed_out = outcome.is_empty();
-                done(sim, outcome);
-            }),
-        );
-        this.borrow().finish(charge);
+        let wake = Box::new(move |sim: &mut Sim, _ready_sessions| {
+            let Some(app) = weak.upgrade() else { return };
+            for fd in &read2 {
+                app.borrow_mut().watched.remove(fd);
+            }
+            for fd in &write2 {
+                app.borrow_mut().watched.remove(fd);
+            }
+            let mut outcome = poll_sets(&app, &read2, &write2);
+            outcome.timed_out = outcome.is_empty();
+            done(sim, outcome);
+        });
+        AppLib::charged(this, sim, |sim, charge| {
+            this.borrow_mut().stats.control_rpcs += 1;
+            OsServer::select(&server, sim, charge, watch, timeout, wake);
+        });
     }
 }
 

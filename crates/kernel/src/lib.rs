@@ -2058,7 +2058,7 @@ mod tests {
                 5555,
                 1000 + i * 50,
                 TcpFlags::ACK,
-                &vec![0xAB; 50],
+                &[0xAB; 50],
             );
             Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         }
@@ -2095,7 +2095,7 @@ mod tests {
                 5555,
                 seq,
                 flags,
-                &vec![0xCD; 100],
+                &[0xCD; 100],
             );
             Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         }
@@ -2156,7 +2156,7 @@ mod tests {
             5555,
             1000,
             TcpFlags::ACK,
-            &vec![0xEF; 80],
+            &[0xEF; 80],
         );
         Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         // Mid-hold (well before the 2 ms flush deadline): the session

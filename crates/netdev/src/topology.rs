@@ -879,14 +879,16 @@ mod tests {
         Ipv4Addr::new(a, b, c, d)
     }
 
+    type HostHandle = Rc<RefCell<HostStation>>;
+
     /// Two segments, a router port on each, directly attached routes.
     fn two_seg_router() -> (
         Sim,
         EthernetHandle,
         EthernetHandle,
         RouterHandle,
-        Rc<RefCell<HostStation>>,
-        Rc<RefCell<HostStation>>,
+        HostHandle,
+        HostHandle,
     ) {
         let mut sim = Sim::new(7);
         let sa = Ethernet::new(EtherTiming::ten_megabit());

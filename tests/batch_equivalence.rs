@@ -513,7 +513,7 @@ fn crossings_scale_as_ceiling_of_packets_over_batch() {
     const P: usize = 50;
     for config in CONFIGS {
         for &b in &BATCHES {
-            let want = (P + b - 1) / b;
+            let want = P.div_ceil(b);
             assert_eq!(
                 crossings_for(config, P, b),
                 want as u64,

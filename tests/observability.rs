@@ -237,7 +237,7 @@ fn metrics_sampler_is_inert_and_observes_real_state() {
     assert!(m.sample_count() > 0, "the sampler must actually sample");
     let names = m.gauge_names();
     assert!(
-        names.iter().any(|n| n.starts_with("h0.")) && names.iter().any(|n| *n == "mbuf.hits"),
+        names.iter().any(|n| n.starts_with("h0.")) && names.contains(&"mbuf.hits"),
         "host and mbuf gauges registered: {names:?}"
     );
     // Virtual-time cadence: strictly increasing sample timestamps.

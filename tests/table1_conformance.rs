@@ -6,11 +6,20 @@
 mod common;
 
 use common::{run_until, tcp_client, tcp_echo_server, udp_echo_server};
-use psd::core::AppLib;
-use psd::netstack::InetAddr;
+use psd::core::{AppHandle, AppLib, Fd, FdEventFn};
+use psd::netstack::{InetAddr, SockEvent, SocketError};
 use psd::server::Proto;
-use psd::sim::{Platform, SimTime};
+use psd::sim::{CensusHandle, Cpu, Layer, OpKind, Platform, Sim, SimTime};
 use psd::systems::{SystemConfig, TestBed};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
+
+/// The three architectures: library, server and in-kernel.
+const ARCHS: [SystemConfig; 3] = [
+    SystemConfig::LibraryShm,
+    SystemConfig::UxServer,
+    SystemConfig::Mach25InKernel,
+];
 
 fn lib_bed() -> TestBed {
     TestBed::new(SystemConfig::LibraryShm, Platform::DecStation5000_200, 21)
@@ -287,5 +296,341 @@ fn all_ten_data_call_spellings_work() {
             5,
             "one send trap per send-side spelling"
         );
+    }
+}
+
+/// What one call cost host 0: Δ`Cpu::total_busy` in ns, Δ boundary
+/// crossings per layer (changed layers only) and Δ`data_rpcs`.
+#[derive(Debug, PartialEq)]
+struct Cost {
+    busy_ns: u64,
+    crossings: Vec<(Layer, u64)>,
+    data_rpcs: u64,
+}
+
+/// Reads host 0's CPU, census and application counters around a call.
+struct Meter {
+    cpu: Rc<RefCell<Cpu>>,
+    census: CensusHandle,
+    app: AppHandle,
+}
+
+impl Meter {
+    fn on_host0(bed: &mut TestBed, app: &AppHandle) -> Meter {
+        Meter {
+            cpu: bed.hosts[0].cpu.clone(),
+            census: bed.attach_census().swap_remove(0),
+            app: app.clone(),
+        }
+    }
+
+    fn read(&self) -> (u64, Vec<u64>, u64) {
+        let census = self.census.borrow();
+        let crossings = Layer::ALL
+            .iter()
+            .map(|l| census.layer_total(OpKind::BoundaryCrossing, *l))
+            .collect();
+        let busy = self.cpu.borrow().total_busy().as_nanos();
+        (busy, crossings, self.app.borrow().stats.data_rpcs)
+    }
+
+    fn measure<T>(&self, call: impl FnOnce() -> T) -> (T, Cost) {
+        let (busy0, cross0, rpcs0) = self.read();
+        let out = call();
+        let (busy1, cross1, rpcs1) = self.read();
+        let crossings = Layer::ALL
+            .iter()
+            .zip(cross1.iter().zip(&cross0))
+            .filter(|(_, (after, before))| after != before)
+            .map(|(l, (after, before))| (*l, after - before))
+            .collect();
+        let cost = Cost {
+            busy_ns: busy1 - busy0,
+            crossings,
+            data_rpcs: rpcs1 - rpcs0,
+        };
+        (out, cost)
+    }
+}
+
+/// Connects a TCP descriptor whose handler only notes completion, so
+/// arriving data waits for the test's own `recv`.
+fn connect_quiet(bed: &mut TestBed, app: &AppHandle, dst: InetAddr) -> Fd {
+    let fd = AppLib::socket(app, &mut bed.sim, Proto::Tcp);
+    let up = Rc::new(Cell::new(false));
+    let up2 = up.clone();
+    let handler: FdEventFn = Rc::new(RefCell::new(move |_: &mut Sim, _: Fd, ev: SockEvent| {
+        if ev == SockEvent::Connected {
+            up2.set(true);
+        }
+    }));
+    app.borrow_mut().set_event_handler(fd, handler);
+    AppLib::connect(app, &mut bed.sim, fd, dst).unwrap();
+    assert!(run_until(bed, SimTime::from_secs(5), || up.get()));
+    fd
+}
+
+/// Ports claimed on host 0: the kernel's namespace in the in-kernel
+/// baseline, the server's otherwise.
+fn ports_claimed(bed: &TestBed) -> usize {
+    match (&bed.hosts[0].kern_ports, &bed.hosts[0].server) {
+        (Some(ports), _) => ports.borrow().len(),
+        (None, Some(server)) => server.borrow().ports().len(),
+        (None, None) => unreachable!("every host has a port namespace"),
+    }
+}
+
+type Row = (
+    SystemConfig,
+    &'static str,
+    Result<usize, SocketError>,
+    u64,
+    &'static [(Layer, u64)],
+    u64,
+);
+
+/// The data path's charges per placement, pinned: for each of
+/// `send`/`recv` on TCP and `sendto`/`recvfrom` on UDP, once on a
+/// success path and once on an error path, what the call added to host
+/// 0's busy time, to its boundary crossings per layer, and to the
+/// application's data RPCs. Where a placement charges its trap or RPC
+/// (before or after the stack call, on success only or always) is the
+/// model's contract (DESIGN.md §5.3), so these literals only move when
+/// the model is deliberately re-priced.
+#[test]
+fn data_path_charges_are_pinned_per_placement() {
+    use Layer::*;
+    use SocketError::*;
+    use SystemConfig::*;
+    const WANT: &[Row] = &[
+        (LibraryShm, "send", Ok(5), 248615, &[(EtherOutput, 1)], 0),
+        (LibraryShm, "send", Err(NotConnected), 0, &[], 0),
+        (LibraryShm, "sendto", Ok(5), 166401, &[(EtherOutput, 1)], 0),
+        (LibraryShm, "sendto", Err(NotConnected), 0, &[], 0),
+        (LibraryShm, "recv", Ok(5), 24630, &[], 0),
+        (LibraryShm, "recv", Err(WouldBlock), 0, &[], 0),
+        (LibraryShm, "recvfrom", Ok(5), 18630, &[], 0),
+        (LibraryShm, "recvfrom", Err(WouldBlock), 0, &[], 0),
+        (
+            UxServer,
+            "send",
+            Ok(5),
+            685215,
+            &[(EntryCopyin, 2), (EtherOutput, 1)],
+            1,
+        ),
+        (UxServer, "send", Err(NotConnected), 0, &[], 0),
+        (
+            UxServer,
+            "sendto",
+            Ok(5),
+            703851,
+            &[(EntryCopyin, 2), (EtherOutput, 1)],
+            1,
+        ),
+        (
+            UxServer,
+            "sendto",
+            Err(NotConnected),
+            227120,
+            &[(EntryCopyin, 2)],
+            1,
+        ),
+        (UxServer, "recv", Ok(5), 290230, &[(CopyoutExit, 2)], 1),
+        (UxServer, "recv", Err(WouldBlock), 0, &[], 1),
+        (UxServer, "recvfrom", Ok(5), 268230, &[(CopyoutExit, 2)], 1),
+        (UxServer, "recvfrom", Err(WouldBlock), 0, &[], 1),
+        (
+            Mach25InKernel,
+            "send",
+            Ok(5),
+            233205,
+            &[(EntryCopyin, 1)],
+            0,
+        ),
+        (Mach25InKernel, "send", Err(NotConnected), 0, &[], 0),
+        (
+            Mach25InKernel,
+            "sendto",
+            Ok(5),
+            272961,
+            &[(EntryCopyin, 1)],
+            0,
+        ),
+        (
+            Mach25InKernel,
+            "sendto",
+            Err(NotConnected),
+            42000,
+            &[(EntryCopyin, 1)],
+            0,
+        ),
+        (Mach25InKernel, "recv", Ok(5), 30750, &[(CopyoutExit, 1)], 0),
+        (Mach25InKernel, "recv", Err(WouldBlock), 0, &[], 0),
+        (
+            Mach25InKernel,
+            "recvfrom",
+            Ok(5),
+            28750,
+            &[(CopyoutExit, 1)],
+            0,
+        ),
+        (Mach25InKernel, "recvfrom", Err(WouldBlock), 0, &[], 0),
+    ];
+    let mut got = Vec::new();
+    for config in ARCHS {
+        let mut bed = TestBed::new(config, Platform::DecStation5000_200, 23);
+        let peer = bed.hosts[1].spawn_app();
+        tcp_echo_server(&mut bed, &peer, 80);
+        udp_echo_server(&mut bed, &peer, 53);
+        let app = bed.hosts[0].spawn_app();
+        let peer_ip = bed.hosts[1].ip;
+        let tcp = connect_quiet(&mut bed, &app, InetAddr::new(peer_ip, 80));
+        let fresh = AppLib::socket(&app, &mut bed.sim, Proto::Tcp);
+        let udp = AppLib::socket(&app, &mut bed.sim, Proto::Udp);
+        AppLib::bind(&app, &mut bed.sim, udp, 9000).unwrap();
+        let echo = InetAddr::new(peer_ip, 53);
+        // One priming exchange per protocol, so every measured call runs
+        // with warm caches.
+        let mut buf = [0u8; 64];
+        AppLib::send(&app, &mut bed.sim, tcp, b"prime").unwrap();
+        AppLib::sendto(&app, &mut bed.sim, udp, b"prime", Some(echo)).unwrap();
+        bed.run_for(SimTime::from_millis(200));
+        assert_eq!(AppLib::recv(&app, &mut bed.sim, tcp, &mut buf), Ok(5));
+        let primed = AppLib::recvfrom(&app, &mut bed.sim, udp, &mut buf);
+        assert_eq!(primed.map(|(n, _)| n), Ok(5));
+
+        let meter = Meter::on_host0(&mut bed, &app);
+        let sim = &mut bed.sim;
+        let mut row = |call: &'static str, (res, cost): (Result<usize, SocketError>, Cost)| {
+            got.push((config, call, res, cost));
+        };
+        row(
+            "send",
+            meter.measure(|| AppLib::send(&app, sim, tcp, b"hello")),
+        );
+        row(
+            "send",
+            meter.measure(|| AppLib::send(&app, sim, fresh, b"x")),
+        );
+        row(
+            "sendto",
+            meter.measure(|| AppLib::sendto(&app, sim, udp, b"hello", Some(echo))),
+        );
+        row(
+            "sendto",
+            meter.measure(|| AppLib::sendto(&app, sim, udp, b"x", None)),
+        );
+        let deadline = sim.now() + SimTime::from_millis(200);
+        sim.run_until(deadline);
+        row(
+            "recv",
+            meter.measure(|| AppLib::recv(&app, sim, tcp, &mut buf)),
+        );
+        row(
+            "recv",
+            meter.measure(|| AppLib::recv(&app, sim, tcp, &mut buf)),
+        );
+        for _ in 0..2 {
+            let res = meter.measure(|| AppLib::recvfrom(&app, sim, udp, &mut buf));
+            row("recvfrom", (res.0.map(|(n, _)| n), res.1));
+        }
+    }
+    let want: Vec<_> = WANT
+        .iter()
+        .map(|&(config, call, res, busy_ns, crossings, data_rpcs)| {
+            let crossings = crossings.to_vec();
+            let cost = Cost {
+                busy_ns,
+                crossings,
+                data_rpcs,
+            };
+            (config, call, res, cost)
+        })
+        .collect();
+    assert_eq!(got, want);
+}
+
+/// A refused call is priced like any other: the second `bind` to a
+/// taken port adds exactly the work it did to `Cpu::total_busy` — the
+/// control trap in-kernel, and the `proxy_bind` RPC the server charges
+/// before its claim fails otherwise — and the census counts the same
+/// crossings that work paid for.
+#[test]
+fn refused_bind_commits_its_charge() {
+    for config in ARCHS {
+        let mut bed = TestBed::new(config, Platform::DecStation5000_200, 24);
+        let app = bed.hosts[0].spawn_app();
+        let taken = AppLib::socket(&app, &mut bed.sim, Proto::Udp);
+        let fd = AppLib::socket(&app, &mut bed.sim, Proto::Udp);
+        AppLib::bind(&app, &mut bed.sim, taken, 5555).unwrap();
+        let meter = Meter::on_host0(&mut bed, &app);
+        let (res, cost) = meter.measure(|| AppLib::bind(&app, &mut bed.sim, fd, 5555));
+        assert_eq!(res, Err(SocketError::AddrInUse));
+        let c = bed.hosts[0].kernel.borrow().costs().clone();
+        let (priced, crossings) = if config.is_inkernel() {
+            (c.trap, 1)
+        } else {
+            (c.trap + c.rpc_base + 4 * c.ipc_copy_byte * 64, 2)
+        };
+        let want = Cost {
+            busy_ns: priced,
+            crossings: vec![(Layer::Control, crossings)],
+            data_rpcs: 0,
+        };
+        assert_eq!(cost, want, "{}", config.label());
+    }
+}
+
+/// `sendto`/`sendmsg` on a stream socket behave as `send`, the mirror
+/// of `recv` on a datagram socket behaving as `recvfrom`: refused with
+/// `NotConnected` before the connection exists (no RPC, no port
+/// claimed), delivered like `send` once it does (the address is
+/// ignored).
+#[test]
+fn sendto_on_a_stream_socket_behaves_as_send() {
+    for config in ARCHS {
+        let mut bed = TestBed::new(config, Platform::DecStation5000_200, 25);
+        let peer = bed.hosts[1].spawn_app();
+        tcp_echo_server(&mut bed, &peer, 80);
+        let app = bed.hosts[0].spawn_app();
+        let dst = InetAddr::new(bed.hosts[1].ip, 80);
+        let rpcs = |app: &AppHandle| {
+            let stats = app.borrow().stats;
+            stats.control_rpcs + stats.data_rpcs
+        };
+
+        let fd = AppLib::socket(&app, &mut bed.sim, Proto::Tcp);
+        let before = (rpcs(&app), ports_claimed(&bed));
+        let refused = Err(SocketError::NotConnected);
+        assert_eq!(
+            AppLib::sendto(&app, &mut bed.sim, fd, b"x", Some(dst)),
+            refused
+        );
+        assert_eq!(
+            AppLib::sendmsg(&app, &mut bed.sim, fd, &[b"x"], None),
+            refused
+        );
+        let after = (rpcs(&app), ports_claimed(&bed));
+        assert_eq!(after, before, "{}: no RPC, no port", config.label());
+
+        let conn = connect_quiet(&mut bed, &app, dst);
+        assert_eq!(
+            AppLib::sendto(&app, &mut bed.sim, conn, b"ab", Some(dst)),
+            Ok(2)
+        );
+        assert_eq!(
+            AppLib::sendmsg(&app, &mut bed.sim, conn, &[b"c", b"d"], None),
+            Ok(2)
+        );
+        let mut echoed = Vec::new();
+        for _ in 0..20 {
+            bed.run_for(SimTime::from_millis(100));
+            let mut buf = [0u8; 16];
+            while let Ok(n @ 1..) = AppLib::recv(&app, &mut bed.sim, conn, &mut buf) {
+                echoed.extend_from_slice(&buf[..n]);
+            }
+        }
+        assert_eq!(echoed, b"abcd", "{}", config.label());
     }
 }
