@@ -14,7 +14,7 @@ use psd_server::{
     stack_sink_with_busy_report, MigratedSession, OsServer, Proto, RetryToken, RxSetup, SessionId,
     SessionReply,
 };
-use psd_sim::{Charge, FaultSite, Layer, Sim, SimTime};
+use psd_sim::{Charge, Domain, FaultSite, Layer, Op, Sim, SimTime};
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
@@ -52,7 +52,6 @@ impl AppLib {
         mut call: impl FnMut(&mut Sim, &mut Charge) -> Result<T, SocketError>,
     ) -> Result<T, SocketError> {
         let server = this.borrow().server.clone().expect("server");
-        let deadline_ns = this.borrow().costs.rpc_base.max(1) * 4;
         AppLib::charged(this, sim, |sim, charge| {
             this.borrow_mut().stats.control_rpcs += 1;
             for attempt in 0..RPC_MAX_ATTEMPTS {
@@ -68,8 +67,10 @@ impl AppLib {
                     // call — the case the idempotency tokens exist for.
                 }
                 // Deadline expiry plus bounded exponential backoff.
-                charge.add_ns(Layer::Control, deadline_ns << attempt);
-                this.borrow_mut().stats.rpc_retries += 1;
+                let deadline = Op::RpcDeadline(attempt);
+                let mut app = this.borrow_mut();
+                charge.op(&app.costs, deadline, Domain::Library, Layer::Control);
+                app.stats.rpc_retries += 1;
             }
             this.borrow_mut().stats.rpc_timeouts += 1;
             Err(SocketError::TimedOut)
@@ -84,7 +85,7 @@ impl AppLib {
         if mode == ApiMode::InKernel {
             let stack = this.borrow().stack.clone().expect("kernel stack");
             let sock = AppLib::charged(this, sim, |_, charge| {
-                this.borrow().control_trap(charge);
+                this.borrow().trap(charge, Op::Trap, Layer::Control);
                 let mut st = stack.borrow_mut();
                 match proto {
                     Proto::Udp => st.socket_udp(),
@@ -232,7 +233,7 @@ impl AppLib {
             };
             return AppLib::charged(this, sim, |_, charge| {
                 let app = this.borrow();
-                app.control_trap(charge);
+                app.trap(charge, Op::Trap, Layer::Control);
                 app.kern_bind(&stack, sock, proto, port)
             });
         }
@@ -282,7 +283,7 @@ impl AppLib {
         match (mode, AppLib::resolve(this, fd)?) {
             (ApiMode::InKernel, (proto, Some(Path::Kern(stack, sock)))) => {
                 let at = AppLib::charged(this, sim, |sim, charge| {
-                    this.borrow().control_trap(charge);
+                    this.borrow().trap(charge, Op::Trap, Layer::Control);
                     this.borrow().kern_autobind(&stack, sock, proto)?;
                     match proto {
                         Proto::Tcp => stack.borrow_mut().connect_tcp(sim, charge, sock, remote),
@@ -364,7 +365,7 @@ impl AppLib {
                 return Err(SocketError::BadSocket);
             };
             return AppLib::charged(this, sim, |_, charge| {
-                this.borrow().control_trap(charge);
+                this.borrow().trap(charge, Op::Trap, Layer::Control);
                 stack.borrow_mut().listen(sock, backlog)
             });
         }
@@ -389,7 +390,7 @@ impl AppLib {
                 return Err(SocketError::BadSocket);
             };
             let child = AppLib::charged(this, sim, |_, charge| {
-                this.borrow().control_trap(charge);
+                this.borrow().trap(charge, Op::Trap, Layer::Control);
                 stack.borrow_mut().accept(sock)
             })?;
             let child_fd = this.borrow_mut().alloc_fd(Proto::Tcp, FdState::Kern(child));
@@ -492,7 +493,7 @@ impl AppLib {
                 let stack = this.borrow().stack.clone().expect("kernel stack");
                 let local = stack.borrow().local_addr(sock);
                 AppLib::charged(this, sim, |sim, charge| {
-                    this.borrow().control_trap(charge);
+                    this.borrow().trap(charge, Op::Trap, Layer::Control);
                     stack.borrow_mut().close(sim, charge, sock);
                 });
                 let mut app = this.borrow_mut();

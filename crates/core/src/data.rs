@@ -25,12 +25,11 @@
 //! the socket interface. They exist on library-local sessions only.
 
 use crate::{AppHandle, AppLib, Fd, Path};
-use psd_kernel::rpc_data_charge;
 use psd_mbuf::MbufChain;
 use psd_netstack::stack::StackHandle;
 use psd_netstack::{InetAddr, NetStack, SockId, SocketError};
 use psd_server::Proto;
-use psd_sim::{Charge, Domain, Layer, Sim};
+use psd_sim::{Charge, Domain, Layer, Medium, Op, Sim};
 use std::rc::Rc;
 
 impl AppLib {
@@ -53,8 +52,8 @@ impl AppLib {
                 let res = stack.borrow_mut().tcp_send(sim, charge, sock, data);
                 if res.is_ok() {
                     let app = this.borrow();
-                    app.trap_entry(charge);
-                    app.trap_exit(charge, false);
+                    app.trap(charge, Op::TrapEntry, Layer::EntryCopyin);
+                    app.trap(charge, Op::TrapReturn, Layer::CopyoutExit);
                 }
                 res
             }),
@@ -63,7 +62,7 @@ impl AppLib {
                 if let Ok(n) = res {
                     let mut app = this.borrow_mut();
                     app.stats.data_rpcs += 1;
-                    rpc_data_charge(&app.costs, charge, Layer::EntryCopyin, n);
+                    app.data_rpc(charge, Layer::EntryCopyin, n);
                 }
                 res
             }),
@@ -88,7 +87,7 @@ impl AppLib {
             Path::Kern(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
                 let res = stack.borrow_mut().tcp_recv(sim, charge, sock, buf);
                 if res.is_ok() {
-                    this.borrow().trap_exit(charge, true);
+                    this.borrow().trap(charge, Op::TrapExit, Layer::CopyoutExit);
                 }
                 res
             }),
@@ -96,7 +95,7 @@ impl AppLib {
                 this.borrow_mut().stats.data_rpcs += 1;
                 let res = server.borrow_mut().data_recv_tcp(sim, charge, sid, buf);
                 if let Ok(n) = res {
-                    rpc_data_charge(&this.borrow().costs, charge, Layer::CopyoutExit, n);
+                    this.borrow().data_rpc(charge, Layer::CopyoutExit, n);
                 }
                 res
             }),
@@ -128,11 +127,13 @@ impl AppLib {
                 stack.borrow_mut().udp_send(sim, charge, sock, data, dst)
             }),
             Path::Kern(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
-                this.borrow().trap_entry(charge);
+                this.borrow()
+                    .trap(charge, Op::TrapEntry, Layer::EntryCopyin);
                 let bound = this.borrow().kern_autobind(&stack, sock, proto);
                 let res =
                     bound.and_then(|()| stack.borrow_mut().udp_send(sim, charge, sock, data, dst));
-                this.borrow().trap_exit(charge, false);
+                this.borrow()
+                    .trap(charge, Op::TrapReturn, Layer::CopyoutExit);
                 res
             }),
             // A datagram is accepted or refused whole, so the RPC is
@@ -141,7 +142,7 @@ impl AppLib {
                 {
                     let mut app = this.borrow_mut();
                     app.stats.data_rpcs += 1;
-                    rpc_data_charge(&app.costs, charge, Layer::EntryCopyin, data.len());
+                    app.data_rpc(charge, Layer::EntryCopyin, data.len());
                 }
                 server
                     .borrow_mut()
@@ -165,7 +166,7 @@ impl AppLib {
             Path::Kern(stack, sock) => AppLib::charged(this, sim, |sim, charge| {
                 let res = stack.borrow_mut().udp_recv(sim, charge, sock, buf);
                 if res.is_ok() {
-                    this.borrow().trap_exit(charge, true);
+                    this.borrow().trap(charge, Op::TrapExit, Layer::CopyoutExit);
                 }
                 res
             }),
@@ -173,7 +174,7 @@ impl AppLib {
                 this.borrow_mut().stats.data_rpcs += 1;
                 let res = server.borrow_mut().data_recv_udp(sim, charge, sid, buf);
                 if let Ok((n, _)) = res {
-                    rpc_data_charge(&this.borrow().costs, charge, Layer::CopyoutExit, n);
+                    this.borrow().data_rpc(charge, Layer::CopyoutExit, n);
                 }
                 res
             }),
@@ -327,7 +328,6 @@ impl AppLib {
                 })
             })
         };
-        let kcopy_cached = this.borrow().costs.kcopy_cached_byte;
         AppLib::charged(this, sim, |sim, charge| {
             let mut descs = Vec::new();
             while descs.len() < max_descs {
@@ -344,12 +344,9 @@ impl AppLib {
                 if resident && pull {
                     // The deferred body copy: kernel memory → the
                     // application's buffer, paid only on demand.
-                    charge.add_per_byte(Layer::CopyoutExit, kcopy_cached, chain.len());
-                    charge.note(
-                        psd_sim::OpKind::PacketBodyCopy,
-                        Domain::Library,
-                        Layer::CopyoutExit,
-                    );
+                    let copy = Op::BodyCopy(Medium::KernelCached, chain.len());
+                    let app = this.borrow();
+                    charge.op(&app.costs, copy, Domain::Library, Layer::CopyoutExit);
                 }
                 descs.push(psd_mbuf::RecvDesc {
                     chain,

@@ -45,7 +45,7 @@ use psd_kernel::{EndpointId, KernelHandle, RxMode};
 use psd_netstack::stack::StackHandle;
 use psd_netstack::{InetAddr, NetStack, Placement, SockEvent, SockId, SocketError};
 use psd_server::{PortNamespace, ProcId, Proto, ServerHandle, SessionId, UserNetIf};
-use psd_sim::{Charge, CostModel, Cpu, Domain, Layer, Sim, SimTime};
+use psd_sim::{Charge, CostModel, Cpu, Domain, Layer, Medium, Op, Sim, SimTime};
 
 pub use select::SelectOutcome;
 
@@ -541,30 +541,25 @@ impl AppLib {
         out
     }
 
-    /// The in-kernel control trap (`socket`, `bind`, `connect`,
-    /// `listen`, `accept`, `close`).
-    fn control_trap(&self, charge: &mut Charge) {
-        let trap = SimTime::from_nanos(self.costs.trap);
-        charge.crossing_in(Domain::Kernel, Layer::Control, trap);
+    /// One of the in-kernel baseline's trap operations: a control call's
+    /// whole [`Op::Trap`], or a data call's entry and exit sides
+    /// ([`Op::TrapEntry`], and [`Op::TrapExit`] counted or
+    /// [`Op::TrapReturn`] not).
+    #[inline]
+    fn trap(&self, charge: &mut Charge, op: Op, layer: Layer) {
+        charge.op(&self.costs, op, Domain::Kernel, layer);
     }
 
-    /// The entry side of an in-kernel data call, counted as its
-    /// crossing. Table 4 charges most of the trap to `entry/copyin`
-    /// (kernel TCP: 50 µs entry vs 32 µs exit), so the split is 80/20.
-    fn trap_entry(&self, charge: &mut Charge) {
-        let entry = SimTime::from_nanos(self.costs.trap * 8 / 10);
-        charge.crossing_in(Domain::Kernel, Layer::EntryCopyin, entry);
-    }
-
-    /// The exit side of an in-kernel data call. A receive prices no
-    /// entry side, so its exit is the crossing `counted`; a send's was
-    /// counted on entry.
-    fn trap_exit(&self, charge: &mut Charge, counted: bool) {
-        let exit = SimTime::from_nanos(self.costs.trap * 2 / 10);
-        if counted {
-            charge.crossing_in(Domain::Kernel, Layer::CopyoutExit, exit);
-        } else {
-            charge.add(Layer::CopyoutExit, exit);
+    /// A data RPC moving `bytes` of socket data between the application
+    /// and the server. The paper counts four physical copies on this
+    /// path (§4.3 entry/copyin: user buffer → IPC message → kernel →
+    /// server IPC buffer → mbuf chain); the socket layer makes the last,
+    /// so three are made here, after the trap and the RPC machinery.
+    fn data_rpc(&self, charge: &mut Charge, layer: Layer, bytes: usize) {
+        charge.op(&self.costs, Op::Trap, Domain::Server, layer);
+        charge.op(&self.costs, Op::Rpc, Domain::Library, layer);
+        for domain in [Domain::Library, Domain::Kernel, Domain::Server] {
+            charge.op(&self.costs, Op::BodyCopy(Medium::Ipc, bytes), domain, layer);
         }
     }
 

@@ -7,8 +7,9 @@
 //!   applications use to transmit ("Applications send packets directly
 //!   to the network interface using a low-latency system call"); it
 //!   traps, copies the frame into a wired kernel buffer, and copies it
-//!   to the device. [`Kernel::send_from_kernel`] is the in-kernel
-//!   stack's path, which skips the trap and user copy.
+//!   to the device. A user-space stack's interface runs the same body
+//!   ([`Kernel::user_send`]); the in-kernel stack's interface skips the
+//!   trap and user copy.
 //! - **Receive**: the kernel fields the device interrupt, demultiplexes
 //!   with the installed per-session packet filters
 //!   ([`psd_filter::DemuxTable`]), and delivers to the owning endpoint
@@ -20,12 +21,11 @@
 //!   deferred past demultiplexing and goes *directly* from device memory
 //!   into the shared ring, eliminating the intermediate kernel-buffer
 //!   copy).
-//! - **RPC**: [`rpc_data_charge`] prices the four-copy Mach RPC data
-//!   path the server-based configuration pays on every send and receive.
 //!
-//! Every boundary crossing and copy is charged to the host CPU through
-//! the calibrated [`CostModel`]; the crossings are counted per layer in
-//! the operation census so Table 4's asterisks can be regenerated.
+//! Every boundary crossing and copy is charged to the host CPU as a
+//! priced [`Op`] of the calibrated [`CostModel`]; the crossings are
+//! counted per layer in the operation census so Table 4's asterisks can
+//! be regenerated.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -38,8 +38,8 @@ use psd_filter::{
 };
 use psd_netdev::{Ethernet, EthernetHandle, Station};
 use psd_sim::{
-    Charge, CostModel, Cpu, Domain, DropCounters, DropReason, FaultSite, Layer, Observable, OpKind,
-    Sim, SimTime, Stage, TraceHandle, TraceId,
+    Charge, CostModel, Cpu, Domain, DropCounters, DropReason, FaultSite, Layer, Medium, Op, Sim,
+    SimTime, Stage, TraceHandle, TraceId,
 };
 use psd_wire::{
     EtherAddr, EtherType, EthernetHeader, IpProto, Ipv4Header, TcpFlags, TcpHeader, ETHER_HDR_LEN,
@@ -683,42 +683,47 @@ impl Kernel {
     /// kernel and copies the packet from user space into a wired kernel
     /// buffer before copying it to device memory".)
     pub fn send_from_user(this: &KernelHandle, sim: &mut Sim, charge: &mut Charge, frame: Vec<u8>) {
-        let (trap, kcopy, devw) = {
-            let k = this.borrow();
-            (k.costs.trap, k.costs.kcopy_byte, k.costs.dev_write_byte)
-        };
         charge.site_push(Domain::Kernel, "tx");
-        charge.crossing_in(
-            Domain::Kernel,
-            Layer::EtherOutput,
-            SimTime::from_nanos(trap),
-        );
-        charge.add_per_byte(Layer::EtherOutput, kcopy, frame.len());
-        charge.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::EtherOutput);
+        Kernel::user_send(this, sim, charge, frame, true);
+        charge.site_pop();
+    }
+
+    /// The body of [`Kernel::send_from_user`], which a user-space
+    /// stack's interface also runs: `trap` is false for a frame that
+    /// rides a batched doorbell an earlier frame's trap opened. Both
+    /// copies are physical and always paid, and every frame passes the
+    /// outbound limiter.
+    pub fn user_send(
+        this: &KernelHandle,
+        sim: &mut Sim,
+        charge: &mut Charge,
+        frame: Vec<u8>,
+        trap: bool,
+    ) {
+        let k = &mut *this.borrow_mut();
+        let out =
+            |charge: &mut Charge, op| charge.op(&k.costs, op, Domain::Kernel, Layer::EtherOutput);
+        if trap {
+            out(charge, Op::Trap);
+        }
+        out(charge, Op::BodyCopy(Medium::Kernel, frame.len()));
         // Outbound packet limiter (§3.4), if installed: the frame is
         // checked after the copy into the wired buffer, before it
         // reaches the device.
-        {
-            let mut k = this.borrow_mut();
-            if let Some(limiter) = &k.tx_limiter {
-                let out = limiter.run(&frame);
-                charge.add_ns(Layer::EtherOutput, k.costs.filter_insn * out.steps as u64);
-                charge.note(OpKind::FilterRun, Domain::Kernel, Layer::EtherOutput);
-                if !out.accepted {
-                    k.stats.tx_rejected += 1;
-                    k.stats.drops.note(DropReason::TxLimited);
-                    // Census-only: a transmit attempted while a received
-                    // packet is current must not terminate that packet.
-                    charge.count_drop(DropReason::TxLimited, Domain::Kernel);
-                    charge.site_pop();
-                    return;
-                }
+        if let Some(limiter) = &k.tx_limiter {
+            let run = limiter.run(&frame);
+            out(charge, Op::FilterRun(run.steps, None));
+            if !run.accepted {
+                k.stats.tx_rejected += 1;
+                k.stats.drops.note(DropReason::TxLimited);
+                // Census-only: a transmit attempted while a received
+                // packet is current must not terminate that packet.
+                charge.count_drop(DropReason::TxLimited, Domain::Kernel);
+                return;
             }
         }
-        charge.add_per_byte(Layer::EtherOutput, devw, frame.len());
-        charge.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::EtherOutput);
+        out(charge, Op::BodyCopy(Medium::DeviceWrite, frame.len()));
         Kernel::enqueue_tx(this, sim, charge.at(), frame, true);
-        charge.site_pop();
     }
 
     /// Installs (or clears) the outbound packet limiter: a filter
@@ -727,22 +732,6 @@ impl Kernel {
     /// receive filter when enabled (and, like it, lowered at install).
     pub fn set_tx_limiter(&mut self, program: Option<psd_filter::Program>) {
         self.tx_limiter = program.as_ref().map(CompiledFilter::compile);
-    }
-
-    /// Transmit for the in-kernel stack: the mbuf chain is already
-    /// wired, so only the device copy is paid.
-    pub fn send_from_kernel(
-        this: &KernelHandle,
-        sim: &mut Sim,
-        charge: &mut Charge,
-        frame: Vec<u8>,
-    ) {
-        let devw = this.borrow().costs.dev_write_byte;
-        charge.site_push(Domain::Kernel, "tx");
-        charge.add_per_byte(Layer::EtherOutput, devw, frame.len());
-        charge.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::EtherOutput);
-        Kernel::enqueue_tx(this, sim, charge.at(), frame, false);
-        charge.site_pop();
     }
 
     /// Hands a fully charged frame to the wire at `ready`. Entirely
@@ -766,10 +755,10 @@ impl Kernel {
                     // other wire loss, and the protocols recover.
                     k.stats.tx_disconnected += 1;
                     k.stats.drops.note(DropReason::TxDisconnected);
-                    if let Some(c) = &k.cpu.borrow().observers().census {
-                        c.borrow_mut()
-                            .note_drop(DropReason::TxDisconnected, Domain::Kernel);
-                    }
+                    // No path is running: the drop is counted on a
+                    // charge that prices nothing and is never finished.
+                    let mut c = k.cpu.borrow_mut().begin(sim.now());
+                    c.count_drop(DropReason::TxDisconnected, Domain::Kernel);
                     return;
                 };
                 if from_user {
@@ -797,11 +786,8 @@ impl Station for Kernel {
         charge.site_push(Domain::Kernel, "rx");
         // Field the interrupt.
         charge.trace_span_start(Stage::NicRx);
-        charge.add_ns(Layer::DeviceIntrRead, self.costs.intr_dispatch);
-        charge.note(OpKind::Interrupt, Domain::Kernel, Layer::DeviceIntrRead);
-        if self.costs.intr_penalty > 0 {
-            charge.add_ns(Layer::DeviceIntrRead, self.costs.intr_penalty);
-        }
+        self.op(&mut charge, Op::Interrupt, Layer::DeviceIntrRead);
+        self.op(&mut charge, Op::IntrPenalty, Layer::DeviceIntrRead);
 
         // Injected receive fault: the frame is lost at the interface,
         // after wire delivery but before demultiplexing. Protocols see
@@ -830,18 +816,12 @@ impl Station for Kernel {
         if self.demux.is_empty() {
             if let Some(sink) = inkernel_sink {
                 // Copy device → wired kernel buffer at interrupt level.
-                charge.add_ns(Layer::DeviceIntrRead, self.costs.rx_kbuf_setup);
-                charge.add_per_byte(Layer::DeviceIntrRead, self.costs.dev_read_byte, frame.len());
-                charge.note(
-                    OpKind::PacketBodyCopy,
-                    Domain::Kernel,
-                    Layer::DeviceIntrRead,
-                );
+                self.copy_to_kbuf(&mut charge, frame.len());
                 charge.trace_span_end(Stage::NicRx);
                 // netisr dispatch + in-kernel demux.
                 charge.trace_span_start(Stage::FilterRun);
-                charge.add_ns(Layer::NetisrPacketFilter, self.costs.netisr);
-                charge.add_ns(Layer::NetisrPacketFilter, self.costs.pcb_lookup);
+                self.op(&mut charge, Op::Netisr, Layer::NetisrPacketFilter);
+                self.op(&mut charge, Op::PcbLookup, Layer::NetisrPacketFilter);
                 charge.trace_span_end(Stage::FilterRun);
                 self.stats.rx_default += 1;
                 // Synchronous input at interrupt level, same charge. The
@@ -862,33 +842,22 @@ impl Station for Kernel {
         // kernel buffer (§4.1).
         let any_ipf = self.ipf_endpoints > 0;
         if !any_ipf {
-            charge.add_ns(Layer::DeviceIntrRead, self.costs.rx_kbuf_setup);
-            charge.add_per_byte(Layer::DeviceIntrRead, self.costs.dev_read_byte, frame.len());
-            charge.note(
-                OpKind::PacketBodyCopy,
-                Domain::Kernel,
-                Layer::DeviceIntrRead,
-            );
+            self.copy_to_kbuf(&mut charge, frame.len());
         }
         charge.trace_span_end(Stage::NicRx);
 
         charge.trace_span_start(Stage::FilterRun);
-        charge.add_ns(Layer::NetisrPacketFilter, self.costs.netisr);
+        self.op(&mut charge, Op::Netisr, Layer::NetisrPacketFilter);
         let result = self.demux.classify(&frame);
         self.stats.filter_steps += result.steps as u64;
-        charge.add_ns(
-            Layer::NetisrPacketFilter,
-            self.costs.filter_insn * result.steps as u64,
-        );
-        if !self.demux.is_empty() {
-            charge.note(OpKind::FilterRun, Domain::Kernel, Layer::NetisrPacketFilter);
-        }
-        if let Some((_, owner)) = result.owner {
-            // Per-session attribution: only the session the packet is
-            // destined for is ever counted — the isolation the packet
-            // filter provides (§3.4).
-            charge.note_scoped(OpKind::FilterRun, owner.0, 1);
-        }
+        // Per-session attribution (§3.4's isolation): only the session
+        // the packet is destined for is counted.
+        let classify = if self.demux.is_empty() {
+            Op::EmptyDemux(result.steps)
+        } else {
+            Op::FilterRun(result.steps, result.owner.map(|(_, id)| id.0))
+        };
+        self.op(&mut charge, classify, Layer::NetisrPacketFilter);
         charge.trace_span_end(Stage::FilterRun);
 
         let target = match result.owner {
@@ -944,6 +913,20 @@ impl Station for Kernel {
 }
 
 impl Kernel {
+    /// Performs `op` in the kernel.
+    #[inline]
+    fn op(&self, charge: &mut Charge, op: Op, layer: Layer) {
+        charge.op(&self.costs, op, Domain::Kernel, layer);
+    }
+
+    /// Copies a received frame out of the device into a wired kernel
+    /// buffer at interrupt level.
+    fn copy_to_kbuf(&self, charge: &mut Charge, len: usize) {
+        self.op(charge, Op::RxKbufSetup, Layer::DeviceIntrRead);
+        let copy = Op::BodyCopy(Medium::DeviceRead, len);
+        self.op(charge, copy, Layer::DeviceIntrRead);
+    }
+
     /// Delivers a classified frame to its endpoint. With batching off
     /// and no placement policy this is byte-for-byte the pre-batching
     /// delivery path; otherwise the first descriptor of each window of
@@ -1030,10 +1013,14 @@ impl Kernel {
                 header_span(&frame)
             }
         };
-        let copy_kind = match placement {
-            CopyPlacement::Eager => OpKind::PacketBodyCopy,
-            CopyPlacement::KernelResident => OpKind::HeaderCopy,
+        let copy: fn(Medium, usize) -> Op = match placement {
+            CopyPlacement::Eager => Op::BodyCopy,
+            CopyPlacement::KernelResident => Op::HeaderCopy,
         };
+        let costs = &self.costs;
+        let out =
+            |charge: &mut Charge, op| charge.op(costs, op, Domain::Kernel, Layer::KernelCopyout);
+        let cross = |charge: &mut Charge, op| charge.op(costs, op, entered, Layer::KernelCopyout);
 
         match mode {
             RxMode::InKernel => {
@@ -1055,17 +1042,11 @@ impl Kernel {
                 // wakeup for the window's first descriptor.
                 charge.trace_span_start(Stage::DeliverIpc);
                 if pay {
-                    charge.crossing_in(
-                        entered,
-                        Layer::KernelCopyout,
-                        SimTime::from_nanos(self.costs.ipc_oneway),
-                    );
+                    cross(charge, Op::IpcMessage);
                 }
-                charge.add_per_byte(Layer::KernelCopyout, self.costs.kcopy_cached_byte, span);
-                charge.note(copy_kind, Domain::Kernel, Layer::KernelCopyout);
+                out(charge, copy(Medium::KernelCached, span));
                 if pay {
-                    charge.add_ns(Layer::KernelCopyout, self.costs.sched_wakeup);
-                    charge.note(OpKind::Wakeup, Domain::Kernel, Layer::KernelCopyout);
+                    out(charge, Op::Wakeup);
                 }
                 charge.trace_span_end(Stage::DeliverIpc);
                 let sink = match &self.endpoints[&id].sink {
@@ -1093,43 +1074,21 @@ impl Kernel {
                 }
             }
             RxMode::Shm | RxMode::ShmIpf => {
-                charge.trace_span_start(if mode == RxMode::ShmIpf {
-                    Stage::DeliverShmIpf
-                } else {
-                    Stage::DeliverShmRing
-                });
-                if mode == RxMode::ShmIpf {
-                    // Deferred single copy: device memory → shared ring.
-                    // No wired kernel buffer is set up — that is the
-                    // point of the integrated filter; only the ring
-                    // descriptor is allocated.
-                    if pay {
-                        charge.crossing_in(
-                            entered,
-                            Layer::KernelCopyout,
-                            SimTime::from_nanos(self.costs.mbuf_alloc * 2),
-                        );
-                    }
-                    charge.add_per_byte(Layer::KernelCopyout, self.costs.dev_read_byte, span);
-                    charge.note(copy_kind, Domain::Kernel, Layer::KernelCopyout);
-                } else {
-                    // Second copy: kernel buffer → shared ring. The
-                    // source is cache-warm kernel memory.
-                    if pay {
-                        charge.crossing_in(
-                            entered,
-                            Layer::KernelCopyout,
-                            SimTime::from_nanos(self.costs.mbuf_alloc),
-                        );
-                    }
-                    charge.add_per_byte(Layer::KernelCopyout, self.costs.kcopy_cached_byte, span);
-                    charge.note(copy_kind, Domain::Kernel, Layer::KernelCopyout);
+                // SHM-IPF defers its single copy to here, device memory
+                // → shared ring: no wired kernel buffer is set up (the
+                // point of the integrated filter), only the ring
+                // descriptor. Plain SHM makes its second copy, kernel
+                // buffer → ring, from cache-warm kernel memory.
+                let (stage, descriptors, medium) = match mode {
+                    RxMode::ShmIpf => (Stage::DeliverShmIpf, 2, Medium::DeviceRead),
+                    _ => (Stage::DeliverShmRing, 1, Medium::KernelCached),
+                };
+                charge.trace_span_start(stage);
+                if pay {
+                    cross(charge, Op::RingDoorbell(descriptors));
                 }
-                charge.trace_span_end(if mode == RxMode::ShmIpf {
-                    Stage::DeliverShmIpf
-                } else {
-                    Stage::DeliverShmRing
-                });
+                out(charge, copy(medium, span));
+                charge.trace_span_end(stage);
                 // The wakeup decision must be taken when the data lands
                 // in the ring, after earlier deliveries have advanced
                 // the thread's busy window — so it is deferred into an
@@ -1148,8 +1107,7 @@ impl Kernel {
                     // This event runs after `frame_arrived` returned, so
                     // re-borrowing the kernel here cannot conflict.
                     let deliver = {
-                        let mut k = kernel.borrow_mut();
-                        let sched_wakeup = k.costs.sched_wakeup;
+                        let k = &mut *kernel.borrow_mut();
                         let cpu = k.cpu.clone();
                         match k.endpoints.get(&id).map(|e| e.thread_busy_until) {
                             None => None,
@@ -1170,8 +1128,7 @@ impl Kernel {
                                         tr.borrow_mut().push_current(pkt);
                                     }
                                     let mut c = cpu.borrow_mut().begin(now);
-                                    c.add_ns(Layer::KernelCopyout, sched_wakeup);
-                                    c.note(OpKind::Wakeup, Domain::Kernel, Layer::KernelCopyout);
+                                    k.op(&mut c, Op::Wakeup, Layer::KernelCopyout);
                                     at = cpu.borrow_mut().finish(c);
                                     if tid.is_some() {
                                         if let Some(tr) = &tracer {
@@ -1280,12 +1237,7 @@ impl Kernel {
         // netisr runs. (The stack will not checksum the synthesized
         // frame again for the merged segments — this charge replaces
         // it.)
-        charge.add_per_byte(
-            Layer::NetisrPacketFilter,
-            self.costs.checksum_byte,
-            seg.tcp_len,
-        );
-        charge.note(OpKind::Checksum, Domain::Kernel, Layer::NetisrPacketFilter);
+        self.op(charge, Op::Checksum(seg.tcp_len), Layer::NetisrPacketFilter);
         let fits = self.gro.get(&id).is_some_and(|slot| {
             slot.flow == seg.flow()
                 && seg.tcp.seq == slot.next_seq
@@ -1437,42 +1389,10 @@ pub fn note_thread_busy(kernel: &KernelHandle, id: EndpointId, until: SimTime) {
     }
 }
 
-/// Charges the cost of a Mach RPC that moves `data_len` bytes of socket
-/// data between an application and the operating system server. The
-/// paper counts four physical copies on this path (§4.3 entry/copyin:
-/// user buffer → IPC message → kernel → server IPC buffer → mbuf
-/// chain); the final copy into/out of the mbuf chain is charged by the
-/// socket layer itself, so three are priced here, plus the trap and the
-/// RPC machinery.
-pub fn rpc_data_charge(costs: &CostModel, charge: &mut Charge, layer: Layer, data_len: usize) {
-    // One RPC = two boundary crossings on the census (request into the
-    // server, reply back to the caller), one of them charged: the trap
-    // prices the round trip.
-    charge.crossing_in(Domain::Server, layer, SimTime::from_nanos(costs.trap));
-    charge.note(OpKind::BoundaryCrossing, Domain::Library, layer);
-    charge.add_ns(layer, costs.rpc_base);
-    charge.add_per_byte(layer, costs.ipc_copy_byte * 3, data_len);
-    charge.note(OpKind::PacketBodyCopy, Domain::Library, layer);
-    charge.note(OpKind::PacketBodyCopy, Domain::Kernel, layer);
-    charge.note(OpKind::PacketBodyCopy, Domain::Server, layer);
-}
-
-/// Charges a control-path RPC (no bulk data): proxy calls such as
-/// `proxy_socket`, `proxy_bind`, `proxy_status`.
-pub fn rpc_control_charge(costs: &CostModel, charge: &mut Charge, req_reply_len: usize) {
-    charge.crossing_in(
-        Domain::Server,
-        Layer::Control,
-        SimTime::from_nanos(costs.trap),
-    );
-    charge.note(OpKind::BoundaryCrossing, Domain::Library, Layer::Control);
-    charge.add_ns(Layer::Control, costs.rpc_base);
-    charge.add_per_byte(Layer::Control, costs.ipc_copy_byte * 4, req_reply_len);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psd_sim::{Observable, OpKind};
 
     /// Captured `(delivery time, frame)` log shared with a sink.
     type DeliveryLog = Rc<RefCell<Vec<(SimTime, Vec<u8>)>>>;
@@ -1747,40 +1667,24 @@ mod tests {
 
     #[test]
     fn send_from_user_charges_trap_and_copies() {
+        // The trap, then a frame riding the doorbell it opened: both pay
+        // the two copies, only the first pays (and counts) the trap.
         let mut r = rig();
         let cpu = r.kernel.borrow().cpu();
         let watch = Watch::attach(&mut cpu.borrow_mut());
-        let frame = udp_frame(EtherAddr::local(9), (B_IP, 7), 100);
-        let flen = frame.len();
+        let frame = || udp_frame(EtherAddr::local(9), (B_IP, 7), 100);
+        let flen = frame().len() as u64;
         let mut charge = cpu.borrow_mut().begin(r.sim.now());
-        Kernel::send_from_user(&r.kernel, &mut r.sim, &mut charge, frame);
+        Kernel::send_from_user(&r.kernel, &mut r.sim, &mut charge, frame());
+        Kernel::user_send(&r.kernel, &mut r.sim, &mut charge, frame(), false);
         cpu.borrow_mut().finish(charge);
         r.sim.run_to_idle();
         let costs = CostModel::decstation_5000_200();
-        let expect = costs.trap + (costs.kcopy_byte + costs.dev_write_byte) * flen as u64;
+        let expect = costs.trap + 2 * (costs.kcopy_byte + costs.dev_write_byte) * flen;
         assert_eq!(watch.total(Layer::EtherOutput), SimTime::from_nanos(expect));
         assert_eq!(watch.crossings(Layer::EtherOutput), 1);
-        assert_eq!(r.kernel.borrow().stats().tx_user, 1);
-        assert_eq!(r.ether.borrow().stats().tx_frames, 1);
-    }
-
-    #[test]
-    fn send_from_kernel_skips_trap() {
-        let mut r = rig();
-        let cpu = r.kernel.borrow().cpu();
-        let watch = Watch::attach(&mut cpu.borrow_mut());
-        let frame = udp_frame(EtherAddr::local(9), (B_IP, 7), 100);
-        let flen = frame.len();
-        let mut charge = cpu.borrow_mut().begin(r.sim.now());
-        Kernel::send_from_kernel(&r.kernel, &mut r.sim, &mut charge, frame);
-        cpu.borrow_mut().finish(charge);
-        r.sim.run_to_idle();
-        let costs = CostModel::decstation_5000_200();
-        assert_eq!(
-            watch.total(Layer::EtherOutput),
-            SimTime::from_nanos(costs.dev_write_byte * flen as u64)
-        );
-        assert_eq!(watch.crossings(Layer::EtherOutput), 0);
+        assert_eq!(r.kernel.borrow().stats().tx_user, 2);
+        assert_eq!(r.ether.borrow().stats().tx_frames, 2);
     }
 
     #[test]
@@ -1790,7 +1694,8 @@ mod tests {
         let s2 = seen.clone();
         let sink: InKernelSink = Rc::new(RefCell::new(
             move |_: &mut Sim, charge: &mut Charge, f: Vec<u8>| {
-                charge.add_ns(Layer::TcpUdpInput, 1000);
+                let costs = CostModel::decstation_5000_200();
+                charge.op(&costs, Op::TcpInput, Domain::Kernel, Layer::TcpUdpInput);
                 s2.borrow_mut().push(f.len());
             },
         ));
@@ -1888,28 +1793,6 @@ mod tests {
             "spoof must not reach the wire"
         );
         assert_eq!(r.kernel.borrow().stats().tx_rejected, 1);
-    }
-
-    #[test]
-    fn rpc_charges_four_copies() {
-        let mut cpu = Cpu::new();
-        let watch = Watch::attach(&mut cpu);
-        let costs = CostModel::decstation_5000_200();
-        let mut charge = cpu.begin(SimTime::ZERO);
-        rpc_data_charge(&costs, &mut charge, Layer::EntryCopyin, 1000);
-        cpu.finish(charge);
-        let expect = costs.trap + costs.rpc_base + 3 * costs.ipc_copy_byte * 1000;
-        assert_eq!(watch.total(Layer::EntryCopyin), SimTime::from_nanos(expect));
-        // One charged crossing into the server, and its free-counted
-        // reply back into the caller.
-        let census = watch.census.borrow();
-        for domain in [Domain::Server, Domain::Library] {
-            assert_eq!(
-                census.count(OpKind::BoundaryCrossing, domain, Layer::EntryCopyin),
-                1
-            );
-        }
-        assert_eq!(watch.crossings(Layer::EntryCopyin), 2);
     }
 
     // --- Batched NEWAPI (ISSUE 9) ---

@@ -37,8 +37,6 @@ pub use route::{Route, RouteTable};
 pub use socket::{SockEvent, SockId, SocketError};
 pub use stack::{NetIf, NetStack, SessionState, StackHandle, StackStats};
 
-use psd_sim::Charge;
-use psd_sim::Layer;
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -96,30 +94,15 @@ impl Placement {
         }
     }
 
-    /// Charges `n` synchronization operations at this placement's unit
-    /// price to `layer`. Call sites mirror where the BSD code takes
-    /// `splnet`/`splx` or socket-buffer locks; the *count* is identical
-    /// across placements, only the unit price differs.
-    pub fn charge_sync(
-        self,
-        costs: &psd_sim::CostModel,
-        charge: &mut Charge,
-        layer: Layer,
-        n: u64,
-    ) {
-        use psd_sim::{Domain, OpKind};
-        let unit = match self {
-            Placement::Kernel => costs.spl_kernel,
-            Placement::Server => costs.spl_server,
-            Placement::Library => costs.lock_light,
-        };
-        charge.add_ns(layer, unit * n);
-        // The census separates the two disciplines: hardware (or
-        // emulated) priority levels vs. mutexes.
+    /// How this placement's stack synchronizes. Call sites mirror where
+    /// the BSD code takes `splnet`/`splx` or socket-buffer locks; the
+    /// *count* is identical across placements, only the discipline (and
+    /// so the unit price and the census kind) differs.
+    pub fn discipline(self) -> psd_sim::Discipline {
         match self {
-            Placement::Kernel => charge.note_n(OpKind::SplRaise, Domain::Kernel, layer, n),
-            Placement::Server => charge.note_n(OpKind::SplRaise, Domain::Server, layer, n),
-            Placement::Library => charge.note_n(OpKind::LockAcquire, Domain::Library, layer, n),
+            Placement::Kernel => psd_sim::Discipline::Spl,
+            Placement::Server => psd_sim::Discipline::ServerSpl,
+            Placement::Library => psd_sim::Discipline::Lock,
         }
     }
 }

@@ -13,8 +13,8 @@ use std::rc::{Rc, Weak};
 
 use psd_mbuf::{give_frame, take_frame, MbufChain};
 use psd_sim::{
-    Charge, CostModel, Cpu, DropCounters, DropReason, Layer, Observable, OpKind, Sim, SimHandle,
-    SimTime, Stage, TraceId,
+    Charge, CostModel, Cpu, Discipline, DropCounters, DropReason, Layer, Medium, Op, Sim,
+    SimHandle, SimTime, Stage, TraceId,
 };
 use psd_wire::{
     ArpOp, ArpPacket, EtherAddr, EtherType, EthernetHeader, IcmpMessage, IpProto, Ipv4Header,
@@ -339,27 +339,36 @@ impl NetStack {
         self.placement
     }
 
-    /// The cost model.
-    pub fn costs(&self) -> &CostModel {
-        &self.costs
-    }
-
     /// The host CPU (to open charges at entry points).
     pub fn cpu(&self) -> Rc<RefCell<Cpu>> {
         self.cpu.clone()
     }
 
-    fn sync(&self, charge: &mut Charge, layer: Layer, n: u64) {
-        self.placement.charge_sync(&self.costs, charge, layer, n);
+    /// Performs `op` in this stack's protection domain.
+    #[inline]
+    fn op(&self, charge: &mut Charge, op: Op, layer: Layer) {
+        charge.op(&self.costs, op, self.placement.domain(), layer);
     }
 
-    /// This placement's synchronization unit price (for call sites that
-    /// must precompute it before taking other borrows).
-    fn sync_unit(&self) -> u64 {
+    /// `n` counted lock or priority-level transitions.
+    #[inline]
+    fn sync(&self, charge: &mut Charge, layer: Layer, n: u64) {
+        self.op(charge, Op::Sync(self.placement.discipline(), n), layer);
+    }
+
+    /// The socket layer's `sblock`/`sbunlock` pairs: priced, and (unlike
+    /// [`NetStack::sync`]) not counted.
+    #[inline]
+    fn sblock(&self, n: u64) -> Op {
+        Op::QuietSync(self.placement.discipline(), n)
+    }
+
+    /// The medium of the socket layer's copyin/copyout.
+    #[inline]
+    fn user_copy(&self, n: usize) -> Op {
         match self.placement {
-            Placement::Kernel => self.costs.spl_kernel,
-            Placement::Server => self.costs.spl_server,
-            Placement::Library => self.costs.lock_light,
+            Placement::Kernel => Op::BodyCopy(Medium::Kernel, n),
+            _ => Op::BodyCopy(Medium::User, n),
         }
     }
 
@@ -604,31 +613,19 @@ impl NetStack {
         // Charged only for bytes actually accepted: a would-block probe
         // corresponds to the blocked sender's sleep, which the Writable
         // wakeup path prices.
-        let copy_rate = match self.placement {
-            Placement::Kernel => self.costs.kcopy_byte,
-            _ => self.costs.copy_byte,
-        };
-        let sosend = self.costs.sosend_base;
-        let sync_unit = self.sync_unit();
         let e = self.socks.get_mut(&sock).ok_or(SocketError::BadSocket)?;
         let SockState::Tcp(tcb) = &mut e.state else {
             return Err(SocketError::NotConnected);
         };
         let now = charge.at();
         let n = tcb.send(data, now, &mut self.tcp_actions)?;
-        charge.add_ns(Layer::EntryCopyin, sosend + sync_unit);
-        charge.add_per_byte(Layer::EntryCopyin, copy_rate, n);
+        self.op(charge, Op::Sosend, Layer::EntryCopyin);
+        self.op(charge, self.sblock(1), Layer::EntryCopyin);
         if n > 0 {
-            charge.note(
-                OpKind::PacketBodyCopy,
-                self.placement.domain(),
-                Layer::EntryCopyin,
-            );
+            self.op(charge, self.user_copy(n), Layer::EntryCopyin);
         }
-        charge.add_ns(
-            Layer::EntryCopyin,
-            self.costs.mbuf_alloc * (1 + n as u64 / psd_mbuf::MCLBYTES as u64),
-        );
+        let mbufs = 1 + n as u64 / psd_mbuf::MCLBYTES as u64;
+        self.op(charge, Op::MbufAlloc(mbufs), Layer::EntryCopyin);
         self.run_tcp_actions(sim, charge, sock);
         Ok(n)
     }
@@ -642,12 +639,8 @@ impl NetStack {
         sock: SockId,
         buf: &mut [u8],
     ) -> Result<usize, SocketError> {
-        let copy_rate = match self.placement {
-            Placement::Kernel => self.costs.kcopy_byte,
-            _ => self.costs.copy_byte,
-        };
-        let soreceive = self.costs.soreceive_base;
-        let sync_unit = self.sync_unit();
+        let sblock = self.sblock(2);
+        let domain = self.placement.domain();
         let e = self.socks.get_mut(&sock).ok_or(SocketError::BadSocket)?;
         let SockState::Tcp(tcb) = &mut e.state else {
             return Err(SocketError::NotConnected);
@@ -670,16 +663,12 @@ impl NetStack {
             }
             return Err(SocketError::WouldBlock);
         }
-        charge.add_ns(Layer::CopyoutExit, soreceive + 2 * sync_unit);
+        charge.op(&self.costs, Op::Soreceive, domain, Layer::CopyoutExit);
+        charge.op(&self.costs, sblock, domain, Layer::CopyoutExit);
         let now = charge.at();
         let n = tcb.recv(buf, now, &mut self.tcp_actions);
-        charge.add_per_byte(Layer::CopyoutExit, copy_rate, n);
         if n > 0 {
-            charge.note(
-                OpKind::PacketBodyCopy,
-                self.placement.domain(),
-                Layer::CopyoutExit,
-            );
+            self.op(charge, self.user_copy(n), Layer::CopyoutExit);
         }
         self.run_tcp_actions(sim, charge, sock);
         Ok(n)
@@ -708,7 +697,7 @@ impl NetStack {
         // sosend, which copies into mbufs.
         match self.placement {
             Placement::Library => {
-                charge.add_ns(Layer::EntryCopyin, self.costs.sosend_dgram_base);
+                self.op(charge, Op::SosendDgram, Layer::EntryCopyin);
                 self.udp_emit(
                     sim,
                     charge,
@@ -719,17 +708,11 @@ impl NetStack {
                 )?;
             }
             _ => {
-                charge.add_ns(
-                    Layer::EntryCopyin,
-                    self.costs.sosend_base + self.costs.sosend_dgram_base,
-                );
-                charge.add_per_byte(Layer::EntryCopyin, self.costs.kcopy_byte, data.len());
-                charge.note(
-                    OpKind::PacketBodyCopy,
-                    self.placement.domain(),
-                    Layer::EntryCopyin,
-                );
-                charge.add_ns(Layer::EntryCopyin, self.costs.mbuf_alloc);
+                self.op(charge, Op::Sosend, Layer::EntryCopyin);
+                self.op(charge, Op::SosendDgram, Layer::EntryCopyin);
+                let copy = Op::BodyCopy(Medium::Kernel, data.len());
+                self.op(charge, copy, Layer::EntryCopyin);
+                self.op(charge, Op::MbufAlloc(1), Layer::EntryCopyin);
                 let chain = MbufChain::from_slice(data);
                 self.udp_emit(
                     sim,
@@ -765,20 +748,12 @@ impl NetStack {
         // One amortized socket entry for the super-descriptor; the
         // kernel/server placements still physically copy every byte in.
         match self.placement {
-            Placement::Library => {
-                charge.add_ns(Layer::EntryCopyin, self.costs.sosend_dgram_base);
-            }
+            Placement::Library => self.op(charge, Op::SosendDgram, Layer::EntryCopyin),
             _ => {
-                charge.add_ns(
-                    Layer::EntryCopyin,
-                    self.costs.sosend_base + self.costs.sosend_dgram_base,
-                );
-                charge.add_per_byte(Layer::EntryCopyin, self.costs.kcopy_byte, data.len());
-                charge.note(
-                    OpKind::PacketBodyCopy,
-                    self.placement.domain(),
-                    Layer::EntryCopyin,
-                );
+                self.op(charge, Op::Sosend, Layer::EntryCopyin);
+                self.op(charge, Op::SosendDgram, Layer::EntryCopyin);
+                let copy = Op::BodyCopy(Medium::Kernel, data.len());
+                self.op(charge, copy, Layer::EntryCopyin);
             }
         }
         let mut off = 0;
@@ -791,7 +766,7 @@ impl NetStack {
                     self.udp_emit(sim, charge, local, remote, std::iter::once(body), len)?;
                 }
                 _ => {
-                    charge.add_ns(Layer::EntryCopyin, self.costs.mbuf_alloc);
+                    self.op(charge, Op::MbufAlloc(1), Layer::EntryCopyin);
                     let chain = MbufChain::from_slice(body);
                     self.udp_emit(sim, charge, local, remote, chain.iter_segments(), len)?;
                 }
@@ -853,34 +828,18 @@ impl NetStack {
         // the full spl dance; the library caches the session route in
         // its connected pcb.
         charge.site_push(self.placement.domain(), "udp_output");
-        charge.add_ns(Layer::TcpUdpOutput, self.costs.udp_output_base);
+        self.op(charge, Op::UdpOutput, Layer::TcpUdpOutput);
         match self.placement {
             Placement::Library => self.sync(charge, Layer::TcpUdpOutput, 1),
             _ => {
                 self.sync(charge, Layer::TcpUdpOutput, 7);
-                charge.add_ns(
-                    Layer::TcpUdpOutput,
-                    self.costs.pcb_lookup + self.costs.route_lookup / 2,
-                );
+                self.op(charge, Op::PcbLookup, Layer::TcpUdpOutput);
+                self.op(charge, Op::RouteRevalidate, Layer::TcpUdpOutput);
             }
         }
         let mut udp = UdpHeader::new(local.port, remote.port, len);
         let ip = Ipv4Header::new(local.ip, remote.ip, IpProto::Udp, udp.len as usize);
-        charge.add_per_byte(
-            Layer::TcpUdpOutput,
-            self.costs.checksum_byte,
-            UDP_HDR_LEN + len,
-        );
-        charge.note(
-            OpKind::Checksum,
-            self.placement.domain(),
-            Layer::TcpUdpOutput,
-        );
-        charge.note(
-            OpKind::HeaderCopy,
-            self.placement.domain(),
-            Layer::TcpUdpOutput,
-        );
+        self.op(charge, Op::Checksum(UDP_HDR_LEN + len), Layer::TcpUdpOutput);
         let mut frame = take_frame(IP_ROOM + UDP_HDR_LEN + len);
         frame.resize(IP_ROOM + UDP_HDR_LEN, 0);
         for seg in body {
@@ -921,9 +880,9 @@ impl NetStack {
         sock: SockId,
         data: Rc<Vec<u8>>,
     ) -> Result<usize, SocketError> {
-        charge.add_ns(Layer::EntryCopyin, self.costs.sosend_base);
+        self.op(charge, Op::Sosend, Layer::EntryCopyin);
         self.sync(charge, Layer::EntryCopyin, 1);
-        charge.add_ns(Layer::EntryCopyin, self.costs.mbuf_alloc);
+        self.op(charge, Op::MbufAlloc(1), Layer::EntryCopyin);
         let e = self.socks.get_mut(&sock).ok_or(SocketError::BadSocket)?;
         let SockState::Tcp(tcb) = &mut e.state else {
             return Err(SocketError::NotConnected);
@@ -956,9 +915,8 @@ impl NetStack {
         sock: SockId,
         max: usize,
     ) -> Result<MbufChain, SocketError> {
-        let soreceive = self.costs.soreceive_base;
-        let sync_unit = self.sync_unit();
-        let copy_byte = self.costs.copy_byte;
+        let sblock = self.sblock(2);
+        let domain = self.placement.domain();
         let e = self.socks.get_mut(&sock).ok_or(SocketError::BadSocket)?;
         let SockState::Tcp(tcb) = &mut e.state else {
             return Err(SocketError::NotConnected);
@@ -972,17 +930,14 @@ impl NetStack {
             }
             return Err(SocketError::WouldBlock);
         }
-        charge.add_ns(Layer::CopyoutExit, soreceive + 2 * sync_unit);
+        charge.op(&self.costs, Op::Soreceive, domain, Layer::CopyoutExit);
+        charge.op(&self.costs, sblock, domain, Layer::CopyoutExit);
         let n = tcb.readable().min(max);
         let (chain, copied) = tcb.rcv_buf.copy_range(0, n);
         // Cluster-backed data is shared; only small-mbuf slop copies.
-        charge.add_per_byte(Layer::CopyoutExit, copy_byte, copied);
         if copied > 0 {
-            charge.note(
-                OpKind::PacketBodyCopy,
-                self.placement.domain(),
-                Layer::CopyoutExit,
-            );
+            let copy = Op::BodyCopy(Medium::User, copied);
+            charge.op(&self.costs, copy, domain, Layer::CopyoutExit);
         }
         tcb.rcv_buf.drop_front(n);
         let now = charge.at();
@@ -999,8 +954,6 @@ impl NetStack {
         charge: &mut Charge,
         sock: SockId,
     ) -> Result<(MbufChain, InetAddr), SocketError> {
-        let soreceive = self.costs.soreceive_base;
-        let sync_unit = self.sync_unit();
         let e = self.socks.get_mut(&sock).ok_or(SocketError::BadSocket)?;
         let SockState::Udp(pcb) = &mut e.state else {
             return Err(SocketError::Invalid);
@@ -1017,7 +970,8 @@ impl NetStack {
                 tr.event(tid, now, "app-recv");
             }
         }
-        charge.add_ns(Layer::CopyoutExit, soreceive + sync_unit);
+        self.op(charge, Op::Soreceive, Layer::CopyoutExit);
+        self.op(charge, self.sblock(1), Layer::CopyoutExit);
         Ok((chain, from))
     }
 
@@ -1029,18 +983,6 @@ impl NetStack {
         sock: SockId,
         buf: &mut [u8],
     ) -> Result<(usize, InetAddr), SocketError> {
-        let copy_rate = match self.placement {
-            Placement::Kernel => self.costs.kcopy_byte,
-            _ => self.costs.copy_byte,
-        };
-        let soreceive = match self.placement {
-            // The library's datagram receive is the specialized fast
-            // path (no record-mark scanning; the queue hands over whole
-            // datagrams).
-            Placement::Library => self.costs.soreceive_base * 5 / 6,
-            _ => self.costs.soreceive_base,
-        };
-        let sync_unit = self.sync_unit();
         let e = self.socks.get_mut(&sock).ok_or(SocketError::BadSocket)?;
         let SockState::Udp(pcb) = &mut e.state else {
             return Err(SocketError::Invalid);
@@ -1057,16 +999,17 @@ impl NetStack {
                 tr.event(tid, now, "app-recv");
             }
         }
-        charge.add_ns(Layer::CopyoutExit, soreceive + sync_unit);
+        // The library's datagram receive is the specialized fast path.
+        let soreceive = match self.placement {
+            Placement::Library => Op::SoreceiveDgram,
+            _ => Op::Soreceive,
+        };
+        self.op(charge, soreceive, Layer::CopyoutExit);
+        self.op(charge, self.sblock(1), Layer::CopyoutExit);
         let n = chain.len().min(buf.len());
         chain.copy_to_slice(0, &mut buf[..n]);
-        charge.add_per_byte(Layer::CopyoutExit, copy_rate, n);
         if n > 0 {
-            charge.note(
-                OpKind::PacketBodyCopy,
-                self.placement.domain(),
-                Layer::CopyoutExit,
-            );
+            self.op(charge, self.user_copy(n), Layer::CopyoutExit);
         }
         Ok((n, from))
     }
@@ -1215,20 +1158,18 @@ impl NetStack {
             }
         };
         if state.is_some() {
-            self.note_migration();
+            self.note_migration(sim);
         }
         state
     }
 
-    /// Counts a capsule export/import on this domain's census.
-    fn note_migration(&self) {
-        if let Some(c) = &self.cpu.borrow().observers().census {
-            c.borrow_mut().note(
-                OpKind::SessionMigration,
-                self.placement.domain(),
-                Layer::Control,
-            );
-        }
+    /// Counts a capsule export/import in this domain. The capsule is
+    /// priced by the RPC that carries it, which may run on another
+    /// domain's charge, so the count is made on a charge of its own
+    /// that prices nothing and is never finished.
+    fn note_migration(&self, sim: &Sim) {
+        let mut charge = self.cpu.borrow_mut().begin(sim.now());
+        self.op(&mut charge, Op::Migration, Layer::Control);
     }
 
     /// Imports a session exported elsewhere. Buffers are resized to
@@ -1236,7 +1177,7 @@ impl NetStack {
     /// memory and are reallocated on demand). Re-arms the
     /// retransmission timer if data is outstanding.
     pub fn import_session(&mut self, sim: &mut Sim, state: SessionState) -> SockId {
-        self.note_migration();
+        self.note_migration(sim);
         match state {
             SessionState::Tcp(snap) => {
                 let mut tcb = Tcb::import(snap);
@@ -1281,8 +1222,7 @@ impl NetStack {
         proto: IpProto,
         mut frame: Vec<u8>,
     ) -> Result<(), SocketError> {
-        charge.add_ns(Layer::IpOutput, self.costs.ip_output_base);
-        charge.note(OpKind::HeaderCopy, self.placement.domain(), Layer::IpOutput);
+        self.op(charge, Op::IpOutput, Layer::IpOutput);
         let mtu = self.ifnet.as_ref().map_or(1500, |i| i.mtu());
         let payload_len = frame.len() - IP_ROOM;
         let mut hdr = Ipv4Header::new(self.ip_addr, dst, proto, payload_len);
@@ -1308,12 +1248,12 @@ impl NetStack {
         dst: Ipv4Addr,
         frame: Vec<u8>,
     ) -> Result<(), SocketError> {
-        charge.add_ns(Layer::EtherOutput, self.costs.ether_output_base);
+        self.op(charge, Op::EtherOutput, Layer::EtherOutput);
         self.sync(charge, Layer::EtherOutput, 3);
         let Some(next_hop) = self.routes.lookup(dst) else {
             return Err(SocketError::HostUnreach);
         };
-        charge.add_ns(Layer::EtherOutput, self.costs.arp_lookup);
+        self.op(charge, Op::ArpLookup, Layer::EtherOutput);
         let now = charge.at();
         if let Some(mac) = self.arp.lookup(next_hop, now) {
             self.transmit_ip_frame(sim, charge, mac, frame);
@@ -1381,11 +1321,7 @@ impl NetStack {
             src: ifnet.mac(),
             ethertype: EtherType::Ipv4,
         };
-        charge.note(
-            OpKind::HeaderCopy,
-            self.placement.domain(),
-            Layer::EtherOutput,
-        );
+        self.op(charge, Op::EtherHeader, Layer::EtherOutput);
         frame[..ETHER_HDR_LEN].copy_from_slice(&eth.encode());
         ifnet.transmit(sim, charge, frame);
     }
@@ -1408,8 +1344,8 @@ impl NetStack {
         // its netisr accounting — Table 4 shows zero for this row.)
         charge.site_push(self.placement.domain(), "input");
         if self.placement != Placement::Kernel {
-            charge.add_ns(Layer::MbufQueue, self.costs.mbuf_alloc);
-            charge.add_ns(Layer::MbufQueue, self.costs.sbappend_base / 2);
+            self.op(charge, Op::MbufAlloc(1), Layer::MbufQueue);
+            self.op(charge, Op::InputQueue, Layer::MbufQueue);
             self.sync(charge, Layer::MbufQueue, 3);
         }
         match eth.ethertype {
@@ -1454,7 +1390,7 @@ impl NetStack {
 
     fn ip_input(&mut self, sim: &mut Sim, charge: &mut Charge, pkt: &[u8]) {
         charge.trace_span_start(Stage::NetstackIp);
-        charge.add_ns(Layer::IpIntr, self.costs.ip_input_base);
+        self.op(charge, Op::IpInput, Layer::IpIntr);
         self.sync(charge, Layer::IpIntr, 3);
         let Ok(hdr) = Ipv4Header::parse(pkt) else {
             self.stats.checksum_errors += 1;
@@ -1521,7 +1457,7 @@ impl NetStack {
 
     fn udp_input(&mut self, sim: &mut Sim, charge: &mut Charge, ip: &Ipv4Header, pkt: &[u8]) {
         charge.trace_span_start(Stage::NetstackUdp);
-        charge.add_ns(Layer::TcpUdpInput, self.costs.udp_input_base);
+        self.op(charge, Op::UdpInput, Layer::TcpUdpInput);
         self.sync(charge, Layer::TcpUdpInput, 1);
         let Ok(udp) = UdpHeader::parse(pkt) else {
             self.stats.drops.note(DropReason::MalformedFrame);
@@ -1535,12 +1471,7 @@ impl NetStack {
             return;
         }
         let data = &pkt[psd_wire::UDP_HDR_LEN..psd_wire::UDP_HDR_LEN + data_len];
-        charge.add_per_byte(Layer::TcpUdpInput, self.costs.checksum_byte, pkt.len());
-        charge.note(
-            OpKind::Checksum,
-            self.placement.domain(),
-            Layer::TcpUdpInput,
-        );
+        self.op(charge, Op::Checksum(pkt.len()), Layer::TcpUdpInput);
         if !udp.verify(ip, pkt, std::iter::once(data)) {
             self.stats.checksum_errors += 1;
             self.stats.drops.note(DropReason::ChecksumError);
@@ -1593,7 +1524,7 @@ impl NetStack {
             return;
         };
         // sbappendaddr + wakeup.
-        charge.add_ns(Layer::TcpUdpInput, self.costs.sbappend_base);
+        self.op(charge, Op::SbAppend, Layer::TcpUdpInput);
         let e = self.socks.get_mut(&sock).expect("sock chosen above");
         let SockState::Udp(pcb) = &mut e.state else {
             unreachable!("scored as UDP");
@@ -1615,19 +1546,14 @@ impl NetStack {
 
     fn tcp_input(&mut self, sim: &mut Sim, charge: &mut Charge, ip: &Ipv4Header, pkt: &[u8]) {
         charge.trace_span_start(Stage::NetstackTcp);
-        charge.add_ns(Layer::TcpUdpInput, self.costs.tcp_input_base);
+        self.op(charge, Op::TcpInput, Layer::TcpUdpInput);
         self.sync(charge, Layer::TcpUdpInput, 2);
         let Ok((hdr, hdr_len)) = TcpHeader::parse(pkt) else {
             self.stats.drops.note(DropReason::MalformedFrame);
             charge.trace_drop(DropReason::MalformedFrame, self.placement.domain());
             return;
         };
-        charge.add_per_byte(Layer::TcpUdpInput, self.costs.checksum_byte, pkt.len());
-        charge.note(
-            OpKind::Checksum,
-            self.placement.domain(),
-            Layer::TcpUdpInput,
-        );
+        self.op(charge, Op::Checksum(pkt.len()), Layer::TcpUdpInput);
         if !TcpHeader::verify(
             ip,
             &pkt[..hdr_len],
@@ -1861,16 +1787,14 @@ impl NetStack {
         if spec.rexmit {
             self.stats.tcp_rexmt += 1;
         }
-        charge.add_ns(Layer::TcpUdpOutput, self.costs.tcp_output_base);
+        self.op(charge, Op::TcpOutput, Layer::TcpUdpOutput);
         // The sosend→tcp_output path raises/lowers the priority level
         // about seven times in BSD (sblock, sbappend, splnet around
         // output, sbunlock…) — cheap as hardware spl, expensive as the
         // server's emulation, light as user locks.
         self.sync(charge, Layer::TcpUdpOutput, 7);
-        charge.add_ns(
-            Layer::TcpUdpOutput,
-            self.costs.mbuf_alloc * (1 + spec.data.mbuf_count() as u64),
-        );
+        let mbufs = 1 + spec.data.mbuf_count() as u64;
+        self.op(charge, Op::MbufAlloc(mbufs), Layer::TcpUdpOutput);
         let hdr = spec.header();
         let ip = Ipv4Header::new(
             spec.local.ip,
@@ -1878,21 +1802,8 @@ impl NetStack {
             IpProto::Tcp,
             hdr.header_len() + spec.data.len(),
         );
-        charge.add_per_byte(
-            Layer::TcpUdpOutput,
-            self.costs.checksum_byte,
-            hdr.header_len() + spec.data.len(),
-        );
-        charge.note(
-            OpKind::Checksum,
-            self.placement.domain(),
-            Layer::TcpUdpOutput,
-        );
-        charge.note(
-            OpKind::HeaderCopy,
-            self.placement.domain(),
-            Layer::TcpUdpOutput,
-        );
+        let sum = Op::Checksum(hdr.header_len() + spec.data.len());
+        self.op(charge, sum, Layer::TcpUdpOutput);
         // The one write of this segment's bytes: header and gathered
         // body go behind the leading room the lower layers fill in.
         let hdr_len = hdr.header_len();
@@ -1909,7 +1820,7 @@ impl NetStack {
 
     fn icmp_input(&mut self, sim: &mut Sim, charge: &mut Charge, ip: &Ipv4Header, pkt: &[u8]) {
         self.stats.icmp_in += 1;
-        charge.add_ns(Layer::TcpUdpInput, self.costs.udp_input_base / 2);
+        self.op(charge, Op::IcmpInput, Layer::TcpUdpInput);
         let Ok(msg) = IcmpMessage::parse(pkt) else {
             self.stats.checksum_errors += 1;
             self.stats.drops.note(DropReason::ChecksumError);
@@ -1980,7 +1891,7 @@ impl NetStack {
             e.timers.remove(&kind);
             let cpu = s.cpu.clone();
             let mut charge = cpu.borrow_mut().begin(sim.now());
-            charge.add_ns(Layer::Other, s.costs.timer_op);
+            s.op(&mut charge, Op::TimerOp, Layer::Other);
             let now = charge.at();
             let Some(SockEntry {
                 state: SockState::Tcp(tcb),
@@ -2023,18 +1934,17 @@ impl NetStack {
             return;
         };
         if charge_wakeup {
-            let cost = self.costs.sched_wakeup
-                + match self.placement {
-                    Placement::Kernel => 0,
-                    Placement::Library => self.costs.cthread_switch,
-                    Placement::Server => 7 * self.costs.spl_server,
-                };
-            charge.add_ns(Layer::WakeupUserThread, cost);
-            charge.note(
-                OpKind::Wakeup,
-                self.placement.domain(),
-                Layer::WakeupUserThread,
-            );
+            self.op(charge, Op::Wakeup, Layer::WakeupUserThread);
+            // The library hands off between cthreads; the server's
+            // emulated priority levels take seven transitions.
+            let handoff = match self.placement {
+                Placement::Kernel => None,
+                Placement::Library => Some(Op::CthreadSwitch),
+                Placement::Server => Some(Op::QuietSync(Discipline::ServerSpl, 7)),
+            };
+            if let Some(op) = handoff {
+                self.op(charge, op, Layer::WakeupUserThread);
+            }
         }
         let at = charge.at();
         sim.at(at, move |sim| {

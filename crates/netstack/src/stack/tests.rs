@@ -3,7 +3,7 @@
 //! and TCP all run for real over it.
 
 use super::*;
-use psd_sim::{Observers, Profiler};
+use psd_sim::{Observable, Observers, Profiler};
 
 const HOST_A: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const HOST_B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);

@@ -30,11 +30,11 @@ use std::net::Ipv4Addr;
 use std::rc::{Rc, Weak};
 
 use psd_filter::{EndpointSpec, FilterId};
-use psd_kernel::{rpc_control_charge, EndpointId, KernelHandle, PacketSink, RxMode};
+use psd_kernel::{EndpointId, KernelHandle, PacketSink, RxMode};
 use psd_netstack::stack::{SessionState, StackHandle};
 use psd_netstack::udp::UdpSnapshot;
 use psd_netstack::{InetAddr, NetStack, Placement, Route, SockEvent, SockId, SocketError};
-use psd_sim::{Charge, CostModel, Domain, FaultSite, Layer, Sim, SimTime};
+use psd_sim::{Charge, CostModel, Domain, FaultSite, Layer, Op, Sim, SimTime};
 use psd_wire::{EtherAddr, IpProto};
 
 /// A simulated process known to the server.
@@ -454,6 +454,17 @@ impl OsServer {
         self.select_pending.remove(&wid);
     }
 
+    /// Serves one control RPC (no bulk data) whose request and reply
+    /// carry `bytes`: the caller's trap into the server, the RPC
+    /// machinery with its reply crossing, and the message's IPC copies.
+    fn serve_rpc(&mut self, charge: &mut Charge, bytes: usize) {
+        self.stats.rpcs += 1;
+        let (costs, layer) = (&self.costs, Layer::Control);
+        charge.op(costs, Op::Trap, Domain::Server, layer);
+        charge.op(costs, Op::Rpc, Domain::Library, layer);
+        charge.op(costs, Op::ControlCopies(bytes), Domain::Server, layer);
+    }
+
     // ----- Table 1: proxy_socket -----
 
     /// Creates a session managed by the operating system. Idempotent
@@ -466,8 +477,7 @@ impl OsServer {
         proto: Proto,
         token: RetryToken,
     ) -> SessionId {
-        self.stats.rpcs += 1;
-        rpc_control_charge(&self.costs, charge, 64);
+        self.serve_rpc(charge, 64);
         if let Some(&sid) = self.token_sessions.get(&token.0) {
             if self.sessions.contains_key(&sid) {
                 self.stats.rpc_dedup_hits += 1;
@@ -499,8 +509,7 @@ impl OsServer {
         token: RetryToken,
     ) -> Result<Option<SessionReply>, SocketError> {
         let mut s = this.borrow_mut();
-        s.stats.rpcs += 1;
-        rpc_control_charge(&s.costs, charge, 64);
+        s.serve_rpc(charge, 64);
         let host_ip = s.host_ip;
         let proto = s.sessions.get(&sid).ok_or(SocketError::BadSocket)?.proto;
         let port = match s.token_ports.get(&token.0) {
@@ -632,8 +641,7 @@ impl OsServer {
             complete(sim, charge, done, Err(SocketError::TimedOut));
             return;
         }
-        s.stats.rpcs += 1;
-        rpc_control_charge(&s.costs, charge, 96);
+        s.serve_rpc(charge, 96);
         let Some(sess) = s.sessions.get_mut(&sid) else {
             drop(s);
             complete(sim, charge, done, Err(SocketError::BadSocket));
@@ -763,8 +771,7 @@ impl OsServer {
         backlog: usize,
     ) -> Result<(), SocketError> {
         let mut s = this.borrow_mut();
-        s.stats.rpcs += 1;
-        rpc_control_charge(&s.costs, charge, 48);
+        s.serve_rpc(charge, 48);
         let sess = s.sessions.get(&sid).ok_or(SocketError::BadSocket)?;
         if sess.local.is_none() {
             return Err(SocketError::Invalid);
@@ -799,8 +806,7 @@ impl OsServer {
             complete(sim, charge, done, Err(SocketError::TimedOut));
             return;
         }
-        s.stats.rpcs += 1;
-        rpc_control_charge(&s.costs, charge, 64);
+        s.serve_rpc(charge, 64);
         let listening = s
             .sessions
             .get(&sid)
@@ -918,7 +924,8 @@ impl OsServer {
         local: InetAddr,
         remote: Option<InetAddr>,
     ) -> SessionReply {
-        charge.add_ns(Layer::Control, self.costs.rpc_base / 2);
+        let prepare = Op::MigrationPrepare;
+        charge.op(&self.costs, prepare, Domain::Server, Layer::Control);
         let proto = match &state {
             SessionState::Tcp(_) => IpProto::Tcp,
             SessionState::Udp(_) => IpProto::Udp,
@@ -1043,9 +1050,8 @@ impl OsServer {
         state: SessionState,
     ) -> Result<(), SocketError> {
         let mut s = this.borrow_mut();
-        s.stats.rpcs += 1;
+        s.serve_rpc(charge, 256);
         s.stats.migrations_in += 1;
-        rpc_control_charge(&s.costs, charge, 256);
         s.teardown_app_delivery(sid);
         let sock = s.stack.borrow_mut().import_session(sim, state);
         s.attach_dispatcher(sock);
@@ -1081,8 +1087,7 @@ impl OsServer {
         state: Option<SessionState>,
     ) {
         let mut s = this.borrow_mut();
-        s.stats.rpcs += 1;
-        rpc_control_charge(&s.costs, charge, 128);
+        s.serve_rpc(charge, 128);
         if let Some(state) = state {
             s.stats.migrations_in += 1;
             s.teardown_app_delivery(sid);
@@ -1161,8 +1166,7 @@ impl OsServer {
     /// Forks a process: the child shares all (server-resident)
     /// sessions. Fails if any session is still migrated out.
     pub fn fork(&mut self, charge: &mut Charge, parent: ProcId) -> Result<ProcId, SocketError> {
-        self.stats.rpcs += 1;
-        rpc_control_charge(&self.costs, charge, 128);
+        self.serve_rpc(charge, 128);
         let sessions: Vec<SessionId> = self
             .procs
             .get(&parent)
@@ -1491,8 +1495,7 @@ impl OsServer {
         if s.down {
             return None;
         }
-        s.stats.rpcs += 1;
-        rpc_control_charge(&s.costs, charge, 32);
+        s.serve_rpc(charge, 32);
         let now = charge.at();
         let hit = s.stack.borrow().arp.lookup(ip, now);
         if hit.is_none() {
@@ -1545,8 +1548,7 @@ impl OsServer {
             if s.down {
                 return;
             }
-            s.stats.rpcs += 1;
-            rpc_control_charge(&s.costs, charge, 32);
+            s.serve_rpc(charge, 32);
             if let Some(sess) = s.sessions.get_mut(&sid) {
                 sess.app_readable = readable;
                 sess.app_writable = writable;
@@ -1569,8 +1571,7 @@ impl OsServer {
     ) {
         let waiter_id = {
             let mut s = this.borrow_mut();
-            s.stats.rpcs += 1;
-            rpc_control_charge(&s.costs, charge, 64);
+            s.serve_rpc(charge, 64);
             let id = s.next_select;
             s.next_select += 1;
             for (sid, _, _) in &watch {

@@ -6,51 +6,39 @@
 //! the device copy; the in-kernel stack copies straight from its wired
 //! mbufs to the device.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use psd_kernel::{Kernel, KernelHandle, PacketSink};
 use psd_netstack::{NetIf, StackHandle};
-use psd_sim::{Charge, Sim};
+use psd_sim::{Charge, CostModel, Domain, Layer, Medium, Op, Sim};
 use psd_wire::EtherAddr;
 
-/// Transmit path for user-space stacks (server, application library).
+/// Transmit path for user-space stacks (server, application library):
+/// the kernel's send trap, [`Kernel::user_send`].
 ///
-/// The MAC address and unit costs are cached at construction so that
-/// neither `mac()` nor `transmit()` needs to borrow the kernel
-/// synchronously — `transmit` charges locally and schedules the
-/// kernel-side handoff, which keeps the in-kernel receive path (where
-/// the kernel is already borrowed) reentrancy-safe.
+/// The MAC address is cached at construction so that `mac()` needs no
+/// kernel borrow.
 pub struct UserNetIf {
     kernel: KernelHandle,
     mac: EtherAddr,
-    trap: u64,
-    kcopy_byte: u64,
-    dev_write_byte: u64,
     /// Announced size of the open transmit batch window (0 = no window):
     /// one trap covers up to this many back-to-back frames.
-    batch_hint: std::cell::Cell<usize>,
+    batch_hint: Cell<usize>,
     /// Frames remaining in the window that ride the trap the window's
     /// first frame paid.
-    batch_free: std::cell::Cell<usize>,
+    batch_free: Cell<usize>,
 }
 
 impl UserNetIf {
     /// Binds to the host kernel.
     pub fn new(kernel: KernelHandle) -> Rc<UserNetIf> {
-        let (mac, trap, kcopy_byte, dev_write_byte) = {
-            let k = kernel.borrow();
-            let c = k.costs();
-            (k.mac(), c.trap, c.kcopy_byte, c.dev_write_byte)
-        };
+        let mac = kernel.borrow().mac();
         Rc::new(UserNetIf {
             kernel,
             mac,
-            trap,
-            kcopy_byte,
-            dev_write_byte,
-            batch_hint: std::cell::Cell::new(0),
-            batch_free: std::cell::Cell::new(0),
+            batch_hint: Cell::new(0),
+            batch_free: Cell::new(0),
         })
     }
 }
@@ -61,30 +49,19 @@ impl NetIf for UserNetIf {
     }
 
     fn transmit(&self, sim: &mut Sim, charge: &mut Charge, frame: Vec<u8>) {
-        use psd_sim::{Domain, Layer, OpKind, SimTime};
         // Batched doorbell: within an announced window only the first
         // frame traps; the rest are appended to the already-mapped
-        // transmit ring. Both copies (user → wired buffer → device) are
-        // physical and always paid.
+        // transmit ring.
         let free = self.batch_free.get();
         if free > 0 {
             self.batch_free.set(free - 1);
         } else {
-            charge.crossing_in(
-                Domain::Kernel,
-                Layer::EtherOutput,
-                SimTime::from_nanos(self.trap),
-            );
             let hint = self.batch_hint.get();
             if hint > 1 {
                 self.batch_free.set(hint - 1);
             }
         }
-        charge.add_per_byte(Layer::EtherOutput, self.kcopy_byte, frame.len());
-        charge.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::EtherOutput);
-        charge.add_per_byte(Layer::EtherOutput, self.dev_write_byte, frame.len());
-        charge.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::EtherOutput);
-        Kernel::enqueue_tx(&self.kernel, sim, charge.at(), frame, true);
+        Kernel::user_send(&self.kernel, sim, charge, frame, free == 0);
     }
 
     fn tx_batch_hint(&self, n: usize) {
@@ -98,25 +75,24 @@ impl NetIf for UserNetIf {
     }
 }
 
-/// Transmit path for the in-kernel stack.
+/// Transmit path for the in-kernel stack: its mbufs are already wired,
+/// so only the device copy is paid. It runs inside the kernel's receive
+/// path, where the kernel is borrowed, so it prices the copy from the
+/// host's cost model held here rather than through the kernel.
 pub struct KernelNetIf {
     kernel: KernelHandle,
     mac: EtherAddr,
-    dev_write_byte: u64,
+    costs: CostModel,
 }
 
 impl KernelNetIf {
     /// Binds to the host kernel.
     pub fn new(kernel: KernelHandle) -> Rc<KernelNetIf> {
-        let (mac, dev_write_byte) = {
+        let (mac, costs) = {
             let k = kernel.borrow();
-            (k.mac(), k.costs().dev_write_byte)
+            (k.mac(), k.costs().clone())
         };
-        Rc::new(KernelNetIf {
-            kernel,
-            mac,
-            dev_write_byte,
-        })
+        Rc::new(KernelNetIf { kernel, mac, costs })
     }
 }
 
@@ -126,9 +102,8 @@ impl NetIf for KernelNetIf {
     }
 
     fn transmit(&self, sim: &mut Sim, charge: &mut Charge, frame: Vec<u8>) {
-        use psd_sim::{Domain, Layer, OpKind};
-        charge.add_per_byte(Layer::EtherOutput, self.dev_write_byte, frame.len());
-        charge.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::EtherOutput);
+        let copy = Op::BodyCopy(Medium::DeviceWrite, frame.len());
+        charge.op(&self.costs, copy, Domain::Kernel, Layer::EtherOutput);
         Kernel::enqueue_tx(&self.kernel, sim, charge.at(), frame, false);
     }
 }
@@ -157,7 +132,7 @@ pub fn stack_sink(stack: &StackHandle) -> PacketSink {
 pub fn stack_sink_with_busy_report(
     stack: &StackHandle,
     kernel: &KernelHandle,
-    endpoint: Rc<std::cell::Cell<Option<psd_kernel::EndpointId>>>,
+    endpoint: Rc<Cell<Option<psd_kernel::EndpointId>>>,
 ) -> PacketSink {
     let stack = stack.clone();
     let kernel = kernel.clone();
@@ -180,45 +155,27 @@ pub fn stack_sink_with_busy_report(
 mod tests {
     use super::*;
     use psd_netdev::Ethernet;
-    use psd_sim::{CostModel, Cpu, SimTime};
+    use psd_sim::{Cpu, SimTime};
 
     #[test]
-    fn user_netif_reports_kernel_mac_and_transmits() {
+    fn both_netifs_reach_the_wire_through_the_kernel() {
         let mut sim = Sim::new(1);
         let ether = Ethernet::ten_megabit(&mut sim);
         let cpu = Rc::new(RefCell::new(Cpu::new()));
-        let kernel = Kernel::new(
-            CostModel::decstation_5000_200(),
-            cpu.clone(),
-            EtherAddr::local(9),
-        );
+        let costs = CostModel::decstation_5000_200();
+        let kernel = Kernel::new(costs, cpu.clone(), EtherAddr::local(9));
         Kernel::connect(&kernel, &ether);
-        let nif = UserNetIf::new(kernel.clone());
-        assert_eq!(nif.mac(), EtherAddr::local(9));
+        let user = UserNetIf::new(kernel.clone());
+        assert_eq!(user.mac(), EtherAddr::local(9));
+        let netifs: [Rc<dyn NetIf>; 2] = [user, KernelNetIf::new(kernel.clone())];
         let mut charge = cpu.borrow_mut().begin(SimTime::ZERO);
-        nif.transmit(&mut sim, &mut charge, vec![0u8; 64]);
+        for nif in &netifs {
+            nif.transmit(&mut sim, &mut charge, vec![0u8; 64]);
+        }
         cpu.borrow_mut().finish(charge);
         sim.run_to_idle();
-        assert_eq!(kernel.borrow().stats().tx_user, 1);
-        assert_eq!(ether.borrow().stats().tx_frames, 1);
-    }
-
-    #[test]
-    fn kernel_netif_uses_kernel_path() {
-        let mut sim = Sim::new(1);
-        let ether = Ethernet::ten_megabit(&mut sim);
-        let cpu = Rc::new(RefCell::new(Cpu::new()));
-        let kernel = Kernel::new(
-            CostModel::decstation_5000_200(),
-            cpu.clone(),
-            EtherAddr::local(9),
-        );
-        Kernel::connect(&kernel, &ether);
-        let nif = KernelNetIf::new(kernel.clone());
-        let mut charge = cpu.borrow_mut().begin(SimTime::ZERO);
-        nif.transmit(&mut sim, &mut charge, vec![0u8; 64]);
-        cpu.borrow_mut().finish(charge);
-        sim.run_to_idle();
-        assert_eq!(kernel.borrow().stats().tx_kernel, 1);
+        let stats = kernel.borrow().stats();
+        assert_eq!((stats.tx_user, stats.tx_kernel), (1, 1));
+        assert_eq!(ether.borrow().stats().tx_frames, 2);
     }
 }

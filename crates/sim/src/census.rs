@@ -176,13 +176,10 @@ impl Census {
         Rc::new(RefCell::new(Census::new()))
     }
 
-    /// Counts one occurrence of `op` in `domain` within `layer`.
-    pub fn note(&mut self, op: OpKind, domain: Domain, layer: Layer) {
-        self.note_n(op, domain, layer, 1);
-    }
-
-    /// Counts `n` occurrences of `op` in `domain` within `layer`.
-    pub fn note_n(&mut self, op: OpKind, domain: Domain, layer: Layer, n: u64) {
+    /// Counts `n` occurrences of `op` in `domain` within `layer`. Only
+    /// [`Charge`](crate::Charge) counts, so every count is a priced
+    /// operation.
+    pub(crate) fn note_n(&mut self, op: OpKind, domain: Domain, layer: Layer, n: u64) {
         self.counts[op.index()][layer.index()][domain.index()] += n;
     }
 
@@ -190,7 +187,7 @@ impl Census {
     /// endpoint id, for per-session filter-run attribution). Scoped counts
     /// are additional to — not part of — the `(kind, layer, domain)`
     /// counters.
-    pub fn note_scoped(&mut self, op: OpKind, scope: u64, n: u64) {
+    pub(crate) fn note_scoped(&mut self, op: OpKind, scope: u64, n: u64) {
         *self.scoped.entry((op.index() as u8, scope)).or_insert(0) += n;
     }
 
@@ -199,7 +196,7 @@ impl Census {
     /// terminal state in the packet-lifecycle trace, and the always-on
     /// per-component [`DropCounters`](crate::trace::DropCounters) carry
     /// the same taxonomy when no census is attached.
-    pub fn note_drop(&mut self, reason: DropReason, domain: Domain) {
+    pub(crate) fn note_drop(&mut self, reason: DropReason, domain: Domain) {
         self.drops[reason.index()][domain.index()] += 1;
     }
 
@@ -380,21 +377,15 @@ mod tests {
     #[test]
     fn note_accumulates_per_cell() {
         let mut c = Census::new();
-        c.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::KernelCopyout);
-        c.note_n(
-            OpKind::PacketBodyCopy,
-            Domain::Kernel,
-            Layer::KernelCopyout,
-            2,
-        );
-        c.note(OpKind::PacketBodyCopy, Domain::Library, Layer::CopyoutExit);
-        assert_eq!(
-            c.count(OpKind::PacketBodyCopy, Domain::Kernel, Layer::KernelCopyout),
-            3
-        );
-        assert_eq!(c.total(OpKind::PacketBodyCopy), 4);
-        assert_eq!(c.domain_total(OpKind::PacketBodyCopy, Domain::Library), 1);
-        assert_eq!(c.layer_total(OpKind::PacketBodyCopy, Layer::CopyoutExit), 1);
+        let (body, kernel, copyout) =
+            (OpKind::PacketBodyCopy, Domain::Kernel, Layer::KernelCopyout);
+        c.note_n(body, kernel, copyout, 1);
+        c.note_n(body, kernel, copyout, 2);
+        c.note_n(body, Domain::Library, Layer::CopyoutExit, 1);
+        assert_eq!(c.count(body, kernel, copyout), 3);
+        assert_eq!(c.total(body), 4);
+        assert_eq!(c.domain_total(body, Domain::Library), 1);
+        assert_eq!(c.layer_total(body, Layer::CopyoutExit), 1);
     }
 
     #[test]
@@ -413,7 +404,7 @@ mod tests {
     fn snapshot_is_deterministic_and_nonzero_only() {
         let build = || {
             let mut c = Census::new();
-            c.note(OpKind::Checksum, Domain::Server, Layer::TcpUdpInput);
+            c.note_n(OpKind::Checksum, Domain::Server, Layer::TcpUdpInput, 1);
             c.note_n(OpKind::BoundaryCrossing, Domain::Kernel, Layer::Control, 2);
             c.note_scoped(OpKind::FilterRun, 42, 9);
             c
@@ -430,7 +421,7 @@ mod tests {
     #[test]
     fn reset_clears_everything() {
         let mut c = Census::new();
-        c.note(OpKind::Interrupt, Domain::Kernel, Layer::DeviceIntrRead);
+        c.note_n(OpKind::Interrupt, Domain::Kernel, Layer::DeviceIntrRead, 1);
         c.note_scoped(OpKind::FilterRun, 1, 1);
         c.note_drop(DropReason::ChecksumError, Domain::Server);
         c.reset();
@@ -458,7 +449,7 @@ mod tests {
     fn json_snapshot_is_deterministic_and_nonzero_only() {
         let build = || {
             let mut c = Census::new();
-            c.note(OpKind::Checksum, Domain::Server, Layer::TcpUdpInput);
+            c.note_n(OpKind::Checksum, Domain::Server, Layer::TcpUdpInput, 1);
             c.note_drop(DropReason::ChecksumError, Domain::Server);
             c.note_scoped(OpKind::FilterRun, 3, 4);
             c.snapshot_json()

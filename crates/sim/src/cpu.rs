@@ -23,6 +23,7 @@
 //! `Option` checks.
 
 use crate::census::{CensusHandle, Domain, OpKind};
+use crate::cost::{CostModel, Op};
 use crate::fault::{FaultPlaneHandle, FaultSite};
 use crate::layer::Layer;
 use crate::profile::{ProfEntry, ProfileHandle, NO_PACKET, ROOT_SITE};
@@ -204,7 +205,7 @@ impl Charge {
 
     /// Charges `cost` against `layer`.
     #[inline]
-    pub fn add(&mut self, layer: Layer, cost: SimTime) {
+    fn add(&mut self, layer: Layer, cost: SimTime) {
         self.cursor += cost;
         if self.mask & M_PROFILE != 0 {
             self.add_profiled(layer, cost);
@@ -237,22 +238,40 @@ impl Charge {
         });
     }
 
-    /// Charges `cost` nanoseconds against `layer`.
+    /// Charges `cost` nanoseconds against `layer`: work the cost model
+    /// does not price, such as an application's think time.
     pub fn add_ns(&mut self, layer: Layer, ns: u64) {
         self.add(layer, SimTime::from_nanos(ns));
     }
 
-    /// Charges a per-byte cost: `len * ns_per_byte` nanoseconds.
-    pub fn add_per_byte(&mut self, layer: Layer, ns_per_byte: u64, len: usize) {
-        self.add(layer, SimTime::from_nanos(ns_per_byte * len as u64));
+    /// Performs `op` in `domain`: charges its price from `costs` against
+    /// `layer` and counts it in the census and the tracer (if attached)
+    /// as [`Op::census`] says. The one call every protocol path charges
+    /// through, so a counted operation is always priced and a price
+    /// always belongs to a named operation.
+    #[inline(always)]
+    pub fn op(&mut self, costs: &CostModel, op: Op, domain: Domain, layer: Layer) {
+        self.add(layer, SimTime::from_nanos(costs.price(op)));
+        if self.mask & (M_CENSUS | M_TRACE) != 0 {
+            self.op_observed(op, domain, layer);
+        }
     }
 
-    /// Charges the cost of a protection-boundary crossing to `layer`
-    /// and counts it in the census under `domain` (the domain being
-    /// *entered*).
-    pub fn crossing_in(&mut self, domain: Domain, layer: Layer, cost: SimTime) {
-        self.add(layer, cost);
-        self.note(OpKind::BoundaryCrossing, domain, layer);
+    #[cold]
+    fn op_observed(&mut self, op: Op, domain: Domain, layer: Layer) {
+        if let Some((kind, n)) = op.census() {
+            if let Some(c) = &self.obs.census {
+                c.borrow_mut().note_n(kind, domain, layer, n);
+            }
+            if let Some(t) = &self.obs.trace {
+                t.borrow_mut().note_op_n(kind, n);
+            }
+        }
+        // Per-session attribution: only the session the frame is
+        // destined for is counted, the isolation the filter provides.
+        if let (Op::FilterRun(_, Some(scope)), Some(c)) = (op, &self.obs.census) {
+            c.borrow_mut().note_scoped(OpKind::FilterRun, scope, 1);
+        }
     }
 
     // --- Charged-time profiling hooks ---
@@ -276,47 +295,6 @@ impl Charge {
             let p = self.obs.profile.as_ref().expect("mask implies profiler");
             let parent = p.borrow().parent_of(self.site);
             self.site = parent;
-        }
-    }
-
-    /// Counts one occurrence of `op` in the census and the tracer (if
-    /// attached). Counting is free: the cursor does not advance. This
-    /// single hook fans out to both sinks, so a call site can never
-    /// increment one and not the other.
-    #[inline]
-    pub fn note(&mut self, op: OpKind, domain: Domain, layer: Layer) {
-        if self.mask & (M_CENSUS | M_TRACE) != 0 {
-            self.note_observed(op, domain, layer, 1);
-        }
-    }
-
-    /// Counts `n` occurrences of `op` in the census and the tracer (if
-    /// attached).
-    #[inline]
-    pub fn note_n(&mut self, op: OpKind, domain: Domain, layer: Layer, n: u64) {
-        if self.mask & (M_CENSUS | M_TRACE) != 0 {
-            self.note_observed(op, domain, layer, n);
-        }
-    }
-
-    #[cold]
-    fn note_observed(&mut self, op: OpKind, domain: Domain, layer: Layer, n: u64) {
-        if let Some(c) = &self.obs.census {
-            c.borrow_mut().note_n(op, domain, layer, n);
-        }
-        if let Some(t) = &self.obs.trace {
-            t.borrow_mut().note_op_n(op, self.cursor, n);
-        }
-    }
-
-    /// Counts `n` occurrences of `op` against an opaque scope id (e.g. an
-    /// endpoint id) in the census (if one is attached).
-    #[inline]
-    pub fn note_scoped(&mut self, op: OpKind, scope: u64, n: u64) {
-        if self.mask & M_CENSUS != 0 {
-            if let Some(c) = &self.obs.census {
-                c.borrow_mut().note_scoped(op, scope, n);
-            }
         }
     }
 
@@ -418,6 +396,7 @@ impl Charge {
 mod tests {
     use super::*;
     use crate::census::Census;
+    use crate::cost::{Discipline, Medium};
     use crate::profile::Profiler;
     use crate::trace::Tracer;
 
@@ -472,17 +451,14 @@ mod tests {
             census: Some(census.clone()),
             ..Observers::default()
         });
+        let costs = CostModel::decstation_5000_200();
         let mut c = cpu.begin(SimTime::ZERO);
         c.add(Layer::TcpUdpInput, SimTime::from_micros(3));
-        c.crossing_in(
-            Domain::Kernel,
-            Layer::KernelCopyout,
-            SimTime::from_micros(2),
-        );
+        c.op(&costs, Op::IpcMessage, Domain::Kernel, Layer::KernelCopyout);
         cpu.finish(c);
         let p = prof.borrow();
         assert_eq!(p.layer_ns(Layer::TcpUdpInput), 3_000);
-        assert_eq!(p.layer_ns(Layer::KernelCopyout), 2_000);
+        assert_eq!(p.layer_ns(Layer::KernelCopyout), costs.ipc_oneway);
         assert_eq!(
             census
                 .borrow()
@@ -493,10 +469,34 @@ mod tests {
 
     #[test]
     fn per_byte_charges_scale() {
+        let costs = CostModel::decstation_5000_200();
         let mut cpu = Cpu::new();
         let mut c = cpu.begin(SimTime::ZERO);
-        c.add_per_byte(Layer::EntryCopyin, 126, 1000);
+        let copy = Op::BodyCopy(Medium::User, 1000);
+        c.op(&costs, copy, Domain::Library, Layer::EntryCopyin);
         assert_eq!(c.elapsed(), SimTime::from_nanos(126_000));
+    }
+
+    #[test]
+    fn filter_runs_count_their_session_and_uncounted_ops_only_price() {
+        let census = Census::shared();
+        let costs = CostModel::decstation_5000_200();
+        let mut cpu = Cpu::new();
+        cpu.set_observers(Observers {
+            census: Some(census.clone()),
+            ..Observers::default()
+        });
+        let mut c = cpu.begin(SimTime::ZERO);
+        let (kernel, netisr) = (Domain::Kernel, Layer::NetisrPacketFilter);
+        c.op(&costs, Op::Netisr, kernel, netisr);
+        c.op(&costs, Op::FilterRun(3, Some(7)), kernel, netisr);
+        let want = SimTime::from_nanos(costs.netisr + 3 * costs.filter_insn);
+        assert_eq!(cpu.finish(c), want);
+        // One run in the grid and one against its session; the netisr
+        // hand-off is priced, not counted.
+        let census = census.borrow();
+        assert_eq!(census.scoped(OpKind::FilterRun, 7), 1);
+        assert_eq!(census.snapshot().lines().count(), 2);
     }
 
     #[test]
@@ -511,9 +511,12 @@ mod tests {
         });
         let id = tracer.borrow_mut().begin_packet(SimTime::ZERO, None);
         tracer.borrow_mut().push_current(id);
+        let costs = CostModel::decstation_5000_200();
         let mut c = cpu.begin(SimTime::ZERO);
-        c.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::KernelCopyout);
-        c.note_n(OpKind::Wakeup, Domain::Kernel, Layer::WakeupUserThread, 2);
+        let copy = Op::BodyCopy(Medium::KernelCached, 10);
+        c.op(&costs, copy, Domain::Kernel, Layer::KernelCopyout);
+        let spl = Op::Sync(Discipline::Spl, 2);
+        c.op(&costs, spl, Domain::Kernel, Layer::WakeupUserThread);
         c.trace_span_start(Stage::NicRx);
         c.add_ns(Layer::DeviceIntrRead, 100);
         c.trace_span_end(Stage::NicRx);
@@ -525,9 +528,10 @@ mod tests {
             t.op_total(OpKind::PacketBodyCopy),
             census.borrow().total(OpKind::PacketBodyCopy)
         );
+        assert_eq!(t.op_total(OpKind::SplRaise), 2);
         assert_eq!(
-            t.op_total(OpKind::Wakeup),
-            census.borrow().total(OpKind::Wakeup)
+            t.op_total(OpKind::SplRaise),
+            census.borrow().total(OpKind::SplRaise)
         );
         assert_eq!(t.stage_latencies(Stage::NicRx), vec![100]);
         assert_eq!(t.terminal_of(id), Some(crate::trace::Terminal::Delivered));
@@ -575,7 +579,13 @@ mod tests {
         });
         cpu.set_observers(Observers::default());
         let mut c = cpu.begin(SimTime::ZERO);
-        c.note(OpKind::PacketBodyCopy, Domain::Kernel, Layer::KernelCopyout);
+        let copy = Op::BodyCopy(Medium::Kernel, 1);
+        c.op(
+            &CostModel::decstation_5000_200(),
+            copy,
+            Domain::Kernel,
+            Layer::KernelCopyout,
+        );
         c.site_push(Domain::Kernel, "nowhere");
         c.site_pop();
         assert!(!c.fault(FaultSite::WireLoss));

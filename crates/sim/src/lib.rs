@@ -44,7 +44,7 @@ pub mod trace;
 mod wheel;
 
 pub use census::{Census, CensusHandle, Domain, OpKind};
-pub use cost::{CostModel, Platform};
+pub use cost::{CostModel, Discipline, Medium, Op, Platform};
 pub use cpu::{Charge, Cpu, Observable, Observers};
 pub use engine::{Sim, SimHandle};
 pub use fault::{FaultPlane, FaultPlaneHandle, FaultSite};

@@ -445,27 +445,9 @@ impl Tracer {
         self.events.push(EventRec { id, t, name });
     }
 
-    /// Charge-site hook: counts one `op` and, for the operations the
-    /// paper's decomposition is about (body copies, crossings, wakeups),
-    /// records an in-span event on the current packet. Fed by the same
-    /// call that feeds the census, so the two can never disagree.
-    pub fn note_op(&mut self, op: OpKind, t: SimTime) {
-        self.note_op_n(op, t, 1);
-        if let Some(id) = self.current() {
-            let name = match op {
-                OpKind::PacketBodyCopy => Some("body-copy"),
-                OpKind::BoundaryCrossing => Some("crossing"),
-                OpKind::Wakeup => Some("wakeup"),
-                _ => None,
-            };
-            if let Some(name) = name {
-                self.events.push(EventRec { id, t, name });
-            }
-        }
-    }
-
-    /// Charge-site hook: counts `n` occurrences of `op`.
-    pub fn note_op_n(&mut self, op: OpKind, _t: SimTime, n: u64) {
+    /// Charge-site hook: counts `n` occurrences of `op`. Fed by the
+    /// same call that feeds the census, so the two can never disagree.
+    pub(crate) fn note_op_n(&mut self, op: OpKind, n: u64) {
         self.op_counts[op.index()] += n;
     }
 
@@ -716,34 +698,6 @@ impl Tracer {
             ));
         }
     }
-
-    /// Machine-readable stage histogram, one JSON object per stage with
-    /// spans, plus end-to-end (comma-separated, no brackets).
-    pub fn stage_json(&self, out: &mut String) {
-        let mut emit = |name: &str, lat: &[u64], first: &mut bool| {
-            if lat.is_empty() {
-                return;
-            }
-            if !*first {
-                out.push(',');
-            }
-            *first = false;
-            let _ = write!(
-                out,
-                "{{\"stage\":\"{name}\",\"count\":{},\"p50_ns\":{},\
-                 \"p90_ns\":{},\"p99_ns\":{}}}",
-                lat.len(),
-                Self::percentile(lat, 50),
-                Self::percentile(lat, 90),
-                Self::percentile(lat, 99),
-            );
-        };
-        let mut first = true;
-        for stage in Stage::ALL {
-            emit(stage.label(), &self.stage_latencies(stage), &mut first);
-        }
-        emit("end-to-end", &self.end_to_end_latencies(), &mut first);
-    }
 }
 
 /// Wraps merged [`Tracer::chrome_events`] output into a complete
@@ -825,21 +779,6 @@ mod tests {
         assert_eq!(Tracer::percentile(&v, 99), 99);
         assert_eq!(Tracer::percentile(&v, 0), 1);
         assert_eq!(Tracer::percentile(&[], 50), 0);
-    }
-
-    #[test]
-    fn note_op_feeds_counts_and_current_packet_events() {
-        let mut tr = Tracer::new();
-        let id = tr.begin_packet(t(0), None);
-        tr.note_op(OpKind::PacketBodyCopy, t(1)); // no current: count only
-        tr.push_current(id);
-        tr.note_op(OpKind::PacketBodyCopy, t(2));
-        tr.note_op(OpKind::Checksum, t(2)); // counted, no event
-        tr.pop_current();
-        tr.terminal(id, t(3), Terminal::Delivered);
-        assert_eq!(tr.op_total(OpKind::PacketBodyCopy), 2);
-        assert_eq!(tr.op_total(OpKind::Checksum), 1);
-        assert_eq!(tr.event_count("body-copy"), 1);
     }
 
     #[test]

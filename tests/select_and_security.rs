@@ -299,3 +299,88 @@ fn fd_events_route_to_correct_descriptor() {
     bed.settle();
     assert_eq!(hits.borrow().as_slice(), &[fd2]);
 }
+
+/// The §3.4 outbound limiter guards the frames a user-space stack
+/// actually sends: the library's and the server's stacks transmit
+/// through the kernel's one send trap, so a policy that admits ARP and
+/// UDP to one port lets that datagram through and keeps a datagram to
+/// any other port off the wire.
+#[test]
+fn outbound_limiter_guards_user_space_stacks() {
+    use psd::filter::{Binop, Insn, Program};
+    const ALLOWED: u16 = 5000;
+    const BLOCKED: u16 = 6000;
+    // ARP passes; otherwise IPv4, UDP, and the allowed destination port
+    // (a 20-byte IP header puts it at byte 36).
+    let policy = Program::new(vec![
+        Insn::PushWord(12),
+        Insn::PushLit(0x0806),
+        Insn::CombineOr(Binop::Eq),
+        Insn::PushWord(12),
+        Insn::PushLit(0x0800),
+        Insn::CombineAnd(Binop::Eq),
+        Insn::PushWord(22),
+        Insn::PushLit(0x00FF),
+        Insn::Op(Binop::And),
+        Insn::PushLit(17),
+        Insn::CombineAnd(Binop::Eq),
+        Insn::PushWord(36),
+        Insn::PushLit(ALLOWED),
+        Insn::Op(Binop::Eq),
+        Insn::Ret,
+    ]);
+    for config in [
+        SystemConfig::LibraryShm,
+        SystemConfig::LibraryShmIpf,
+        SystemConfig::UxServer,
+    ] {
+        let label = config.label();
+        let mut bed = TestBed::new(config, Platform::DecStation5000_200, 81);
+        let receiver = bed.hosts[1].spawn_app();
+        let [allowed, blocked] = [ALLOWED, BLOCKED].map(|port| {
+            let fd = AppLib::socket(&receiver, &mut bed.sim, Proto::Udp);
+            AppLib::bind(&receiver, &mut bed.sim, fd, port).unwrap();
+            fd
+        });
+        let sender = bed.hosts[0].spawn_app();
+        let sfd = AppLib::socket(&sender, &mut bed.sim, Proto::Udp);
+        AppLib::bind(&sender, &mut bed.sim, sfd, 3000).unwrap();
+        bed.settle();
+        bed.hosts[0]
+            .kernel
+            .borrow_mut()
+            .set_tx_limiter(Some(policy.clone()));
+        let to = |port| Some(InetAddr::new(bed.hosts[1].ip, port));
+        let (to_allowed, to_blocked) = (to(ALLOWED), to(BLOCKED));
+        let mut buf = [0u8; 16];
+
+        // Twice: a cold ARP cache may legitimately drop the first.
+        for _ in 0..2 {
+            AppLib::sendto(&sender, &mut bed.sim, sfd, b"allowed", to_allowed).unwrap();
+            bed.settle();
+        }
+        assert!(
+            AppLib::recvfrom(&receiver, &mut bed.sim, allowed, &mut buf).is_ok(),
+            "{label}: the admitted datagram is delivered"
+        );
+        let wire_before = bed.ether.borrow().stats().tx_frames;
+        let rejected_before = bed.hosts[0].kernel.borrow().stats().tx_rejected;
+
+        AppLib::sendto(&sender, &mut bed.sim, sfd, b"blocked", to_blocked).unwrap();
+        bed.settle();
+        assert_eq!(
+            bed.ether.borrow().stats().tx_frames,
+            wire_before,
+            "{label}: the refused datagram never reaches the wire"
+        );
+        assert_eq!(
+            bed.hosts[0].kernel.borrow().stats().tx_rejected,
+            rejected_before + 1,
+            "{label}: the limiter counts the refusal"
+        );
+        assert!(
+            AppLib::recvfrom(&receiver, &mut bed.sim, blocked, &mut buf).is_err(),
+            "{label}: nothing arrives on the refused port"
+        );
+    }
+}

@@ -133,10 +133,9 @@ fn end_to_end_udp_run_satisfies_invariants() {
     }
 }
 
-/// The tracer and the census are fed by the same charge-site hook;
-/// their copy/crossing/wakeup totals can therefore never disagree.
-/// (Scoped to the op kinds the census only learns through `Charge` —
-/// session-migration events reach the census directly.)
+/// The tracer and the census are fed by the same charge-site hook
+/// (`Charge::op`); their copy/crossing/wakeup totals can therefore never
+/// disagree.
 #[test]
 fn trace_and_census_agree_on_charge_site_counts() {
     let (_bed, tracer, censuses) = traced_udp_run(SystemConfig::LibraryShm, 36, 12, true);
