@@ -55,7 +55,7 @@ impl Args {
     }
 
     /// A command line given as tokens (what a test drives).
-    pub fn new(bin: &'static str, tokens: impl IntoIterator<Item = String>) -> Args {
+    pub(crate) fn new(bin: &'static str, tokens: impl IntoIterator<Item = String>) -> Args {
         Args {
             bin,
             tokens: tokens.into_iter().collect(),
@@ -65,7 +65,7 @@ impl Args {
     }
 
     /// The bin's name, for its own diagnostics.
-    pub fn bin(&self) -> &'static str {
+    pub(crate) fn bin(&self) -> &'static str {
         self.bin
     }
 

@@ -6,7 +6,7 @@
 //!
 //! - [`Json`]: an order-preserving document model (objects keep
 //!   insertion order, so emitted artifacts are byte-stable),
-//! - [`Json::parse`] / [`Json::write`]: a recursive-descent parser and
+//! - [`Json::parse`] / `Json::write`: a recursive-descent parser and
 //!   a pretty writer that round-trip each other,
 //! - [`validate`]: a JSON-Schema *subset* checker (`type`, `required`,
 //!   `properties`, `items`) — enough to pin the artifacts' shapes in
@@ -30,23 +30,15 @@ pub enum Json {
 
 impl Json {
     /// Looks up a member of an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
+    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
         match self {
             Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    /// The numeric value, if this is a number.
-    pub fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-
     /// The string value, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    pub(crate) fn as_str(&self) -> Option<&str> {
         match self {
             Json::Str(s) => Some(s),
             _ => None,
@@ -54,7 +46,7 @@ impl Json {
     }
 
     /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Json]> {
+    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
         match self {
             Json::Arr(items) => Some(items),
             _ => None,
@@ -62,7 +54,7 @@ impl Json {
     }
 
     /// Convenience constructor for an object.
-    pub fn obj(members: Vec<(&str, Json)>) -> Json {
+    pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
         Json::Obj(
             members
                 .into_iter()
@@ -72,7 +64,7 @@ impl Json {
     }
 
     /// Convenience constructor for a string.
-    pub fn str(s: impl Into<String>) -> Json {
+    pub(crate) fn str(s: impl Into<String>) -> Json {
         Json::Str(s.into())
     }
 
@@ -92,7 +84,7 @@ impl Json {
     }
 
     /// Serializes with 2-space indentation and a trailing newline.
-    pub fn write(&self) -> String {
+    pub(crate) fn write(&self) -> String {
         let mut out = String::new();
         self.write_into(&mut out, 0);
         out.push('\n');

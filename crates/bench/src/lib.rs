@@ -16,7 +16,7 @@ pub mod observe;
 pub mod table6;
 pub mod tables;
 pub mod workload;
-pub mod workloads;
+pub(crate) mod workloads;
 
 pub use workload::{session_scaling, ScaleReport, WorkloadSpec};
-pub use workloads::{protolat, ttcp, ApiStyle, ProtolatResult, TtcpResult};
+pub use workloads::{protolat, ttcp, ApiStyle};

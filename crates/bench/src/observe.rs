@@ -431,8 +431,8 @@ mod tests {
         c.site_pop();
         cpu.borrow_mut().finish(c);
         let (h, hot) = host_profile(0, &cpu, &prof).unwrap();
-        assert_eq!(h.get("total_busy_ns").and_then(Json::as_f64), Some(1234.0));
-        assert_eq!(h.get("attributed_ns").and_then(Json::as_f64), Some(1234.0));
+        assert_eq!(h.get("total_busy_ns"), Some(&Json::Num(1234.0)));
+        assert_eq!(h.get("attributed_ns"), Some(&Json::Num(1234.0)));
         assert!(h
             .get("stacks")
             .and_then(Json::as_str)

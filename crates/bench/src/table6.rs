@@ -46,18 +46,18 @@ pub const SEED: u64 = 93;
 const PACKETS: usize = 256;
 
 /// Datagram payload bytes.
-pub const PAYLOAD: usize = 64;
+pub(crate) const PAYLOAD: usize = 64;
 
 /// Receiver port; the selective-copy policy marks exactly this port
 /// kernel-resident.
-pub const RX_PORT: u16 = 10_000;
+pub(crate) const RX_PORT: u16 = 10_000;
 
 /// Batch windows, ascending.
 const BATCHES: [usize; 4] = [1, 4, 16, 64];
 
 /// The library placements under test (server/in-kernel placements have
 /// no per-packet ring crossing to amortize).
-pub const CONFIGS: [SystemConfig; 3] = [
+pub(crate) const CONFIGS: [SystemConfig; 3] = [
     SystemConfig::LibraryIpc,
     SystemConfig::LibraryShm,
     SystemConfig::LibraryShmIpf,
@@ -65,7 +65,7 @@ pub const CONFIGS: [SystemConfig; 3] = [
 
 /// Copy-placement mode of one cell.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum CopyMode {
+pub(crate) enum CopyMode {
     /// Bodies copied eagerly into the shared ring (the seed behavior).
     Eager,
     /// Kernel-resident flow, application never pulls: header-only
@@ -79,7 +79,7 @@ pub enum CopyMode {
 
 impl CopyMode {
     /// Human/table label for the mode.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             CopyMode::Eager => "eager",
             CopyMode::Resident => "resident",
@@ -102,38 +102,38 @@ fn config_key(c: SystemConfig) -> &'static str {
 
 /// One measured cell. Every field is deterministic for the seed.
 #[derive(Clone, Copy, Debug)]
-pub struct Table6Row {
+pub(crate) struct Table6Row {
     /// Placement under test.
-    pub config: SystemConfig,
+    pub(crate) config: SystemConfig,
     /// Copy mode.
-    pub mode: CopyMode,
+    pub(crate) mode: CopyMode,
     /// Batch window B.
-    pub batch: usize,
+    pub(crate) batch: usize,
     /// Datagrams sent (= delivered; the harness asserts zero drops).
-    pub packets: usize,
+    pub(crate) packets: usize,
     /// Session ring crossings charged during the burst — exactly
     /// `packets / batch`.
-    pub crossings: u64,
+    pub(crate) crossings: u64,
     /// Filter instructions run classifying the burst.
-    pub steps: u64,
+    pub(crate) steps: u64,
     /// Whole-body copies observed by the receive-host census.
-    pub body_copies: u64,
+    pub(crate) body_copies: u64,
     /// Header-only copies observed by the receive-host census.
-    pub header_copies: u64,
+    pub(crate) header_copies: u64,
     /// Header-only ring deliveries (kernel counter).
-    pub header_only: u64,
+    pub(crate) header_only: u64,
     /// Receive-host CPU busy virtual nanoseconds across the burst.
-    pub busy_ns: u64,
+    pub(crate) busy_ns: u64,
 }
 
 impl Table6Row {
     /// Receive-host busy virtual nanoseconds per packet.
-    pub fn ns_per_pkt(&self) -> f64 {
+    pub(crate) fn ns_per_pkt(&self) -> f64 {
         self.busy_ns as f64 / self.packets as f64
     }
 
     /// Filter instructions per packet.
-    pub fn steps_per_pkt(&self) -> f64 {
+    pub(crate) fn steps_per_pkt(&self) -> f64 {
         self.steps as f64 / self.packets as f64
     }
 }
@@ -142,7 +142,7 @@ impl Table6Row {
 #[derive(Clone, Debug)]
 pub struct Table6 {
     /// Rows by (config, mode, B).
-    pub rows: Vec<Table6Row>,
+    pub(crate) rows: Vec<Table6Row>,
 }
 
 /// Runs one cell with `planes` (and always a census, which the row's
@@ -150,7 +150,7 @@ pub struct Table6 {
 /// zero drops, every datagram delivered, and the crossing count exactly
 /// `packets / B`. Every plane is charged-time-neutral, so the row is
 /// byte-identical whatever was requested.
-pub fn run_cell(
+pub(crate) fn run_cell(
     config: SystemConfig,
     mode: CopyMode,
     batch: usize,

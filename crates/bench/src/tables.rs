@@ -31,7 +31,7 @@ const fn ms(v: f64) -> Option<f64> {
 }
 
 /// Table 2, DECstation 5000/200 block.
-pub fn table2_decstation() -> Vec<Table2Row> {
+pub(crate) fn table2_decstation() -> Vec<Table2Row> {
     use SystemConfig::*;
     vec![
         Table2Row {
@@ -80,7 +80,7 @@ pub fn table2_decstation() -> Vec<Table2Row> {
 }
 
 /// Table 2, Gateway 486 block.
-pub fn table2_gateway() -> Vec<Table2Row> {
+pub(crate) fn table2_gateway() -> Vec<Table2Row> {
     use SystemConfig::*;
     vec![
         Table2Row {

@@ -49,24 +49,24 @@ const PROBE_PORT: u16 = 29_999;
 pub struct WorkloadSpec {
     /// Concurrent UDP sessions on the receiving host. Every fourth one
     /// is connected (fully-specified filter); the rest are wildcard.
-    pub sessions: usize,
+    pub(crate) sessions: usize,
     /// Concurrent TCP connections riding along (capped: they exist to
     /// mix connected TCP filters into the table, not to carry load).
-    pub tcp_sessions: usize,
+    pub(crate) tcp_sessions: usize,
     /// Datagrams sent during the measured burst phase.
-    pub packets: usize,
+    pub(crate) packets: usize,
     /// Datagram payload size in bytes.
-    pub payload: usize,
+    pub(crate) payload: usize,
     /// Seed for the testbed and the burst schedule.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// NEWAPI batching configuration applied to every host kernel. The
     /// default is inert (batch window 1, GRO/GSO off) and takes exactly
     /// the unbatched code paths, so archived tables never move.
-    pub batch: psd_kernel::BatchConfig,
+    pub(crate) batch: psd_kernel::BatchConfig,
     /// Selective-copy placement policy installed on every host kernel
     /// before any session filter exists. `None` (the default) leaves
     /// every flow eagerly copied into the ring, as before.
-    pub placement: Option<psd_filter::PlacementPolicy>,
+    pub(crate) placement: Option<psd_filter::PlacementPolicy>,
 }
 
 impl WorkloadSpec {
@@ -82,18 +82,6 @@ impl WorkloadSpec {
             batch: psd_kernel::BatchConfig::default(),
             placement: None,
         }
-    }
-
-    /// Sets the NEWAPI batching configuration.
-    pub fn with_batch(mut self, batch: psd_kernel::BatchConfig) -> WorkloadSpec {
-        self.batch = batch;
-        self
-    }
-
-    /// Installs a selective-copy placement policy on every host.
-    pub fn with_placement(mut self, policy: psd_filter::PlacementPolicy) -> WorkloadSpec {
-        self.placement = Some(policy);
-        self
     }
 }
 
@@ -126,14 +114,8 @@ impl CensusCounts {
 /// What one `(config, strategy, N)` run produced.
 #[derive(Clone, Debug)]
 pub struct ScaleReport {
-    /// The placement under test.
-    pub config: SystemConfig,
-    /// The kernel demultiplexing strategy under test.
-    pub strategy: DemuxStrategy,
     /// UDP sessions stood up.
     pub sessions: usize,
-    /// TCP connections established.
-    pub tcp_sessions: usize,
     /// Session filters installed in the receiving kernel after setup.
     pub filters: usize,
     /// Frames the receiving kernel took off the wire during the burst.
@@ -335,10 +317,7 @@ pub fn session_scaling(
     });
 
     ScaleReport {
-        config,
-        strategy,
         sessions: spec.sessions,
-        tcp_sessions: tcp_n,
         filters,
         packets_rx,
         steps_per_packet: steps as f64 / packets_rx as f64,
@@ -417,7 +396,10 @@ mod tests {
             SystemConfig::LibraryIpc,
             Platform::DecStation5000_200,
             DemuxStrategy::Mpf,
-            &spec.with_batch(psd_kernel::BatchConfig::unbatched()),
+            &WorkloadSpec {
+                batch: psd_kernel::BatchConfig::unbatched(),
+                ..spec.clone()
+            },
             &census,
         );
         assert_eq!(a.packets_rx, b.packets_rx);
@@ -445,11 +427,14 @@ mod tests {
             SystemConfig::LibraryShm,
             Platform::DecStation5000_200,
             DemuxStrategy::Mpf,
-            &spec.with_batch(psd_kernel::BatchConfig {
-                batch: 16,
-                gro: false,
-                gso: false,
-            }),
+            &WorkloadSpec {
+                batch: psd_kernel::BatchConfig {
+                    batch: 16,
+                    gro: false,
+                    gso: false,
+                },
+                ..spec.clone()
+            },
             &census,
         );
         // Same frames delivered, same filter work — only the crossing

@@ -7,7 +7,7 @@ use psd_core::{AppHandle, AppLib, Fd};
 use psd_netdev::EthernetHandle;
 use psd_netstack::{InetAddr, SockEvent, SocketError};
 use psd_server::Proto;
-use psd_sim::{Cpu, Layer, Observable, ProfileHandle, SimTime};
+use psd_sim::{Layer, Observable, ProfileHandle, SimTime};
 use psd_systems::TestBed;
 
 /// Which socket interface the workload uses.
@@ -245,9 +245,6 @@ pub struct ProtolatResult {
     pub rounds: u32,
     /// Mean round-trip latency.
     pub rtt: SimTime,
-    /// Both hosts' CPU busy time over the measured rounds. The 14 CPU
-    /// layers of [`ProtolatResult::layer`] sum to it bit-exactly.
-    pub busy: SimTime,
     /// Charged nanoseconds per layer over the measured rounds, in
     /// [`Layer::ALL`] order.
     layers: [u64; Layer::ALL.len()],
@@ -266,20 +263,15 @@ impl ProtolatResult {
 }
 
 /// The accumulators `protolat` differences over its measured window:
-/// one charged-time profiler per host, the hosts' busy clocks, and the
-/// wire's always-on transit counter.
+/// one charged-time profiler per host and the wire's always-on transit
+/// counter.
 struct Meter {
     profilers: Vec<ProfileHandle>,
-    cpus: Vec<Rc<RefCell<Cpu>>>,
     ether: EthernetHandle,
 }
 
-/// One reading of a [`Meter`].
-#[derive(Clone, Copy)]
-struct Reading {
-    layers: [u64; Layer::ALL.len()],
-    busy_ns: u64,
-}
+/// One reading of a [`Meter`]: nanoseconds per layer.
+type Reading = [u64; Layer::ALL.len()];
 
 impl Meter {
     /// Meters `bed`, reusing a host's attached profiler or attaching
@@ -302,26 +294,19 @@ impl Meter {
             .collect();
         Meter {
             profilers,
-            cpus: bed.hosts.iter().map(|h| h.cpu.clone()).collect(),
             ether: bed.ether.clone(),
         }
     }
 
     fn read(&self) -> Reading {
-        let layers = Layer::ALL.map(|layer| match layer {
+        Layer::ALL.map(|layer| match layer {
             Layer::NetworkTransit => self.ether.borrow().stats().wire_ns,
             _ => self
                 .profilers
                 .iter()
                 .map(|p| p.borrow().layer_ns(layer))
                 .sum(),
-        });
-        let busy_ns = self
-            .cpus
-            .iter()
-            .map(|c| c.borrow().total_busy().as_nanos())
-            .sum();
-        Reading { layers, busy_ns }
+        })
     }
 }
 
@@ -629,8 +614,7 @@ pub fn protolat(
     ProtolatResult {
         rounds,
         rtt: (end - start) / u64::from(rounds),
-        busy: SimTime::from_nanos(to.busy_ns - from.busy_ns),
-        layers: std::array::from_fn(|i| to.layers[i] - from.layers[i]),
+        layers: std::array::from_fn(|i| to[i] - from[i]),
     }
 }
 
@@ -640,11 +624,11 @@ mod tests {
     use psd_sim::Platform;
     use psd_systems::SystemConfig;
 
-    /// Table 4 conserves: over the measured window the 14 CPU layers
-    /// sum bit-exactly to the hosts' busy time (two independent
-    /// accumulators — profiler buckets and `Cpu::total_busy`), and
-    /// transit is exactly the wire time of the frames the rounds put on
-    /// the wire, for one library, one in-kernel and one server column.
+    /// Table 4 conserves: the profilers `protolat` reads its 14 CPU
+    /// layers from still sum bit-exactly to each host's busy time
+    /// (`Cpu::total_busy`), and transit is exactly the wire time of the
+    /// frames the rounds put on the wire, for one library, one in-kernel
+    /// and one server column.
     #[test]
     fn table4_layers_conserve_cpu_and_wire_time() {
         const ROUNDS: u32 = 40;
@@ -669,8 +653,7 @@ mod tests {
                     .filter(|l| **l != Layer::NetworkTransit)
                     .map(|l| r.layer(*l))
                     .sum();
-                assert!(r.busy > SimTime::ZERO);
-                assert_eq!(cpu_layers, r.busy, "{config:?} {proto:?}");
+                assert!(cpu_layers > SimTime::ZERO, "{config:?} {proto:?}");
                 for (host, prof) in bed.hosts.iter().zip(&profilers) {
                     assert_eq!(
                         prof.borrow().attributed_ns(),

@@ -150,7 +150,7 @@ impl AppLib {
         sim: &mut Sim,
         fd: Fd,
         m: Box<MigratedSession>,
-        ep_cell: Rc<Cell<Option<psd_kernel::EndpointId>>>,
+        ep_cell: &Cell<Option<psd_kernel::EndpointId>>,
     ) {
         let stack = this.borrow().stack.clone().expect("library stack");
         // Load the metastate snapshot (§3.3) into the local caches.
@@ -173,7 +173,6 @@ impl AppLib {
                 entry.state = FdState::Local {
                     session: Some(m.session),
                     sock,
-                    endpoint: ep_cell.clone(),
                 };
             }
         }
@@ -250,7 +249,7 @@ impl AppLib {
         })?;
         match reply {
             // The UDP session migrated immediately.
-            Some(SessionReply::Migrated(m)) => AppLib::adopt_migrated(this, sim, fd, m, ep_cell),
+            Some(SessionReply::Migrated(m)) => AppLib::adopt_migrated(this, sim, fd, m, &ep_cell),
             // Server-based; or, in library mode, graceful degradation:
             // the migration was denied (filter table full, SHM ring
             // install failure) and the session fell back to the server
@@ -330,7 +329,7 @@ impl AppLib {
                     let handler = app.borrow().handlers.get(&fd).cloned();
                     let ev = match result {
                         Ok(SessionReply::Migrated(m)) => {
-                            AppLib::adopt_migrated(&app, sim, fd, m, ep_cell);
+                            AppLib::adopt_migrated(&app, sim, fd, m, &ep_cell);
                             SockEvent::Connected
                         }
                         Ok(SessionReply::ServerResident { session, .. }) => {
@@ -433,7 +432,7 @@ impl AppLib {
             let child_fd = match reply {
                 SessionReply::Migrated(m) => {
                     let child_fd = app.borrow_mut().alloc_fd(Proto::Tcp, FdState::Fresh(None));
-                    AppLib::adopt_migrated(&app, sim, child_fd, m, ep_cell.clone());
+                    AppLib::adopt_migrated(&app, sim, child_fd, m, &ep_cell);
                     child_fd
                 }
                 SessionReply::ServerResident { session, .. } => {

@@ -319,13 +319,10 @@ impl AppLib {
         let resident = {
             let policy = this.borrow().kernel.borrow().placement_policy();
             policy.is_some_and(|p| {
-                let ip_proto = match proto {
-                    Proto::Tcp => psd_wire::IpProto::Tcp,
-                    Proto::Udp => psd_wire::IpProto::Udp,
-                };
-                stack.borrow().local_addr(sock).is_some_and(|a| {
-                    p.placement_for(ip_proto, a.port) == CopyPlacement::KernelResident
-                })
+                stack
+                    .borrow()
+                    .local_addr(sock)
+                    .is_some_and(|a| p.placement_for(a.port) == CopyPlacement::KernelResident)
             })
         };
         AppLib::charged(this, sim, |sim, charge| {

@@ -32,20 +32,20 @@
 //! including data transfer, to the server over the four-copy RPC path
 //! (UX / BNR2SS). The three modes share every line of protocol code.
 
-pub mod control;
-pub mod data;
-pub mod select;
+pub(crate) mod control;
+pub(crate) mod data;
+pub(crate) mod select;
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::rc::{Rc, Weak};
 
-use psd_kernel::{EndpointId, KernelHandle, RxMode};
+use psd_kernel::{KernelHandle, RxMode};
 use psd_netstack::stack::StackHandle;
 use psd_netstack::{InetAddr, NetStack, Placement, SockEvent, SockId, SocketError};
 use psd_server::{PortNamespace, ProcId, Proto, ServerHandle, SessionId, UserNetIf};
-use psd_sim::{Charge, CostModel, Cpu, Domain, Layer, Medium, Op, Sim, SimTime};
+use psd_sim::{Charge, CostModel, Cpu, Domain, Layer, Medium, Op, Sim};
 
 pub use select::SelectOutcome;
 
@@ -85,18 +85,14 @@ pub(crate) enum FdState {
     Local {
         session: Option<SessionId>,
         sock: SockId,
-        /// The kernel endpoint id cell shared with the session's receive
-        /// sink, which is its only reader.
-        #[allow(dead_code)]
-        endpoint: Rc<Cell<Option<EndpointId>>>,
     },
     /// A socket in the in-kernel stack (monolithic baseline).
     Kern(SockId),
 }
 
 pub(crate) struct FdEntry {
-    pub proto: Proto,
-    pub state: FdState,
+    pub(crate) proto: Proto,
+    pub(crate) state: FdState,
 }
 
 /// Counters for tests and benchmarks.
@@ -401,7 +397,7 @@ impl AppLib {
     }
 
     /// Polls a descriptor's readiness without blocking.
-    pub fn poll(&self, fd: Fd) -> (bool, bool) {
+    pub(crate) fn poll(&self, fd: Fd) -> (bool, bool) {
         let Some(entry) = self.fds.get(&fd) else {
             return (false, false);
         };
@@ -462,20 +458,6 @@ impl AppLib {
         {
             if let Some(stack) = &self.stack {
                 stack.borrow_mut().set_nodelay(*sock, nodelay);
-            }
-        }
-    }
-
-    /// Resizes the receive buffer (`SO_RCVBUF`) — the knob the paper
-    /// tuned per configuration for Table 2.
-    pub fn set_recv_buffer(&mut self, fd: Fd, size: usize) {
-        if let Some(FdEntry {
-            state: FdState::Local { sock, .. } | FdState::Kern(sock),
-            ..
-        }) = self.fds.get(&fd)
-        {
-            if let Some(stack) = &self.stack {
-                stack.borrow_mut().set_recv_buffer(*sock, size);
             }
         }
     }
@@ -593,6 +575,3 @@ impl AppLib {
         Ok(())
     }
 }
-
-/// A timeout value for blocking-style operations.
-pub type Timeout = Option<SimTime>;

@@ -33,13 +33,13 @@ pub struct SelectOutcome {
 
 impl SelectOutcome {
     /// True if nothing became ready.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.readable.is_empty() && self.writable.is_empty()
     }
 }
 
 /// Completion callback.
-pub type SelectDone = Box<dyn FnOnce(&mut Sim, SelectOutcome)>;
+pub(crate) type SelectDone = Box<dyn FnOnce(&mut Sim, SelectOutcome)>;
 
 pub(crate) struct LocalWaiter {
     read: Vec<Fd>,

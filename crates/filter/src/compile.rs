@@ -162,7 +162,7 @@ impl EndpointSpec {
 
 /// The shared prefix every session filter begins with: IPv4, no options,
 /// not a fragment. The MPF demux strategy runs this once per packet.
-pub fn session_prefix() -> Vec<Insn> {
+pub(crate) fn session_prefix() -> Vec<Insn> {
     let mut insns = Vec::new();
     for (field, value) in PREFIX_FIELDS {
         field.emit(&mut insns, value);

@@ -192,11 +192,6 @@ impl<T: Clone> DemuxTable<T> {
         }
     }
 
-    /// The configured strategy.
-    pub fn strategy(&self) -> DemuxStrategy {
-        self.strategy
-    }
-
     /// Number of installed filters whose artifact took the fast-path
     /// recognizer lowering (vs. the direct-threaded fallback).
     pub fn fast_path_artifacts(&self) -> usize {
@@ -608,7 +603,7 @@ mod tests {
         for mut t in both_strategies() {
             let ids: Vec<FilterId> = specs.iter().map(|s| t.install(*s, "app")).collect();
             let indexed: usize = t.scan.iter().map(|class| class.ids.len()).sum();
-            match t.strategy() {
+            match t.strategy {
                 DemuxStrategy::Cspf => assert_eq!(indexed, specs.len()),
                 DemuxStrategy::Mpf => assert_eq!(indexed, 0),
             }

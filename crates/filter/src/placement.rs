@@ -15,8 +15,9 @@
 //! itself is a deterministic function of the [`EndpointSpec`], never of
 //! packet contents, so same-seed reruns classify identically.
 
+use std::ops::RangeInclusive;
+
 use crate::compile::EndpointSpec;
-use psd_wire::IpProto;
 
 /// Where a flow's packet bodies land on receive.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -31,22 +32,14 @@ pub enum CopyPlacement {
     KernelResident,
 }
 
-/// One policy rule: flows matching the protocol (if given) and local
-/// port range are kernel-resident.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-struct Rule {
-    proto: Option<IpProto>,
-    port_lo: u16,
-    port_hi: u16,
-}
-
 /// The install-time placement policy. Consulted by the kernel whenever
 /// a session filter is installed; flows matching no rule are
 /// [`CopyPlacement::Eager`], so an empty policy is exactly the
 /// pre-existing system.
 #[derive(Clone, Debug, Default)]
 pub struct PlacementPolicy {
-    rules: Vec<Rule>,
+    /// Local port ranges whose flows are kernel-resident.
+    resident: Vec<RangeInclusive<u16>>,
 }
 
 impl PlacementPolicy {
@@ -58,53 +51,33 @@ impl PlacementPolicy {
     /// Adds a rule marking flows whose local port falls in
     /// `lo..=hi` (any protocol) as kernel-resident.
     pub fn resident_ports(mut self, lo: u16, hi: u16) -> PlacementPolicy {
-        self.rules.push(Rule {
-            proto: None,
-            port_lo: lo,
-            port_hi: hi,
-        });
+        self.resident.push(lo..=hi);
         self
-    }
-
-    /// Adds a rule marking `proto` flows whose local port falls in
-    /// `lo..=hi` as kernel-resident.
-    pub fn resident_proto_ports(mut self, proto: IpProto, lo: u16, hi: u16) -> PlacementPolicy {
-        self.rules.push(Rule {
-            proto: Some(proto),
-            port_lo: lo,
-            port_hi: hi,
-        });
-        self
-    }
-
-    /// True if the policy has no rules (and is therefore inert).
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
     }
 
     /// The placement verdict for a session filter about to be
     /// installed.
     pub fn classify(&self, spec: &EndpointSpec) -> CopyPlacement {
-        self.placement_for(spec.proto, spec.local_port)
+        self.placement_for(spec.local_port)
     }
 
-    /// The placement verdict for a flow identified by protocol and
-    /// local port (the same function [`classify`](Self::classify)
-    /// applies to a spec; exposed so the library side of the interface
-    /// can agree with the kernel about its own sockets).
-    pub fn placement_for(&self, proto: IpProto, local_port: u16) -> CopyPlacement {
-        for r in &self.rules {
-            if r.proto.is_none_or(|p| p == proto) && (r.port_lo..=r.port_hi).contains(&local_port) {
-                return CopyPlacement::KernelResident;
-            }
+    /// The placement verdict for a flow identified by its local port
+    /// (the same function [`classify`](Self::classify) applies to a
+    /// spec; exposed so the library side of the interface can agree
+    /// with the kernel about its own sockets).
+    pub fn placement_for(&self, local_port: u16) -> CopyPlacement {
+        if self.resident.iter().any(|r| r.contains(&local_port)) {
+            CopyPlacement::KernelResident
+        } else {
+            CopyPlacement::Eager
         }
-        CopyPlacement::Eager
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psd_wire::IpProto;
     use std::net::Ipv4Addr;
 
     const B: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
@@ -112,7 +85,6 @@ mod tests {
     #[test]
     fn empty_policy_is_eager_everywhere() {
         let p = PlacementPolicy::new();
-        assert!(p.is_empty());
         for port in [0u16, 80, 10_000, u16::MAX] {
             assert_eq!(
                 p.classify(&EndpointSpec::unconnected(IpProto::Udp, B, port)),
@@ -136,15 +108,5 @@ mod tests {
             p.classify(&EndpointSpec::unconnected(IpProto::Tcp, B, 10_000)),
             CopyPlacement::KernelResident
         );
-    }
-
-    #[test]
-    fn proto_scoped_rule_ignores_other_protocols() {
-        let p = PlacementPolicy::new().resident_proto_ports(IpProto::Udp, 7000, 7000);
-        assert_eq!(
-            p.placement_for(IpProto::Udp, 7000),
-            CopyPlacement::KernelResident
-        );
-        assert_eq!(p.placement_for(IpProto::Tcp, 7000), CopyPlacement::Eager);
     }
 }

@@ -89,16 +89,6 @@ impl Program {
         Program { insns }
     }
 
-    /// Number of instructions (for cost estimates).
-    pub fn len(&self) -> usize {
-        self.insns.len()
-    }
-
-    /// True if the program has no instructions.
-    pub fn is_empty(&self) -> bool {
-        self.insns.is_empty()
-    }
-
     /// Runs the program against a packet. Never panics on any input.
     pub fn run(&self, packet: &[u8]) -> FilterOutcome {
         let mut stack: Vec<u16> = Vec::with_capacity(8);

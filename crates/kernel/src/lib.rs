@@ -60,8 +60,6 @@ fn trace_ctx(charge: &Charge) -> (Option<TraceHandle>, Option<TraceId>) {
 /// operating system can degrade around.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum KernelError {
-    /// The kernel is not attached to an Ethernet segment.
-    NotConnected,
     /// The named endpoint does not exist (it may have been destroyed
     /// while the operation was in flight).
     UnknownEndpoint,
@@ -73,7 +71,6 @@ pub enum KernelError {
 impl std::fmt::Display for KernelError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            KernelError::NotConnected => write!(f, "kernel not connected to a segment"),
             KernelError::UnknownEndpoint => write!(f, "unknown endpoint"),
             KernelError::FilterTableFull => write!(f, "packet-filter table full"),
         }
@@ -97,13 +94,6 @@ pub enum RxMode {
     /// interrupt level in the same charge, no boundary is crossed, and
     /// demultiplexing is a pcb lookup rather than a filter program.
     InKernel,
-}
-
-impl RxMode {
-    /// True for the shared-memory variants.
-    pub fn is_shm(self) -> bool {
-        matches!(self, RxMode::Shm | RxMode::ShmIpf)
-    }
 }
 
 /// Configuration of the batched NEWAPI data path (the §4.2 extension:
@@ -147,11 +137,6 @@ impl BatchConfig {
             gso: true,
         }
     }
-
-    /// True if any batching behavior differs from the unbatched system.
-    pub fn enabled(&self) -> bool {
-        self.batch > 1 || self.gro || self.gso
-    }
 }
 
 /// Largest synthesized GRO frame: one two-cluster ring slot (2 ×
@@ -163,7 +148,7 @@ pub const GRO_MAX_FRAME: usize = 4096;
 /// flushed to its endpoint, in microseconds. Longer than the wire gap
 /// between back-to-back small frames (~60 µs at 10 Mb/s), far shorter
 /// than any TCP retransmission timeout.
-pub const GRO_FLUSH_DELAY_US: u64 = 2_000;
+pub(crate) const GRO_FLUSH_DELAY_US: u64 = 2_000;
 
 /// TCP flow key: (src ip, src port, dst ip, dst port).
 type GroFlow = (Ipv4Addr, u16, Ipv4Addr, u16);
@@ -343,9 +328,9 @@ pub struct KernelStats {
     /// Frames delivered to a session endpoint.
     pub rx_session: u64,
     /// Frames delivered to the default (operating system) endpoint.
-    pub rx_default: u64,
+    pub(crate) rx_default: u64,
     /// Frames dropped because no endpoint claimed them.
-    pub rx_unclaimed: u64,
+    pub(crate) rx_unclaimed: u64,
     /// Wakeups skipped because the receiving thread was already busy
     /// (the SHM amortization).
     pub wakeups_amortized: u64,
@@ -353,9 +338,9 @@ pub struct KernelStats {
     pub tx_rejected: u64,
     /// Frames dropped because the kernel was not attached to a segment
     /// when the transmit event ran.
-    pub tx_disconnected: u64,
+    pub(crate) tx_disconnected: u64,
     /// Frames dropped by an injected receive fault ([`FaultSite::NicRx`]).
-    pub rx_faulted: u64,
+    pub(crate) rx_faulted: u64,
     /// Cumulative filter instructions executed classifying received
     /// frames. Purely observational — the per-frame cost is charged to
     /// virtual time where it is incurred — but dividing the delta by
@@ -369,20 +354,20 @@ pub struct KernelStats {
     pub drops: DropCounters,
     /// Delivery-path ring crossings actually charged (one per batch
     /// window, so `ceil(frames / batch)` per endpoint).
-    pub rx_delivery_crossings: u64,
-    /// The subset of [`rx_delivery_crossings`](KernelStats::rx_delivery_crossings)
+    pub(crate) rx_delivery_crossings: u64,
+    /// The subset of `rx_delivery_crossings`
     /// charged for session (non-default) endpoints — the numerator of
     /// Table 6's crossings/pkt.
     pub rx_session_crossings: u64,
     /// GRO descriptors held (runs started).
-    pub gro_held: u64,
+    pub(crate) gro_held: u64,
     /// Frames absorbed into a held GRO descriptor.
     pub gro_merged: u64,
     /// GRO descriptors flushed to their endpoint.
-    pub gro_flushes: u64,
+    pub(crate) gro_flushes: u64,
     /// GRO descriptors whose endpoint died while held; the synthesized
     /// frame was re-presented to the classify path (exactly-once).
-    pub gro_requeued: u64,
+    pub(crate) gro_requeued: u64,
     /// Deliveries where only the headers were materialized in the ring
     /// (selective-copy kernel-resident flows).
     pub header_only_deliveries: u64,
@@ -609,11 +594,6 @@ impl Kernel {
         self.filter_capacity = capacity;
     }
 
-    /// The filter-table capacity in force, if any.
-    pub fn filter_capacity(&self) -> Option<usize> {
-        self.filter_capacity
-    }
-
     /// Number of session filters currently installed.
     pub fn filters_installed(&self) -> usize {
         self.demux.len()
@@ -662,17 +642,6 @@ impl Kernel {
             }
         }
         self.demux.remove(id)
-    }
-
-    /// Retargets a session filter to a different endpoint — the atomic
-    /// switch used when a session migrates between the operating system
-    /// and an application.
-    pub fn retarget_filter(&mut self, id: FilterId, endpoint: EndpointId) -> Option<FilterId> {
-        let spec = self.demux.spec(id)?;
-        self.demux.remove(id);
-        // The removal above freed a table slot, so installation can only
-        // fail if the target endpoint is gone.
-        self.install_filter(spec, endpoint).ok()
     }
 
     // --- Transmit paths ---
@@ -1548,32 +1517,6 @@ mod tests {
         }
         assert_eq!(log_a.borrow().len(), 2);
         assert_eq!(log_b.borrow().len(), 1);
-    }
-
-    #[test]
-    fn retarget_filter_moves_session_atomically() {
-        let mut r = rig();
-        let (sink_srv, log_srv) = collect_sink();
-        let (sink_app, log_app) = collect_sink();
-        let fid;
-        let ep_app;
-        {
-            let mut k = r.kernel.borrow_mut();
-            let ep_srv = k.create_endpoint(RxMode::Ipc, sink_srv);
-            ep_app = k.create_endpoint(RxMode::Ipc, sink_app);
-            fid = k
-                .install_filter(EndpointSpec::unconnected(IpProto::Udp, B_IP, 9), ep_srv)
-                .unwrap();
-        }
-        let f = udp_frame(EtherAddr::local(2), (B_IP, 9), 1);
-        Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f.clone());
-        r.sim.run_to_idle();
-        r.kernel.borrow_mut().retarget_filter(fid, ep_app);
-        let now = r.sim.now();
-        Ethernet::transmit(&r.ether, &mut r.sim, now, f);
-        r.sim.run_to_idle();
-        assert_eq!(log_srv.borrow().len(), 1);
-        assert_eq!(log_app.borrow().len(), 1);
     }
 
     #[test]

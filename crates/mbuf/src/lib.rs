@@ -6,15 +6,14 @@
 //! reimplements the structure with the operations the stack needs:
 //!
 //! - [`MbufChain::from_slice`] — `m_copyin`: copy user data into a chain.
-//! - [`MbufChain::from_shared`] — reference external data without copying
-//!   (the library UDP send path and the NEWAPI shared-buffer interface).
+//! - [`MbufChain::from_shared_range`] — reference external data without
+//!   copying (the NEWAPI shared-buffer interface).
 //! - [`MbufChain::copy_range`] — `m_copy`: a range copy that *shares*
 //!   clusters instead of copying, which is what lets `tcp_output` send
 //!   from the socket buffer and retransmit without touching the bytes.
 //! - [`MbufChain::trim_front`]/[`trim_back`](MbufChain::trim_back) —
 //!   `m_adj`.
 //! - [`MbufChain::prepend`] — header prepend into reserved headroom.
-//! - [`MbufChain::pullup`] — `m_pullup`: make a prefix contiguous.
 //!
 //! [`SockBuf`] is the byte-stream socket buffer (`sb_cc`/`sb_hiwat`
 //! bookkeeping, `sbappend`, `sbdrop`) and [`DgramBuf`] is the
@@ -24,53 +23,26 @@
 //! are charged by the protocol code that invokes them, using the counts
 //! these APIs report (e.g. [`MbufChain::mbuf_count`]).
 
-use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
 mod pool;
 
-pub use pool::{drain_pools, give_frame, pool_stats, reset_pool_stats, take_frame, PoolStats};
-
-thread_local! {
-    static COPIED_BYTES: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Bytes physically copied by the mbuf data primitives — `m_copyin`
-/// ([`MbufChain::from_slice`], [`MbufChain::append_slice`]), `m_copydata`
-/// ([`MbufChain::copy_to_slice`], [`MbufChain::to_vec`]), the small-mbuf
-/// arm of `m_copy`, and `m_pullup` — since the last
-/// [`reset_copy_meter`]. Header prepends are excluded (they are header
-/// copies, not packet-body copies). The simulation is single-threaded,
-/// so the tally is deterministic; the operation census uses it to
-/// cross-check the per-site copy counters against what the buffer code
-/// actually did.
-pub fn copied_bytes() -> u64 {
-    COPIED_BYTES.with(|c| c.get())
-}
-
-/// Resets this thread's mbuf copy meter to zero.
-pub fn reset_copy_meter() {
-    COPIED_BYTES.with(|c| c.set(0));
-}
-
-fn meter_copy(n: usize) {
-    COPIED_BYTES.with(|c| c.set(c.get() + n as u64));
-}
+pub use pool::{drain_pools, give_frame, pool_stats, reset_pool_stats, take_frame};
 
 /// Size of a small mbuf's inline data area.
-pub const MLEN: usize = 128;
+pub(crate) const MLEN: usize = 128;
 
 /// Size of an mbuf cluster.
 pub const MCLBYTES: usize = 2048;
 
 /// Appends of at least this many bytes go to a cluster (BSD `MINCLSIZE`).
-pub const MINCLSIZE: usize = 208;
+pub(crate) const MINCLSIZE: usize = 208;
 
 /// Default headroom reserved for link/network/transport headers when
 /// building a data chain (Ethernet 14 + IP 20 + TCP 20, rounded up).
-pub const HEADROOM: usize = 64;
+pub(crate) const HEADROOM: usize = 64;
 
 pub(crate) enum Storage {
     Small(Box<[u8; MLEN]>),
@@ -95,7 +67,7 @@ impl Storage {
 
 /// One mbuf: a view (`off..off+len`) into small inline storage or a
 /// shared cluster.
-pub struct Mbuf {
+pub(crate) struct Mbuf {
     storage: Storage,
     off: usize,
     len: usize,
@@ -132,12 +104,12 @@ impl Mbuf {
     }
 
     /// The bytes this mbuf contributes to the chain.
-    pub fn data(&self) -> &[u8] {
+    pub(crate) fn data(&self) -> &[u8] {
         &self.storage.bytes()[self.off..self.off + self.len]
     }
 
     /// True if this mbuf references a (possibly shared) cluster.
-    pub fn is_cluster(&self) -> bool {
+    pub(crate) fn is_cluster(&self) -> bool {
         matches!(self.storage, Storage::Cluster { .. })
     }
 
@@ -156,7 +128,6 @@ impl Mbuf {
                 let start = self.off + self.len;
                 buf[start..start + n].copy_from_slice(&src[..n]);
                 self.len += n;
-                meter_copy(n);
             }
         }
         n
@@ -203,14 +174,14 @@ impl MbufChain {
     }
 
     /// Builds a chain by *copying* `data` (the `copyin` discipline),
-    /// reserving [`HEADROOM`] in the first mbuf so link/protocol headers
+    /// reserving `HEADROOM` in the first mbuf so link/protocol headers
     /// can later be prepended without allocation.
     pub fn from_slice(data: &[u8]) -> MbufChain {
         MbufChain::from_slice_with_headroom(data, HEADROOM)
     }
 
     /// As [`from_slice`](MbufChain::from_slice) with explicit headroom.
-    pub fn from_slice_with_headroom(data: &[u8], headroom: usize) -> MbufChain {
+    pub(crate) fn from_slice_with_headroom(data: &[u8], headroom: usize) -> MbufChain {
         let mut chain = MbufChain::new();
         if data.len() >= MINCLSIZE {
             // Cluster path: one copy into a (pooled) cluster.
@@ -218,7 +189,6 @@ impl MbufChain {
             let buf = Rc::get_mut(&mut cluster).expect("fresh cluster is unique");
             buf.resize(headroom, 0);
             buf.extend_from_slice(data);
-            meter_copy(data.len());
             let total = buf.len();
             chain.push_back(Mbuf::cluster(cluster, headroom, total - headroom));
         } else {
@@ -233,14 +203,6 @@ impl MbufChain {
             }
         }
         chain
-    }
-
-    /// Builds a chain that *references* shared data without copying it —
-    /// the zero-copy send discipline ("the user data can be referenced
-    /// instead of copied").
-    pub fn from_shared(data: Rc<Vec<u8>>) -> MbufChain {
-        let len = data.len();
-        MbufChain::from_shared_range(data, 0, len)
     }
 
     /// Builds a chain referencing a sub-range of shared data.
@@ -333,7 +295,7 @@ impl MbufChain {
     }
 
     /// Appends another chain's mbufs (`m_cat`).
-    pub fn append_chain(&mut self, mut other: MbufChain) {
+    pub(crate) fn append_chain(&mut self, mut other: MbufChain) {
         self.len += other.len;
         self.count += other.count;
         let mut cur = &mut self.head;
@@ -466,44 +428,6 @@ impl MbufChain {
         self.count = count;
     }
 
-    /// Splits the chain at byte `at`, returning the tail. Cluster data is
-    /// shared, not copied.
-    pub fn split_off(&mut self, at: usize) -> MbufChain {
-        assert!(at <= self.len, "split_off({at}) beyond length {}", self.len);
-        let (tail, _) = self.copy_range(at, self.len - at);
-        self.trim_back(self.len - at);
-        tail
-    }
-
-    /// `m_pullup`: ensure the first `n` bytes are contiguous in the first
-    /// mbuf. Returns true on success (false if the chain is shorter).
-    pub fn pullup(&mut self, n: usize) -> bool {
-        if n > self.len {
-            return false;
-        }
-        if n == 0 {
-            return true;
-        }
-        if let Some(first) = &self.head {
-            if first.len >= n {
-                return true;
-            }
-        }
-        assert!(n <= MLEN, "pullup({n}) larger than MLEN");
-        let mut buf = vec![0u8; n];
-        self.copy_to_slice(0, &mut buf);
-        let old_len = self.len;
-        let old = std::mem::take(self);
-        let (rest, _) = old.copy_range(n, old_len - n);
-        let mut first = Mbuf::small();
-        first.append_small(&buf);
-        let mut fresh = MbufChain::new();
-        fresh.push_back(first);
-        fresh.append_chain(rest);
-        *self = fresh;
-        true
-    }
-
     /// Copies `buf.len()` bytes starting at `off` into `buf`
     /// (`m_copydata`).
     pub fn copy_to_slice(&self, mut off: usize, buf: &mut [u8]) {
@@ -526,7 +450,6 @@ impl MbufChain {
             }
             let take = (m.len - off).min(buf.len() - written);
             buf[written..written + take].copy_from_slice(&m.data()[off..off + take]);
-            meter_copy(take);
             written += take;
             off = 0;
             node = m.next.as_deref();
@@ -597,7 +520,6 @@ impl<'a> Iterator for SegmentIter<'a> {
 pub struct SockBuf {
     chain: MbufChain,
     hiwat: usize,
-    lowat: usize,
 }
 
 impl SockBuf {
@@ -606,7 +528,6 @@ impl SockBuf {
         SockBuf {
             chain: MbufChain::new(),
             hiwat,
-            lowat: 1,
         }
     }
 
@@ -628,16 +549,6 @@ impl SockBuf {
     /// Changes the high-water mark (`sbreserve`). Never discards data.
     pub fn reserve(&mut self, hiwat: usize) {
         self.hiwat = hiwat;
-    }
-
-    /// The low-water mark used by `select`/blocking wakeups.
-    pub fn lowat(&self) -> usize {
-        self.lowat
-    }
-
-    /// Sets the low-water mark.
-    pub fn set_lowat(&mut self, lowat: usize) {
-        self.lowat = lowat.max(1);
     }
 
     /// Free space (`sbspace`), zero when over-committed.
@@ -666,16 +577,6 @@ impl SockBuf {
     /// (receive-side peek before `drop_front`).
     pub fn peek(&self, buf: &mut [u8]) {
         self.chain.copy_to_slice(0, buf);
-    }
-
-    /// Discards everything (`sbflush`).
-    pub fn flush(&mut self) {
-        self.chain = MbufChain::new();
-    }
-
-    /// Takes the whole chain out (used when migrating session state).
-    pub fn take_chain(&mut self) -> MbufChain {
-        std::mem::take(&mut self.chain)
     }
 }
 
@@ -706,11 +607,6 @@ impl<M> DgramBuf<M> {
         }
     }
 
-    /// Number of queued datagrams.
-    pub fn records(&self) -> usize {
-        self.records.len()
-    }
-
     /// Total queued bytes.
     pub fn len(&self) -> usize {
         self.bytes
@@ -722,7 +618,7 @@ impl<M> DgramBuf<M> {
     }
 
     /// Free space in bytes.
-    pub fn space(&self) -> usize {
+    pub(crate) fn space(&self) -> usize {
         self.hiwat.saturating_sub(self.bytes)
     }
 
@@ -747,12 +643,6 @@ impl<M> DgramBuf<M> {
         let rec = self.records.pop_front()?;
         self.bytes -= rec.chain.len();
         Some(rec)
-    }
-
-    /// Discards everything.
-    pub fn flush(&mut self) {
-        self.records.clear();
-        self.bytes = 0;
     }
 }
 
@@ -876,37 +766,9 @@ mod tests {
     }
 
     #[test]
-    fn split_off_partitions() {
-        let data: Vec<u8> = (0..500u32).map(|i| i as u8).collect();
-        let mut chain = MbufChain::from_slice(&data);
-        let tail = chain.split_off(200);
-        assert_eq!(chain.to_vec(), &data[..200]);
-        assert_eq!(tail.to_vec(), &data[200..]);
-    }
-
-    #[test]
-    fn pullup_makes_prefix_contiguous() {
-        let mut chain = MbufChain::from_slice_with_headroom(&[1u8; 60], 100);
-        chain.append_slice(&[2u8; 60]);
-        assert!(chain.mbuf_count() >= 2);
-        assert!(chain.pullup(80));
-        let first = chain.iter_segments().next().unwrap();
-        assert!(first.len() >= 80);
-        let mut expect = vec![1u8; 60];
-        expect.extend_from_slice(&[2u8; 60]);
-        assert_eq!(chain.to_vec(), expect);
-    }
-
-    #[test]
-    fn pullup_too_long_fails() {
-        let mut chain = MbufChain::from_slice(&[1, 2, 3]);
-        assert!(!chain.pullup(10));
-    }
-
-    #[test]
     fn from_shared_is_zero_alloc_per_byte() {
         let data = Rc::new(vec![9u8; 4000]);
-        let chain = MbufChain::from_shared(data.clone());
+        let chain = MbufChain::from_shared_range(data.clone(), 0, 4000);
         assert_eq!(chain.len(), 4000);
         assert_eq!(chain.mbuf_count(), 1);
         assert_eq!(Rc::strong_count(&data), 2);
@@ -964,7 +826,6 @@ mod tests {
         let mut db: DgramBuf<u32> = DgramBuf::new(4096);
         assert!(db.append(1, MbufChain::from_slice(&[1u8; 10])));
         assert!(db.append(2, MbufChain::from_slice(&[2u8; 20])));
-        assert_eq!(db.records(), 2);
         assert_eq!(db.len(), 30);
         let first = db.pop().unwrap();
         assert_eq!(first.meta, 1);
@@ -977,30 +838,7 @@ mod tests {
         let mut db: DgramBuf<()> = DgramBuf::new(25);
         assert!(db.append((), MbufChain::from_slice(&[0u8; 20])));
         assert!(!db.append((), MbufChain::from_slice(&[0u8; 10])));
-        assert_eq!(db.records(), 1);
-    }
-
-    #[test]
-    fn copy_meter_counts_copyin_and_copyout() {
-        reset_copy_meter();
-        let data = vec![7u8; 1000];
-        let chain = MbufChain::from_slice(&data);
-        assert_eq!(copied_bytes(), 1000, "copyin is one physical copy");
-        let mut out = vec![0u8; 1000];
-        chain.copy_to_slice(0, &mut out);
-        assert_eq!(copied_bytes(), 2000, "copyout is a second physical copy");
-    }
-
-    #[test]
-    fn copy_meter_ignores_shared_references() {
-        reset_copy_meter();
-        let data = Rc::new(vec![9u8; 3000]);
-        let chain = MbufChain::from_shared(data);
-        assert_eq!(copied_bytes(), 0, "from_shared references, never copies");
-        let (copy, copied) = chain.copy_range(0, 3000);
-        assert_eq!(copied, 0);
-        assert_eq!(copy.len(), 3000);
-        assert_eq!(copied_bytes(), 0, "cluster m_copy shares, never copies");
+        assert_eq!(db.len(), 20);
     }
 
     #[test]

@@ -53,23 +53,23 @@ const FRAME_BYTES_CAP: usize = 2048;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Small data areas served from the pool.
-    pub small_hits: u64,
+    pub(crate) small_hits: u64,
     /// Small data areas that had to be freshly allocated.
-    pub small_misses: u64,
+    pub(crate) small_misses: u64,
     /// Cluster buffers served from the pool.
-    pub cluster_hits: u64,
+    pub(crate) cluster_hits: u64,
     /// Cluster buffers that had to be freshly allocated.
-    pub cluster_misses: u64,
+    pub(crate) cluster_misses: u64,
     /// Chain nodes served from the pool.
-    pub node_hits: u64,
+    pub(crate) node_hits: u64,
     /// Chain nodes that had to be freshly allocated.
-    pub node_misses: u64,
+    pub(crate) node_misses: u64,
     /// Small data areas currently pooled.
-    pub small_free: usize,
+    pub(crate) small_free: usize,
     /// Cluster buffers currently pooled.
-    pub cluster_free: usize,
+    pub(crate) cluster_free: usize,
     /// Chain nodes currently pooled.
-    pub node_free: usize,
+    pub(crate) node_free: usize,
 }
 
 impl PoolStats {

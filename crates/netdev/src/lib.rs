@@ -8,7 +8,7 @@
 //!
 //! The medium supports deterministic fault injection — loss (independent
 //! and bursty), duplication, reordering, and link-down windows — all
-//! driven through the attached [`psd_sim::fault`] plane, so every wire
+//! driven through the attached `psd_sim::fault` plane, so every wire
 //! fault is a named, scripted or seeded [`FaultSite`] and the medium
 //! itself consumes no randomness. A [`FrameTrace`] can be attached to
 //! capture traffic for assertions and debugging.
@@ -29,17 +29,15 @@ use psd_wire::{EtherAddr, EthernetHeader};
 pub mod topology;
 
 /// Minimum frame length on the wire (without FCS).
-pub const MIN_FRAME: usize = 60;
-/// Maximum frame length on the wire (without FCS).
-pub const MAX_FRAME: usize = 1514;
+pub(crate) const MIN_FRAME: usize = 60;
 /// FCS length added on the wire.
-pub const FCS_LEN: usize = 4;
+pub(crate) const FCS_LEN: usize = 4;
 
 /// Wire timing for a 10 Mb/s Ethernet (100 ns per bit).
 #[derive(Clone, Copy, Debug)]
 pub struct EtherTiming {
     /// Nanoseconds per bit (100 for 10 Mb/s).
-    pub bit_ns: u64,
+    pub(crate) bit_ns: u64,
 }
 
 impl EtherTiming {
@@ -86,7 +84,7 @@ pub struct EtherStats {
     /// Frames handed to the medium.
     pub tx_frames: u64,
     /// Bytes handed to the medium (before min-frame padding).
-    pub tx_bytes: u64,
+    pub(crate) tx_bytes: u64,
     /// Frames dropped by fault injection.
     pub dropped: u64,
     /// Frames duplicated by fault injection.
@@ -94,7 +92,7 @@ pub struct EtherStats {
     /// Frames reordered by fault injection.
     pub reordered: u64,
     /// Frames delivered to stations (one per receiving station).
-    pub delivered: u64,
+    pub(crate) delivered: u64,
     /// Wire time of every frame handed to the medium, dropped ones
     /// included: serialization plus propagation, in nanoseconds. Table
     /// 4's "network transit" row is this counter's delta over the
@@ -192,7 +190,7 @@ impl Ethernet {
     }
 
     /// The link propagation delay.
-    pub fn propagation(&self) -> SimTime {
+    pub(crate) fn propagation(&self) -> SimTime {
         self.propagation
     }
 
@@ -244,7 +242,7 @@ impl Ethernet {
     /// excluded from delivery. A forwarded frame keeps the original
     /// host's source MAC, so without this a promiscuous switch port
     /// would hear its own transmission and forward it forever.
-    pub fn transmit_from(
+    pub(crate) fn transmit_from(
         this: &EthernetHandle,
         sim: &mut Sim,
         ready: SimTime,

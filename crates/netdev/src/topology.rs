@@ -10,7 +10,7 @@
 //! the only randomness is RED's drop draw, forked from the simulation
 //! seed at construction, and every fault — link flaps, partitions,
 //! forced queue-full bursts, asymmetric routes — comes from the same
-//! [`psd_sim::fault`] plane the rest of the system uses:
+//! `psd_sim::fault` plane the rest of the system uses:
 //!
 //! | site | consulted | effect |
 //! |---|---|---|
@@ -199,17 +199,17 @@ fn event_current(tracer: &Option<TraceHandle>, now: SimTime, name: &'static str)
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SwitchStats {
     /// Frames received across all ports.
-    pub rx_frames: u64,
+    pub(crate) rx_frames: u64,
     /// Frames forwarded to a learned port.
     pub forwarded: u64,
     /// Frames flooded to every other port (broadcast or unknown MAC).
-    pub flooded: u64,
+    pub(crate) flooded: u64,
     /// Frames filtered because the destination is on the ingress port.
-    pub filtered: u64,
+    pub(crate) filtered: u64,
     /// Frames tail-dropped at an egress queue.
-    pub tail_drops: u64,
+    pub(crate) tail_drops: u64,
     /// Frames RED-dropped at an egress queue.
-    pub red_drops: u64,
+    pub(crate) red_drops: u64,
 }
 
 /// A transparent learning switch joining Ethernet segments.
@@ -275,13 +275,7 @@ impl Switch {
         self.drops
     }
 
-    /// Current egress queue depth of `port` (frames admitted and not
-    /// yet drained onto the wire).
-    pub fn port_depth(&self, port: usize) -> usize {
-        self.ports[port].depth.get()
-    }
-
-    /// Shared depth counter behind [`Switch::port_depth`], for gauges
+    /// Shared depth counter of output port `port`, for gauges
     /// that must read it without borrowing the switch.
     pub fn port_depth_cell(&self, port: usize) -> Rc<Cell<usize>> {
         self.ports[port].depth.clone()
@@ -408,29 +402,29 @@ impl RouterRoute {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct RouterStats {
     /// Frames received across all ports.
-    pub rx_frames: u64,
+    pub(crate) rx_frames: u64,
     /// IP packets forwarded onto an egress link.
     pub forwarded: u64,
     /// Packets addressed to one of the router's own interfaces.
-    pub absorbed: u64,
+    pub(crate) absorbed: u64,
     /// Packets whose TTL expired here.
-    pub ttl_expired: u64,
+    pub(crate) ttl_expired: u64,
     /// ICMP Time Exceeded messages originated.
-    pub time_exceeded_sent: u64,
+    pub(crate) time_exceeded_sent: u64,
     /// Packets with no matching route.
-    pub no_route: u64,
+    pub(crate) no_route: u64,
     /// Packets that took an alternate route on a `RouteFlip` injection.
-    pub route_flips: u64,
+    pub(crate) route_flips: u64,
     /// Frames tail-dropped at an egress queue.
-    pub tail_drops: u64,
+    pub(crate) tail_drops: u64,
     /// Frames RED-dropped at an egress queue.
-    pub red_drops: u64,
+    pub(crate) red_drops: u64,
     /// ARP requests sent.
-    pub arp_requests: u64,
+    pub(crate) arp_requests: u64,
     /// ARP replies sent.
-    pub arp_replies: u64,
+    pub(crate) arp_replies: u64,
     /// Packets parked awaiting ARP resolution.
-    pub arp_parked: u64,
+    pub(crate) arp_parked: u64,
 }
 
 /// A store-and-forward IP router.
@@ -517,13 +511,7 @@ impl Router {
         self.drops
     }
 
-    /// Current egress queue depth of `port` (frames admitted and not
-    /// yet drained onto the wire).
-    pub fn port_depth(&self, port: usize) -> usize {
-        self.ports[port].depth.get()
-    }
-
-    /// Shared depth counter behind [`Router::port_depth`], for gauges
+    /// Shared depth counter of output port `port`, for gauges
     /// that must read it without borrowing the router.
     pub fn port_depth_cell(&self, port: usize) -> Rc<Cell<usize>> {
         self.ports[port].depth.clone()

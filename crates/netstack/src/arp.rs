@@ -17,14 +17,14 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Default entry lifetime (BSD used 20 minutes).
-pub const ARP_TTL: SimTime = SimTime::from_secs(20 * 60);
+pub(crate) const ARP_TTL: SimTime = SimTime::from_secs(20 * 60);
 
 /// Maximum packets queued awaiting resolution of one address.
-pub const ARP_MAXQUEUE: usize = 8;
+pub(crate) const ARP_MAXQUEUE: usize = 8;
 
 /// Minimum spacing between ARP requests for one address (BSD re-sends
 /// at most once per second while packets wait).
-pub const ARP_RETRY: SimTime = SimTime::from_secs(1);
+pub(crate) const ARP_RETRY: SimTime = SimTime::from_secs(1);
 
 #[derive(Debug)]
 struct Entry {
@@ -38,12 +38,11 @@ pub struct ArpCache {
     entries: HashMap<Ipv4Addr, Entry>,
     pending: HashMap<Ipv4Addr, Vec<Vec<u8>>>,
     last_request: HashMap<Ipv4Addr, SimTime>,
-    version: u64,
 }
 
 impl ArpCache {
     /// An empty cache.
-    pub fn new() -> ArpCache {
+    pub(crate) fn new() -> ArpCache {
         ArpCache::default()
     }
 
@@ -65,44 +64,30 @@ impl ArpCache {
                 expires: now + ARP_TTL,
             },
         );
-        self.version += 1;
         self.pending.remove(&ip).unwrap_or_default()
     }
 
     /// Removes an entry (expiry or administrative change). Returns true
     /// if it existed.
     pub fn invalidate(&mut self, ip: Ipv4Addr) -> bool {
-        let existed = self.entries.remove(&ip).is_some();
-        if existed {
-            self.version += 1;
-        }
-        existed
+        self.entries.remove(&ip).is_some()
     }
 
-    /// Queues a packet awaiting resolution of `ip`. Returns `true` if
-    /// this is the *first* packet queued (i.e. the caller should send an
-    /// ARP request), `false` otherwise. The queue is bounded; overflow
-    /// drops the oldest packet, as BSD does.
-    pub fn enqueue_pending(&mut self, ip: Ipv4Addr, frame: Vec<u8>) -> bool {
+    /// Queues a packet awaiting resolution of `ip`. The queue is
+    /// bounded; overflow evicts the oldest packet, as BSD does, and
+    /// returns it so the caller can count the drop.
+    pub(crate) fn enqueue_pending(&mut self, ip: Ipv4Addr, frame: Vec<u8>) -> Option<Vec<u8>> {
         let q = self.pending.entry(ip).or_default();
-        let first = q.is_empty();
-        if q.len() >= ARP_MAXQUEUE {
-            q.remove(0);
-        }
+        let evicted = (q.len() >= ARP_MAXQUEUE).then(|| q.remove(0));
         q.push(frame);
-        first
-    }
-
-    /// Number of packets waiting on `ip`.
-    pub fn pending_len(&self, ip: Ipv4Addr) -> usize {
-        self.pending.get(&ip).map_or(0, Vec::len)
+        evicted
     }
 
     /// True if an ARP request should go out for `ip` now — either no
     /// request was ever sent, or the last one is at least [`ARP_RETRY`]
     /// old (so lost requests are retried whenever queued traffic
     /// prompts resolution again). Records the request time.
-    pub fn request_due(&mut self, ip: Ipv4Addr, now: SimTime) -> bool {
+    pub(crate) fn request_due(&mut self, ip: Ipv4Addr, now: SimTime) -> bool {
         let due = self
             .last_request
             .get(&ip)
@@ -113,11 +98,6 @@ impl ArpCache {
         due
     }
 
-    /// Version counter bumped on every change, for cache coherence.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// Live entries, for snapshotting into an application cache at
     /// session-migration time.
     pub fn snapshot(&self, now: SimTime) -> Vec<(Ipv4Addr, EtherAddr)> {
@@ -126,16 +106,6 @@ impl ArpCache {
             .filter(|(_, e)| e.expires > now)
             .map(|(ip, e)| (*ip, e.mac))
             .collect()
-    }
-
-    /// Number of live entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -169,34 +139,34 @@ mod tests {
     #[test]
     fn pending_queue_drains_on_insert() {
         let mut c = ArpCache::new();
-        assert!(c.enqueue_pending(ip("10.0.0.2"), vec![1]));
-        assert!(!c.enqueue_pending(ip("10.0.0.2"), vec![2]));
-        assert_eq!(c.pending_len(ip("10.0.0.2")), 2);
+        assert_eq!(c.enqueue_pending(ip("10.0.0.2"), vec![1]), None);
+        assert_eq!(c.enqueue_pending(ip("10.0.0.2"), vec![2]), None);
         let drained = c.insert(ip("10.0.0.2"), EtherAddr::local(2), SimTime::ZERO);
         assert_eq!(drained, vec![vec![1], vec![2]]);
-        assert_eq!(c.pending_len(ip("10.0.0.2")), 0);
+        let again = c.insert(ip("10.0.0.2"), EtherAddr::local(2), SimTime::ZERO);
+        assert!(again.is_empty());
     }
 
     #[test]
     fn pending_queue_bounded() {
         let mut c = ArpCache::new();
+        let mut evicted = Vec::new();
         for i in 0..20u8 {
-            c.enqueue_pending(ip("10.0.0.2"), vec![i]);
+            evicted.extend(c.enqueue_pending(ip("10.0.0.2"), vec![i]));
         }
-        assert_eq!(c.pending_len(ip("10.0.0.2")), ARP_MAXQUEUE);
+        // The oldest are handed back, in order; the newest survive.
+        let oldest: Vec<Vec<u8>> = (0..20 - ARP_MAXQUEUE as u8).map(|i| vec![i]).collect();
+        assert_eq!(evicted, oldest);
         let drained = c.insert(ip("10.0.0.2"), EtherAddr::local(2), SimTime::ZERO);
-        // The oldest were dropped; the newest survive.
         assert_eq!(drained.last(), Some(&vec![19u8]));
         assert_eq!(drained.len(), ARP_MAXQUEUE);
     }
 
     #[test]
-    fn invalidate_bumps_version() {
+    fn invalidate_forgets_the_entry() {
         let mut c = ArpCache::new();
         c.insert(ip("10.0.0.2"), EtherAddr::local(2), SimTime::ZERO);
-        let v = c.version();
         assert!(c.invalidate(ip("10.0.0.2")));
-        assert!(c.version() > v);
         assert!(!c.invalidate(ip("10.0.0.2")));
         assert!(c.lookup(ip("10.0.0.2"), SimTime::ZERO).is_none());
     }

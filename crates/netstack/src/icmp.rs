@@ -4,13 +4,13 @@
 //! the catch-all (the operating system server in the decomposed
 //! configurations).
 
-use psd_wire::icmp::{UNREACH_HOST, UNREACH_PORT};
+use psd_wire::icmp::UNREACH_PORT;
 use psd_wire::{IcmpMessage, IcmpType, IpProto, Ipv4Header};
 use std::net::Ipv4Addr;
 
 /// Builds the `(header, payload)` of an echo reply answering `req`
 /// received in `ip`.
-pub fn echo_reply(ip: &Ipv4Header, req: &IcmpMessage) -> Option<(Ipv4Header, Vec<u8>)> {
+pub(crate) fn echo_reply(ip: &Ipv4Header, req: &IcmpMessage) -> Option<(Ipv4Header, Vec<u8>)> {
     if req.kind != IcmpType::EchoRequest {
         return None;
     }
@@ -23,7 +23,7 @@ pub fn echo_reply(ip: &Ipv4Header, req: &IcmpMessage) -> Option<(Ipv4Header, Vec
 
 /// Builds a port-unreachable error quoting the offending datagram
 /// (`ip_bytes` = the received IP header + first payload bytes).
-pub fn port_unreachable(
+pub(crate) fn port_unreachable(
     my_ip: Ipv4Addr,
     offender_src: Ipv4Addr,
     ip_bytes: &[u8],
@@ -35,23 +35,10 @@ pub fn port_unreachable(
     )
 }
 
-/// Builds a host-unreachable error.
-pub fn host_unreachable(
-    my_ip: Ipv4Addr,
-    offender_src: Ipv4Addr,
-    ip_bytes: &[u8],
-) -> (Ipv4Header, Vec<u8>) {
-    let msg = IcmpMessage::unreachable(UNREACH_HOST, ip_bytes).encode();
-    (
-        Ipv4Header::new(my_ip, offender_src, IpProto::Icmp, msg.len()),
-        msg,
-    )
-}
-
 /// If `msg` is a destination-unreachable quoting a UDP datagram we
 /// sent, extract `(original_dst_ip, original_dst_port, original_src_port)`
 /// so the error can be matched to a connected socket.
-pub fn parse_unreachable_udp(msg: &IcmpMessage) -> Option<(Ipv4Addr, u16, u16)> {
+pub(crate) fn parse_unreachable_udp(msg: &IcmpMessage) -> Option<(Ipv4Addr, u16, u16)> {
     let IcmpType::DestUnreachable(_) = msg.kind else {
         return None;
     };

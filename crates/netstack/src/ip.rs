@@ -15,7 +15,7 @@ use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// How long a partial datagram may sit in the reassembly queue.
-pub const REASS_TTL: SimTime = SimTime::from_secs(30);
+pub(crate) const REASS_TTL: SimTime = SimTime::from_secs(30);
 
 /// Splits an IP payload into fragments that fit `mtu`. Returns
 /// `(header, payload)` pairs ready for transmission. The input header
@@ -91,16 +91,6 @@ impl Reassembler {
         Reassembler::default()
     }
 
-    /// Number of datagrams being reassembled.
-    pub fn len(&self) -> usize {
-        self.partials.len()
-    }
-
-    /// True if nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.partials.is_empty()
-    }
-
     /// Feeds one fragment. Returns the reassembled `(header, payload)`
     /// when the datagram completes.
     pub fn insert(
@@ -140,7 +130,7 @@ impl Reassembler {
 
     /// Discards partial datagrams whose deadline has passed. Returns the
     /// number discarded.
-    pub fn expire(&mut self, now: SimTime) -> usize {
+    pub(crate) fn expire(&mut self, now: SimTime) -> usize {
         let before = self.partials.len();
         self.partials.retain(|_, p| p.deadline > now);
         before - self.partials.len()
@@ -150,12 +140,12 @@ impl Reassembler {
 /// Computes a fresh identification value sequence for outgoing
 /// datagrams.
 #[derive(Debug, Default)]
-pub struct IpIdent(u16);
+pub(crate) struct IpIdent(u16);
 
 impl IpIdent {
     /// Next identification value.
     #[allow(clippy::should_implement_trait)] // Deliberately not an Iterator: never exhausts.
-    pub fn next(&mut self) -> u16 {
+    pub(crate) fn next(&mut self) -> u16 {
         self.0 = self.0.wrapping_add(1);
         self.0
     }
@@ -217,7 +207,7 @@ mod tests {
         let (whole, buf) = done.expect("reassembly should complete");
         assert_eq!(buf, payload);
         assert_eq!(whole.payload_len(), payload.len());
-        assert!(r.is_empty());
+        assert!(r.partials.is_empty());
     }
 
     #[test]
@@ -267,9 +257,9 @@ mod tests {
         let frags = fragment(&h, &payload, 1500);
         let mut r = Reassembler::new();
         r.insert(&frags[0].0, &frags[0].1, SimTime::ZERO);
-        assert_eq!(r.len(), 1);
+        assert_eq!(r.partials.len(), 1);
         assert_eq!(r.expire(SimTime::from_secs(31)), 1);
-        assert!(r.is_empty());
+        assert!(r.partials.is_empty());
     }
 
     #[test]

@@ -23,16 +23,15 @@
 //! above it (in `psd-server` and `psd-core`). The stack exposes
 //! non-blocking operations plus per-socket event notification.
 
-pub mod arp;
-pub mod icmp;
+pub(crate) mod arp;
+pub(crate) mod icmp;
 pub mod ip;
-pub mod route;
-pub mod socket;
+pub(crate) mod route;
+pub(crate) mod socket;
 pub mod stack;
 pub mod tcp;
 pub mod udp;
 
-pub use arp::ArpCache;
 pub use route::{Route, RouteTable};
 pub use socket::{SockEvent, SockId, SocketError};
 pub use stack::{NetIf, NetStack, SessionState, StackHandle, StackStats};
@@ -56,7 +55,7 @@ impl InetAddr {
     }
 
     /// The all-zero wildcard endpoint.
-    pub fn any() -> InetAddr {
+    pub(crate) fn any() -> InetAddr {
         InetAddr {
             ip: Ipv4Addr::UNSPECIFIED,
             port: 0,
@@ -86,7 +85,7 @@ pub enum Placement {
 impl Placement {
     /// The protection domain this placement's code executes in, for
     /// census attribution.
-    pub fn domain(self) -> psd_sim::Domain {
+    pub(crate) fn domain(self) -> psd_sim::Domain {
         match self {
             Placement::Kernel => psd_sim::Domain::Kernel,
             Placement::Server => psd_sim::Domain::Server,
@@ -98,7 +97,7 @@ impl Placement {
     /// the BSD code takes `splnet`/`splx` or socket-buffer locks; the
     /// *count* is identical across placements, only the discipline (and
     /// so the unit price and the census kind) differs.
-    pub fn discipline(self) -> psd_sim::Discipline {
+    pub(crate) fn discipline(self) -> psd_sim::Discipline {
         match self {
             Placement::Kernel => psd_sim::Discipline::Spl,
             Placement::Server => psd_sim::Discipline::ServerSpl,

@@ -13,12 +13,12 @@ use std::net::Ipv4Addr;
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Route {
     /// Destination network.
-    pub dest: Ipv4Addr,
+    pub(crate) dest: Ipv4Addr,
     /// Network mask.
-    pub mask: Ipv4Addr,
+    pub(crate) mask: Ipv4Addr,
     /// Next hop: `None` for directly attached networks (deliver to the
     /// destination itself), `Some(gw)` to forward via a gateway.
-    pub gateway: Option<Ipv4Addr>,
+    pub(crate) gateway: Option<Ipv4Addr>,
 }
 
 impl Route {
@@ -41,7 +41,7 @@ pub struct RouteTable {
 
 impl RouteTable {
     /// An empty table.
-    pub fn new() -> RouteTable {
+    pub(crate) fn new() -> RouteTable {
         RouteTable::default()
     }
 
@@ -58,21 +58,9 @@ impl RouteTable {
     }
 
     /// Adds a route, bumping the version.
-    pub fn add(&mut self, route: Route) {
+    pub(crate) fn add(&mut self, route: Route) {
         self.routes.push(route);
         self.version += 1;
-    }
-
-    /// Removes routes to the given destination network. Returns how
-    /// many were removed.
-    pub fn remove(&mut self, dest: Ipv4Addr, mask: Ipv4Addr) -> usize {
-        let before = self.routes.len();
-        self.routes.retain(|r| !(r.dest == dest && r.mask == mask));
-        let removed = before - self.routes.len();
-        if removed > 0 {
-            self.version += 1;
-        }
-        removed
     }
 
     /// Adds a default route via `gateway`.
@@ -99,16 +87,6 @@ impl RouteTable {
     /// metastate caches to detect staleness).
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Number of routes.
-    pub fn len(&self) -> usize {
-        self.routes.len()
-    }
-
-    /// True if no routes are installed.
-    pub fn is_empty(&self) -> bool {
-        self.routes.is_empty()
     }
 
     /// All routes (for snapshotting into an application cache).
@@ -175,13 +153,6 @@ mod tests {
         let v0 = t.version();
         t.add_default(ip("10.0.0.1"));
         assert!(t.version() > v0);
-        let v1 = t.version();
-        assert_eq!(t.remove(ip("0.0.0.0"), ip("0.0.0.0")), 1);
-        assert!(t.version() > v1);
-        // Removing a nonexistent route does not bump.
-        let v2 = t.version();
-        assert_eq!(t.remove(ip("1.2.3.0"), ip("255.255.255.0")), 0);
-        assert_eq!(t.version(), v2);
     }
 
     #[test]
@@ -192,6 +163,6 @@ mod tests {
         cache.load(auth.snapshot(), auth.version());
         assert_eq!(cache.version(), auth.version());
         assert_eq!(cache.lookup(ip("8.8.8.8")), auth.lookup(ip("8.8.8.8")));
-        assert_eq!(cache.len(), 2);
+        assert_eq!(cache.routes.len(), 2);
     }
 }

@@ -80,19 +80,20 @@ pub type EventSink = Rc<RefCell<dyn FnMut(&mut Sim, SockId, SockEvent)>>;
 
 /// Resolver upcall for library placements: ask the operating system
 /// server for an ARP mapping (a control RPC, charged into the cursor).
-pub type ArpResolver = Box<dyn FnMut(&mut Sim, &mut Charge, Ipv4Addr) -> Option<EtherAddr>>;
+pub(crate) type ArpResolver = Box<dyn FnMut(&mut Sim, &mut Charge, Ipv4Addr) -> Option<EtherAddr>>;
 
 /// Hook invoked when a datagram arrives for which no local socket
 /// exists. The server uses this to forward reassembled or exceptional
 /// datagrams to sessions that have migrated into applications. Returns
 /// true if the datagram was consumed.
-pub type UnclaimedUdpHook = Rc<RefCell<dyn FnMut(&mut Sim, InetAddr, InetAddr, &[u8]) -> bool>>;
+pub(crate) type UnclaimedUdpHook =
+    Rc<RefCell<dyn FnMut(&mut Sim, InetAddr, InetAddr, &[u8]) -> bool>>;
 
 /// Hook consulted when a TCP segment matches no local socket, keyed by
 /// `(local, remote)`. Returning true suppresses the RST — used by the
 /// operating system server for sessions that have migrated into an
 /// application (a stray segment must not reset a live connection).
-pub type StrayTcpHook = Rc<RefCell<dyn FnMut(InetAddr, InetAddr) -> bool>>;
+pub(crate) type StrayTcpHook = Rc<RefCell<dyn FnMut(InetAddr, InetAddr) -> bool>>;
 
 struct ListenState {
     backlog: usize,
@@ -128,30 +129,31 @@ struct SockEntry {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct StackStats {
     /// Frames handed to `input_frame`.
-    pub frames_in: u64,
+    pub(crate) frames_in: u64,
     /// TCP segments received / transmitted.
     pub tcp_in: u64,
     /// TCP segments sent.
-    pub tcp_out: u64,
+    pub(crate) tcp_out: u64,
     /// TCP segments retransmitted.
     pub tcp_rexmt: u64,
     /// UDP datagrams received / transmitted.
     pub udp_in: u64,
     /// UDP datagrams sent.
-    pub udp_out: u64,
+    pub(crate) udp_out: u64,
     /// Checksum failures (any protocol).
-    pub checksum_errors: u64,
+    pub(crate) checksum_errors: u64,
     /// Datagrams/segments with no matching socket.
     pub no_socket: u64,
-    /// Packets dropped awaiting ARP resolution (library placements).
+    /// Packets dropped awaiting ARP resolution: a library stack's miss
+    /// while the server resolves, or an overflow of the pending queue.
     pub arp_drops: u64,
     /// ICMP messages received.
-    pub icmp_in: u64,
+    pub(crate) icmp_in: u64,
     /// ICMP Time Exceeded messages received (a router on the path
     /// expired one of our packets' TTL).
-    pub icmp_time_exceeded: u64,
+    pub(crate) icmp_time_exceeded: u64,
     /// Datagrams reassembled from fragments.
-    pub reassembled: u64,
+    pub(crate) reassembled: u64,
     /// GSO super-descriptors accepted by `udp_send_gso`.
     pub gso_supers: u64,
     /// Wire datagrams produced by segmenting GSO super-descriptors.
@@ -167,24 +169,6 @@ pub enum SessionState {
     Tcp(TcbSnapshot),
     /// A UDP session.
     Udp(UdpSnapshot),
-}
-
-impl SessionState {
-    /// The session's local endpoint.
-    pub fn local(&self) -> InetAddr {
-        match self {
-            SessionState::Tcp(t) => t.local,
-            SessionState::Udp(u) => u.local,
-        }
-    }
-
-    /// The session's remote endpoint, if connected.
-    pub fn remote(&self) -> Option<InetAddr> {
-        match self {
-            SessionState::Tcp(t) => Some(t.remote),
-            SessionState::Udp(u) => u.remote,
-        }
-    }
 }
 
 /// Shared handle to a stack.
@@ -481,18 +465,6 @@ impl NetStack {
         }) = self.socks.get_mut(&sock)
         {
             tcb.nodelay = nodelay;
-        }
-    }
-
-    /// Resizes the receive buffer ("receive buffers … can be
-    /// reallocated on demand for busy sessions").
-    pub fn set_recv_buffer(&mut self, sock: SockId, size: usize) {
-        if let Some(e) = self.socks.get_mut(&sock) {
-            match &mut e.state {
-                SockState::Tcp(tcb) => tcb.rcv_buf.reserve(size),
-                SockState::Udp(pcb) => pcb.rcv.reserve(size),
-                _ => {}
-            }
         }
     }
 
@@ -1050,14 +1022,6 @@ impl NetStack {
         }
     }
 
-    /// Smoothed RTT estimate for a connection.
-    pub fn tcp_srtt(&self, sock: SockId) -> Option<SimTime> {
-        match self.socks.get(&sock).map(|e| &e.state) {
-            Some(SockState::Tcp(tcb)) => tcb.srtt(),
-            _ => None,
-        }
-    }
-
     /// Number of live sockets (any protocol, any state).
     pub fn session_count(&self) -> usize {
         self.socks.len()
@@ -1261,7 +1225,10 @@ impl NetStack {
         }
         // ARP miss.
         if self.arp_authoritative {
-            self.arp.enqueue_pending(next_hop, frame);
+            if let Some(evicted) = self.arp.enqueue_pending(next_hop, frame) {
+                self.arp_drop(charge);
+                give_frame(evicted);
+            }
             // Request whenever one is due — lost requests are retried
             // the next time queued traffic (e.g. a TCP SYN
             // retransmission) prompts resolution.
@@ -1294,18 +1261,21 @@ impl NetStack {
                 None => {
                     // The server is resolving; the packet is dropped
                     // and the protocol's own retransmission recovers.
-                    self.stats.arp_drops += 1;
-                    self.stats.drops.note(DropReason::ArpUnresolved);
-                    charge.count_drop(DropReason::ArpUnresolved, self.placement.domain());
+                    self.arp_drop(charge);
                     Ok(())
                 }
             }
         } else {
-            self.stats.arp_drops += 1;
-            self.stats.drops.note(DropReason::ArpUnresolved);
-            charge.count_drop(DropReason::ArpUnresolved, self.placement.domain());
+            self.arp_drop(charge);
             Ok(())
         }
+    }
+
+    /// Counts a packet lost for want of an ARP answer.
+    fn arp_drop(&mut self, charge: &mut Charge) {
+        self.stats.arp_drops += 1;
+        self.stats.drops.note(DropReason::ArpUnresolved);
+        charge.count_drop(DropReason::ArpUnresolved, self.placement.domain());
     }
 
     fn transmit_ip_frame(

@@ -719,6 +719,9 @@ fn recv_buffer_resizing_raises_advertised_window() {
     let mut r = Rig::new(Placement::Server);
     let b = r.b.clone();
     let a = r.a.clone();
+    // Grow the receive buffer "on demand for busy sessions".
+    let (snd, _) = b.borrow().tcp_buffers();
+    b.borrow_mut().set_tcp_buffers(snd, 120 * 1024);
     let lb = b.borrow_mut().socket_tcp();
     b.borrow_mut().bind(lb, InetAddr::new(HOST_B, 80)).unwrap();
     b.borrow_mut().listen(lb, 2).unwrap();
@@ -732,8 +735,6 @@ fn recv_buffer_resizing_raises_advertised_window() {
     });
     r.sim.run_to_idle();
     let cb = b.borrow_mut().accept(lb).unwrap();
-    // Grow the receive buffer "on demand for busy sessions".
-    b.borrow_mut().set_recv_buffer(cb, 120 * 1024);
     // Push a burst; with the bigger buffer the receiver can hold far
     // more than the old default without reading.
     let mut sent = 0;

@@ -1,9 +1,9 @@
 //! TCP (RFC 793 with the BSD Net2 congestion machinery).
 //!
-//! [`Tcb`] is a *pure* transmission control block: it holds the
+//! `Tcb` is a *pure* transmission control block: it holds the
 //! connection state, sequence spaces, socket buffers, reassembly queue,
 //! RTT estimator and congestion window, and its methods push
-//! [`TcpAction`]s — segments to emit, timers to arm or cancel, events
+//! `TcpAction`s — segments to emit, timers to arm or cancel, events
 //! to deliver — onto the caller's action list rather than performing
 //! I/O. The surrounding [`NetStack`](crate::stack::NetStack) keeps one
 //! such list, reuses it across calls (no per-segment allocation), and
@@ -11,7 +11,7 @@
 //! timers. Keeping the TCB pure
 //! makes the whole state machine unit-testable (two TCBs can be wired
 //! back-to-back in a test without any simulator) and is what lets a
-//! session *migrate*: [`Tcb::export`]/[`Tcb::import`] capture and
+//! session *migrate*: `Tcb::export`/`Tcb::import` capture and
 //! restore the complete connection state when a session moves between
 //! the operating system server and an application (§3.1).
 //!
@@ -31,50 +31,50 @@ use psd_sim::SimTime;
 use psd_wire::{TcpFlags, TcpHeader};
 
 /// Default maximum segment size on local Ethernet (1500 − 20 − 20).
-pub const DEFAULT_MSS: u16 = 1460;
+pub(crate) const DEFAULT_MSS: u16 = 1460;
 
 /// 2MSL: how long `TIME_WAIT` lingers (2 × 30 s, as in BSD).
-pub const MSL_2: SimTime = SimTime::from_secs(60);
+pub(crate) const MSL_2: SimTime = SimTime::from_secs(60);
 
 /// Delayed-ACK interval (the BSD 200 ms fast timer).
-pub const DELACK: SimTime = SimTime::from_millis(200);
+pub(crate) const DELACK: SimTime = SimTime::from_millis(200);
 
 /// Minimum retransmission timeout.
-pub const RTO_MIN: SimTime = SimTime::from_millis(500);
+pub(crate) const RTO_MIN: SimTime = SimTime::from_millis(500);
 
 /// Maximum retransmission timeout.
-pub const RTO_MAX: SimTime = SimTime::from_secs(64);
+pub(crate) const RTO_MAX: SimTime = SimTime::from_secs(64);
 
 /// Initial retransmission timeout before any RTT sample.
-pub const RTO_INIT: SimTime = SimTime::from_secs(1);
+pub(crate) const RTO_INIT: SimTime = SimTime::from_secs(1);
 
 /// Retransmissions before giving up (BSD `TCP_MAXRXTSHIFT` is 12; a
 /// smaller bound keeps failure tests quick while preserving backoff).
-pub const MAX_RXT: u32 = 8;
+pub(crate) const MAX_RXT: u32 = 8;
 
 /// Duplicate-ACK threshold for fast retransmit.
-pub const REXMT_THRESH: u32 = 3;
+pub(crate) const REXMT_THRESH: u32 = 3;
 
 /// Largest window advertisement (no window scaling in 1993).
-pub const MAX_WINDOW: u32 = 65_535;
+pub(crate) const MAX_WINDOW: u32 = 65_535;
 
 /// Sequence-space comparison: `a < b` modulo 2³².
-pub fn seq_lt(a: u32, b: u32) -> bool {
+pub(crate) fn seq_lt(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) < 0
 }
 
 /// Sequence-space comparison: `a ≤ b` modulo 2³².
-pub fn seq_le(a: u32, b: u32) -> bool {
+pub(crate) fn seq_le(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) <= 0
 }
 
 /// Sequence-space comparison: `a > b` modulo 2³².
-pub fn seq_gt(a: u32, b: u32) -> bool {
+pub(crate) fn seq_gt(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) > 0
 }
 
 /// Sequence-space comparison: `a ≥ b` modulo 2³².
-pub fn seq_ge(a: u32, b: u32) -> bool {
+pub(crate) fn seq_ge(a: u32, b: u32) -> bool {
     (a.wrapping_sub(b) as i32) >= 0
 }
 
@@ -105,7 +105,7 @@ pub enum TcpState {
 
 impl TcpState {
     /// True once the three-way handshake has completed.
-    pub fn is_synchronized(self) -> bool {
+    pub(crate) fn is_synchronized(self) -> bool {
         !matches!(
             self,
             TcpState::Closed | TcpState::SynSent | TcpState::SynReceived
@@ -113,7 +113,7 @@ impl TcpState {
     }
 
     /// True when the local side may still queue data to send.
-    pub fn can_send(self) -> bool {
+    pub(crate) fn can_send(self) -> bool {
         matches!(
             self,
             TcpState::Established | TcpState::CloseWait | TcpState::SynSent | TcpState::SynReceived
@@ -123,7 +123,7 @@ impl TcpState {
 
 /// TCP timers.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum TcpTimer {
+pub(crate) enum TcpTimer {
     /// Retransmission.
     Rexmt,
     /// Zero-window probe.
@@ -137,33 +137,33 @@ pub enum TcpTimer {
 /// A segment the TCB wants transmitted. The stack adds checksums and
 /// the IP/Ethernet encapsulation.
 #[derive(Debug)]
-pub struct SegmentSpec {
+pub(crate) struct SegmentSpec {
     /// Source/destination of the segment.
-    pub local: InetAddr,
+    pub(crate) local: InetAddr,
     /// Remote endpoint.
-    pub remote: InetAddr,
+    pub(crate) remote: InetAddr,
     /// Sequence number.
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Acknowledgment number (valid when ACK flag set).
-    pub ack: u32,
+    pub(crate) ack: u32,
     /// Flags.
-    pub flags: TcpFlags,
+    pub(crate) flags: TcpFlags,
     /// Advertised window.
-    pub wnd: u16,
+    pub(crate) wnd: u16,
     /// Urgent pointer.
-    pub urp: u16,
+    pub(crate) urp: u16,
     /// MSS option (SYN segments).
-    pub mss: Option<u16>,
+    pub(crate) mss: Option<u16>,
     /// Payload (cluster-sharing copy from the send buffer).
-    pub data: MbufChain,
+    pub(crate) data: MbufChain,
     /// True if this is a retransmission (for stats and Karn's rule —
     /// already applied internally — and so the stack can count it).
-    pub rexmit: bool,
+    pub(crate) rexmit: bool,
 }
 
 impl SegmentSpec {
     /// The TCP header for this segment.
-    pub fn header(&self) -> TcpHeader {
+    pub(crate) fn header(&self) -> TcpHeader {
         TcpHeader {
             src_port: self.local.port,
             dst_port: self.remote.port,
@@ -179,7 +179,7 @@ impl SegmentSpec {
 
 /// What the TCB asks its driver to do.
 #[derive(Debug)]
-pub enum TcpAction {
+pub(crate) enum TcpAction {
     /// Transmit a segment.
     Send(SegmentSpec),
     /// New in-order data was queued: notify readers. `wake` is true
@@ -213,44 +213,44 @@ pub enum TcpAction {
 #[derive(Debug, Clone)]
 pub struct TcbSnapshot {
     /// Connection state.
-    pub state: TcpState,
+    pub(crate) state: TcpState,
     /// Local endpoint.
-    pub local: InetAddr,
+    pub(crate) local: InetAddr,
     /// Remote endpoint.
-    pub remote: InetAddr,
+    pub(crate) remote: InetAddr,
     /// Send sequence variables: (iss, una, nxt, max, wnd, wl1, wl2, up).
-    pub snd: (u32, u32, u32, u32, u32, u32, u32, u32),
+    pub(crate) snd: (u32, u32, u32, u32, u32, u32, u32, u32),
     /// Receive sequence variables: (irs, nxt, adv, up).
-    pub rcv: (u32, u32, u32, u32),
+    pub(crate) rcv: (u32, u32, u32, u32),
     /// Congestion state: (cwnd, ssthresh).
-    pub congestion: (u32, u32),
+    pub(crate) congestion: (u32, u32),
     /// RTT estimator: (srtt_ns, rttvar_ns, has_estimate).
-    pub rtt: (u64, u64, bool),
+    pub(crate) rtt: (u64, u64, bool),
     /// MSS in force.
-    pub mss: u16,
+    pub(crate) mss: u16,
     /// Unacknowledged/unsent bytes on the send queue.
-    pub snd_data: Vec<u8>,
+    pub(crate) snd_data: Vec<u8>,
     /// Undelivered bytes on the receive queue.
-    pub rcv_data: Vec<u8>,
+    pub(crate) rcv_data: Vec<u8>,
     /// Out-of-order segments (seq, bytes).
-    pub reass: Vec<(u32, Vec<u8>)>,
+    pub(crate) reass: Vec<(u32, Vec<u8>)>,
     /// Buffer limits: (snd_hiwat, rcv_hiwat).
-    pub hiwat: (usize, usize),
+    pub(crate) hiwat: (usize, usize),
     /// Nagle disabled?
-    pub nodelay: bool,
+    pub(crate) nodelay: bool,
     /// FIN already received from peer?
-    pub fin_rcvd: bool,
+    pub(crate) fin_rcvd: bool,
 }
 
 /// The transmission control block.
 #[derive(Debug)]
-pub struct Tcb {
+pub(crate) struct Tcb {
     /// Connection state.
-    pub state: TcpState,
+    pub(crate) state: TcpState,
     /// Local endpoint.
-    pub local: InetAddr,
+    pub(crate) local: InetAddr,
     /// Remote endpoint.
-    pub remote: InetAddr,
+    pub(crate) remote: InetAddr,
 
     // Send sequence space.
     iss: u32,
@@ -270,9 +270,9 @@ pub struct Tcb {
 
     // Buffers.
     /// Send socket buffer (holds unacknowledged + unsent data).
-    pub snd_buf: SockBuf,
+    pub(crate) snd_buf: SockBuf,
     /// Receive socket buffer (in-order data awaiting the application).
-    pub rcv_buf: SockBuf,
+    pub(crate) rcv_buf: SockBuf,
     reass: Vec<(u32, Vec<u8>)>,
 
     // Congestion control.
@@ -289,29 +289,34 @@ pub struct Tcb {
     rxtshift: u32,
 
     /// Negotiated maximum segment size.
-    pub mss: u16,
+    pub(crate) mss: u16,
     /// Nagle disabled (`TCP_NODELAY`).
-    pub nodelay: bool,
+    pub(crate) nodelay: bool,
 
     delack_pending: bool,
     fin_sent_seq: Option<u32>,
     fin_rcvd: bool,
     /// Terminal error, sticky once set.
-    pub error: Option<SocketError>,
+    pub(crate) error: Option<SocketError>,
     rexmt_armed: bool,
     persist_armed: bool,
     persist_shift: u32,
 
     // Statistics.
     /// Segments retransmitted.
-    pub rexmt_segs: u64,
+    pub(crate) rexmt_segs: u64,
     /// Fast retransmits triggered.
-    pub fast_rexmts: u64,
+    pub(crate) fast_rexmts: u64,
 }
 
 impl Tcb {
     /// Creates a closed TCB with the given buffer limits.
-    pub fn new(local: InetAddr, remote: InetAddr, snd_hiwat: usize, rcv_hiwat: usize) -> Tcb {
+    pub(crate) fn new(
+        local: InetAddr,
+        remote: InetAddr,
+        snd_hiwat: usize,
+        rcv_hiwat: usize,
+    ) -> Tcb {
         Tcb {
             state: TcpState::Closed,
             local,
@@ -361,22 +366,22 @@ impl Tcb {
     }
 
     /// Bytes of in-order data available to the application.
-    pub fn readable(&self) -> usize {
+    pub(crate) fn readable(&self) -> usize {
         self.rcv_buf.len()
     }
 
     /// Send-buffer space available to the application.
-    pub fn writable(&self) -> usize {
+    pub(crate) fn writable(&self) -> usize {
         self.snd_buf.space()
     }
 
     /// True if the peer has closed and all data has been read.
-    pub fn at_eof(&self) -> bool {
+    pub(crate) fn at_eof(&self) -> bool {
         self.fin_rcvd && self.rcv_buf.is_empty()
     }
 
     /// The retransmission timeout currently in force.
-    pub fn rto(&self) -> SimTime {
+    pub(crate) fn rto(&self) -> SimTime {
         let base = if self.rtt_valid {
             SimTime::from_nanos(self.srtt + 4 * self.rttvar)
         } else {
@@ -386,25 +391,20 @@ impl Tcb {
         backed.max(RTO_MIN).min(RTO_MAX)
     }
 
-    /// Smoothed RTT estimate, if one exists.
-    pub fn srtt(&self) -> Option<SimTime> {
-        self.rtt_valid.then(|| SimTime::from_nanos(self.srtt))
-    }
-
     /// Current congestion window (for tests/benchmarks).
-    pub fn cwnd(&self) -> u32 {
+    pub(crate) fn cwnd(&self) -> u32 {
         self.cwnd
     }
 
     /// Current slow-start threshold (for tests/benchmarks).
-    pub fn ssthresh(&self) -> u32 {
+    pub(crate) fn ssthresh(&self) -> u32 {
         self.ssthresh
     }
 
     // --- Opens ---
 
     /// Active open: send SYN (stack supplies the ISS).
-    pub fn connect(&mut self, iss: u32, out: &mut Vec<TcpAction>) {
+    pub(crate) fn connect(&mut self, iss: u32, out: &mut Vec<TcpAction>) {
         assert_eq!(self.state, TcpState::Closed, "connect on non-closed TCB");
         self.iss = iss;
         self.snd_una = iss;
@@ -432,7 +432,7 @@ impl Tcb {
     /// Passive open: build a TCB in `SynReceived` answering `syn` (the
     /// listener's driver calls this for each new connection request).
     #[allow(clippy::too_many_arguments)] // The SYN's fields plus buffer limits; a struct would obscure RFC 793's names.
-    pub fn accept_syn(
+    pub(crate) fn accept_syn(
         local: InetAddr,
         remote: InetAddr,
         iss: u32,
@@ -481,7 +481,7 @@ impl Tcb {
     /// Queues data for transmission; returns bytes accepted (bounded by
     /// send-buffer space). `copy_rate_charged_by_caller`: the caller
     /// performs and charges the copy into the socket buffer.
-    pub fn send(
+    pub(crate) fn send(
         &mut self,
         data: &[u8],
         now: SimTime,
@@ -502,34 +502,6 @@ impl Tcb {
             return Err(SocketError::WouldBlock);
         }
         self.snd_buf.append(MbufChain::from_slice(&data[..take]));
-        self.output(now, false, out);
-        Ok(take)
-    }
-
-    /// Queues data whose last byte is urgent, setting the urgent
-    /// pointer *before* transmission so outgoing segments carry URG.
-    pub fn send_urgent(
-        &mut self,
-        data: &[u8],
-        now: SimTime,
-        out: &mut Vec<TcpAction>,
-    ) -> Result<usize, SocketError> {
-        if let Some(e) = self.error {
-            return Err(e);
-        }
-        if !self.state.can_send() {
-            return Err(if self.state == TcpState::Closed {
-                SocketError::NotConnected
-            } else {
-                SocketError::Shutdown
-            });
-        }
-        let take = data.len().min(self.snd_buf.space());
-        if take == 0 {
-            return Err(SocketError::WouldBlock);
-        }
-        self.snd_buf.append(MbufChain::from_slice(&data[..take]));
-        self.snd_up = self.snd_una.wrapping_add(self.snd_buf.len() as u32);
         self.output(now, false, out);
         Ok(take)
     }
@@ -537,7 +509,7 @@ impl Tcb {
     /// Copies up to `buf.len()` bytes of in-order data to the caller,
     /// consuming them. Returns bytes read; any window-update actions
     /// are pushed onto `out`.
-    pub fn recv(&mut self, buf: &mut [u8], now: SimTime, out: &mut Vec<TcpAction>) -> usize {
+    pub(crate) fn recv(&mut self, buf: &mut [u8], now: SimTime, out: &mut Vec<TcpAction>) -> usize {
         let n = buf.len().min(self.rcv_buf.len());
         if n > 0 {
             self.rcv_buf.peek(&mut buf[..n]);
@@ -552,7 +524,7 @@ impl Tcb {
     /// consuming opened the window significantly (two segments or half
     /// the buffer), advertise it immediately — BSD's receiver
     /// silly-window avoidance.
-    pub fn after_user_read(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
+    pub(crate) fn after_user_read(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
         if self.state.is_synchronized() {
             let new_wnd = self.rcv_wnd();
             let advertised = self.rcv_adv.wrapping_sub(self.rcv_nxt);
@@ -567,7 +539,7 @@ impl Tcb {
 
     /// Produces whatever segments the connection state allows. `force`
     /// is used by the persist timer to send a one-byte window probe.
-    pub fn output(&mut self, now: SimTime, force: bool, out: &mut Vec<TcpAction>) {
+    pub(crate) fn output(&mut self, now: SimTime, force: bool, out: &mut Vec<TcpAction>) {
         if matches!(self.state, TcpState::Closed | TcpState::TimeWait) {
             return;
         }
@@ -759,7 +731,7 @@ impl Tcb {
     // --- Input engine (tcp_input) ---
 
     /// Processes one arriving segment.
-    pub fn input(
+    pub(crate) fn input(
         &mut self,
         hdr: &TcpHeader,
         payload: &[u8],
@@ -1201,7 +1173,7 @@ impl Tcb {
     // --- Timers ---
 
     /// Drives a timer expiry.
-    pub fn timer(&mut self, which: TcpTimer, now: SimTime, out: &mut Vec<TcpAction>) {
+    pub(crate) fn timer(&mut self, which: TcpTimer, now: SimTime, out: &mut Vec<TcpAction>) {
         match which {
             TcpTimer::Rexmt => self.timer_rexmt(now, out),
             TcpTimer::Persist => self.timer_persist(now, out),
@@ -1294,7 +1266,7 @@ impl Tcb {
     // --- Close paths ---
 
     /// Application close: send FIN after queued data.
-    pub fn close(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
+    pub(crate) fn close(&mut self, now: SimTime, out: &mut Vec<TcpAction>) {
         match self.state {
             TcpState::Closed => out.push(TcpAction::Free),
             TcpState::SynSent => {
@@ -1315,7 +1287,7 @@ impl Tcb {
     }
 
     /// Abortive close: RST to the peer, local teardown.
-    pub fn abort(&mut self, out: &mut Vec<TcpAction>) {
+    pub(crate) fn abort(&mut self, out: &mut Vec<TcpAction>) {
         if self.state.is_synchronized() {
             out.push(self.emit_rst(self.snd_nxt, Some(self.rcv_nxt)));
         }
@@ -1344,7 +1316,7 @@ impl Tcb {
     // --- Migration (§3.1) ---
 
     /// Captures the complete connection state for migration.
-    pub fn export(&self) -> TcbSnapshot {
+    pub(crate) fn export(&self) -> TcbSnapshot {
         let mut snd_data = vec![0u8; self.snd_buf.len()];
         self.snd_buf.peek(&mut snd_data);
         let mut rcv_data = vec![0u8; self.rcv_buf.len()];
@@ -1377,7 +1349,7 @@ impl Tcb {
     }
 
     /// Reconstructs a TCB from a migration capsule.
-    pub fn import(snap: TcbSnapshot) -> Tcb {
+    pub(crate) fn import(snap: TcbSnapshot) -> Tcb {
         let mut tcb = Tcb::new(snap.local, snap.remote, snap.hiwat.0, snap.hiwat.1);
         tcb.state = snap.state;
         tcb.iss = snap.snd.0;

@@ -12,29 +12,29 @@ use std::net::Ipv4Addr;
 
 /// Default datagram receive-buffer size (BSD `udp_recvspace` ≈ 41 KB;
 /// rounded).
-pub const UDP_RECVSPACE: usize = 40 * 1024;
+pub(crate) const UDP_RECVSPACE: usize = 40 * 1024;
 
 /// Largest datagram the socket layer accepts (BSD `udp_sendspace`).
-pub const UDP_MAXDGRAM: usize = 9 * 1024;
+pub(crate) const UDP_MAXDGRAM: usize = 9 * 1024;
 
 /// A UDP protocol control block.
 #[derive(Debug)]
-pub struct UdpPcb {
+pub(crate) struct UdpPcb {
     /// Local endpoint (ip may be unspecified until bound).
-    pub local: InetAddr,
+    pub(crate) local: InetAddr,
     /// Connected remote endpoint, if any.
-    pub remote: Option<InetAddr>,
+    pub(crate) remote: Option<InetAddr>,
     /// Received datagrams awaiting the application, tagged with the
     /// sender's address.
-    pub rcv: DgramBuf<InetAddr>,
+    pub(crate) rcv: DgramBuf<InetAddr>,
     /// Sticky asynchronous error (e.g. ICMP port unreachable on a
     /// connected socket).
-    pub error: Option<SocketError>,
+    pub(crate) error: Option<SocketError>,
 }
 
 impl UdpPcb {
     /// A fresh unbound pcb.
-    pub fn new() -> UdpPcb {
+    pub(crate) fn new() -> UdpPcb {
         UdpPcb {
             local: InetAddr::any(),
             remote: None,
@@ -46,7 +46,7 @@ impl UdpPcb {
     /// Match quality of this pcb for an incoming datagram; higher wins.
     /// `None` means no match. Mirrors `in_pcblookup`: exact 4-tuple
     /// beats wildcard.
-    pub fn match_score(&self, dst: InetAddr, src: InetAddr) -> Option<u32> {
+    pub(crate) fn match_score(&self, dst: InetAddr, src: InetAddr) -> Option<u32> {
         if self.local.port != dst.port {
             return None;
         }
@@ -68,12 +68,12 @@ impl UdpPcb {
 
     /// Queues a received datagram; returns false (datagram dropped) when
     /// the buffer is full, as BSD does.
-    pub fn enqueue(&mut self, from: InetAddr, data: MbufChain) -> bool {
+    pub(crate) fn enqueue(&mut self, from: InetAddr, data: MbufChain) -> bool {
         self.rcv.append(from, data)
     }
 
     /// Dequeues the oldest datagram.
-    pub fn dequeue(&mut self) -> Option<(InetAddr, MbufChain)> {
+    pub(crate) fn dequeue(&mut self) -> Option<(InetAddr, MbufChain)> {
         self.rcv.pop().map(|r| (r.meta, r.chain))
     }
 }
@@ -101,7 +101,7 @@ pub struct UdpSnapshot {
 
 impl UdpPcb {
     /// Captures migration state, draining the receive queue.
-    pub fn export(&mut self) -> UdpSnapshot {
+    pub(crate) fn export(&mut self) -> UdpSnapshot {
         let mut queued = Vec::new();
         while let Some((from, chain)) = self.dequeue() {
             queued.push((from, chain.to_vec()));
@@ -114,7 +114,7 @@ impl UdpPcb {
     }
 
     /// Rebuilds a pcb from migration state.
-    pub fn import(snap: UdpSnapshot) -> UdpPcb {
+    pub(crate) fn import(snap: UdpSnapshot) -> UdpPcb {
         let mut pcb = UdpPcb::new();
         pcb.local = snap.local;
         pcb.remote = snap.remote;

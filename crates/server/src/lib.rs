@@ -18,10 +18,10 @@
 //! select status) and suppresses RSTs for stragglers reaching its
 //! catch-all.
 
-pub mod netif;
-pub mod ports;
+mod netif;
+pub(crate) mod ports;
 
-pub use netif::{stack_sink, stack_sink_with_busy_report, KernelNetIf, UserNetIf};
+pub use netif::{stack_sink_with_busy_report, KernelNetIf, UserNetIf};
 pub use ports::{PortNamespace, Proto, EPHEMERAL_FIRST, EPHEMERAL_LAST};
 
 use std::cell::RefCell;
@@ -72,12 +72,6 @@ pub struct MigratedSession {
     pub state: SessionState,
     /// The kernel receive endpoint created for the application.
     pub endpoint: EndpointId,
-    /// The installed packet filter.
-    pub filter: FilterId,
-    /// Local endpoint.
-    pub local: InetAddr,
-    /// Remote endpoint, if connected.
-    pub remote: Option<InetAddr>,
     /// ARP cache snapshot for the application's metastate cache.
     pub arp_entries: Vec<(Ipv4Addr, EtherAddr)>,
     /// Route table snapshot and version.
@@ -100,37 +94,19 @@ pub enum SessionReply {
     },
 }
 
-impl SessionReply {
-    /// The session id in either variant.
-    pub fn session(&self) -> SessionId {
-        match self {
-            SessionReply::Migrated(m) => m.session,
-            SessionReply::ServerResident { session, .. } => *session,
-        }
-    }
-
-    /// The local endpoint in either variant.
-    pub fn local(&self) -> InetAddr {
-        match self {
-            SessionReply::Migrated(m) => m.local,
-            SessionReply::ServerResident { local, .. } => *local,
-        }
-    }
-}
-
 /// Completion callback for split-phase RPCs (connect, accept).
-pub type DoneCallback = Box<dyn FnOnce(&mut Sim, Result<SessionReply, SocketError>)>;
+pub(crate) type DoneCallback = Box<dyn FnOnce(&mut Sim, Result<SessionReply, SocketError>)>;
 
 /// Callback for forwarding server-resident socket events to the
 /// application that owns the descriptor.
-pub type NotifyCallback = Rc<RefCell<dyn FnMut(&mut Sim, SessionId, SockEvent)>>;
+pub(crate) type NotifyCallback = Rc<RefCell<dyn FnMut(&mut Sim, SessionId, SockEvent)>>;
 
 /// Callback invoked when the server invalidates a cached ARP entry
 /// (§3.3 metastate callbacks).
-pub type ArpInvalidation = Rc<RefCell<dyn FnMut(&mut Sim, Ipv4Addr)>>;
+pub(crate) type ArpInvalidation = Rc<RefCell<dyn FnMut(&mut Sim, Ipv4Addr)>>;
 
 /// Callback completing a cooperative `select`.
-pub type SelectCallback = Box<dyn FnOnce(&mut Sim, Vec<SessionId>)>;
+pub(crate) type SelectCallback = Box<dyn FnOnce(&mut Sim, Vec<SessionId>)>;
 
 enum Home {
     /// Not yet realized in any stack (fresh socket).
@@ -183,7 +159,7 @@ struct SelectWaiter {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ServerStats {
     /// Control RPCs served.
-    pub rpcs: u64,
+    pub(crate) rpcs: u64,
     /// Sessions migrated out to applications.
     pub migrations_out: u64,
     /// Sessions migrated back in.
@@ -191,12 +167,12 @@ pub struct ServerStats {
     /// Sessions aborted by process death.
     pub crash_cleanups: u64,
     /// Stray TCP segments suppressed for migrated sessions.
-    pub strays_suppressed: u64,
+    pub(crate) strays_suppressed: u64,
     /// Datagrams forwarded to migrated sessions (reassembly case).
-    pub udp_forwarded: u64,
+    pub(crate) udp_forwarded: u64,
     /// Late datagrams reclaimed from a library stack after their
     /// session migrated back to the server (fork/close races).
-    pub udp_reclaimed: u64,
+    pub(crate) udp_reclaimed: u64,
     /// Migrations denied at the prepare phase (filter table full, SHM
     /// ring install failure); the session fell back to the server path.
     pub migrations_denied: u64,
@@ -221,7 +197,6 @@ pub struct OsServer {
     stack: StackHandle,
     costs: CostModel,
     host_ip: Ipv4Addr,
-    server_endpoint: EndpointId,
     ports: PortNamespace,
     sessions: HashMap<SessionId, Session>,
     sock_to_session: HashMap<SockId, SessionId>,
@@ -278,20 +253,18 @@ impl OsServer {
         let cpu = kernel.borrow().cpu();
         let stack = NetStack::new(Placement::Server, costs.clone(), cpu, host_ip);
         stack.borrow_mut().set_ifnet(UserNetIf::new(kernel.clone()));
-        let sink = stack_sink(&stack);
-        let server_endpoint = {
+        let sink = netif::stack_sink(&stack);
+        {
             let mut k = kernel.borrow_mut();
             let ep = k.create_endpoint(RxMode::Ipc, sink);
             k.set_default_endpoint(ep);
-            ep
-        };
+        }
         let server = Rc::new(RefCell::new(OsServer {
             me: Weak::new(),
             kernel: kernel.clone(),
             stack: stack.clone(),
             costs,
             host_ip,
-            server_endpoint,
             ports: PortNamespace::new(),
             sessions: HashMap::new(),
             sock_to_session: HashMap::new(),
@@ -369,16 +342,6 @@ impl OsServer {
     /// buffers).
     pub fn stack(&self) -> StackHandle {
         self.stack.clone()
-    }
-
-    /// The host kernel.
-    pub fn kernel(&self) -> KernelHandle {
-        self.kernel.clone()
-    }
-
-    /// The server's own catch-all receive endpoint.
-    pub fn endpoint(&self) -> EndpointId {
-        self.server_endpoint
     }
 
     /// Registers a new process.
@@ -974,9 +937,6 @@ impl OsServer {
             session: sid,
             state,
             endpoint,
-            filter,
-            local,
-            remote,
             arp_entries,
             routes,
         }))

@@ -114,7 +114,7 @@ impl NetIf for KernelNetIf {
 /// the kernel for wakeup amortization. The sink is the frame's last
 /// owner: once `input_frame` has copied what it keeps, the buffer goes
 /// back to the frame free list the output routines draw from.
-pub fn stack_sink(stack: &StackHandle) -> PacketSink {
+pub(crate) fn stack_sink(stack: &StackHandle) -> PacketSink {
     let stack = stack.clone();
     Rc::new(RefCell::new(
         move |sim: &mut Sim, t: psd_sim::SimTime, frame: Vec<u8>| {
@@ -127,7 +127,7 @@ pub fn stack_sink(stack: &StackHandle) -> PacketSink {
     ))
 }
 
-/// As [`stack_sink`], additionally extending the kernel's per-endpoint
+/// As `stack_sink`, additionally extending the kernel's per-endpoint
 /// busy window so packet trains amortize wakeups (library SHM paths).
 pub fn stack_sink_with_busy_report(
     stack: &StackHandle,

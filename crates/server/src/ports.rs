@@ -75,7 +75,7 @@ impl PortNamespace {
 
     /// Allocates an ephemeral port: the first free port at or after the
     /// rotating cursor, wrapping once.
-    pub fn alloc_ephemeral(&mut self, proto: Proto) -> Result<u16, SocketError> {
+    pub(crate) fn alloc_ephemeral(&mut self, proto: Proto) -> Result<u16, SocketError> {
         let cursor = self.next_ephemeral;
         let free = self.free_of(proto);
         let candidate = free

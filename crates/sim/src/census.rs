@@ -60,7 +60,7 @@ pub enum OpKind {
 
 impl OpKind {
     /// Every kind, in census presentation order.
-    pub const ALL: [OpKind; 10] = [
+    pub(crate) const ALL: [OpKind; 10] = [
         OpKind::BoundaryCrossing,
         OpKind::PacketBodyCopy,
         OpKind::HeaderCopy,
@@ -74,7 +74,7 @@ impl OpKind {
     ];
 
     /// Short label used in census snapshots.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             OpKind::BoundaryCrossing => "boundary_crossing",
             OpKind::PacketBodyCopy => "packet_body_copy",
@@ -126,10 +126,10 @@ pub enum Domain {
 
 impl Domain {
     /// Every domain, in census presentation order.
-    pub const ALL: [Domain; 3] = [Domain::Kernel, Domain::Server, Domain::Library];
+    pub(crate) const ALL: [Domain; 3] = [Domain::Kernel, Domain::Server, Domain::Library];
 
     /// Short label used in census snapshots.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Domain::Kernel => "kernel",
             Domain::Server => "server",
@@ -163,7 +163,7 @@ pub type CensusHandle = Rc<RefCell<Census>>;
 
 impl Census {
     /// Creates a census with all counters at zero.
-    pub fn new() -> Census {
+    pub(crate) fn new() -> Census {
         Census {
             counts: [[[0; Domain::COUNT]; Layer::COUNT]; OpKind::COUNT],
             drops: [[0; Domain::COUNT]; DropReason::COUNT],
@@ -203,11 +203,6 @@ impl Census {
     /// The drop count for one `(reason, domain)` cell.
     pub fn drop_count(&self, reason: DropReason, domain: Domain) -> u64 {
         self.drops[reason.index()][domain.index()]
-    }
-
-    /// Total drops for `reason` across all domains.
-    pub fn drop_total(&self, reason: DropReason) -> u64 {
-        self.drops[reason.index()].iter().sum()
     }
 
     /// The count for one `(kind, domain, layer)` cell.
@@ -427,7 +422,7 @@ mod tests {
         c.reset();
         assert_eq!(c.total(OpKind::Interrupt), 0);
         assert_eq!(c.scoped(OpKind::FilterRun, 1), 0);
-        assert_eq!(c.drop_total(DropReason::ChecksumError), 0);
+        assert_eq!(c.drop_count(DropReason::ChecksumError, Domain::Server), 0);
         assert!(c.snapshot().is_empty());
     }
 
@@ -438,8 +433,10 @@ mod tests {
         c.note_drop(DropReason::FilterMiss, Domain::Kernel);
         c.note_drop(DropReason::PortUnreachable, Domain::Library);
         assert_eq!(c.drop_count(DropReason::FilterMiss, Domain::Kernel), 2);
-        assert_eq!(c.drop_total(DropReason::FilterMiss), 2);
-        assert_eq!(c.drop_total(DropReason::PortUnreachable), 1);
+        assert_eq!(
+            c.drop_count(DropReason::PortUnreachable, Domain::Library),
+            1
+        );
         let snap = c.snapshot();
         assert!(snap.contains("filter-miss"));
         assert!(snap.contains("port-unreachable"));

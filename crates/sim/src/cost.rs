@@ -49,7 +49,7 @@ impl Platform {
 ///
 /// Grouped by mechanism. "Per byte" fields are multiplied by the length
 /// of the data actually moved/checksummed by the executing code. No
-/// code outside [`CostModel::price`] reads a field to charge it: a path
+/// code outside `CostModel::price` reads a field to charge it: a path
 /// names the [`Op`] it performs, and the Table 4 fit of each field is
 /// written beside the price arm that uses it.
 #[derive(Clone, Debug)]
@@ -61,13 +61,13 @@ pub struct CostModel {
     /// two messages, scheduling), excluding per-byte costs.
     pub rpc_base: u64,
     /// One-way Mach IPC message delivery (packet-filter IPC path).
-    pub ipc_oneway: u64,
+    pub(crate) ipc_oneway: u64,
     /// Per-byte cost of each copy made by the IPC data path.
     pub ipc_copy_byte: u64,
 
     // --- Memory movement ---
     /// User-space memcpy, per byte (library copyin to mbufs).
-    pub copy_byte: u64,
+    pub(crate) copy_byte: u64,
     /// Optimized kernel copyin/copyout, per byte.
     pub kcopy_byte: u64,
     /// Copying packet data that is already cache-warm in kernel memory
@@ -78,37 +78,35 @@ pub struct CostModel {
     /// Writing device memory, per byte.
     pub dev_write_byte: u64,
     /// Internet checksum, per byte.
-    pub checksum_byte: u64,
+    pub(crate) checksum_byte: u64,
 
     // --- Allocation ---
     /// Allocating one mbuf (header or cluster ref).
     pub mbuf_alloc: u64,
-    /// Freeing one mbuf.
-    pub mbuf_free: u64,
 
     // --- Synchronization ---
     /// A light user-space lock acquire/release pair (library protocol
     /// stack; "internally synchronizes using less expensive locks").
-    pub lock_light: u64,
+    pub(crate) lock_light: u64,
     /// A hardware interrupt-priority (spl) raise/lower pair in the real
     /// kernel — cheap.
-    pub spl_kernel: u64,
+    pub(crate) spl_kernel: u64,
     /// An emulated spl raise/lower pair in the UX server: "simulates
     /// hardware interrupt priorities using locks and condition
     /// variables, resulting in expensive priority manipulation".
-    pub spl_server: u64,
+    pub(crate) spl_server: u64,
 
     // --- Scheduling ---
     /// Waking a kernel thread and dispatching it.
     pub sched_wakeup: u64,
     /// A user-level (cthreads) context switch, paid when the library's
     /// network thread hands off to the application thread.
-    pub cthread_switch: u64,
+    pub(crate) cthread_switch: u64,
     /// Fielding a device interrupt.
     pub intr_dispatch: u64,
     /// Setting up the wired kernel receive buffer on paths that copy the
     /// packet out of the device at interrupt time.
-    pub rx_kbuf_setup: u64,
+    pub(crate) rx_kbuf_setup: u64,
     /// Extra interrupt/scheduling penalty for systems with inefficient
     /// interrupt handling. Zero except for 386BSD ("inefficiencies in
     /// the way that the 386BSD kernel handles network interrupts and
@@ -117,47 +115,47 @@ pub struct CostModel {
 
     // --- Demultiplexing ---
     /// netisr dispatch (softirq-level hand-off to the IP input queue).
-    pub netisr: u64,
+    pub(crate) netisr: u64,
     /// Executing one packet-filter VM instruction.
-    pub filter_insn: u64,
+    pub(crate) filter_insn: u64,
     /// In-kernel protocol control block lookup (the kernel stack demuxes
     /// with a pcb hash walk instead of a filter program).
-    pub pcb_lookup: u64,
+    pub(crate) pcb_lookup: u64,
 
     // --- Protocol-layer instruction budgets (placement-independent) ---
     /// Socket-layer send entry (sosend header work, space check).
-    pub sosend_base: u64,
+    pub(crate) sosend_base: u64,
     /// Socket-layer receive exit (soreceive bookkeeping).
-    pub soreceive_base: u64,
+    pub(crate) soreceive_base: u64,
     /// Datagram send entry, which references rather than copies data in
     /// the library (library UDP `entry/copyin` is 6–7 µs, flat).
-    pub sosend_dgram_base: u64,
+    pub(crate) sosend_dgram_base: u64,
     /// `tcp_output` fixed work: header template, sequence bookkeeping.
-    pub tcp_output_base: u64,
+    pub(crate) tcp_output_base: u64,
     /// `tcp_input` fixed work: header prediction, sequence processing.
-    pub tcp_input_base: u64,
+    pub(crate) tcp_input_base: u64,
     /// `udp_output` fixed work.
-    pub udp_output_base: u64,
+    pub(crate) udp_output_base: u64,
     /// `udp_input` fixed work.
-    pub udp_input_base: u64,
+    pub(crate) udp_input_base: u64,
     /// `ip_output` fixed work (header + route cache hit).
-    pub ip_output_base: u64,
+    pub(crate) ip_output_base: u64,
     /// `ipintr` fixed work per packet.
-    pub ip_input_base: u64,
+    pub(crate) ip_input_base: u64,
     /// Ethernet output fixed work (ARP cache hit + framing).
-    pub ether_output_base: u64,
+    pub(crate) ether_output_base: u64,
     /// Queueing an mbuf chain on a socket buffer (`sbappend`).
-    pub sbappend_base: u64,
+    pub(crate) sbappend_base: u64,
     /// Route table lookup miss path (consult the server / full lookup).
-    pub route_lookup: u64,
+    pub(crate) route_lookup: u64,
     /// ARP cache lookup hit.
-    pub arp_lookup: u64,
+    pub(crate) arp_lookup: u64,
     /// Arming or disarming a protocol timer.
-    pub timer_op: u64,
+    pub(crate) timer_op: u64,
 }
 
 impl CostModel {
-    /// DECstation 5000/200 calibration (see [`CostModel::price`] for
+    /// DECstation 5000/200 calibration (see `CostModel::price` for
     /// the fit).
     pub fn decstation_5000_200() -> CostModel {
         CostModel {
@@ -172,7 +170,6 @@ impl CostModel {
             dev_write_byte: 20,
             checksum_byte: 167,
             mbuf_alloc: 2_500,
-            mbuf_free: 1_000,
             lock_light: 3_000,
             spl_kernel: 2_000,
             spl_server: 22_000,
@@ -206,7 +203,7 @@ impl CostModel {
     /// time over the ISA bus, which dominates: Table 2 Gateway latencies
     /// are ≈1.5–2× the DECstation's and throughput tops out near
     /// 460–500 KB/s.
-    pub fn gateway_i486() -> CostModel {
+    pub(crate) fn gateway_i486() -> CostModel {
         CostModel {
             // Compute-bound unit costs: ≈1.35× the R3000 fit (i486 traps
             // and memory system are slower despite the higher clock).
@@ -223,7 +220,6 @@ impl CostModel {
             dev_write_byte: 900,
             checksum_byte: 190,
             mbuf_alloc: 3_200,
-            mbuf_free: 1_300,
             lock_light: 4_000,
             spl_kernel: 2_600,
             spl_server: 26_000,
@@ -312,7 +308,7 @@ pub enum Discipline {
 }
 
 /// One priced operation: what [`Charge::op`](crate::Charge::op) charges
-/// and counts. [`CostModel::price`] prices it and [`Op::census`] says
+/// and counts. `CostModel::price` prices it and `Op::census` says
 /// what the census counts for it, so every charged nanosecond is an
 /// operation with a name (DESIGN.md §5.2 has the table).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -439,7 +435,7 @@ pub enum Op {
 impl Op {
     /// What the census counts for one `op`: a kind and how many, or
     /// `None` for an operation that is priced but not counted.
-    pub fn census(self) -> Option<(OpKind, u64)> {
+    pub(crate) fn census(self) -> Option<(OpKind, u64)> {
         let kind = match self {
             Op::Trap
             | Op::TrapEntry
@@ -470,7 +466,7 @@ impl CostModel {
     /// is multiplied, divided or added. The Table 4 cells each field is
     /// fit to are noted at its arm.
     #[inline(always)]
-    pub fn price(&self, op: Op) -> u64 {
+    pub(crate) fn price(&self, op: Op) -> u64 {
         let bytes = |n: usize| n as u64;
         match op {
             // Fit: kernel `entry/copyin` (50 µs) minus library (19 µs).

@@ -26,7 +26,7 @@ use crate::census::{CensusHandle, Domain, OpKind};
 use crate::cost::{CostModel, Op};
 use crate::fault::{FaultPlaneHandle, FaultSite};
 use crate::layer::Layer;
-use crate::profile::{ProfEntry, ProfileHandle, NO_PACKET, ROOT_SITE};
+use crate::profile::{ProfEntry, ProfileHandle, ROOT_SITE};
 use crate::time::SimTime;
 use crate::trace::{DropReason, Stage, Terminal, TraceHandle, TraceId, Tracer};
 
@@ -188,18 +188,13 @@ impl Charge {
         &self.obs
     }
 
-    /// The instant this path started executing.
-    pub fn start(&self) -> SimTime {
-        self.start
-    }
-
     /// The current position of the cursor (virtual "now" for this path).
     pub fn at(&self) -> SimTime {
         self.cursor
     }
 
     /// Time charged so far.
-    pub fn elapsed(&self) -> SimTime {
+    pub(crate) fn elapsed(&self) -> SimTime {
         self.cursor - self.start
     }
 
@@ -216,16 +211,12 @@ impl Charge {
     /// all-planes-detached fast path.
     #[cold]
     fn add_profiled(&mut self, layer: Layer, cost: SimTime) {
-        let tid = match &self.obs.trace {
-            Some(t) => t.borrow().current().map_or(NO_PACKET, TraceId::index),
-            None => NO_PACKET,
-        };
         let layer = layer.index() as u8;
-        // Coalesce runs of adds at the same (site, layer, packet):
+        // Coalesce runs of adds at the same (site, layer):
         // typical paths charge the same bucket several times in a
         // row, and one merged entry keeps the buffer tiny.
         if let Some(last) = self.prof_buf.last_mut() {
-            if last.node == self.site && last.layer == layer && last.tid == tid {
+            if last.node == self.site && last.layer == layer {
                 last.ns += cost.as_nanos();
                 return;
             }
@@ -234,7 +225,6 @@ impl Charge {
             node: self.site,
             layer,
             ns: cost.as_nanos(),
-            tid,
         });
     }
 
@@ -245,32 +235,33 @@ impl Charge {
     }
 
     /// Performs `op` in `domain`: charges its price from `costs` against
-    /// `layer` and counts it in the census and the tracer (if attached)
-    /// as [`Op::census`] says. The one call every protocol path charges
+    /// `layer` and counts it in the census (if attached) as
+    /// `Op::census` says. The one call every protocol path charges
     /// through, so a counted operation is always priced and a price
     /// always belongs to a named operation.
     #[inline(always)]
     pub fn op(&mut self, costs: &CostModel, op: Op, domain: Domain, layer: Layer) {
         self.add(layer, SimTime::from_nanos(costs.price(op)));
-        if self.mask & (M_CENSUS | M_TRACE) != 0 {
+        if self.mask & M_CENSUS != 0 {
             self.op_observed(op, domain, layer);
         }
     }
 
     #[cold]
     fn op_observed(&mut self, op: Op, domain: Domain, layer: Layer) {
+        let mut c = self
+            .obs
+            .census
+            .as_ref()
+            .expect("mask implies census")
+            .borrow_mut();
         if let Some((kind, n)) = op.census() {
-            if let Some(c) = &self.obs.census {
-                c.borrow_mut().note_n(kind, domain, layer, n);
-            }
-            if let Some(t) = &self.obs.trace {
-                t.borrow_mut().note_op_n(kind, n);
-            }
+            c.note_n(kind, domain, layer, n);
         }
         // Per-session attribution: only the session the frame is
         // destined for is counted, the isolation the filter provides.
-        if let (Op::FilterRun(_, Some(scope)), Some(c)) = (op, &self.obs.census) {
-            c.borrow_mut().note_scoped(OpKind::FilterRun, scope, 1);
+        if let Op::FilterRun(_, Some(scope)) = op {
+            c.note_scoped(OpKind::FilterRun, scope, 1);
         }
     }
 
@@ -420,14 +411,14 @@ mod tests {
         cpu.finish(a);
         // A path arriving at t=10 must wait until t=100.
         let b = cpu.begin(SimTime::from_micros(10));
-        assert_eq!(b.start(), SimTime::from_micros(100));
+        assert_eq!(b.at(), SimTime::from_micros(100));
     }
 
     #[test]
     fn idle_cpu_starts_immediately() {
         let mut cpu = Cpu::new();
         let c = cpu.begin(SimTime::from_micros(42));
-        assert_eq!(c.start(), SimTime::from_micros(42));
+        assert_eq!(c.at(), SimTime::from_micros(42));
     }
 
     #[test]
@@ -523,18 +514,10 @@ mod tests {
         c.trace_delivered();
         cpu.finish(c);
         tracer.borrow_mut().pop_current();
+        assert_eq!(census.borrow().total(OpKind::SplRaise), 2);
         let t = tracer.borrow();
-        assert_eq!(
-            t.op_total(OpKind::PacketBodyCopy),
-            census.borrow().total(OpKind::PacketBodyCopy)
-        );
-        assert_eq!(t.op_total(OpKind::SplRaise), 2);
-        assert_eq!(
-            t.op_total(OpKind::SplRaise),
-            census.borrow().total(OpKind::SplRaise)
-        );
         assert_eq!(t.stage_latencies(Stage::NicRx), vec![100]);
-        assert_eq!(t.terminal_of(id), Some(crate::trace::Terminal::Delivered));
+        assert_eq!(t.terminal_counts(), (1, 0, 0));
         assert!(t.check_invariants().is_empty());
     }
 
@@ -553,17 +536,23 @@ mod tests {
         let mut c = cpu.begin(SimTime::ZERO);
         // A transmit-side drop must not terminate the current packet.
         c.count_drop(DropReason::ArpUnresolved, Domain::Library);
-        assert_eq!(tracer.borrow().terminal_of(id), None);
+        assert_eq!(tracer.borrow().terminal_counts(), (0, 0, 0));
         // A receive-side drop terminates it.
         c.trace_drop(DropReason::ChecksumError, Domain::Library);
         cpu.finish(c);
         tracer.borrow_mut().pop_current();
+        let t = tracer.borrow();
+        assert_eq!(t.terminal_counts(), (0, 0, 1));
+        assert_eq!(t.drops().get(DropReason::ChecksumError), 1);
+        let census = census.borrow();
         assert_eq!(
-            tracer.borrow().terminal_of(id),
-            Some(crate::trace::Terminal::Dropped(DropReason::ChecksumError))
+            census.drop_count(DropReason::ArpUnresolved, Domain::Library),
+            1
         );
-        assert_eq!(census.borrow().drop_total(DropReason::ArpUnresolved), 1);
-        assert_eq!(census.borrow().drop_total(DropReason::ChecksumError), 1);
+        assert_eq!(
+            census.drop_count(DropReason::ChecksumError, Domain::Library),
+            1
+        );
     }
 
     #[test]

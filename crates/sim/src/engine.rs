@@ -92,11 +92,6 @@ impl Sim {
         });
     }
 
-    /// Removes the metrics sampler, returning its registry.
-    pub fn clear_metrics_sampler(&mut self) -> Option<MetricsHandle> {
-        self.sampler.take().map(|s| s.metrics)
-    }
-
     /// Takes every sample due at or before `upto`. Runs between events,
     /// so gauge closures see quiescent component state.
     fn sample_to(&mut self, upto: SimTime) {
@@ -126,7 +121,7 @@ impl Sim {
     }
 
     /// Number of events scheduled so far whose closure was too large for
-    /// [`SmallFn`]'s inline storage and cost a heap allocation
+    /// `SmallFn`'s inline storage and cost a heap allocation
     /// (diagnostic; zero on the packet path).
     pub fn spilled(&self) -> u64 {
         self.spilled
@@ -222,13 +217,6 @@ impl Sim {
     pub fn run_to_idle(&mut self) -> u64 {
         self.run(u64::MAX)
     }
-
-    /// True if no runnable events remain.
-    pub fn is_idle(&mut self) -> bool {
-        // The wheel tracks live (non-cancelled) entries exactly, so no
-        // draining is needed to answer accurately.
-        self.wheel.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -244,11 +232,12 @@ mod tests {
         for &t in &[30u64, 10, 20] {
             let log = log.clone();
             sim.at(SimTime::from_micros(t), move |s| {
-                log.borrow_mut().push(s.now().as_micros());
+                log.borrow_mut().push(s.now());
             });
         }
         sim.run_to_idle();
-        assert_eq!(*log.borrow(), vec![10, 20, 30]);
+        let want: Vec<SimTime> = [10, 20, 30].map(SimTime::from_micros).into();
+        assert_eq!(*log.borrow(), want);
     }
 
     #[test]
@@ -297,7 +286,7 @@ mod tests {
         let h = sim.after(SimTime::ZERO, |_| {});
         sim.run_to_idle();
         sim.cancel(h);
-        assert!(sim.is_idle());
+        assert_eq!(sim.pending(), 0);
     }
 
     #[test]
@@ -319,7 +308,7 @@ mod tests {
         }
         sim.run_until(SimTime::from_micros(10));
         assert_eq!(*fired.borrow(), 1);
-        assert!(!sim.is_idle());
+        assert_eq!(sim.pending(), 1);
         sim.run_to_idle();
         assert_eq!(*fired.borrow(), 2);
     }

@@ -75,7 +75,7 @@ pub enum FaultSite {
 
 impl FaultSite {
     /// Every site, in fault-plane presentation order.
-    pub const ALL: [FaultSite; 13] = [
+    pub(crate) const ALL: [FaultSite; 13] = [
         FaultSite::ProxyRpc,
         FaultSite::ShmRing,
         FaultSite::FilterTable,
@@ -92,7 +92,7 @@ impl FaultSite {
     ];
 
     /// Short label used in fault-plane snapshots.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             FaultSite::ProxyRpc => "proxy_rpc",
             FaultSite::ShmRing => "shm_ring",
@@ -167,7 +167,7 @@ pub type FaultPlaneHandle = Rc<RefCell<FaultPlane>>;
 impl FaultPlane {
     /// Creates an empty plane: every site unarmed, nothing
     /// scripted. Consulting an empty plane is a pure counter increment.
-    pub fn new() -> FaultPlane {
+    pub(crate) fn new() -> FaultPlane {
         FaultPlane {
             sites: Default::default(),
             rng: None,
@@ -179,14 +179,6 @@ impl FaultPlane {
     /// Creates a shared handle to a fresh, empty plane.
     pub fn shared() -> FaultPlaneHandle {
         Rc::new(RefCell::new(FaultPlane::new()))
-    }
-
-    /// True if no site is scripted or armed: such a plane can never
-    /// inject and never consumes randomness.
-    pub fn is_empty(&self) -> bool {
-        self.sites
-            .iter()
-            .all(|s| s.scripted.is_empty() && s.prob == 0.0)
     }
 
     /// Supplies the plane's private randomness stream (fork it from the
@@ -260,21 +252,6 @@ impl FaultPlane {
         self.burst_len
     }
 
-    /// Sets the wire loss burst length.
-    pub fn set_burst_len(&mut self, n: u32) {
-        self.burst_len = n;
-    }
-
-    /// Clears visit counters, injection counts, and the log; schedules
-    /// (scripts, probabilities) and the randomness stream are kept.
-    pub fn reset(&mut self) {
-        for s in &mut self.sites {
-            s.visits = 0;
-            s.injected = 0;
-        }
-        self.log.clear();
-    }
-
     /// A deterministic text rendering: one line per site with nonzero
     /// visits, then the injection log in occurrence order. Two planes
     /// driven by identical seeded runs produce byte-identical snapshots.
@@ -314,7 +291,6 @@ mod tests {
         let mut p = FaultPlane::new();
         let mut reference = Rng::new(77);
         p.set_rng(Rng::new(77));
-        assert!(p.is_empty());
         for site in FaultSite::ALL {
             for _ in 0..100 {
                 assert!(!p.should_inject(site));
@@ -383,17 +359,5 @@ mod tests {
         let fi = a.find("inject filter_table").unwrap();
         let mi = a.find("inject migration_capsule").unwrap();
         assert!(fi < mi);
-    }
-
-    #[test]
-    fn reset_clears_counts_but_keeps_schedule() {
-        let mut p = FaultPlane::new();
-        p.script(FaultSite::ShmRing, &[0]);
-        assert!(p.should_inject(FaultSite::ShmRing));
-        p.reset();
-        assert_eq!(p.visits(FaultSite::ShmRing), 0);
-        assert!(p.snapshot().is_empty());
-        // After reset, visit numbering restarts and the script fires again.
-        assert!(p.should_inject(FaultSite::ShmRing));
     }
 }

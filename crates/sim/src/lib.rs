@@ -26,21 +26,21 @@
 //!   time; Table 4 is its per-layer projection.
 //! - [`Rng`]: a deterministic PRNG for loss/reorder schedules.
 
-pub mod census;
-pub mod cost;
-pub mod cpu;
-pub mod engine;
-pub mod fault;
+pub(crate) mod census;
+pub(crate) mod cost;
+pub(crate) mod cpu;
+pub(crate) mod engine;
+pub(crate) mod fault;
 mod layer;
-pub mod metrics;
-pub mod profile;
+pub(crate) mod metrics;
+pub(crate) mod profile;
 /// Test oracle for `tests/engine_equivalence.rs`.
 #[doc(hidden)]
 pub mod reference;
-pub mod rng;
+pub(crate) mod rng;
 mod smallfn;
-pub mod time;
-pub mod trace;
+pub(crate) mod time;
+pub(crate) mod trace;
 mod wheel;
 
 pub use census::{Census, CensusHandle, Domain, OpKind};
@@ -50,11 +50,9 @@ pub use engine::{Sim, SimHandle};
 pub use fault::{FaultPlane, FaultPlaneHandle, FaultSite};
 pub use layer::Layer;
 pub use metrics::{Metrics, MetricsHandle};
-pub use profile::{HotSite, ProfileHandle, Profiler};
+pub use profile::{ProfileHandle, Profiler};
 pub use rng::Rng;
-pub use smallfn::{SmallFn, INLINE_BYTES};
 pub use time::SimTime;
 pub use trace::{
     chrome_trace_document, DropCounters, DropReason, Stage, Terminal, TraceHandle, TraceId, Tracer,
 };
-pub use wheel::WheelStats;

@@ -50,7 +50,7 @@ impl Default for Metrics {
 
 impl Metrics {
     /// Creates an empty registry.
-    pub fn new() -> Metrics {
+    pub(crate) fn new() -> Metrics {
         Metrics {
             gauges: Vec::new(),
             samples: Vec::new(),
@@ -95,27 +95,6 @@ impl Metrics {
     /// Number of samples taken.
     pub fn sample_count(&self) -> usize {
         self.samples.len()
-    }
-
-    /// Deterministic text export (one line per sample), for digests and
-    /// debugging. Artifact JSON is built by the bench crate.
-    pub fn timeseries_text(&self) -> String {
-        let mut out = String::new();
-        out.push_str("t_ns");
-        for (name, _) in &self.gauges {
-            out.push(' ');
-            out.push_str(name);
-        }
-        out.push('\n');
-        for (t, row) in &self.samples {
-            out.push_str(&t.to_string());
-            for v in row {
-                out.push(' ');
-                out.push_str(&v.to_string());
-            }
-            out.push('\n');
-        }
-        out
     }
 }
 

@@ -23,14 +23,8 @@
 //!   the sum of its `add` costs — so for a profiler attached before the
 //!   CPU's first charge, `attributed_ns() == total_busy`, bit-exactly.
 //!   No sampling, no rounding.
-//!
-//! When a [`Tracer`](crate::trace::Tracer) is attached alongside the
-//! profiler, each charged nanosecond is also joined to the packet that
-//! was current at the charge site (the tracer's provenance id), giving
-//! exact per-packet cost attribution.
 
 use std::cell::RefCell;
-use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use crate::census::Domain;
@@ -41,22 +35,17 @@ pub type ProfileHandle = Rc<RefCell<Profiler>>;
 
 /// The root of the site trie: charges with no pushed site attribute
 /// here.
-pub const ROOT_SITE: u32 = 0;
-
-/// Sentinel for "no packet was current at this charge".
-pub(crate) const NO_PACKET: u64 = u64::MAX;
+pub(crate) const ROOT_SITE: u32 = 0;
 
 /// One buffered attribution record inside a live `Charge`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct ProfEntry {
     /// Interned site-trie node.
-    pub node: u32,
+    pub(crate) node: u32,
     /// `Layer::index()` of the charge.
-    pub layer: u8,
+    pub(crate) layer: u8,
     /// Nanoseconds charged.
-    pub ns: u64,
-    /// Raw tracer provenance id, or [`NO_PACKET`].
-    pub tid: u64,
+    pub(crate) ns: u64,
 }
 
 /// One interned node of the site trie.
@@ -71,25 +60,20 @@ struct SiteNode {
 /// One row of the hot-site report: a leaf of the site trie crossed with
 /// the layer it charged.
 #[derive(Clone, Debug)]
-pub struct HotSite {
+pub(crate) struct HotSite {
     /// Full site path from the root, `;`-joined `domain:label` frames
     /// (empty for time charged with no site pushed).
-    pub path: String,
-    /// Domain of the innermost site (the root reports
-    /// [`Domain::Kernel`]).
-    pub domain: Domain,
-    /// Innermost site label (`"-"` at the root).
-    pub label: &'static str,
+    pub(crate) path: String,
     /// Layer the time was charged against.
-    pub layer: Layer,
+    pub(crate) layer: Layer,
     /// Total nanoseconds attributed to this bucket.
-    pub ns: u64,
+    pub(crate) ns: u64,
 }
 
 const LAYERS: usize = Layer::COUNT;
 
 /// The charged-time profiler: a site trie with per-`(node, layer)`
-/// nanosecond buckets and an optional per-packet join.
+/// nanosecond buckets.
 #[derive(Debug)]
 pub struct Profiler {
     nodes: Vec<SiteNode>,
@@ -97,8 +81,6 @@ pub struct Profiler {
     buckets: Vec<[u64; LAYERS]>,
     /// Total nanoseconds flushed, across all buckets.
     attributed: u64,
-    /// Per-packet attributed ns, keyed by raw tracer provenance id.
-    packets: BTreeMap<u64, u64>,
 }
 
 impl Default for Profiler {
@@ -109,7 +91,7 @@ impl Default for Profiler {
 
 impl Profiler {
     /// Creates an empty profiler.
-    pub fn new() -> Profiler {
+    pub(crate) fn new() -> Profiler {
         Profiler {
             nodes: vec![SiteNode {
                 parent: ROOT_SITE,
@@ -119,7 +101,6 @@ impl Profiler {
             }],
             buckets: vec![[0; LAYERS]],
             attributed: 0,
-            packets: BTreeMap::new(),
         }
     }
 
@@ -167,9 +148,6 @@ impl Profiler {
         for e in entries {
             self.buckets[e.node as usize][e.layer as usize] += e.ns;
             self.attributed += e.ns;
-            if e.tid != NO_PACKET {
-                *self.packets.entry(e.tid).or_insert(0) += e.ns;
-            }
         }
     }
 
@@ -189,13 +167,6 @@ impl Profiler {
     /// Number of interned sites (the root included).
     pub fn site_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Per-packet attributed nanoseconds, keyed by the tracer's raw
-    /// provenance id, in id order. Only charges taken while a packet was
-    /// current (profiler + tracer both attached) appear.
-    pub fn packet_costs(&self) -> Vec<(u64, u64)> {
-        self.packets.iter().map(|(&k, &v)| (k, v)).collect()
     }
 
     /// The `;`-joined `domain:label` path of a node (empty at the root).
@@ -242,18 +213,15 @@ impl Profiler {
 
     /// All nonzero hot-site rows, hottest first (ties broken by path
     /// then layer index, so the order is fully deterministic).
-    pub fn hot_sites(&self) -> Vec<HotSite> {
+    pub(crate) fn hot_sites(&self) -> Vec<HotSite> {
         let mut rows = Vec::new();
         for (i, bucket) in self.buckets.iter().enumerate() {
-            let node = &self.nodes[i as u32 as usize];
             for (li, &ns) in bucket.iter().enumerate() {
                 if ns == 0 {
                     continue;
                 }
                 rows.push(HotSite {
                     path: self.path_of(i as u32),
-                    domain: node.domain,
-                    label: node.label,
                     layer: Layer::ALL[li],
                     ns,
                 });
@@ -292,15 +260,6 @@ impl Profiler {
             ));
         }
         out
-    }
-
-    /// Clears all buckets and the packet join (the trie is kept).
-    pub fn reset(&mut self) {
-        for b in &mut self.buckets {
-            *b = [0; LAYERS];
-        }
-        self.attributed = 0;
-        self.packets.clear();
     }
 }
 
@@ -410,10 +369,10 @@ mod tests {
         c.site_pop();
         cpu.finish(c);
         let rows = prof.borrow().hot_sites();
-        assert_eq!(rows[0].label, "c");
+        assert_eq!(rows[0].path, "kernel:c");
         // Equal-ns ties break by path.
-        assert_eq!(rows[1].label, "a");
-        assert_eq!(rows[2].label, "b");
+        assert_eq!(rows[1].path, "kernel:a");
+        assert_eq!(rows[2].path, "kernel:b");
     }
 
     #[test]
@@ -427,47 +386,5 @@ mod tests {
         drop(c);
         assert_eq!(prof.borrow().attributed_ns(), 0);
         assert_eq!(cpu.total_busy(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn packet_join_attributes_to_current_packet() {
-        use crate::trace::Tracer;
-        let prof = Profiler::shared();
-        let tracer = Tracer::shared();
-        let mut cpu = Cpu::new();
-        cpu.set_observers(Observers {
-            profile: Some(prof.clone()),
-            trace: Some(tracer.clone()),
-            ..Observers::default()
-        });
-        let id = tracer.borrow_mut().begin_packet(SimTime::ZERO, None);
-        tracer.borrow_mut().push_current(id);
-        let mut c = cpu.begin(SimTime::ZERO);
-        c.add_ns(Layer::IpIntr, 25);
-        cpu.finish(c);
-        tracer.borrow_mut().pop_current();
-        // And one charge with no current packet.
-        let mut c = cpu.begin(SimTime::ZERO);
-        c.add_ns(Layer::Other, 7);
-        cpu.finish(c);
-        let p = prof.borrow();
-        assert_eq!(p.packet_costs(), vec![(id.index(), 25)]);
-        assert_eq!(p.attributed_ns(), 32);
-    }
-
-    #[test]
-    fn reset_clears_buckets_but_keeps_trie() {
-        let (prof, mut cpu) = profiled_cpu();
-        let mut c = cpu.begin(SimTime::ZERO);
-        c.site_push(Domain::Kernel, "x");
-        c.add_ns(Layer::Other, 4);
-        c.site_pop();
-        cpu.finish(c);
-        prof.borrow_mut().reset();
-        let p = prof.borrow();
-        assert_eq!(p.attributed_ns(), 0);
-        assert_eq!(p.site_count(), 2);
-        assert!(p.collapsed_stacks().is_empty());
-        assert!(p.packet_costs().is_empty());
     }
 }

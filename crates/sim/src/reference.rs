@@ -18,7 +18,7 @@ use std::collections::{BinaryHeap, HashSet};
 use crate::time::SimTime;
 
 /// An event callback for the baseline queue.
-pub type BaselineEventFn = Box<dyn FnOnce(&mut BaselineQueue)>;
+pub(crate) type BaselineEventFn = Box<dyn FnOnce(&mut BaselineQueue)>;
 
 /// A handle to a scheduled baseline event (the raw sequence number, as
 /// in the original engine — no generation tag, so cancelling a fired
@@ -166,18 +166,6 @@ impl BaselineQueue {
     /// Runs until the event queue is empty.
     pub fn run_to_idle(&mut self) -> u64 {
         self.run(u64::MAX)
-    }
-
-    /// True if no runnable events remain.
-    pub fn is_idle(&mut self) -> bool {
-        while let Some(head) = self.queue.peek() {
-            if self.cancelled.remove(&head.seq) {
-                self.queue.pop();
-            } else {
-                return false;
-            }
-        }
-        true
     }
 }
 

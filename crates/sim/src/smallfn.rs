@@ -28,7 +28,7 @@ const INLINE_WORDS: usize = 8;
 
 /// Closures up to this many bytes (and at most pointer-aligned) are
 /// stored inline; larger ones are boxed.
-pub const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
+pub(crate) const INLINE_BYTES: usize = INLINE_WORDS * size_of::<usize>();
 
 type BoxedFn = Box<dyn FnOnce(&mut Sim)>;
 
@@ -43,7 +43,7 @@ type BoxedFn = Box<dyn FnOnce(&mut Sim)>;
 ///   written at.
 /// - The payload is consumed exactly once: either by [`SmallFn::call`]
 ///   (which suppresses `Drop` via `ManuallyDrop`) or by `Drop`.
-pub struct SmallFn {
+pub(crate) struct SmallFn {
     data: MaybeUninit<[usize; INLINE_WORDS]>,
     call: unsafe fn(*mut u8, &mut Sim),
     drop_fn: unsafe fn(*mut u8),
@@ -51,7 +51,7 @@ pub struct SmallFn {
 
 impl SmallFn {
     /// Wraps `f`, storing it inline when it fits.
-    pub fn new<F: FnOnce(&mut Sim) + 'static>(f: F) -> SmallFn {
+    pub(crate) fn new<F: FnOnce(&mut Sim) + 'static>(f: F) -> SmallFn {
         // SAFETY (both fns): `p` points to a valid, initialized `F` (or
         // `BoxedFn`) written by this constructor; `read` moves it out and
         // the caller never uses the storage again (call path), or
@@ -95,12 +95,12 @@ impl SmallFn {
 
     /// Whether a closure of type `F` would be stored inline (no heap
     /// allocation). Exposed for the engine's tests and benchmarks.
-    pub fn would_inline<F>() -> bool {
+    pub(crate) fn would_inline<F>() -> bool {
         size_of::<F>() <= INLINE_BYTES && align_of::<F>() <= align_of::<usize>()
     }
 
     /// Consumes the wrapper and invokes the closure.
-    pub fn call(self, sim: &mut Sim) {
+    pub(crate) fn call(self, sim: &mut Sim) {
         let mut this = ManuallyDrop::new(self);
         // SAFETY: `call` matches the payload type by construction;
         // `ManuallyDrop` suppresses our `Drop`, so the payload is moved

@@ -44,11 +44,6 @@ impl SimTime {
         self.0
     }
 
-    /// Returns the value in whole microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Returns the value in microseconds as a float, the unit the paper's
     /// Table 4 reports.
     pub fn as_micros_f64(self) -> f64 {
@@ -66,23 +61,9 @@ impl SimTime {
         self.0 as f64 / 1_000_000_000.0
     }
 
-    /// Saturating difference, useful when computing queueing delays.
-    pub fn saturating_sub(self, rhs: SimTime) -> SimTime {
-        SimTime(self.0.saturating_sub(rhs.0))
-    }
-
     /// Returns the later of two instants.
-    pub fn max(self, rhs: SimTime) -> SimTime {
+    pub(crate) fn max(self, rhs: SimTime) -> SimTime {
         if self >= rhs {
-            self
-        } else {
-            rhs
-        }
-    }
-
-    /// Returns the earlier of two instants.
-    pub fn min(self, rhs: SimTime) -> SimTime {
-        if self <= rhs {
             self
         } else {
             rhs
@@ -170,7 +151,7 @@ mod tests {
     #[test]
     fn conversions_roundtrip() {
         assert_eq!(SimTime::from_micros(51).as_nanos(), 51_000);
-        assert_eq!(SimTime::from_millis(2).as_micros(), 2_000);
+        assert_eq!(SimTime::from_millis(2).as_nanos(), 2_000_000);
         assert_eq!(SimTime::from_secs(1).as_millis_f64(), 1_000.0);
     }
 

@@ -8,10 +8,8 @@
 //! aggregate; this module follows *individual packets*: every frame
 //! entering the wire gets a provenance id, every stage it visits
 //! (NIC rx, filter run, delivery path, netstack layers, socket queue)
-//! becomes a span stamped by the virtual clock, and every body copy,
-//! crossing and wakeup lands as an in-span event fed by the same
-//! charge-site hooks the census uses — so trace and census can never
-//! disagree.
+//! becomes a span stamped by the virtual clock. Operation counts are
+//! the census's.
 //!
 //! Like the census and the fault plane, the tracer is
 //! **charged-time-neutral**: recording never advances a [`Charge`]
@@ -34,7 +32,6 @@ use std::fmt::Write as _;
 use std::num::NonZeroU64;
 use std::rc::Rc;
 
-use crate::census::OpKind;
 use crate::time::SimTime;
 
 /// Provenance id of one traced packet (a wire frame, or one station's
@@ -42,7 +39,7 @@ use crate::time::SimTime;
 ///
 /// Stored off by one in a `NonZeroU64` so `Option<TraceId>` is one word:
 /// every deferred hop on the receive path captures one, and the capture
-/// has to fit [`SmallFn`](crate::SmallFn)'s inline storage.
+/// has to fit `SmallFn`'s inline storage.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TraceId(NonZeroU64);
 
@@ -92,7 +89,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in lifecycle order.
-    pub const ALL: [Stage; 11] = [
+    pub(crate) const ALL: [Stage; 11] = [
         Stage::Wire,
         Stage::NicRx,
         Stage::FilterRun,
@@ -107,7 +104,7 @@ impl Stage {
     ];
 
     /// Short label used in reports and trace JSON.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             Stage::Wire => "wire",
             Stage::NicRx => "nic-rx",
@@ -122,9 +119,6 @@ impl Stage {
             Stage::SocketQueue => "socket-queue",
         }
     }
-
-    /// Number of stages.
-    pub const COUNT: usize = 11;
 }
 
 /// Why a packet died. Every drop path in the kernel and the netstacks
@@ -209,7 +203,7 @@ impl DropReason {
     ];
 
     /// Short label used in census snapshots and trace JSON.
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             DropReason::FilterMiss => "filter-miss",
             DropReason::EndpointDead => "endpoint-dead",
@@ -238,7 +232,7 @@ impl DropReason {
     }
 
     /// Position in [`DropReason::ALL`].
-    pub fn index(self) -> usize {
+    pub(crate) fn index(self) -> usize {
         DropReason::ALL
             .iter()
             .position(|r| *r == self)
@@ -246,7 +240,7 @@ impl DropReason {
     }
 
     /// Number of reasons.
-    pub const COUNT: usize = 23;
+    pub(crate) const COUNT: usize = 23;
 }
 
 /// Always-on per-reason drop counters, embedded in component stats
@@ -338,13 +332,12 @@ pub struct Tracer {
     packets: Vec<PacketRec>,
     spans: Vec<SpanRec>,
     events: Vec<EventRec>,
-    op_counts: [u64; OpKind::COUNT],
     violations: Vec<String>,
 }
 
 impl Tracer {
     /// Creates an empty tracer.
-    pub fn new() -> Tracer {
+    pub(crate) fn new() -> Tracer {
         Tracer::default()
     }
 
@@ -387,7 +380,7 @@ impl Tracer {
     }
 
     /// Opens a `stage` span on packet `id` at `t`.
-    pub fn span_start(&mut self, id: TraceId, stage: Stage, t: SimTime) {
+    pub(crate) fn span_start(&mut self, id: TraceId, stage: Stage, t: SimTime) {
         let p = &mut self.packets[id.index() as usize];
         if p.terminal.is_some() {
             self.violations.push(format!(
@@ -402,7 +395,7 @@ impl Tracer {
 
     /// Closes the innermost open span on packet `id`, which must be
     /// `stage` (spans nest; a mismatch is recorded as a violation).
-    pub fn span_end(&mut self, id: TraceId, stage: Stage, t: SimTime) {
+    pub(crate) fn span_end(&mut self, id: TraceId, stage: Stage, t: SimTime) {
         let p = &mut self.packets[id.index() as usize];
         match p.open.pop() {
             Some((open_stage, start)) => {
@@ -445,12 +438,6 @@ impl Tracer {
         self.events.push(EventRec { id, t, name });
     }
 
-    /// Charge-site hook: counts `n` occurrences of `op`. Fed by the
-    /// same call that feeds the census, so the two can never disagree.
-    pub(crate) fn note_op_n(&mut self, op: OpKind, n: u64) {
-        self.op_counts[op.index()] += n;
-    }
-
     /// Records packet `id`'s terminal state at `t`, closing any spans
     /// still open at that instant. A second terminal is a violation.
     pub fn terminal(&mut self, id: TraceId, t: SimTime, term: Terminal) {
@@ -481,16 +468,6 @@ impl Tracer {
     /// Number of packets registered.
     pub fn packet_count(&self) -> usize {
         self.packets.len()
-    }
-
-    /// The terminal state of packet `id`, if recorded.
-    pub fn terminal_of(&self, id: TraceId) -> Option<Terminal> {
-        self.packets[id.index() as usize].terminal.map(|(_, t)| t)
-    }
-
-    /// Total count of `op` seen by the charge-site hook.
-    pub fn op_total(&self, op: OpKind) -> u64 {
-        self.op_counts[op.index()]
     }
 
     /// Number of packets that reached each terminal state:
@@ -554,7 +531,7 @@ impl Tracer {
     // --- Stage-latency histograms ---
 
     /// Sorted span durations (ns) for one stage.
-    pub fn stage_latencies(&self, stage: Stage) -> Vec<u64> {
+    pub(crate) fn stage_latencies(&self, stage: Stage) -> Vec<u64> {
         let mut v: Vec<u64> = self
             .spans
             .iter()
@@ -748,10 +725,7 @@ mod tests {
         assert_eq!(tr.stage_latencies(Stage::NicRx), vec![5_000]);
         tr.terminal(id, t(6), Terminal::Delivered);
         assert!(!tr.check_invariants().is_empty());
-        assert_eq!(
-            tr.terminal_of(id),
-            Some(Terminal::Dropped(DropReason::FilterMiss))
-        );
+        assert_eq!(tr.terminal_counts(), (0, 0, 1));
         assert_eq!(tr.drops().get(DropReason::FilterMiss), 1);
     }
 

@@ -124,7 +124,7 @@ pub(crate) struct TimerWheel {
 }
 
 impl TimerWheel {
-    pub fn new() -> TimerWheel {
+    pub(crate) fn new() -> TimerWheel {
         TimerWheel {
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
@@ -146,7 +146,7 @@ impl TimerWheel {
     /// interpretation depends on `elapsed` — so rewinding to `now` (the
     /// floor of every future expiry) is safe and exact. Call before
     /// [`insert`](Self::insert).
-    pub fn sync(&mut self, now: u64) {
+    pub(crate) fn sync(&mut self, now: u64) {
         if now < self.elapsed && self.live == 0 && self.cancelled_pending == 0 {
             debug_assert!(self.batch.is_empty());
             self.elapsed = now;
@@ -156,7 +156,7 @@ impl TimerWheel {
     /// Files an event at absolute nanosecond `when` (must be `>=` the
     /// time of the last popped event) with tie-break `seq`. Returns the
     /// `(slot, generation)` pair identifying it.
-    pub fn insert(&mut self, when: u64, seq: u64, f: SmallFn) -> (u32, u32) {
+    pub(crate) fn insert(&mut self, when: u64, seq: u64, f: SmallFn) -> (u32, u32) {
         debug_assert!(when >= self.elapsed, "insert before wheel time");
         let idx = match self.free.pop() {
             Some(idx) => {
@@ -199,7 +199,7 @@ impl TimerWheel {
     /// or sweep past later. Only an entry already pulled into the drain
     /// batch is flagged instead (the batch is consumed front-to-back and
     /// skips it).
-    pub fn cancel(&mut self, idx: u32, gen: u32) -> bool {
+    pub(crate) fn cancel(&mut self, idx: u32, gen: u32) -> bool {
         match self.nodes.get_mut(idx as usize) {
             Some(n) if n.gen == gen && n.pending && !n.cancelled => {}
             _ => return false,
@@ -229,7 +229,7 @@ impl TimerWheel {
 
     /// Pops the earliest event with expiry `<= horizon`, in strict
     /// `(when, seq)` order.
-    pub fn pop_due(&mut self, horizon: u64) -> Option<(u64, SmallFn)> {
+    pub(crate) fn pop_due(&mut self, horizon: u64) -> Option<(u64, SmallFn)> {
         loop {
             // Drain the current same-instant batch first.
             while let Some(&idx) = self.batch.front() {
@@ -304,17 +304,12 @@ impl TimerWheel {
         }
     }
 
-    /// True if no live events remain.
-    pub fn is_empty(&self) -> bool {
-        self.live == 0
-    }
-
     /// Number of live events.
-    pub fn live(&self) -> usize {
+    pub(crate) fn live(&self) -> usize {
         self.live
     }
 
-    pub fn stats(&self) -> WheelStats {
+    pub(crate) fn stats(&self) -> WheelStats {
         WheelStats {
             live: self.live,
             cancelled_pending: self.cancelled_pending,
@@ -394,7 +389,7 @@ mod tests {
             popped.push(when);
         }
         assert_eq!(popped, sorted.iter().map(|&(t, _)| t).collect::<Vec<_>>());
-        assert!(w.is_empty());
+        assert_eq!(w.live(), 0);
     }
 
     #[test]
@@ -418,7 +413,7 @@ mod tests {
         let (when, _) = w.pop_due(u64::MAX).unwrap();
         assert_eq!(when, 10);
         assert!(!w.cancel(i2, g2), "fired handle is a no-op");
-        assert!(w.is_empty());
+        assert_eq!(w.live(), 0);
     }
 
     #[test]

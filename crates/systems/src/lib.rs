@@ -32,8 +32,6 @@ use psd_server::{KernelNetIf, OsServer, PortNamespace, ServerHandle};
 use psd_sim::{CostModel, Cpu, FaultSite, Observable, Observers, Platform, Sim, SimTime};
 use psd_wire::EtherAddr;
 
-pub use psd_sim::Platform as HostPlatform;
-
 /// The system architectures compared in Table 2.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SystemConfig {
@@ -122,7 +120,7 @@ impl SystemConfig {
     }
 
     /// The cost model for this configuration on a platform.
-    pub fn cost_model(self, platform: Platform) -> CostModel {
+    pub(crate) fn cost_model(self, platform: Platform) -> CostModel {
         match (self, platform) {
             (SystemConfig::Ultrix42InKernel, _) => CostModel::ultrix_4_2a(),
             (SystemConfig::Bsd386InKernel, _) => CostModel::bsd386(),
@@ -132,7 +130,7 @@ impl SystemConfig {
 
     /// The best receive-buffer size the paper found for this
     /// configuration (Table 2 "ReceiveBufferSize", in bytes).
-    pub fn best_recv_buffer(self, platform: Platform) -> usize {
+    pub(crate) fn best_recv_buffer(self, platform: Platform) -> usize {
         let kb = match platform {
             Platform::DecStation5000_200 => match self {
                 SystemConfig::Mach25InKernel => 24,
@@ -307,8 +305,6 @@ pub struct TestBed {
     pub hosts: Vec<Host>,
     /// The configuration under test.
     pub config: SystemConfig,
-    /// The hardware platform.
-    pub platform: Platform,
 }
 
 impl TestBed {
@@ -341,7 +337,6 @@ impl TestBed {
             ether,
             hosts,
             config,
-            platform,
         }
     }
 
@@ -512,10 +507,6 @@ pub struct MultiHopBed {
     pub routers: Vec<RouterHandle>,
     /// The two hosts (`hosts[0]` = 10.0.1.1, `hosts[1]` = 10.0.2.1).
     pub hosts: Vec<Host>,
-    /// The configuration under test.
-    pub config: SystemConfig,
-    /// The hardware platform.
-    pub platform: Platform,
 }
 
 /// Index of the middle primary segment in [`MultiHopBed::segments`].
@@ -640,8 +631,6 @@ impl MultiHopBed {
             switch,
             routers: vec![r1, r2],
             hosts,
-            config,
-            platform,
         }
     }
 
@@ -688,14 +677,6 @@ impl MultiHopBed {
         self.observed().attach_census()
     }
 
-    /// Attaches a fresh charged-time profiler to every host CPU (one
-    /// handle per host, in `hosts` order). Same contract as
-    /// [`TestBed::attach_profilers`]: bit-identical timing, exact
-    /// conservation per host CPU.
-    pub fn attach_profilers(&mut self) -> Vec<psd_sim::ProfileHandle> {
-        self.observed().attach_profilers()
-    }
-
     /// Builds a gauge registry over the whole diamond — both hosts'
     /// kernel/protocol/pool gauges plus every switch and router egress
     /// queue depth (including R1's RED-managed primary WAN port) — and
@@ -728,11 +709,6 @@ impl MultiHopBed {
         }
         self.sim.set_metrics_sampler(metrics.clone(), period);
         metrics
-    }
-
-    /// Runs the simulation until idle.
-    pub fn settle(&mut self) {
-        self.sim.run_to_idle();
     }
 
     /// Runs the simulation for a bounded virtual duration.
@@ -1023,7 +999,7 @@ mod tests {
 
         const BYTES: usize = 16 * 1024;
 
-        pub fn transfer(config: SystemConfig, platform: Platform, seed: u64) -> u64 {
+        pub(crate) fn transfer(config: SystemConfig, platform: Platform, seed: u64) -> u64 {
             let mut bed = MultiHopBed::new(config, platform, seed);
             let rx_app = bed.hosts[1].spawn_app();
             let got = Rc::new(RefCell::new(0usize));
@@ -1117,7 +1093,7 @@ mod tests {
         use std::cell::RefCell;
         use std::rc::Rc;
 
-        pub fn ttcp_free(config: SystemConfig, platform: Platform, seed: u64) -> u64 {
+        pub(crate) fn ttcp_free(config: SystemConfig, platform: Platform, seed: u64) -> u64 {
             let mut bed = TestBed::new(config, platform, seed);
             let rx_app = bed.hosts[1].spawn_app();
             let got = Rc::new(RefCell::new(0usize));

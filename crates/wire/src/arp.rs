@@ -8,7 +8,7 @@ use crate::{be16, put16, EtherAddr, WireError};
 use std::net::Ipv4Addr;
 
 /// Length of an IPv4-over-Ethernet ARP packet.
-pub const ARP_LEN: usize = 28;
+pub(crate) const ARP_LEN: usize = 28;
 
 /// ARP operation.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,7 +29,7 @@ pub struct ArpPacket {
     /// Sender protocol address.
     pub sender_ip: Ipv4Addr,
     /// Target hardware address (zero in requests).
-    pub target_mac: EtherAddr,
+    pub(crate) target_mac: EtherAddr,
     /// Target protocol address.
     pub target_ip: Ipv4Addr,
 }

@@ -40,14 +40,14 @@ impl Checksum {
     }
 
     /// Folds a big-endian `u16` in (must be on an even byte boundary).
-    pub fn add_u16(&mut self, v: u16) {
+    pub(crate) fn add_u16(&mut self, v: u16) {
         debug_assert!(!self.odd, "add_u16 on odd boundary");
         self.sum += u32::from(v);
         self.sum = (self.sum & 0xFFFF) + (self.sum >> 16);
     }
 
     /// Folds a big-endian `u32` in (must be on an even byte boundary).
-    pub fn add_u32(&mut self, v: u32) {
+    pub(crate) fn add_u32(&mut self, v: u32) {
         self.add_u16((v >> 16) as u16);
         self.add_u16((v & 0xFFFF) as u16);
     }

@@ -6,12 +6,6 @@ use std::fmt;
 /// Length of an Ethernet II header.
 pub const ETHER_HDR_LEN: usize = 14;
 
-/// Maximum Ethernet payload (the MTU on 10 Mb/s Ethernet).
-pub const ETHER_MAX_PAYLOAD: usize = 1500;
-
-/// Minimum frame length on the wire, excluding FCS.
-pub const ETHER_MIN_FRAME: usize = 60;
-
 /// A 48-bit MAC address.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct EtherAddr(pub [u8; 6]);
@@ -62,7 +56,7 @@ pub enum EtherType {
 
 impl EtherType {
     /// The wire value.
-    pub fn to_u16(self) -> u16 {
+    pub(crate) fn to_u16(self) -> u16 {
         match self {
             EtherType::Ipv4 => 0x0800,
             EtherType::Arp => 0x0806,
@@ -71,7 +65,7 @@ impl EtherType {
     }
 
     /// From the wire value.
-    pub fn from_u16(v: u16) -> EtherType {
+    pub(crate) fn from_u16(v: u16) -> EtherType {
         match v {
             0x0800 => EtherType::Ipv4,
             0x0806 => EtherType::Arp,

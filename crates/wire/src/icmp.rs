@@ -42,8 +42,6 @@ impl IcmpType {
 
 /// Destination-unreachable code: port unreachable.
 pub const UNREACH_PORT: u8 = 3;
-/// Destination-unreachable code: host unreachable.
-pub const UNREACH_HOST: u8 = 1;
 
 /// A parsed ICMP message.
 #[derive(Clone, PartialEq, Eq, Debug)]

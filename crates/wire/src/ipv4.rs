@@ -163,7 +163,7 @@ impl Ipv4Header {
     }
 
     /// The pseudo-header checksum contribution used by TCP and UDP.
-    pub fn pseudo_checksum(&self, transport_len: usize) -> crate::Checksum {
+    pub(crate) fn pseudo_checksum(&self, transport_len: usize) -> crate::Checksum {
         let mut c = crate::Checksum::new();
         c.add_u32(u32::from(self.src));
         c.add_u32(u32::from(self.dst));

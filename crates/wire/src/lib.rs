@@ -6,19 +6,17 @@
 //! really demultiplexes on header bytes and the protocol stacks really
 //! verify checksums — exactly the work the paper's Table 4 prices.
 
-pub mod arp;
-pub mod checksum;
-pub mod ether;
+pub(crate) mod arp;
+pub(crate) mod checksum;
+pub(crate) mod ether;
 pub mod icmp;
-pub mod ipv4;
-pub mod tcp;
-pub mod udp;
+pub(crate) mod ipv4;
+pub(crate) mod tcp;
+pub(crate) mod udp;
 
 pub use arp::{ArpOp, ArpPacket};
 pub use checksum::{internet_checksum, Checksum};
-pub use ether::{
-    EtherAddr, EtherType, EthernetHeader, ETHER_HDR_LEN, ETHER_MAX_PAYLOAD, ETHER_MIN_FRAME,
-};
+pub use ether::{EtherAddr, EtherType, EthernetHeader, ETHER_HDR_LEN};
 pub use icmp::{IcmpMessage, IcmpType};
 pub use ipv4::{IpProto, Ipv4Header, IPV4_HDR_LEN};
 pub use tcp::{TcpFlags, TcpHeader, TCP_HDR_LEN};

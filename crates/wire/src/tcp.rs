@@ -31,7 +31,7 @@ impl TcpFlags {
     }
 
     /// Union of two flag sets.
-    pub fn union(self, other: TcpFlags) -> TcpFlags {
+    pub(crate) fn union(self, other: TcpFlags) -> TcpFlags {
         TcpFlags(self.0 | other.0)
     }
 }

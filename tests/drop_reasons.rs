@@ -10,11 +10,14 @@
 
 mod common;
 
+use psd::core::AppLib;
 use psd::kernel::{Kernel, RxMode};
 use psd::netdev::Ethernet;
+use psd::netstack::InetAddr;
+use psd::server::Proto;
 use psd::sim::{
-    CostModel, Cpu, DropReason, Observable, Observers, Platform, Rng, Sim, SimTime, TraceHandle,
-    Tracer,
+    CostModel, Cpu, Domain, DropReason, Observable, Observers, Platform, Rng, Sim, SimTime,
+    TraceHandle, Tracer,
 };
 use psd::systems::{SystemConfig, TestBed};
 use psd::wire::{
@@ -418,4 +421,38 @@ fn fuzzed_frames_never_drop_silently() {
         .filter(|&&r| drops.get(r) > 0)
         .count();
     assert!(distinct >= 3, "only {distinct} distinct drop reasons hit");
+}
+
+/// Twelve datagrams to an on-link address nobody answers: the ARP
+/// pending queue holds eight, and each of the four it evicts is an
+/// `ArpUnresolved` drop in the stack's counters and in the census —
+/// in the kernel's stack and in the UX server's alike.
+#[test]
+fn arp_pending_overflow_is_counted() {
+    let unanswered = Ipv4Addr::new(10, 0, 0, 99);
+    for (config, domain) in [
+        (SystemConfig::Mach25InKernel, Domain::Kernel),
+        (SystemConfig::UxServer, Domain::Server),
+    ] {
+        let mut bed = TestBed::new(config, Platform::DecStation5000_200, 37);
+        let censuses = bed.attach_census();
+        let app = bed.hosts[0].spawn_app();
+        let fd = AppLib::socket(&app, &mut bed.sim, Proto::Udp);
+        for _ in 0..12 {
+            let dst = Some(InetAddr::new(unanswered, 9));
+            AppLib::sendto(&app, &mut bed.sim, fd, &[1u8; 32], dst).expect("sendto");
+        }
+        bed.settle();
+        let stack = bed.hosts[0].os_stack();
+        let stats = &stack.borrow().stats;
+        let label = config.label();
+        assert_eq!(stats.arp_drops, 4, "{label}: arp_drops");
+        assert_eq!(stats.drops.get(DropReason::ArpUnresolved), 4, "{label}");
+        let census = censuses[0].borrow();
+        assert_eq!(
+            census.drop_count(DropReason::ArpUnresolved, domain),
+            4,
+            "{label}"
+        );
+    }
 }

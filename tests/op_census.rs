@@ -382,40 +382,3 @@ fn seeded_runs_produce_identical_censuses() {
         "censuses actually recorded something"
     );
 }
-
-/// The tracer's operation totals must equal the census's: both are fed
-/// from the same charge-site hook, so any divergence means a counting
-/// site notified one but not the other (double- or under-accounting).
-/// Scoped to the kinds the census only learns through `Charge` —
-/// session-migration events reach the census directly.
-#[test]
-fn tracer_and_census_count_the_same_operations() {
-    for (config, seed) in [
-        (SystemConfig::Mach25InKernel, 91),
-        (SystemConfig::LibraryIpc, 92),
-        (SystemConfig::LibraryShmIpf, 93),
-    ] {
-        let mut run = udp_setup(config, seed);
-        let tracer = run.bed.attach_tracer();
-        run.send(9, 300);
-        let t = tracer.borrow();
-        for op in [
-            OpKind::PacketBodyCopy,
-            OpKind::BoundaryCrossing,
-            OpKind::Wakeup,
-        ] {
-            let census: u64 = run.censuses.iter().map(|c| c.borrow().total(op)).sum();
-            assert_eq!(
-                t.op_total(op),
-                census,
-                "{}: tracer and census disagree on {op:?}",
-                config.label()
-            );
-        }
-        assert!(
-            t.op_total(OpKind::PacketBodyCopy) > 0,
-            "{}: expected copies during the burst",
-            config.label()
-        );
-    }
-}

@@ -3,8 +3,6 @@
 //!
 //! * spans nest and close; no packet is left without exactly one
 //!   terminal state (delivered / absorbed / dropped-with-reason);
-//! * the tracer and the operation census count the same charge-site
-//!   events (they share one hook, so disagreement means a fork);
 //! * stage latencies reproduce the paper's Table 3 receive-side
 //!   ordering (SHM-IPF ≤ SHM ≤ IPC);
 //! * a seeded rerun produces a byte-identical Chrome trace document.
@@ -22,7 +20,7 @@ use psd::core::{AppHandle, AppLib, Fd, FdEventFn};
 use psd::filter::DemuxStrategy;
 use psd::netstack::{InetAddr, SockEvent};
 use psd::server::Proto;
-use psd::sim::{FaultSite, OpKind, Platform, Rng, SimTime, TraceHandle, Tracer};
+use psd::sim::{FaultSite, Platform, Rng, SimTime, TraceHandle, Tracer};
 use psd::systems::{SystemConfig, TestBed};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -50,14 +48,9 @@ fn udp_drain(bed: &mut TestBed, app: &AppHandle, port: u16) -> Rc<RefCell<usize>
 }
 
 /// Stands up a host0 → host1 UDP path, warms it (ARP, implicit bind),
-/// attaches a tracer (and a census when asked), then sends `n`
-/// datagrams and waits for delivery. Returns the bed and the handles.
-fn traced_udp_run(
-    config: SystemConfig,
-    seed: u64,
-    n: usize,
-    with_census: bool,
-) -> (TestBed, TraceHandle, Option<Vec<psd::sim::CensusHandle>>) {
+/// attaches a tracer, then sends `n` datagrams and waits for delivery.
+/// Returns the bed and the tracer.
+fn traced_udp_run(config: SystemConfig, seed: u64, n: usize) -> (TestBed, TraceHandle) {
     let mut bed = TestBed::new(config, Platform::DecStation5000_200, seed);
     let rx_app = bed.hosts[1].spawn_app();
     let received = udp_drain(&mut bed, &rx_app, PORT);
@@ -78,7 +71,6 @@ fn traced_udp_run(
     assert!(*received.borrow() >= 1, "warm-up never delivered");
 
     let tracer = bed.attach_tracer();
-    let censuses = with_census.then(|| bed.attach_census());
     let already = *received.borrow();
     for _ in 0..n {
         AppLib::sendto(&tx_app, &mut bed.sim, tx_fd, &[7u8; 256], Some(dst)).expect("send");
@@ -89,7 +81,7 @@ fn traced_udp_run(
         "datagrams not delivered"
     );
     bed.settle();
-    (bed, tracer, censuses)
+    (bed, tracer)
 }
 
 /// Every traced packet must reach exactly one terminal state, every
@@ -116,7 +108,7 @@ fn end_to_end_udp_run_satisfies_invariants() {
         (SystemConfig::LibraryShm, 34),
         (SystemConfig::LibraryShmIpf, 35),
     ] {
-        let (_bed, tracer, _) = traced_udp_run(config, seed, 16, false);
+        let (_bed, tracer) = traced_udp_run(config, seed, 16);
         assert_invariants(&tracer, config.label());
         let t = tracer.borrow();
         let (delivered, _, _) = t.terminal_counts();
@@ -133,34 +125,12 @@ fn end_to_end_udp_run_satisfies_invariants() {
     }
 }
 
-/// The tracer and the census are fed by the same charge-site hook
-/// (`Charge::op`); their copy/crossing/wakeup totals can therefore never
-/// disagree.
-#[test]
-fn trace_and_census_agree_on_charge_site_counts() {
-    let (_bed, tracer, censuses) = traced_udp_run(SystemConfig::LibraryShm, 36, 12, true);
-    let censuses = censuses.unwrap();
-    let t = tracer.borrow();
-    for op in [
-        OpKind::PacketBodyCopy,
-        OpKind::BoundaryCrossing,
-        OpKind::Wakeup,
-    ] {
-        let census_total: u64 = censuses.iter().map(|c| c.borrow().total(op)).sum();
-        assert_eq!(
-            t.op_total(op),
-            census_total,
-            "tracer and census disagree on {op:?}"
-        );
-    }
-}
-
 /// Table 3's receive-latency ordering, reproduced from the trace's
 /// end-to-end histogram rather than from the benchmark's RTT numbers.
 #[test]
 fn end_to_end_latency_reproduces_table3_ordering() {
     let p50 = |config: SystemConfig, seed: u64| -> u64 {
-        let (_bed, tracer, _) = traced_udp_run(config, seed, 24, false);
+        let (_bed, tracer) = traced_udp_run(config, seed, 24);
         assert_invariants(&tracer, config.label());
         let t = tracer.borrow();
         let lat = t.end_to_end_latencies();
@@ -250,7 +220,7 @@ fn scale_workload_satisfies_invariants() {
 #[test]
 fn seeded_rerun_is_byte_identical_chrome_json() {
     let doc = |seed: u64| -> String {
-        let (_bed, tracer, _) = traced_udp_run(SystemConfig::LibraryShm, seed, 8, false);
+        let (_bed, tracer) = traced_udp_run(SystemConfig::LibraryShm, seed, 8);
         let mut events = String::new();
         tracer.borrow().chrome_events(0, "rerun-check", &mut events);
         psd::sim::chrome_trace_document(&events)
