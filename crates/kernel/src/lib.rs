@@ -38,22 +38,13 @@ use psd_filter::{
 };
 use psd_netdev::{Ethernet, EthernetHandle, Station};
 use psd_sim::{
-    Charge, CostModel, Cpu, Domain, DropCounters, DropReason, FaultSite, Layer, Medium, Op, Sim,
-    SimTime, Stage, TraceHandle, TraceId,
+    Charge, CostModel, Cpu, Domain, DropCounters, DropReason, FaultSite, Layer, Medium, Op,
+    PacketCtx, Sim, SimTime, Stage,
 };
 use psd_wire::{
     EtherAddr, EtherType, EthernetHeader, IpProto, Ipv4Header, TcpFlags, TcpHeader, ETHER_HDR_LEN,
     IPV4_HDR_LEN,
 };
-
-/// Captures the tracing context of a charge — the tracer and the packet
-/// currently being processed — so an asynchronous continuation (a
-/// delivery closure, a deferred wakeup decision) can re-establish it.
-fn trace_ctx(charge: &Charge) -> (Option<TraceHandle>, Option<TraceId>) {
-    let tracer = charge.observers().trace.clone();
-    let id = tracer.as_ref().and_then(|t| t.borrow().current());
-    (tracer, id)
-}
 
 /// A recoverable kernel-interface failure. Fault paths report these
 /// instead of panicking so injected faults surface as errors the
@@ -168,8 +159,8 @@ struct GroSlot {
     /// Guards the deadline event: a slot flushed and re-created between
     /// schedule and fire has a different generation.
     generation: u64,
-    tracer: Option<TraceHandle>,
-    tid: Option<TraceId>,
+    /// The packet that started the run; the flush delivers as it.
+    pkt: PacketCtx,
 }
 
 impl GroSlot {
@@ -329,18 +320,9 @@ pub struct KernelStats {
     pub rx_session: u64,
     /// Frames delivered to the default (operating system) endpoint.
     pub(crate) rx_default: u64,
-    /// Frames dropped because no endpoint claimed them.
-    pub(crate) rx_unclaimed: u64,
     /// Wakeups skipped because the receiving thread was already busy
     /// (the SHM amortization).
     pub wakeups_amortized: u64,
-    /// User transmissions rejected by the outbound packet limiter.
-    pub tx_rejected: u64,
-    /// Frames dropped because the kernel was not attached to a segment
-    /// when the transmit event ran.
-    pub(crate) tx_disconnected: u64,
-    /// Frames dropped by an injected receive fault ([`FaultSite::NicRx`]).
-    pub(crate) rx_faulted: u64,
     /// Cumulative filter instructions executed classifying received
     /// frames. Purely observational — the per-frame cost is charged to
     /// virtual time where it is incurred — but dividing the delta by
@@ -348,9 +330,10 @@ pub struct KernelStats {
     /// benchmark reports.
     pub filter_steps: u64,
     /// Always-on per-reason drop counters for every frame the kernel
-    /// interface discards (typed mirror of the drop sites above; the
-    /// same taxonomy terminates packet traces when a tracer is
-    /// attached).
+    /// interface discards: filter misses, dead endpoints, injected
+    /// receive faults, limiter rejections, transmits while detached.
+    /// Every drop site counts here through the one call that also
+    /// reports it to the census and the tracer.
     pub drops: DropCounters,
     /// Delivery-path ring crossings actually charged (one per batch
     /// window, so `ceil(frames / batch)` per endpoint).
@@ -683,11 +666,9 @@ impl Kernel {
             let run = limiter.run(&frame);
             out(charge, Op::FilterRun(run.steps, None));
             if !run.accepted {
-                k.stats.tx_rejected += 1;
-                k.stats.drops.note(DropReason::TxLimited);
-                // Census-only: a transmit attempted while a received
-                // packet is current must not terminate that packet.
-                charge.count_drop(DropReason::TxLimited, Domain::Kernel);
+                // A transmit attempted while a received packet is
+                // current must not terminate that packet.
+                charge.drop_other(&mut k.stats.drops, DropReason::TxLimited, Domain::Kernel);
                 return;
             }
         }
@@ -722,12 +703,11 @@ impl Kernel {
                     // Detached from the segment (e.g. a fault between
                     // charge and handoff): the frame is dropped like any
                     // other wire loss, and the protocols recover.
-                    k.stats.tx_disconnected += 1;
-                    k.stats.drops.note(DropReason::TxDisconnected);
                     // No path is running: the drop is counted on a
                     // charge that prices nothing and is never finished.
                     let mut c = k.cpu.borrow_mut().begin(sim.now());
-                    c.count_drop(DropReason::TxDisconnected, Domain::Kernel);
+                    let (drops, reason) = (&mut k.stats.drops, DropReason::TxDisconnected);
+                    c.drop_other(drops, reason, Domain::Kernel);
                     return;
                 };
                 if from_user {
@@ -762,10 +742,8 @@ impl Station for Kernel {
         // after wire delivery but before demultiplexing. Protocols see
         // it as ordinary loss and recover by retransmission.
         if charge.fault(FaultSite::NicRx) {
-            self.stats.rx_faulted += 1;
-            self.stats.drops.note(DropReason::FaultInjected);
             charge.trace_event("fault:nic-rx");
-            charge.trace_drop(DropReason::FaultInjected, Domain::Kernel);
+            self.discard(&mut charge, DropReason::FaultInjected);
             let cpu = self.cpu.clone();
             cpu.borrow_mut().finish(charge);
             return;
@@ -837,24 +815,20 @@ impl Station for Kernel {
             None => {
                 if default.is_some() {
                     self.stats.rx_default += 1;
-                } else {
-                    self.stats.rx_unclaimed += 1;
                 }
                 default
             }
         };
         let Some(id) = target else {
             // No session filter matched and no default endpoint exists.
-            self.stats.drops.note(DropReason::FilterMiss);
-            charge.trace_drop(DropReason::FilterMiss, Domain::Kernel);
+            self.discard(&mut charge, DropReason::FilterMiss);
             let cpu = self.cpu.clone();
             cpu.borrow_mut().finish(charge);
             return;
         };
         if !self.endpoints.contains_key(&id) {
             // The endpoint was destroyed while the frame was in flight.
-            self.stats.drops.note(DropReason::EndpointDead);
-            charge.trace_drop(DropReason::EndpointDead, Domain::Kernel);
+            self.discard(&mut charge, DropReason::EndpointDead);
             let cpu = self.cpu.clone();
             cpu.borrow_mut().finish(charge);
             return;
@@ -888,6 +862,22 @@ impl Kernel {
         charge.op(&self.costs, op, Domain::Kernel, layer);
     }
 
+    /// Drops the frame being received for `reason`.
+    fn discard(&mut self, charge: &mut Charge, reason: DropReason) {
+        charge.drop_current(&mut self.stats.drops, reason, Domain::Kernel);
+    }
+
+    /// Re-presents `frame` to the receive path as if it had just
+    /// arrived, so the filters installed now decide its owner: a frame
+    /// whose endpoint died, or whose session migrated, while it was in
+    /// flight reaches the session's new owner exactly once instead of
+    /// being lost. `pkt` is the frame's trace context (the server's
+    /// rebuilt datagrams have none); the caller picks the instant.
+    pub fn represent(this: &KernelHandle, sim: &mut Sim, frame: Vec<u8>, pkt: &PacketCtx) {
+        pkt.event(sim.now(), "requeued");
+        pkt.enter(|| this.borrow_mut().frame_arrived(sim, frame));
+    }
+
     /// Copies a received frame out of the device into a wired kernel
     /// buffer at interrupt level.
     fn copy_to_kbuf(&self, charge: &mut Charge, len: usize) {
@@ -917,20 +907,10 @@ impl Kernel {
                 // migration. Re-present the frame so the classify path
                 // finds the session's new owner instead of dropping it.
                 let me = self.me.clone();
-                let at = charge.at();
-                let (tracer, tid) = trace_ctx(charge);
-                sim.at(at, move |sim| {
-                    let Some(kernel) = me.upgrade() else { return };
-                    let now = sim.now();
-                    if let (Some(tr), Some(pkt)) = (&tracer, tid) {
-                        tr.borrow_mut().event(pkt, now, "requeued");
-                        tr.borrow_mut().push_current(pkt);
-                    }
-                    kernel.borrow_mut().frame_arrived(sim, frame);
-                    if tid.is_some() {
-                        if let Some(tr) = &tracer {
-                            tr.borrow_mut().pop_current();
-                        }
+                let pkt = charge.packet();
+                sim.at(charge.at(), move |sim| {
+                    if let Some(kernel) = me.upgrade() {
+                        Kernel::represent(&kernel, sim, frame, &pkt);
                     }
                 });
                 return;
@@ -1023,22 +1003,13 @@ impl Kernel {
                     Sink::InKernel(_) => None,
                 };
                 if let Some(sink) = sink {
-                    let at = charge.at();
-                    let (tracer, tid) = trace_ctx(charge);
+                    let pkt = charge.packet();
                     let ring = self.ring_occupancy.clone();
                     ring.set(ring.get() + 1);
-                    sim.at(at, move |sim| {
+                    sim.at(charge.at(), move |sim| {
                         ring.set(ring.get() - 1);
-                        if let (Some(tr), Some(pkt)) = (&tracer, tid) {
-                            tr.borrow_mut().push_current(pkt);
-                        }
                         let t = sim.now();
-                        sink.borrow_mut()(sim, t, frame);
-                        if tid.is_some() {
-                            if let Some(tr) = &tracer {
-                                tr.borrow_mut().pop_current();
-                            }
-                        }
+                        pkt.enter(|| sink.borrow_mut()(sim, t, frame));
                     });
                 }
             }
@@ -1065,7 +1036,7 @@ impl Kernel {
                 // visible at interrupt time.
                 let ready = charge.at();
                 let me = self.me.clone();
-                let (tracer, tid) = trace_ctx(charge);
+                let pkt = charge.packet();
                 self.ring_occupancy.set(self.ring_occupancy.get() + 1);
                 // Both hops' captures fit `SmallFn`'s inline storage (this
                 // one reaches the occupancy cell through `me`): a frame
@@ -1093,17 +1064,9 @@ impl Kernel {
                                     // The network thread is idle: signal
                                     // it (condition variable +
                                     // scheduling).
-                                    if let (Some(tr), Some(pkt)) = (&tracer, tid) {
-                                        tr.borrow_mut().push_current(pkt);
-                                    }
                                     let mut c = cpu.borrow_mut().begin(now);
                                     k.op(&mut c, Op::Wakeup, Layer::KernelCopyout);
                                     at = cpu.borrow_mut().finish(c);
-                                    if tid.is_some() {
-                                        if let Some(tr) = &tracer {
-                                            tr.borrow_mut().pop_current();
-                                        }
-                                    }
                                     if let Some(ep) = k.endpoints.get_mut(&id) {
                                         ep.thread_busy_until = at;
                                     }
@@ -1127,19 +1090,10 @@ impl Kernel {
                     let ring = kernel.borrow().ring_occupancy.clone();
                     match deliver {
                         Some((sink, at)) => {
-                            let tracer = tracer.clone();
                             sim.at(at, move |sim| {
                                 ring.set(ring.get() - 1);
-                                if let (Some(tr), Some(pkt)) = (&tracer, tid) {
-                                    tr.borrow_mut().push_current(pkt);
-                                }
                                 let t = sim.now();
-                                sink.borrow_mut()(sim, t, frame);
-                                if tid.is_some() {
-                                    if let Some(tr) = &tracer {
-                                        tr.borrow_mut().pop_current();
-                                    }
-                                }
+                                pkt.enter(|| sink.borrow_mut()(sim, t, frame));
                             });
                         }
                         None => {
@@ -1150,16 +1104,7 @@ impl Kernel {
                             // classify path find the session's new
                             // owner instead of leaking the packet.
                             ring.set(ring.get() - 1);
-                            if let (Some(tr), Some(pkt)) = (&tracer, tid) {
-                                tr.borrow_mut().event(pkt, now, "requeued");
-                                tr.borrow_mut().push_current(pkt);
-                            }
-                            kernel.borrow_mut().frame_arrived(sim, frame);
-                            if tid.is_some() {
-                                if let Some(tr) = &tracer {
-                                    tr.borrow_mut().pop_current();
-                                }
-                            }
+                            Kernel::represent(&kernel, sim, frame, &pkt);
                         }
                     }
                 });
@@ -1242,7 +1187,6 @@ impl Kernel {
         // Start a new run and arm its flush deadline.
         self.gro_gen += 1;
         let generation = self.gro_gen;
-        let (tracer, tid) = trace_ctx(charge);
         let next_seq = seg.tcp.seq.wrapping_add(seg.payload.len() as u32);
         self.gro.insert(
             id,
@@ -1255,8 +1199,7 @@ impl Kernel {
                 next_seq,
                 count: 1,
                 generation,
-                tracer,
-                tid,
+                pkt: charge.packet(),
             },
         );
         self.stats.gro_held += 1;
@@ -1278,16 +1221,10 @@ impl Kernel {
         };
         self.stats.gro_flushes += 1;
         let frame = slot.synthesize();
-        if let (Some(tr), Some(pkt)) = (&slot.tracer, slot.tid) {
-            tr.borrow_mut().push_current(pkt);
-        }
-        charge.trace_event("gro-flush");
-        self.deliver_endpoint(sim, charge, id, frame);
-        if slot.tid.is_some() {
-            if let Some(tr) = &slot.tracer {
-                tr.borrow_mut().pop_current();
-            }
-        }
+        slot.pkt.enter(|| {
+            charge.trace_event("gro-flush");
+            self.deliver_endpoint(sim, charge, id, frame);
+        });
     }
 
     /// The deadline event for a held GRO descriptor: flushes it if the
@@ -1318,31 +1255,20 @@ impl Kernel {
             (slot, k.cpu.clone(), alive)
         };
         let frame = slot.synthesize();
-        let now = sim.now();
         if alive {
-            if let (Some(tr), Some(pkt)) = (&slot.tracer, slot.tid) {
-                tr.borrow_mut().push_current(pkt);
-            }
-            let mut charge = cpu.borrow_mut().begin(now);
-            charge.trace_event("gro-flush");
-            kernel
-                .borrow_mut()
-                .deliver_endpoint(sim, &mut charge, id, frame);
-            cpu.borrow_mut().finish(charge);
+            slot.pkt.enter(|| {
+                let mut charge = cpu.borrow_mut().begin(sim.now());
+                charge.trace_event("gro-flush");
+                kernel
+                    .borrow_mut()
+                    .deliver_endpoint(sim, &mut charge, id, frame);
+                cpu.borrow_mut().finish(charge);
+            });
         } else {
             // The endpoint died while the run was held: re-present the
             // synthesized frame so demultiplexing finds the session's
             // new owner (the PR 1 reclaim discipline, under batching).
-            if let (Some(tr), Some(pkt)) = (&slot.tracer, slot.tid) {
-                tr.borrow_mut().event(pkt, now, "requeued");
-                tr.borrow_mut().push_current(pkt);
-            }
-            kernel.borrow_mut().frame_arrived(sim, frame);
-        }
-        if slot.tid.is_some() {
-            if let Some(tr) = &slot.tracer {
-                tr.borrow_mut().pop_current();
-            }
+            Kernel::represent(&kernel, sim, frame, &slot.pkt);
         }
     }
 }
@@ -1488,7 +1414,10 @@ mod tests {
         let f = udp_frame(EtherAddr::local(2), (B_IP, 1), 10);
         Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         r.sim.run_to_idle();
-        assert_eq!(r.kernel.borrow().stats().rx_unclaimed, 1);
+        assert_eq!(
+            r.kernel.borrow().stats().drops.get(DropReason::FilterMiss),
+            1
+        );
     }
 
     #[test]
@@ -1669,7 +1598,10 @@ mod tests {
         Ethernet::transmit(&r.ether, &mut r.sim, SimTime::ZERO, f);
         r.sim.run_to_idle();
         assert_eq!(log.borrow().len(), 0);
-        assert_eq!(r.kernel.borrow().stats().rx_unclaimed, 1);
+        assert_eq!(
+            r.kernel.borrow().stats().drops.get(DropReason::FilterMiss),
+            1
+        );
     }
 
     #[test]
@@ -1735,7 +1667,8 @@ mod tests {
             1,
             "spoof must not reach the wire"
         );
-        assert_eq!(r.kernel.borrow().stats().tx_rejected, 1);
+        let drops = r.kernel.borrow().stats().drops;
+        assert_eq!(drops.get(DropReason::TxLimited), 1);
     }
 
     // --- Batched NEWAPI (ISSUE 9) ---

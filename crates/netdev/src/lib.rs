@@ -21,8 +21,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use psd_sim::{
-    DropCounters, DropReason, FaultSite, Observable, Observers, Sim, SimTime, Stage, Terminal,
-    TraceId,
+    DropCounters, DropReason, FaultSite, Observable, Observers, PacketCtx, Sim, SimTime, Stage,
+    Terminal,
 };
 use psd_wire::{EtherAddr, EthernetHeader};
 
@@ -278,21 +278,13 @@ impl Ethernet {
         seg.stats.wire_ns += (duration + seg.propagation).as_nanos();
         // Provenance: the wire frame gets its own trace id and a wire
         // span; every loss below is a typed terminal state.
-        let wire_tid = seg.obs.trace.as_ref().map(|t| {
-            let mut tr = t.borrow_mut();
-            let id = tr.begin_packet(start, None);
-            tr.span_closed(id, Stage::Wire, start, arrival);
-            id
-        });
+        let wire = PacketCtx::begin(seg.obs.trace.as_ref(), start, &PacketCtx::default());
+        wire.span_closed(Stage::Wire, start, arrival);
 
         let drop_frame = |seg: &mut Ethernet, reason: DropReason, event: &'static str| {
             seg.stats.dropped += 1;
-            seg.drops.note(reason);
-            if let (Some(t), Some(id)) = (&seg.obs.trace, wire_tid) {
-                let mut tr = t.borrow_mut();
-                tr.event(id, arrival, event);
-                tr.terminal(id, arrival, Terminal::Dropped(reason));
-            }
+            wire.event(arrival, event);
+            wire.drop_at(&mut seg.drops, reason, arrival);
         };
 
         // Link down: a scripted visit range at this site models a flap
@@ -356,14 +348,11 @@ impl Ethernet {
         if reordered {
             seg.stats.reordered += 1;
         }
-        if let (Some(t), Some(id)) = (&seg.obs.trace, wire_tid) {
-            let mut tr = t.borrow_mut();
-            if duplicated {
-                tr.event(id, arrival, "duplicate");
-            }
-            if reordered {
-                tr.event(id, arrival, "reorder");
-            }
+        if duplicated {
+            wire.event(arrival, "duplicate");
+        }
+        if reordered {
+            wire.event(arrival, "reorder");
         }
         let extra = seg.reorder_delay;
         drop(seg);
@@ -372,9 +361,10 @@ impl Ethernet {
         // The duplicate's deliveries are traced as parentless children:
         // the wire frame must terminate exactly once.
         let duplicate = duplicated.then(|| frame.clone());
-        Ethernet::schedule_delivery(this, sim, deliver_at, frame, wire_tid, exclude);
+        Ethernet::schedule_delivery(this, sim, deliver_at, frame, wire, exclude);
         if let Some(frame) = duplicate {
-            Ethernet::schedule_delivery(this, sim, arrival + extra, frame, None, exclude);
+            let untraced = PacketCtx::default();
+            Ethernet::schedule_delivery(this, sim, arrival + extra, frame, untraced, exclude);
         }
         arrival
     }
@@ -384,26 +374,18 @@ impl Ethernet {
         sim: &mut Sim,
         at: SimTime,
         frame: Vec<u8>,
-        wire_tid: Option<TraceId>,
+        wire: PacketCtx,
         exclude: Option<EtherAddr>,
     ) {
         let seg = this.clone();
         sim.at(at, move |sim| {
-            let tracer = seg.borrow().obs.trace.clone();
-            let hdr = match EthernetHeader::parse(&frame) {
-                Ok(h) => h,
-                Err(_) => {
-                    seg.borrow_mut().drops.note(DropReason::MalformedFrame);
-                    if let (Some(t), Some(id)) = (&tracer, wire_tid) {
-                        t.borrow_mut().terminal(
-                            id,
-                            sim.now(),
-                            Terminal::Dropped(DropReason::MalformedFrame),
-                        );
-                    }
-                    return;
-                }
+            let now = sim.now();
+            let Ok(hdr) = EthernetHeader::parse(&frame) else {
+                let malformed = DropReason::MalformedFrame;
+                wire.drop_at(&mut seg.borrow_mut().drops, malformed, now);
+                return;
             };
+            let tracer = seg.borrow().obs.trace.clone();
             // Snapshot receivers first so station callbacks can transmit
             // (re-borrowing the segment) without a double borrow.
             let mut receivers = {
@@ -424,38 +406,22 @@ impl Ethernet {
                         .cloned(),
                 );
                 seg_mut.stats.delivered += receivers.len() as u64;
+                // The wire frame's terminal: handed to at least one
+                // station, or addressed to nobody listening.
                 if receivers.is_empty() {
-                    seg_mut.drops.note(DropReason::NoReceiver);
+                    wire.drop_at(&mut seg_mut.drops, DropReason::NoReceiver, now);
+                } else {
+                    wire.terminal(now, Terminal::Delivered);
                 }
                 receivers
             };
-            // The wire frame's terminal: handed to at least one station,
-            // or addressed to nobody listening.
-            if let (Some(t), Some(id)) = (&tracer, wire_tid) {
-                let mut tr = t.borrow_mut();
-                if receivers.is_empty() {
-                    tr.terminal(id, sim.now(), Terminal::Dropped(DropReason::NoReceiver));
-                } else {
-                    tr.terminal(id, sim.now(), Terminal::Delivered);
-                }
-            }
             let mut deliver = |station: &Rc<RefCell<dyn Station>>, frame: Vec<u8>| {
                 // Each station's copy is a traced child of the wire
                 // frame, current for the duration of the synchronous
-                // receive path (asynchronous continuations re-establish
-                // it from the id they capture at schedule time).
-                let child = tracer.as_ref().map(|t| {
-                    let mut tr = t.borrow_mut();
-                    let c = tr.begin_packet(sim.now(), wire_tid);
-                    tr.push_current(c);
-                    c
-                });
-                station.borrow_mut().frame_arrived(sim, frame);
-                if child.is_some() {
-                    if let Some(t) = &tracer {
-                        t.borrow_mut().pop_current();
-                    }
-                }
+                // receive path (asynchronous continuations capture it
+                // and enter it again when they run).
+                let child = PacketCtx::begin(tracer.as_ref(), sim.now(), &wire);
+                child.enter(|| station.borrow_mut().frame_arrived(sim, frame));
             };
             // The last receiver gets the frame itself; only the others
             // of a multi-receiver delivery get copies.

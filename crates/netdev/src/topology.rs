@@ -29,8 +29,8 @@ use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 use psd_sim::{
-    DropCounters, DropReason, FaultSite, Observable, Observers, Rng, Sim, SimTime, Terminal,
-    TraceHandle,
+    DropCounters, DropReason, FaultSite, Observable, Observers, PacketCtx, Rng, Sim, SimTime,
+    Terminal,
 };
 use psd_wire::{
     ArpOp, ArpPacket, EtherAddr, EtherType, EthernetHeader, IcmpMessage, IcmpType, IpProto,
@@ -77,14 +77,6 @@ impl QueueDisc {
     }
 }
 
-/// Why the egress queue refused a frame.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum QueueVerdict {
-    Enqueue,
-    TailDrop,
-    RedDrop,
-}
-
 /// One egress port: a segment, this device's address on it, and the
 /// bounded queue in front of the link.
 struct PortState {
@@ -98,13 +90,14 @@ struct PortState {
 }
 
 impl PortState {
-    /// Decides admission at the current depth. RED draws come from the
-    /// device's private RNG; a fault-plane `LinkQueueFull` injection is
-    /// passed in as `forced_full`.
-    fn admit(&self, rng: &mut Rng, forced_full: bool) -> QueueVerdict {
+    /// Decides admission at the current depth: `None` admits, a reason
+    /// refuses. RED draws come from the device's private RNG; a
+    /// fault-plane `LinkQueueFull` injection is passed in as
+    /// `forced_full`.
+    fn admit(&self, rng: &mut Rng, forced_full: bool) -> Option<DropReason> {
         let depth = self.depth.get();
         if forced_full || depth >= self.disc.capacity() {
-            return QueueVerdict::TailDrop;
+            return Some(DropReason::QueueTailDrop);
         }
         if let QueueDisc::Red {
             min_th,
@@ -114,16 +107,16 @@ impl PortState {
         } = self.disc
         {
             if depth >= max_th {
-                return QueueVerdict::RedDrop;
+                return Some(DropReason::RedEarlyDrop);
             }
             if depth >= min_th {
                 let p = max_p * (depth - min_th) as f64 / (max_th - min_th) as f64;
                 if rng.chance(p) {
-                    return QueueVerdict::RedDrop;
+                    return Some(DropReason::RedEarlyDrop);
                 }
             }
         }
-        QueueVerdict::Enqueue
+        None
     }
 
     /// Transmits an admitted frame and schedules the depth decrement
@@ -140,6 +133,67 @@ impl PortState {
         sim.at(serialized, move |_| {
             depth.set(depth.get().saturating_sub(1));
         });
+    }
+}
+
+/// What a switch and a router share: their ports, the RED draw stream,
+/// the attached observers and the device's drop counters.
+struct PortSet {
+    ports: Vec<PortState>,
+    rng: Rng,
+    obs: Observers,
+    drops: DropCounters,
+}
+
+impl PortSet {
+    /// An empty set. The RED draw stream is forked from the simulation
+    /// seed here, so device construction order fixes determinism.
+    fn new(sim: &mut Sim) -> PortSet {
+        PortSet {
+            ports: Vec::new(),
+            rng: sim.rng().fork(),
+            obs: Observers::default(),
+            drops: DropCounters::default(),
+        }
+    }
+
+    /// Adds a port and returns its index.
+    fn add(
+        &mut self,
+        seg: &EthernetHandle,
+        mac: EtherAddr,
+        ip: Ipv4Addr,
+        disc: QueueDisc,
+    ) -> usize {
+        self.ports.push(PortState {
+            seg: seg.clone(),
+            mac,
+            ip,
+            disc,
+            depth: Rc::new(Cell::new(0)),
+        });
+        self.ports.len() - 1
+    }
+
+    /// Sends `frame` out `port` unless the port's queue refuses it, and
+    /// reports whether it was sent. A refusal is `pkt`'s drop; pass an
+    /// empty context when the frame is not the packet being processed
+    /// (a flood copy, an ARP message, a flushed or originated packet).
+    fn egress(&mut self, sim: &mut Sim, port: usize, frame: Vec<u8>, pkt: &PacketCtx) -> bool {
+        let forced = match &self.obs.fault {
+            Some(f) => f.borrow_mut().should_inject(FaultSite::LinkQueueFull),
+            None => false,
+        };
+        match self.ports[port].admit(&mut self.rng, forced) {
+            None => {
+                self.ports[port].send(sim, frame);
+                true
+            }
+            Some(reason) => {
+                pkt.drop_at(&mut self.drops, reason, sim.now());
+                false
+            }
+        }
     }
 }
 
@@ -172,27 +226,6 @@ impl<D: NetNode> Station for PortStation<D> {
     }
 }
 
-/// Terminates the tracer's current packet (the device's delivered copy
-/// of the wire frame), if a tracer is attached.
-fn terminate_current(tracer: &Option<TraceHandle>, now: SimTime, term: Terminal) {
-    if let Some(t) = tracer {
-        let mut tr = t.borrow_mut();
-        if let Some(id) = tr.current() {
-            tr.terminal(id, now, term);
-        }
-    }
-}
-
-/// Stamps an event on the tracer's current packet.
-fn event_current(tracer: &Option<TraceHandle>, now: SimTime, name: &'static str) {
-    if let Some(t) = tracer {
-        let mut tr = t.borrow_mut();
-        if let Some(id) = tr.current() {
-            tr.event(id, now, name);
-        }
-    }
-}
-
 // --- Switch ---
 
 /// Counters for one [`Switch`].
@@ -206,38 +239,26 @@ pub struct SwitchStats {
     pub(crate) flooded: u64,
     /// Frames filtered because the destination is on the ingress port.
     pub(crate) filtered: u64,
-    /// Frames tail-dropped at an egress queue.
-    pub(crate) tail_drops: u64,
-    /// Frames RED-dropped at an egress queue.
-    pub(crate) red_drops: u64,
 }
 
 /// A transparent learning switch joining Ethernet segments.
 pub struct Switch {
-    ports: Vec<PortState>,
+    ports: PortSet,
     /// Learned station location: MAC → port index.
     table: BTreeMap<[u8; 6], usize>,
-    rng: Rng,
-    obs: Observers,
     stats: SwitchStats,
-    drops: DropCounters,
 }
 
 /// Shared handle to a [`Switch`].
 pub type SwitchHandle = Rc<RefCell<Switch>>;
 
 impl Switch {
-    /// Creates a switch with no ports. The RED draw stream is forked
-    /// from the simulation seed here, so construction order fixes
-    /// determinism.
+    /// Creates a switch with no ports.
     pub fn new(sim: &mut Sim) -> SwitchHandle {
         Rc::new(RefCell::new(Switch {
-            ports: Vec::new(),
+            ports: PortSet::new(sim),
             table: BTreeMap::new(),
-            rng: sim.rng().fork(),
-            obs: Observers::default(),
             stats: SwitchStats::default(),
-            drops: DropCounters::default(),
         }))
     }
 
@@ -245,17 +266,8 @@ impl Switch {
     /// be unique across the whole topology). Returns the port index.
     pub fn add_port(this: &SwitchHandle, seg: &EthernetHandle, station: u32, disc: QueueDisc) {
         let mac = EtherAddr::local(station);
-        let port = {
-            let mut sw = this.borrow_mut();
-            sw.ports.push(PortState {
-                seg: seg.clone(),
-                mac,
-                ip: Ipv4Addr::UNSPECIFIED,
-                disc,
-                depth: Rc::new(Cell::new(0)),
-            });
-            sw.ports.len() - 1
-        };
+        let unnumbered = Ipv4Addr::UNSPECIFIED;
+        let port = this.borrow_mut().ports.add(seg, mac, unnumbered, disc);
         // A switch port hears everything on its segment.
         seg.borrow_mut().attach(Rc::new(RefCell::new(PortStation {
             dev: this.clone(),
@@ -272,38 +284,13 @@ impl Switch {
 
     /// Always-on per-reason drop counters.
     pub fn drops(&self) -> DropCounters {
-        self.drops
+        self.ports.drops
     }
 
     /// Shared depth counter of output port `port`, for gauges
     /// that must read it without borrowing the switch.
     pub fn port_depth_cell(&self, port: usize) -> Rc<Cell<usize>> {
-        self.ports[port].depth.clone()
-    }
-
-    /// Sends one admitted-or-dropped frame out `port`, returning the
-    /// drop reason if the queue refused it.
-    fn egress(&mut self, sim: &mut Sim, port: usize, frame: Vec<u8>) -> Option<DropReason> {
-        let forced = match &self.obs.fault {
-            Some(f) => f.borrow_mut().should_inject(FaultSite::LinkQueueFull),
-            None => false,
-        };
-        match self.ports[port].admit(&mut self.rng, forced) {
-            QueueVerdict::Enqueue => {
-                self.ports[port].send(sim, frame);
-                None
-            }
-            QueueVerdict::TailDrop => {
-                self.stats.tail_drops += 1;
-                self.drops.note(DropReason::QueueTailDrop);
-                Some(DropReason::QueueTailDrop)
-            }
-            QueueVerdict::RedDrop => {
-                self.stats.red_drops += 1;
-                self.drops.note(DropReason::RedEarlyDrop);
-                Some(DropReason::RedEarlyDrop)
-            }
-        }
+        self.ports.ports[port].depth.clone()
     }
 }
 
@@ -311,27 +298,23 @@ impl Switch {
 /// egress enqueue) and the packet-lifecycle tracer.
 impl Observable for Switch {
     fn observers(&self) -> &Observers {
-        &self.obs
+        &self.ports.obs
     }
 
     fn set_observers(&mut self, obs: Observers) {
-        self.obs = obs;
+        self.ports.obs = obs;
     }
 }
 
 impl NetNode for Switch {
     fn frame_from_wire(dev: &Rc<RefCell<Switch>>, sim: &mut Sim, port: usize, frame: Vec<u8>) {
-        let mut sw = dev.borrow_mut();
+        let sw = &mut *dev.borrow_mut();
         sw.stats.rx_frames += 1;
         let now = sim.now();
-        let tracer = sw.obs.trace.clone();
-        let hdr = match EthernetHeader::parse(&frame) {
-            Ok(h) => h,
-            Err(_) => {
-                sw.drops.note(DropReason::MalformedFrame);
-                terminate_current(&tracer, now, Terminal::Dropped(DropReason::MalformedFrame));
-                return;
-            }
+        let pkt = PacketCtx::current(sw.ports.obs.trace.as_ref());
+        let Ok(hdr) = EthernetHeader::parse(&frame) else {
+            pkt.drop_at(&mut sw.ports.drops, DropReason::MalformedFrame, now);
+            return;
         };
         sw.table.insert(hdr.src.0, port);
         let known = sw.table.get(&hdr.dst.0).copied();
@@ -341,32 +324,28 @@ impl NetNode for Switch {
                     // Destination is on the ingress segment: the medium
                     // already delivered it; the switch filters its copy.
                     sw.stats.filtered += 1;
-                    terminate_current(&tracer, now, Terminal::Absorbed);
+                    pkt.terminal(now, Terminal::Absorbed);
                     return;
                 }
-                match sw.egress(sim, out, frame) {
-                    None => {
-                        sw.stats.forwarded += 1;
-                        event_current(&tracer, now, "switch-forward");
-                        terminate_current(&tracer, now, Terminal::Absorbed);
-                    }
-                    Some(reason) => {
-                        terminate_current(&tracer, now, Terminal::Dropped(reason));
-                    }
+                if sw.ports.egress(sim, out, frame, &pkt) {
+                    sw.stats.forwarded += 1;
+                    pkt.event(now, "switch-forward");
+                    pkt.terminal(now, Terminal::Absorbed);
                 }
             }
             _ => {
                 // Broadcast or unknown unicast: flood every other port.
                 sw.stats.flooded += 1;
-                event_current(&tracer, now, "switch-flood");
-                for out in 0..sw.ports.len() {
+                pkt.event(now, "switch-flood");
+                for out in 0..sw.ports.ports.len() {
                     if out != port {
-                        let _ = sw.egress(sim, out, frame.clone());
+                        let copy = frame.clone();
+                        sw.ports.egress(sim, out, copy, &PacketCtx::default());
                     }
                 }
                 // The incoming copy is consumed by the flood; per-port
                 // queue refusals are counted in `drops`.
-                terminate_current(&tracer, now, Terminal::Absorbed);
+                pkt.terminal(now, Terminal::Absorbed);
             }
         }
     }
@@ -403,22 +382,18 @@ impl RouterRoute {
 pub struct RouterStats {
     /// Frames received across all ports.
     pub(crate) rx_frames: u64,
-    /// IP packets forwarded onto an egress link.
+    /// IP packets forwarded onto an egress link: counted when the
+    /// egress queue accepts the packet, so a packet parked for ARP
+    /// counts only once its next hop answers and the queue takes it.
     pub forwarded: u64,
     /// Packets addressed to one of the router's own interfaces.
     pub(crate) absorbed: u64,
-    /// Packets whose TTL expired here.
-    pub(crate) ttl_expired: u64,
     /// ICMP Time Exceeded messages originated.
     pub(crate) time_exceeded_sent: u64,
     /// Packets with no matching route.
     pub(crate) no_route: u64,
     /// Packets that took an alternate route on a `RouteFlip` injection.
     pub(crate) route_flips: u64,
-    /// Frames tail-dropped at an egress queue.
-    pub(crate) tail_drops: u64,
-    /// Frames RED-dropped at an egress queue.
-    pub(crate) red_drops: u64,
     /// ARP requests sent.
     pub(crate) arp_requests: u64,
     /// ARP replies sent.
@@ -427,40 +402,43 @@ pub struct RouterStats {
     pub(crate) arp_parked: u64,
 }
 
+/// An IP packet on its way out of a router.
+struct Outbound {
+    /// Egress port index.
+    port: usize,
+    ip: Vec<u8>,
+    /// Forwarded (rather than originated by the router): counted in
+    /// [`RouterStats::forwarded`] when the egress queue accepts it.
+    forwarded: bool,
+}
+
 /// A store-and-forward IP router.
 pub struct Router {
-    ports: Vec<PortState>,
+    ports: PortSet,
     routes: Vec<RouterRoute>,
     /// Resolved next-hop MACs (interface addresses are unique across
     /// the topology, so one cache serves every port).
     arp: BTreeMap<Ipv4Addr, EtherAddr>,
-    /// Packets waiting on ARP: next hop → (egress port, IP packet).
-    pending: BTreeMap<Ipv4Addr, Vec<(usize, Vec<u8>)>>,
+    /// Packets waiting on ARP, per next hop.
+    pending: BTreeMap<Ipv4Addr, Vec<Outbound>>,
     /// Last ARP request time per next hop (rate limiting).
     last_arp_req: BTreeMap<Ipv4Addr, SimTime>,
-    rng: Rng,
-    obs: Observers,
     stats: RouterStats,
-    drops: DropCounters,
 }
 
 /// Shared handle to a [`Router`].
 pub type RouterHandle = Rc<RefCell<Router>>;
 
 impl Router {
-    /// Creates a router with no ports. The RED draw stream is forked
-    /// from the simulation seed here.
+    /// Creates a router with no ports.
     pub fn new(sim: &mut Sim) -> RouterHandle {
         Rc::new(RefCell::new(Router {
-            ports: Vec::new(),
+            ports: PortSet::new(sim),
             routes: Vec::new(),
             arp: BTreeMap::new(),
             pending: BTreeMap::new(),
             last_arp_req: BTreeMap::new(),
-            rng: sim.rng().fork(),
-            obs: Observers::default(),
             stats: RouterStats::default(),
-            drops: DropCounters::default(),
         }))
     }
 
@@ -475,17 +453,7 @@ impl Router {
         disc: QueueDisc,
     ) -> usize {
         let mac = EtherAddr::local(station);
-        let port = {
-            let mut r = this.borrow_mut();
-            r.ports.push(PortState {
-                seg: seg.clone(),
-                mac,
-                ip,
-                disc,
-                depth: Rc::new(Cell::new(0)),
-            });
-            r.ports.len() - 1
-        };
+        let port = this.borrow_mut().ports.add(seg, mac, ip, disc);
         seg.borrow_mut().attach(Rc::new(RefCell::new(PortStation {
             dev: this.clone(),
             mac,
@@ -508,13 +476,13 @@ impl Router {
 
     /// Always-on per-reason drop counters.
     pub fn drops(&self) -> DropCounters {
-        self.drops
+        self.ports.drops
     }
 
     /// Shared depth counter of output port `port`, for gauges
     /// that must read it without borrowing the router.
     pub fn port_depth_cell(&self, port: usize) -> Rc<Cell<usize>> {
-        self.ports[port].depth.clone()
+        self.ports.ports[port].depth.clone()
     }
 
     fn lookup(&self, dst: Ipv4Addr) -> Option<RouterRoute> {
@@ -525,56 +493,42 @@ impl Router {
             .copied()
     }
 
-    fn egress(&mut self, sim: &mut Sim, port: usize, frame: Vec<u8>) -> Option<DropReason> {
-        let forced = match &self.obs.fault {
-            Some(f) => f.borrow_mut().should_inject(FaultSite::LinkQueueFull),
-            None => false,
-        };
-        match self.ports[port].admit(&mut self.rng, forced) {
-            QueueVerdict::Enqueue => {
-                self.ports[port].send(sim, frame);
-                None
-            }
-            QueueVerdict::TailDrop => {
-                self.stats.tail_drops += 1;
-                self.drops.note(DropReason::QueueTailDrop);
-                Some(DropReason::QueueTailDrop)
-            }
-            QueueVerdict::RedDrop => {
-                self.stats.red_drops += 1;
-                self.drops.note(DropReason::RedEarlyDrop);
-                Some(DropReason::RedEarlyDrop)
-            }
-        }
-    }
-
-    /// Sends an IP packet out `port` to `next_hop`, resolving the MAC
-    /// first. Returns the drop reason if the queue refused it; a
-    /// packet parked for ARP counts as sent (it keeps a pending slot).
+    /// Sends `out` to `next_hop`, resolving the MAC first. Returns
+    /// `false` if the egress queue refused it (`pkt`'s drop, as in
+    /// [`PortSet::egress`]). A packet parked for ARP is not refused: it
+    /// holds a pending slot until the next hop answers, and a full
+    /// pending queue drops its oldest entry instead.
     fn send_ip(
         &mut self,
         sim: &mut Sim,
-        port: usize,
         next_hop: Ipv4Addr,
-        ip_bytes: Vec<u8>,
-    ) -> Option<DropReason> {
+        out: Outbound,
+        pkt: &PacketCtx,
+    ) -> bool {
+        let port = out.port;
         if let Some(&mac) = self.arp.get(&next_hop) {
             let hdr = EthernetHeader {
                 dst: mac,
-                src: self.ports[port].mac,
+                src: self.ports.ports[port].mac,
                 ethertype: EtherType::Ipv4,
             };
             let mut frame = hdr.encode().to_vec();
-            frame.extend_from_slice(&ip_bytes);
-            return self.egress(sim, port, frame);
+            frame.extend_from_slice(&out.ip);
+            let sent = self.ports.egress(sim, port, frame, pkt);
+            if sent && out.forwarded {
+                self.stats.forwarded += 1;
+            }
+            return sent;
         }
         // Park the packet and (rate-limited) ask who-has.
         self.stats.arp_parked += 1;
         let q = self.pending.entry(next_hop).or_default();
-        q.push((port, ip_bytes));
+        q.push(out);
         if q.len() > ARP_PENDING_CAP {
             q.remove(0);
-            self.drops.note(DropReason::ArpUnresolved);
+            // The evicted packet's trace ended when it parked.
+            let evicted = PacketCtx::default();
+            evicted.drop_at(&mut self.ports.drops, DropReason::ArpUnresolved, sim.now());
         }
         let due = match self.last_arp_req.get(&next_hop) {
             None => true,
@@ -583,17 +537,18 @@ impl Router {
         if due {
             self.last_arp_req.insert(next_hop, sim.now());
             self.stats.arp_requests += 1;
-            let req = ArpPacket::request(self.ports[port].mac, self.ports[port].ip, next_hop);
+            let PortState { mac, ip, .. } = self.ports.ports[port];
+            let req = ArpPacket::request(mac, ip, next_hop);
             let hdr = EthernetHeader {
                 dst: EtherAddr::BROADCAST,
-                src: self.ports[port].mac,
+                src: mac,
                 ethertype: EtherType::Arp,
             };
             let mut frame = hdr.encode().to_vec();
             frame.extend_from_slice(&req.encode());
-            let _ = self.egress(sim, port, frame);
+            self.ports.egress(sim, port, frame, &PacketCtx::default());
         }
-        None
+        true
     }
 
     /// Routes and sends a packet this router originates (ICMP errors).
@@ -606,32 +561,34 @@ impl Router {
             return;
         };
         let next_hop = route.next_hop.unwrap_or(ip.dst);
-        let _ = self.send_ip(sim, route.port, next_hop, ip_bytes);
+        let out = Outbound {
+            port: route.port,
+            ip: ip_bytes,
+            forwarded: false,
+        };
+        self.send_ip(sim, next_hop, out, &PacketCtx::default());
     }
 
     fn ip_input(dev: &Rc<RefCell<Router>>, sim: &mut Sim, port: usize, frame: &[u8]) {
-        let mut r = dev.borrow_mut();
+        let r = &mut *dev.borrow_mut();
         let now = sim.now();
-        let tracer = r.obs.trace.clone();
+        let pkt = PacketCtx::current(r.ports.obs.trace.as_ref());
         let ip_bytes = &frame[ETHER_HDR_LEN..];
         let ip = match Ipv4Header::parse(ip_bytes) {
             Ok(h) if h.header_len == IPV4_HDR_LEN => h,
             _ => {
-                r.drops.note(DropReason::MalformedFrame);
-                terminate_current(&tracer, now, Terminal::Dropped(DropReason::MalformedFrame));
+                pkt.drop_at(&mut r.ports.drops, DropReason::MalformedFrame, now);
                 return;
             }
         };
-        if r.ports.iter().any(|p| p.ip == ip.dst) {
+        if r.ports.ports.iter().any(|p| p.ip == ip.dst) {
             r.stats.absorbed += 1;
-            terminate_current(&tracer, now, Terminal::Absorbed);
+            pkt.terminal(now, Terminal::Absorbed);
             return;
         }
         if ip.ttl <= 1 {
-            r.stats.ttl_expired += 1;
-            r.drops.note(DropReason::TtlExpired);
-            event_current(&tracer, now, "ttl-expired");
-            terminate_current(&tracer, now, Terminal::Dropped(DropReason::TtlExpired));
+            pkt.event(now, "ttl-expired");
+            pkt.drop_at(&mut r.ports.drops, DropReason::TtlExpired, now);
             // Quote the expired header + 8 payload bytes back at the
             // source, from the ingress interface address.
             if ip.proto != IpProto::Icmp {
@@ -642,7 +599,8 @@ impl Router {
                     payload: ip_bytes[..ip_bytes.len().min(IPV4_HDR_LEN + 8)].to_vec(),
                 };
                 let body = icmp.encode();
-                let hdr = Ipv4Header::new(r.ports[port].ip, ip.src, IpProto::Icmp, body.len());
+                let from = r.ports.ports[port].ip;
+                let hdr = Ipv4Header::new(from, ip.src, IpProto::Icmp, body.len());
                 let mut pkt = hdr.encode().to_vec();
                 pkt.extend_from_slice(&body);
                 r.stats.time_exceeded_sent += 1;
@@ -652,8 +610,7 @@ impl Router {
         }
         let Some(route) = r.lookup(ip.dst) else {
             r.stats.no_route += 1;
-            r.drops.note(DropReason::NotForHost);
-            terminate_current(&tracer, now, Terminal::Dropped(DropReason::NotForHost));
+            pkt.drop_at(&mut r.ports.drops, DropReason::NotForHost, now);
             return;
         };
         // Asymmetric routing: an armed RouteFlip sends this packet via
@@ -661,13 +618,13 @@ impl Router {
         // site, so topologies without alternates never visit it.
         let (out_port, next_hop) = match route.alt {
             Some((alt_port, alt_hop)) => {
-                let flip = match &r.obs.fault {
+                let flip = match &r.ports.obs.fault {
                     Some(f) => f.borrow_mut().should_inject(FaultSite::RouteFlip),
                     None => false,
                 };
                 if flip {
                     r.stats.route_flips += 1;
-                    event_current(&tracer, now, "fault:route-flip");
+                    pkt.event(now, "fault:route-flip");
                     (alt_port, alt_hop)
                 } else {
                     (route.port, route.next_hop.unwrap_or(ip.dst))
@@ -679,49 +636,48 @@ impl Router {
         // splice the new header back in.
         let mut fwd = Ipv4Header { ..ip };
         fwd.ttl = ip.ttl - 1;
-        let mut out = ip_bytes.to_vec();
-        out[..IPV4_HDR_LEN].copy_from_slice(&fwd.encode());
-        match r.send_ip(sim, out_port, next_hop, out) {
-            None => {
-                r.stats.forwarded += 1;
-                event_current(&tracer, now, "router-forward");
-                terminate_current(&tracer, now, Terminal::Absorbed);
-            }
-            Some(reason) => {
-                terminate_current(&tracer, now, Terminal::Dropped(reason));
-            }
+        let mut out = Outbound {
+            port: out_port,
+            ip: ip_bytes.to_vec(),
+            forwarded: true,
+        };
+        out.ip[..IPV4_HDR_LEN].copy_from_slice(&fwd.encode());
+        if r.send_ip(sim, next_hop, out, &pkt) {
+            pkt.event(now, "router-forward");
+            pkt.terminal(now, Terminal::Absorbed);
         }
     }
 
     fn arp_input(dev: &Rc<RefCell<Router>>, sim: &mut Sim, port: usize, frame: &[u8]) {
-        let mut r = dev.borrow_mut();
+        let r = &mut *dev.borrow_mut();
         let now = sim.now();
-        let tracer = r.obs.trace.clone();
+        let pkt = PacketCtx::current(r.ports.obs.trace.as_ref());
         let Ok(arp) = ArpPacket::parse(&frame[ETHER_HDR_LEN..]) else {
-            r.drops.note(DropReason::MalformedFrame);
-            terminate_current(&tracer, now, Terminal::Dropped(DropReason::MalformedFrame));
+            pkt.drop_at(&mut r.ports.drops, DropReason::MalformedFrame, now);
             return;
         };
-        // Learn the sender either way, and flush anything parked on it.
+        // Learn the sender either way, and flush anything parked on it
+        // (each parked packet met its fate in the tracer at park time).
         r.arp.insert(arp.sender_ip, arp.sender_mac);
         if let Some(waiting) = r.pending.remove(&arp.sender_ip) {
-            for (out_port, ip_bytes) in waiting {
-                let _ = r.send_ip(sim, out_port, arp.sender_ip, ip_bytes);
+            for out in waiting {
+                r.send_ip(sim, arp.sender_ip, out, &PacketCtx::default());
             }
         }
-        if arp.op == ArpOp::Request && arp.target_ip == r.ports[port].ip {
+        let PortState { mac, ip, .. } = r.ports.ports[port];
+        if arp.op == ArpOp::Request && arp.target_ip == ip {
             r.stats.arp_replies += 1;
-            let reply = arp.reply_to(r.ports[port].mac);
+            let reply = arp.reply_to(mac);
             let hdr = EthernetHeader {
                 dst: arp.sender_mac,
-                src: r.ports[port].mac,
+                src: mac,
                 ethertype: EtherType::Arp,
             };
             let mut out = hdr.encode().to_vec();
             out.extend_from_slice(&reply.encode());
-            let _ = r.egress(sim, port, out);
+            r.ports.egress(sim, port, out, &PacketCtx::default());
         }
-        terminate_current(&tracer, now, Terminal::Absorbed);
+        pkt.terminal(now, Terminal::Absorbed);
     }
 }
 
@@ -730,48 +686,26 @@ impl Router {
 /// alternate route) and the packet-lifecycle tracer.
 impl Observable for Router {
     fn observers(&self) -> &Observers {
-        &self.obs
+        &self.ports.obs
     }
 
     fn set_observers(&mut self, obs: Observers) {
-        self.obs = obs;
+        self.ports.obs = obs;
     }
 }
 
 impl NetNode for Router {
     fn frame_from_wire(dev: &Rc<RefCell<Router>>, sim: &mut Sim, port: usize, frame: Vec<u8>) {
-        {
-            let mut r = dev.borrow_mut();
-            r.stats.rx_frames += 1;
-        }
-        let hdr = match EthernetHeader::parse(&frame) {
-            Ok(h) => h,
-            Err(_) => {
-                let mut r = dev.borrow_mut();
-                let tracer = r.obs.trace.clone();
-                r.drops.note(DropReason::MalformedFrame);
-                terminate_current(
-                    &tracer,
-                    sim.now(),
-                    Terminal::Dropped(DropReason::MalformedFrame),
-                );
-                return;
-            }
+        dev.borrow_mut().stats.rx_frames += 1;
+        let reason = match EthernetHeader::parse(&frame).map(|h| h.ethertype) {
+            Ok(EtherType::Ipv4) => return Router::ip_input(dev, sim, port, &frame),
+            Ok(EtherType::Arp) => return Router::arp_input(dev, sim, port, &frame),
+            Ok(EtherType::Other(_)) => DropReason::UnsupportedEtherType,
+            Err(_) => DropReason::MalformedFrame,
         };
-        match hdr.ethertype {
-            EtherType::Ipv4 => Router::ip_input(dev, sim, port, &frame),
-            EtherType::Arp => Router::arp_input(dev, sim, port, &frame),
-            EtherType::Other(_) => {
-                let mut r = dev.borrow_mut();
-                let tracer = r.obs.trace.clone();
-                r.drops.note(DropReason::UnsupportedEtherType);
-                terminate_current(
-                    &tracer,
-                    sim.now(),
-                    Terminal::Dropped(DropReason::UnsupportedEtherType),
-                );
-            }
-        }
+        let r = &mut *dev.borrow_mut();
+        let pkt = PacketCtx::current(r.ports.obs.trace.as_ref());
+        pkt.drop_at(&mut r.ports.drops, reason, sim.now());
     }
 }
 
@@ -955,7 +889,7 @@ mod tests {
         sim.run_to_idle();
         assert_eq!(b.borrow().received.len(), 1);
         assert_eq!(sw.borrow().stats().forwarded, 2);
-        assert_eq!(sw.borrow().stats().tail_drops, 0);
+        assert_eq!(sw.borrow().drops().total(), 0);
     }
 
     #[test]
@@ -973,6 +907,23 @@ mod tests {
         assert_eq!(st.forwarded, 1);
         assert_eq!(st.arp_requests, 1, "router resolved B before sending");
         assert_eq!(r.borrow().drops().total(), 0);
+    }
+
+    #[test]
+    fn a_packet_parked_for_arp_is_not_forwarded_until_it_leaves() {
+        // Ten packets to an on-link address nobody answers: all park,
+        // the pending queue keeps eight and evicts two, none leaves.
+        let (mut sim, _sa, _sb, r, a, _b) = two_seg_router();
+        let rmac = EtherAddr::local(20);
+        for _ in 0..10 {
+            a.borrow()
+                .send_ip(&mut sim, rmac, ipa(10, 0, 2, 99), 64, b"nobody");
+        }
+        sim.run_to_idle();
+        let st = r.borrow().stats();
+        assert_eq!((st.rx_frames, st.arp_parked), (10, 10));
+        assert_eq!(st.forwarded, 0, "nothing left the router");
+        assert_eq!(r.borrow().drops().get(DropReason::ArpUnresolved), 2);
     }
 
     #[test]
@@ -1050,17 +1001,14 @@ mod tests {
                 .send_ip(&mut sim, rmac, ipa(10, 0, 2, 1), 64, &[i; 400]);
         }
         sim.run_to_idle();
-        let st = r.borrow().stats();
-        assert!(st.tail_drops > 0, "burst overflows the 2-deep queue");
+        let tail = r.borrow().drops().get(DropReason::QueueTailDrop);
+        assert!(tail > 0, "burst overflows the 2-deep queue");
         assert_eq!(
-            r.borrow().drops().get(DropReason::QueueTailDrop),
-            st.tail_drops
-        );
-        assert_eq!(
-            b.borrow().received.len() as u64 + st.tail_drops,
+            b.borrow().received.len() as u64 + tail,
             9,
             "every packet either arrived or was counted as a tail drop"
         );
+        assert_eq!(r.borrow().stats().forwarded + tail, 9, "one fate each");
     }
 
     #[test]
@@ -1119,14 +1067,15 @@ mod tests {
                 .send_ip(&mut sim, rmac, ipa(10, 0, 2, 1), 64, &[i; 400]);
         }
         sim.run_to_idle();
-        let st = r.borrow().stats();
-        assert!(st.red_drops > 0, "RED fired below the hard capacity");
-        assert_eq!(st.tail_drops, 0, "hard limit never reached");
+        let drops = r.borrow().drops();
+        let red = drops.get(DropReason::RedEarlyDrop);
+        assert!(red > 0, "RED fired below the hard capacity");
         assert_eq!(
-            r.borrow().drops().get(DropReason::RedEarlyDrop),
-            st.red_drops
+            drops.get(DropReason::QueueTailDrop),
+            0,
+            "hard limit never reached"
         );
-        assert_eq!(b.borrow().received.len() as u64 + st.red_drops, 5);
+        assert_eq!(b.borrow().received.len() as u64 + red, 5);
     }
 
     #[test]
@@ -1152,7 +1101,6 @@ mod tests {
         a.borrow()
             .send_ip(&mut sim, rmac, ipa(10, 0, 2, 1), 64, b"x");
         sim.run_to_idle();
-        assert_eq!(r.borrow().stats().tail_drops, 1);
         assert_eq!(r.borrow().drops().get(DropReason::QueueTailDrop), 1);
         assert_eq!(b.borrow().received.len(), 1, "only the warm-up arrived");
     }

@@ -13,8 +13,8 @@ use std::rc::{Rc, Weak};
 
 use psd_mbuf::{give_frame, take_frame, MbufChain};
 use psd_sim::{
-    Charge, CostModel, Cpu, Discipline, DropCounters, DropReason, Layer, Medium, Op, Sim,
-    SimHandle, SimTime, Stage, TraceId,
+    Charge, CostModel, Cpu, Discipline, DropCounters, DropReason, Layer, Medium, Op, PacketCtx,
+    Sim, SimHandle, SimTime, Stage,
 };
 use psd_wire::{
     ArpOp, ArpPacket, EtherAddr, EtherType, EthernetHeader, IcmpMessage, IpProto, Ipv4Header,
@@ -119,10 +119,10 @@ struct SockEntry {
     /// Bumped whenever timers are invalidated wholesale (close,
     /// migration) so stale timer events turn into no-ops.
     generation: u64,
-    /// Trace ids of datagrams sitting in the socket queue, parallel to
-    /// the UDP pcb's receive queue. Records the enqueue timestamp so the
+    /// Traced datagrams sitting in the socket queue, parallel to the
+    /// UDP pcb's receive queue. Records the enqueue timestamp so the
     /// socket-queue span can be closed retroactively at dequeue.
-    trace_q: std::collections::VecDeque<(TraceId, SimTime)>,
+    trace_q: std::collections::VecDeque<(PacketCtx, SimTime)>,
 }
 
 /// Counters exposed for tests and benchmarks.
@@ -140,13 +140,6 @@ pub struct StackStats {
     pub udp_in: u64,
     /// UDP datagrams sent.
     pub(crate) udp_out: u64,
-    /// Checksum failures (any protocol).
-    pub(crate) checksum_errors: u64,
-    /// Datagrams/segments with no matching socket.
-    pub no_socket: u64,
-    /// Packets dropped awaiting ARP resolution: a library stack's miss
-    /// while the server resolves, or an overflow of the pending queue.
-    pub arp_drops: u64,
     /// ICMP messages received.
     pub(crate) icmp_in: u64,
     /// ICMP Time Exceeded messages received (a router on the path
@@ -158,7 +151,9 @@ pub struct StackStats {
     pub gso_supers: u64,
     /// Wire datagrams produced by segmenting GSO super-descriptors.
     pub gso_segments: u64,
-    /// Per-reason drop counters. Always maintained, tracing or not.
+    /// Per-reason drop counters. Always maintained, tracing or not:
+    /// every drop site counts here through the one call that also
+    /// reports it to the census and the tracer.
     pub drops: DropCounters,
 }
 
@@ -934,13 +929,9 @@ impl NetStack {
             return Err(err);
         }
         let (from, chain) = pcb.dequeue().ok_or(SocketError::WouldBlock)?;
-        if let Some((tid, enq_t)) = e.trace_q.pop_front() {
-            if let Some(tr) = &charge.observers().trace {
-                let now = charge.at();
-                let mut tr = tr.borrow_mut();
-                tr.span_closed(tid, Stage::SocketQueue, enq_t, now);
-                tr.event(tid, now, "app-recv");
-            }
+        if let Some((pkt, enq_t)) = e.trace_q.pop_front() {
+            pkt.span_closed(Stage::SocketQueue, enq_t, charge.at());
+            pkt.event(charge.at(), "app-recv");
         }
         self.op(charge, Op::Soreceive, Layer::CopyoutExit);
         self.op(charge, self.sblock(1), Layer::CopyoutExit);
@@ -963,13 +954,9 @@ impl NetStack {
             return Err(err);
         }
         let (from, chain) = pcb.dequeue().ok_or(SocketError::WouldBlock)?;
-        if let Some((tid, enq_t)) = e.trace_q.pop_front() {
-            if let Some(tr) = &charge.observers().trace {
-                let now = charge.at();
-                let mut tr = tr.borrow_mut();
-                tr.span_closed(tid, Stage::SocketQueue, enq_t, now);
-                tr.event(tid, now, "app-recv");
-            }
+        if let Some((pkt, enq_t)) = e.trace_q.pop_front() {
+            pkt.span_closed(Stage::SocketQueue, enq_t, charge.at());
+            pkt.event(charge.at(), "app-recv");
         }
         // The library's datagram receive is the specialized fast path.
         let soreceive = match self.placement {
@@ -1271,11 +1258,18 @@ impl NetStack {
         }
     }
 
-    /// Counts a packet lost for want of an ARP answer.
+    /// Counts a packet lost for want of an ARP answer: a library
+    /// stack's miss while the server resolves, or an overflow of the
+    /// pending queue. Not the packet being received, if any.
     fn arp_drop(&mut self, charge: &mut Charge) {
-        self.stats.arp_drops += 1;
-        self.stats.drops.note(DropReason::ArpUnresolved);
-        charge.count_drop(DropReason::ArpUnresolved, self.placement.domain());
+        let domain = self.placement.domain();
+        charge.drop_other(&mut self.stats.drops, DropReason::ArpUnresolved, domain);
+    }
+
+    /// Drops the packet being received for `reason`.
+    fn discard(&mut self, charge: &mut Charge, reason: DropReason) {
+        let domain = self.placement.domain();
+        charge.drop_current(&mut self.stats.drops, reason, domain);
     }
 
     fn transmit_ip_frame(
@@ -1305,8 +1299,7 @@ impl NetStack {
     pub fn input_frame(&mut self, sim: &mut Sim, charge: &mut Charge, frame: &[u8]) {
         self.stats.frames_in += 1;
         let Ok(eth) = EthernetHeader::parse(frame) else {
-            self.stats.drops.note(DropReason::MalformedFrame);
-            charge.trace_drop(DropReason::MalformedFrame, self.placement.domain());
+            self.discard(charge, DropReason::MalformedFrame);
             return;
         };
         // Package the packet as an mbuf chain and queue it on the
@@ -1322,8 +1315,7 @@ impl NetStack {
             EtherType::Arp => self.arp_input(sim, charge, &frame[ETHER_HDR_LEN..], eth.src),
             EtherType::Ipv4 => self.ip_input(sim, charge, &frame[ETHER_HDR_LEN..]),
             EtherType::Other(_) => {
-                self.stats.drops.note(DropReason::UnsupportedEtherType);
-                charge.trace_drop(DropReason::UnsupportedEtherType, self.placement.domain());
+                self.discard(charge, DropReason::UnsupportedEtherType);
             }
         }
         charge.site_pop();
@@ -1331,8 +1323,7 @@ impl NetStack {
 
     fn arp_input(&mut self, sim: &mut Sim, charge: &mut Charge, pkt: &[u8], _src: EtherAddr) {
         let Ok(arp) = ArpPacket::parse(pkt) else {
-            self.stats.drops.note(DropReason::MalformedFrame);
-            charge.trace_drop(DropReason::MalformedFrame, self.placement.domain());
+            self.discard(charge, DropReason::MalformedFrame);
             return;
         };
         charge.trace_event("arp");
@@ -1363,15 +1354,12 @@ impl NetStack {
         self.op(charge, Op::IpInput, Layer::IpIntr);
         self.sync(charge, Layer::IpIntr, 3);
         let Ok(hdr) = Ipv4Header::parse(pkt) else {
-            self.stats.checksum_errors += 1;
-            self.stats.drops.note(DropReason::ChecksumError);
-            charge.trace_drop(DropReason::ChecksumError, self.placement.domain());
+            self.discard(charge, DropReason::ChecksumError);
             return;
         };
         if hdr.dst != self.ip_addr && self.placement == Placement::Library {
             // Filters should prevent this; drop defensively.
-            self.stats.drops.note(DropReason::NotForHost);
-            charge.trace_drop(DropReason::NotForHost, self.placement.domain());
+            self.discard(charge, DropReason::NotForHost);
             return;
         }
         let payload = &pkt[hdr.header_len..usize::from(hdr.total_len)];
@@ -1381,9 +1369,9 @@ impl NetStack {
             // reclaimed here, at the next fragment arrival, exactly as
             // BSD's slow-timeout based reaper would eventually do.
             let expired = self.reasm.expire(now);
+            let (drops, domain) = (&mut self.stats.drops, self.placement.domain());
             for _ in 0..expired {
-                self.stats.drops.note(DropReason::ReassemblyTimeout);
-                charge.count_drop(DropReason::ReassemblyTimeout, self.placement.domain());
+                charge.drop_other(drops, DropReason::ReassemblyTimeout, domain);
             }
             if let Some((whole, data)) = self.reasm.insert(&hdr, payload, now) {
                 self.stats.reassembled += 1;
@@ -1419,8 +1407,7 @@ impl NetStack {
             }
             IpProto::Icmp => self.icmp_input(sim, charge, ip, payload),
             IpProto::Other(_) => {
-                self.stats.drops.note(DropReason::UnsupportedProtocol);
-                charge.trace_drop(DropReason::UnsupportedProtocol, self.placement.domain());
+                self.discard(charge, DropReason::UnsupportedProtocol);
             }
         }
     }
@@ -1430,22 +1417,18 @@ impl NetStack {
         self.op(charge, Op::UdpInput, Layer::TcpUdpInput);
         self.sync(charge, Layer::TcpUdpInput, 1);
         let Ok(udp) = UdpHeader::parse(pkt) else {
-            self.stats.drops.note(DropReason::MalformedFrame);
-            charge.trace_drop(DropReason::MalformedFrame, self.placement.domain());
+            self.discard(charge, DropReason::MalformedFrame);
             return;
         };
         let data_len = usize::from(udp.len).saturating_sub(psd_wire::UDP_HDR_LEN);
         if pkt.len() < psd_wire::UDP_HDR_LEN + data_len {
-            self.stats.drops.note(DropReason::TruncatedPayload);
-            charge.trace_drop(DropReason::TruncatedPayload, self.placement.domain());
+            self.discard(charge, DropReason::TruncatedPayload);
             return;
         }
         let data = &pkt[psd_wire::UDP_HDR_LEN..psd_wire::UDP_HDR_LEN + data_len];
         self.op(charge, Op::Checksum(pkt.len()), Layer::TcpUdpInput);
         if !udp.verify(ip, pkt, std::iter::once(data)) {
-            self.stats.checksum_errors += 1;
-            self.stats.drops.note(DropReason::ChecksumError);
-            charge.trace_drop(DropReason::ChecksumError, self.placement.domain());
+            self.discard(charge, DropReason::ChecksumError);
             return;
         }
         self.stats.udp_in += 1;
@@ -1482,9 +1465,7 @@ impl NetStack {
                     return;
                 }
             }
-            self.stats.no_socket += 1;
-            self.stats.drops.note(DropReason::PortUnreachable);
-            charge.trace_drop(DropReason::PortUnreachable, self.placement.domain());
+            self.discard(charge, DropReason::PortUnreachable);
             if self.arp_authoritative {
                 let mut quoted = ip.encode().to_vec();
                 quoted.extend_from_slice(&pkt[..pkt.len().min(8)]);
@@ -1501,16 +1482,14 @@ impl NetStack {
         };
         let was_empty = pcb.rcv.is_empty();
         if pcb.enqueue(src, MbufChain::from_slice(data)) {
-            if let Some(tr) = &charge.observers().trace {
-                if let Some(tid) = tr.borrow().current() {
-                    e.trace_q.push_back((tid, charge.at()));
-                }
+            let pkt = charge.packet();
+            if pkt.is_traced() {
+                e.trace_q.push_back((pkt, charge.at()));
             }
             charge.trace_delivered();
             self.notify(sim, charge, sock, SockEvent::Readable, was_empty);
         } else {
-            self.stats.drops.note(DropReason::SocketOverflow);
-            charge.trace_drop(DropReason::SocketOverflow, self.placement.domain());
+            self.discard(charge, DropReason::SocketOverflow);
         }
     }
 
@@ -1519,8 +1498,7 @@ impl NetStack {
         self.op(charge, Op::TcpInput, Layer::TcpUdpInput);
         self.sync(charge, Layer::TcpUdpInput, 2);
         let Ok((hdr, hdr_len)) = TcpHeader::parse(pkt) else {
-            self.stats.drops.note(DropReason::MalformedFrame);
-            charge.trace_drop(DropReason::MalformedFrame, self.placement.domain());
+            self.discard(charge, DropReason::MalformedFrame);
             return;
         };
         self.op(charge, Op::Checksum(pkt.len()), Layer::TcpUdpInput);
@@ -1530,9 +1508,7 @@ impl NetStack {
             pkt.len() - hdr_len,
             std::iter::once(&pkt[hdr_len..]),
         ) {
-            self.stats.checksum_errors += 1;
-            self.stats.drops.note(DropReason::ChecksumError);
-            charge.trace_drop(DropReason::ChecksumError, self.placement.domain());
+            self.discard(charge, DropReason::ChecksumError);
             return;
         }
         self.stats.tcp_in += 1;
@@ -1593,9 +1569,7 @@ impl NetStack {
                     return;
                 }
             }
-            self.stats.no_socket += 1;
-            self.stats.drops.note(DropReason::ConnectionRefused);
-            charge.trace_drop(DropReason::ConnectionRefused, self.placement.domain());
+            self.discard(charge, DropReason::ConnectionRefused);
             // A closed TCB answers with at most a RST and has no
             // timers, events or socket: run it under the null id.
             let mut closed = Tcb::new(local, remote, 0, 0);
@@ -1643,8 +1617,7 @@ impl NetStack {
         };
         if full {
             // Drop the SYN; the peer retries.
-            self.stats.drops.note(DropReason::ListenOverflow);
-            charge.trace_drop(DropReason::ListenOverflow, self.placement.domain());
+            self.discard(charge, DropReason::ListenOverflow);
             return;
         }
         let iss = self.next_iss();
@@ -1792,9 +1765,7 @@ impl NetStack {
         self.stats.icmp_in += 1;
         self.op(charge, Op::IcmpInput, Layer::TcpUdpInput);
         let Ok(msg) = IcmpMessage::parse(pkt) else {
-            self.stats.checksum_errors += 1;
-            self.stats.drops.note(DropReason::ChecksumError);
-            charge.trace_drop(DropReason::ChecksumError, self.placement.domain());
+            self.discard(charge, DropReason::ChecksumError);
             return;
         };
         charge.trace_event("icmp");

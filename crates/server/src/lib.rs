@@ -30,11 +30,11 @@ use std::net::Ipv4Addr;
 use std::rc::{Rc, Weak};
 
 use psd_filter::{EndpointSpec, FilterId};
-use psd_kernel::{EndpointId, KernelHandle, PacketSink, RxMode};
+use psd_kernel::{EndpointId, Kernel, KernelHandle, PacketSink, RxMode};
 use psd_netstack::stack::{SessionState, StackHandle};
 use psd_netstack::udp::UdpSnapshot;
 use psd_netstack::{InetAddr, NetStack, Placement, Route, SockEvent, SockId, SocketError};
-use psd_sim::{Charge, CostModel, Domain, FaultSite, Layer, Op, Sim, SimTime};
+use psd_sim::{Charge, CostModel, Domain, FaultSite, Layer, Op, PacketCtx, Sim, SimTime};
 use psd_wire::{EtherAddr, IpProto};
 
 /// A simulated process known to the server.
@@ -1807,8 +1807,7 @@ impl OsServer {
         frame.extend_from_slice(data);
         let kernel = this.borrow().kernel.clone();
         sim.at(sim.now(), move |sim| {
-            use psd_netdev::Station;
-            kernel.borrow_mut().frame_arrived(sim, frame);
+            Kernel::represent(&kernel, sim, frame, &PacketCtx::default());
         });
     }
 

@@ -28,7 +28,9 @@ use crate::fault::{FaultPlaneHandle, FaultSite};
 use crate::layer::Layer;
 use crate::profile::{ProfEntry, ProfileHandle, ROOT_SITE};
 use crate::time::SimTime;
-use crate::trace::{DropReason, Stage, Terminal, TraceHandle, TraceId, Tracer};
+use crate::trace::{
+    DropCounters, DropReason, PacketCtx, Stage, Terminal, TraceHandle, TraceId, Tracer,
+};
 
 // The packed dispatch mask: one bit per attachable plane.
 // `Cpu`'s `set_observers` recomputes it; `begin` copies it into the
@@ -181,13 +183,6 @@ pub struct Charge {
 }
 
 impl Charge {
-    /// The observer set this cursor reports to, for handing a plane to
-    /// asynchronous continuations (delivery closures, deferred wakeups
-    /// take the tracer together with [`Tracer::current`]).
-    pub fn observers(&self) -> &Observers {
-        &self.obs
-    }
-
     /// The current position of the cursor (virtual "now" for this path).
     pub fn at(&self) -> SimTime {
         self.cursor
@@ -344,22 +339,31 @@ impl Charge {
         self.trace_current(|t, id, at| t.event(id, at, name));
     }
 
-    /// Records that the current packet was dropped for `reason` in
-    /// `domain`: counts the drop in the census and terminates the
-    /// packet's trace. Use at *receive-path* drop sites, where the
-    /// current packet is the one dying.
-    pub fn trace_drop(&mut self, reason: DropReason, domain: Domain) {
-        self.count_drop(reason, domain);
+    /// The packet under the cursor, for an asynchronous continuation
+    /// to capture and [enter](PacketCtx::enter) when it runs.
+    pub fn packet(&self) -> PacketCtx {
+        if self.mask & M_TRACE == 0 {
+            return PacketCtx::default();
+        }
+        PacketCtx::current(self.obs.trace.as_ref())
+    }
+
+    /// The receive-path drop call: the packet under the cursor dies for
+    /// `reason` in `domain`. Counts it in the component's `drops` and
+    /// the census, and terminates the packet's trace.
+    pub fn drop_current(&mut self, drops: &mut DropCounters, reason: DropReason, domain: Domain) {
+        self.drop_other(drops, reason, domain);
         self.trace_terminal(Terminal::Dropped(reason));
     }
 
-    /// Counts a drop for `reason` in the census *without* terminating
-    /// the current packet's trace. Use at *transmit-path* drop sites
-    /// (ARP-pending, limiter, disconnected device): a reply triggered
-    /// by a received packet can die on the way out while the received
-    /// packet itself lives on.
-    #[inline]
-    pub fn count_drop(&mut self, reason: DropReason, domain: Domain) {
+    /// The transmit-path drop call: a packet other than the one under
+    /// the cursor dies for `reason` in `domain` — a reply dying on the
+    /// way out (ARP pending, limiter, disconnected device) or an expired
+    /// fragment — while the packet being processed lives on. Counts it
+    /// in the component's `drops` and the census, and terminates
+    /// nothing.
+    pub fn drop_other(&mut self, drops: &mut DropCounters, reason: DropReason, domain: Domain) {
+        drops.note(reason);
         if self.mask & M_CENSUS != 0 {
             if let Some(c) = &self.obs.census {
                 c.borrow_mut().note_drop(reason, domain);
@@ -500,20 +504,20 @@ mod tests {
             trace: Some(tracer.clone()),
             ..Observers::default()
         });
-        let id = tracer.borrow_mut().begin_packet(SimTime::ZERO, None);
-        tracer.borrow_mut().push_current(id);
+        let pkt = PacketCtx::begin(Some(&tracer), SimTime::ZERO, &PacketCtx::default());
         let costs = CostModel::decstation_5000_200();
-        let mut c = cpu.begin(SimTime::ZERO);
-        let copy = Op::BodyCopy(Medium::KernelCached, 10);
-        c.op(&costs, copy, Domain::Kernel, Layer::KernelCopyout);
-        let spl = Op::Sync(Discipline::Spl, 2);
-        c.op(&costs, spl, Domain::Kernel, Layer::WakeupUserThread);
-        c.trace_span_start(Stage::NicRx);
-        c.add_ns(Layer::DeviceIntrRead, 100);
-        c.trace_span_end(Stage::NicRx);
-        c.trace_delivered();
-        cpu.finish(c);
-        tracer.borrow_mut().pop_current();
+        pkt.enter(|| {
+            let mut c = cpu.begin(SimTime::ZERO);
+            let copy = Op::BodyCopy(Medium::KernelCached, 10);
+            c.op(&costs, copy, Domain::Kernel, Layer::KernelCopyout);
+            let spl = Op::Sync(Discipline::Spl, 2);
+            c.op(&costs, spl, Domain::Kernel, Layer::WakeupUserThread);
+            c.trace_span_start(Stage::NicRx);
+            c.add_ns(Layer::DeviceIntrRead, 100);
+            c.trace_span_end(Stage::NicRx);
+            c.trace_delivered();
+            cpu.finish(c);
+        });
         assert_eq!(census.borrow().total(OpKind::SplRaise), 2);
         let t = tracer.borrow();
         assert_eq!(t.stage_latencies(Stage::NicRx), vec![100]);
@@ -522,7 +526,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_drop_terminates_and_counts_count_drop_only_counts() {
+    fn drop_current_terminates_and_drop_other_only_counts() {
         let census = Census::shared();
         let tracer = Tracer::shared();
         let mut cpu = Cpu::new();
@@ -531,28 +535,28 @@ mod tests {
             trace: Some(tracer.clone()),
             ..Observers::default()
         });
-        let id = tracer.borrow_mut().begin_packet(SimTime::ZERO, None);
-        tracer.borrow_mut().push_current(id);
-        let mut c = cpu.begin(SimTime::ZERO);
-        // A transmit-side drop must not terminate the current packet.
-        c.count_drop(DropReason::ArpUnresolved, Domain::Library);
-        assert_eq!(tracer.borrow().terminal_counts(), (0, 0, 0));
-        // A receive-side drop terminates it.
-        c.trace_drop(DropReason::ChecksumError, Domain::Library);
-        cpu.finish(c);
-        tracer.borrow_mut().pop_current();
+        let mut drops = DropCounters::default();
+        let pkt = PacketCtx::begin(Some(&tracer), SimTime::ZERO, &PacketCtx::default());
+        pkt.enter(|| {
+            let mut c = cpu.begin(SimTime::ZERO);
+            assert_eq!(c.packet().id(), pkt.id());
+            // A transmit-side drop must not terminate the current packet.
+            c.drop_other(&mut drops, DropReason::ArpUnresolved, Domain::Library);
+            assert_eq!(tracer.borrow().terminal_counts(), (0, 0, 0));
+            // A receive-side drop terminates it.
+            c.drop_current(&mut drops, DropReason::ChecksumError, Domain::Library);
+            cpu.finish(c);
+        });
         let t = tracer.borrow();
         assert_eq!(t.terminal_counts(), (0, 0, 1));
         assert_eq!(t.drops().get(DropReason::ChecksumError), 1);
+        assert!(t.check_invariants().is_empty());
+        // Every drop reaches the component's counters and the census.
         let census = census.borrow();
-        assert_eq!(
-            census.drop_count(DropReason::ArpUnresolved, Domain::Library),
-            1
-        );
-        assert_eq!(
-            census.drop_count(DropReason::ChecksumError, Domain::Library),
-            1
-        );
+        for reason in [DropReason::ArpUnresolved, DropReason::ChecksumError] {
+            assert_eq!(drops.get(reason), 1);
+            assert_eq!(census.drop_count(reason, Domain::Library), 1);
+        }
     }
 
     #[test]

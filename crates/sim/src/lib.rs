@@ -54,5 +54,6 @@ pub use profile::{ProfileHandle, Profiler};
 pub use rng::Rng;
 pub use time::SimTime;
 pub use trace::{
-    chrome_trace_document, DropCounters, DropReason, Stage, Terminal, TraceHandle, TraceId, Tracer,
+    chrome_trace_document, DropCounters, DropReason, PacketCtx, Stage, Terminal, TraceHandle,
+    Tracer,
 };

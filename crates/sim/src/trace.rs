@@ -37,11 +37,11 @@ use crate::time::SimTime;
 /// Provenance id of one traced packet (a wire frame, or one station's
 /// delivered copy of it — deliveries are children of the wire frame).
 ///
-/// Stored off by one in a `NonZeroU64` so `Option<TraceId>` is one word:
-/// every deferred hop on the receive path captures one, and the capture
-/// has to fit `SmallFn`'s inline storage.
+/// Stored off by one in a `NonZeroU64` so a [`PacketCtx`] is two
+/// words: every deferred hop on the receive path captures one, and the
+/// capture has to fit `SmallFn`'s inline storage.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct TraceId(NonZeroU64);
+pub(crate) struct TraceId(NonZeroU64);
 
 impl std::fmt::Debug for TraceId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -246,11 +246,17 @@ impl DropReason {
 /// Always-on per-reason drop counters, embedded in component stats
 /// structs so chaos debugging has counts even with tracing off.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct DropCounters(pub [u64; DropReason::COUNT]);
+pub struct DropCounters([u64; DropReason::COUNT]);
 
 impl DropCounters {
-    /// Counts one drop for `reason`.
-    pub fn note(&mut self, reason: DropReason) {
+    /// Counts one drop for `reason`. Crate-private: a component counts
+    /// a drop only through [`Charge::drop_current`],
+    /// [`Charge::drop_other`] or [`PacketCtx::drop_at`], which report
+    /// the same drop to every other tally at once.
+    ///
+    /// [`Charge::drop_current`]: crate::cpu::Charge::drop_current
+    /// [`Charge::drop_other`]: crate::cpu::Charge::drop_other
+    pub(crate) fn note(&mut self, reason: DropReason) {
         self.0[reason.index()] += 1;
     }
 
@@ -272,6 +278,86 @@ impl DropCounters {
                 0 => None,
                 n => Some((*r, n)),
             })
+    }
+}
+
+/// One packet's tracing context: the tracer and the packet's id.
+///
+/// The one value a trace-context hop handles. A deferred continuation
+/// (a delivery closure, a held GRO run, a socket-queue entry) captures
+/// it when it is scheduled and re-enters it when it runs; a wire element
+/// reports the fate of the frame it holds through it. Empty when no
+/// tracer is attached or no packet is being traced, and then every
+/// method is a no-op. Two words, so a hop that captures it still fits
+/// `SmallFn`'s inline storage.
+#[derive(Clone, Debug, Default)]
+pub struct PacketCtx(Option<(TraceHandle, TraceId)>);
+
+impl PacketCtx {
+    /// The packet `tracer` is processing now.
+    pub fn current(tracer: Option<&TraceHandle>) -> PacketCtx {
+        PacketCtx(tracer.and_then(|t| Some((t.clone(), t.borrow().current()?))))
+    }
+
+    /// Registers a new packet born at `t`: a wire frame (`parent`
+    /// empty), or one station's delivered copy of the wire frame
+    /// `parent`.
+    pub fn begin(tracer: Option<&TraceHandle>, t: SimTime, parent: &PacketCtx) -> PacketCtx {
+        PacketCtx(tracer.map(|tr| (tr.clone(), tr.borrow_mut().begin_packet(t, parent.id()))))
+    }
+
+    /// Whether there is a traced packet behind this context.
+    pub fn is_traced(&self) -> bool {
+        self.0.is_some()
+    }
+
+    /// The packet's id.
+    pub(crate) fn id(&self) -> Option<TraceId> {
+        self.0.as_ref().map(|(_, id)| *id)
+    }
+
+    /// Runs `f` with this packet current: every hook `f` reaches
+    /// through a [`Charge`] reports to this packet.
+    ///
+    /// [`Charge`]: crate::cpu::Charge
+    pub fn enter<R>(&self, f: impl FnOnce() -> R) -> R {
+        let Some((t, id)) = &self.0 else {
+            return f();
+        };
+        t.borrow_mut().push_current(*id);
+        let r = f();
+        t.borrow_mut().pop_current();
+        r
+    }
+
+    /// Records a named instant event on the packet at `t`.
+    pub fn event(&self, t: SimTime, name: &'static str) {
+        if let Some((tr, id)) = &self.0 {
+            tr.borrow_mut().event(*id, t, name);
+        }
+    }
+
+    /// Records an already-closed `stage` span on the packet.
+    pub fn span_closed(&self, stage: Stage, start: SimTime, end: SimTime) {
+        if let Some((tr, id)) = &self.0 {
+            tr.borrow_mut().span_closed(*id, stage, start, end);
+        }
+    }
+
+    /// Records the packet's terminal state at `t`.
+    pub fn terminal(&self, t: SimTime, term: Terminal) {
+        if let Some((tr, id)) = &self.0 {
+            tr.borrow_mut().terminal(*id, t, term);
+        }
+    }
+
+    /// The wire's drop call: the packet dies for `reason` at `t`,
+    /// counted in the element's `drops` and, traced, terminated. An
+    /// empty context only counts — the transmit-side case, where the
+    /// frame dying is not the packet being processed.
+    pub fn drop_at(&self, drops: &mut DropCounters, reason: DropReason, t: SimTime) {
+        drops.note(reason);
+        self.terminal(t, Terminal::Dropped(reason));
     }
 }
 
@@ -325,9 +411,9 @@ pub type TraceHandle = Rc<RefCell<Tracer>>;
 pub struct Tracer {
     next_id: u64,
     /// Stack of packets currently being processed (the innermost is the
-    /// one charge-site events attach to). Asynchronous continuations
-    /// (delivery closures, deferred wakeups) capture the id at schedule
-    /// time and re-push it around their execution.
+    /// one charge-site events attach to). Only [`PacketCtx::enter`]
+    /// pushes and pops it: asynchronous continuations capture a
+    /// [`PacketCtx`] at schedule time and enter it when they run.
     current: Vec<TraceId>,
     packets: Vec<PacketRec>,
     spans: Vec<SpanRec>,
@@ -350,7 +436,7 @@ impl Tracer {
 
     /// Registers a new packet born at `t`. Deliveries to individual
     /// stations are children of the wire frame (`parent`).
-    pub fn begin_packet(&mut self, t: SimTime, parent: Option<TraceId>) -> TraceId {
+    pub(crate) fn begin_packet(&mut self, t: SimTime, parent: Option<TraceId>) -> TraceId {
         let id = TraceId::from_index(self.next_id);
         self.next_id += 1;
         self.packets.push(PacketRec {
@@ -363,19 +449,19 @@ impl Tracer {
     }
 
     /// Pushes `id` as the packet now being processed.
-    pub fn push_current(&mut self, id: TraceId) {
+    pub(crate) fn push_current(&mut self, id: TraceId) {
         self.current.push(id);
     }
 
     /// Pops the innermost current packet.
-    pub fn pop_current(&mut self) {
+    pub(crate) fn pop_current(&mut self) {
         if self.current.pop().is_none() {
             self.violations.push("pop_current on empty stack".into());
         }
     }
 
     /// The packet currently being processed, if any.
-    pub fn current(&self) -> Option<TraceId> {
+    pub(crate) fn current(&self) -> Option<TraceId> {
         self.current.last().copied()
     }
 
@@ -424,7 +510,7 @@ impl Tracer {
 
     /// Records an already-closed span (e.g. socket-queue residence,
     /// known only when the application dequeues).
-    pub fn span_closed(&mut self, id: TraceId, stage: Stage, start: SimTime, end: SimTime) {
+    pub(crate) fn span_closed(&mut self, id: TraceId, stage: Stage, start: SimTime, end: SimTime) {
         self.spans.push(SpanRec {
             id,
             stage,
@@ -434,13 +520,13 @@ impl Tracer {
     }
 
     /// Records a named instant event on packet `id` at `t`.
-    pub fn event(&mut self, id: TraceId, t: SimTime, name: &'static str) {
+    pub(crate) fn event(&mut self, id: TraceId, t: SimTime, name: &'static str) {
         self.events.push(EventRec { id, t, name });
     }
 
     /// Records packet `id`'s terminal state at `t`, closing any spans
     /// still open at that instant. A second terminal is a violation.
-    pub fn terminal(&mut self, id: TraceId, t: SimTime, term: Terminal) {
+    pub(crate) fn terminal(&mut self, id: TraceId, t: SimTime, term: Terminal) {
         let p = &mut self.packets[id.index() as usize];
         if let Some((_, prev)) = p.terminal {
             self.violations.push(format!(

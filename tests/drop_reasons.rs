@@ -16,8 +16,8 @@ use psd::netdev::Ethernet;
 use psd::netstack::InetAddr;
 use psd::server::Proto;
 use psd::sim::{
-    CostModel, Cpu, Domain, DropReason, Observable, Observers, Platform, Rng, Sim, SimTime,
-    TraceHandle, Tracer,
+    CostModel, Cpu, Domain, DropReason, Observable, Observers, PacketCtx, Platform, Rng, Sim,
+    SimTime, TraceHandle, Tracer,
 };
 use psd::systems::{SystemConfig, TestBed};
 use psd::wire::{
@@ -34,11 +34,13 @@ const HOST_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 2);
 /// An in-kernel testbed with a tracer attached; frames injected onto
 /// its wire land in host 1's in-kernel stack.
 fn traced_bed(seed: u64) -> (TestBed, TraceHandle) {
-    let mut bed = TestBed::new(
-        SystemConfig::Mach25InKernel,
-        Platform::DecStation5000_200,
-        seed,
-    );
+    traced_bed_in(SystemConfig::Mach25InKernel, seed)
+}
+
+/// A `config` testbed with a tracer attached; frames injected onto its
+/// wire land in host 1's operating-system stack.
+fn traced_bed_in(config: SystemConfig, seed: u64) -> (TestBed, TraceHandle) {
+    let mut bed = TestBed::new(config, Platform::DecStation5000_200, seed);
     let tracer = bed.attach_tracer();
     (bed, tracer)
 }
@@ -175,12 +177,12 @@ fn datagram_for_another_host_is_counted() {
     // no wire in the loop, open the packet's trace by hand as the NIC
     // would have.
     let f = udp_frame((Ipv4Addr::new(10, 0, 0, 9), 4321), &[0u8; 8]);
-    let pkt = tracer.borrow_mut().begin_packet(SimTime::ZERO, None);
-    tracer.borrow_mut().push_current(pkt);
-    let mut charge = cpu.borrow_mut().begin(SimTime::ZERO);
-    stack.borrow_mut().input_frame(&mut sim, &mut charge, &f);
-    cpu.borrow_mut().finish(charge);
-    tracer.borrow_mut().pop_current();
+    let pkt = PacketCtx::begin(Some(&tracer), SimTime::ZERO, &PacketCtx::default());
+    pkt.enter(|| {
+        let mut charge = cpu.borrow_mut().begin(SimTime::ZERO);
+        stack.borrow_mut().input_frame(&mut sim, &mut charge, &f);
+        cpu.borrow_mut().finish(charge);
+    });
     sim.run_to_idle();
     assert_eq!(tracer.borrow().drops().get(DropReason::NotForHost), 1);
     assert_eq!(
@@ -331,12 +333,29 @@ fn destroyed_endpoint_is_counted_dead() {
 }
 
 /// Deterministic fuzz: spray randomized adversarial frames (strays,
-/// fragments, truncations, ARP, garbage) at a live in-kernel host and
-/// require that every single one reaches a typed terminal — the
-/// no-silent-drop property the taxonomy exists to guarantee.
+/// fragments, truncations, ARP, garbage) at a live host and require
+/// that every single one reaches a typed terminal — the no-silent-drop
+/// property the taxonomy exists to guarantee — and that the three
+/// tallies of a drop agree reason by reason: the tracer counts what the
+/// wire and the hosts' kernels and stacks count, and the census counts
+/// what the hosts count. Run in the three placements of the receive
+/// path: the in-kernel stack, the UX server, and a library host whose
+/// kernel uses the integrated filter (the spray reaches its server).
 #[test]
 fn fuzzed_frames_never_drop_silently() {
-    let (mut bed, tracer) = traced_bed(70);
+    for config in [
+        SystemConfig::Mach25InKernel,
+        SystemConfig::UxServer,
+        SystemConfig::LibraryShmIpf,
+    ] {
+        fuzz_placement(config);
+    }
+}
+
+fn fuzz_placement(config: SystemConfig) {
+    let label = config.label();
+    let (mut bed, tracer) = traced_bed_in(config, 70);
+    let censuses = bed.attach_census();
     let mut rng = Rng::new(0xD20F_FA11);
     for _ in 0..250 {
         let frame = if rng.chance(0.05) {
@@ -413,14 +432,44 @@ fn fuzzed_frames_never_drop_silently() {
     let drops = t.drops();
     assert!(
         drops.total() > 0,
-        "an adversarial spray must produce typed drops"
+        "{label}: an adversarial spray must produce typed drops"
     );
     // The spray must exercise a spread of the taxonomy, not one bin.
     let distinct = DropReason::ALL
         .iter()
         .filter(|&&r| drops.get(r) > 0)
         .count();
-    assert!(distinct >= 3, "only {distinct} distinct drop reasons hit");
+    assert!(
+        distinct >= 3,
+        "{label}: only {distinct} distinct drop reasons hit"
+    );
+    for reason in DropReason::ALL {
+        let wire = bed.ether.borrow().drops().get(reason);
+        let hosts: u64 = bed
+            .hosts
+            .iter()
+            .map(|h| {
+                h.kernel.borrow().stats().drops.get(reason)
+                    + h.os_stack().borrow().stats.drops.get(reason)
+            })
+            .sum();
+        let census: u64 = censuses
+            .iter()
+            .flat_map(|c| {
+                [Domain::Kernel, Domain::Server, Domain::Library]
+                    .map(|d| c.borrow().drop_count(reason, d))
+            })
+            .sum();
+        assert_eq!(
+            drops.get(reason),
+            wire + hosts,
+            "{label}: {reason:?}: the tracer against the wire and the hosts"
+        );
+        assert_eq!(
+            census, hosts,
+            "{label}: {reason:?}: the census against the hosts"
+        );
+    }
 }
 
 /// Twelve datagrams to an on-link address nobody answers: the ARP
@@ -446,7 +495,6 @@ fn arp_pending_overflow_is_counted() {
         let stack = bed.hosts[0].os_stack();
         let stats = &stack.borrow().stats;
         let label = config.label();
-        assert_eq!(stats.arp_drops, 4, "{label}: arp_drops");
         assert_eq!(stats.drops.get(DropReason::ArpUnresolved), 4, "{label}");
         let census = censuses[0].borrow();
         assert_eq!(

@@ -7,7 +7,7 @@ use common::{run_until, udp_echo_server};
 use psd::core::{AppLib, Fd, SelectOutcome};
 use psd::netstack::InetAddr;
 use psd::server::Proto;
-use psd::sim::{Platform, SimTime};
+use psd::sim::{DropReason, Platform, SimTime};
 use psd::systems::{SystemConfig, TestBed};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -263,7 +263,12 @@ fn closed_session_filters_are_removed() {
         "no session filter may claim traffic for a closed session"
     );
     let os_stack = bed.hosts[0].server.as_ref().unwrap().borrow().stack();
-    assert!(os_stack.borrow().stats.no_socket >= 1);
+    let refused = os_stack
+        .borrow()
+        .stats
+        .drops
+        .get(DropReason::PortUnreachable);
+    assert!(refused >= 1);
 }
 
 #[test]
@@ -364,7 +369,12 @@ fn outbound_limiter_guards_user_space_stacks() {
             "{label}: the admitted datagram is delivered"
         );
         let wire_before = bed.ether.borrow().stats().tx_frames;
-        let rejected_before = bed.hosts[0].kernel.borrow().stats().tx_rejected;
+        let rejected_before = bed.hosts[0]
+            .kernel
+            .borrow()
+            .stats()
+            .drops
+            .get(DropReason::TxLimited);
 
         AppLib::sendto(&sender, &mut bed.sim, sfd, b"blocked", to_blocked).unwrap();
         bed.settle();
@@ -374,7 +384,12 @@ fn outbound_limiter_guards_user_space_stacks() {
             "{label}: the refused datagram never reaches the wire"
         );
         assert_eq!(
-            bed.hosts[0].kernel.borrow().stats().tx_rejected,
+            bed.hosts[0]
+                .kernel
+                .borrow()
+                .stats()
+                .drops
+                .get(DropReason::TxLimited),
             rejected_before + 1,
             "{label}: the limiter counts the refusal"
         );
