@@ -2,15 +2,12 @@
 //!
 //! The workspace is dependency-free by policy, so this module supplies
 //! the pieces the `--census-json`, `--profile-out` and `--metrics-out`
-//! exports and `benchdiff --validate` need, and nothing more:
+//! exports and their tests need, and nothing more:
 //!
 //! - [`Json`]: an order-preserving document model (objects keep
 //!   insertion order, so emitted artifacts are byte-stable),
 //! - [`Json::parse`] / `Json::write`: a recursive-descent parser and
-//!   a pretty writer that round-trip each other,
-//! - [`validate`]: a JSON-Schema *subset* checker (`type`, `required`,
-//!   `properties`, `items`) — enough to pin the artifacts' shapes in
-//!   CI. Any other keyword in a schema is an error, never a silent pass.
+//!   a pretty writer that round-trip each other.
 //!
 //! Numbers are `f64`, written in shortest round-trip form (integers
 //! without a decimal point), which keeps deterministic counters exact.
@@ -29,30 +26,6 @@ pub enum Json {
 }
 
 impl Json {
-    /// Looks up a member of an object.
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string value, if this is a string.
-    pub(crate) fn as_str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub(crate) fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Convenience constructor for an object.
     pub(crate) fn obj(members: Vec<(&str, Json)>) -> Json {
         Json::Obj(
@@ -347,96 +320,36 @@ impl<'a> Parser<'a> {
     }
 }
 
-/// Validates `value` against a JSON-Schema subset: `type` (string),
-/// `required`, `properties`, `items`. Returns the first violation as
-/// `Err(path: what)`. A schema object with any other key is refused
-/// before `value` is looked at: an unimplemented keyword must not pass
-/// every document.
-pub fn validate(value: &Json, schema: &Json) -> Result<(), String> {
-    check_schema(schema, "$")?;
-    validate_at(value, schema, "$")
-}
-
-/// Checks that every schema object reachable from `schema` uses only
-/// the four implemented keywords.
-fn check_schema(schema: &Json, path: &str) -> Result<(), String> {
-    let Json::Obj(members) = schema else {
-        return Err(format!("{path}: a schema must be an object"));
-    };
-    for (key, sub) in members {
-        match key.as_str() {
-            "properties" => {
-                let Json::Obj(props) = sub else {
-                    return Err(format!("{path}: 'properties' must be an object"));
-                };
-                for (name, prop) in props {
-                    check_schema(prop, &format!("{path}.{name}"))?;
-                }
-            }
-            "items" => check_schema(sub, &format!("{path}[]"))?,
-            "type" | "required" => {}
-            k => return Err(format!("{path}: unsupported schema keyword '{k}'")),
-        }
-    }
-    Ok(())
-}
-
-fn type_name(v: &Json) -> &'static str {
-    match v {
-        Json::Null => "null",
-        Json::Bool(_) => "boolean",
-        Json::Num(n) => {
-            if *n == n.trunc() {
-                "integer"
-            } else {
-                "number"
-            }
-        }
-        Json::Str(_) => "string",
-        Json::Arr(_) => "array",
-        Json::Obj(_) => "object",
-    }
-}
-
-fn validate_at(value: &Json, schema: &Json, path: &str) -> Result<(), String> {
-    if let Some(t) = schema.get("type").and_then(Json::as_str) {
-        let actual = type_name(value);
-        let ok = match t {
-            "number" => actual == "number" || actual == "integer",
-            other => actual == other,
-        };
-        if !ok {
-            return Err(format!("{path}: expected {t}, found {actual}"));
-        }
-    }
-    if let Some(required) = schema.get("required").and_then(Json::as_arr) {
-        for name in required {
-            let name = name.as_str().ok_or(format!("{path}: bad schema"))?;
-            if value.get(name).is_none() {
-                return Err(format!("{path}: missing required member '{name}'"));
-            }
-        }
-    }
-    if let Some(Json::Obj(props)) = schema.get("properties") {
-        for (name, sub) in props {
-            if let Some(member) = value.get(name) {
-                validate_at(member, sub, &format!("{path}.{name}"))?;
-            }
-        }
-    }
-    if let Some(items) = schema.get("items") {
-        if let Json::Arr(elems) = value {
-            for (i, elem) in elems.iter().enumerate() {
-                validate_at(elem, items, &format!("{path}[{i}]"))?;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Accessors for the crate's tests, which read parsed artifacts.
+    impl Json {
+        /// Looks up a member of an object.
+        pub(crate) fn get(&self, key: &str) -> Option<&Json> {
+            match self {
+                Json::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
+                _ => None,
+            }
+        }
+
+        /// The string value, if this is a string.
+        pub(crate) fn as_str(&self) -> Option<&str> {
+            match self {
+                Json::Str(s) => Some(s),
+                _ => None,
+            }
+        }
+
+        /// The elements, if this is an array.
+        pub(crate) fn as_arr(&self) -> Option<&[Json]> {
+            match self {
+                Json::Arr(items) => Some(items),
+                _ => None,
+            }
+        }
+    }
 
     #[test]
     fn roundtrips_a_document() {
@@ -464,63 +377,5 @@ mod tests {
         let mut out = String::new();
         write_num(&mut out, 3_000_000.0);
         assert_eq!(out, "3000000");
-    }
-
-    #[test]
-    fn validator_accepts_and_rejects() {
-        let schema = Json::parse(
-            r#"{
-                "type": "object",
-                "required": ["rows"],
-                "properties": {
-                    "rows": {
-                        "type": "array",
-                        "items": {
-                            "type": "object",
-                            "required": ["n"],
-                            "properties": {"n": {"type": "number"}}
-                        }
-                    }
-                }
-            }"#,
-        )
-        .unwrap();
-        let good = Json::parse(r#"{"rows": [{"n": 1}, {"n": 2.5}]}"#).unwrap();
-        assert!(validate(&good, &schema).is_ok());
-        let missing = Json::parse(r#"{"rows": [{"m": 1}]}"#).unwrap();
-        assert!(validate(&missing, &schema).unwrap_err().contains("rows[0]"));
-        let wrong_type = Json::parse(r#"{"rows": [{"n": "x"}]}"#).unwrap();
-        assert!(validate(&wrong_type, &schema).is_err());
-    }
-
-    #[test]
-    fn validator_refuses_unimplemented_keywords() {
-        // Each of these would pass `{"n": -1, "extra": true}` if the
-        // keyword were ignored; the schema itself is refused instead.
-        let doc = Json::parse(r#"{"n": -1, "extra": true}"#).unwrap();
-        for (schema, keyword) in [
-            (
-                r#"{"type": "object", "additionalProperties": false}"#,
-                "additionalProperties",
-            ),
-            (r#"{"properties": {"n": {"minimum": 0}}}"#, "minimum"),
-            (r#"{"items": {"enum": [1]}}"#, "enum"),
-            (r#"{"oneOf": [{"required": ["n"]}]}"#, "oneOf"),
-        ] {
-            let err = validate(&doc, &Json::parse(schema).unwrap()).unwrap_err();
-            assert!(
-                err.contains(&format!("unsupported schema keyword '{keyword}'")),
-                "{schema}: {err}"
-            );
-        }
-        // A property *named* like a keyword is a name, not a keyword.
-        let named = Json::parse(r#"{"properties": {"minimum": {"type": "number"}}}"#).unwrap();
-        assert!(validate(&Json::parse(r#"{"minimum": 3}"#).unwrap(), &named).is_ok());
-        // The committed schemas use the subset only.
-        for file in ["PROFILE.schema.json", "METRICS.schema.json"] {
-            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
-            let schema = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-            check_schema(&schema, "$").unwrap_or_else(|e| panic!("{file}: {e}"));
-        }
     }
 }

@@ -13,10 +13,11 @@
 pub mod cli;
 pub mod json;
 pub mod observe;
-pub mod table6;
-pub mod tables;
+pub mod render;
+pub(crate) mod table6;
+pub(crate) mod tables;
 pub mod workload;
 pub(crate) mod workloads;
 
-pub use workload::{session_scaling, ScaleReport, WorkloadSpec};
+pub use workload::{session_scaling, WorkloadSpec};
 pub use workloads::{protolat, ttcp, ApiStyle};

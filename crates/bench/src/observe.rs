@@ -4,21 +4,22 @@
 //! [`psd_sim::FaultPlane`], [`psd_sim::Tracer`], [`psd_sim::Profiler`],
 //! [`psd_sim::Metrics`]) but knows nothing about command lines or
 //! artifact formats; this module is the bridge. The observability flags
-//! are declared once ([`Session::parse`]); a [`Session`] says which
+//! are declared once (`Session::parse`); a `Session` says which
 //! planes each run attaches ([`Planes`], the value workloads take),
-//! collects every row's handles ([`Session::record`]) and, at the end,
+//! collects every row's handles (`Session::record`) and, at the end,
 //! checks the planes' invariants and writes every requested artifact
-//! ([`Session::finish`]) through one writer with one error policy: a
+//! (`Session::finish`) through one writer with one error policy: a
 //! message on stderr and exit status 1.
 //!
 //! Every plane is charged-time-neutral — no virtual time, no
 //! randomness — so a bin's stdout is byte-identical whatever is
 //! attached, and every export is deterministic (collapsed stacks are
 //! sorted, gauges keep registration order, no wall-clock field exists),
-//! so same-seed artifacts are byte-identical and CI can double-run and
-//! diff them.
+//! so same-seed artifacts are byte-identical and `tests/archives.rs`
+//! double-runs and diffs them.
 
 use std::cell::RefCell;
+use std::io::Write as _;
 use std::rc::Rc;
 
 use crate::cli::Args;
@@ -34,7 +35,7 @@ const METRICS_PERIOD: SimTime = SimTime::from_millis(10);
 /// The observability flags. A bin accepts the subset its runs can
 /// honour.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum Flag {
+pub(crate) enum Flag {
     /// `--census`: the bin prints an operation census after each row.
     Census,
     /// `--census-json PATH`: the per-row census as a JSON artifact.
@@ -56,7 +57,7 @@ pub enum Flag {
 
 impl Flag {
     /// Every observability flag.
-    pub const ALL: [Flag; 8] = [
+    pub(crate) const ALL: [Flag; 8] = [
         Flag::Census,
         Flag::CensusJson,
         Flag::Faults,
@@ -89,20 +90,20 @@ pub struct Planes {
 /// The handles of one run's attached planes (empty where a plane was
 /// not requested). They outlive the testbed.
 #[derive(Clone, Debug, Default)]
-pub struct Attached {
+pub(crate) struct Attached {
     /// One census per host, in bed `hosts` order.
-    pub census: Vec<CensusHandle>,
+    pub(crate) census: Vec<CensusHandle>,
     /// The tracer the run reported to.
-    pub trace: Option<TraceHandle>,
+    pub(crate) trace: Option<TraceHandle>,
     /// One `(cpu, profiler)` pair per host, in bed `hosts` order.
-    pub profiles: Vec<(Rc<RefCell<Cpu>>, ProfileHandle)>,
+    pub(crate) profiles: Vec<(Rc<RefCell<Cpu>>, ProfileHandle)>,
     /// The sampled gauge registry.
-    pub metrics: Option<MetricsHandle>,
+    pub(crate) metrics: Option<MetricsHandle>,
 }
 
 impl Planes {
     /// Attaches the requested planes to `bed`, before its first charge.
-    pub fn attach(&self, bed: &mut TestBed) -> Attached {
+    pub(crate) fn attach(&self, bed: &mut TestBed) -> Attached {
         let census = if self.census {
             bed.attach_census()
         } else {
@@ -131,20 +132,21 @@ impl Planes {
 }
 
 impl Attached {
-    /// Prints every host's census under `  census host<i><suffix>:`
-    /// headings, the `--census` block of the table bins.
-    pub fn print_census(&self, suffix: &str) {
+    /// Every host's census under `  census host<i><suffix>:` headings,
+    /// the `--census` block of the table bins.
+    pub(crate) fn census_text(&self, suffix: &str) -> String {
+        let mut text = String::new();
         for (i, census) in self.census.iter().enumerate() {
-            println!("  census host{i}{suffix}:");
+            text += &format!("  census host{i}{suffix}:\n");
             for line in census.borrow().snapshot().lines() {
-                println!("    {line}");
+                text += &format!("    {line}\n");
             }
         }
-        println!();
+        text + "\n"
     }
 
     /// The standard `--census-json` row body: every host's snapshot.
-    pub fn census_hosts(&self) -> Vec<(&'static str, Json)> {
+    pub(crate) fn census_hosts(&self) -> Vec<(&'static str, Json)> {
         let host = |c: &CensusHandle| {
             Json::parse(&c.borrow().snapshot_json()).expect("a census snapshot is JSON")
         };
@@ -224,25 +226,25 @@ fn registry_members(metrics: &MetricsHandle) -> [(&'static str, Json); 2] {
 }
 
 /// Assembles the `--metrics-out` artifact: one registry per recorded
-/// row. A single unlabelled row is the whole bench (`chaosnet`), and
-/// its registry sits at the top level.
+/// row.
 fn metrics_json(bench: &str, seed: u64, rows: &[(String, MetricsHandle)]) -> Json {
-    let mut body = vec![("seed", Json::Num(seed as f64))];
-    match rows {
-        [(label, metrics)] if label.is_empty() => body.extend(registry_members(metrics)),
-        _ => {
-            let row = |(label, metrics): &(String, MetricsHandle)| {
-                let [gauges, samples] = registry_members(metrics);
-                Json::obj(vec![("label", Json::str(label.clone())), gauges, samples])
-            };
-            body.push(("rows", Json::Arr(rows.iter().map(row).collect())));
-        }
-    }
+    let row = |(label, metrics): &(String, MetricsHandle)| {
+        let [gauges, samples] = registry_members(metrics);
+        Json::obj(vec![("label", Json::str(label.clone())), gauges, samples])
+    };
+    let body = vec![
+        ("seed", Json::Num(seed as f64)),
+        ("rows", Json::Arr(rows.iter().map(row).collect())),
+    ];
     artifact("metrics", bench, body)
 }
 
-fn fail(bin: &str, problem: &str) -> ! {
-    eprintln!("{bin}: {problem}");
+/// The one error policy: `bin: problem` on stderr and exit status 1.
+/// The message goes to the stderr handle itself, not through
+/// `eprintln!`, so it survives a test harness's output capture when a
+/// table renders in-process (`tests/archives.rs`).
+pub(crate) fn fail(bin: &str, problem: &str) -> ! {
+    let _ = writeln!(std::io::stderr(), "{bin}: {problem}");
     std::process::exit(1);
 }
 
@@ -258,12 +260,12 @@ fn write_artifact(bin: &str, what: &str, path: &str, text: &str) {
 /// What a bin was asked to observe and export, and everything its rows
 /// have recorded so far. The default asks for nothing.
 #[derive(Default)]
-pub struct Session {
+pub(crate) struct Session {
     /// `--census`: the bin prints each row's census
-    /// ([`Attached::print_census`], or its own summary line).
-    pub print_census: bool,
+    /// ([`Attached::census_text`], or its own summary line).
+    pub(crate) print_census: bool,
     /// `--stages`: the bin prints each row's [`Tracer::stage_report`].
-    pub print_stages: bool,
+    pub(crate) print_stages: bool,
     bin: &'static str,
     faults: bool,
     profile: bool,
@@ -277,7 +279,7 @@ pub struct Session {
     trace_events: String,
     profile_rows: Vec<Json>,
     /// The hot-site tables `finish` prints to stderr (stdout must stay
-    /// byte-identical to an unprofiled run; CI diffs it).
+    /// byte-identical to an unprofiled run).
     hot_tables: String,
     metrics_rows: Vec<(String, MetricsHandle)>,
 }
@@ -285,7 +287,7 @@ pub struct Session {
 impl Session {
     /// Declares the observability flags the bin `accepts` and reads
     /// them off its command line.
-    pub fn parse(args: &mut Args, accepts: &[Flag]) -> Session {
+    pub(crate) fn parse(args: &mut Args, accepts: &[Flag]) -> Session {
         let mut s = Session {
             bin: args.bin(),
             ..Session::default()
@@ -307,7 +309,7 @@ impl Session {
 
     /// The planes the next row attaches: everything a flag asked for,
     /// with a tracer of its own when the row is traced.
-    pub fn planes(&self) -> Planes {
+    pub(crate) fn planes(&self) -> Planes {
         let traced = self.print_stages || self.trace_out.is_some();
         Planes {
             census: self.print_census || self.census_json.is_some(),
@@ -320,7 +322,7 @@ impl Session {
 
     /// Adds one row to the `--census-json` artifact (when requested):
     /// `{"label": …}` followed by `body`.
-    pub fn census_row(&mut self, label: &str, body: Vec<(&'static str, Json)>) {
+    pub(crate) fn census_row(&mut self, label: &str, body: Vec<(&'static str, Json)>) {
         if self.census_json.is_some() {
             let mut row = vec![("label", Json::str(label))];
             row.extend(body);
@@ -331,7 +333,7 @@ impl Session {
     /// Records one finished row: checks its tracer's lifecycle
     /// invariants and its profilers' conservation, and keeps what the
     /// requested artifacts need of it.
-    pub fn record(&mut self, label: &str, seen: &Attached) {
+    pub(crate) fn record(&mut self, label: &str, seen: &Attached) {
         let pid = self.rows;
         self.rows += 1;
         if let Some(t) = &seen.trace {
@@ -363,7 +365,7 @@ impl Session {
     }
 
     /// Prints the hot-site tables and writes every requested artifact.
-    pub fn finish(self, bench: &str, seed: u64) {
+    pub(crate) fn finish(self, bench: &str, seed: u64) {
         if let Some(path) = &self.trace_out {
             let doc = psd_sim::chrome_trace_document(&self.trace_events);
             write_artifact(self.bin, "Chrome trace", path, &doc);
@@ -401,14 +403,16 @@ mod tests {
         m.borrow_mut().register("b_gauge", || 2);
         m.borrow_mut().register("a_gauge", || 1);
         m.borrow_mut().sample(SimTime::from_micros(5));
-        let doc = metrics_json("test", 7, &[(String::new(), m)]);
+        let doc = metrics_json("test", 7, &[("row".to_string(), m)]);
         let text = doc.write();
         // Registration order, not alphabetical.
         assert!(text.find("b_gauge").unwrap() < text.find("a_gauge").unwrap());
         let parsed = Json::parse(&text).unwrap();
         assert_eq!(parsed, doc);
+        let rows = parsed.get("rows").and_then(Json::as_arr).unwrap();
+        assert_eq!(rows[0].get("label"), Some(&Json::str("row")));
         assert_eq!(
-            parsed
+            rows[0]
                 .get("samples")
                 .and_then(Json::as_arr)
                 .map(|s| s.len()),
@@ -460,7 +464,7 @@ mod tests {
                 tokens.extend([format!("--{kind}"), path(kind)]);
             }
             // The mbuf gauges read per-thread pool state; start each
-            // session where a fresh process (what CI compares) starts.
+            // session where a fresh process starts.
             psd_mbuf::drain_pools();
             psd_mbuf::reset_pool_stats();
             let mut args = Args::new("test", tokens);
@@ -486,6 +490,41 @@ mod tests {
         }
         assert_eq!(a, b, "same-seed sessions export identical bytes");
         std::fs::remove_dir_all(&dir).unwrap();
+
+        // Every member the profile and metrics artifacts promise their
+        // readers is there, with its type, on every row, host and
+        // sample.
+        fn items(v: Option<&Json>) -> &[Json] {
+            v.and_then(Json::as_arr).expect("an array member")
+        }
+        let int = |v: Option<&Json>| matches!(v, Some(Json::Num(n)) if n.fract() == 0.0);
+        let string = |v: Option<&Json>| matches!(v, Some(Json::Str(_)));
+        let [profile, metrics] = [&a[2], &a[3]].map(|text| Json::parse(text).unwrap());
+        for doc in [&profile, &metrics] {
+            assert!(int(doc.get("version")));
+            assert!(string(doc.get("tool")) && string(doc.get("bench")));
+            assert_eq!(items(doc.get("rows")).len(), 2);
+        }
+        for row in items(profile.get("rows")) {
+            assert!(string(row.get("label")));
+            assert!(!items(row.get("hosts")).is_empty());
+            for host in items(row.get("hosts")) {
+                for member in ["host", "total_busy_ns", "attributed_ns", "sites"] {
+                    assert!(int(host.get(member)), "{member}");
+                }
+                assert!(string(host.get("stacks")));
+            }
+        }
+        assert!(int(metrics.get("seed")));
+        for row in items(metrics.get("rows")) {
+            assert!(string(row.get("label")));
+            assert!(items(row.get("gauges")).iter().all(|g| string(Some(g))));
+            assert!(!items(row.get("samples")).is_empty());
+            for sample in items(row.get("samples")) {
+                assert!(int(sample.get("t_ns")));
+                assert!(items(sample.get("values")).iter().all(|v| int(Some(v))));
+            }
+        }
 
         let mut bed = TestBed::new(SystemConfig::LibraryShm, platform, 42);
         let seen = Session::default().planes().attach(&mut bed);

@@ -25,7 +25,8 @@
 //!
 //! Every number here is virtual time or a deterministic counter, so the
 //! printed table is a function of the seed alone: `results_table6.txt`
-//! is a full run's stdout, and CI byte-diffs a fresh run against it.
+//! is a full run's stdout, and `tests/archives.rs` byte-diffs a fresh
+//! run against it.
 
 use psd_core::{AppLib, Fd};
 use psd_filter::PlacementPolicy;
@@ -39,7 +40,7 @@ use std::rc::Rc;
 use crate::observe::{Attached, Planes, Session};
 
 /// Seed for every Table 6 run.
-pub const SEED: u64 = 93;
+pub(crate) const SEED: u64 = 93;
 
 /// Datagrams per cell. Divisible by every batch size so the crossing
 /// count is exactly `packets / batch`.
@@ -140,7 +141,7 @@ impl Table6Row {
 
 /// A complete Table 6 result.
 #[derive(Clone, Debug)]
-pub struct Table6 {
+pub(crate) struct Table6 {
     /// Rows by (config, mode, B).
     pub(crate) rows: Vec<Table6Row>,
 }
@@ -295,7 +296,7 @@ fn drain(bed: &mut TestBed, app: &psd_core::AppHandle, fd: Fd, pull: bool) -> us
 }
 
 /// Runs the Table 6 matrix, recording every cell with `session`.
-pub fn run(session: &mut Session) -> Table6 {
+pub(crate) fn run(session: &mut Session) -> Table6 {
     let mut rows = Vec::new();
     for config in CONFIGS {
         for mode in MODES {
@@ -325,7 +326,7 @@ impl Table6 {
 
     /// Checks the acceptance trend: crossings and busy time strictly
     /// decrease as B grows, on every placement and mode.
-    pub fn check_monotone(&self) -> Result<(), String> {
+    pub(crate) fn check_monotone(&self) -> Result<(), String> {
         for config in CONFIGS {
             for mode in MODES {
                 let series = self.series(config, mode);
@@ -359,7 +360,7 @@ impl Table6 {
     /// `results_table6.txt`). Counts and busy ns are exact integers, and
     /// the per-packet columns print the shortest decimal that reads
     /// back as the same `f64`.
-    pub fn table(&self) -> String {
+    pub(crate) fn table(&self) -> String {
         let mut out = String::new();
         out.push_str("==== Table 6: batched NEWAPI (virtual time) ====\n");
         out.push_str(&format!(

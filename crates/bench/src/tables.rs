@@ -5,25 +5,25 @@ use psd_sim::Platform;
 use psd_systems::SystemConfig;
 
 /// Message sizes used for TCP latency rows (bytes).
-pub const TCP_SIZES: [usize; 5] = [1, 100, 512, 1024, 1460];
+pub(crate) const TCP_SIZES: [usize; 5] = [1, 100, 512, 1024, 1460];
 /// Message sizes used for UDP latency rows (bytes).
-pub const UDP_SIZES: [usize; 5] = [1, 100, 512, 1024, 1472];
+pub(crate) const UDP_SIZES: [usize; 5] = [1, 100, 512, 1024, 1472];
 
 /// One Table 2 row as published: throughput (KB/s), receive buffer
 /// (KB), TCP latencies (ms), UDP latencies (ms). `None` marks the NA
 /// cells (the 386BSD/BNR2SS large-packet bug).
 #[derive(Clone, Copy, Debug)]
-pub struct Table2Row {
+pub(crate) struct Table2Row {
     /// Configuration.
-    pub config: SystemConfig,
+    pub(crate) config: SystemConfig,
     /// TCP throughput, KB/s.
-    pub throughput: f64,
+    pub(crate) throughput: f64,
     /// Receive buffer size, KB.
-    pub bufsize: u32,
+    pub(crate) bufsize: u32,
     /// TCP round-trip latency (ms) at [`TCP_SIZES`].
-    pub tcp_ms: [Option<f64>; 5],
+    pub(crate) tcp_ms: [Option<f64>; 5],
     /// UDP round-trip latency (ms) at [`UDP_SIZES`].
-    pub udp_ms: [Option<f64>; 5],
+    pub(crate) udp_ms: [Option<f64>; 5],
 }
 
 const fn ms(v: f64) -> Option<f64> {
@@ -129,7 +129,7 @@ pub(crate) fn table2_gateway() -> Vec<Table2Row> {
 }
 
 /// The Table 2 block for a platform.
-pub fn table2_for(platform: Platform) -> Vec<Table2Row> {
+pub(crate) fn table2_for(platform: Platform) -> Vec<Table2Row> {
     match platform {
         Platform::DecStation5000_200 => table2_decstation(),
         Platform::Gateway486 => table2_gateway(),
@@ -138,7 +138,7 @@ pub fn table2_for(platform: Platform) -> Vec<Table2Row> {
 
 /// Table 3 rows (NEWAPI; DECstation only). The first two rows repeat
 /// the in-kernel baselines from Table 2 for comparison.
-pub fn table3_decstation() -> Vec<Table2Row> {
+pub(crate) fn table3_decstation() -> Vec<Table2Row> {
     use SystemConfig::*;
     vec![
         Table2Row {
@@ -182,25 +182,25 @@ pub fn table3_decstation() -> Vec<Table2Row> {
 /// One column of Table 4 (µs per layer). Layers in
 /// [`psd_sim::Layer::TABLE4_ORDER`] order.
 #[derive(Clone, Copy, Debug)]
-pub struct Table4Column {
+pub(crate) struct Table4Column {
     /// "Library" / "Kernel" / "Server".
-    pub system: &'static str,
+    pub(crate) system: &'static str,
     /// "TCP" or "UDP".
-    pub proto: &'static str,
+    pub(crate) proto: &'static str,
     /// Message size in bytes.
-    pub size: usize,
+    pub(crate) size: usize,
     /// Send path: entry/copyin, tcp,udp_output, ip_output, ether_output.
-    pub send: [u32; 4],
+    pub(crate) send: [u32; 4],
     /// Receive path: device intr/read, netisr/packet filter, kernel
     /// copyout, mbuf/queue, ipintr, tcp,udp_input, wakeup user thread,
     /// copyout/exit.
-    pub recv: [u32; 8],
+    pub(crate) recv: [u32; 8],
     /// Network transit.
-    pub transit: u32,
+    pub(crate) transit: u32,
 }
 
 /// Table 4 as published (DECstation; Library = SHM-IPF).
-pub fn table4() -> Vec<Table4Column> {
+pub(crate) fn table4() -> Vec<Table4Column> {
     vec![
         Table4Column {
             system: "Library",
@@ -302,7 +302,7 @@ pub fn table4() -> Vec<Table4Column> {
 }
 
 /// Formats a measured/published pair with a ratio.
-pub fn fmt_pair(measured: f64, published: f64) -> String {
+pub(crate) fn fmt_pair(measured: f64, published: f64) -> String {
     if published == 0.0 {
         format!("{measured:8.2} (paper    0.00)")
     } else {

@@ -88,20 +88,20 @@ impl WorkloadSpec {
 /// Census op totals on the receiving host (present when the caller
 /// asked for a census).
 #[derive(Clone, Copy, Debug)]
-pub struct CensusCounts {
+pub(crate) struct CensusCounts {
     /// Filter programs run.
-    pub filter_runs: u64,
+    pub(crate) filter_runs: u64,
     /// Whole-packet body copies.
-    pub body_copies: u64,
+    pub(crate) body_copies: u64,
     /// Protection-boundary crossings.
-    pub crossings: u64,
+    pub(crate) crossings: u64,
     /// Thread wakeups.
-    pub wakeups: u64,
+    pub(crate) wakeups: u64,
 }
 
 impl CensusCounts {
     /// The four counters as a `--census-json` row body.
-    pub fn json_members(&self) -> Vec<(&'static str, Json)> {
+    pub(crate) fn json_members(&self) -> Vec<(&'static str, Json)> {
         vec![
             ("filter_runs", Json::Num(self.filter_runs as f64)),
             ("body_copies", Json::Num(self.body_copies as f64)),
@@ -115,7 +115,7 @@ impl CensusCounts {
 #[derive(Clone, Debug)]
 pub struct ScaleReport {
     /// UDP sessions stood up.
-    pub sessions: usize,
+    pub(crate) sessions: usize,
     /// Session filters installed in the receiving kernel after setup.
     pub filters: usize,
     /// Frames the receiving kernel took off the wire during the burst.
@@ -125,24 +125,24 @@ pub struct ScaleReport {
     pub steps_per_packet: f64,
     /// Virtual nanoseconds of burst phase per received frame (captures
     /// server-resident demux cost that never touches a kernel filter).
-    pub ns_per_packet: f64,
+    pub(crate) ns_per_packet: f64,
     /// Virtual time to bind one more session at full load — the
     /// control-RPC latency the paper worries about in §3.2.
-    pub bind_rpc: SimTime,
+    pub(crate) bind_rpc: SimTime,
     /// Virtual time to stand up all N sessions.
-    pub setup: SimTime,
+    pub(crate) setup: SimTime,
     /// Receiving-host census totals, when a census was attached.
-    pub census: Option<CensusCounts>,
+    pub(crate) census: Option<CensusCounts>,
     /// The handles of the planes the caller asked for.
-    pub observed: Attached,
+    pub(crate) observed: Attached,
     /// Wall-clock duration of the whole run (never byte-stable; keep
     /// off reproducible output).
-    pub wall: Duration,
+    pub(crate) wall: Duration,
 }
 
 /// Runs the session-scaling workload for one placement, strategy, and
 /// session count with `planes` attached to its testbed. Deterministic
-/// given `spec.seed` in everything except [`ScaleReport::wall`], and —
+/// given `spec.seed` in everything except its wall-clock duration, and —
 /// every plane being charged-time-neutral — identical whatever is
 /// attached.
 pub fn session_scaling(

@@ -7,7 +7,7 @@ use std::process::Command;
 
 #[test]
 fn misuse_exits_2_with_usage_and_help_exits_0() {
-    let refused: [(&str, &[&str]); 9] = [
+    let refused: [(&str, &[&str]); 8] = [
         (env!("CARGO_BIN_EXE_table4"), &["--round", "5"]),
         (env!("CARGO_BIN_EXE_protolat"), &["--config", "typo"]),
         (env!("CARGO_BIN_EXE_protolat"), &["--rounds", "abc"]),
@@ -18,7 +18,6 @@ fn misuse_exits_2_with_usage_and_help_exits_0() {
         // measure a default.
         (env!("CARGO_BIN_EXE_table6"), &["--json", "x"]),
         (env!("CARGO_BIN_EXE_table6"), &["--quick"]),
-        (env!("CARGO_BIN_EXE_benchdiff"), &["--check", "a", "b"]),
     ];
     for (bin, args) in refused {
         let out = Command::new(bin).args(args).output().expect("bin runs");

@@ -15,7 +15,9 @@
 //!   host;
 //! * the same seed reproduces the identical run, byte for byte, across
 //!   the full digest (counters, router/switch stats, drop taxonomies,
-//!   fault-plane logs, operation censuses).
+//!   fault-plane logs, operation censuses) — also when the second run
+//!   is metered by the virtual-time gauge sampler, which must observe
+//!   real state and sample the same rows on every same-seed run.
 //!
 //! A separate blackout test severs both middle links permanently and
 //! asserts the client surfaces `Error(TimedOut)` instead of hanging.
@@ -139,9 +141,19 @@ fn set_link_down(plane: &psd::sim::FaultPlaneHandle, down: bool) {
         .arm(FaultSite::LinkDown, if down { 1.0 } else { 0.0 });
 }
 
-/// One full network-chaos run: returns the deterministic digest.
-fn run_chaos_net(config: SystemConfig, seed: u64) -> String {
+/// Gauge samples of a metered run: `(virtual ns, one value per gauge)`.
+type Samples = Vec<(u64, Vec<u64>)>;
+
+/// One full network-chaos run: returns the deterministic digest and,
+/// when `metered`, the gauge samples taken every 100 virtual ms (the
+/// run covers ~2 virtual minutes).
+fn run_chaos_net(config: SystemConfig, seed: u64, metered: bool) -> (String, Samples) {
+    // The mbuf gauges read per-thread pool state; start every run where
+    // a fresh process starts.
+    psd::mbuf::drain_pools();
+    psd::mbuf::reset_pool_stats();
     let mut bed = MultiHopBed::new(config, Platform::DecStation5000_200, seed);
+    let metrics = metered.then(|| bed.attach_metrics(SimTime::from_millis(100)));
     let censuses = bed.attach_census();
     let tracer = bed.attach_tracer();
     let plane = bed.attach_fault_plane();
@@ -360,22 +372,39 @@ fn run_chaos_net(config: SystemConfig, seed: u64) -> String {
     for (i, c) in censuses.iter().enumerate() {
         let _ = writeln!(d, "census host{}:\n{}", i, c.borrow().snapshot());
     }
-    d
+    let samples = metrics.map_or_else(Vec::new, |m| m.borrow().samples().to_vec());
+    (d, samples)
 }
 
-/// Same seed, same fault schedule, same digest — byte for byte.
+/// Same seed, same fault schedule, same digest — byte for byte, with or
+/// without the metrics sampler attached.
 fn chaos_net_matrix(config: SystemConfig) {
     let mut injected_total = 0u64;
-    for seed in SEEDS {
-        let d1 = run_chaos_net(config, seed);
-        let d2 = run_chaos_net(config, seed);
+    for (i, seed) in SEEDS.into_iter().enumerate() {
+        let (d1, _) = run_chaos_net(config, seed, false);
+        let (d2, samples) = run_chaos_net(config, seed, true);
         assert_eq!(
             d1,
             d2,
-            "network-chaos run is not reproducible for {} seed {}",
+            "network-chaos run is not reproducible (second run metered) for {} seed {}",
             config.label(),
             seed
         );
+        assert!(
+            !samples.is_empty(),
+            "the metered run sampled nothing for {} seed {}",
+            config.label(),
+            seed
+        );
+        if i == 0 {
+            let (_, again) = run_chaos_net(config, seed, true);
+            assert!(
+                again == samples,
+                "same-seed metered runs sampled different rows for {} seed {}",
+                config.label(),
+                seed
+            );
+        }
         let line = d1
             .lines()
             .find(|l| l.starts_with("injected="))
