@@ -37,5 +37,8 @@
 use psd_bench::cli::Args;
 
 fn main() {
-    print!("{}", psd_bench::render::table2(Args::from_env("table2")));
+    match psd_bench::render::table2(Args::from_env("table2")) {
+        Ok(table) => print!("{table}"),
+        Err(violation) => violation.exit(),
+    }
 }

@@ -9,5 +9,8 @@
 use psd_bench::cli::Args;
 
 fn main() {
-    print!("{}", psd_bench::render::table3(Args::from_env("table3")));
+    match psd_bench::render::table3(Args::from_env("table3")) {
+        Ok(table) => print!("{table}"),
+        Err(violation) => violation.exit(),
+    }
 }

@@ -17,5 +17,8 @@
 use psd_bench::cli::Args;
 
 fn main() {
-    print!("{}", psd_bench::render::table4(Args::from_env("table4")));
+    match psd_bench::render::table4(Args::from_env("table4")) {
+        Ok(table) => print!("{table}"),
+        Err(violation) => violation.exit(),
+    }
 }

@@ -29,5 +29,8 @@
 use psd_bench::cli::Args;
 
 fn main() {
-    print!("{}", psd_bench::render::table5(Args::from_env("table5")));
+    match psd_bench::render::table5(Args::from_env("table5")) {
+        Ok(table) => print!("{table}"),
+        Err(violation) => violation.exit(),
+    }
 }

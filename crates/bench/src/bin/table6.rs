@@ -21,5 +21,8 @@
 use psd_bench::cli::Args;
 
 fn main() {
-    print!("{}", psd_bench::render::table6(Args::from_env("table6")));
+    match psd_bench::render::table6(Args::from_env("table6")) {
+        Ok(table) => print!("{table}"),
+        Err(violation) => violation.exit(),
+    }
 }

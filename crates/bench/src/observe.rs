@@ -9,7 +9,8 @@
 //! collects every row's handles (`Session::record`) and, at the end,
 //! checks the planes' invariants and writes every requested artifact
 //! (`Session::finish`) through one writer with one error policy: a
-//! message on stderr and exit status 1.
+//! failed check or write is a [`Violation`] returned to the bin's
+//! `main`, which alone reports it and exits 1.
 //!
 //! Every plane is charged-time-neutral — no virtual time, no
 //! randomness — so a bin's stdout is byte-identical whatever is
@@ -19,7 +20,7 @@
 //! double-runs and diffs them.
 
 use std::cell::RefCell;
-use std::io::Write as _;
+use std::fmt;
 use std::rc::Rc;
 
 use crate::cli::Args;
@@ -239,22 +240,43 @@ fn metrics_json(bench: &str, seed: u64, rows: &[(String, MetricsHandle)]) -> Jso
     artifact("metrics", bench, body)
 }
 
-/// The one error policy: `bin: problem` on stderr and exit status 1.
-/// The message goes to the stderr handle itself, not through
-/// `eprintln!`, so it survives a test harness's output capture when a
-/// table renders in-process (`tests/archives.rs`).
-pub(crate) fn fail(bin: &str, problem: &str) -> ! {
-    let _ = writeln!(std::io::stderr(), "{bin}: {problem}");
-    std::process::exit(1);
+/// A check a bin ran that failed, or an artifact it could not write:
+/// the message names the check and the numbers it saw. Bin bodies
+/// return it instead of exiting, so a test that renders a table
+/// in-process gets it back; only a bin's `main` calls
+/// [`Violation::exit`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Violation {
+    bin: &'static str,
+    problem: String,
+}
+
+impl Violation {
+    pub(crate) fn new(bin: &'static str, problem: String) -> Violation {
+        Violation { bin, problem }
+    }
+
+    /// The one error policy: `bin: problem` on stderr and exit status 1.
+    pub fn exit(&self) -> ! {
+        eprintln!("{self}");
+        std::process::exit(1);
+    }
+}
+
+impl fmt::Display for Violation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}: {}", self.bin, self.problem)
+    }
 }
 
 /// The one artifact writer: writes `text` to `path` and says so on
-/// stderr, or reports the failure and exits 1.
-fn write_artifact(bin: &str, what: &str, path: &str, text: &str) {
+/// stderr, or returns the failure.
+fn write_artifact(bin: &'static str, what: &str, path: &str, text: &str) -> Result<(), Violation> {
     if let Err(e) = std::fs::write(path, text) {
-        fail(bin, &format!("cannot write {path}: {e}"));
+        return Err(Violation::new(bin, format!("cannot write {path}: {e}")));
     }
     eprintln!("{bin}: wrote {what} to {path}");
+    Ok(())
 }
 
 /// What a bin was asked to observe and export, and everything its rows
@@ -333,16 +355,14 @@ impl Session {
     /// Records one finished row: checks its tracer's lifecycle
     /// invariants and its profilers' conservation, and keeps what the
     /// requested artifacts need of it.
-    pub(crate) fn record(&mut self, label: &str, seen: &Attached) {
+    pub(crate) fn record(&mut self, label: &str, seen: &Attached) -> Result<(), Violation> {
         let pid = self.rows;
         self.rows += 1;
         if let Some(t) = &seen.trace {
             let violations = t.borrow().check_invariants();
             if !violations.is_empty() {
-                fail(
-                    self.bin,
-                    &format!("{label}: trace invariants violated: {violations:?}"),
-                );
+                let problem = format!("{label}: trace invariants violated: {violations:?}");
+                return Err(Violation::new(self.bin, problem));
             }
             if self.trace_out.is_some() {
                 t.borrow().chrome_events(pid, label, &mut self.trace_events);
@@ -352,7 +372,7 @@ impl Session {
             let mut hosts = Vec::new();
             for (i, (cpu, prof)) in seen.profiles.iter().enumerate() {
                 let (member, hot) = host_profile(i, cpu, prof)
-                    .unwrap_or_else(|e| fail(self.bin, &format!("{label}: {e}")));
+                    .map_err(|e| Violation::new(self.bin, format!("{label}: {e}")))?;
                 hosts.push(member);
                 self.hot_tables += &format!("profile: {label} {hot}");
             }
@@ -362,17 +382,18 @@ impl Session {
         if let Some(metrics) = &seen.metrics {
             self.metrics_rows.push((label.to_string(), metrics.clone()));
         }
+        Ok(())
     }
 
     /// Prints the hot-site tables and writes every requested artifact.
-    pub(crate) fn finish(self, bench: &str, seed: u64) {
+    pub(crate) fn finish(self, bench: &str, seed: u64) -> Result<(), Violation> {
         if let Some(path) = &self.trace_out {
             let doc = psd_sim::chrome_trace_document(&self.trace_events);
-            write_artifact(self.bin, "Chrome trace", path, &doc);
+            write_artifact(self.bin, "Chrome trace", path, &doc)?;
         }
         if let Some(path) = &self.census_json {
             let doc = artifact("census", bench, vec![("rows", Json::Arr(self.census_rows))]);
-            write_artifact(self.bin, "census snapshot", path, &doc.write());
+            write_artifact(self.bin, "census snapshot", path, &doc.write())?;
         }
         eprint!("{}", self.hot_tables);
         if let Some(path) = &self.profile_out {
@@ -381,12 +402,13 @@ impl Session {
                 bench,
                 vec![("rows", Json::Arr(self.profile_rows))],
             );
-            write_artifact(self.bin, "charged-time profile", path, &doc.write());
+            write_artifact(self.bin, "charged-time profile", path, &doc.write())?;
         }
         if let Some(path) = &self.metrics_out {
             let doc = metrics_json(bench, seed, &self.metrics_rows);
-            write_artifact(self.bin, "metrics timeseries", path, &doc.write());
+            write_artifact(self.bin, "metrics timeseries", path, &doc.write())?;
         }
+        Ok(())
     }
 }
 
@@ -477,9 +499,9 @@ mod tests {
                 ttcp(&mut bed, 64 << 10, ApiStyle::Classic);
                 bed.settle();
                 session.census_row(config.label(), seen.census_hosts());
-                session.record(config.label(), &seen);
+                session.record(config.label(), &seen).unwrap();
             }
-            session.finish("test", 42);
+            session.finish("test", 42).unwrap();
             kinds
                 .map(|kind| std::fs::read_to_string(path(kind)).unwrap())
                 .to_vec()

@@ -1,7 +1,8 @@
 //! The table bins' bodies, and the registry of the tables they archive.
 //!
 //! Each `tableN` function reads its bin's command line and returns what
-//! the bin prints on stdout; the bin itself is `print!` of that text.
+//! the bin prints on stdout, or the [`Violation`] of a check it ran; the
+//! bin itself is `print!` of that text, or [`Violation::exit`].
 //! Requested artifacts are still written by `Session::finish`, and
 //! stderr (hot-site tables, `[wall]` lines) never enters the returned
 //! text. [`ARCHIVES`] lists the five committed `results_tableN.txt`
@@ -16,7 +17,7 @@ use psd_sim::{Layer, Platform};
 use psd_systems::{SystemConfig, TestBed};
 
 use crate::cli::Args;
-use crate::observe::{fail, Flag, Planes, Session};
+use crate::observe::{Flag, Planes, Session, Violation};
 use crate::tables::{self, fmt_pair, table2_for, table3_decstation, TCP_SIZES, UDP_SIZES};
 use crate::workload::{session_scaling, ScaleReport, WorkloadSpec};
 use crate::{protolat, table6 as matrix, ttcp, ApiStyle};
@@ -30,12 +31,12 @@ pub struct Archive {
     /// The arguments the archive was rendered with.
     pub args: &'static [&'static str],
     /// The bin's body.
-    body: fn(Args) -> String,
+    body: fn(Args) -> Result<String, Violation>,
 }
 
 impl Archive {
-    /// What `bin tokens…` prints on stdout.
-    pub fn render(&self, tokens: &[&str]) -> String {
+    /// What `bin tokens…` prints on stdout, or the check that failed.
+    pub fn render(&self, tokens: &[&str]) -> Result<String, Violation> {
         (self.body)(Args::new(self.bin, tokens.iter().map(|t| t.to_string())))
     }
 
@@ -92,7 +93,7 @@ fn ttcp_scale(quick: bool) -> (usize, u32) {
 
 /// Table 2: ttcp throughput and TCP/UDP round-trip latency for every
 /// configuration on both platforms.
-pub fn table2(mut args: Args) -> String {
+pub fn table2(mut args: Args) -> Result<String, Violation> {
     /// Seed of every ttcp bed (latency beds count up from it).
     const SEED: u64 = 42;
     let quick = args.flag("--quick");
@@ -178,7 +179,7 @@ pub fn table2(mut args: Args) -> String {
             }
             let label = format!("{} | {}", platform.label(), config.label());
             obs.census_row(&label, seen.census_hosts());
-            obs.record(&label, &seen);
+            obs.record(&label, &seen)?;
         }
         // The §4.1 derived claims, read off the rows' own ttcp runs.
         let _ = writeln!(out, "-- derived shape checks ({}) --", platform.label());
@@ -217,14 +218,14 @@ pub fn table2(mut args: Args) -> String {
         let _ = writeln!(out);
     }
 
-    obs.finish("table2", SEED);
-    out
+    obs.finish("table2", SEED)?;
+    Ok(out)
 }
 
 /// Table 3: the NEWAPI (shared application/protocol buffer) interface
 /// against the in-kernel baselines, with §4.2's classic → NEWAPI
 /// deltas.
-pub fn table3(mut args: Args) -> String {
+pub fn table3(mut args: Args) -> Result<String, Violation> {
     let quick = args.flag("--quick");
     args.finish();
     let (bytes, rounds) = ttcp_scale(quick);
@@ -319,12 +320,12 @@ pub fn table3(mut args: Args) -> String {
             paper
         );
     }
-    out
+    Ok(out)
 }
 
 /// Table 4: per-layer one-way latency of the library, kernel and server
 /// stacks, TCP and UDP, at the smallest and largest unfragmented sizes.
-pub fn table4(mut args: Args) -> String {
+pub fn table4(mut args: Args) -> Result<String, Violation> {
     const SEED: u64 = 7;
     let rounds: u32 = args.parsed("--rounds", "N").unwrap_or(200);
     let mut obs = Session::parse(&mut args, &[Flag::Census, Flag::CensusJson, Flag::TraceOut]);
@@ -398,10 +399,10 @@ pub fn table4(mut args: Args) -> String {
         }
         let label = format!("{} {} {}B", col.system, col.proto, col.size);
         obs.census_row(&label, seen.census_hosts());
-        obs.record(&label, &seen);
+        obs.record(&label, &seen)?;
     }
-    obs.finish("table4", SEED);
-    out
+    obs.finish("table4", SEED)?;
+    Ok(out)
 }
 
 /// The strategy's name in table headers and row labels.
@@ -414,7 +415,7 @@ fn strategy_label(s: DemuxStrategy) -> &'static str {
 
 /// Table 5: demultiplexing cost as the session count scales, for every
 /// placement under CSPF and MPF, with the asymptotic shape checks.
-pub fn table5(mut args: Args) -> String {
+pub fn table5(mut args: Args) -> Result<String, Violation> {
     const SEED: u64 = 42;
     let quick = args.flag("--quick");
     let mut obs = Session::parse(
@@ -488,7 +489,7 @@ pub fn table5(mut args: Args) -> String {
                 }
                 // Taken, not borrowed: the kept report must not pin a
                 // whole cell's trace and profile in memory.
-                obs.record(&label, &std::mem::take(&mut r.observed));
+                obs.record(&label, &std::mem::take(&mut r.observed))?;
                 eprintln!(
                     "[wall] {label}: {:.0} ms ({:.0} sim-pkts/s)",
                     r.wall.as_secs_f64() * 1000.0,
@@ -571,13 +572,13 @@ pub fn table5(mut args: Args) -> String {
         );
     }
 
-    obs.finish("table5", SEED);
-    out
+    obs.finish("table5", SEED)?;
+    Ok(out)
 }
 
 /// Table 6: the batched-NEWAPI sweep. A matrix whose crossings or busy
-/// time fail to fall as the batch window grows exits 1.
-pub fn table6(mut args: Args) -> String {
+/// time fail to fall as the batch window grows is a [`Violation`].
+pub fn table6(mut args: Args) -> Result<String, Violation> {
     let mut obs = Session::parse(
         &mut args,
         &[
@@ -589,11 +590,9 @@ pub fn table6(mut args: Args) -> String {
     );
     args.finish();
 
-    let bench = matrix::run(&mut obs);
-    if let Err(e) = bench.check_monotone() {
-        fail("table6", &format!("MONOTONICITY FAILED — {e}"));
-    }
+    let bench = matrix::run(&mut obs)?;
+    bench.check_monotone()?;
     eprintln!("table6: crossings and busy ns decrease monotonically in B");
-    obs.finish("table6", matrix::SEED);
-    bench.table()
+    obs.finish("table6", matrix::SEED)?;
+    Ok(bench.table())
 }

@@ -37,7 +37,7 @@ use psd_sim::{OpKind, Platform, SimTime};
 use psd_systems::{SystemConfig, TestBed};
 use std::rc::Rc;
 
-use crate::observe::{Attached, Planes, Session};
+use crate::observe::{Attached, Planes, Session, Violation};
 
 /// Seed for every Table 6 run.
 pub(crate) const SEED: u64 = 93;
@@ -296,7 +296,7 @@ fn drain(bed: &mut TestBed, app: &psd_core::AppHandle, fd: Fd, pull: bool) -> us
 }
 
 /// Runs the Table 6 matrix, recording every cell with `session`.
-pub(crate) fn run(session: &mut Session) -> Table6 {
+pub(crate) fn run(session: &mut Session) -> Result<Table6, Violation> {
     let mut rows = Vec::new();
     for config in CONFIGS {
         for mode in MODES {
@@ -304,12 +304,12 @@ pub(crate) fn run(session: &mut Session) -> Table6 {
                 let (row, seen) = run_cell(config, mode, b, PACKETS, &session.planes());
                 let label = format!("{} | {} | B={b}", config.label(), mode.label());
                 session.census_row(&label, seen.census_hosts());
-                session.record(&label, &seen);
+                session.record(&label, &seen)?;
                 rows.push(row);
             }
         }
     }
-    Table6 { rows }
+    Ok(Table6 { rows })
 }
 
 impl Table6 {
@@ -326,7 +326,7 @@ impl Table6 {
 
     /// Checks the acceptance trend: crossings and busy time strictly
     /// decrease as B grows, on every placement and mode.
-    pub(crate) fn check_monotone(&self) -> Result<(), String> {
+    pub(crate) fn check_monotone(&self) -> Result<(), Violation> {
         for config in CONFIGS {
             for mode in MODES {
                 let series = self.series(config, mode);
@@ -339,8 +339,8 @@ impl Table6 {
                     } else {
                         continue;
                     };
-                    return Err(format!(
-                        "{} {} {what} not decreasing: B={} {}/{} → B={} {}/{}",
+                    let problem = format!(
+                        "MONOTONICITY FAILED — {} {} {what} not decreasing: B={} {}/{} → B={} {}/{}",
                         config.label(),
                         mode.label(),
                         a.batch,
@@ -349,7 +349,8 @@ impl Table6 {
                         b.batch,
                         b.crossings,
                         b.busy_ns
-                    ));
+                    );
+                    return Err(Violation::new("table6", problem));
                 }
             }
         }
@@ -453,10 +454,36 @@ mod tests {
 
     #[test]
     fn table_text_is_byte_stable_and_monotone() {
-        let a = run(&mut Session::default());
+        let a = run(&mut Session::default()).unwrap();
         assert_eq!(a.rows.len(), CONFIGS.len() * MODES.len() * BATCHES.len());
         a.check_monotone().expect("monotone in B");
-        let b = run(&mut Session::default());
+        let b = run(&mut Session::default()).unwrap();
         assert_eq!(a.table(), b.table());
+    }
+
+    #[test]
+    fn a_non_monotone_matrix_is_a_violation_not_an_exit() {
+        let row = |batch: usize, crossings: u64, busy_ns: u64| Table6Row {
+            config: SystemConfig::LibraryShm,
+            mode: CopyMode::Eager,
+            batch,
+            packets: 256,
+            crossings,
+            steps: 0,
+            body_copies: 0,
+            header_copies: 0,
+            header_only: 0,
+            busy_ns,
+        };
+        // Crossings fall from B=1 to B=4, busy time rises.
+        let bench = Table6 {
+            rows: vec![row(1, 256, 9_000), row(4, 64, 9_500)],
+        };
+        let violation = bench.check_monotone().unwrap_err();
+        assert_eq!(
+            violation.to_string(),
+            "table6: MONOTONICITY FAILED — Mach 3.0+UX Library-SHM eager busy ns \
+             not decreasing: B=1 256/9000 → B=4 64/9500"
+        );
     }
 }

@@ -12,10 +12,6 @@
 //! fault is a named, scripted or seeded [`FaultSite`] and the medium
 //! itself consumes no randomness. A [`FrameTrace`] can be attached to
 //! capture traffic for assertions and debugging.
-//!
-//! The [`topology`] module composes segments into multi-hop networks:
-//! learning switches and store-and-forward IP routers with bounded
-//! drop-tail / RED egress queues.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -25,8 +21,6 @@ use psd_sim::{
     Terminal,
 };
 use psd_wire::{EtherAddr, EthernetHeader};
-
-pub mod topology;
 
 /// Minimum frame length on the wire (without FCS).
 pub(crate) const MIN_FRAME: usize = 60;
@@ -44,15 +38,6 @@ impl EtherTiming {
     /// Standard 10 Mb/s Ethernet.
     pub fn ten_megabit() -> EtherTiming {
         EtherTiming { bit_ns: 100 }
-    }
-
-    /// A segment running at `mbps` megabits per second (10 Mb/s is the
-    /// paper's wire; routers can join faster or slower links).
-    pub fn megabit(mbps: u64) -> EtherTiming {
-        assert!(mbps > 0 && 1000 % mbps == 0, "rate must divide 1000 Mb/s");
-        EtherTiming {
-            bit_ns: 1000 / mbps,
-        }
     }
 
     /// The on-wire time for a frame of `len` bytes (header + payload,
@@ -94,7 +79,7 @@ pub struct EtherStats {
     /// Frames delivered to stations (one per receiving station).
     pub(crate) delivered: u64,
     /// Wire time of every frame handed to the medium, dropped ones
-    /// included: serialization plus propagation, in nanoseconds. Table
+    /// included: serialization time, in nanoseconds. Table
     /// 4's "network transit" row is this counter's delta over the
     /// measured rounds.
     pub wire_ns: u64,
@@ -110,9 +95,6 @@ pub struct FrameTrace {
 /// The shared Ethernet medium.
 pub struct Ethernet {
     timing: EtherTiming,
-    /// Propagation delay added to every delivery (zero for the paper's
-    /// LAN segment; raise it to model a WAN link behind a router port).
-    propagation: SimTime,
     /// Extra delay applied to reordered and duplicated frames.
     reorder_delay: SimTime,
     stations: Vec<Rc<RefCell<dyn Station>>>,
@@ -154,7 +136,6 @@ impl Ethernet {
     pub fn new(timing: EtherTiming) -> EthernetHandle {
         Rc::new(RefCell::new(Ethernet {
             timing,
-            propagation: SimTime::ZERO,
             reorder_delay: SimTime::from_millis(2),
             stations: Vec::new(),
             busy_until: SimTime::ZERO,
@@ -180,18 +161,6 @@ impl Ethernet {
     /// Attaches a frame trace.
     pub fn set_trace(&mut self, trace: Option<Rc<RefCell<FrameTrace>>>) {
         self.trace = trace;
-    }
-
-    /// Sets the link propagation delay (zero by default; nonzero models
-    /// a WAN link: every delivery arrives that much later while the
-    /// wire is still only occupied for the serialization time).
-    pub fn set_propagation(&mut self, propagation: SimTime) {
-        self.propagation = propagation;
-    }
-
-    /// The link propagation delay.
-    pub(crate) fn propagation(&self) -> SimTime {
-        self.propagation
     }
 
     /// Sets the extra delay applied to reordered and duplicated frames.
@@ -234,31 +203,6 @@ impl Ethernet {
         ready: SimTime,
         frame: Vec<u8>,
     ) -> SimTime {
-        Ethernet::transmit_impl(this, sim, ready, frame, None)
-    }
-
-    /// [`Ethernet::transmit`] for forwarding devices (switches,
-    /// routers): `sender` is the transmitting station's own address,
-    /// excluded from delivery. A forwarded frame keeps the original
-    /// host's source MAC, so without this a promiscuous switch port
-    /// would hear its own transmission and forward it forever.
-    pub(crate) fn transmit_from(
-        this: &EthernetHandle,
-        sim: &mut Sim,
-        ready: SimTime,
-        frame: Vec<u8>,
-        sender: EtherAddr,
-    ) -> SimTime {
-        Ethernet::transmit_impl(this, sim, ready, frame, Some(sender))
-    }
-
-    fn transmit_impl(
-        this: &EthernetHandle,
-        sim: &mut Sim,
-        ready: SimTime,
-        frame: Vec<u8>,
-        exclude: Option<EtherAddr>,
-    ) -> SimTime {
         let mut seg = this.borrow_mut();
         debug_assert!(frame.len() >= psd_wire::ETHER_HDR_LEN, "runt frame");
         seg.stats.tx_frames += 1;
@@ -268,14 +212,12 @@ impl Ethernet {
         }
         // The shared medium serializes transmissions (CSMA/CD without
         // collisions: the workloads here are request/response or one
-        // one-way stream, so contention backoff is negligible). The
-        // wire is occupied for the serialization time only; propagation
-        // delays the delivery without blocking the next transmitter.
+        // one-way stream, so contention backoff is negligible).
         let start = ready.max(seg.busy_until);
         let duration = seg.timing.frame_time(frame.len());
         seg.busy_until = start + duration;
-        let arrival = start + duration + seg.propagation;
-        seg.stats.wire_ns += (duration + seg.propagation).as_nanos();
+        let arrival = start + duration;
+        seg.stats.wire_ns += duration.as_nanos();
         // Provenance: the wire frame gets its own trace id and a wire
         // span; every loss below is a typed terminal state.
         let wire = PacketCtx::begin(seg.obs.trace.as_ref(), start, &PacketCtx::default());
@@ -361,10 +303,10 @@ impl Ethernet {
         // The duplicate's deliveries are traced as parentless children:
         // the wire frame must terminate exactly once.
         let duplicate = duplicated.then(|| frame.clone());
-        Ethernet::schedule_delivery(this, sim, deliver_at, frame, wire, exclude);
+        Ethernet::schedule_delivery(this, sim, deliver_at, frame, wire);
         if let Some(frame) = duplicate {
             let untraced = PacketCtx::default();
-            Ethernet::schedule_delivery(this, sim, arrival + extra, frame, untraced, exclude);
+            Ethernet::schedule_delivery(this, sim, arrival + extra, frame, untraced);
         }
         arrival
     }
@@ -375,7 +317,6 @@ impl Ethernet {
         at: SimTime,
         frame: Vec<u8>,
         wire: PacketCtx,
-        exclude: Option<EtherAddr>,
     ) {
         let seg = this.clone();
         sim.at(at, move |sim| {
@@ -400,7 +341,6 @@ impl Ethernet {
                             let st = s.borrow();
                             let mac = st.mac();
                             mac != hdr.src
-                                && Some(mac) != exclude
                                 && (hdr.dst.is_broadcast() || hdr.dst == mac || st.promiscuous())
                         })
                         .cloned(),
@@ -845,38 +785,9 @@ mod tests {
     }
 
     #[test]
-    fn propagation_delays_delivery_without_occupying_the_wire() {
-        let mut sim = Sim::new(1);
-        let seg = Ethernet::new(EtherTiming::ten_megabit());
-        seg.borrow_mut().set_propagation(SimTime::from_millis(10));
-        let b = TestStation::new(2);
-        seg.borrow_mut().attach(b.clone());
-        let t1 = Ethernet::transmit(
-            &seg,
-            &mut sim,
-            SimTime::ZERO,
-            frame(1, EtherAddr::local(2), 29),
-        );
-        // 51.2 µs serialization + 10 ms propagation.
-        assert_eq!(t1, SimTime::from_nanos(10_051_200));
-        // The second frame serializes right behind the first: the wire
-        // is free after 51.2 µs, not after the propagation delay.
-        let t2 = Ethernet::transmit(
-            &seg,
-            &mut sim,
-            SimTime::ZERO,
-            frame(1, EtherAddr::local(2), 29),
-        );
-        assert_eq!(t2, SimTime::from_nanos(10_102_400));
-        sim.run_to_idle();
-        assert_eq!(b.borrow().received.len(), 2);
-    }
-
-    #[test]
     fn wire_ns_counts_every_transmitted_frame_dropped_or_not() {
         let mut sim = Sim::new(1);
         let seg = Ethernet::new(EtherTiming::ten_megabit());
-        seg.borrow_mut().set_propagation(SimTime::from_micros(7));
         let plane = psd_sim::FaultPlane::shared();
         plane.borrow_mut().script(FaultSite::WireLoss, &[1]);
         seg.borrow_mut().set_observers(Observers {
@@ -890,7 +801,7 @@ mod tests {
         for payload in [10, 1000, 1500] {
             let before = seg.borrow().stats().wire_ns;
             let f = frame(1, EtherAddr::local(2), payload);
-            let per_frame = timing.frame_time(f.len()) + SimTime::from_micros(7);
+            let per_frame = timing.frame_time(f.len());
             let now = sim.now();
             Ethernet::transmit(&seg, &mut sim, now, f);
             sim.run_to_idle();

@@ -142,9 +142,6 @@ pub struct StackStats {
     pub(crate) udp_out: u64,
     /// ICMP messages received.
     pub(crate) icmp_in: u64,
-    /// ICMP Time Exceeded messages received (a router on the path
-    /// expired one of our packets' TTL).
-    pub(crate) icmp_time_exceeded: u64,
     /// Datagrams reassembled from fragments.
     pub(crate) reassembled: u64,
     /// GSO super-descriptors accepted by `udp_send_gso`.
@@ -1770,12 +1767,6 @@ impl NetStack {
         };
         charge.trace_event("icmp");
         charge.trace_absorbed();
-        // Time Exceeded: a router dropped our packet for TTL. TCP's
-        // own retransmission recovers; we count it so chaos tests can
-        // assert the ICMP actually came back through the topology.
-        if matches!(msg.kind, psd_wire::IcmpType::TimeExceeded(_)) {
-            self.stats.icmp_time_exceeded += 1;
-        }
         // Echo: answered by the authoritative (OS) stack.
         if self.arp_authoritative {
             if let Some((rip, rpayload)) = icmp::echo_reply(ip, &msg) {

@@ -84,9 +84,8 @@ impl Observers {
 }
 
 /// Something an [`Observers`] set attaches to: a [`Cpu`], and the wire
-/// elements (`Ethernet`, `Switch`, `Router`). One trait so that every
-/// element is attached the same way, and a testbed can visit them all
-/// with one function.
+/// (`Ethernet`). One trait so that every element is attached the same
+/// way.
 pub trait Observable {
     /// The attached observer set.
     fn observers(&self) -> &Observers;

@@ -65,17 +65,12 @@ pub enum FaultSite {
     /// once per transmitted frame, so a scripted visit *range* models a
     /// flap or a partition (heal = the end of the range).
     LinkDown,
-    /// A router/switch egress queue reports full regardless of its real
-    /// depth, forcing a tail-drop burst.
-    LinkQueueFull,
-    /// A router with an alternate next hop routes this packet via the
-    /// alternate, creating asymmetric / flapping routes.
-    RouteFlip,
 }
 
 impl FaultSite {
-    /// Every site, in fault-plane presentation order.
-    pub(crate) const ALL: [FaultSite; 13] = [
+    /// Every site, in declaration (index) order, which is also the
+    /// fault-plane presentation order.
+    pub(crate) const ALL: [FaultSite; 11] = [
         FaultSite::ProxyRpc,
         FaultSite::ShmRing,
         FaultSite::FilterTable,
@@ -87,8 +82,6 @@ impl FaultSite {
         FaultSite::WireDuplicate,
         FaultSite::WireReorder,
         FaultSite::LinkDown,
-        FaultSite::LinkQueueFull,
-        FaultSite::RouteFlip,
     ];
 
     /// Short label used in fault-plane snapshots.
@@ -105,30 +98,15 @@ impl FaultSite {
             FaultSite::WireDuplicate => "wire_duplicate",
             FaultSite::WireReorder => "wire_reorder",
             FaultSite::LinkDown => "link_down",
-            FaultSite::LinkQueueFull => "link_queue_full",
-            FaultSite::RouteFlip => "route_flip",
         }
     }
 
+    /// Position in [`FaultSite::ALL`].
     fn index(self) -> usize {
-        match self {
-            FaultSite::ProxyRpc => 0,
-            FaultSite::ShmRing => 1,
-            FaultSite::FilterTable => 2,
-            FaultSite::NicRx => 3,
-            FaultSite::ServerCrash => 4,
-            FaultSite::MigrationCapsule => 5,
-            FaultSite::WireBurstLoss => 6,
-            FaultSite::WireLoss => 7,
-            FaultSite::WireDuplicate => 8,
-            FaultSite::WireReorder => 9,
-            FaultSite::LinkDown => 10,
-            FaultSite::LinkQueueFull => 11,
-            FaultSite::RouteFlip => 12,
-        }
+        self as usize
     }
 
-    const COUNT: usize = 13;
+    const COUNT: usize = FaultSite::ALL.len();
 }
 
 #[derive(Debug, Default, Clone)]
@@ -285,6 +263,13 @@ impl Default for FaultPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn all_is_in_index_order() {
+        for (i, site) in FaultSite::ALL.iter().enumerate() {
+            assert_eq!(site.index(), i);
+        }
+    }
 
     #[test]
     fn empty_plane_never_injects_and_consumes_no_randomness() {

@@ -163,20 +163,14 @@ pub enum DropReason {
     ReassemblyTimeout,
     /// Packet dropped awaiting ARP resolution (protocol retransmits).
     ArpUnresolved,
-    /// A bounded egress queue was full (drop-tail discipline).
-    QueueTailDrop,
-    /// Random Early Detection dropped the packet before the queue
-    /// filled.
-    RedEarlyDrop,
     /// The link was down (fault-plane flap or partition window).
     LinkDown,
-    /// TTL reached zero in a router (ICMP Time Exceeded answered).
-    TtlExpired,
 }
 
 impl DropReason {
-    /// Every reason, in presentation order.
-    pub const ALL: [DropReason; 23] = [
+    /// Every reason, in declaration (index) order, which is also the
+    /// presentation order.
+    pub const ALL: [DropReason; 20] = [
         DropReason::FilterMiss,
         DropReason::EndpointDead,
         DropReason::FaultInjected,
@@ -196,10 +190,7 @@ impl DropReason {
         DropReason::SocketOverflow,
         DropReason::ReassemblyTimeout,
         DropReason::ArpUnresolved,
-        DropReason::QueueTailDrop,
-        DropReason::RedEarlyDrop,
         DropReason::LinkDown,
-        DropReason::TtlExpired,
     ];
 
     /// Short label used in census snapshots and trace JSON.
@@ -224,23 +215,17 @@ impl DropReason {
             DropReason::SocketOverflow => "socket-overflow",
             DropReason::ReassemblyTimeout => "reassembly-timeout",
             DropReason::ArpUnresolved => "arp-unresolved",
-            DropReason::QueueTailDrop => "queue-tail-drop",
-            DropReason::RedEarlyDrop => "red-early-drop",
             DropReason::LinkDown => "link-down",
-            DropReason::TtlExpired => "ttl-expired",
         }
     }
 
     /// Position in [`DropReason::ALL`].
     pub(crate) fn index(self) -> usize {
-        DropReason::ALL
-            .iter()
-            .position(|r| *r == self)
-            .expect("in ALL")
+        self as usize
     }
 
     /// Number of reasons.
-    pub(crate) const COUNT: usize = 23;
+    pub(crate) const COUNT: usize = DropReason::ALL.len();
 }
 
 /// Always-on per-reason drop counters, embedded in component stats
@@ -775,6 +760,13 @@ mod tests {
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    #[test]
+    fn all_is_in_index_order() {
+        for (i, reason) in DropReason::ALL.iter().enumerate() {
+            assert_eq!(reason.index(), i);
+        }
     }
 
     #[test]

@@ -24,12 +24,11 @@ use std::rc::Rc;
 
 use psd_core::{AppHandle, AppLib};
 use psd_kernel::{Kernel, KernelHandle, RxMode};
-use psd_netdev::topology::{QueueDisc, Router, RouterHandle, RouterRoute, Switch, SwitchHandle};
 use psd_netdev::{EtherTiming, Ethernet, EthernetHandle};
 use psd_netstack::stack::StackHandle;
 use psd_netstack::{NetStack, Placement, RouteTable};
 use psd_server::{KernelNetIf, OsServer, PortNamespace, ServerHandle};
-use psd_sim::{CostModel, Cpu, FaultSite, Observable, Observers, Platform, Sim, SimTime};
+use psd_sim::{CostModel, Cpu, FaultSite, Observable, Observers, Platform, Sim};
 use psd_wire::EtherAddr;
 
 /// The system architectures compared in Table 2.
@@ -203,86 +202,13 @@ impl Host {
     }
 }
 
-/// Every [`Observable`] in a bed: the host CPUs and the wire elements.
-/// Both beds attach their planes through this one visitor, so a plane
-/// reaches a CPU, a segment, a switch and a router the same way — one
-/// read-modify-write of the element's set.
-#[derive(Default)]
-struct Observed<'a> {
-    hosts: &'a [Host],
-    segments: &'a [EthernetHandle],
-    switches: &'a [SwitchHandle],
-    routers: &'a [RouterHandle],
-}
-
-impl<'a> Observed<'a> {
-    /// One segment alone (wire-only fault planes).
-    fn wire(seg: &'a EthernetHandle) -> Observed<'a> {
-        Observed {
-            segments: std::slice::from_ref(seg),
-            ..Observed::default()
-        }
-    }
-
-    /// Applies `edit` to the observer set of every element, host CPUs
-    /// first (in `hosts` order).
-    fn edit(&self, mut edit: impl FnMut(&mut Observers)) {
-        fn apply<T: Observable>(element: &RefCell<T>, edit: &mut impl FnMut(&mut Observers)) {
-            let mut element = element.borrow_mut();
-            let mut obs = element.observers().clone();
-            edit(&mut obs);
-            element.set_observers(obs);
-        }
-        for h in self.hosts {
-            apply(&h.cpu, &mut edit);
-        }
-        for seg in self.segments {
-            apply(seg, &mut edit);
-        }
-        for sw in self.switches {
-            apply(sw, &mut edit);
-        }
-        for r in self.routers {
-            apply(r, &mut edit);
-        }
-    }
-
-    /// A fresh plane per host CPU (censuses and profilers are per-host
-    /// so per-CPU conservation and per-host counts stay exact),
-    /// returned in `hosts` order.
-    fn attach_per_host<T: Clone>(
-        &self,
-        fresh: impl Fn() -> T,
-        slot: impl Fn(&mut Observers) -> &mut Option<T>,
-    ) -> Vec<T> {
-        let cpus = Observed {
-            hosts: self.hosts,
-            ..Observed::default()
-        };
-        let mut handles = Vec::new();
-        cpus.edit(|obs| {
-            let handle = fresh();
-            *slot(obs) = Some(handle.clone());
-            handles.push(handle);
-        });
-        handles
-    }
-
-    fn attach_census(&self) -> Vec<psd_sim::CensusHandle> {
-        self.attach_per_host(psd_sim::Census::shared, |obs| &mut obs.census)
-    }
-
-    fn attach_profilers(&self) -> Vec<psd_sim::ProfileHandle> {
-        self.attach_per_host(psd_sim::Profiler::shared, |obs| &mut obs.profile)
-    }
-
-    fn attach_fault_plane(&self, plane: &psd_sim::FaultPlaneHandle) {
-        self.edit(|obs| obs.fault = Some(plane.clone()));
-    }
-
-    fn attach_tracer(&self, tracer: &psd_sim::TraceHandle) {
-        self.edit(|obs| obs.trace = Some(tracer.clone()));
-    }
+/// Replaces `element`'s observer set with a copy that `edit` changed —
+/// one read-modify-write, so attaching one plane keeps the others.
+fn edit_observers<T: Observable>(element: &RefCell<T>, edit: impl FnOnce(&mut Observers)) {
+    let mut element = element.borrow_mut();
+    let mut obs = element.observers().clone();
+    edit(&mut obs);
+    element.set_observers(obs);
 }
 
 /// An empty fault plane with a private fixed-seed RNG: nothing scripted,
@@ -389,16 +315,35 @@ impl TestBed {
                 p.arm(FaultSite::WireReorder, reorder);
             }
         }
-        Observed::wire(&self.ether).attach_fault_plane(&plane);
+        edit_observers(&self.ether, |obs| obs.fault = Some(plane.clone()));
         plane
     }
 
-    /// Every place this bed's observers attach: both CPUs and the wire.
-    fn observed(&self) -> Observed<'_> {
-        Observed {
-            hosts: &self.hosts,
-            ..Observed::wire(&self.ether)
+    /// Applies `edit` to the observer set of both host CPUs (in `hosts`
+    /// order) and then of the wire.
+    fn edit_everywhere(&self, edit: impl Fn(&mut Observers)) {
+        for h in &self.hosts {
+            edit_observers(&h.cpu, &edit);
         }
+        edit_observers(&self.ether, &edit);
+    }
+
+    /// A fresh plane per host CPU (censuses and profilers are per-host
+    /// so per-CPU conservation and per-host counts stay exact),
+    /// returned in `hosts` order.
+    fn attach_per_host<T: Clone>(
+        &self,
+        fresh: impl Fn() -> T,
+        slot: impl Fn(&mut Observers) -> &mut Option<T>,
+    ) -> Vec<T> {
+        self.hosts
+            .iter()
+            .map(|h| {
+                let handle = fresh();
+                edit_observers(&h.cpu, |obs| *slot(obs) = Some(handle.clone()));
+                handle
+            })
+            .collect()
     }
 
     /// Attaches a fresh operation census to every host CPU, returning
@@ -406,7 +351,7 @@ impl TestBed {
     /// virtual time, so attaching a census leaves every timing result
     /// bit-identical.
     pub fn attach_census(&mut self) -> Vec<psd_sim::CensusHandle> {
-        self.observed().attach_census()
+        self.attach_per_host(psd_sim::Census::shared, |obs| &mut obs.census)
     }
 
     /// Attaches one shared fault plane to every host CPU and to the
@@ -420,7 +365,7 @@ impl TestBed {
     /// it here would perturb later draws.
     pub fn attach_fault_plane(&mut self) -> psd_sim::FaultPlaneHandle {
         let plane = fresh_fault_plane();
-        self.observed().attach_fault_plane(&plane);
+        self.edit_everywhere(|obs| obs.fault = Some(plane.clone()));
         plane
     }
 
@@ -437,7 +382,7 @@ impl TestBed {
     /// Attaches an existing tracer (shared across beds when a benchmark
     /// merges several runs into one trace file).
     pub fn attach_tracer_handle(&mut self, tracer: &psd_sim::TraceHandle) {
-        self.observed().attach_tracer(tracer);
+        self.edit_everywhere(|obs| obs.trace = Some(tracer.clone()));
     }
 
     /// Attaches a fresh charged-time profiler to every host CPU,
@@ -447,7 +392,7 @@ impl TestBed {
     /// guarantees exact conservation — attributed nanoseconds equal
     /// `Cpu::total_busy` on each host, bit-exact.
     pub fn attach_profilers(&mut self) -> Vec<psd_sim::ProfileHandle> {
-        self.observed().attach_profilers()
+        self.attach_per_host(psd_sim::Profiler::shared, |obs| &mut obs.profile)
     }
 
     /// Builds a gauge registry over both hosts (kernel interface and
@@ -476,243 +421,6 @@ impl TestBed {
 
     /// Runs the simulation for a bounded virtual duration.
     pub fn run_for(&mut self, d: psd_sim::SimTime) {
-        let deadline = self.sim.now() + d;
-        self.sim.run_until(deadline);
-    }
-}
-
-/// Two hosts at opposite ends of a multi-hop internet:
-///
-/// ```text
-/// host0 ── segA0 ══ switch ══ segA1 ── R1 ═╦═ segM1 (primary) ═╦═ R2 ── segB ── host1
-/// 10.0.1.1                     10.0.1.254  ╚═ segM2 (alternate)╝ 10.0.2.254     10.0.2.1
-/// ```
-///
-/// The access segments are 10 Mb/s LANs; the two middle segments are
-/// slower 2 Mb/s links with WAN propagation delay, so the routers'
-/// bounded egress queues actually congest. R1→R2 primary egress runs
-/// RED; everything else is drop-tail. Both routers carry an alternate
-/// route over `segM2`, taken only when the fault plane injects
-/// [`FaultSite::RouteFlip`]. Hosts reach each other through default
-/// routes via their local router — the full gateway-ARP, TTL-decrement,
-/// store-and-forward path.
-pub struct MultiHopBed {
-    /// The simulation.
-    pub sim: Sim,
-    /// All segments: `[segA0, segA1, segM1, segM2, segB]`.
-    pub segments: Vec<EthernetHandle>,
-    /// The access-side learning switch.
-    pub switch: SwitchHandle,
-    /// The two routers `[r1, r2]`.
-    pub routers: Vec<RouterHandle>,
-    /// The two hosts (`hosts[0]` = 10.0.1.1, `hosts[1]` = 10.0.2.1).
-    pub hosts: Vec<Host>,
-}
-
-/// Index of the middle primary segment in [`MultiHopBed::segments`].
-pub const SEG_MID_PRIMARY: usize = 2;
-/// Index of the middle alternate segment in [`MultiHopBed::segments`].
-pub const SEG_MID_ALTERNATE: usize = 3;
-
-impl MultiHopBed {
-    /// Builds the five-segment diamond topology above.
-    pub fn new(config: SystemConfig, platform: Platform, seed: u64) -> MultiHopBed {
-        let mut sim = Sim::new(seed);
-        let ip = Ipv4Addr::new;
-        let mask = Ipv4Addr::new(255, 255, 255, 0);
-
-        let seg_a0 = Ethernet::new(EtherTiming::ten_megabit());
-        let seg_a1 = Ethernet::new(EtherTiming::ten_megabit());
-        let seg_m1 = Ethernet::new(EtherTiming::megabit(2));
-        let seg_m2 = Ethernet::new(EtherTiming::megabit(2));
-        let seg_b = Ethernet::new(EtherTiming::ten_megabit());
-        // WAN propagation on the middle links: ~10 ms RTT end to end.
-        seg_m1.borrow_mut().set_propagation(SimTime::from_millis(5));
-        seg_m2.borrow_mut().set_propagation(SimTime::from_millis(5));
-
-        // Devices fork the sim RNG at construction, so build order is
-        // part of the deterministic contract: switch, R1, R2.
-        let switch = Switch::new(&mut sim);
-        Switch::add_port(&switch, &seg_a0, 10, QueueDisc::DropTail { capacity: 32 });
-        Switch::add_port(&switch, &seg_a1, 11, QueueDisc::DropTail { capacity: 32 });
-
-        let tail = |capacity| QueueDisc::DropTail { capacity };
-        let red = QueueDisc::Red {
-            capacity: 16,
-            min_th: 4,
-            max_th: 12,
-            max_p: 0.2,
-        };
-
-        let r1 = Router::new(&mut sim);
-        let r1_a = Router::add_port(&r1, &seg_a1, 20, ip(10, 0, 1, 254), tail(32));
-        let r1_m1 = Router::add_port(&r1, &seg_m1, 21, ip(10, 0, 3, 1), red);
-        let r1_m2 = Router::add_port(&r1, &seg_m2, 22, ip(10, 0, 4, 1), tail(16));
-        {
-            let mut r = r1.borrow_mut();
-            for (net, port) in [
-                (ip(10, 0, 1, 0), r1_a),
-                (ip(10, 0, 3, 0), r1_m1),
-                (ip(10, 0, 4, 0), r1_m2),
-            ] {
-                r.add_route(RouterRoute {
-                    net,
-                    mask,
-                    port,
-                    next_hop: None,
-                    alt: None,
-                });
-            }
-            r.add_route(RouterRoute {
-                net: ip(10, 0, 2, 0),
-                mask,
-                port: r1_m1,
-                next_hop: Some(ip(10, 0, 3, 2)),
-                alt: Some((r1_m2, ip(10, 0, 4, 2))),
-            });
-        }
-
-        let r2 = Router::new(&mut sim);
-        let r2_b = Router::add_port(&r2, &seg_b, 30, ip(10, 0, 2, 254), tail(32));
-        let r2_m1 = Router::add_port(&r2, &seg_m1, 31, ip(10, 0, 3, 2), tail(16));
-        let r2_m2 = Router::add_port(&r2, &seg_m2, 32, ip(10, 0, 4, 2), tail(16));
-        {
-            let mut r = r2.borrow_mut();
-            for (net, port) in [
-                (ip(10, 0, 2, 0), r2_b),
-                (ip(10, 0, 3, 0), r2_m1),
-                (ip(10, 0, 4, 0), r2_m2),
-            ] {
-                r.add_route(RouterRoute {
-                    net,
-                    mask,
-                    port,
-                    next_hop: None,
-                    alt: None,
-                });
-            }
-            r.add_route(RouterRoute {
-                net: ip(10, 0, 1, 0),
-                mask,
-                port: r2_m1,
-                next_hop: Some(ip(10, 0, 3, 1)),
-                alt: Some((r2_m2, ip(10, 0, 4, 1))),
-            });
-        }
-
-        let costs = config.cost_model(platform);
-        let mut hosts = Vec::new();
-        for (i, (seg, net, gw)) in [
-            (&seg_a0, ip(10, 0, 1, 0), ip(10, 0, 1, 254)),
-            (&seg_b, ip(10, 0, 2, 0), ip(10, 0, 2, 254)),
-        ]
-        .into_iter()
-        .enumerate()
-        {
-            let mut routes = RouteTable::directly_attached(net, mask);
-            routes.add_default(gw);
-            let host_ip = Ipv4Addr::new(10, 0, 1 + i as u8, 1);
-            let host = build_host(
-                &mut sim,
-                seg,
-                config,
-                costs.clone(),
-                host_ip,
-                1 + i as u32,
-                platform,
-                routes,
-            );
-            hosts.push(host);
-        }
-
-        MultiHopBed {
-            sim,
-            segments: vec![seg_a0, seg_a1, seg_m1, seg_m2, seg_b],
-            switch,
-            routers: vec![r1, r2],
-            hosts,
-        }
-    }
-
-    /// Every place this bed's observers attach: both CPUs, every
-    /// segment, the switch, and both routers.
-    fn observed(&self) -> Observed<'_> {
-        Observed {
-            hosts: &self.hosts,
-            segments: &self.segments,
-            switches: std::slice::from_ref(&self.switch),
-            routers: &self.routers,
-        }
-    }
-
-    /// Attaches one shared fault plane to every host CPU, every
-    /// segment, the switch, and both routers, returning its handle.
-    /// Same contract as [`TestBed::attach_fault_plane`]: the empty
-    /// plane is inert and consumes no randomness.
-    pub fn attach_fault_plane(&mut self) -> psd_sim::FaultPlaneHandle {
-        let plane = fresh_fault_plane();
-        self.observed().attach_fault_plane(&plane);
-        plane
-    }
-
-    /// Attaches a separate fault plane to one segment only (targeted
-    /// partitions: down `segM1` without touching the rest).
-    pub fn attach_segment_fault_plane(&mut self, seg: usize) -> psd_sim::FaultPlaneHandle {
-        let plane = fresh_fault_plane();
-        Observed::wire(&self.segments[seg]).attach_fault_plane(&plane);
-        plane
-    }
-
-    /// Attaches a fresh packet-lifecycle tracer everywhere, returning
-    /// its handle.
-    pub fn attach_tracer(&mut self) -> psd_sim::TraceHandle {
-        let tracer = psd_sim::Tracer::shared();
-        self.observed().attach_tracer(&tracer);
-        tracer
-    }
-
-    /// Attaches a fresh operation census to every host CPU (one handle
-    /// per host, in `hosts` order).
-    pub fn attach_census(&mut self) -> Vec<psd_sim::CensusHandle> {
-        self.observed().attach_census()
-    }
-
-    /// Builds a gauge registry over the whole diamond — both hosts'
-    /// kernel/protocol/pool gauges plus every switch and router egress
-    /// queue depth (including R1's RED-managed primary WAN port) — and
-    /// arms the engine's run-loop sampler at `period`. Same inertness
-    /// contract as [`TestBed::attach_metrics`].
-    pub fn attach_metrics(&mut self, period: SimTime) -> psd_sim::MetricsHandle {
-        let metrics = psd_sim::Metrics::shared();
-        {
-            let mut m = metrics.borrow_mut();
-            for (i, h) in self.hosts.iter().enumerate() {
-                register_host_gauges(&mut m, i, h);
-            }
-            register_mbuf_gauges(&mut m);
-            {
-                let sw = self.switch.borrow();
-                for p in 0..2 {
-                    let depth = sw.port_depth_cell(p);
-                    m.register(format!("switch.p{p}.depth"), move || depth.get() as u64);
-                }
-            }
-            for (ri, r) in self.routers.iter().enumerate() {
-                let r = r.borrow();
-                for p in 0..3 {
-                    let depth = r.port_depth_cell(p);
-                    m.register(format!("r{}.p{p}.depth", ri + 1), move || {
-                        depth.get() as u64
-                    });
-                }
-            }
-        }
-        self.sim.set_metrics_sampler(metrics.clone(), period);
-        metrics
-    }
-
-    /// Runs the simulation for a bounded virtual duration.
-    pub fn run_for(&mut self, d: SimTime) {
         let deadline = self.sim.now() + d;
         self.sim.run_until(deadline);
     }
@@ -968,108 +676,6 @@ mod tests {
         assert!((1..=512).contains(&capped), "386BSD sent {capped} bytes");
         let full = largest_tcp_segment(SystemConfig::Mach25InKernel);
         assert_eq!(full, 1460, "Mach 2.5 sends full-size segments");
-    }
-
-    #[test]
-    fn multihop_bed_routes_tcp_end_to_end() {
-        // 16 KB through switch + two routers + WAN-delay middle links,
-        // twice with the same seed: the transfer completes, the routers
-        // actually forwarded it, and the virtual clock agrees exactly.
-        let t1 = multihop::transfer(SystemConfig::LibraryShm, Platform::DecStation5000_200, 5);
-        let t2 = multihop::transfer(SystemConfig::LibraryShm, Platform::DecStation5000_200, 5);
-        assert_eq!(t1, t2);
-    }
-
-    #[test]
-    fn multihop_bed_works_for_inkernel_and_server_configs() {
-        for config in [SystemConfig::Mach25InKernel, SystemConfig::UxServer] {
-            multihop::transfer(config, Platform::DecStation5000_200, 3);
-        }
-    }
-
-    /// A small TCP transfer across the [`MultiHopBed`] diamond.
-    mod multihop {
-        use super::super::*;
-        use psd_core::{AppLib, Fd, FdEventFn};
-        use psd_netstack::{InetAddr, SockEvent};
-        use psd_server::Proto;
-        use psd_sim::SimTime;
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        const BYTES: usize = 16 * 1024;
-
-        pub(crate) fn transfer(config: SystemConfig, platform: Platform, seed: u64) -> u64 {
-            let mut bed = MultiHopBed::new(config, platform, seed);
-            let rx_app = bed.hosts[1].spawn_app();
-            let got = Rc::new(RefCell::new(0usize));
-            let lfd = AppLib::socket(&rx_app, &mut bed.sim, Proto::Tcp);
-            AppLib::bind(&rx_app, &mut bed.sim, lfd, 5001).unwrap();
-            AppLib::listen(&rx_app, &mut bed.sim, lfd, 1).unwrap();
-            {
-                let app = rx_app.clone();
-                let conn_app = rx_app.clone();
-                let got2 = got.clone();
-                let conn: FdEventFn = Rc::new(RefCell::new(
-                    move |sim: &mut psd_sim::Sim, fd: Fd, ev: SockEvent| {
-                        if ev == SockEvent::Readable {
-                            let mut buf = [0u8; 8192];
-                            while let Ok(n) = AppLib::recv(&conn_app, sim, fd, &mut buf) {
-                                if n == 0 {
-                                    break;
-                                }
-                                *got2.borrow_mut() += n;
-                            }
-                        }
-                    },
-                ));
-                let listen: FdEventFn = Rc::new(RefCell::new(
-                    move |sim: &mut psd_sim::Sim, fd: Fd, ev: SockEvent| {
-                        if ev == SockEvent::Readable {
-                            while let Ok(c) = AppLib::accept(&app, sim, fd) {
-                                app.borrow_mut().set_event_handler(c, conn.clone());
-                            }
-                        }
-                    },
-                ));
-                rx_app.borrow_mut().set_event_handler(lfd, listen);
-            }
-            let tx_app = bed.hosts[0].spawn_app();
-            let cfd = AppLib::socket(&tx_app, &mut bed.sim, Proto::Tcp);
-            let sent = Rc::new(RefCell::new(0usize));
-            {
-                let app = tx_app.clone();
-                let sent = sent.clone();
-                let h: FdEventFn = Rc::new(RefCell::new(
-                    move |sim: &mut psd_sim::Sim, fd: Fd, ev: SockEvent| {
-                        if matches!(ev, SockEvent::Connected | SockEvent::Writable) {
-                            while *sent.borrow() < BYTES {
-                                match AppLib::send(&app, sim, fd, &[7u8; 4096]) {
-                                    Ok(n) => *sent.borrow_mut() += n,
-                                    Err(_) => break,
-                                }
-                            }
-                        }
-                    },
-                ));
-                tx_app.borrow_mut().set_event_handler(cfd, h);
-            }
-            let dst = InetAddr::new(bed.hosts[1].ip, 5001);
-            AppLib::connect(&tx_app, &mut bed.sim, cfd, dst).unwrap();
-            while *got.borrow() < BYTES {
-                let t = bed.sim.now() + SimTime::from_millis(100);
-                bed.sim.run_until(t);
-                assert!(bed.sim.now() < SimTime::from_secs(300), "stalled");
-            }
-            for r in &bed.routers {
-                assert!(r.borrow().stats().forwarded > 0, "router on the path");
-            }
-            assert!(
-                bed.switch.borrow().stats().forwarded > 0,
-                "switch on the path"
-            );
-            bed.sim.now().as_nanos()
-        }
     }
 
     #[test]

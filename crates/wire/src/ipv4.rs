@@ -66,7 +66,7 @@ pub struct Ipv4Header {
     /// Fragment offset in bytes (multiple of 8).
     pub frag_offset: u16,
     /// Time to live.
-    pub ttl: u8,
+    pub(crate) ttl: u8,
     /// Carried protocol.
     pub proto: IpProto,
     /// Source address.

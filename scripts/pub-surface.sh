@@ -10,7 +10,9 @@
 #
 # An item that must stay `pub` although no caller names it — a type
 # that only appears in a used public signature — is listed in
-# scripts/pub-surface-exempt.txt as `<crate> <name> <signature>`.
+# scripts/pub-surface-exempt.txt as `<crate> <name> <signature>`. A
+# line whose name that crate no longer declares `pub` is stale and
+# fails too.
 #
 # Usage: scripts/pub-surface.sh   (from anywhere; exits 1 on a finding)
 set -euo pipefail
@@ -28,6 +30,12 @@ for dir in crates/*/; do
     for name in $(comm -23 <(echo "$names") <(echo "$used")); do
         if ! grep -qE "^$crate $name " "$exempt"; then
             echo "crates/$crate: \`pub\` item \`$name\` is named nowhere outside the crate"
+            status=1
+        fi
+    done
+    for name in $(awk -v c="$crate" '$1 == c { print $2 }' "$exempt"); do
+        if ! grep -qx "$name" <<<"$names"; then
+            echo "$exempt: crates/$crate declares no \`pub\` item \`$name\`"
             status=1
         fi
     done

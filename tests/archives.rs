@@ -38,7 +38,9 @@ fn archive(bin: &str) -> &'static Archive {
 fn render(bin: &str, tokens: &[&str]) -> String {
     psd::mbuf::drain_pools();
     psd::mbuf::reset_pool_stats();
-    archive(bin).render(tokens)
+    archive(bin)
+        .render(tokens)
+        .unwrap_or_else(|violation| panic!("{violation}"))
 }
 
 fn root() -> &'static Path {

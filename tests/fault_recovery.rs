@@ -636,3 +636,236 @@ fn endpoint_death_mid_batch_represents_unconsumed_frames() {
     // window (second crossing) and frames 1-4 ride it. Never more.
     assert_eq!(stats.rx_session_crossings, 2);
 }
+
+/// Seeds of the partition-and-heal matrix.
+const PARTITION_SEEDS: [u64; 8] = [1, 2, 3, 5, 8, 13, 21, 34];
+
+/// Gauge samples of a metered run: `(virtual ns, one value per gauge)`.
+type Samples = Vec<(u64, Vec<u64>)>;
+
+/// Connects a client on host 0 to a TCP echo server on host 1 through
+/// whatever the wire is doing, panicking if the handshake never ends.
+fn echo_pair(bed: &mut TestBed) -> (AppHandle, common::TcpClient, Rc<RefCell<usize>>) {
+    let server_app = bed.hosts[1].spawn_app();
+    let echoed = tcp_echo_server(bed, &server_app, 80);
+    let client_app = bed.hosts[0].spawn_app();
+    let dst = InetAddr::new(bed.hosts[1].ip, 80);
+    let client = tcp_client(bed, &client_app, dst);
+    assert!(
+        run_until(bed, SimTime::from_secs(60), || *client.connected.borrow()),
+        "connect never completed ({})",
+        bed.config.label()
+    );
+    (client_app, client, echoed)
+}
+
+/// Closes the client and drains; host 0 must end with no session and
+/// no port.
+fn assert_client_drains(bed: &mut TestBed, client_app: &AppHandle, fd: Fd, what: &str) {
+    AppLib::close(client_app, &mut bed.sim, fd);
+    let clear = |bed: &TestBed| {
+        bed.hosts[0]
+            .server
+            .as_ref()
+            .is_none_or(|os| os.borrow().session_count() == 0)
+    };
+    for _ in 0..1200 {
+        if clear(bed) {
+            break;
+        }
+        bed.run_for(SimTime::from_millis(100));
+    }
+    if let Some(os) = &bed.hosts[0].server {
+        let os = os.borrow();
+        assert_eq!(os.session_count(), 0, "{what}: client host leaked sessions");
+        assert!(os.ports().is_empty(), "{what}: client host leaked ports");
+    }
+}
+
+/// One paced TCP echo over a lossy, duplicating, reordering wire that
+/// goes down completely (`LinkDown` armed at 1.0) for two virtual
+/// seconds in the middle of the transfer and then heals (armed at 0.0).
+/// Asserts the recovery invariants and returns the run's deterministic
+/// digest, plus the gauge samples taken every 100 virtual ms when
+/// `metered`.
+///
+/// The outage is total, so it must end before TCP gives up: on one LAN
+/// segment the backed-off RTO stays at `RTO_MIN` (500 ms) for nearly
+/// all `MAX_RXT` (8) retransmissions, so a connection dies about five
+/// virtual seconds into an outage.
+fn partition_and_heal(config: SystemConfig, seed: u64, metered: bool) -> (String, Samples) {
+    use std::fmt::Write as _;
+    const PATTERN_LEN: usize = 20 * 1024;
+    const CHUNK: usize = 256;
+    let what = format!("{} seed {seed}", config.label());
+    // The mbuf gauges read per-thread pool state; start every run where
+    // a fresh process starts.
+    psd::mbuf::drain_pools();
+    psd::mbuf::reset_pool_stats();
+    let mut bed = TestBed::new(config, Platform::DecStation5000_200, seed);
+    let metrics = metered.then(|| bed.attach_metrics(SimTime::from_millis(100)));
+    let censuses = bed.attach_census();
+    let tracer = bed.attach_tracer();
+    let plane = bed.arm_wire_faults(seed, 0.004, 0.002, 0.002);
+    let (client_app, client, echoed) = echo_pair(&mut bed);
+
+    // One chunk per 100 ms slice keeps frames on the wire while the
+    // partition is open, so it provably bites.
+    let pattern: Vec<u8> = (0..PATTERN_LEN as u32).map(|i| (i % 239) as u8).collect();
+    let t0 = bed.sim.now();
+    let window = (t0 + SimTime::from_secs(2), t0 + SimTime::from_secs(4));
+    let mut sent = 0;
+    let mut down = false;
+    while client.replies.borrow().len() < pattern.len() {
+        let now = bed.sim.now();
+        let want_down = now >= window.0 && now < window.1;
+        if want_down != down {
+            let p = if want_down { 1.0 } else { 0.0 };
+            plane.borrow_mut().arm(FaultSite::LinkDown, p);
+            down = want_down;
+        }
+        if sent < pattern.len() {
+            let end = (sent + CHUNK).min(pattern.len());
+            let chunk = &pattern[sent..end];
+            if let Ok(n) = AppLib::send(&client_app, &mut bed.sim, client.fd, chunk) {
+                sent += n;
+            }
+        }
+        assert!(
+            now < t0 + SimTime::from_secs(300),
+            "transfer hung across partition + heal: sent={sent} echoed={} replies={} ({what})",
+            *echoed.borrow(),
+            client.replies.borrow().len(),
+        );
+        bed.run_for(SimTime::from_millis(100));
+    }
+    assert!(
+        !down,
+        "the transfer ended with the link still down ({what})"
+    );
+    assert_eq!(
+        *client.error.borrow(),
+        None,
+        "a recoverable partition errored the connection ({what})"
+    );
+    // Exactly once, in order.
+    assert!(
+        client.replies.borrow().as_slice() == pattern.as_slice(),
+        "the echoed stream differs from what was sent ({what})"
+    );
+    // A partition that never dropped a frame proves nothing.
+    assert!(
+        plane.borrow().injected(FaultSite::LinkDown) > 0,
+        "the partition never dropped a frame ({what})"
+    );
+    assert_client_drains(&mut bed, &client_app, client.fd, &what);
+    if let Some(os) = &bed.hosts[1].server {
+        let os = os.borrow();
+        assert!(
+            os.session_count() <= 1,
+            "{what}: server host leaked sessions"
+        );
+        assert!(os.ports().len() <= 1, "{what}: server host leaked ports");
+    }
+    let violations = tracer.borrow().check_invariants();
+    assert!(
+        violations.is_empty(),
+        "packet-lifecycle violations ({what}): {violations:?}"
+    );
+
+    let mut d = String::new();
+    let _ = writeln!(
+        d,
+        "{what} sent={sent} replies={} echoed={} clock_ns={}",
+        client.replies.borrow().len(),
+        *echoed.borrow(),
+        bed.sim.now().as_nanos(),
+    );
+    for (i, host) in bed.hosts.iter().enumerate() {
+        if let Some(os) = &host.server {
+            let _ = writeln!(d, "host{i} stats={:?}", os.borrow().stats);
+        }
+    }
+    let ether = bed.ether.borrow();
+    let drops: Vec<_> = ether.drops().nonzero().collect();
+    let _ = writeln!(d, "wire={:?} drops={drops:?}", ether.stats());
+    let _ = writeln!(d, "plane:\n{}", plane.borrow().snapshot());
+    for (i, c) in censuses.iter().enumerate() {
+        let _ = writeln!(d, "census host{i}:\n{}", c.borrow().snapshot());
+    }
+    let samples = metrics.map_or_else(Vec::new, |m| m.borrow().samples().to_vec());
+    (d, samples)
+}
+
+/// Every seed twice, the second run metered: the digests must be equal
+/// and the sampler must have sampled; the first seed's metered run is
+/// repeated and must sample the same rows.
+fn partition_and_heal_matrix(config: SystemConfig) {
+    for (i, seed) in PARTITION_SEEDS.into_iter().enumerate() {
+        let (plain, _) = partition_and_heal(config, seed, false);
+        let (metered, samples) = partition_and_heal(config, seed, true);
+        assert_eq!(
+            plain,
+            metered,
+            "the metered run diverged ({} seed {seed})",
+            config.label()
+        );
+        assert!(!samples.is_empty(), "the metered run sampled nothing");
+        if i == 0 {
+            let (_, again) = partition_and_heal(config, seed, true);
+            assert!(
+                again == samples,
+                "same-seed metered runs sampled different rows"
+            );
+        }
+    }
+}
+
+#[test]
+fn partition_and_heal_server_based_placement() {
+    partition_and_heal_matrix(SystemConfig::UxServer);
+}
+
+#[test]
+fn partition_and_heal_library_ipc_placement() {
+    partition_and_heal_matrix(SystemConfig::LibraryIpc);
+}
+
+#[test]
+fn partition_and_heal_library_shm_placement() {
+    partition_and_heal_matrix(SystemConfig::LibraryShm);
+}
+
+/// Sustained blackout: the wire goes down for good right after the
+/// connection establishes. The client must not hang: the retransmit
+/// timer backs off, gives up after `MAX_RXT` retransmissions and
+/// surfaces `TimedOut`, and the dead connection's resources drain once
+/// the descriptor closes.
+#[test]
+fn blackout_surfaces_timeout_instead_of_hanging() {
+    let mut bed = TestBed::new(SystemConfig::LibraryShm, Platform::DecStation5000_200, 42);
+    let (client_app, client, _) = echo_pair(&mut bed);
+    let plane = bed.arm_wire_faults(42, 0.0, 0.0, 0.0);
+    plane.borrow_mut().arm(FaultSite::LinkDown, 1.0);
+    let cut = bed.sim.now();
+    let _ = AppLib::send(&client_app, &mut bed.sim, client.fd, &[9u8; 2048]);
+    run_until(&mut bed, SimTime::from_secs(600), || {
+        client.error.borrow().is_some()
+    });
+    assert_eq!(
+        *client.error.borrow(),
+        Some(SocketError::TimedOut),
+        "a blackout must surface a timeout, not hang"
+    );
+    assert!(plane.borrow().injected(FaultSite::LinkDown) > 0);
+    // The connection has no RTT estimate yet, so the timer starts at
+    // RTO_INIT (1 s) and doubles to the RTO_MAX cap: giving up takes
+    // about four virtual minutes. A timer that never backed off would
+    // give up after nine 1 s timeouts.
+    let waited = bed.sim.now().as_nanos() - cut.as_nanos();
+    assert!(
+        waited > SimTime::from_secs(60).as_nanos(),
+        "the retransmit timer gave up after {waited} ns without backing off"
+    );
+    assert_client_drains(&mut bed, &client_app, client.fd, "blackout");
+}
